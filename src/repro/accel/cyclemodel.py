@@ -304,6 +304,12 @@ def simulate_spmm_frozen(job, config, owner, *, warmup_costs=(),
     ``final_backlog``/``total_backlog`` optionally supply the cached
     steady-state queue statistics (pure functions of ``owner`` and
     ``config``); when omitted they are recomputed via the EDF transport.
+
+    The result's ``tuned`` flag is the cold run's: a recorded warm-up
+    or convergence round means the tuner drove it. An unconverged
+    replay thus keeps its whole trace as :attr:`SpmmResult.warmup_costs`,
+    and re-extracting tuning state from a replayed report yields the
+    entry it replayed.
     """
     if not isinstance(job, SpmmJob):
         raise ConfigError(f"job must be SpmmJob, got {type(job).__name__}")
@@ -351,6 +357,7 @@ def simulate_spmm_frozen(job, config, owner, *, warmup_costs=(),
         final_backlog=int(final_backlog),
         total_backlog=int(total_backlog),
         final_owner=assignment.snapshot(),
+        tuned=converged_round is not None or warmup.size > 0,
     )
 
 

@@ -205,6 +205,8 @@ def replay_simulation(accel, cache, presim, *, tracer=None):
 
     With ``cache=None`` the report is simply the presimulated one (the
     sequential path would recompute the identical report per request).
+    With an empty ``presim`` every branch would fall back to
+    ``accel.run``, so that is returned directly, without the probe.
 
     The ``tracer`` splice preserves trace bit-identity: the worker's
     tuner events (recorded at anchor 0) are re-emitted between the
@@ -212,6 +214,8 @@ def replay_simulation(accel, cache, presim, *, tracer=None):
     run emits them — anchored at the tracer's current simulated time,
     which the caller pins to the dispatch instant.
     """
+    if not presim:
+        return accel.run(cache=cache, tracer=tracer)
     trace = tracer is not None and tracer.enabled
     if cache is None:
         hit = presim.get((accel.fingerprint(), accel.config))

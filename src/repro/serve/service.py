@@ -719,7 +719,7 @@ class InferenceService:
         self._family_keys = {}
         """family -> ordered set (dict) of (fingerprint, config) cache
         keys observed for it — what replication copies around."""
-        self._fp_memo = {}
+        self._accels = {}
         self._family_memo = {}
         self._drain_routes = 0
         self._drain_route_hits = 0
@@ -776,15 +776,18 @@ class InferenceService:
         # parallelize at chip level inside simulate_multichip_gcn
         # instead. A request shed later simply wastes its presimulation
         # — host work, never a modeled cycle.
+        #
+        # The memos key by id(dataset); ids can be recycled across
+        # drains, so they never outlive one. That also scopes each
+        # accelerator's replay memo to one drain.
+        self._accels = {}
+        self._family_memo = {}
         self._presim = {}
         if self.sim_workers > 1 and queued:
             from repro.parallel import presimulate
 
             accels = [
-                GcnAccelerator(
-                    item.request.resolve_graph(), item.request.config,
-                    a_hops=item.request.a_hops,
-                )
+                self._accel_for(item.request)
                 for item in queued
                 if not self._needs_sharding(item.request)
             ]
@@ -827,14 +830,10 @@ class InferenceService:
         self._drain_routes = 0
         self._drain_route_hits = 0
         self._drain_replications = 0
-        # The memos key by id(dataset); ids can be recycled across
-        # drains, so they never outlive one. The demand histogram is
-        # rebuilt too: each drain restarts the simulated clock at zero,
-        # and a decayed counter anchored in a previous epoch would read
-        # as infinitely stale. Caches and gang affinity persist — that
-        # is the warm service.
-        self._fp_memo = {}
-        self._family_memo = {}
+        # The demand histogram is rebuilt per drain: each drain restarts
+        # the simulated clock at zero, and a decayed counter anchored in
+        # a previous epoch would read as infinitely stale. Caches and
+        # gang affinity persist — that is the warm service.
         if self.cache_mode == "affinity":
             self._demand = DemandHistogram(half_life=self.demand_half_life)
         last_snapshot = None
@@ -1133,23 +1132,26 @@ class InferenceService:
             return self.cache.stats.evictions if self.cache is not None else 0
         return sum(w.cache.stats.evictions for w in self.workers)
 
-    def _request_key(self, request):
-        """The (fingerprint, config) cache key one request will use.
+    def _accel_for(self, request):
+        """The drain's one :class:`GcnAccelerator` for a request's
+        (dataset, config, a_hops).
 
-        Builds (once per dataset/config/a_hops per drain — memoized)
-        the same :class:`GcnAccelerator` the serving path builds, so
-        the key matches what :func:`replay_simulation` looks up
-        exactly.
+        Presimulation, routing keys and serving all share it, so its
+        jobs are built once per drain and its replay memo turns every
+        repeat hit on a cache entry into a lookup.
         """
         dataset = request.resolve_graph()
         memo_key = (id(dataset), request.config, request.a_hops)
-        fp = self._fp_memo.get(memo_key)
-        if fp is None:
+        accel = self._accels.get(memo_key)
+        if accel is None:
             accel = GcnAccelerator(dataset, request.config,
                                    a_hops=request.a_hops)
-            fp = accel.fingerprint()
-            self._fp_memo[memo_key] = fp
-        return (fp, request.config)
+            self._accels[memo_key] = accel
+        return accel
+
+    def _request_key(self, request):
+        """The (fingerprint, config) cache key one request will use."""
+        return (self._accel_for(request).fingerprint(), request.config)
 
     def _family_of(self, request):
         """The request's graph family (dataset fingerprint)."""
@@ -2131,9 +2133,7 @@ class InferenceService:
             # spliced from a pool worker) at its service start.
             tr.set_time(start)
         started = time.perf_counter()
-        accel = GcnAccelerator(
-            dataset, request.config, a_hops=request.a_hops
-        )
+        accel = self._accel_for(request)
         cache = self._cache_for(worker)
         if cache is not None:
             cache.clock = start

@@ -1,8 +1,11 @@
 """The batched inference service: scheduler, autotune cache, service."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import repro.accel.gcnaccel as gcnaccel
 from repro.accel import ArchConfig, CachedTuning, GcnAccelerator
 from repro.datasets import dataset_fingerprint, load_dataset
 from repro.datasets.rmat import edges_fingerprint
@@ -304,6 +307,170 @@ class TestAutotuneCache:
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.lookups == 0
+
+
+def _stages(entry):
+    return [stage for layer in entry.layers for stage in layer]
+
+
+def _stage_count(request):
+    jobs = GcnAccelerator(request.resolve_graph(), request.config,
+                          a_hops=request.a_hops).jobs
+    return sum(len(stage_jobs) for stage_jobs in jobs)
+
+
+@pytest.fixture
+def frozen_calls(monkeypatch):
+    """Names of the jobs every frozen replay evaluates, in call order."""
+    calls = []
+    real = gcnaccel.simulate_spmm_frozen
+
+    def counting(job, *args, **kwargs):
+        calls.append(job.name)
+        return real(job, *args, **kwargs)
+
+    monkeypatch.setattr(gcnaccel, "simulate_spmm_frozen", counting)
+    return calls
+
+
+class TestCacheEntryImmutability:
+    def test_mutating_a_cold_report_leaves_the_entry_intact(self):
+        # A caller's writes to its report must not reach the cached
+        # maps; if they did, this replay would read 13480 cycles.
+        cache = AutotuneCache()
+        cold = GcnAccelerator(SPEC.build(), CFG_A).run(cache=cache)
+        expected = cold.total_cycles
+        for result in cold.spmm_results:
+            result.final_owner[:] = 0
+        hit = GcnAccelerator(SPEC.build(), CFG_A).run(cache=cache)
+        assert hit.cache_hit
+        assert hit.total_cycles == expected
+
+    def test_stage_owner_is_a_read_only_copy(self):
+        owner = np.array([0, 1, 1, 0], dtype=np.int64)
+        stage = gcnaccel.CachedStage(
+            owner=owner, warmup_costs=(), converged_round=None,
+            final_backlog=0, total_backlog=0,
+        )
+        owner[0] = 1
+        assert stage.owner.tolist() == [0, 1, 1, 0]
+        assert stage.owner.dtype == np.int64
+        with pytest.raises(ValueError):
+            stage.owner[0] = 1
+
+    @pytest.mark.parametrize("f2, f3, converged", [
+        (12, 4, True),
+        # Two rounds per stage, at the tuner's patience: it never freezes.
+        (2, 2, False),
+    ])
+    def test_hit_report_round_trips_to_its_entry(self, f2, f3, converged):
+        # A replayed unconverged stage must still report tuned=True, or
+        # re-extracting it drops the warm-up trace (1253 -> 1067 cycles
+        # on the short graph).
+        dataset = RmatGraphSpec(n_nodes=384, f1=24, f2=f2, f3=f3,
+                                seed=5).build()
+        cache = AutotuneCache()
+        accel = GcnAccelerator(dataset, CFG_A)
+        cold = accel.run(cache=cache)
+        entry = cache.peek(accel.fingerprint(), CFG_A)
+        hit = GcnAccelerator(dataset, CFG_A).run(cache=cache)
+        again = CachedTuning.from_report(hit)
+        stages = _stages(entry)
+        assert all((s.converged_round is not None) == converged
+                   for s in stages)
+        for original, extracted in zip(stages, _stages(again), strict=True):
+            assert np.array_equal(original.owner, extracted.owner)
+            assert original.warmup_costs == extracted.warmup_costs
+            assert original.converged_round == extracted.converged_round
+            assert original.final_backlog == extracted.final_backlog
+            assert original.total_backlog == extracted.total_backlog
+        assert all(result.tuned for result in hit.spmm_results)
+        restored = AutotuneCache()
+        restored.store(accel.fingerprint(), CFG_A, again)
+        replayed = GcnAccelerator(dataset, CFG_A).run(cache=restored)
+        assert replayed.total_cycles == cold.total_cycles
+
+
+class TestReplayMemo:
+    def test_frozen_calls_per_drain_are_keys_times_stages(self,
+                                                         frozen_calls):
+        requests = [
+            InferenceRequest(graph=graph, config=config, a_hops=hops)
+            for graph, config, hops in (
+                (SPEC, CFG_A, 1), (SPEC2, CFG_A, 1), (SPEC, CFG_B, 2),
+            ) * 3
+        ]
+        expected = sum(_stage_count(r) for r in requests[:3])
+        service = InferenceService(n_workers=2, cache=AutotuneCache())
+        service.submit_many(requests)
+        service.drain()  # cold: one tune and two hits per key
+        assert len(frozen_calls) == expected
+        for _ in range(2):
+            # Warm drains replay each key once, never zero times: the
+            # memo lives on the drain's accelerators.
+            frozen_calls.clear()
+            service.submit_many(requests)
+            outcome = service.drain()
+            assert outcome.stats.cache_hits == len(requests)
+            assert len(frozen_calls) == expected
+
+    def test_restored_entry_mid_drain_is_replayed_afresh(self, monkeypatch,
+                                                        frozen_calls):
+        dataset = SPEC.build()
+        static = ArchConfig(n_pes=16, hop=1, remote_switching=False)
+        static_report = GcnAccelerator(dataset, static).run()
+        other = CachedTuning.from_report(static_report)
+        cache = AutotuneCache()
+        service = InferenceService(n_workers=1, cache=cache)
+        service.submit_many(_requests("a"))
+        tuned = service.drain().results[0].total_cycles
+        assert tuned != static_report.total_cycles
+
+        lookup = cache.lookup
+        lookups = []
+
+        def restore_before_third(fingerprint, config):
+            lookups.append(fingerprint)
+            if len(lookups) == 3:
+                cache.store(fingerprint, config, other)
+            return lookup(fingerprint, config)
+
+        monkeypatch.setattr(cache, "lookup", restore_before_third)
+        frozen_calls.clear()
+        service.submit_many(_requests("aaaa"))
+        outcome = service.drain()
+        assert [r.total_cycles for r in outcome.results] == (
+            [tuned] * 2 + [static_report.total_cycles] * 2
+        )
+        assert len(frozen_calls) == 2 * _stage_count(_requests("a")[0])
+
+    def test_memoized_report_arrays_are_read_only(self, tiny_nell):
+        cache = AutotuneCache()
+        accel = GcnAccelerator(tiny_nell, CFG_A)
+        accel.run(cache=cache)
+        first = accel.run(cache=cache)
+        second = accel.run(cache=cache)
+        assert first is not second and first.layers is not second.layers
+        assert first.layers[0] is second.layers[0]
+        for result in second.spmm_results:
+            with pytest.raises(ValueError):
+                result.cycles_per_round[0] = 0
+            with pytest.raises(ValueError):
+                result.final_owner[0] = 0
+
+    def test_out_of_range_owner_raises_on_every_hit(self, tiny_nell):
+        cold = GcnAccelerator(tiny_nell, CFG_A).run()
+        layers = list(CachedTuning.from_report(cold).layers)
+        xw, *rest = layers[0]
+        bad_owner = np.full(xw.owner.size, CFG_A.n_pes)
+        layers[0] = (replace(xw, owner=bad_owner), *rest)
+        accel = GcnAccelerator(tiny_nell, CFG_A)
+        cache = AutotuneCache()
+        cache.store(accel.fingerprint(), CFG_A,
+                    CachedTuning(layers=tuple(layers)))
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="out of range"):
+                accel.run(cache=cache)
 
 
 class TestFingerprints:

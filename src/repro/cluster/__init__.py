@@ -18,7 +18,8 @@ generalizing the paper's own mechanisms one level up:
   chip-level rebalancer that migrates row blocks between chips using
   the same Eq. 5 utilization signal (per-chip observed load) and the
   SLT's ``gap / 2`` transfer rule, as contiguity-preserving boundary
-  diffusion along the chip chain.
+  diffusion along the chip chain. A :class:`ShardedAccelerator` keeps
+  one graph's plans, halo sets and per-chip accelerators across runs.
 
 The serving layer (:class:`repro.serve.InferenceService`) plans
 requests whose graphs exceed a per-chip capacity as sharded jobs across
@@ -60,6 +61,7 @@ from repro.cluster.multichip import (
     ClusterConfig,
     ClusterReport,
     RebalanceInfo,
+    ShardedAccelerator,
     ShardedSpmmResult,
     StragglerEvent,
     rebalance_plan,
@@ -86,6 +88,7 @@ __all__ = [
     "ClusterConfig",
     "ClusterReport",
     "RebalanceInfo",
+    "ShardedAccelerator",
     "ShardedSpmmResult",
     "StragglerEvent",
     "rebalance_plan",

@@ -52,12 +52,17 @@ shards contiguous and halos small) and restore the best map seen, and
 migrated blocks pay for their adjacency-structure transfer
 (``migration_words_per_nnz`` words per moved non-zero) over the fabric
 before execution starts.
+
+A :class:`ShardedAccelerator` binds the model to one graph, ``a_hops``
+and cluster shape and keeps what those determine — the plans, their
+halo sets and the per-chip accelerators — across runs;
+:func:`simulate_multichip_gcn` is a thin wrapper over it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -779,6 +784,10 @@ class ClusterReport:
     chip_compute_per_layer: np.ndarray = None
     """Per-layer, per-chip compute in reference cycles, shape
     ``(n_layers, n_chips)``."""
+    halo: object = None
+    """The final plan's :class:`~repro.cluster.partition.HaloExchange`
+    (None on a single chip): the rows each chip receives per halo
+    round, which co-scheduled serving prices as fabric traffic."""
 
     @property
     def n_chips(self):
@@ -853,10 +862,12 @@ class ClusterReport:
         return self.cluster.chip.cycles_to_ms(self.total_cycles)
 
 
-def _compose_layers(cluster, plan, layers, chip_reports, adjacency, a_hops,
-                    *, slowdown=None):
+def _compose_layers(cluster, layers, chip_reports, halo, a_hops, *,
+                    slowdown=None):
     """Fold per-chip layer timings + fabric halo pricing into layer costs.
 
+    ``halo`` is the plan's
+    :class:`~repro.cluster.partition.HaloExchange` (None on one chip).
     Returns ``(layer_cycles, comm_serial, chip_costs, chip_compute)``:
     per-layer barrier-inclusive costs, the serialized per-chip comm
     matrix, the composed per-chip per-layer costs (pre-barrier) and the
@@ -868,7 +879,6 @@ def _compose_layers(cluster, plan, layers, chip_reports, adjacency, a_hops,
     """
     n_layers = len(layers)
     n_chips = cluster.n_chips
-    halo = halo_exchange(adjacency, plan) if n_chips > 1 else None
     fabric = cluster.fabric
 
     comm_serial = np.zeros((n_layers, n_chips), dtype=np.int64)
@@ -927,31 +937,6 @@ def _compose_layers(cluster, plan, layers, chip_reports, adjacency, a_hops,
     return layer_cycles, comm_serial, chip_costs, chip_compute
 
 
-def _run_chips(dataset, cluster, plan, layers, cache, name, tracer=None):
-    """One single-chip simulation per chip over its sliced jobs.
-
-    With ``cluster.workers > 1`` the chip simulations run in the
-    :mod:`repro.parallel` process pool — chips are independent between
-    layer barriers, and the replay protocol keeps the reports and the
-    cache state bit-identical to this function's sequential order.
-    ``tracer`` flows through to each chip's cold tuner run (spliced
-    deterministically on the parallel path).
-    """
-    from repro.parallel import simulate_accels
-
-    accels = [
-        GcnAccelerator.from_jobs(
-            slice_jobs(layers, plan.chip_rows(chip),
-                       suffix=f"@{name}/chip{chip}"),
-            cluster.chip_for(chip),
-            name=f"{name}/chip{chip}",
-        )
-        for chip in range(cluster.n_chips)
-    ]
-    return simulate_accels(accels, cache=cache, workers=cluster.workers,
-                           tracer=tracer)
-
-
 class _ExplorationCache:
     """Read-through view of a shared autotune cache for plan search.
 
@@ -984,8 +969,7 @@ class _ExplorationCache:
         self._own.store(fingerprint, config, entry)
 
 
-def _feedback_rebalance(dataset, cluster, plan, layers, cache, name,
-                        row_nnz, a_hops, tracer=None):
+def _feedback_rebalance(sharded, cluster, cache, tracer=None):
     """Cycle-feedback rebalancing: migrate on measured per-chip cycles.
 
     Round 0 starts from the load-signal plan — before anything has run
@@ -1025,16 +1009,22 @@ def _feedback_rebalance(dataset, cluster, plan, layers, cache, name,
     what the final report charges. With ``row_ceilings`` set every
     feedback-driven transfer is clamped exactly like the load signal's.
 
+    ``sharded`` is the :class:`ShardedAccelerator` being run: the
+    controller starts from its initial and load-signal plans and reuses
+    its per-plan halo sets and chip accelerators, while ``cluster`` —
+    the accelerator's, with this run's fabric background — prices every
+    candidate.
+
     Returns ``(plan, info, chip_reports, composed)`` with the winning
     plan's reports and composition run against the caller's cache.
     """
-    weights = plan.block_weights(row_nnz)
-    block_rows = plan.block_sizes
+    initial = sharded.plan
+    weights = initial.block_weights(sharded._row_nnz)
+    block_rows = initial.block_sizes
     ceilings = check_row_ceilings(
-        cluster.row_ceilings, cluster.n_chips, n_rows=plan.n_rows
+        cluster.row_ceilings, cluster.n_chips, n_rows=initial.n_rows
     )
-    initial = plan
-    plan, _load_info = rebalance_plan(plan, row_nnz, cluster)
+    plan, _load_info = sharded._load_rebalanced()
     bounds = _plan_bounds(plan)
     explore_cache = _ExplorationCache(cache)
     # Exploration rounds run untraced at the accelerator level — the
@@ -1044,7 +1034,7 @@ def _feedback_rebalance(dataset, cluster, plan, layers, cache, name,
     # ``workers`` counts; only the winning replay below carries the
     # tracer into the chip simulations.
     trace = tracer is not None and tracer.enabled
-    lane = f"cluster/{name}"
+    lane = f"cluster/{sharded.name}"
 
     best = None  # (total, plan, reports, composed)
     gap_history = []
@@ -1067,12 +1057,8 @@ def _feedback_rebalance(dataset, cluster, plan, layers, cache, name,
             best = None
             stall = 0
         prev_mult = mult
-        reports = _run_chips(dataset, cluster, current, layers,
-                             explore_cache, name)
-        composed = _compose_layers(
-            cluster, current, layers, reports, dataset.adjacency, a_hops,
-            slowdown=mult,
-        )
+        reports = sharded._run_chips(cluster, current, explore_cache)
+        composed = sharded._compose(cluster, current, reports, mult)
         _cycles, _comm, _costs, chip_compute = composed
         measured = chip_compute.sum(axis=0).astype(np.float64)
         gap_history.append(int(measured.max() - measured.min()))
@@ -1135,20 +1121,15 @@ def _feedback_rebalance(dataset, cluster, plan, layers, cache, name,
         # Replay the winner against the caller's cache: stores (or
         # hits) only the surviving plan's tuning entries, and the
         # returned reports carry the caller-visible cache_hit flags.
-        best_reports = _run_chips(
-            dataset, cluster, best_plan, layers, cache, name, tracer=tracer
-        )
-        best_composed = _compose_layers(
-            cluster, best_plan, layers, best_reports, dataset.adjacency,
-            a_hops, slowdown=steady,
-        )
+        best_reports = sharded._run_chips(cluster, best_plan, cache,
+                                          tracer=tracer)
+        best_composed = sharded._compose(cluster, best_plan, best_reports,
+                                         steady)
     elif cluster.stragglers:
         # The winning round may have measured a pre-onset or blended
         # regime; what the run ultimately pays is the steady state.
-        best_composed = _compose_layers(
-            cluster, best_plan, layers, best_reports, dataset.adjacency,
-            a_hops, slowdown=steady,
-        )
+        best_composed = sharded._compose(cluster, best_plan, best_reports,
+                                         steady)
     moved = best_plan.owner != initial.owner
     info = RebalanceInfo(
         rounds=rounds,
@@ -1177,149 +1158,309 @@ def simulate_multichip_gcn(dataset, cluster, *, a_hops=1, cache=None,
     jobs hash to their own fingerprint, and the chip's ArchConfig is
     part of the key), so repeat sharded requests replay through the
     frozen fast path chip by chip even on heterogeneous clusters.
+
+    This is a thin wrapper over :class:`ShardedAccelerator`, and
+    ``dataset`` may also be an accelerator already bound to the graph:
+    the run then reuses the plans, halo sets and per-chip accelerators
+    it built for earlier jobs. ``cluster`` must then be the
+    accelerator's own up to ``background_link_loads`` (this job's
+    fabric background), ``a_hops`` its ``a_hops``, and ``plan`` None.
     """
-    if not isinstance(cluster, ClusterConfig):
-        raise ConfigError(
-            f"cluster must be ClusterConfig, got {type(cluster).__name__}"
-        )
-    if hasattr(dataset, "adjacency_row_nnz"):
-        a_row_nnz = dataset.adjacency_row_nnz()
-    else:
-        a_row_nnz = dataset.adjacency.row_nnz()
-    capacities = cluster.capacities()
-    if plan is None:
-        plan = make_plan(
-            a_row_nnz, cluster.n_chips, strategy=cluster.strategy,
-            blocks_per_chip=cluster.blocks_per_chip, capacities=capacities,
-            row_ceilings=cluster.row_ceilings,
-        )
-    elif plan.n_rows != dataset.n_nodes or plan.n_chips != cluster.n_chips:
-        raise ConfigError(
-            f"plan ({plan!r}) does not match dataset "
-            f"({dataset.n_nodes} nodes) / cluster ({cluster.n_chips} chips)"
-        )
-    elif cluster.row_ceilings is not None:
-        ceilings = check_row_ceilings(
-            cluster.row_ceilings, cluster.n_chips, n_rows=plan.n_rows
-        )
-        counts = plan.chip_row_counts()
-        if np.any(counts > ceilings):
-            over = int(np.argmax(counts > ceilings))
-            raise CeilingError(
-                f"supplied plan violates row_ceilings: chip {over} owns "
-                f"{int(counts[over])} rows, ceiling {int(ceilings[over])}"
+    if isinstance(dataset, ShardedAccelerator):
+        sharded = dataset
+        if (not isinstance(cluster, ClusterConfig) or plan is not None
+                or a_hops != sharded.a_hops
+                or _shape_of(cluster) != _shape_of(sharded.cluster)):
+            raise ConfigError(
+                "a ShardedAccelerator runs only on its own cluster (up to "
+                "background_link_loads), a_hops and plan"
             )
+    else:
+        sharded = ShardedAccelerator(dataset, cluster, a_hops=a_hops,
+                                     plan=plan)
+    return sharded._simulate(cluster, cache, tracer)
 
-    layers = build_spmm_jobs(dataset, a_hops=a_hops)
-    name = getattr(dataset, "name", "custom")
-    initial_plan = plan
 
-    trace = tracer is not None and tracer.enabled
-    lane = f"cluster/{name}"
-    if trace:
-        tracer.instant("cluster.plan", lane=lane, args={
-            "n_chips": cluster.n_chips,
-            "n_blocks": plan.n_blocks,
-            "strategy": cluster.strategy,
-            "signal": (
-                cluster.rebalance_signal if cluster.rebalance else "off"
-            ),
-            "a_hops": a_hops,
-        })
-        for ev in (cluster.stragglers or ()):
-            if not isinstance(ev, StragglerEvent):
-                ev = StragglerEvent(*ev)
-            tracer.instant("cluster.straggler", lane=lane, args={
-                "chip": ev.chip,
-                "onset_round": ev.onset_round,
-                "factor": ev.factor,
-            })
-
-    feedback = (
-        cluster.rebalance
-        and cluster.rebalance_signal == "cycles"
-        and cluster.n_chips > 1
-        and plan.n_blocks > cluster.n_chips
+def _shape_of(cluster):
+    """Every :class:`ClusterConfig` field but the per-job fabric
+    background: what a :class:`ShardedAccelerator` is bound to."""
+    return tuple(
+        getattr(cluster, f.name) for f in fields(cluster)
+        if f.name != "background_link_loads"
     )
-    if feedback:
-        plan, info, chip_reports, composed = _feedback_rebalance(
-            dataset, cluster, plan, layers, cache, name, a_row_nnz, a_hops,
-            tracer=tracer,
-        )
-    else:
-        if cluster.rebalance:
-            plan, info = rebalance_plan(
-                plan, a_row_nnz, cluster, capacities=capacities
+
+
+class ShardedAccelerator:
+    """The sharded counterpart of :class:`~repro.accel.GcnAccelerator`.
+
+    Bound to one dataset, ``a_hops`` and one :class:`ClusterConfig` —
+    its chip configs, fabric, row ceilings and partition and rebalance
+    settings. What the graph and that shape determine is built on first
+    use and kept for every later run:
+
+    * the initial plan (:func:`~repro.cluster.partition.make_plan`, or
+      the caller's ``plan``);
+    * the load-signal :func:`rebalance_plan` outcome;
+    * each plan's :class:`~repro.cluster.partition.HaloExchange`;
+    * each plan's per-chip :class:`~repro.accel.GcnAccelerator`, whose
+      replay memo turns a repeat cache hit on its shard into a lookup.
+
+    The fabric background, the autotune cache and the tracer are
+    per-run arguments of :meth:`run`, so one accelerator serves every
+    job of its graph on its shape. Under ``rebalance_signal="cycles"``
+    the plan choice prices the fabric, background included, so it runs
+    on every call; only the per-plan halo sets and chip accelerators
+    are reused. Plans and halo sets are read-only, so the reports that
+    share them cannot change a later run.
+    """
+
+    def __init__(self, dataset, cluster, *, a_hops=1, plan=None):
+        if not isinstance(cluster, ClusterConfig):
+            raise ConfigError(
+                f"cluster must be ClusterConfig, got {type(cluster).__name__}"
             )
-            if cluster.rebalance_signal != info.signal:
-                # The feedback gate was closed (single chip, or no
-                # spare blocks to migrate) and the load controller ran
-                # its no-op path; report the configured signal rather
-                # than contradicting the cluster config.
-                info = replace(info, signal=cluster.rebalance_signal)
+        if hasattr(dataset, "adjacency_row_nnz"):
+            row_nnz = dataset.adjacency_row_nnz()
         else:
-            info = _noop_info(cluster.rebalance_signal)
-        chip_reports = _run_chips(dataset, cluster, plan, layers, cache,
-                                  name, tracer=tracer)
-        # A frozen or load-signal plan pays the steady-state slowdown
-        # in full — only the "cycles" feedback path can observe and
-        # route around a straggler.
-        composed = _compose_layers(
-            cluster, plan, layers, chip_reports, dataset.adjacency, a_hops,
-            slowdown=_straggler_multipliers(cluster),
-        )
+            row_nnz = dataset.adjacency.row_nnz()
+        if plan is not None:
+            if (plan.n_rows != dataset.n_nodes
+                    or plan.n_chips != cluster.n_chips):
+                raise ConfigError(
+                    f"plan ({plan!r}) does not match dataset "
+                    f"({dataset.n_nodes} nodes) / cluster "
+                    f"({cluster.n_chips} chips)"
+                )
+            if cluster.row_ceilings is not None:
+                ceilings = check_row_ceilings(
+                    cluster.row_ceilings, cluster.n_chips,
+                    n_rows=plan.n_rows,
+                )
+                counts = plan.chip_row_counts()
+                if np.any(counts > ceilings):
+                    over = int(np.argmax(counts > ceilings))
+                    raise CeilingError(
+                        f"supplied plan violates row_ceilings: chip {over} "
+                        f"owns {int(counts[over])} rows, ceiling "
+                        f"{int(ceilings[over])}"
+                    )
+        self.dataset = dataset
+        self.cluster = cluster
+        self.a_hops = a_hops
+        self.jobs = build_spmm_jobs(dataset, a_hops=a_hops)
+        self.name = getattr(dataset, "name", "custom")
+        self._row_nnz = row_nnz
+        self._plan = plan
+        self._infeasible = None
+        self._load = None
+        self._halos = {}
+        self._chips = {}
 
-    migration_cycles = _migration_cycles(
-        cluster, initial_plan, plan, initial_plan.block_weights(a_row_nnz)
-    )
-    layer_cycles, comm_serial, chip_costs, chip_compute = composed
-    total = migration_cycles + sum(layer_cycles)
+    @property
+    def plan(self):
+        """The initial :class:`~repro.cluster.partition.ShardPlan`.
 
-    if trace:
-        for r, gap in enumerate(info.gap_history):
-            tracer.instant("rebalance.gap", lane=lane, args={
-                "round": r, "gap": int(gap), "signal": info.signal,
-            })
-        tracer.instant("rebalance.done", lane=lane, args={
-            "rounds": info.rounds,
-            "converged_round": info.converged_round,
-            "migrated_blocks": info.migrated_blocks,
-            "migrated_nnz": info.migrated_nnz,
-            "signal": info.signal,
-            "migration_cycles": int(migration_cycles),
-            "total_cycles": int(total),
-        })
-        # One utilization sample per composed layer, stamped at the
-        # layer's start on the reference clock: busy fraction is each
-        # chip's compute over the layer's critical-path cost.
-        cum = float(migration_cycles)
-        for layer_idx, layer_cost in enumerate(layer_cycles):
-            cost = max(int(chip_costs[layer_idx].max()), 1)
-            tracer.counter(
-                "cluster.chip_util", lane=lane,
-                offset=cluster.chip.cycles_to_seconds(cum),
-                values={
-                    "layer": layer_idx,
-                    **{
-                        f"chip{c}": round(
-                            float(chip_compute[layer_idx, c]) / cost, 6
-                        )
-                        for c in range(cluster.n_chips)
-                    },
-                },
+        Built on first use unless the caller supplied one. When the row
+        ceilings admit no plan, every access raises
+        :class:`~repro.errors.CeilingError` but only the first runs the
+        partitioner.
+        """
+        if self._plan is None:
+            if self._infeasible is not None:
+                raise CeilingError(self._infeasible)
+            cluster = self.cluster
+            try:
+                self._plan = make_plan(
+                    self._row_nnz, cluster.n_chips,
+                    strategy=cluster.strategy,
+                    blocks_per_chip=cluster.blocks_per_chip,
+                    capacities=cluster.capacities(),
+                    row_ceilings=cluster.row_ceilings,
+                )
+            except CeilingError as exc:
+                self._infeasible = str(exc)
+                raise
+        return self._plan
+
+    def run(self, *, background=None, cache=None, tracer=None):
+        """Simulate one sharded inference; returns a :class:`ClusterReport`.
+
+        ``background`` is this run's per-link fabric load from other
+        jobs, as in :attr:`ClusterConfig.background_link_loads` (None
+        keeps the bound cluster's). ``cache`` and ``tracer`` are as in
+        :func:`simulate_multichip_gcn`.
+        """
+        cluster = self.cluster
+        if background is not None:
+            cluster = replace(cluster, background_link_loads=background)
+        return self._simulate(cluster, cache, tracer)
+
+    def _load_rebalanced(self):
+        """``(plan, info)`` of the load-signal controller, built once."""
+        if self._load is None:
+            self._load = rebalance_plan(self.plan, self._row_nnz,
+                                        self.cluster)
+        return self._load
+
+    def _halo(self, plan):
+        """The :class:`HaloExchange` of one plan, built once.
+
+        Every plan here shares the initial plan's blocks, so its owner
+        map alone identifies it.
+        """
+        key = plan.owner.tobytes()
+        halo = self._halos.get(key)
+        if halo is None:
+            halo = halo_exchange(self.dataset.adjacency, plan)
+            self._halos[key] = halo
+        return halo
+
+    def _chip_accels(self, plan):
+        """One accelerator per chip over its sliced jobs, built once."""
+        key = plan.owner.tobytes()
+        accels = self._chips.get(key)
+        if accels is None:
+            accels = tuple(
+                GcnAccelerator.from_jobs(
+                    slice_jobs(self.jobs, plan.chip_rows(chip),
+                               suffix=f"@{self.name}/chip{chip}"),
+                    self.cluster.chip_for(chip),
+                    name=f"{self.name}/chip{chip}",
+                )
+                for chip in range(self.cluster.n_chips)
             )
-            cum += float(layer_cost)
+            self._chips[key] = accels
+        return accels
 
-    return ClusterReport(
-        dataset=name,
-        cluster=cluster,
-        plan=plan,
-        rebalance=info,
-        chip_reports=tuple(chip_reports),
-        layer_cycles=tuple(layer_cycles),
-        comm_cycles_per_layer=comm_serial,
-        migration_cycles=int(migration_cycles),
-        total_cycles=int(total),
-        chip_costs_per_layer=chip_costs,
-        chip_compute_per_layer=chip_compute,
-    )
+    def _run_chips(self, cluster, plan, cache, tracer=None):
+        """One single-chip simulation per chip over its sliced jobs.
+
+        With ``cluster.workers > 1`` the chip simulations run in the
+        :mod:`repro.parallel` process pool — chips are independent
+        between layer barriers, and the replay protocol keeps the
+        reports and the cache state bit-identical to the sequential
+        order. ``tracer`` flows through to each chip's cold tuner run
+        (spliced deterministically on the parallel path).
+        """
+        from repro.parallel import simulate_accels
+
+        return simulate_accels(self._chip_accels(plan), cache=cache,
+                               workers=cluster.workers, tracer=tracer)
+
+    def _compose(self, cluster, plan, chip_reports, slowdown):
+        """:func:`_compose_layers` of one plan's chip reports."""
+        halo = self._halo(plan) if cluster.n_chips > 1 else None
+        return _compose_layers(cluster, self.jobs, chip_reports, halo,
+                               self.a_hops, slowdown=slowdown)
+
+    def _simulate(self, cluster, cache, tracer):
+        """One run on ``cluster``, the bound cluster up to its fabric
+        background."""
+        initial = self.plan
+        name = self.name
+        trace = tracer is not None and tracer.enabled
+        lane = f"cluster/{name}"
+        if trace:
+            tracer.instant("cluster.plan", lane=lane, args={
+                "n_chips": cluster.n_chips,
+                "n_blocks": initial.n_blocks,
+                "strategy": cluster.strategy,
+                "signal": (
+                    cluster.rebalance_signal if cluster.rebalance else "off"
+                ),
+                "a_hops": self.a_hops,
+            })
+            for ev in (cluster.stragglers or ()):
+                if not isinstance(ev, StragglerEvent):
+                    ev = StragglerEvent(*ev)
+                tracer.instant("cluster.straggler", lane=lane, args={
+                    "chip": ev.chip,
+                    "onset_round": ev.onset_round,
+                    "factor": ev.factor,
+                })
+
+        feedback = (
+            cluster.rebalance
+            and cluster.rebalance_signal == "cycles"
+            and cluster.n_chips > 1
+            and initial.n_blocks > cluster.n_chips
+        )
+        if feedback:
+            plan, info, chip_reports, composed = _feedback_rebalance(
+                self, cluster, cache, tracer=tracer,
+            )
+        else:
+            plan = initial
+            if cluster.rebalance:
+                plan, info = self._load_rebalanced()
+                if cluster.rebalance_signal != info.signal:
+                    # The feedback gate was closed (single chip, or no
+                    # spare blocks to migrate) and the load controller
+                    # ran its no-op path; report the configured signal
+                    # rather than contradicting the cluster config.
+                    info = replace(info, signal=cluster.rebalance_signal)
+            else:
+                info = _noop_info(cluster.rebalance_signal)
+            chip_reports = self._run_chips(cluster, plan, cache,
+                                           tracer=tracer)
+            # A frozen or load-signal plan pays the steady-state
+            # slowdown in full — only the "cycles" feedback path can
+            # observe and route around a straggler.
+            composed = self._compose(cluster, plan, chip_reports,
+                                     _straggler_multipliers(cluster))
+
+        migration_cycles = _migration_cycles(
+            cluster, initial, plan, initial.block_weights(self._row_nnz)
+        )
+        layer_cycles, comm_serial, chip_costs, chip_compute = composed
+        total = migration_cycles + sum(layer_cycles)
+
+        if trace:
+            for r, gap in enumerate(info.gap_history):
+                tracer.instant("rebalance.gap", lane=lane, args={
+                    "round": r, "gap": int(gap), "signal": info.signal,
+                })
+            tracer.instant("rebalance.done", lane=lane, args={
+                "rounds": info.rounds,
+                "converged_round": info.converged_round,
+                "migrated_blocks": info.migrated_blocks,
+                "migrated_nnz": info.migrated_nnz,
+                "signal": info.signal,
+                "migration_cycles": int(migration_cycles),
+                "total_cycles": int(total),
+            })
+            # One utilization sample per composed layer, stamped at the
+            # layer's start on the reference clock: busy fraction is
+            # each chip's compute over the layer's critical-path cost.
+            cum = float(migration_cycles)
+            for layer_idx, layer_cost in enumerate(layer_cycles):
+                cost = max(int(chip_costs[layer_idx].max()), 1)
+                tracer.counter(
+                    "cluster.chip_util", lane=lane,
+                    offset=cluster.chip.cycles_to_seconds(cum),
+                    values={
+                        "layer": layer_idx,
+                        **{
+                            f"chip{c}": round(
+                                float(chip_compute[layer_idx, c]) / cost, 6
+                            )
+                            for c in range(cluster.n_chips)
+                        },
+                    },
+                )
+                cum += float(layer_cost)
+
+        return ClusterReport(
+            dataset=name,
+            cluster=cluster,
+            plan=plan,
+            rebalance=info,
+            chip_reports=tuple(chip_reports),
+            layer_cycles=tuple(layer_cycles),
+            comm_cycles_per_layer=comm_serial,
+            migration_cycles=int(migration_cycles),
+            total_cycles=int(total),
+            chip_costs_per_layer=chip_costs,
+            chip_compute_per_layer=chip_compute,
+            halo=self._halo(plan) if cluster.n_chips > 1 else None,
+        )

@@ -41,6 +41,13 @@ from repro.utils.validation import check_1d_int_array, check_positive_int
 PARTITION_STRATEGIES = ("rows", "nnz")
 
 
+def _read_only(values):
+    """A read-only int64 copy of an integer array."""
+    out = np.array(values, dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class ShardPlan:
     """A block-granular row partition of one graph across chips.
@@ -49,6 +56,10 @@ class ShardPlan:
     ``block_bounds[0] == 0``, ``block_bounds[-1] == n_rows``, no empty
     blocks); ``owner[b]`` is the chip that runs block ``b``. The plan is
     immutable — rebalancing produces a new plan via :meth:`with_owner`.
+    Both arrays (and :meth:`row_owner`) are read-only copies, so a plan
+    shared across the reports of many runs (see
+    :class:`~repro.cluster.multichip.ShardedAccelerator`) cannot be
+    rewritten through any of them.
 
     A chip's rows (:meth:`chip_rows`) are always enumerated in ascending
     global row order, so reassembling per-chip outputs by scattering
@@ -87,8 +98,8 @@ class ShardPlan:
             )
         object.__setattr__(self, "n_rows", n_rows)
         object.__setattr__(self, "n_chips", n_chips)
-        object.__setattr__(self, "block_bounds", bounds)
-        object.__setattr__(self, "owner", owner)
+        object.__setattr__(self, "block_bounds", _read_only(bounds))
+        object.__setattr__(self, "owner", _read_only(owner))
 
     @property
     def n_blocks(self):
@@ -105,6 +116,7 @@ class ShardPlan:
         cached = self.__dict__.get("_row_owner")
         if cached is None:
             cached = np.repeat(self.owner, self.block_sizes)
+            cached.setflags(write=False)
             object.__setattr__(self, "_row_owner", cached)
         return cached
 
@@ -140,7 +152,7 @@ class ShardPlan:
             n_rows=self.n_rows,
             n_chips=self.n_chips,
             block_bounds=self.block_bounds,
-            owner=np.asarray(owner, dtype=np.int64).copy(),
+            owner=owner,
         )
 
     def __repr__(self):
@@ -410,11 +422,19 @@ class HaloExchange:
     per row per dense column — multiply by the stage's round count for
     the transfer volume). ``rows[d]`` is the sorted global index array
     of chip ``d``'s halo rows (rows it references but does not own).
+    Both are read-only copies: one exchange serves every run of its
+    plan.
     """
 
     n_chips: int
     words: np.ndarray
     rows: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "words", _read_only(self.words))
+        object.__setattr__(
+            self, "rows", tuple(_read_only(rows) for rows in self.rows)
+        )
 
     @property
     def in_rows(self):

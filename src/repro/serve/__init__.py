@@ -6,10 +6,9 @@ time with latency SLOs. This package adds that layer:
 
 * :mod:`repro.serve.request`   — request/result types with arrival
   times, deadlines and a per-request serving timeline;
-* :mod:`repro.serve.scheduler` — FIFO admission queue, the offline
-  config-affinity batch planner, and the event-driven
-  :class:`StreamingScheduler` (deadline-aware batch cutting, EDF
-  dispatch);
+* :mod:`repro.serve.scheduler` — FIFO admission queue and the
+  event-driven :class:`StreamingScheduler` (config-affinity batching,
+  deadline-aware batch cutting, EDF dispatch);
 * :mod:`repro.serve.cache`     — the :class:`AutotuneCache`: converged
   Eq. 5 row maps keyed by (workload fingerprint, arch config), with an
   optional LRU size bound and ``.npz`` persistence, so repeat graphs
@@ -65,7 +64,6 @@ from repro.serve.scheduler import (
     Batch,
     QueuedRequest,
     RequestQueue,
-    Scheduler,
     StreamingScheduler,
 )
 from repro.serve.service import (
@@ -99,7 +97,6 @@ __all__ = [
     "Batch",
     "QueuedRequest",
     "RequestQueue",
-    "Scheduler",
     "StreamingScheduler",
     "InferenceService",
     "LatencyStats",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -382,13 +383,31 @@ class AutotuneCache:
         stamps; version-1 (sorted by key, no recency) and version-2
         archives still load, with metadata defaulting to cold
         (0 hits, last used at 0.0).
+
+        A file that is not a readable archive — truncated, not an
+        ``.npz`` at all, empty, without an ``index`` or with an index
+        that is not JSON — raises :class:`~repro.errors.ConfigError`
+        naming ``path``.
         """
         cache = cls(max_entries=max_entries)
-        with np.load(path) as archive:
-            index = json.loads(bytes(archive["index"]).decode())
-            if index.get("version") not in (1, 2, 3):
+        try:
+            archive = np.load(path)
+        except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+            raise ConfigError(
+                f"cannot read autotune cache archive {path}: {exc}"
+            ) from exc
+        with archive:
+            try:
+                index = json.loads(bytes(archive["index"]).decode())
+            except (KeyError, ValueError) as exc:
                 raise ConfigError(
-                    f"unsupported cache archive version {index.get('version')}"
+                    f"autotune cache archive {path} has no readable "
+                    f"index: {exc}"
+                ) from exc
+            version = index.get("version") if isinstance(index, dict) else None
+            if version not in (1, 2, 3):
+                raise ConfigError(
+                    f"unsupported cache archive version {version} in {path}"
                 )
             for slot, meta in enumerate(index["entries"]):
                 config = ArchConfig(**meta["config"])

@@ -11,17 +11,14 @@ earliest-deadline-first with the oldest member's arrival as the
 tie-break (which degenerates to plain oldest-first FIFO when no request
 carries an SLO).
 
-Two planners share those rules:
-
-* :class:`Scheduler` is the offline planner of the original
-  submit-then-drain service: it folds an already-complete queue into
-  batches in one shot.
-* :class:`StreamingScheduler` is the event-driven planner behind the
-  simulated-clock serving loop: requests are admitted one at a time as
-  they arrive, and a batch is *cut* (sealed for dispatch) when its
-  config group reaches ``max_batch``, when the group's tightest
-  deadline minus the estimated service time says it must start now, or
-  when the arrival stream ends.
+:class:`StreamingScheduler` is the event-driven planner behind the
+simulated-clock serving loop: requests are admitted one at a time as
+they arrive, and a batch is *cut* (sealed for dispatch) when its config
+group reaches ``max_batch``, when the group's tightest deadline minus
+the estimated service time says it must start now, or when the arrival
+stream ends. An offline queue — everything arriving at once, no SLOs —
+is the degenerate case: admitting it all and flushing yields
+config-affine batches ordered by their oldest member.
 """
 
 from __future__ import annotations
@@ -160,54 +157,6 @@ class RequestQueue:
         pending, self._pending = self._pending, []
         self._last_arrival = 0.0
         return pending
-
-
-class Scheduler:
-    """Groups an already-drained queue into config-affine batches.
-
-    ``max_batch`` caps the batch size (None = unbounded); an over-full
-    config group is split into consecutive chunks that stay in arrival
-    order, so a flood of one tenant's config cannot monopolize an
-    instance indefinitely.
-    """
-
-    def __init__(self, *, max_batch=None):
-        self.max_batch = _check_max_batch(max_batch)
-
-    def plan(self, queued, *, max_batch=None):
-        """Fold queued requests into an ordered list of :class:`Batch`.
-
-        Batches are keyed by the request's (config, a_hops) pair —
-        the full reconfiguration surface of an instance — and ordered by
-        the arrival of their oldest member; members keep arrival order.
-        ``max_batch`` overrides the scheduler's own cap for this plan
-        (the service uses it to spread one giant config group over the
-        instance pool).
-        """
-        if max_batch is None:
-            max_batch = self.max_batch
-        else:
-            max_batch = _check_max_batch(max_batch)
-        groups = {}
-        order = []
-        for item in queued:
-            key = (item.request.config, item.request.a_hops)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(item)
-        batches = []
-        for key in order:
-            items = groups[key]
-            size = max_batch or len(items)
-            for start in range(0, len(items), size):
-                batches.append((items[start], key, items[start:start + size]))
-        # Order chunks globally by their oldest member's arrival.
-        batches.sort(key=lambda entry: entry[0].seq)
-        return [
-            Batch(index=i, config=key[0], items=tuple(items))
-            for i, (_first, key, items) in enumerate(batches)
-        ]
 
 
 class StreamingScheduler:

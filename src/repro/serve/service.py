@@ -62,8 +62,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.accel.gcnaccel import GcnAccelerator
-from repro.cluster.multichip import ClusterConfig, simulate_multichip_gcn
-from repro.cluster.partition import halo_exchange, make_plan
+from repro.cluster.multichip import (
+    ClusterConfig,
+    ShardedAccelerator,
+    simulate_multichip_gcn,
+)
+# Unused here since planning and halo sets moved into ShardedAccelerator;
+# hostbench/layers.py still patches both names on this module.
+from repro.cluster.partition import halo_exchange, make_plan  # noqa: F401
 from repro.cluster.topology import Topology, make_topology, subtopology
 from repro.errors import CeilingError, ConfigError
 from repro.obs.tracer import NULL_TRACER, config_label
@@ -204,6 +210,14 @@ class _ActiveJob:
     svc_span: object = None
     complete_ev: object = None
     preempt_at: float = None
+
+
+def _with_background(cluster, background):
+    """``cluster`` priced against other jobs' per-link fabric loads
+    (None leaves it as is)."""
+    if background is None:
+        return cluster
+    return replace(cluster, background_link_loads=background)
 
 
 def percentile(values, q):
@@ -720,6 +734,7 @@ class InferenceService:
         """family -> ordered set (dict) of (fingerprint, config) cache
         keys observed for it — what replication copies around."""
         self._accels = {}
+        self._sharded = {}
         self._family_memo = {}
         self._drain_routes = 0
         self._drain_route_hits = 0
@@ -779,8 +794,10 @@ class InferenceService:
         #
         # The memos key by id(dataset); ids can be recycled across
         # drains, so they never outlive one. That also scopes each
-        # accelerator's replay memo to one drain.
+        # accelerator's replay memo, and each sharded accelerator's
+        # plans, halo sets and chip accelerators, to one drain.
         self._accels = {}
+        self._sharded = {}
         self._family_memo = {}
         self._presim = {}
         if self.sim_workers > 1 and queued:
@@ -1404,21 +1421,16 @@ class InferenceService:
         return tuple(self._capacity_of(worker.index) for worker in gang)
 
     def _gang_cluster(self, workers, request, *, row_ceilings=None,
-                      topology=None, background=None):
+                      topology=None):
         """The :class:`ClusterConfig` a sharded run on ``workers`` uses.
 
         Under ``coschedule``, ``topology`` carries the gang's
         restriction of the pool fabric (overriding the kind string in
-        ``cluster_options``) and ``background`` the per-link loads of
-        the other jobs concurrently on it.
+        ``cluster_options``).
         """
         opts = dict(self.cluster_options)
         if topology is not None:
             opts["topology"] = topology
-        if background is not None:
-            opts["background_link_loads"] = tuple(
-                float(x) for x in background
-            )
         if self.worker_configs is not None:
             return ClusterConfig(
                 n_chips=len(workers),
@@ -1435,33 +1447,56 @@ class InferenceService:
             **opts,
         )
 
+    def _sharded_for(self, gang, request, *, constrained=True):
+        """The drain's one :class:`ShardedAccelerator` for a request's
+        graph on one gang.
+
+        The key — graph, ``a_hops``, request config, the ordered gang
+        members and whether their capacities bind as row ceilings —
+        fixes every field of the gang's :class:`ClusterConfig` except
+        the per-job fabric background: chip configs, row ceilings,
+        fabric restriction, partition and rebalance settings. Plan
+        validation, backfill screens and dispatch of one graph on one
+        gang therefore share its plans, halo sets and per-chip
+        accelerators for the whole drain.
+        """
+        dataset = request.resolve_graph()
+        indices = tuple(worker.index for worker in gang)
+        key = (id(dataset), request.a_hops, request.config, indices,
+               constrained)
+        sharded = self._sharded.get(key)
+        if sharded is None:
+            ceilings = (
+                self._gang_ceilings(gang)
+                if constrained and self.chip_capacity is not None else None
+            )
+            topology = (
+                subtopology(self._pool_fabric, indices)
+                if self.coschedule else None
+            )
+            cluster = self._gang_cluster(
+                gang, request, row_ceilings=ceilings, topology=topology,
+            )
+            sharded = ShardedAccelerator(dataset, cluster,
+                                         a_hops=request.a_hops)
+            self._sharded[key] = sharded
+        return sharded
+
     def _plan_fits(self, gang, request):
         """Whether the *actual* constrained plan is feasible on ``gang``.
 
         :meth:`_fit_gang`'s proportional-share check is an estimate; on
         a skewed graph the real nnz-balanced plan can hand a member
-        more rows than its declared capacity. This builds the very plan
-        the sharded run would use — same strategy, block granularity
-        and capacities, with the members' capacities as hard row
-        ceilings — and reports whether it exists. The graph build is
-        memoized per spec, so repeated validation during gang scans
-        stays cheap.
+        more rows than its declared capacity. This asks for the very
+        plan the sharded run would use — same strategy, block
+        granularity and capacities, with the members' capacities as
+        hard row ceilings — and reports whether it exists. The plan
+        comes from the gang's :meth:`_sharded_for` accelerator, which
+        partitions once per drain (an infeasible plan included), so a
+        repeated check during gang scans is a dict lookup.
         """
-        dataset = request.resolve_graph()
-        if hasattr(dataset, "adjacency_row_nnz"):
-            row_nnz = dataset.adjacency_row_nnz()
-        else:
-            row_nnz = dataset.adjacency.row_nnz()
-        cluster = self._gang_cluster(
-            gang, request, row_ceilings=self._gang_ceilings(gang)
-        )
         try:
-            make_plan(
-                row_nnz, cluster.n_chips, strategy=cluster.strategy,
-                blocks_per_chip=cluster.blocks_per_chip,
-                capacities=cluster.capacities(),
-                row_ceilings=cluster.row_ceilings,
-            )
+            self._sharded_for(gang, request).plan
         except CeilingError:
             return False
         return True
@@ -1616,20 +1651,10 @@ class InferenceService:
         if cached is not None:
             return cached
         request = item.request
-        ceilings = (
-            self._gang_ceilings(gang)
-            if constrained and self.chip_capacity is not None else None
-        )
-        topology = (
-            subtopology(self._pool_fabric, indices)
-            if self.coschedule else None
-        )
-        cluster = self._gang_cluster(
-            gang, request, row_ceilings=ceilings,
-            topology=topology, background=background,
-        )
+        sharded = self._sharded_for(gang, request, constrained=constrained)
+        cluster = _with_background(sharded.cluster, background)
         report = simulate_multichip_gcn(
-            request.resolve_graph(), cluster, a_hops=request.a_hops,
+            sharded, cluster, a_hops=request.a_hops,
             cache=_ScreenCache(self._cache_for(gang[0])),
         )
         duration = cluster.chip.cycles_to_seconds(report.total_cycles)
@@ -1905,10 +1930,6 @@ class InferenceService:
                     "members": list(members),
                     "warm": warm,
                 })
-        ceilings = (
-            self._gang_ceilings(workers)
-            if constrained and self.chip_capacity is not None else None
-        )
         if self.worker_configs is not None:
             start = max(
                 self._reconfigure(
@@ -1925,16 +1946,10 @@ class InferenceService:
                 self._reconfigure(worker, key, request.config, clock)
                 for worker in workers
             )
-        topology = None
-        background = None
-        if self.coschedule:
-            topology = subtopology(
-                self._pool_fabric, tuple(w.index for w in workers)
-            )
-            background = self._background_for(clock)
-        cluster = self._gang_cluster(
-            workers, request, row_ceilings=ceilings,
-            topology=topology, background=background,
+        sharded = self._sharded_for(workers, request, constrained=constrained)
+        cluster = _with_background(
+            sharded.cluster,
+            self._background_for(clock) if self.coschedule else None,
         )
         dataset = request.resolve_graph()
         tr = self.tracer
@@ -1947,7 +1962,7 @@ class InferenceService:
             cache.clock = start
         wall_started = time.perf_counter()
         report = simulate_multichip_gcn(
-            dataset, cluster, a_hops=request.a_hops, cache=cache,
+            sharded, cluster, a_hops=request.a_hops, cache=cache,
             tracer=tr if tr.enabled else None,
         )
         elapsed = time.perf_counter() - wall_started
@@ -2043,8 +2058,7 @@ class InferenceService:
                 boundaries.append(start + secs(cum))
             flows = None
             if cluster.n_chips > 1:
-                halo = halo_exchange(dataset.adjacency, report.plan)
-                flows = cluster.fabric.link_loads(halo.words)
+                flows = cluster.fabric.link_loads(report.halo.words)
             self._active.append(_ActiveJob(
                 seq=item.seq,
                 gang=list(workers),

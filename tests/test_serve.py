@@ -16,7 +16,7 @@ from repro.serve import (
     InferenceService,
     RequestQueue,
     RmatGraphSpec,
-    Scheduler,
+    StreamingScheduler,
     serve_requests,
     synthetic_traffic,
 )
@@ -62,11 +62,27 @@ class TestRequestQueue:
             RequestQueue().submit("not a request")
 
 
+def _offline_batches(queued, *, max_batch=None):
+    """Admit a whole queue at once, flush, and pop every batch."""
+    stream = StreamingScheduler(max_batch=max_batch)
+    for item in queued:
+        stream.admit(item)
+    stream.flush()
+    batches = []
+    while stream.ready:
+        batches.append(stream.pop_ready())
+    return batches
+
+
 class TestSchedulerOrdering:
+    """The offline regime (everything queued at t=0, no SLO) batches by
+    (config, a_hops), oldest member first — the order the service
+    promises for offline traffic."""
+
     def plan(self, pattern, **kwargs):
         queue = RequestQueue()
         queue.submit_many(_requests(pattern))
-        return Scheduler(**kwargs).plan(queue.drain())
+        return _offline_batches(queue.drain(), **kwargs)
 
     def test_groups_by_config(self):
         batches = self.plan("aabba")
@@ -98,7 +114,7 @@ class TestSchedulerOrdering:
         queue = RequestQueue()
         queue.submit(InferenceRequest(graph=SPEC, config=CFG_A, a_hops=1))
         queue.submit(InferenceRequest(graph=SPEC, config=CFG_A, a_hops=2))
-        batches = Scheduler().plan(queue.drain())
+        batches = _offline_batches(queue.drain())
         assert len(batches) == 2
 
     def test_batch_indices_are_consecutive(self):
@@ -107,25 +123,13 @@ class TestSchedulerOrdering:
 
 
 class TestSchedulerValidation:
-    def test_rejects_zero_max_batch(self):
-        with pytest.raises(ConfigError):
-            Scheduler(max_batch=0)
-
     def test_rejects_negative_max_batch(self):
         with pytest.raises(ConfigError):
-            Scheduler(max_batch=-3)
+            StreamingScheduler(max_batch=-3)
 
     def test_rejects_non_int_max_batch(self):
         with pytest.raises(ConfigError):
-            Scheduler(max_batch=2.5)
-
-    def test_plan_rejects_zero_max_batch_override(self):
-        # max_batch=0 used to fall through `size = max_batch or len(items)`
-        # and silently mean "unbounded"; it must be rejected instead.
-        queue = RequestQueue()
-        queue.submit_many(_requests("aaa"))
-        with pytest.raises(ConfigError):
-            Scheduler().plan(queue.drain(), max_batch=0)
+            StreamingScheduler(max_batch=2.5)
 
     def test_queue_rejects_non_monotonic_arrivals(self):
         queue = RequestQueue()
@@ -307,6 +311,45 @@ class TestAutotuneCache:
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.lookups == 0
+
+
+def _truncated(path):
+    cache = AutotuneCache()
+    cache.store("g", CFG_A, CachedTuning(layers=((gcnaccel.CachedStage(
+        owner=np.zeros(64, dtype=np.int64), warmup_costs=(),
+        converged_round=None, final_backlog=0, total_backlog=0,
+    ),),)))
+    cache.save(path)
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+def _random_bytes(path):
+    path.write_bytes(np.random.default_rng(0).bytes(300))
+
+
+def _empty(path):
+    path.write_bytes(b"")
+
+
+def _without_index(path):
+    np.savez_compressed(path, other=np.arange(3))
+
+
+def _non_json_index(path):
+    np.savez_compressed(
+        path, index=np.frombuffer(b"not json {", dtype=np.uint8)
+    )
+
+
+@pytest.mark.parametrize("write", [
+    _truncated, _random_bytes, _empty, _without_index, _non_json_index,
+])
+def test_malformed_archive_load_is_a_config_error(tmp_path, write):
+    path = tmp_path / "cache.npz"
+    write(path)
+    with pytest.raises(ConfigError, match="cache.npz"):
+        AutotuneCache.load(path)
 
 
 def _stages(entry):

@@ -5,10 +5,13 @@ twice per arrival rate by the same partitioned instance pool — once
 under the historical cache-blind dispatch, once under warm-aware
 affinity routing with demand-driven hot-entry replication:
 
-(a) at *every* swept arrival rate, affinity routing improves the
-    aggregate cache hit rate AND wall-clock serving throughput, with
-    SLO attainment no worse (the sweep's verdict line asserts this
-    internally; the bench re-checks the rows);
+(a) at *every* swept arrival rate, affinity routing strictly improves
+    the aggregate cache hit rate, with SLO attainment no worse (the
+    sweep's verdict line asserts this internally; the bench re-checks
+    the rows). Wall-clock throughput is recorded, not claimed: each
+    drain tunes a key at most once, so a cache-blind miss on a key the
+    drain already tuned costs a store, and blind dispatch no longer
+    pays host time for its lower hit rate;
 (b) the improvement is placement, not semantics: the sweep raises if
     any per-request cycle count differs between the two modes;
 (c) ``cache_mode="shared"`` stays the oracle: serving a trace with the
@@ -44,13 +47,12 @@ def test_bench_cache_affinity(benchmark, bench_seed):
     affinity_rows = [r for r in rows if r["mode"] == "affinity"]
     assert blind_rows and len(blind_rows) == len(affinity_rows), text
 
-    # (a) Affinity wins hit rate and throughput at every swept rate,
-    # SLO attainment no worse; the verdict line records the same.
+    # (a) Affinity wins hit rate at every swept rate, SLO attainment
+    # no worse; the verdict line records the same. Throughput stays a
+    # reported column.
     for blind, affinity in zip(blind_rows, affinity_rows):
         assert affinity["hit_rate"] > blind["hit_rate"], (blind["rate"], text)
-        assert affinity["req_per_s"] > blind["req_per_s"], (
-            blind["rate"], text,
-        )
+        assert affinity["req_per_s"] > 0 and blind["req_per_s"] > 0, text
         assert affinity["slo_attainment"] >= blind["slo_attainment"], (
             blind["rate"], text,
         )

@@ -57,6 +57,6 @@ def test_serve_latency(benchmark, bench_seed):
     assert cold["batches"] > N_REQUESTS // MAX_BATCH, text
 
     # The cache still pays for itself in wall-clock simulation cost
-    # (measured ~7x; 3 leaves headroom for noisy CI machines).
+    # (measured ~15x; 3 leaves headroom for noisy CI machines).
     assert warm["hit_rate"] > 0.9
     assert cmp_row["wall_s"] >= 3.0, text

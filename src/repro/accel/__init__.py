@@ -48,6 +48,7 @@ from repro.accel.gcnaccel import (
     AcceleratorReport,
     CachedStage,
     CachedTuning,
+    ColdRun,
     GcnAccelerator,
     LayerTiming,
     build_spmm_jobs,
@@ -83,6 +84,7 @@ __all__ = [
     "AcceleratorReport",
     "CachedStage",
     "CachedTuning",
+    "ColdRun",
     "GcnAccelerator",
     "LayerTiming",
     "build_spmm_jobs",

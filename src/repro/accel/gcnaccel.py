@@ -17,7 +17,7 @@ matrix never changes, so re-tuning from scratch would waste rounds.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from repro.accel.cyclemodel import (
     simulate_spmm_frozen,
 )
 from repro.errors import ConfigError
+from repro.obs.tracer import RecordingTracer
 from repro.utils.validation import check_1d_int_array
 
 
@@ -188,6 +189,24 @@ class AcceleratorReport:
         return [layer.pipelined_cycles for layer in self.layers]
 
 
+@dataclass(frozen=True)
+class ColdRun:
+    """One cold simulation: what a cache miss computes and stores.
+
+    ``report`` is the cold :class:`AcceleratorReport`, ``entry`` the
+    :class:`CachedTuning` extracted from it, and ``events`` the tuner
+    events the run emitted, recorded at simulated time 0 so that
+    :meth:`~repro.obs.tracer.RecordingTracer.splice` can re-anchor them
+    (None when the run was not traced). The parallel backend ships one
+    per presimulated key; :meth:`GcnAccelerator.run` keeps one per
+    accelerator.
+    """
+
+    report: AcceleratorReport
+    entry: CachedTuning
+    events: object = None  # tuple | None
+
+
 def build_spmm_jobs(dataset, *, x2_row_nnz=None, a_hops=1):
     """Construct the SPMM jobs of a 2-layer GCN from a dataset.
 
@@ -319,6 +338,7 @@ class GcnAccelerator:
         # x2 override changes the workload and forces the slow job hash.
         self._dataset_key = (dataset, a_hops) if x2_row_nnz is None else None
         self._replays = {}
+        self._cold = None
 
     @classmethod
     def for_shard(cls, dataset, config, rows, *, x2_row_nnz=None, a_hops=1,
@@ -355,6 +375,7 @@ class GcnAccelerator:
         instance._fingerprint = None
         instance._dataset_key = None
         instance._replays = {}
+        instance._cold = None
         return instance
 
     @property
@@ -407,22 +428,72 @@ class GcnAccelerator:
         identical to the cold run that populated the entry. On a miss the
         cold run's tuning state is stored for the next request.
 
+        A cold run is a pure function of (jobs, config), so with a cache
+        each accelerator drives the tuner once: its first miss keeps the
+        :class:`ColdRun` (the report's arrays made read-only, the entry
+        it stored and, when traced, its tuner events), and every later
+        miss — the key was evicted, or this is another cache — makes the
+        same calls the cold path does: ``lookup``, the events spliced
+        into ``tracer``, ``store`` of that same entry object. It returns
+        a fresh report sharing the kept :class:`LayerTiming` objects.
+        A run kept untraced is simulated again, once, the first time a
+        traced miss needs its events. ``cache=None`` tunes on every call:
+        it is the no-cache baseline.
+
         ``tracer`` (a :class:`~repro.obs.tracer.RecordingTracer`)
         records the cold path's per-stage Eq. 5 tuning events; the
         frozen replay emits nothing of its own (the cache layer's
         hit/miss events already mark it).
         """
-        fingerprint = None
-        if cache is not None:
-            fingerprint = self.fingerprint()
-            entry = cache.lookup(fingerprint, self.config)
-            if entry is not None and entry.matches(self.jobs):
-                return self._run_cached(entry)
-        report = self._run_cold(tracer=tracer)
-        if cache is not None:
-            cache.store(fingerprint, self.config,
-                        CachedTuning.from_report(report))
-        return report
+        if cache is None:
+            return self._run_cold(tracer=tracer)
+        fingerprint = self.fingerprint()
+        entry = cache.lookup(fingerprint, self.config)
+        if entry is not None and entry.matches(self.jobs):
+            return self._run_cached(entry)
+        trace = tracer is not None and tracer.enabled
+        if not self.remembers_cold_run(traced=trace):
+            self.remember_cold(self.cold_run(traced=trace))
+        cold = self._cold
+        if trace:
+            tracer.splice(cold.events)
+        cache.store(fingerprint, self.config, cold.entry)
+        return replace(cold.report, layers=list(cold.report.layers))
+
+    def cold_run(self, *, traced=False):
+        """Simulate cold, cache-less; returns the :class:`ColdRun` a
+        miss keeps. ``traced`` records the tuner events on a local
+        :class:`~repro.obs.tracer.RecordingTracer` at simulated 0."""
+        local = RecordingTracer() if traced else None
+        report = self._run_cold(tracer=local)
+        return ColdRun(
+            report=report,
+            entry=CachedTuning.from_report(report),
+            events=tuple(local.events) if traced else None,
+        )
+
+    def remembers_cold_run(self, *, traced=False):
+        """Whether a cache miss would skip the tuner (see :meth:`run`);
+        ``traced`` asks for a kept run that has its tuner events."""
+        cold = self._cold
+        return cold is not None and (not traced or cold.events is not None)
+
+    def remember_cold(self, cold):
+        """Keep a :class:`ColdRun` of this accelerator for later misses.
+
+        ``cold`` must be what :meth:`run` would compute on a miss —
+        :func:`repro.parallel.presimulate` seeds each accelerator with
+        its pool-computed run this way. A kept run stays: ``cold`` only
+        adds the tuner events a kept untraced run lacks.
+        """
+        kept = self._cold
+        if kept is None:
+            for result in cold.report.spmm_results:
+                result.cycles_per_round.setflags(write=False)
+                result.final_owner.setflags(write=False)
+            self._cold = cold
+        elif kept.events is None and cold.events is not None:
+            self._cold = replace(kept, events=cold.events)
 
     def _run_cold(self, *, tracer=None):
         """Full simulation: drive the auto-tuner on every stage."""

@@ -1,11 +1,12 @@
 """Cache-affinity routing sweep: warm-aware vs cache-blind dispatch.
 
 At millions-of-users scale the autotune warm-up is the dominant
-repeated serving cost (the cache benchmarks measure ~8.5x cached vs
-cold simulation throughput), and in a realistically *partitioned*
-deployment each instance owns its own :class:`~repro.serve.AutotuneCache`
-shard — a repeat graph landing on a cold instance pays the tuner again
-even though a warm instance idles next to it. This sweep drives
+repeated serving cost (``results/serve_throughput.*`` measures the
+cached path against cold simulation), and in a realistically
+*partitioned* deployment each instance owns its own
+:class:`~repro.serve.AutotuneCache` shard — a repeat graph landing on a
+cold instance misses even though a warm instance idles next to it.
+This sweep drives
 identical Zipf repeat-heavy streaming traces
 (:func:`~repro.serve.traffic.streaming_traffic` with ``repeat_alpha``)
 through the same partitioned pool twice per arrival rate:
@@ -20,10 +21,16 @@ through the same partitioned pool twice per arrival rate:
 Both modes run the same modeled hardware: the sweep asserts per-request
 cycle identity (a cache can change wall time, never a cycle), and the
 verdict line asserts the headline claim — at *every* swept rate,
-affinity routing improves the aggregate hit rate **and** wall-clock
-serving throughput, with SLO attainment no worse. Rows record
-per-worker hit rates and replication counts so the placement quality is
-inspectable, not inferred.
+affinity routing improves the aggregate hit rate with SLO attainment no
+worse. Rows record per-worker hit rates and replication counts so the
+placement quality is inspectable, not inferred.
+
+Wall-clock throughput (``req_per_s``) is reported but not claimed. The
+simulator tunes each key at most once per drain
+(:meth:`~repro.accel.GcnAccelerator.run` keeps its cold run), so a
+cache-blind miss on a key the drain already tuned costs a store, not a
+tune: the host cost no longer charges blind dispatch for its lower hit
+rate, and the two modes' wall times differ by noise and routing work.
 """
 
 from __future__ import annotations
@@ -144,16 +151,16 @@ def compare_cache_affinity(*, n_requests=96,
 
 
 def _verdict(rows):
-    """The claim line under the affinity table."""
+    """The claim line under the affinity table: a strictly higher hit
+    rate with SLO attainment no worse (throughput is not claimed)."""
     failures = []
     deltas = []
     for blind, affinity in zip(rows[0::2], rows[1::2]):
         hit_gain = affinity["hit_rate"] > blind["hit_rate"]
-        thr_gain = affinity["req_per_s"] > blind["req_per_s"]
         blind_att = blind["slo_attainment"]
         affinity_att = affinity["slo_attainment"]
         slo_ok = (blind_att == "" or affinity_att >= blind_att)
-        if not (hit_gain and thr_gain and slo_ok):
+        if not (hit_gain and slo_ok):
             failures.append(blind["rate"])
         deltas.append(round(affinity["hit_rate"] - blind["hit_rate"], 4))
     if failures:
@@ -163,6 +170,6 @@ def _verdict(rows):
         )
     return (
         "affinity routing beats cache-blind dispatch at every swept "
-        f"rate: higher hit rate (deltas {deltas}) and throughput, SLO "
-        "attainment no worse"
+        f"rate: higher hit rate (deltas {deltas}), SLO attainment no "
+        "worse"
     )

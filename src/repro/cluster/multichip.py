@@ -1203,7 +1203,8 @@ class ShardedAccelerator:
     * the load-signal :func:`rebalance_plan` outcome;
     * each plan's :class:`~repro.cluster.partition.HaloExchange`;
     * each plan's per-chip :class:`~repro.accel.GcnAccelerator`, whose
-      replay memo turns a repeat cache hit on its shard into a lookup.
+      replay memo turns a repeat cache hit on its shard into a lookup
+      and whose kept cold run turns a repeat miss into a store.
 
     The fabric background, the autotune cache and the tracer are
     per-run arguments of :meth:`run`, so one accelerator serves every

@@ -21,12 +21,13 @@ lane.
 Determinism contract: because control flow depends only on the
 simulated clock, the event stream a :class:`RecordingTracer` collects
 is bit-identical for any host ``workers`` count. The one wrinkle is the
-parallel backend's presimulate-then-replay protocol
-(:mod:`repro.parallel`): cold tuner events are recorded inside the
-worker process (anchored at 0) and :meth:`RecordingTracer.splice`\\ d
-into the parent's stream at replay time, at exactly the point the
-sequential path would have emitted them — between the cache lookup and
-the store. Parallel-only cache peeks are suppressed
+cold run a cache miss keeps (:meth:`repro.accel.GcnAccelerator.run`):
+its tuner events are recorded on a local tracer (anchored at 0) —
+in-process, or inside a worker process of the parallel backend
+(:mod:`repro.parallel`) — and :meth:`RecordingTracer.splice`\\ d into
+the stream at exactly the point a direct run would have emitted them,
+between the cache lookup and the store, on every miss that replays
+them. Parallel-only cache peeks are suppressed
 (``peek(..., trace=False)``) so they leave no trace either.
 """
 
@@ -175,13 +176,13 @@ class RecordingTracer:
         ))
 
     def splice(self, events, *, anchor=None):
-        """Re-emit worker-recorded events into this stream.
+        """Re-emit events recorded elsewhere into this stream.
 
-        The parallel backend's workers record cold-run events anchored
-        at simulated time 0; the parent splices them at replay time
-        with ``ts += anchor`` (default ``now``) and fresh sequence
-        numbers, reproducing the exact stream the sequential path
-        emits at the same point.
+        A kept cold run (in-process or from a parallel-backend worker)
+        carries its tuner events anchored at simulated time 0; each
+        miss that replays it splices them here with ``ts += anchor``
+        (default ``now``) and fresh sequence numbers, reproducing the
+        exact stream a direct cold run emits at the same point.
         """
         base = self.now if anchor is None else float(anchor)
         for event in events:

@@ -10,15 +10,17 @@ and cache state to the sequential oracle:
 
 * :func:`presimulate` scans a list of accelerators, deduplicates them
   by cache key, skips keys the shared :class:`~repro.serve.AutotuneCache`
-  already answers, and runs the remaining cold simulations in the pool;
-* :func:`replay_simulation` is the gather side: it mirrors
-  :meth:`~repro.accel.GcnAccelerator.run`'s lookup/store discipline
-  against the shared cache in the caller's original order, folding each
-  worker-local result back deterministically (via
-  :meth:`~repro.serve.AutotuneCache.lookup` +
-  :meth:`~repro.serve.AutotuneCache.store`, the same calls the
-  sequential path makes) — hit/miss counters, LRU recency and eviction
-  order all come out identical to the sequential run;
+  already answers, runs the remaining cold simulations in the pool and
+  seeds each accelerator's kept cold run
+  (:meth:`~repro.accel.GcnAccelerator.remember_cold`) with the result;
+* :func:`replay_simulation` is the gather side: with a cache it is the
+  sequential :meth:`~repro.accel.GcnAccelerator.run` itself, in the
+  caller's original order. A seeded miss makes the calls a sequential
+  miss makes — :meth:`~repro.serve.AutotuneCache.lookup`, the worker's
+  tuner events spliced in, :meth:`~repro.serve.AutotuneCache.store` —
+  so hit/miss counters, LRU recency and eviction order all come out
+  identical to the sequential run, and ``workers=1`` and ``workers=N``
+  take one miss path;
 * :func:`simulate_accels` composes the two into a drop-in replacement
   for ``[accel.run(cache=cache) for accel in accels]``.
 
@@ -45,9 +47,8 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-from dataclasses import dataclass
 
-from repro.accel.gcnaccel import CachedTuning, GcnAccelerator
+from repro.accel.gcnaccel import GcnAccelerator
 from repro.utils.validation import check_positive_int
 
 _POOL = None
@@ -103,35 +104,17 @@ atexit.register(shutdown_pool)
 def _simulate_payload(payload):
     """Worker-side task: one cold accelerator simulation.
 
-    Returns ``(report, entry, events)`` — the full cold
-    :class:`~repro.accel.gcnaccel.AcceleratorReport`, the
-    :class:`~repro.accel.CachedTuning` the sequential path would have
-    stored for it, and (when tracing) the cold run's tuner events
-    recorded at simulated time 0 for the parent to
-    :meth:`~repro.obs.tracer.RecordingTracer.splice` in at replay.
-    Runs cache-less: a worker never sees the shared cache, so there is
-    nothing to race on.
+    Returns the :class:`~repro.accel.gcnaccel.ColdRun` the sequential
+    path would compute on a miss: the full cold report, the
+    :class:`~repro.accel.CachedTuning` it would store and (when tracing)
+    the cold run's tuner events recorded at simulated time 0 for the
+    parent to :meth:`~repro.obs.tracer.RecordingTracer.splice` in at
+    replay. Runs cache-less: a worker never sees the shared cache, so
+    there is nothing to race on.
     """
     jobs, config, name, trace = payload
     accel = GcnAccelerator.from_jobs(jobs, config, name=name)
-    if trace:
-        from repro.obs.tracer import RecordingTracer
-
-        local = RecordingTracer()
-        report = accel.run(tracer=local)
-        return report, CachedTuning.from_report(report), tuple(local.events)
-    report = accel.run()
-    return report, CachedTuning.from_report(report), ()
-
-
-@dataclass(frozen=True)
-class PresimResult:
-    """One pool-computed cold simulation awaiting replay."""
-
-    report: object
-    entry: CachedTuning
-    events: tuple = ()
-    """Tuner events the worker recorded (anchored at simulated 0)."""
+    return accel.cold_run(traced=trace)
 
 
 def presimulate(accels, *, cache=None, workers=2, tracer=None):
@@ -142,15 +125,20 @@ def presimulate(accels, *, cache=None, workers=2, tracer=None):
     cold simulation per key that neither the cache (checked via
     :meth:`~repro.serve.AutotuneCache.peek` — no counter or recency
     side effects, and ``trace=False`` so these parallel-only probes
-    stay out of the event stream) nor an earlier accelerator in the
-    batch will answer. Returns ``{key: PresimResult}`` for the
-    dispatched keys.
+    stay out of the event stream), the accelerator's own kept cold run
+    nor an earlier accelerator in the batch will answer. Returns
+    ``{key: ColdRun}`` for the dispatched keys.
+
+    With a ``cache``, every accelerator of a dispatched key is seeded
+    with its result (:meth:`~repro.accel.GcnAccelerator.remember_cold`),
+    so its next miss replays the pool's run instead of tuning: the
+    ``lookup``, the splice of the worker's events and the ``store`` the
+    sequential path makes at that point.
 
     With a ``tracer`` enabled, each worker records its cold run's tuner
-    events locally (anchored at simulated 0) and ships them back in the
-    :class:`PresimResult` — :func:`replay_simulation` splices them into
-    the parent stream at the exact point the sequential path would have
-    emitted them.
+    events locally (anchored at simulated 0) and ships them back, to be
+    spliced into the parent stream at the exact point the sequential
+    path would have emitted them.
 
     Deduplication is sound because a cold report is a pure function of
     the key: two accelerators with equal fingerprints and configs
@@ -166,6 +154,8 @@ def presimulate(accels, *, cache=None, workers=2, tracer=None):
         if key in seen:
             continue
         if cache is not None:
+            if accel.remembers_cold_run(traced=trace):
+                continue
             entry = cache.peek(key[0], key[1], trace=False)
             if entry is not None and entry.matches(accel.jobs):
                 continue
@@ -180,62 +170,45 @@ def presimulate(accels, *, cache=None, workers=2, tracer=None):
     else:
         pool = _get_pool(workers)
         results = pool.map(_simulate_payload, payloads, chunksize=1)
-    return {
-        key: PresimResult(report=report, entry=entry, events=events)
-        for key, (report, entry, events) in zip(keys, results)
-    }
+    presim = dict(zip(keys, results))
+    if cache is not None:
+        for accel in accels:
+            cold = presim.get((accel.fingerprint(), accel.config))
+            if cold is not None:
+                accel.remember_cold(cold)
+    return presim
 
 
 def replay_simulation(accel, cache, presim, *, tracer=None):
     """One accelerator's report, folded back in sequential order.
 
-    Mirrors :meth:`~repro.accel.GcnAccelerator.run` against ``cache``
-    exactly — the same ``lookup``/``store`` calls in the same order —
-    substituting the presimulated cold run where the sequential path
-    would have driven the auto-tuner:
-
-    * a usable cached entry replays through the frozen fast path (a
-      counted hit, ``cache_hit=True``), exactly as sequentially;
-    * a miss (or a stale entry that no longer matches the jobs) counts
-      through ``lookup`` and stores the presimulated entry, returning
-      the worker's cold report (``cache_hit=False``);
-    * a key absent from ``presim`` (evicted from a bounded cache after
-      the presimulation scan, say) falls back to ``accel.run`` — the
-      sequential path itself, slower but still bit-identical.
+    With a cache this is ``accel.run(cache=cache, tracer=tracer)`` —
+    the sequential path itself. :func:`presimulate` seeded the
+    accelerator's kept cold run, so a miss makes exactly the calls the
+    sequential cold run makes (``lookup``, then the worker's tuner
+    events spliced in, then ``store`` of the presimulated entry) and
+    returns the worker's cold report; a hit replays the frozen fast
+    path; a key the pool never ran (it was warm at the scan and evicted
+    since, say) tunes inline. Every case is bit-identical to
+    ``workers=1``.
 
     With ``cache=None`` the report is simply the presimulated one (the
-    sequential path would recompute the identical report per request).
-    With an empty ``presim`` every branch would fall back to
-    ``accel.run``, so that is returned directly, without the probe.
+    sequential path would recompute the identical report per request),
+    or a fresh cold run when the key was not presimulated.
 
     The ``tracer`` splice preserves trace bit-identity: the worker's
-    tuner events (recorded at anchor 0) are re-emitted between the
-    ``lookup`` and the ``store`` — exactly where the sequential cold
-    run emits them — anchored at the tracer's current simulated time,
-    which the caller pins to the dispatch instant.
+    tuner events (recorded at anchor 0) are re-emitted exactly where
+    the sequential cold run emits them, anchored at the tracer's
+    current simulated time, which the caller pins to the dispatch
+    instant.
     """
-    if not presim:
-        return accel.run(cache=cache, tracer=tracer)
-    trace = tracer is not None and tracer.enabled
     if cache is None:
-        hit = presim.get((accel.fingerprint(), accel.config))
-        if hit is None:
-            return accel.run(tracer=tracer)
-        if trace:
-            tracer.splice(hit.events)
-        return hit.report
-    key = (accel.fingerprint(), accel.config)
-    entry = cache.peek(key[0], key[1], trace=False)
-    if entry is not None and entry.matches(accel.jobs):
-        return accel.run(cache=cache, tracer=tracer)
-    hit = presim.get(key)
-    if hit is None:
-        return accel.run(cache=cache, tracer=tracer)
-    cache.lookup(*key)
-    if trace:
-        tracer.splice(hit.events)
-    cache.store(key[0], key[1], hit.entry)
-    return hit.report
+        cold = presim.get((accel.fingerprint(), accel.config))
+        if cold is not None:
+            if tracer is not None and tracer.enabled:
+                tracer.splice(cold.events)
+            return cold.report
+    return accel.run(cache=cache, tracer=tracer)
 
 
 def simulate_accels(accels, *, cache=None, workers=1, tracer=None):

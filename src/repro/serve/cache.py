@@ -387,7 +387,9 @@ class AutotuneCache:
         A file that is not a readable archive — truncated, not an
         ``.npz`` at all, empty, without an ``index`` or with an index
         that is not JSON — raises :class:`~repro.errors.ConfigError`
-        naming ``path``.
+        naming ``path``, and so does an entry whose owner map names a
+        PE outside ``[0, config.n_pes)`` (naming its slot too): a
+        poisoned entry fails here, not at its first hit mid-drain.
         """
         cache = cls(max_entries=max_entries)
         try:
@@ -416,9 +418,17 @@ class AutotuneCache:
                 for layer_meta in meta["layers"]:
                     stages = []
                     for stage_meta in layer_meta:
-                        owner = archive[f"e{slot}_s{flat}"]
+                        owner = np.asarray(archive[f"e{slot}_s{flat}"],
+                                           dtype=np.int64)
+                        if owner.size and (owner.min() < 0
+                                           or owner.max() >= config.n_pes):
+                            raise ConfigError(
+                                f"autotune cache archive {path} entry "
+                                f"{slot}: owner PE ids out of range "
+                                f"[0, {config.n_pes})"
+                            )
                         stages.append(CachedStage(
-                            owner=np.asarray(owner, dtype=np.int64),
+                            owner=owner,
                             warmup_costs=tuple(
                                 int(c) for c in stage_meta["warmup"]
                             ),

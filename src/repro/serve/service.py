@@ -157,10 +157,9 @@ class _UnionPeek:
     ``peek(..., trace=False)`` to decide which cold simulations to farm
     out. Under a partitioned pool "cold" means cold on *every* shard: a
     key warm anywhere is skipped — if the batch routes to that warm
-    worker the replay peeks it warm, and if it routes elsewhere the
-    replay's no-presim fallback runs it inline against that worker's
-    shard, which is exactly the sequential protocol. No stats, no LRU
-    promotion, no stores.
+    worker the replay hits it, and if it routes elsewhere the miss tunes
+    inline against that worker's shard, which is exactly the sequential
+    protocol. No stats, no LRU promotion, no stores.
     """
 
     def __init__(self, caches):
@@ -794,8 +793,9 @@ class InferenceService:
         #
         # The memos key by id(dataset); ids can be recycled across
         # drains, so they never outlive one. That also scopes each
-        # accelerator's replay memo, and each sharded accelerator's
-        # plans, halo sets and chip accelerators, to one drain.
+        # accelerator's replay memo and kept cold run, and each sharded
+        # accelerator's plans, halo sets and chip accelerators, to one
+        # drain.
         self._accels = {}
         self._sharded = {}
         self._family_memo = {}
@@ -810,9 +810,9 @@ class InferenceService:
             ]
             # Partitioned/affinity pools presimulate against a read-only
             # union of the worker shards: a key warm on *any* shard is
-            # skipped (its routed worker either has it — replay peeks it
-            # warm — or doesn't, and replay falls back to the inline
-            # sequential run, which is the bit-identity path anyway).
+            # skipped (its routed worker either has it — replay hits it —
+            # or doesn't, and the miss tunes inline, which is the
+            # sequential path anyway).
             presim_cache = (
                 self.cache if self.cache_mode == "shared"
                 else _UnionPeek([w.cache for w in self.workers])
@@ -1154,8 +1154,9 @@ class InferenceService:
         (dataset, config, a_hops).
 
         Presimulation, routing keys and serving all share it, so its
-        jobs are built once per drain and its replay memo turns every
-        repeat hit on a cache entry into a lookup.
+        jobs are built once per drain, its replay memo turns every
+        repeat hit on a cache entry into a lookup and its kept cold run
+        turns every repeat miss into a store.
         """
         dataset = request.resolve_graph()
         memo_key = (id(dataset), request.config, request.a_hops)

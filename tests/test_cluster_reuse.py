@@ -12,8 +12,8 @@ of once per job. These tests pin
   results, latency, cache stats and LRU order and the recorded event
   stream, across ``coschedule``, ``cache_mode``, ``rebalance_signal``
   and ``workers``;
-* eviction: a shard entry evicted and re-stored mid-drain replays
-  afresh;
+* eviction: a shard entry evicted mid-drain is re-stored from the chip
+  accelerator's kept cold run, not re-tuned;
 * immutability of what the reuse shares (plans and halo sets).
 """
 
@@ -65,9 +65,9 @@ def _spaced(graphs, gap=1.0):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of partitioner, halo and frozen-replay calls, by every
-    module name they are reachable through."""
-    counts = {"make_plan": 0, "halo_exchange": 0, "frozen": 0}
+    """Counts of partitioner, halo, frozen-replay and cold-tune calls,
+    by every module name they are reachable through."""
+    counts = {"make_plan": 0, "halo_exchange": 0, "frozen": 0, "tune": 0}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -84,6 +84,8 @@ def calls(monkeypatch):
         gcnaccel, "simulate_spmm_frozen",
         counting("frozen", gcnaccel.simulate_spmm_frozen),
     )
+    monkeypatch.setattr(gcnaccel, "simulate_spmm",
+                        counting("tune", gcnaccel.simulate_spmm))
     return counts
 
 
@@ -111,10 +113,11 @@ class TestReuseCounts:
             assert calls["frozen"] == 2 * 2 * STAGES
             assert len(service._sharded) == 2
 
-    def test_evicted_shard_entry_replays_afresh(self, calls):
+    def test_evicted_shard_entry_is_restored_not_retuned(self, calls):
         # A 2-entry cache holds one graph's two shard entries: B evicts
-        # A's, A re-tunes and re-stores new entries, and the next A hit
-        # must replay those, not a memo of the evicted ones.
+        # A's, A's repeat miss re-stores the entry objects its chip
+        # accelerators kept from their first tune, and the next A hit
+        # reuses the replay of those very entries.
         cache = AutotuneCache(max_entries=2)
         service = InferenceService(n_workers=2, cache=cache,
                                    chip_capacity=256)
@@ -123,7 +126,9 @@ class TestReuseCounts:
         hits = [r.cache_hit for r in outcome.results]
         assert hits == [False, True, False, False, True]
         assert cache.stats.evictions == 4
-        assert calls["frozen"] == 2 * (2 * STAGES)
+        assert calls["frozen"] == 2 * STAGES
+        # Two graphs x two shards, each tuned once.
+        assert calls["tune"] == 2 * 2 * STAGES
         cycles = [r.total_cycles for r in outcome.results]
         assert cycles[0] == cycles[1] == cycles[3] == cycles[4]
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.accel.gcnaccel as gcnaccel
 from repro import parallel
 from repro.accel.config import ArchConfig
 from repro.accel.gcnaccel import GcnAccelerator
@@ -145,6 +146,31 @@ class TestSimulateAccels:
         assert cache.stats.misses == 1 and cache.stats.entries == 1
         again = parallel.replay_simulation(_accel(21), cache, {})
         assert again.cache_hit
+
+    def test_presimulation_seeds_each_accelerators_cold_run(self,
+                                                            monkeypatch):
+        # Seeds 41 and 41 are two accelerators on one key: the pool runs
+        # it once and both keep the result, so replay never tunes here.
+        accels = [_accel(s) for s in (41, 42, 41)]
+        cache = AutotuneCache()
+        presim = parallel.presimulate(accels, cache=cache, workers=2)
+        assert len(presim) == 2
+        assert all(accel.remembers_cold_run() for accel in accels)
+        tuned = []
+        real = gcnaccel.simulate_spmm
+
+        def counting(job, *args, **kwargs):
+            tuned.append(job.name)
+            return real(job, *args, **kwargs)
+
+        monkeypatch.setattr(gcnaccel, "simulate_spmm", counting)
+        reports = [parallel.replay_simulation(accel, cache, presim)
+                   for accel in accels]
+        assert tuned == []
+        assert [r.cache_hit for r in reports] == [False, False, True]
+        # An accelerator that keeps its cold run needs no pool run.
+        cache.clear()
+        assert parallel.presimulate(accels, cache=cache, workers=2) == {}
 
     def test_warm_cache_skips_presimulation(self):
         cache = AutotuneCache()

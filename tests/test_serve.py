@@ -4,12 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.accel.gcnaccel as gcnaccel
 from repro.accel import ArchConfig, CachedTuning, GcnAccelerator
 from repro.datasets import dataset_fingerprint, load_dataset
 from repro.datasets.rmat import edges_fingerprint
 from repro.errors import ConfigError
+from repro.obs import RecordingTracer, stream_fingerprint
 from repro.serve import (
     AutotuneCache,
     InferenceRequest,
@@ -18,6 +21,7 @@ from repro.serve import (
     RmatGraphSpec,
     StreamingScheduler,
     serve_requests,
+    streaming_traffic,
     synthetic_traffic,
 )
 
@@ -313,15 +317,24 @@ class TestAutotuneCache:
         assert cache.stats.lookups == 0
 
 
-def _truncated(path):
+def _save_one_entry(path, owner):
     cache = AutotuneCache()
     cache.store("g", CFG_A, CachedTuning(layers=((gcnaccel.CachedStage(
-        owner=np.zeros(64, dtype=np.int64), warmup_costs=(),
+        owner=owner, warmup_costs=(),
         converged_round=None, final_backlog=0, total_backlog=0,
     ),),)))
     cache.save(path)
+
+
+def _truncated(path):
+    _save_one_entry(path, np.zeros(64, dtype=np.int64))
     data = path.read_bytes()
     path.write_bytes(data[:len(data) // 2])
+
+
+def _owner_out_of_range(path):
+    # CFG_A has 16 PEs: the first hit on this entry would fail mid-drain.
+    _save_one_entry(path, np.full(64, 99, dtype=np.int64))
 
 
 def _random_bytes(path):
@@ -344,6 +357,7 @@ def _non_json_index(path):
 
 @pytest.mark.parametrize("write", [
     _truncated, _random_bytes, _empty, _without_index, _non_json_index,
+    _owner_out_of_range,
 ])
 def test_malformed_archive_load_is_a_config_error(tmp_path, write):
     path = tmp_path / "cache.npz"
@@ -376,15 +390,33 @@ def frozen_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def tune_calls(monkeypatch):
+    """Names of the jobs every cold Eq. 5 run tunes, in call order."""
+    calls = []
+    real = gcnaccel.simulate_spmm
+
+    def counting(job, *args, **kwargs):
+        calls.append(job.name)
+        return real(job, *args, **kwargs)
+
+    monkeypatch.setattr(gcnaccel, "simulate_spmm", counting)
+    return calls
+
+
 class TestCacheEntryImmutability:
     def test_mutating_a_cold_report_leaves_the_entry_intact(self):
-        # A caller's writes to its report must not reach the cached
-        # maps; if they did, this replay would read 13480 cycles.
+        # The accelerator keeps its cold run for later misses, so the
+        # report's arrays are read-only; had the zeroing below reached
+        # the cached maps, this replay would read 13480 cycles.
         cache = AutotuneCache()
         cold = GcnAccelerator(SPEC.build(), CFG_A).run(cache=cache)
         expected = cold.total_cycles
         for result in cold.spmm_results:
-            result.final_owner[:] = 0
+            with pytest.raises(ValueError):
+                result.final_owner[:] = 0
+            with pytest.raises(ValueError):
+                result.cycles_per_round[:] = 0
         hit = GcnAccelerator(SPEC.build(), CFG_A).run(cache=cache)
         assert hit.cache_hit
         assert hit.total_cycles == expected
@@ -514,6 +546,184 @@ class TestReplayMemo:
         for _ in range(2):
             with pytest.raises(ConfigError, match="out of range"):
                 accel.run(cache=cache)
+
+
+def _stage_cycles(report):
+    return [result.cycles_per_round.tolist()
+            for result in report.spmm_results]
+
+
+class TestColdMemo:
+    def test_tunes_per_drain_are_keys_times_stages(self, tune_calls):
+        # A one-entry cache alternating two graphs misses on every
+        # request; each graph still tunes once per drain.
+        requests = [InferenceRequest(graph=graph, config=CFG_A)
+                    for graph in (SPEC, SPEC2) * 3]
+        expected = 2 * _stage_count(requests[0])
+        service = InferenceService(n_workers=1,
+                                   cache=AutotuneCache(max_entries=1))
+        for _ in range(2):
+            tune_calls.clear()
+            service.submit_many(requests)
+            outcome = service.drain()
+            assert outcome.stats.cache_hits == 0
+            assert len(tune_calls) == expected
+
+    def test_repeat_miss_report_equals_a_fresh_cold_run(self, tune_calls):
+        dataset = SPEC.build()
+        accel = GcnAccelerator(dataset, CFG_A)
+        first_cache, second_cache = AutotuneCache(), AutotuneCache()
+        accel.run(cache=first_cache)
+        stored = first_cache.peek(accel.fingerprint(), CFG_A)
+        tune_calls.clear()
+        again = accel.run(cache=second_cache)
+        assert tune_calls == []
+        assert not again.cache_hit
+        assert second_cache.stats.misses == 1
+        assert second_cache.peek(accel.fingerprint(), CFG_A) is stored
+        fresh = GcnAccelerator(dataset, CFG_A).run()
+        assert again.total_cycles == fresh.total_cycles
+        assert _stage_cycles(again) == _stage_cycles(fresh)
+        for result in again.spmm_results:
+            with pytest.raises(ValueError):
+                result.cycles_per_round[0] = 0
+            with pytest.raises(ValueError):
+                result.final_owner[0] = 0
+
+    def test_no_cache_tunes_every_request(self, tune_calls):
+        stages = _stage_count(_requests("a")[0])
+        accel = GcnAccelerator(SPEC.build(), CFG_A)
+        accel.run()
+        accel.run()
+        assert len(tune_calls) == 2 * stages
+        tune_calls.clear()
+        serve_requests(_requests("aaaa"), n_workers=1, cache=None)
+        assert len(tune_calls) == 4 * stages
+
+    def test_untraced_run_is_refilled_once_for_a_traced_miss(self,
+                                                             tune_calls):
+        # The caches trace nothing here, so a miss records exactly the
+        # tuner events of a cache-less traced run.
+        dataset = SPEC.build()
+        want = RecordingTracer()
+        GcnAccelerator(dataset, CFG_A).run(tracer=want)
+        accel = GcnAccelerator(dataset, CFG_A)
+        accel.run(cache=AutotuneCache())
+        stages = len(tune_calls) // 2
+        assert want.events
+        assert accel.remembers_cold_run()
+        assert not accel.remembers_cold_run(traced=True)
+        for _ in range(2):
+            got = RecordingTracer()
+            accel.run(cache=AutotuneCache(), tracer=got)
+            assert stream_fingerprint(got.events) == stream_fingerprint(
+                want.events
+            )
+        assert len(tune_calls) == 3 * stages
+
+
+class _TuneEveryMiss(GcnAccelerator):
+    """The accelerator without a kept cold run: every cache miss drives
+    the tuner, straight into the tracer."""
+
+    def run(self, *, cache=None, tracer=None):
+        if cache is None:
+            return self._run_cold(tracer=tracer)
+        fingerprint = self.fingerprint()
+        entry = cache.lookup(fingerprint, self.config)
+        if entry is not None and entry.matches(self.jobs):
+            return self._run_cached(entry)
+        report = self._run_cold(tracer=tracer)
+        cache.store(fingerprint, self.config,
+                    CachedTuning.from_report(report))
+        return report
+
+
+class _FreshAccelService(InferenceService):
+    """The no-reuse oracle: a new :class:`_TuneEveryMiss` for every use."""
+
+    def _accel_for(self, request):
+        return _TuneEveryMiss(request.resolve_graph(), request.config,
+                              a_hops=request.a_hops)
+
+
+class _PrefilledService(InferenceService):
+    """Keeps each accelerator's cold run untraced the moment it is
+    built, so a traced drain has to refill its events."""
+
+    def _accel_for(self, request):
+        accel = super()._accel_for(request)
+        if not accel.remembers_cold_run():
+            accel.run(cache=AutotuneCache())
+        return accel
+
+
+def _result_key(result):
+    return (
+        result.request_id, result.fingerprint, result.total_cycles,
+        result.latency_ms, result.utilization, result.cache_hit,
+        result.worker, result.batch, result.start_time, result.finish_time,
+        result.shed,
+    )
+
+
+def _caches(service):
+    if service.cache_mode == "shared":
+        return [service.cache]
+    return [worker.cache for worker in service.workers]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 1000),
+    cache_mode=st.sampled_from(("shared", "partitioned", "affinity")),
+    entries=st.sampled_from((1, 2, None)),
+    workers=st.sampled_from((1, 2)),
+    traced=st.booleans(),
+    prefill=st.booleans(),
+)
+def test_cold_memo_matches_fresh_accelerator_oracle(seed, cache_mode,
+                                                    entries, workers,
+                                                    traced, prefill):
+    requests = streaming_traffic(
+        14, arrival_rate=3000.0, slo_ms=5.0, n_nodes=256, seed=seed,
+        configs=(CFG_A,), repeat_alpha=1.2, family_size=4,
+        graph_kwargs={"f1": 16, "f2": 8, "f3": 4},
+    )
+    for request in requests:
+        request.resolve_graph()
+    kwargs = dict(n_workers=2, max_batch=2, cache_mode=cache_mode)
+    if cache_mode == "affinity":
+        kwargs["replicate_threshold"] = 2.0
+
+    def build(cls, **extra):
+        tracer = RecordingTracer() if traced else None
+        if cache_mode == "shared":
+            cache = AutotuneCache(max_entries=entries)
+        else:
+            cache = True
+            extra["worker_cache_entries"] = entries
+        service = cls(cache=cache, tracer=tracer, **kwargs, **extra)
+        service.submit_many(requests)
+        return service, service.drain(), tracer
+
+    memo, got, got_trace = build(
+        _PrefilledService if prefill else InferenceService, workers=workers,
+    )
+    fresh, want, want_trace = build(_FreshAccelService)
+    assert [_result_key(r) for r in got.results] == [
+        _result_key(r) for r in want.results
+    ]
+    assert got.latency == want.latency
+    assert got.stats.cache_hits == want.stats.cache_hits
+    assert got.stats.n_evictions == want.stats.n_evictions
+    for mine, theirs in zip(_caches(memo), _caches(fresh), strict=True):
+        assert mine.stats == theirs.stats
+        assert mine.snapshot() == theirs.snapshot()
+    if traced:
+        assert stream_fingerprint(got_trace.events) == stream_fingerprint(
+            want_trace.events
+        )
 
 
 class TestFingerprints:

@@ -8,10 +8,10 @@ affinity routing with demand-driven hot-entry replication:
 (a) at *every* swept arrival rate, affinity routing strictly improves
     the aggregate cache hit rate, with SLO attainment no worse (the
     sweep's verdict line asserts this internally; the bench re-checks
-    the rows). Wall-clock throughput is recorded, not claimed: each
-    drain tunes a key at most once, so a cache-blind miss on a key the
-    drain already tuned costs a store, and blind dispatch no longer
-    pays host time for its lower hit rate;
+    the rows). Wall-clock throughput is recorded, not claimed: a
+    service tunes a key at most once, so a cache-blind miss on a key
+    the service already tuned costs a store, and blind dispatch no
+    longer pays host time for its lower hit rate;
 (b) the improvement is placement, not semantics: the sweep raises if
     any per-request cycle count differs between the two modes;
 (c) ``cache_mode="shared"`` stays the oracle: serving a trace with the

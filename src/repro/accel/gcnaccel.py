@@ -198,8 +198,9 @@ class ColdRun:
     events the run emitted, recorded at simulated time 0 so that
     :meth:`~repro.obs.tracer.RecordingTracer.splice` can re-anchor them
     (None when the run was not traced). The parallel backend ships one
-    per presimulated key; :meth:`GcnAccelerator.run` keeps one per
-    accelerator.
+    per presimulated key, :meth:`GcnAccelerator.run` keeps one per
+    accelerator and :class:`repro.serve.InferenceService` keeps one per
+    cache key for its whole life.
     """
 
     report: AcceleratorReport
@@ -429,10 +430,11 @@ class GcnAccelerator:
         cold run's tuning state is stored for the next request.
 
         A cold run is a pure function of (jobs, config), so with a cache
-        each accelerator drives the tuner once: its first miss keeps the
-        :class:`ColdRun` (the report's arrays made read-only, the entry
-        it stored and, when traced, its tuner events), and every later
-        miss — the key was evicted, or this is another cache — makes the
+        each accelerator drives the tuner at most once: its first miss
+        keeps the :class:`ColdRun` (the report's arrays made read-only,
+        the entry it stored and, when traced, its tuner events) unless
+        one was seeded with :meth:`remember_cold`, and every later miss
+        — the key was evicted, or this is another cache — makes the
         same calls the cold path does: ``lookup``, the events spliced
         into ``tracer``, ``store`` of that same entry object. It returns
         a fresh report sharing the kept :class:`LayerTiming` objects.
@@ -458,7 +460,8 @@ class GcnAccelerator:
         if trace:
             tracer.splice(cold.events)
         cache.store(fingerprint, self.config, cold.entry)
-        return replace(cold.report, layers=list(cold.report.layers))
+        return replace(cold.report, dataset=self._name,
+                       layers=list(cold.report.layers))
 
     def cold_run(self, *, traced=False):
         """Simulate cold, cache-less; returns the :class:`ColdRun` a
@@ -478,13 +481,22 @@ class GcnAccelerator:
         cold = self._cold
         return cold is not None and (not traced or cold.events is not None)
 
-    def remember_cold(self, cold):
-        """Keep a :class:`ColdRun` of this accelerator for later misses.
+    @property
+    def kept_cold_run(self):
+        """The :class:`ColdRun` later misses replay, or None (read-only:
+        :meth:`remember_cold` is the only way to set it)."""
+        return self._cold
 
-        ``cold`` must be what :meth:`run` would compute on a miss —
+    def remember_cold(self, cold):
+        """Keep a :class:`ColdRun` for later misses on this workload.
+
+        ``cold`` must be what :meth:`run` would compute on a miss, which
+        any run under the same ``(fingerprint, config)`` cache key is:
         :func:`repro.parallel.presimulate` seeds each accelerator with
-        its pool-computed run this way. A kept run stays: ``cold`` only
-        adds the tuner events a kept untraced run lacks.
+        its pool-computed run this way, and
+        :class:`repro.serve.InferenceService` seeds the accelerators of
+        every drain with the runs earlier drains kept. A kept run stays:
+        ``cold`` only adds the tuner events a kept untraced run lacks.
         """
         kept = self._cold
         if kept is None:

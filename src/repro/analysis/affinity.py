@@ -26,11 +26,12 @@ worse. Rows record per-worker hit rates and replication counts so the
 placement quality is inspectable, not inferred.
 
 Wall-clock throughput (``req_per_s``) is reported but not claimed. The
-simulator tunes each key at most once per drain
-(:meth:`~repro.accel.GcnAccelerator.run` keeps its cold run), so a
-cache-blind miss on a key the drain already tuned costs a store, not a
-tune: the host cost no longer charges blind dispatch for its lower hit
-rate, and the two modes' wall times differ by noise and routing work.
+simulator tunes each key at most once per service
+(:meth:`~repro.accel.GcnAccelerator.run` keeps its cold run, and the
+service keeps it across drains), so a cache-blind miss on a key the
+service already tuned costs a store, not a tune: the host cost no
+longer charges blind dispatch for its lower hit rate, and the two
+modes' wall times differ by noise and routing work.
 """
 
 from __future__ import annotations

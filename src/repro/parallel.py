@@ -126,8 +126,10 @@ def presimulate(accels, *, cache=None, workers=2, tracer=None):
     :meth:`~repro.serve.AutotuneCache.peek` — no counter or recency
     side effects, and ``trace=False`` so these parallel-only probes
     stay out of the event stream), the accelerator's own kept cold run
-    nor an earlier accelerator in the batch will answer. Returns
-    ``{key: ColdRun}`` for the dispatched keys.
+    nor an earlier accelerator in the batch will answer. The service's
+    accelerators arrive already holding the cold run of every key an
+    earlier drain tuned, so only keys new to the service reach the
+    pool. Returns ``{key: ColdRun}`` for the dispatched keys.
 
     With a ``cache``, every accelerator of a dispatched key is seeded
     with its result (:meth:`~repro.accel.GcnAccelerator.remember_cold`),

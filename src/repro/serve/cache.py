@@ -385,11 +385,13 @@ class AutotuneCache:
         (0 hits, last used at 0.0).
 
         A file that is not a readable archive — truncated, not an
-        ``.npz`` at all, empty, without an ``index`` or with an index
-        that is not JSON — raises :class:`~repro.errors.ConfigError`
-        naming ``path``, and so does an entry whose owner map names a
-        PE outside ``[0, config.n_pes)`` (naming its slot too): a
-        poisoned entry fails here, not at its first hit mid-drain.
+        ``.npz`` at all, empty, without an ``index``, with an index
+        that is not JSON or without an entry list — raises
+        :class:`~repro.errors.ConfigError` naming ``path``. So does a
+        malformed entry (a missing field or owner array, an unknown
+        config field) and an entry whose owner map names a PE outside
+        ``[0, config.n_pes)``, naming its slot too: a poisoned entry
+        fails here, not at its first hit mid-drain.
         """
         cache = cls(max_entries=max_entries)
         try:
@@ -411,41 +413,58 @@ class AutotuneCache:
                 raise ConfigError(
                     f"unsupported cache archive version {version} in {path}"
                 )
-            for slot, meta in enumerate(index["entries"]):
-                config = ArchConfig(**meta["config"])
-                layers = []
-                flat = 0
-                for layer_meta in meta["layers"]:
-                    stages = []
-                    for stage_meta in layer_meta:
-                        owner = np.asarray(archive[f"e{slot}_s{flat}"],
-                                           dtype=np.int64)
-                        if owner.size and (owner.min() < 0
-                                           or owner.max() >= config.n_pes):
-                            raise ConfigError(
-                                f"autotune cache archive {path} entry "
-                                f"{slot}: owner PE ids out of range "
-                                f"[0, {config.n_pes})"
-                            )
-                        stages.append(CachedStage(
-                            owner=owner,
-                            warmup_costs=tuple(
-                                int(c) for c in stage_meta["warmup"]
-                            ),
-                            converged_round=stage_meta["converged_round"],
-                            final_backlog=int(stage_meta["final_backlog"]),
-                            total_backlog=int(stage_meta["total_backlog"]),
-                        ))
-                        flat += 1
-                    layers.append(tuple(stages))
-                cache.store(
-                    meta["fingerprint"], config,
-                    CachedTuning(layers=tuple(layers)),
+            entries = index.get("entries")
+            if not isinstance(entries, list):
+                raise ConfigError(
+                    f"autotune cache archive {path} index has no entry list"
                 )
-                key = cache.key(meta["fingerprint"], config)
+            for slot, meta in enumerate(entries):
+                try:
+                    fingerprint, config, entry, hits, last_used = (
+                        _entry_from_index(archive, slot, meta)
+                    )
+                except (KeyError, TypeError, ValueError,
+                        AttributeError) as exc:
+                    raise ConfigError(
+                        f"autotune cache archive {path} entry {slot} is "
+                        f"malformed: {exc!r}"
+                    ) from exc
+                cache.store(fingerprint, config, entry)
+                key = cache.key(fingerprint, config)
                 if key in cache._entries:
-                    cache._meta[key] = [
-                        int(meta.get("hits", 0)),
-                        float(meta.get("last_used", 0.0)),
-                    ]
+                    cache._meta[key] = [hits, last_used]
         return cache
+
+
+def _entry_from_index(archive, slot, meta):
+    """One archived entry: ``(fingerprint, config, CachedTuning, hits,
+    last_used)``. A malformed index entry raises the ``KeyError``,
+    ``TypeError``, ``ValueError`` or ``AttributeError`` its first bad
+    field trips, an owner map naming a PE outside ``[0, config.n_pes)``
+    a ``ValueError``; :meth:`AutotuneCache.load` turns either into a
+    :class:`~repro.errors.ConfigError` naming the slot."""
+    config = ArchConfig(**meta["config"])
+    layers = []
+    flat = 0
+    for layer_meta in meta["layers"]:
+        stages = []
+        for stage_meta in layer_meta:
+            owner = np.asarray(archive[f"e{slot}_s{flat}"], dtype=np.int64)
+            if owner.size and (owner.min() < 0
+                               or owner.max() >= config.n_pes):
+                raise ValueError(
+                    f"owner PE ids out of range [0, {config.n_pes})"
+                )
+            stages.append(CachedStage(
+                owner=owner,
+                warmup_costs=tuple(int(c) for c in stage_meta["warmup"]),
+                converged_round=stage_meta["converged_round"],
+                final_backlog=int(stage_meta["final_backlog"]),
+                total_backlog=int(stage_meta["total_backlog"]),
+            ))
+            flat += 1
+        layers.append(tuple(stages))
+    return (
+        str(meta["fingerprint"]), config, CachedTuning(layers=tuple(layers)),
+        int(meta.get("hits", 0)), float(meta.get("last_used", 0.0)),
+    )

@@ -71,6 +71,7 @@ from repro.cluster.multichip import (
 # hostbench/layers.py still patches both names on this module.
 from repro.cluster.partition import halo_exchange, make_plan  # noqa: F401
 from repro.cluster.topology import Topology, make_topology, subtopology
+from repro.datasets.registry import dataset_fingerprint
 from repro.errors import CeilingError, ConfigError
 from repro.obs.tracer import NULL_TRACER, config_label
 from repro.serve.cache import AutotuneCache
@@ -733,8 +734,12 @@ class InferenceService:
         """family -> ordered set (dict) of (fingerprint, config) cache
         keys observed for it — what replication copies around."""
         self._accels = {}
+        self._cold_runs = {}
+        """(fingerprint, config) cache key -> the
+        :class:`~repro.accel.ColdRun` a drain's accelerator computed
+        for it. It lives as long as the service, so a key is tuned once
+        however often it is evicted."""
         self._sharded = {}
-        self._family_memo = {}
         self._drain_routes = 0
         self._drain_route_hits = 0
         self._drain_replications = 0
@@ -766,7 +771,9 @@ class InferenceService:
         Each drain is an independent simulation epoch: the clock
         restarts at zero and every instance starts idle. The cache and
         the cumulative per-instance counters carry over — that is the
-        "warm service" the multi-drain pattern models.
+        "warm service" the multi-drain pattern models — and so do the
+        cold runs behind every cache miss so far, so a key evicted in
+        one drain is re-stored, not re-tuned, in the next.
         """
         queued = self.queue.drain()
         for worker in self.workers:
@@ -791,14 +798,15 @@ class InferenceService:
         # instead. A request shed later simply wastes its presimulation
         # — host work, never a modeled cycle.
         #
-        # The memos key by id(dataset); ids can be recycled across
-        # drains, so they never outlive one. That also scopes each
-        # accelerator's replay memo and kept cold run, and each sharded
-        # accelerator's plans, halo sets and chip accelerators, to one
-        # drain.
-        self._accels = {}
+        # The accelerator memos key by id(dataset); ids can be recycled
+        # across drains, so they never outlive one. That also scopes
+        # each accelerator's replay memo, which pins every entry object
+        # it has replayed, and each sharded accelerator's plans, halo
+        # sets and chip accelerators to one drain. The cold runs the
+        # dropped accelerators kept move to a map keyed by cache key,
+        # one run per key, which lives as long as the service.
+        self._drop_accels()
         self._sharded = {}
-        self._family_memo = {}
         self._presim = {}
         if self.sim_workers > 1 and queued:
             from repro.parallel import presimulate
@@ -1154,9 +1162,12 @@ class InferenceService:
         (dataset, config, a_hops).
 
         Presimulation, routing keys and serving all share it, so its
-        jobs are built once per drain, its replay memo turns every
-        repeat hit on a cache entry into a lookup and its kept cold run
-        turns every repeat miss into a store.
+        jobs are built once per drain and its replay memo turns every
+        repeat hit on a cache entry into a lookup. It is built holding
+        the cold run an earlier drain kept for its cache key, if any
+        (:meth:`~repro.accel.GcnAccelerator.remember_cold`), so every
+        miss on a key the service has tuned before, in this drain or
+        an earlier one, is a store.
         """
         dataset = request.resolve_graph()
         memo_key = (id(dataset), request.config, request.a_hops)
@@ -1164,23 +1175,29 @@ class InferenceService:
         if accel is None:
             accel = GcnAccelerator(dataset, request.config,
                                    a_hops=request.a_hops)
+            cold = self._cold_runs.get((accel.fingerprint(), accel.config))
+            if cold is not None:
+                accel.remember_cold(cold)
             self._accels[memo_key] = accel
         return accel
+
+    def _drop_accels(self):
+        """Forget the drain's accelerators, keeping each one's cold run
+        under its cache key for the accelerators of later drains."""
+        for accel in self._accels.values():
+            cold = accel.kept_cold_run
+            if cold is not None:
+                self._cold_runs[(accel.fingerprint(), accel.config)] = cold
+        self._accels = {}
 
     def _request_key(self, request):
         """The (fingerprint, config) cache key one request will use."""
         return (self._accel_for(request).fingerprint(), request.config)
 
-    def _family_of(self, request):
+    @staticmethod
+    def _family_of(request):
         """The request's graph family (dataset fingerprint)."""
-        dataset = request.resolve_graph()
-        family = self._family_memo.get(id(dataset))
-        if family is None:
-            from repro.datasets.registry import dataset_fingerprint
-
-            family = dataset_fingerprint(dataset)
-            self._family_memo[id(dataset)] = family
-        return family
+        return dataset_fingerprint(request.resolve_graph())
 
     def _route_worker(self, items, clock, needed, claimed, stream):
         """Cache-affinity placement for one sealed batch.
@@ -1908,8 +1925,6 @@ class InferenceService:
         Pool-clamped jobs run unconstrained (best effort, the pool
         cannot cover the graph).
         """
-        from repro.datasets.registry import dataset_fingerprint
-
         request = item.request
         if self.cache_mode == "affinity":
             # Remember (and score) the gang this family lands on:

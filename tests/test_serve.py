@@ -1,5 +1,6 @@
 """The batched inference service: scheduler, autotune cache, service."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -355,9 +356,39 @@ def _non_json_index(path):
     )
 
 
+def _edited(path, edit):
+    # A readable archive whose JSON index or arrays ``edit`` breaks.
+    _save_one_entry(path, np.zeros(64, dtype=np.int64))
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    index = json.loads(bytes(arrays.pop("index")).decode())
+    edit(index, arrays)
+    np.savez_compressed(path, index=np.frombuffer(
+        json.dumps(index).encode(), dtype=np.uint8,
+    ), **arrays)
+
+
+def _without_entries(path):
+    _edited(path, lambda index, arrays: index.pop("entries"))
+
+
+def _entry_without_config(path):
+    _edited(path, lambda index, arrays: index["entries"][0].pop("config"))
+
+
+def _unknown_config_field(path):
+    _edited(path, lambda index, arrays: index["entries"][0]["config"]
+            .update(bogus=1))
+
+
+def _missing_owner_array(path):
+    _edited(path, lambda index, arrays: arrays.pop("e0_s0"))
+
+
 @pytest.mark.parametrize("write", [
     _truncated, _random_bytes, _empty, _without_index, _non_json_index,
-    _owner_out_of_range,
+    _owner_out_of_range, _without_entries, _entry_without_config,
+    _unknown_config_field, _missing_owner_array,
 ])
 def test_malformed_archive_load_is_a_config_error(tmp_path, write):
     path = tmp_path / "cache.npz"
@@ -554,20 +585,24 @@ def _stage_cycles(report):
 
 
 class TestColdMemo:
-    def test_tunes_per_drain_are_keys_times_stages(self, tune_calls):
+    def test_tunes_per_service_are_keys_times_stages(self, tune_calls):
         # A one-entry cache alternating two graphs misses on every
-        # request; each graph still tunes once per drain.
+        # request; each graph still tunes once for the service's life.
         requests = [InferenceRequest(graph=graph, config=CFG_A)
                     for graph in (SPEC, SPEC2) * 3]
-        expected = 2 * _stage_count(requests[0])
         service = InferenceService(n_workers=1,
                                    cache=AutotuneCache(max_entries=1))
-        for _ in range(2):
+        cycles = []
+        tunes = []
+        for _ in range(3):
             tune_calls.clear()
             service.submit_many(requests)
             outcome = service.drain()
             assert outcome.stats.cache_hits == 0
-            assert len(tune_calls) == expected
+            cycles.append([r.total_cycles for r in outcome.results])
+            tunes.append(len(tune_calls))
+        assert tunes == [2 * _stage_count(requests[0]), 0, 0]
+        assert cycles[1] == cycles[0] and cycles[2] == cycles[0]
 
     def test_repeat_miss_report_equals_a_fresh_cold_run(self, tune_calls):
         dataset = SPEC.build()
@@ -599,6 +634,30 @@ class TestColdMemo:
         tune_calls.clear()
         serve_requests(_requests("aaaa"), n_workers=1, cache=None)
         assert len(tune_calls) == 4 * stages
+
+    def test_no_cache_service_tunes_every_drain(self, tune_calls):
+        # Without a cache nothing is kept, so nothing outlives a drain.
+        stages = _stage_count(_requests("a")[0])
+        service = InferenceService(n_workers=1, cache=None)
+        for _ in range(2):
+            tune_calls.clear()
+            service.submit_many(_requests("aa"))
+            service.drain()
+            assert len(tune_calls) == 2 * stages
+
+    def test_seeded_run_reports_its_own_dataset(self):
+        # The fingerprint ignores the dataset's name, so a service seeds
+        # a renamed twin with the cold run kept for the original.
+        dataset = SPEC.build()
+        original = GcnAccelerator(dataset, CFG_A)
+        original.run(cache=AutotuneCache())
+        cold = original.kept_cold_run
+        twin = GcnAccelerator(replace(dataset, name="twin"), CFG_A)
+        assert twin.fingerprint() == original.fingerprint()
+        twin.remember_cold(cold)
+        report = twin.run(cache=AutotuneCache())
+        assert report.dataset == "twin"
+        assert report.total_cycles == cold.report.total_cycles
 
     def test_untraced_run_is_refilled_once_for_a_traced_miss(self,
                                                              tune_calls):
@@ -675,23 +734,31 @@ def _caches(service):
 
 @settings(max_examples=20, deadline=None)
 @given(
-    seed=st.integers(0, 1000),
+    seeds=st.lists(st.integers(0, 1000), min_size=3, max_size=3,
+                   unique=True),
     cache_mode=st.sampled_from(("shared", "partitioned", "affinity")),
     entries=st.sampled_from((1, 2, None)),
     workers=st.sampled_from((1, 2)),
     traced=st.booleans(),
     prefill=st.booleans(),
 )
-def test_cold_memo_matches_fresh_accelerator_oracle(seed, cache_mode,
+def test_cold_memo_matches_fresh_accelerator_oracle(seeds, cache_mode,
                                                     entries, workers,
                                                     traced, prefill):
-    requests = streaming_traffic(
-        14, arrival_rate=3000.0, slo_ms=5.0, n_nodes=256, seed=seed,
-        configs=(CFG_A,), repeat_alpha=1.2, family_size=4,
-        graph_kwargs={"f1": 16, "f2": 8, "f3": 4},
-    )
-    for request in requests:
-        request.resolve_graph()
+    # Three drains on one service. Every seed draws from the same four
+    # graph families, so a later drain mixes keys an earlier drain
+    # tuned (their accelerators are built holding the service's kept
+    # cold runs, which presimulation then skips) with new keys.
+    drains = []
+    for seed in seeds:
+        requests = streaming_traffic(
+            14, arrival_rate=3000.0, slo_ms=5.0, n_nodes=256, seed=seed,
+            configs=(CFG_A,), repeat_alpha=1.2, family_size=4,
+            graph_kwargs={"f1": 16, "f2": 8, "f3": 4},
+        )
+        for request in requests:
+            request.resolve_graph()
+        drains.append(requests)
     kwargs = dict(n_workers=2, max_batch=2, cache_mode=cache_mode)
     if cache_mode == "affinity":
         kwargs["replicate_threshold"] = 2.0
@@ -703,27 +770,34 @@ def test_cold_memo_matches_fresh_accelerator_oracle(seed, cache_mode,
         else:
             cache = True
             extra["worker_cache_entries"] = entries
-        service = cls(cache=cache, tracer=tracer, **kwargs, **extra)
-        service.submit_many(requests)
-        return service, service.drain(), tracer
+        return cls(cache=cache, tracer=tracer, **kwargs, **extra), tracer
 
-    memo, got, got_trace = build(
+    def drain(service, tracer, requests):
+        if tracer is not None:
+            tracer.events.clear()
+        service.submit_many(requests)
+        return service.drain()
+
+    memo, got_trace = build(
         _PrefilledService if prefill else InferenceService, workers=workers,
     )
-    fresh, want, want_trace = build(_FreshAccelService)
-    assert [_result_key(r) for r in got.results] == [
-        _result_key(r) for r in want.results
-    ]
-    assert got.latency == want.latency
-    assert got.stats.cache_hits == want.stats.cache_hits
-    assert got.stats.n_evictions == want.stats.n_evictions
-    for mine, theirs in zip(_caches(memo), _caches(fresh), strict=True):
-        assert mine.stats == theirs.stats
-        assert mine.snapshot() == theirs.snapshot()
-    if traced:
-        assert stream_fingerprint(got_trace.events) == stream_fingerprint(
-            want_trace.events
-        )
+    fresh, want_trace = build(_FreshAccelService)
+    for requests in drains:
+        got = drain(memo, got_trace, requests)
+        want = drain(fresh, want_trace, requests)
+        assert [_result_key(r) for r in got.results] == [
+            _result_key(r) for r in want.results
+        ]
+        assert got.latency == want.latency
+        assert got.stats.cache_hits == want.stats.cache_hits
+        assert got.stats.n_evictions == want.stats.n_evictions
+        for mine, theirs in zip(_caches(memo), _caches(fresh), strict=True):
+            assert mine.stats == theirs.stats
+            assert mine.snapshot() == theirs.snapshot()
+        if traced:
+            assert stream_fingerprint(got_trace.events) == (
+                stream_fingerprint(want_trace.events)
+            )
 
 
 class TestFingerprints:

@@ -10,9 +10,8 @@ critical smalls, SLO'd batches and oversized sharded jobs):
     backfill span, at least one preemption (with its ``request.resume``
     patch), per-layer ``cluster.chip_util`` counter events and a
     non-empty round-timeline CSV;
-(c) the span tree is well formed, the stats views rebuilt from the
-    stream alone equal the service's hand-folded aggregates, and the
-    ``workers=4`` parallel replay records a bit-identical stream.
+(c) the span tree is well formed, and the stats views rebuilt from
+    the stream alone equal the service's hand-folded aggregates.
 
 ``REPRO_TRACE_SMOKE=1`` (the CI configuration) is accepted for
 symmetry with the other smoke jobs; the scenario is already
@@ -28,7 +27,6 @@ from repro.obs import (
     load_chrome_trace,
     round_timeline_rows,
     service_stats_view,
-    stream_fingerprint,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -61,13 +59,9 @@ def test_bench_trace(benchmark):
         trace_summary("mixed", outcome, tracer),
     )
 
-    # (c) Well-formed spans, stream-derived views, parallel identity.
+    # (c) Well-formed spans and stream-derived views.
     assert check_span_tree(tracer.events) == []
     assert service_stats_view(
         tracer.events, wall_seconds=outcome.stats.wall_seconds
     ) == outcome.stats
     assert latency_stats_view(tracer.events) == outcome.latency
-    _, pooled = run_trace_scenario("mixed", workers=4)
-    assert stream_fingerprint(pooled.events) == stream_fingerprint(
-        tracer.events
-    )

@@ -27,8 +27,8 @@ symmetry.
 
 :func:`run_trace_scenario` replays a scenario under a
 :class:`~repro.obs.tracer.RecordingTracer` and returns the outcome and
-the tracer; the recorded stream is bit-identical for any host
-``workers`` count.
+the tracer; the recorded stream is a deterministic function of the
+scenario and its seed.
 """
 
 from __future__ import annotations
@@ -116,23 +116,20 @@ def trace_scenario(name, *, seed=None):
     )
 
 
-def run_trace_scenario(name, *, seed=None, workers=1):
+def run_trace_scenario(name, *, seed=None):
     """Replay one scenario under a fresh recording tracer.
 
     Returns ``(outcome, tracer)`` — the
     :class:`~repro.serve.service.ServiceOutcome` and the
     :class:`~repro.obs.tracer.RecordingTracer` holding the simulated
-    event stream (plus wall-clock profiling spans). ``workers`` runs
-    the underlying simulations on the :mod:`repro.parallel` pool; the
-    recorded stream is bit-identical to ``workers=1``.
+    event stream (plus wall-clock profiling spans).
     """
     from repro.obs import RecordingTracer
     from repro.serve.service import serve_requests
 
     requests, kwargs = trace_scenario(name, seed=seed)
     tracer = RecordingTracer()
-    outcome = serve_requests(requests, tracer=tracer, workers=workers,
-                             **kwargs)
+    outcome = serve_requests(requests, tracer=tracer, **kwargs)
     return outcome, tracer
 
 

@@ -12,7 +12,6 @@ Usage::
     python -m repro fig15 [--pe-counts 512,768,1024]
     python -m repro serve-bench [--requests 96] [--graphs 4]
     python -m repro serve-bench --arrival-rate 400 --slo-ms 5
-    python -m repro serve-bench --sim-workers 4    # parallel backend
     python -m repro bench-rebalance [--pe-counts 64,256,1024,4096]
     python -m repro shard-bench [--chips 1,2,4,8] [--nodes 8192]
     python -m repro shard-bench --topology ring --hetero --overlap --feedback
@@ -24,7 +23,6 @@ Usage::
     python -m repro serve-bench --arrival-rate 400 --cache-mode affinity \
         --repeat-alpha 1.2
     python -m repro trace [--scenario mixed] [--trace-dir results]
-    python -m repro trace --scenario mixed --sim-workers 4
     python -m repro summary           # dataset inventory
 
 Each command prints the rendered table; ``--out DIR`` additionally
@@ -119,11 +117,6 @@ def build_parser():
                             "(default: poisson)")
     serve.add_argument("--max-batch", type=int, default=None,
                        help="batch-size cap in streaming mode (default: 8)")
-    serve.add_argument("--sim-workers", type=int, default=1,
-                       help="host processes running the simulations "
-                            "(repro.parallel; results stay bit-identical "
-                            "to the sequential default of 1 — distinct "
-                            "from --workers, the simulated pool size)")
     serve.add_argument("--cache-mode", default="shared",
                        choices=["shared", "partitioned", "affinity"],
                        help="cache organization of the cached run: one "
@@ -353,11 +346,6 @@ def build_parser():
     trace.add_argument("--seed", type=int, default=None,
                        help="override the scenario's traffic seed "
                             "(default: the scenario's pinned seed)")
-    trace.add_argument("--sim-workers", type=int, default=1,
-                       help="host processes running the simulations "
-                            "(repro.parallel; the recorded event stream "
-                            "is bit-identical to the sequential default "
-                            "of 1)")
     trace.add_argument("--trace-dir", default="results", metavar="DIR",
                        help="directory for the trace JSON and the "
                             "round-timeline CSV (default: results)")
@@ -437,7 +425,6 @@ def main(argv=None):
                 slo_ms=args.slo_ms,
                 arrival=args.arrival or "poisson",
                 max_batch=args.max_batch if args.max_batch is not None else 8,
-                workers=args.sim_workers,
                 cache_mode=args.cache_mode,
                 repeat_alpha=args.repeat_alpha,
             )
@@ -451,7 +438,6 @@ def main(argv=None):
             n_pes=args.pes,
             n_workers=args.workers,
             seed=args.seed,
-            workers=args.sim_workers,
             cache_mode=args.cache_mode,
             repeat_alpha=args.repeat_alpha,
         )
@@ -557,9 +543,7 @@ def main(argv=None):
             write_chrome_trace,
         )
 
-        outcome, tracer = run_trace_scenario(
-            args.scenario, seed=args.seed, workers=args.sim_workers
-        )
+        outcome, tracer = run_trace_scenario(args.scenario, seed=args.seed)
         print(trace_summary(args.scenario, outcome, tracer))
         doc = chrome_trace(tracer.events, wall_events=tracer.wall_events)
         errors = validate_chrome_trace(doc)

@@ -937,38 +937,6 @@ def _compose_layers(cluster, layers, chip_reports, halo, a_hops, *,
     return layer_cycles, comm_serial, chip_costs, chip_compute
 
 
-class _ExplorationCache:
-    """Read-through view of a shared autotune cache for plan search.
-
-    Lookups consult the private layer first, then the shared cache;
-    stores only ever touch the private layer. The feedback controller
-    simulates many candidate plans it will discard — their tuning
-    entries must not evict live entries from a bounded shared cache,
-    but shards already cached by previous requests should still replay.
-    """
-
-    def __init__(self, shared):
-        from repro.serve.cache import AutotuneCache
-
-        self._own = AutotuneCache()
-        self._shared = shared
-
-    def lookup(self, fingerprint, config):
-        entry = self._own.lookup(fingerprint, config)
-        if entry is None and self._shared is not None:
-            entry = self._shared.lookup(fingerprint, config)
-        return entry
-
-    def peek(self, fingerprint, config, *, trace=True):
-        entry = self._own.peek(fingerprint, config, trace=trace)
-        if entry is None and self._shared is not None:
-            entry = self._shared.peek(fingerprint, config, trace=trace)
-        return entry
-
-    def store(self, fingerprint, config, entry):
-        self._own.store(fingerprint, config, entry)
-
-
 def _feedback_rebalance(sharded, cluster, cache, tracer=None):
     """Cycle-feedback rebalancing: migrate on measured per-chip cycles.
 
@@ -989,12 +957,13 @@ def _feedback_rebalance(sharded, cluster, cache, tracer=None):
     intra-chip tuner.
 
     Cache discipline: exploration rounds run against a read-through
-    wrapper — lookups fall back to the caller's shared cache (a repeat
-    request replays its previously-cached shards instead of
-    re-simulating), but stores land in a private throwaway layer, so a
-    bounded serving cache never has live entries evicted by tuning
-    state of plans the controller discarded. Only the winning plan is
-    run against the shared cache itself.
+    :class:`~repro.serve.cache.OverlayCache` — counted lookups fall back
+    to the caller's shared cache (a repeat request replays its
+    previously-cached shards instead of re-simulating), but stores
+    land in a private throwaway layer, so a bounded serving cache never
+    has live entries evicted by tuning state of plans the controller
+    discarded. Only the winning plan is run against the shared cache
+    itself.
 
     Stragglers (:attr:`ClusterConfig.stragglers`) change what each
     round *measures*: round ``r``'s per-chip compute is scaled by the
@@ -1018,6 +987,8 @@ def _feedback_rebalance(sharded, cluster, cache, tracer=None):
     Returns ``(plan, info, chip_reports, composed)`` with the winning
     plan's reports and composition run against the caller's cache.
     """
+    from repro.serve.cache import OverlayCache
+
     initial = sharded.plan
     weights = initial.block_weights(sharded._row_nnz)
     block_rows = initial.block_sizes
@@ -1026,7 +997,7 @@ def _feedback_rebalance(sharded, cluster, cache, tracer=None):
     )
     plan, _load_info = sharded._load_rebalanced()
     bounds = _plan_bounds(plan)
-    explore_cache = _ExplorationCache(cache)
+    explore_cache = OverlayCache(cache, counted=True)
     # Exploration rounds run untraced at the accelerator level — the
     # tuner events of candidate plans the controller discards would
     # drown the stream. Shared-cache peek/lookup events still flow

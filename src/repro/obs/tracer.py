@@ -15,15 +15,15 @@ Two clocks, one rule (same as the service): every recorded ``ts`` is
 *simulated* seconds. Wall-clock profiling goes through
 :meth:`RecordingTracer.wall` into a separate ``wall_events`` list that
 is explicitly nondeterministic — it never participates in the
-``workers=N`` bit-identity contract and exports under its own process
-lane.
+bit-identity contract below and exports under its own process lane.
 
 Determinism contract: because control flow depends only on the
 simulated clock, the event stream a :class:`RecordingTracer` collects
-is bit-identical for any host ``workers`` count. The one wrinkle is the
-cold run a cache miss keeps (:meth:`repro.accel.GcnAccelerator.run`):
-its tuner events are recorded on a local tracer (anchored at 0) —
-in-process, or inside a worker process of the parallel backend
+is bit-identical from run to run, and for any chip-level ``workers``
+count (``ClusterConfig(workers=N)``). The one wrinkle is the cold run a
+cache miss keeps (:meth:`repro.accel.GcnAccelerator.run`): its tuner
+events are recorded on a local tracer (anchored at 0) — in-process, or
+inside a worker process of the parallel backend
 (:mod:`repro.parallel`) — and :meth:`RecordingTracer.splice`\\ d into
 the stream at exactly the point a direct run would have emitted them,
 between the cache lookup and the store, on every miss that replays

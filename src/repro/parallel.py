@@ -1,38 +1,36 @@
 """The parallel execution backend: real processes, bit-identical results.
 
 Everything the simulator models is deterministic, so the expensive part
-of serving — driving the Eq. 5 auto-tuner through a cold simulation —
-is a pure function of ``(jobs, ArchConfig)``. This module farms those
-pure cold runs out to a persistent :mod:`multiprocessing` worker pool
-and then *replays* them into the caller's sequential control flow, so
-the parallel path produces bit-identical cycle counts, latency traces
-and cache state to the sequential oracle:
+of a sharded simulation — driving each chip's Eq. 5 auto-tuner through a
+cold simulation — is a pure function of ``(jobs, ArchConfig)``. This
+module farms those pure cold runs out to a persistent
+:mod:`multiprocessing` worker pool and then *replays* them into the
+caller's sequential control flow, so the parallel path produces
+bit-identical cycle counts, cache state and event streams to the
+sequential oracle:
 
 * :func:`presimulate` scans a list of accelerators, deduplicates them
-  by cache key, skips keys the shared :class:`~repro.serve.AutotuneCache`
+  by cache key, skips keys the :class:`~repro.serve.AutotuneCache`
   already answers, runs the remaining cold simulations in the pool and
   seeds each accelerator's kept cold run
   (:meth:`~repro.accel.GcnAccelerator.remember_cold`) with the result;
-* :func:`replay_simulation` is the gather side: with a cache it is the
-  sequential :meth:`~repro.accel.GcnAccelerator.run` itself, in the
-  caller's original order. A seeded miss makes the calls a sequential
-  miss makes — :meth:`~repro.serve.AutotuneCache.lookup`, the worker's
-  tuner events spliced in, :meth:`~repro.serve.AutotuneCache.store` —
-  so hit/miss counters, LRU recency and eviction order all come out
-  identical to the sequential run, and ``workers=1`` and ``workers=N``
-  take one miss path;
-* :func:`simulate_accels` composes the two into a drop-in replacement
-  for ``[accel.run(cache=cache) for accel in accels]``.
+* :func:`simulate_accels` is a drop-in replacement for
+  ``[accel.run(cache=cache) for accel in accels]`` that presimulates,
+  then replays in the caller's order. With a cache the replay is the
+  sequential :meth:`~repro.accel.GcnAccelerator.run` itself: a seeded
+  miss makes the calls a sequential miss makes —
+  :meth:`~repro.serve.AutotuneCache.lookup`, the worker's tuner events
+  spliced in, :meth:`~repro.serve.AutotuneCache.store` — so hit/miss
+  counters, LRU recency and eviction order all come out identical to
+  the sequential run.
 
-The consumers are :func:`repro.cluster.simulate_multichip_gcn` (per-chip
+The consumer is :func:`repro.cluster.simulate_multichip_gcn`: per-chip
 shard simulations are independent between layer barriers by
-construction — ``ClusterConfig(workers=N)``) and
-:meth:`repro.serve.InferenceService.drain` (independent requests of the
-serving pool — ``InferenceService(workers=N)``).
+construction (``ClusterConfig(workers=N)``). The serving service runs
+in one process and never enables the pool for its sharded jobs.
 
-Only wall-clock figures (``busy_seconds``, ``sim_seconds``,
-``wall_seconds``) may differ between the backends: they measure how
-long the simulation itself took, which is exactly what the pool
+Only wall-clock figures may differ between the backends: they measure
+how long the simulation itself took, which is exactly what the pool
 shrinks. Everything on the simulated clock is identical.
 
 The pool is created lazily on first use (``fork`` start method where
@@ -126,10 +124,10 @@ def presimulate(accels, *, cache=None, workers=2, tracer=None):
     :meth:`~repro.serve.AutotuneCache.peek` — no counter or recency
     side effects, and ``trace=False`` so these parallel-only probes
     stay out of the event stream), the accelerator's own kept cold run
-    nor an earlier accelerator in the batch will answer. The service's
-    accelerators arrive already holding the cold run of every key an
-    earlier drain tuned, so only keys new to the service reach the
-    pool. Returns ``{key: ColdRun}`` for the dispatched keys.
+    nor an earlier accelerator in the batch will answer: a chip
+    accelerator an earlier feedback round or job already ran keeps its
+    cold run and never reaches the pool. Returns ``{key: ColdRun}`` for
+    the dispatched keys.
 
     With a ``cache``, every accelerator of a dispatched key is seeded
     with its result (:meth:`~repro.accel.GcnAccelerator.remember_cold`),
@@ -181,51 +179,33 @@ def presimulate(accels, *, cache=None, workers=2, tracer=None):
     return presim
 
 
-def replay_simulation(accel, cache, presim, *, tracer=None):
-    """One accelerator's report, folded back in sequential order.
-
-    With a cache this is ``accel.run(cache=cache, tracer=tracer)`` —
-    the sequential path itself. :func:`presimulate` seeded the
-    accelerator's kept cold run, so a miss makes exactly the calls the
-    sequential cold run makes (``lookup``, then the worker's tuner
-    events spliced in, then ``store`` of the presimulated entry) and
-    returns the worker's cold report; a hit replays the frozen fast
-    path; a key the pool never ran (it was warm at the scan and evicted
-    since, say) tunes inline. Every case is bit-identical to
-    ``workers=1``.
-
-    With ``cache=None`` the report is simply the presimulated one (the
-    sequential path would recompute the identical report per request),
-    or a fresh cold run when the key was not presimulated.
-
-    The ``tracer`` splice preserves trace bit-identity: the worker's
-    tuner events (recorded at anchor 0) are re-emitted exactly where
-    the sequential cold run emits them, anchored at the tracer's
-    current simulated time, which the caller pins to the dispatch
-    instant.
-    """
-    if cache is None:
-        cold = presim.get((accel.fingerprint(), accel.config))
-        if cold is not None:
-            if tracer is not None and tracer.enabled:
-                tracer.splice(cold.events)
-            return cold.report
-    return accel.run(cache=cache, tracer=tracer)
-
-
 def simulate_accels(accels, *, cache=None, workers=1, tracer=None):
     """Run a batch of accelerator simulations, possibly in parallel.
 
     Drop-in replacement for ``[a.run(cache=cache) for a in accels]``:
     with ``workers=1`` (or the disable switch set) it *is* that loop —
-    the sequential oracle — and with ``workers>1`` the cold runs go
-    through the pool and replay bit-identically (see module docstring),
-    including the recorded event stream when a ``tracer`` is active.
+    the sequential oracle. With ``workers>1`` the cold runs go through
+    the pool first (:func:`presimulate`) and replay bit-identically
+    (see the module docstring), including the recorded event stream
+    when a ``tracer`` is active. With a cache the replay is that same
+    loop: a seeded miss stores the pool's run, and a key the scan found
+    warm but an earlier replay evicted tunes inline, as it would
+    sequentially. Without a cache each report is the pool's run of its
+    key, which the sequential loop would recompute, with the worker's
+    tuner events spliced in where the sequential run emits them.
     """
     workers = effective_workers(workers)
     if workers <= 1:
         return [accel.run(cache=cache, tracer=tracer) for accel in accels]
     presim = presimulate(accels, cache=cache, workers=workers,
                          tracer=tracer)
-    return [replay_simulation(accel, cache, presim, tracer=tracer)
-            for accel in accels]
+    if cache is not None:
+        return [accel.run(cache=cache, tracer=tracer) for accel in accels]
+    trace = tracer is not None and tracer.enabled
+    reports = []
+    for accel in accels:
+        cold = presim[(accel.fingerprint(), accel.config)]
+        if trace:
+            tracer.splice(cold.events)
+        reports.append(cold.report)
+    return reports

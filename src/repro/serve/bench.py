@@ -43,16 +43,12 @@ def default_serving_config(n_pes=192):
 
 def compare_caching(*, n_requests=96, n_graphs=4, n_nodes=16384, seed=7,
                     n_workers=2, n_pes=192, configs=None, graph_kwargs=None,
-                    workers=1, cache_mode="shared", repeat_alpha=None):
+                    cache_mode="shared", repeat_alpha=None):
     """Serve one mix with and without the cache; returns ``(rows, text)``.
 
     ``rows`` has one dict per mode (``no-cache`` / ``cache``) plus the
     derived comparison row carrying the speedup and the cycle-identity
     verdict; ``text`` is the rendered table with a summary line.
-    ``workers`` runs the underlying simulations on the
-    :mod:`repro.parallel` process pool (host execution only — every
-    reported cycle, timestamp and verdict is bit-identical to the
-    sequential ``workers=1`` oracle; only wall-clock columns shrink).
     ``cache_mode`` selects the cached run's cache organization
     (``"shared"``/``"partitioned"``/``"affinity"``; the cold run is
     always cache-less) and ``repeat_alpha`` overrides the mix's Zipf
@@ -78,7 +74,7 @@ def compare_caching(*, n_requests=96, n_graphs=4, n_nodes=16384, seed=7,
     outcomes = {}
     for mode, cache in (("no-cache", None), ("cache", True)):
         outcomes[mode] = serve_requests(
-            requests, n_workers=n_workers, cache=cache, workers=workers,
+            requests, n_workers=n_workers, cache=cache,
             cache_mode=cache_mode if cache else "shared",
         )
 
@@ -146,7 +142,7 @@ def compare_latency(*, n_requests=96, n_graphs=4, n_nodes=4096, seed=7,
                     n_workers=2, n_pes=96, arrival_rate=400.0, slo_ms=None,
                     arrival="poisson", burst_size=8, max_batch=8,
                     max_wait=None, configs=None, graph_kwargs=None,
-                    workers=1, cache_mode="shared", repeat_alpha=None):
+                    cache_mode="shared", repeat_alpha=None):
     """Streaming latency/SLO comparison; returns ``(rows, text)``.
 
     Serves one fixed-seed streaming trace (arrival process + optional
@@ -157,9 +153,7 @@ def compare_latency(*, n_requests=96, n_graphs=4, n_nodes=4096, seed=7,
     (every simulated start/finish timestamp matches exactly — caching
     must be invisible to the simulated clock). All latency figures are
     simulated milliseconds and deterministic under the seed.
-    ``workers`` parallelizes the host-side simulations as in
-    :func:`compare_caching` — bit-identical results, smaller wall-clock
-    columns. ``cache_mode``/``repeat_alpha`` behave as in
+    ``cache_mode``/``repeat_alpha`` behave as in
     :func:`compare_caching` (cached run's cache organization; Zipf
     exponent override on the mix).
     """
@@ -182,7 +176,7 @@ def compare_latency(*, n_requests=96, n_graphs=4, n_nodes=4096, seed=7,
     for mode, cache in (("no-cache", None), ("cache", True)):
         outcomes[mode] = serve_requests(
             requests, n_workers=n_workers, cache=cache,
-            max_batch=max_batch, max_wait=max_wait, workers=workers,
+            max_batch=max_batch, max_wait=max_wait,
             cache_mode=cache_mode if cache else "shared",
         )
 

@@ -171,14 +171,16 @@ class AutotuneCache:
     def peek(self, fingerprint, config, *, trace=True):
         """Return the cached entry without counting or touching recency.
 
-        The side-effect-free read the parallel backend
-        (:mod:`repro.parallel`) uses to decide which cold simulations to
-        dispatch: probing every key up front must not perturb the
-        hit/miss counters or the LRU order, or the later sequential
-        replay would diverge from the oracle. ``trace=False`` also
-        suppresses the trace event — the parallel backend's probes
-        happen only when ``workers > 1``, so leaving them in the stream
-        would break the ``workers=N`` trace bit-identity contract.
+        The side-effect-free read behind scheduling probes: the
+        affinity router's warm-entry coverage, the backfill screen and
+        the chip-level parallel backend (:mod:`repro.parallel`), which
+        probes every key up front to decide which cold simulations to
+        dispatch. None of them may perturb the hit/miss counters or the
+        LRU order, or a later real run would diverge from the oracle.
+        ``trace=False`` also suppresses the trace event; the parallel
+        backend probes only when ``workers > 1``, so leaving its probes
+        in the stream would break the ``workers=N`` trace bit-identity
+        contract.
         """
         entry = self._entries.get(self.key(fingerprint, config))
         if trace and self.tracer.enabled:
@@ -434,6 +436,45 @@ class AutotuneCache:
                 if key in cache._entries:
                     cache._meta[key] = [hits, last_used]
         return cache
+
+
+class OverlayCache:
+    """A private :class:`AutotuneCache` layer over a shared cache.
+
+    For simulations whose tuning state must not reach the shared cache
+    (which may be None): the service's backfill screen of a sharded job
+    and the feedback rebalancer's candidate plans. Stores land only in
+    the private layer, so a bounded shared cache never evicts a live
+    entry for them, while entries the shared cache already holds still
+    replay. Reads try the private layer first. ``counted`` picks how
+    they then read the shared cache: through :meth:`AutotuneCache.lookup`
+    (a counted hit or miss, as a real run makes) or through
+    :meth:`AutotuneCache.peek` (no counters, no recency: a probe that
+    leaves the shared cache as it found it).
+    """
+
+    def __init__(self, shared, *, counted):
+        self._own = AutotuneCache()
+        self._shared = shared
+        self._counted = counted
+
+    def lookup(self, fingerprint, config):
+        entry = self._own.lookup(fingerprint, config)
+        if entry is None and self._shared is not None:
+            if self._counted:
+                entry = self._shared.lookup(fingerprint, config)
+            else:
+                entry = self._shared.peek(fingerprint, config)
+        return entry
+
+    def peek(self, fingerprint, config, *, trace=True):
+        entry = self._own.peek(fingerprint, config, trace=False)
+        if entry is None and self._shared is not None:
+            entry = self._shared.peek(fingerprint, config, trace=trace)
+        return entry
+
+    def store(self, fingerprint, config, entry):
+        self._own.store(fingerprint, config, entry)
 
 
 def _entry_from_index(archive, slot, meta):

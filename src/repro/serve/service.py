@@ -28,13 +28,10 @@ the degenerate case: when every request arrives at t=0 with no SLO, the
 loop admits everything at once, flushes, and dispatches batches oldest
 first — reproducing the old planner's order exactly.
 
-The pool is a *model* of a multi-accelerator deployment: instances run
-in-process by default (this is a simulator, not a thread pool), but
+The pool is a *model* of a multi-accelerator deployment: every instance
+runs in this one process (this is a simulator, not a thread pool), but
 admission, batch placement, per-instance accounting and cache sharing
-behave as the deployed system would. With ``workers=N`` the underlying
-simulations additionally run on a real :mod:`repro.parallel` process
-pool — a host-execution knob that shrinks wall time while leaving every
-modeled number bit-identical (the sequential path stays the oracle).
+behave as the deployed system would.
 
 Multi-tenant co-scheduling (PR 8, ``coschedule=True``) unifies the
 batch and sharded paths into one pool: a waiting gang *claims* its
@@ -74,7 +71,7 @@ from repro.cluster.topology import Topology, make_topology, subtopology
 from repro.datasets.registry import dataset_fingerprint
 from repro.errors import CeilingError, ConfigError
 from repro.obs.tracer import NULL_TRACER, config_label
-from repro.serve.cache import AutotuneCache
+from repro.serve.cache import AutotuneCache, OverlayCache
 from repro.serve.demand import DemandHistogram
 from repro.serve.request import InferenceResult
 from repro.serve.scheduler import (
@@ -116,62 +113,6 @@ class WorkerState:
     """This instance's own :class:`AutotuneCache` shard under
     ``cache_mode`` ``"partitioned"``/``"affinity"``; None in the
     historical shared-cache mode."""
-
-
-class _ScreenCache:
-    """Zero-footprint read-through cache for backfill screening.
-
-    The backfill screen simulates a candidate sharded job to learn its
-    exact modeled duration *before* deciding whether it may dispatch —
-    a scheduling probe that must leave the shared serving cache
-    untouched: lookups go through :meth:`AutotuneCache.peek` (no stats,
-    no LRU promotion) and stores land in a private throwaway layer.
-    When the job later really dispatches, it re-runs against the shared
-    cache in dispatch order, so cache contents, stats and LRU order
-    stay identical to a service that never screened anything.
-    """
-
-    def __init__(self, shared):
-        self._own = AutotuneCache()
-        self._shared = shared
-
-    def lookup(self, fingerprint, config):
-        entry = self._own.lookup(fingerprint, config)
-        if entry is None and self._shared is not None:
-            entry = self._shared.peek(fingerprint, config)
-        return entry
-
-    def peek(self, fingerprint, config, *, trace=True):
-        entry = self._own.peek(fingerprint, config, trace=False)
-        if entry is None and self._shared is not None:
-            entry = self._shared.peek(fingerprint, config, trace=trace)
-        return entry
-
-    def store(self, fingerprint, config, entry):
-        self._own.store(fingerprint, config, entry)
-
-
-class _UnionPeek:
-    """Read-only union view over the per-worker cache shards.
-
-    :func:`repro.parallel.presimulate` only ever calls
-    ``peek(..., trace=False)`` to decide which cold simulations to farm
-    out. Under a partitioned pool "cold" means cold on *every* shard: a
-    key warm anywhere is skipped — if the batch routes to that warm
-    worker the replay hits it, and if it routes elsewhere the miss tunes
-    inline against that worker's shard, which is exactly the sequential
-    protocol. No stats, no LRU promotion, no stores.
-    """
-
-    def __init__(self, caches):
-        self._caches = caches
-
-    def peek(self, fingerprint, config, *, trace=False):
-        for cache in self._caches:
-            entry = cache.peek(fingerprint, config, trace=False)
-            if entry is not None:
-                return entry
-        return None
 
 
 @dataclass
@@ -454,17 +395,6 @@ class InferenceService:
         still simulate at the request's config (the request defines the
         workload's target architecture; sharding is where the pool's
         physical heterogeneity binds).
-    workers:
-        Host processes running the underlying simulations
-        (:mod:`repro.parallel`): independent queued requests are
-        presimulated in a process pool before the event loop, and
-        sharded jobs run their per-chip simulations in the same pool.
-        1 (default) keeps the in-process sequential oracle. Results —
-        cycles, timestamps, latency traces, cache contents and stats —
-        are bit-identical for any value; only the wall-clock figures
-        (``wall_seconds``, ``busy_seconds``, ``sim_seconds``) shrink.
-        Not to be confused with ``n_workers``, which sizes the
-        *simulated* instance pool.
     coschedule:
         Multi-tenant co-scheduling of batch and sharded traffic.
         Enables (1) *gang claims*: while the head sharded job waits for
@@ -523,15 +453,17 @@ class InferenceService:
         service builds the per-instance shards itself).
     worker_cache_entries:
         LRU bound of each per-instance cache shard under
-        ``"partitioned"``/``"affinity"`` (None = unbounded). The
-        shared-mode cache is bounded via the ``cache`` object itself.
+        ``"partitioned"``/``"affinity"`` (None = unbounded); a
+        :class:`~repro.errors.ConfigError` under ``"shared"``, whose
+        cache is bounded via the ``cache`` object itself.
     replicate_threshold:
         Demand level (decayed requests within roughly one
         ``demand_half_life`` window) at which a graph family counts as
         *hot* and its warm cache entries are pushed to the
         ``replicate_k`` least-loaded instances via
         :meth:`AutotuneCache.merge`. None disables replication.
-        Affinity mode only.
+        Affinity mode only: a :class:`~repro.errors.ConfigError` under
+        any other ``cache_mode``.
     replicate_k:
         How many least-loaded instances (earliest ``free_at``, index
         tie-break) receive each hot family's entries.
@@ -542,10 +474,8 @@ class InferenceService:
         Optional :class:`~repro.obs.tracer.RecordingTracer` collecting
         the structured event trace of every drain (request span trees,
         batch cuts, gang claims, backfills, preemptions, cache and
-        cluster events — all on the simulated clock). The recorded
-        stream is bit-identical for any host ``workers`` count. None
-        (default) uses the zero-overhead
-        :class:`~repro.obs.tracer.NullTracer`.
+        cluster events — all on the simulated clock). None (default)
+        uses the zero-overhead :class:`~repro.obs.tracer.NullTracer`.
 
     Units
     -----
@@ -579,12 +509,11 @@ class InferenceService:
     def __init__(self, *, n_workers=2, cache=True, max_batch=None,
                  max_wait=None, shed_expired=False, reconfig_cycles=0,
                  chip_capacity=None, cluster_options=None,
-                 worker_configs=None, workers=1, coschedule=False,
+                 worker_configs=None, coschedule=False,
                  critical_slo_ms=None, cache_mode="shared",
                  worker_cache_entries=None, replicate_threshold=None,
                  replicate_k=2, demand_half_life=0.05, tracer=None):
         check_positive_int(n_workers, "n_workers")
-        self.sim_workers = check_positive_int(workers, "workers")
         self.tracer = NULL_TRACER if tracer is None else tracer
         """Event sink (:mod:`repro.obs`): a
         :class:`~repro.obs.tracer.RecordingTracer` collects the span
@@ -598,11 +527,24 @@ class InferenceService:
             )
         self.cache_mode = cache_mode
         if worker_cache_entries is not None:
+            if cache_mode == "shared":
+                raise ConfigError(
+                    "worker_cache_entries bounds the per-instance shards "
+                    "of cache_mode 'partitioned'/'affinity'; "
+                    "cache_mode='shared' would ignore it (bound the "
+                    "shared AutotuneCache itself)"
+                )
             worker_cache_entries = check_positive_int(
                 worker_cache_entries, "worker_cache_entries"
             )
         self.worker_cache_entries = worker_cache_entries
         if replicate_threshold is not None:
+            if cache_mode != "affinity":
+                raise ConfigError(
+                    "replicate_threshold drives cache_mode='affinity' "
+                    f"replication; cache_mode={cache_mode!r} would "
+                    "ignore it"
+                )
             try:
                 replicate_threshold = float(replicate_threshold)
             except (TypeError, ValueError):
@@ -719,7 +661,6 @@ class InferenceService:
                 shard.lane = f"cache/w{worker.index}"
                 worker.cache = shard
         self._n_batches = 0
-        self._presim = {}
         self._pool_fabric_cache = None
         self._active = []
         self._screen_memo = {}
@@ -783,21 +724,13 @@ class InferenceService:
         evictions_before = self._evictions_total()
         if trace:
             tr.set_time(0.0)
-            # No host-execution knobs in the args: the deterministic
-            # stream must be identical for any ``workers`` count.
+            # No host-execution facts in the args: the stream is a
+            # deterministic function of the queued traffic.
             tr.instant("drain.begin", ts=0.0, args={
                 "queued": len(queued),
                 "n_workers": len(self.workers),
                 "coschedule": self.coschedule,
             })
-        # Parallel backend: run the cold simulations every non-sharded
-        # queued request needs in the process pool up front, then let
-        # the event loop replay them in its own sequential order
-        # (repro.parallel's bit-identity protocol). Sharded jobs
-        # parallelize at chip level inside simulate_multichip_gcn
-        # instead. A request shed later simply wastes its presimulation
-        # — host work, never a modeled cycle.
-        #
         # The accelerator memos key by id(dataset); ids can be recycled
         # across drains, so they never outlive one. That also scopes
         # each accelerator's replay memo, which pins every entry object
@@ -807,28 +740,6 @@ class InferenceService:
         # one run per key, which lives as long as the service.
         self._drop_accels()
         self._sharded = {}
-        self._presim = {}
-        if self.sim_workers > 1 and queued:
-            from repro.parallel import presimulate
-
-            accels = [
-                self._accel_for(item.request)
-                for item in queued
-                if not self._needs_sharding(item.request)
-            ]
-            # Partitioned/affinity pools presimulate against a read-only
-            # union of the worker shards: a key warm on *any* shard is
-            # skipped (its routed worker either has it — replay hits it —
-            # or doesn't, and the miss tunes inline, which is the
-            # sequential path anyway).
-            presim_cache = (
-                self.cache if self.cache_mode == "shared"
-                else _UnionPeek([w.cache for w in self.workers])
-            )
-            self._presim = presimulate(
-                accels, cache=presim_cache, workers=self.sim_workers,
-                tracer=tr,
-            )
         # Without an explicit batch cap, bound batches so one giant
         # config group still spreads over the whole instance pool (each
         # instance configures once and takes a contiguous share) instead
@@ -1161,10 +1072,10 @@ class InferenceService:
         """The drain's one :class:`GcnAccelerator` for a request's
         (dataset, config, a_hops).
 
-        Presimulation, routing keys and serving all share it, so its
-        jobs are built once per drain and its replay memo turns every
-        repeat hit on a cache entry into a lookup. It is built holding
-        the cold run an earlier drain kept for its cache key, if any
+        Routing keys and serving share it, so its jobs are built once
+        per drain and its replay memo turns every repeat hit on a cache
+        entry into a lookup. It is built holding the cold run an
+        earlier drain kept for its cache key, if any
         (:meth:`~repro.accel.GcnAccelerator.remember_cold`), so every
         miss on a key the service has tuned before, in this drain or
         an earlier one, is a store.
@@ -1456,13 +1367,11 @@ class InferenceService:
                     self.worker_configs[worker.index] for worker in workers
                 ),
                 row_ceilings=row_ceilings,
-                workers=self.sim_workers,
                 **opts,
             )
         return ClusterConfig(
             n_chips=len(workers), chip=request.config,
-            row_ceilings=row_ceilings, workers=self.sim_workers,
-            **opts,
+            row_ceilings=row_ceilings, **opts,
         )
 
     def _sharded_for(self, gang, request, *, constrained=True):
@@ -1652,8 +1561,8 @@ class InferenceService:
 
         Runs the very simulation :meth:`_serve_sharded` would run —
         same gang, ceilings, fabric restriction and background — against
-        a :class:`_ScreenCache`, so the shared cache's contents, stats
-        and LRU order stay untouched. Because the cache never changes
+        an uncounted :class:`~repro.serve.cache.OverlayCache`, so the
+        shared cache's contents, stats and LRU order stay untouched. Because the cache never changes
         modeled numbers, the screened duration equals the dispatched
         duration exactly; the backfill decision is a proof, not an
         estimate. Memoized per (job, gang, background) so the event
@@ -1673,7 +1582,7 @@ class InferenceService:
         cluster = _with_background(sharded.cluster, background)
         report = simulate_multichip_gcn(
             sharded, cluster, a_hops=request.a_hops,
-            cache=_ScreenCache(self._cache_for(gang[0])),
+            cache=OverlayCache(self._cache_for(gang[0]), counted=False),
         )
         duration = cluster.chip.cycles_to_seconds(report.total_cycles)
         self._screen_memo[key] = duration
@@ -2153,24 +2062,19 @@ class InferenceService:
 
     def _serve_one(self, item, batch, worker, start):
         """Run one request on one instance and record the outcome."""
-        from repro.parallel import replay_simulation
-
         request = item.request
         dataset = request.resolve_graph()
         tr = self.tracer
         if tr.enabled:
             # Anchor this request's tuner/cache events (direct or
-            # spliced from a pool worker) at its service start.
+            # spliced from a kept cold run) at its service start.
             tr.set_time(start)
         started = time.perf_counter()
         accel = self._accel_for(request)
         cache = self._cache_for(worker)
         if cache is not None:
             cache.clock = start
-        report = replay_simulation(
-            accel, cache, self._presim,
-            tracer=tr if tr.enabled else None,
-        )
+        report = accel.run(cache=cache, tracer=tr if tr.enabled else None)
         elapsed = time.perf_counter() - started
         worker.requests_served += 1
         service_seconds = request.config.cycles_to_seconds(
@@ -2267,25 +2171,9 @@ class InferenceService:
         )
 
 
-def serve_requests(requests, *, n_workers=2, cache=True, max_batch=None,
-                   max_wait=None, shed_expired=False, reconfig_cycles=0,
-                   chip_capacity=None, cluster_options=None,
-                   worker_configs=None, workers=1, coschedule=False,
-                   critical_slo_ms=None, cache_mode="shared",
-                   worker_cache_entries=None, replicate_threshold=None,
-                   replicate_k=2, demand_half_life=0.05, tracer=None):
-    """One-shot convenience: submit ``requests``, drain, return outcome."""
-    service = InferenceService(
-        n_workers=n_workers, cache=cache, max_batch=max_batch,
-        max_wait=max_wait, shed_expired=shed_expired,
-        reconfig_cycles=reconfig_cycles, chip_capacity=chip_capacity,
-        cluster_options=cluster_options, worker_configs=worker_configs,
-        workers=workers, coschedule=coschedule,
-        critical_slo_ms=critical_slo_ms, cache_mode=cache_mode,
-        worker_cache_entries=worker_cache_entries,
-        replicate_threshold=replicate_threshold,
-        replicate_k=replicate_k, demand_half_life=demand_half_life,
-        tracer=tracer,
-    )
+def serve_requests(requests, **options):
+    """One-shot convenience: submit ``requests`` to a fresh
+    ``InferenceService(**options)``, drain, return the outcome."""
+    service = InferenceService(**options)
     service.submit_many(requests)
     return service.drain()

@@ -10,8 +10,8 @@ of once per job. These tests pin
   stage;
 * identity: a drain equals a per-job-fresh oracle (no reuse at all) in
   results, latency, cache stats and LRU order and the recorded event
-  stream, across ``coschedule``, ``cache_mode``, ``rebalance_signal``
-  and ``workers``;
+  stream, across ``coschedule``, ``cache_mode`` and
+  ``rebalance_signal``;
 * eviction: a shard entry evicted mid-drain is re-stored from the chip
   accelerator's kept cold run, not re-tuned;
 * immutability of what the reuse shares (plans and halo sets).
@@ -162,17 +162,15 @@ def _caches(service):
     coschedule=st.booleans(),
     cache_mode=st.sampled_from(("shared", "affinity")),
     signal=st.sampled_from(("load", "cycles")),
-    workers=st.sampled_from((1, 2)),
 )
 def test_drain_matches_per_job_fresh_oracle(seed, coschedule, cache_mode,
-                                            signal, workers):
+                                            signal):
     requests = mixed_traffic(12, seed=seed, **MIXED_KW)
     assume(sum(r.graph.n_nodes > 256 for r in requests) >= 2)
     kwargs = dict(
         n_workers=4, chip_capacity=256, coschedule=coschedule,
         critical_slo_ms=1.0 if coschedule else None, cache_mode=cache_mode,
         cluster_options={"topology": "ring", "rebalance_signal": signal},
-        workers=workers,
     )
     runs = []
     for cls in (InferenceService, _FreshShardedService):

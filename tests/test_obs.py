@@ -1,16 +1,12 @@
 """The unified tracing & metrics layer (:mod:`repro.obs`).
 
-Four contracts pinned here:
+Three contracts pinned here:
 
 * **Zero-overhead default** — an untraced run and a ``NULL_TRACER`` run
   are the same run; the recording tracer only ever *observes*.
 * **Stream-as-truth** — ``ServiceStats`` / ``LatencyStats`` rebuilt
   from the recorded events alone are *equal* (bit-equal floats, not
   approximately) to the hand-folded originals.
-* **Bit-identity across workers** — the simulated event stream is
-  byte-identical for any host ``workers`` count, across batch,
-  streaming, sharded and co-scheduled traffic (the parallel backend
-  splices worker-recorded tuner events at the exact sequential point).
 * **Valid export** — the Chrome-trace document passes the schema
   validator, the span tree is well formed, and the canned ``mixed``
   scenario carries at least one backfill and one preemption span.
@@ -20,8 +16,6 @@ import json
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.accel.config import ArchConfig
 from repro.analysis.tracescenarios import (
@@ -53,11 +47,7 @@ from repro.obs import (
 )
 from repro.serve.cache import AutotuneCache
 from repro.serve.service import percentile, serve_requests
-from repro.serve.traffic import (
-    RmatGraphSpec,
-    streaming_traffic,
-    synthetic_traffic,
-)
+from repro.serve.traffic import RmatGraphSpec, streaming_traffic
 
 TINY = {"f1": 16, "f2": 8, "f3": 4}
 CFG = ArchConfig(n_pes=32, hop=1, remote_switching=True)
@@ -71,9 +61,9 @@ def _streaming_requests(seed=7, n=12):
 
 
 @lru_cache(maxsize=None)
-def _scenario_run(name, workers=1):
+def _scenario_run(name):
     """One traced scenario replay, memoized across the module."""
-    return run_trace_scenario(name, workers=workers)
+    return run_trace_scenario(name)
 
 
 @lru_cache(maxsize=None)
@@ -399,44 +389,3 @@ class TestScenarios:
         assert [r.finish_time for r in traced.results] == [
             r.finish_time for r in baseline.results
         ]
-
-
-class TestWorkersBitIdentity:
-    @pytest.mark.parametrize("name", TRACE_SCENARIOS)
-    def test_scenarios_identical_across_workers(self, name):
-        _, sequential = _scenario_run(name)
-        _, pooled = _scenario_run(name, workers=4)
-        assert stream_fingerprint(pooled.events) == stream_fingerprint(
-            sequential.events
-        )
-
-    def test_batch_traffic_identical_across_workers(self):
-        requests = synthetic_traffic(
-            10, n_graphs=3, n_nodes=256, seed=3, configs=(CFG,),
-            avg_degree=4, graph_kwargs=TINY,
-        )
-
-        def run(workers):
-            tracer = RecordingTracer()
-            serve_requests(requests, n_workers=2, cache=True,
-                           workers=workers, tracer=tracer)
-            return stream_fingerprint(tracer.events)
-
-        assert run(1) == run(2) == run(4)
-
-    @settings(max_examples=4, deadline=None)
-    @given(seed=st.integers(0, 60))
-    def test_streaming_identity_property(self, seed):
-        requests = _streaming_requests(seed=seed, n=8)
-
-        def run(workers):
-            tracer = RecordingTracer()
-            serve_requests(requests, n_workers=2, cache=True,
-                           max_batch=3, workers=workers, tracer=tracer)
-            return tracer
-
-        sequential, pooled = run(1), run(2)
-        assert stream_fingerprint(sequential.events) == stream_fingerprint(
-            pooled.events
-        )
-        assert check_span_tree(sequential.events) == []

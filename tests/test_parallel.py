@@ -1,20 +1,19 @@
 """The multiprocessing backend and its bit-identity contract.
 
-``workers=N`` is a host-execution knob: it may only change how long the
-simulation takes on the wall clock, never a modeled number. These tests
-pin that contract end to end — cycles, timestamps, latency traces,
-cache contents, cache *stats* and LRU order all bit-identical to the
-sequential oracle — plus the accounting/persistence bugfixes that
-shipped with the backend (gang attribution, atomic cache saves,
-reconfiguration busy time).
+``ClusterConfig(workers=N)`` is a host-execution knob: it may only
+change how long a sharded simulation takes on the wall clock, never a
+modeled number. These tests pin that contract end to end — cycles,
+cache contents, cache *stats*, LRU order and the traced event stream
+all bit-identical to the sequential oracle — plus the
+accounting/persistence bugfixes that shipped with the backend (gang
+attribution, atomic cache saves, reconfiguration busy time). The
+serving service has no pool of its own.
 """
 
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro.accel.gcnaccel as gcnaccel
 from repro import parallel
@@ -22,13 +21,10 @@ from repro.accel.config import ArchConfig
 from repro.accel.gcnaccel import GcnAccelerator
 from repro.cluster.multichip import ClusterConfig, simulate_multichip_gcn
 from repro.errors import ConfigError
+from repro.obs import RecordingTracer, stream_fingerprint
 from repro.serve.cache import AutotuneCache
 from repro.serve.service import InferenceService, serve_requests
-from repro.serve.traffic import (
-    RmatGraphSpec,
-    streaming_traffic,
-    synthetic_traffic,
-)
+from repro.serve.traffic import RmatGraphSpec, synthetic_traffic
 
 CFG = ArchConfig(n_pes=32, hop=1, remote_switching=True)
 CFG_BIG = ArchConfig(n_pes=64, hop=1, remote_switching=True)
@@ -85,8 +81,6 @@ class TestWorkersKnob:
             parallel.check_workers(-1)
         with pytest.raises(ConfigError):
             ClusterConfig(n_chips=2, workers=0)
-        with pytest.raises(ConfigError):
-            InferenceService(workers=0)
 
     def test_disable_switch_forces_sequential(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_DISABLE", "1")
@@ -97,6 +91,13 @@ class TestWorkersKnob:
     def test_service_reserves_workers_cluster_option(self):
         with pytest.raises(ConfigError):
             InferenceService(cluster_options={"workers": 2})
+
+    def test_service_has_no_workers_knob(self):
+        # The service serves in one process: the pool is chip-level only.
+        with pytest.raises(TypeError):
+            InferenceService(workers=2)
+        with pytest.raises(TypeError):
+            serve_requests([], workers=2)
 
 
 class TestSimulateAccels:
@@ -139,13 +140,24 @@ class TestSimulateAccels:
         assert _entries_equal(seq_cache, par_cache)
 
     def test_replay_falls_back_when_presim_missing(self):
-        accel = _accel(21)
-        cache = AutotuneCache()
-        report = parallel.replay_simulation(accel, cache, {})
-        assert not report.cache_hit
-        assert cache.stats.misses == 1 and cache.stats.entries == 1
-        again = parallel.replay_simulation(_accel(21), cache, {})
-        assert again.cache_hit
+        # Seed 21 is warm when the pool scans the batch, so only seeds
+        # 22 and 23 are presimulated; storing them evicts 21 from the
+        # one-entry cache, and 21's replay must tune inline like the
+        # oracle.
+        seeds = (22, 23, 21)
+        seq_cache = AutotuneCache(max_entries=1)
+        par_cache = AutotuneCache(max_entries=1)
+        _accel(21).run(cache=seq_cache)
+        _accel(21).run(cache=par_cache)
+        seq = [_accel(s).run(cache=seq_cache) for s in seeds]
+        par = parallel.simulate_accels(
+            [_accel(s) for s in seeds], cache=par_cache, workers=2,
+        )
+        assert all(_reports_equal(a, b) for a, b in zip(seq, par))
+        assert [r.cache_hit for r in par] == [False, False, False]
+        assert seq_cache.stats == par_cache.stats
+        assert par_cache.stats.evictions == 3
+        assert _entries_equal(seq_cache, par_cache)
 
     def test_presimulation_seeds_each_accelerators_cold_run(self,
                                                             monkeypatch):
@@ -164,8 +176,7 @@ class TestSimulateAccels:
             return real(job, *args, **kwargs)
 
         monkeypatch.setattr(gcnaccel, "simulate_spmm", counting)
-        reports = [parallel.replay_simulation(accel, cache, presim)
-                   for accel in accels]
+        reports = [accel.run(cache=cache) for accel in accels]
         assert tuned == []
         assert [r.cache_hit for r in reports] == [False, False, True]
         # An accelerator that keeps its cold run needs no pool run.
@@ -240,6 +251,48 @@ class TestClusterParallel:
         assert seq_cache.stats == par_cache.stats
         assert _entries_equal(seq_cache, par_cache)
 
+    @pytest.mark.parametrize("signal", ["cycles", "load"])
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_traced_stream_bit_identical(self, cached, signal):
+        # The pool's traced splice: chips run traced in the workers, and
+        # their tuner events must land where the sequential run emits
+        # them — with a cache between lookup and store, without one in
+        # chip order. The cache-less feedback controller keeps its
+        # untraced exploration reports, so its stream has no tuner
+        # events to splice.
+        ds = _graph(9, n_nodes=1024)
+        cluster = dict(n_chips=4, chip=CFG, rebalance_signal=signal,
+                       feedback_rounds=2)
+
+        def run(workers):
+            tracer = RecordingTracer()
+            cache = AutotuneCache() if cached else None
+            if cached:
+                cache.tracer = tracer
+            report = simulate_multichip_gcn(
+                ds, ClusterConfig(workers=workers, **cluster),
+                cache=cache, tracer=tracer,
+            )
+            return report, tracer, cache
+
+        seq, seq_trace, seq_cache = run(1)
+        par, par_trace, par_cache = run(2)
+        spliced = any(e.name == "tuner.round" for e in seq_trace.events)
+        assert spliced == (cached or signal == "load")
+        assert stream_fingerprint(par_trace.events) == stream_fingerprint(
+            seq_trace.events
+        )
+        assert seq.total_cycles == par.total_cycles
+        assert seq.layer_cycles == par.layer_cycles
+        assert (seq.rebalance.migrated_blocks
+                == par.rebalance.migrated_blocks)
+        assert all(_reports_equal(a, b) for a, b in zip(
+            seq.chip_reports, par.chip_reports, strict=True,
+        ))
+        if cached:
+            assert seq_cache.stats == par_cache.stats
+            assert _entries_equal(seq_cache, par_cache)
+
 
 class TestGangAccounting:
     def test_gang_members_accounted_identically(self):
@@ -281,55 +334,6 @@ class TestGangAccounting:
         assert worker.reconfigs == 1
         last_finish = max(r.finish_time for r in outcome.results)
         assert worker.modeled_busy_seconds == pytest.approx(last_finish)
-
-
-@settings(max_examples=6, deadline=None)
-@given(
-    seed=st.integers(0, 2 ** 16),
-    n_graphs=st.integers(1, 3),
-    workers=st.sampled_from((2, 4)),
-    streaming=st.booleans(),
-    chip_capacity=st.sampled_from((300, None)),
-)
-def test_service_bit_identical_property(seed, n_graphs, workers, streaming,
-                                        chip_capacity):
-    """workers=N serves any traffic bit-identically to the oracle.
-
-    ``chip_capacity=None`` serves every 512-node graph on one instance,
-    where repeat hits within the drain go through the replay memo.
-    """
-    if streaming:
-        requests = streaming_traffic(
-            10, arrival_rate=500.0, slo_ms=40, n_graphs=n_graphs,
-            n_nodes=512, seed=seed, configs=(CFG,),
-        )
-    else:
-        requests = synthetic_traffic(
-            10, n_graphs=n_graphs, n_nodes=512, seed=seed, configs=(CFG,),
-        )
-    for request in requests:
-        request.resolve_graph()
-    kwargs = dict(n_workers=2, chip_capacity=chip_capacity,
-                  shed_expired=streaming)
-    seq_cache, par_cache = AutotuneCache(), AutotuneCache()
-    seq = serve_requests(requests, cache=seq_cache, workers=1, **kwargs)
-    par = serve_requests(requests, cache=par_cache, workers=workers,
-                         **kwargs)
-    for a, b in zip(seq.results, par.results):
-        assert a.total_cycles == b.total_cycles
-        assert a.start_time == b.start_time
-        assert a.finish_time == b.finish_time
-        assert a.latency_ms == b.latency_ms
-        assert a.cache_hit == b.cache_hit
-        assert a.worker == b.worker and a.batch == b.batch
-        assert a.shed == b.shed and a.n_shards == b.n_shards
-    assert seq.latency == par.latency
-    assert seq.stats.cache_hits == par.stats.cache_hits
-    assert seq.stats.cache_misses == par.stats.cache_misses
-    assert seq.stats.n_shed == par.stats.n_shed
-    assert seq.stats.n_sharded == par.stats.n_sharded
-    assert seq_cache.stats == par_cache.stats
-    assert _entries_equal(seq_cache, par_cache)
 
 
 class TestCachePeekAndMerge:

@@ -25,6 +25,7 @@ from repro.serve import (
     streaming_traffic,
     synthetic_traffic,
 )
+from repro.serve.cache import OverlayCache
 
 CFG_A = ArchConfig(n_pes=16, hop=1, remote_switching=True)
 CFG_B = ArchConfig(n_pes=32, hop=1, remote_switching=True)
@@ -229,6 +230,36 @@ class TestAutotuneCacheLRU:
         restored = AutotuneCache.load(path, max_entries=1)
         assert len(restored) == 1
         assert restored.max_entries == 1
+
+
+class TestOverlayCache:
+    @pytest.mark.parametrize("counted", [True, False])
+    def test_reads_fall_through_and_stores_stay_private(self, counted):
+        entry = CachedTuning(layers=())
+        shared = AutotuneCache(max_entries=1)
+        shared.store("warm", CFG_A, entry)
+        tracer = RecordingTracer()
+        shared.tracer = tracer
+        overlay = OverlayCache(shared, counted=counted)
+        assert overlay.lookup("warm", CFG_A) is entry
+        assert overlay.lookup("cold", CFG_A) is None
+        overlay.store("cold", CFG_A, entry)
+        assert overlay.lookup("cold", CFG_A) is entry
+        # The store stayed private: the one-entry shared cache kept its
+        # entry. Only a counted overlay's shared reads count.
+        assert list(shared._entries) == [AutotuneCache.key("warm", CFG_A)]
+        assert shared.stats.evictions == 0
+        assert shared.stats.lookups == (2 if counted else 0)
+        assert [e.name for e in tracer.events] == (
+            ["cache.hit", "cache.miss"] if counted
+            else ["cache.peek", "cache.peek"]
+        )
+
+    def test_without_a_shared_cache(self):
+        overlay = OverlayCache(None, counted=True)
+        assert overlay.lookup("g", CFG_A) is None
+        overlay.store("g", CFG_A, CachedTuning(layers=()))
+        assert overlay.peek("g", CFG_A) is not None
 
 
 class TestAutotuneCache:
@@ -738,17 +769,16 @@ def _caches(service):
                    unique=True),
     cache_mode=st.sampled_from(("shared", "partitioned", "affinity")),
     entries=st.sampled_from((1, 2, None)),
-    workers=st.sampled_from((1, 2)),
     traced=st.booleans(),
     prefill=st.booleans(),
 )
 def test_cold_memo_matches_fresh_accelerator_oracle(seeds, cache_mode,
-                                                    entries, workers,
-                                                    traced, prefill):
+                                                    entries, traced,
+                                                    prefill):
     # Three drains on one service. Every seed draws from the same four
     # graph families, so a later drain mixes keys an earlier drain
     # tuned (their accelerators are built holding the service's kept
-    # cold runs, which presimulation then skips) with new keys.
+    # cold runs) with new keys.
     drains = []
     for seed in seeds:
         requests = streaming_traffic(
@@ -779,7 +809,7 @@ def test_cold_memo_matches_fresh_accelerator_oracle(seeds, cache_mode,
         return service.drain()
 
     memo, got_trace = build(
-        _PrefilledService if prefill else InferenceService, workers=workers,
+        _PrefilledService if prefill else InferenceService,
     )
     fresh, want_trace = build(_FreshAccelService)
     for requests in drains:

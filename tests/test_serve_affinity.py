@@ -376,3 +376,19 @@ class TestSharedModeIsTheOracle:
         assert oracle_cache.stats == explicit_cache.stats
         # Contents, LRU order and per-entry metadata all match.
         assert oracle_cache.snapshot() == explicit_cache.snapshot()
+
+
+class TestModeKnobs:
+    @pytest.mark.parametrize("knob, value, cache_mode, own_mode", [
+        ("worker_cache_entries", 8, "shared", "partitioned"),
+        ("replicate_threshold", 3.0, "shared", "affinity"),
+        ("replicate_threshold", 3.0, "partitioned", "affinity"),
+    ])
+    def test_knob_outside_its_mode_rejected(self, knob, value, cache_mode,
+                                            own_mode):
+        # A knob the mode would silently ignore is a config error that
+        # names both; the same knob under its own mode is accepted.
+        with pytest.raises(ConfigError, match=f"{knob}.*{cache_mode}"):
+            InferenceService(cache_mode=cache_mode, **{knob: value})
+        service = InferenceService(cache_mode=own_mode, **{knob: value})
+        assert getattr(service, knob) == value

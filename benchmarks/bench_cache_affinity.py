@@ -3,7 +3,11 @@
 Claims checked on identical Zipf repeat-heavy streaming traces served
 twice per arrival rate by the same partitioned instance pool — once
 under the historical cache-blind dispatch, once under warm-aware
-affinity routing with demand-driven hot-entry replication:
+affinity routing with demand-driven hot-entry replication — for
+unbounded per-instance shards (``results/cache_affinity.*``) and for
+4-entry shards (``results/cache_affinity_bounded.*``), where a shard
+holds a third of the families and replication has to choose what a
+replica may evict:
 
 (a) at *every* swept arrival rate, affinity routing strictly improves
     the aggregate cache hit rate, with SLO attainment no worse (the
@@ -18,12 +22,13 @@ affinity routing with demand-driven hot-entry replication:
     explicit default kwargs is bit-identical (cycles, timestamps,
     cache stats) to a call that never mentions the new knobs.
 
-``REPRO_AFFINITY_SMOKE=1`` shrinks the sweep to a seconds-long
+``REPRO_AFFINITY_SMOKE=1`` shrinks the sweeps to a seconds-long
 configuration (CI runs it) while asserting the same claims.
 """
 
 import os
 
+import pytest
 from conftest import run_once, save_artifact
 
 from repro.analysis import compare_cache_affinity
@@ -37,11 +42,17 @@ SWEEP_KWARGS = (
 )
 
 
-def test_bench_cache_affinity(benchmark, bench_seed):
+@pytest.mark.parametrize("artifact, worker_cache_entries", [
+    ("cache_affinity", None),
+    ("cache_affinity_bounded", 4),
+])
+def test_bench_cache_affinity(benchmark, bench_seed, artifact,
+                              worker_cache_entries):
     rows, text = run_once(
-        benchmark, compare_cache_affinity, seed=bench_seed, **SWEEP_KWARGS
+        benchmark, compare_cache_affinity, seed=bench_seed,
+        worker_cache_entries=worker_cache_entries, **SWEEP_KWARGS
     )
-    save_artifact("cache_affinity", rows, text)
+    save_artifact(artifact, rows, text)
 
     blind_rows = [r for r in rows if r["mode"] == "blind"]
     affinity_rows = [r for r in rows if r["mode"] == "affinity"]
@@ -65,6 +76,8 @@ def test_bench_cache_affinity(benchmark, bench_seed):
     # (b) compare_cache_affinity raises on any per-request cycle
     # mismatch between modes, so reaching here proves cycle identity.
 
+
+def test_shared_mode_is_the_oracle(bench_seed):
     # (c) Shared-mode identity: explicit default kwargs are a no-op.
     requests = streaming_traffic(
         12, arrival_rate=800.0, slo_ms=50.0, n_graphs=3, n_nodes=512,

@@ -15,8 +15,16 @@ through the same partitioned pool twice per arrival rate:
   historical cache-oblivious dispatch (earliest-free, lowest index);
 * ``affinity`` — ``cache_mode="affinity"``: dispatch scores instances
   by warm-entry coverage, waits for a warm instance only when provably
-  deadline-safe, and a sliding-window demand histogram replicates hot
-  families' entries to the least-loaded shards.
+  deadline-safe, and a sliding-window demand histogram drives
+  replication: the hottest families' keys, up to one shard's worth,
+  go to the least-loaded shards that lack them, a replica is admitted
+  only over a colder family's entry, and the plan repeats only when
+  the hot set or the target shards change.
+
+``worker_cache_entries`` bounds every shard in both modes (None =
+unbounded). Unbounded shards never evict, so replication only adds
+copies; bounded ones (the bench's second artifact uses 4 entries for
+12 families) make replication choose what a replica may displace.
 
 Both modes run the same modeled hardware: the sweep asserts per-request
 cycle identity (a cache can change wall time, never a cycle), and the

@@ -62,7 +62,7 @@ class CacheEntryInfo:
     config: ArchConfig
     hits: int
     """Lookup hits this cache served from the entry (its own history —
-    merge and load do not transfer donor hit counts)."""
+    merge, replicate and load do not transfer donor hit counts)."""
     last_used: float
     """Simulated-clock time of the entry's last store or lookup hit
     (the cache's :attr:`~AutotuneCache.clock` at that moment)."""
@@ -79,7 +79,10 @@ class AutotuneCache:
     The stored value is a :class:`~repro.accel.CachedTuning`: one frozen
     owner map + warm-up trace per SPMM stage of the inference.
     :meth:`lookup` and :meth:`store` are the hook surface
-    :meth:`~repro.accel.GcnAccelerator.run` drives; the service never
+    :meth:`~repro.accel.GcnAccelerator.run` drives. The service's other
+    entry points are the side-effect-free :meth:`peek` its router
+    probes with and :meth:`replicate`, which copies hot entries between
+    per-instance shards through :meth:`store`; the service never
     touches entries directly.
 
     ``max_entries`` bounds the cache LRU-style: every :meth:`lookup`
@@ -172,7 +175,8 @@ class AutotuneCache:
         """Return the cached entry without counting or touching recency.
 
         The side-effect-free read behind scheduling probes: the
-        affinity router's warm-entry coverage, the backfill screen and
+        affinity router's warm-entry coverage, the search for a shard
+        holding a key to replicate, the backfill screen and
         the chip-level parallel backend (:mod:`repro.parallel`), which
         probes every key up front to decide which cold simulations to
         dispatch. None of them may perturb the hit/miss counters or the
@@ -238,7 +242,7 @@ class AutotuneCache:
         present is left exactly where it sits in the receiver's LRU
         order unless the donor's copy is strictly *fresher* (larger
         ``last_used``), in which case it is re-stored and promoted —
-        replication must not make hot local entries look cold.
+        a gather must not make hot local entries look cold.
         Counters are not transferred — hits/misses (and per-entry hit
         counts) describe *this* cache's lookup history, not the
         donor's. Returns the number of donor entries folded in
@@ -273,6 +277,31 @@ class AutotuneCache:
             )
         return merged
 
+    def replicate(self, replicas, *, admit):
+        """Store the replicas this cache lacks; returns the keys stored.
+
+        ``replicas`` yields ``(key, entry)`` pairs in priority order,
+        ``key`` a :meth:`key` tuple and ``entry`` the
+        :class:`~repro.accel.CachedTuning` another cache holds for it.
+        A key this cache already holds is skipped and keeps its place
+        in the LRU order. Any other key goes through :meth:`store`, so
+        it becomes the most recently used entry, stamped with
+        :attr:`clock`. When that store would evict the least recently
+        used entry ``victim``, ``admit(key, victim)`` decides first,
+        and a refused replica is not stored.
+        """
+        stored = []
+        for key, entry in replicas:
+            if key in self._entries:
+                continue
+            if (self.max_entries is not None
+                    and len(self._entries) >= self.max_entries
+                    and not admit(key, next(iter(self._entries)))):
+                continue
+            self.store(key[0], key[1], entry)
+            stored.append(key)
+        return stored
+
     def clear(self):
         """Drop every entry and reset the counters."""
         self._entries.clear()
@@ -294,8 +323,8 @@ class AutotuneCache:
 
         Returns a tuple of :class:`CacheEntryInfo` carrying each
         entry's hit count and last-used simulated timestamp — the
-        recency/frequency signal the affinity bench report and the
-        replication policy read instead of inferring it from position.
+        recency/frequency signal, readable without inferring it from
+        position.
         """
         return tuple(
             CacheEntryInfo(

@@ -272,7 +272,7 @@ class ServiceStats:
     on its remembered gang)."""
     n_replications: int = 0
     """Hot-entry replication pushes: one per (family, target instance)
-    merge that actually copied at least one new cache entry."""
+    pair of a replication pass that stored at least one replica."""
 
     @property
     def placement_hit_rate(self):
@@ -447,7 +447,10 @@ class InferenceService:
           re-landing on the gang that last served their graph. A
           per-family :class:`~repro.serve.demand.DemandHistogram`
           (decayed on the simulated clock) drives proactive
-          replication of hot entries to the least-loaded shards.
+          replication of hot entries to the least-loaded shards: the
+          hottest keys that fit one shard, admitted only over colder
+          entries, re-planned only when the hot set or the target
+          shards change.
 
         ``"partitioned"``/``"affinity"`` require ``cache=True`` (the
         service builds the per-instance shards itself).
@@ -459,14 +462,19 @@ class InferenceService:
     replicate_threshold:
         Demand level (decayed requests within roughly one
         ``demand_half_life`` window) at which a graph family counts as
-        *hot* and its warm cache entries are pushed to the
-        ``replicate_k`` least-loaded instances via
-        :meth:`AutotuneCache.merge`. None disables replication.
-        Affinity mode only: a :class:`~repro.errors.ConfigError` under
-        any other ``cache_mode``.
+        *hot*. Hot families' warm cache entries, hottest first and at
+        most one shard's worth (``worker_cache_entries``), are pushed
+        to the ``replicate_k`` least-loaded instances via
+        :meth:`AutotuneCache.replicate`; a replica is admitted only
+        over an entry of a family with strictly lower demand, and the
+        push repeats only when the hot set or the target instances
+        change. None disables replication. Affinity mode only: a
+        :class:`~repro.errors.ConfigError` under any other
+        ``cache_mode``.
     replicate_k:
         How many least-loaded instances (earliest ``free_at``, index
-        tie-break) receive each hot family's entries.
+        tie-break) receive the hot entries; a shard already holding a
+        planned key is left as it is.
     demand_half_life:
         Half-life (simulated seconds) of the demand histogram's
         exponential decay.
@@ -674,6 +682,13 @@ class InferenceService:
         self._family_keys = {}
         """family -> ordered set (dict) of (fingerprint, config) cache
         keys observed for it — what replication copies around."""
+        self._key_family = {}
+        """(fingerprint, config) cache key -> its family (the inverse of
+        ``_family_keys``): how replica admission prices a victim's
+        demand."""
+        self._replica_plan = None
+        """The (hot families, target instances) the last replication
+        pass planned for; a tick that plans the same does nothing."""
         self._accels = {}
         self._cold_runs = {}
         """(fingerprint, config) cache key -> the
@@ -772,6 +787,7 @@ class InferenceService:
         # gang affinity persist — that is the warm service.
         if self.cache_mode == "affinity":
             self._demand = DemandHistogram(half_life=self.demand_half_life)
+            self._replica_plan = None
         last_snapshot = None
         started = time.perf_counter()
         while (i < n or stream.pending or stream.ready or sharded
@@ -1134,6 +1150,7 @@ class InferenceService:
             key = self._request_key(item.request)
             family = self._family_of(item.request)
             self._family_keys.setdefault(family, {})[key] = None
+            self._key_family[key] = family
             if key not in seen:
                 seen.add(key)
                 keys.append(key)
@@ -1194,61 +1211,78 @@ class InferenceService:
         return best
 
     def _replicate_hot(self, clock):
-        """Copy hot families' warm entries to the least-loaded shards.
+        """Copy the hottest warm entries to the least-loaded shards.
 
-        Families whose windowed demand at ``clock`` meets
-        ``replicate_threshold`` get every known (fingerprint, config)
-        entry folded — via :meth:`AutotuneCache.merge`, so an entry
-        already present and no staler is left untouched — into the
-        ``replicate_k`` earliest-free instances' shards. Cold entries
-        age out under each shard's LRU bound; modeled numbers never
-        change (a replica only converts future cold simulations into
-        warm replays).
+        A plan pass: the families whose windowed demand at ``clock``
+        meets ``replicate_threshold`` are ranked hottest first (ties in
+        first-observation order), and their known (fingerprint,
+        config) keys that some shard holds are taken in that order, up
+        to one shard's worth (``worker_cache_entries``; every key when
+        unbounded). Each of the ``replicate_k`` earliest-free
+        instances' shards then stores, through
+        :meth:`AutotuneCache.replicate`, only the planned keys it
+        lacks. A replica that would evict an entry is admitted only if
+        the victim's family has strictly lower decayed demand than the
+        replica's (TinyLFU-style admission, with the demand histogram
+        as the frequency sketch), so a replica never evicts a hotter
+        key. The plan is sticky: a tick whose hot set and target set
+        equal the last pass's does nothing, so a shard that later
+        evicts a replica gets it back only once demand or load moves.
+        Modeled numbers never change (a replica only converts a future
+        cold simulation into a warm replay).
         """
-        if self.tracer.enabled:
-            # Merge traces its stores through each shard's tracer;
-            # anchor them here, not at the last-served request's start.
-            self.tracer.set_time(clock)
         hot = self._demand.hot(clock, threshold=self.replicate_threshold)
         if not hot:
+            self._replica_plan = None
             return
         targets = sorted(
             self.workers, key=lambda w: (w.free_at, w.index)
-        )[:min(self.replicate_k, len(self.workers))]
-        for family in hot:
-            known = self._family_keys.get(family)
-            if not known:
-                continue
-            donor = AutotuneCache()
-            for fp, cfg in known:
+        )[:self.replicate_k]
+        plan = (frozenset(hot), frozenset(w.index for w in targets))
+        if plan == self._replica_plan:
+            return
+        self._replica_plan = plan
+        demand = self._demand.snapshot(clock)
+        planned = {}
+        for family in sorted(hot, key=demand.__getitem__, reverse=True):
+            for key in self._family_keys.get(family, ()):
+                entry = None
                 for worker in self.workers:
-                    entry = worker.cache.peek(fp, cfg, trace=False)
+                    entry = worker.cache.peek(*key, trace=False)
                     if entry is not None:
-                        donor.store(fp, cfg, entry)
-                        donor._meta[(fp, cfg)] = list(
-                            worker.cache._meta[(fp, cfg)]
-                        )
                         break
-            if len(donor) == 0:
-                continue
-            for worker in targets:
-                added = sum(
-                    1 for key in donor._entries
-                    if key not in worker.cache._entries
-                )
-                if added == 0:
-                    continue
-                worker.cache.merge(donor)
+                if entry is not None:
+                    planned[key] = (family, entry)
+        replicas = [(key, entry) for key, (_, entry) in planned.items()]
+        if self.worker_cache_entries is not None:
+            del replicas[self.worker_cache_entries:]
+        if not replicas:
+            return
+
+        def admit(key, victim):
+            victim_demand = demand.get(self._key_family.get(victim), 0.0)
+            return victim_demand < demand[planned[key][0]]
+
+        tr = self.tracer
+        if tr.enabled:
+            # Anchor the replicas' store/evict events at this tick, not
+            # at the last-served request's start.
+            tr.set_time(clock)
+        for worker in targets:
+            worker.cache.clock = clock
+            pushed = {}
+            for key in worker.cache.replicate(replicas, admit=admit):
+                family = planned[key][0]
+                pushed[family] = pushed.get(family, 0) + 1
+            for family, count in pushed.items():
                 self._drain_replications += 1
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "cache.replicate", ts=clock,
-                        lane=worker.cache.lane, args={
-                            "family": str(family)[:24],
-                            "worker": worker.index,
-                            "entries": added,
-                        },
-                    )
+                if tr.enabled:
+                    tr.instant("cache.replicate", ts=clock,
+                               lane=worker.cache.lane, args={
+                                   "family": str(family)[:24],
+                                   "worker": worker.index,
+                                   "entries": count,
+                               })
 
     def _capacity_of(self, index):
         """Node capacity of one instance (uniform or per-worker)."""

@@ -1,6 +1,6 @@
-"""Cache-affinity routing, demand histograms and cache metadata.
+"""Cache-affinity routing, replication, demand histograms and metadata.
 
-Three contracts pinned here:
+Five contracts pinned here:
 
 * ``cache_mode="shared"`` (the default) is the historical oracle: a
   hypothesis property serves identical traces — batch, streaming and
@@ -18,6 +18,14 @@ Three contracts pinned here:
   version-2 archives still load cold, and ``merge`` only disturbs the
   receiver's recency order when the incoming duplicate is strictly
   fresher.
+* Hot-entry replication is a sticky, admission-checked plan: at most
+  one shard's worth of the hottest keys per pass, a replica never
+  evicts a key of a family at least as hot, and an unchanged hot set
+  and target set push nothing.
+* Every combination of the affinity knobs (shard bound, replication
+  fan-out and threshold, co-scheduling) keeps one result per request,
+  cold-run cycles, shard bounds, trace-rebuilt stats and
+  traced == untraced timelines over several drains of one service.
 """
 
 import dataclasses
@@ -316,6 +324,132 @@ class TestAffinityRouting:
         assert outcome.stats.n_replications > 0
 
 
+class TestReplicaAdmission:
+    """Hot-entry replication on 2-entry shards, demand set by hand.
+
+    Instance 1 is the only replication target (``replicate_k=1``,
+    every other instance busy); families reach it as warm entries
+    served on any shard, with the demand each test gives them.
+    """
+
+    def _service(self, n_workers=2):
+        service = InferenceService(
+            n_workers=n_workers, cache=True, cache_mode="affinity",
+            worker_cache_entries=2, replicate_threshold=3.0,
+            replicate_k=1, tracer=RecordingTracer(),
+        )
+        for worker in service.workers:
+            worker.free_at = 0.0 if worker.index == 1 else 1.0
+        return service
+
+    def _family(self, service, seed, demand, *, holder, config=CFG):
+        """Serve graph ``seed`` on ``holder``'s shard and give its
+        family ``demand``; returns the entry's cache key."""
+        request = InferenceRequest(graph=_spec(seed), config=config,
+                                   arrival_time=0.0)
+        item = QueuedRequest(seq=0, request=request)
+        # Routing is where the service learns a family's keys.
+        service._route_worker([item], 0.0, 128, frozenset(),
+                              _StubStream(0.0))
+        service._accel_for(request).run(
+            cache=service.workers[holder].cache
+        )
+        if demand:
+            service._demand.record(service._family_of(request), 0.0,
+                                   weight=demand)
+        return service._request_key(request)
+
+    def _stores(self, service, lane="cache/w1"):
+        return [e for e in service.tracer.events
+                if e.name == "cache.store" and e.lane == lane]
+
+    def test_hot_replica_evicts_a_colder_familys_key(self):
+        service = self._service()
+        hot = self._family(service, 1, 5.0, holder=0)
+        coldest = self._family(service, 2, 1.0, holder=1)
+        cold = self._family(service, 3, 2.0, holder=1)
+        target = service.workers[1].cache
+        service._replicate_hot(0.0)
+        assert hot in target and cold in target
+        assert coldest not in target  # the LRU victim, demand 1 < 5
+        assert target.stats.evictions == 1
+        assert service._drain_replications == 1
+
+    def test_colder_replica_refused_while_victim_is_hotter(self):
+        service = self._service()
+        # Target shard, LRU first: the hottest family, then a cold one.
+        hottest = self._family(service, 1, 6.0, holder=1)
+        cold = self._family(service, 2, 0.0, holder=1)
+        warm = self._family(service, 3, 4.0, holder=0)
+        target = service.workers[1].cache
+        service.tracer.events.clear()
+        service._replicate_hot(0.0)
+        # Storing the warm replica would evict the hottest key at the
+        # LRU front (6 >= 4): refused, though a cold key sits behind it.
+        assert warm not in target
+        assert hottest in target and cold in target
+        assert target.stats.evictions == 0
+        assert self._stores(service) == []
+        assert service._drain_replications == 0
+
+    def test_one_call_stores_at_most_one_shards_worth(self):
+        service = self._service(n_workers=3)
+        keys = [self._family(service, seed, demand, holder=holder)
+                for seed, demand, holder in ((1, 4.0, 0), (2, 7.0, 0),
+                                             (3, 5.0, 2), (4, 6.0, 2))]
+        target = service.workers[1].cache
+        service.tracer.events.clear()
+        service._replicate_hot(0.0)
+        assert len(self._stores(service)) == 2
+        # The two hottest families, hottest first.
+        assert [info.key for info in target.snapshot()] == [
+            keys[1], keys[3]
+        ]
+        assert target.stats.evictions == 0
+
+    def test_unchanged_hot_and_target_sets_store_nothing(self):
+        service = self._service()
+        first = self._family(service, 1, 6.0, holder=0)
+        second = self._family(service, 2, 5.0, holder=0)
+        target = service.workers[1].cache
+        service._replicate_hot(0.0)
+        assert first in target and second in target
+        # A serve-path store evicts one replica from the target...
+        GcnAccelerator(_spec(3).build(), CFG).run(cache=target)
+        assert first not in target
+        service.tracer.events.clear()
+        # ...but the plan is sticky: same hot set, same target, no
+        # re-push.
+        service._replicate_hot(0.001)
+        assert self._stores(service) == []
+        assert first not in target
+        # Moving the target set re-plans: instance 0 already holds
+        # both, and back on instance 1 the evicted replica returns.
+        service.workers[0].free_at, service.workers[1].free_at = 0.0, 1.0
+        service._replicate_hot(0.002)
+        assert self._stores(service, lane="cache/w0") == []
+        service.workers[0].free_at, service.workers[1].free_at = 1.0, 0.0
+        service._replicate_hot(0.003)
+        assert first in target and second in target
+
+    def test_replicate_event_counts_the_replicas_stored(self):
+        service = self._service()
+        hot = self._family(service, 1, 6.0, holder=1)
+        # One family, two keys (two configs); the budget plans one.
+        pair = [self._family(service, 2, 2.0, holder=0),
+                self._family(service, 2, 2.0, holder=0, config=CFG16)]
+        target = service.workers[1].cache
+        service.tracer.events.clear()
+        service._replicate_hot(0.0)
+        (event,) = [e for e in service.tracer.events
+                    if e.name == "cache.replicate"]
+        assert event.args["worker"] == 1
+        assert event.args["entries"] == len(self._stores(service)) == 1
+        assert hot in target and pair[0] in target
+        assert pair[1] not in target
+        assert service._drain_replications == 1
+
+
 def _trace(kind, seed):
     if kind == "batch":
         return synthetic_traffic(
@@ -392,3 +526,111 @@ class TestModeKnobs:
             InferenceService(cache_mode=cache_mode, **{knob: value})
         service = InferenceService(cache_mode=own_mode, **{knob: value})
         assert getattr(service, knob) == value
+
+
+_COLD_CYCLES = {}
+
+
+def _cold_cycles(request):
+    """Cache-less cycles of one request's graph (memoized)."""
+    key = (request.graph, request.config, request.a_hops)
+    if key not in _COLD_CYCLES:
+        _COLD_CYCLES[key] = GcnAccelerator(
+            request.resolve_graph(), request.config, a_hops=request.a_hops
+        ).run().total_cycles
+    return _COLD_CYCLES[key]
+
+
+def _bounded_shards(service):
+    """Make every shard check its LRU bound after each store."""
+    for worker in service.workers:
+        cache = worker.cache
+        store = cache.store
+
+        def checked(fingerprint, config, entry, *, _cache=cache,
+                    _store=store):
+            _store(fingerprint, config, entry)
+            bound = _cache.max_entries
+            assert bound is None or len(_cache) <= bound
+
+        cache.store = checked
+
+
+class TestAffinityKnobProduct:
+    """Every affinity knob combination, over several drains of one
+    service: results, cycles, shard bounds, views and tracing."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        worker_cache_entries=st.sampled_from([1, 2, 4, None]),
+        replicate_k=st.sampled_from([1, 2, 4]),
+        replicate_threshold=st.sampled_from([1.0, 2.0, 3.0]),
+        coschedule=st.booleans(),
+        kind=st.sampled_from(["streaming", "mixed"]),
+        n_drains=st.integers(2, 3),
+        seed=st.integers(0, 3),
+    )
+    def test_knob_product_keeps_every_contract(
+        self, worker_cache_entries, replicate_k, replicate_threshold,
+        coschedule, kind, n_drains, seed
+    ):
+        kwargs = dict(
+            n_workers=4, cache=True, max_batch=4, cache_mode="affinity",
+            worker_cache_entries=worker_cache_entries,
+            replicate_k=replicate_k,
+            replicate_threshold=replicate_threshold,
+            coschedule=coschedule,
+        )
+        if coschedule:
+            kwargs["critical_slo_ms"] = 1.0
+        if kind == "mixed":
+            kwargs["chip_capacity"] = 256
+        tracer = RecordingTracer()
+        plain = InferenceService(**kwargs)
+        traced = InferenceService(tracer=tracer, **kwargs)
+        for service in (plain, traced):
+            _bounded_shards(service)
+        for drain in range(n_drains):
+            if kind == "streaming":
+                requests = streaming_traffic(
+                    12, arrival_rate=4000.0, slo_ms=5.0, n_nodes=128,
+                    family_size=6, repeat_alpha=1.2, seed=seed + drain,
+                    configs=(CFG,), graph_kwargs=TINY,
+                )
+            else:
+                requests = mixed_traffic(
+                    12, arrival_rate=4000.0, chip_capacity=256,
+                    seed=seed + drain, configs=(CFG16,), sharded_nodes=600,
+                    sharded_fraction=0.2, critical_fraction=0.3,
+                    family_size=3, repeat_alpha=1.2, graph_kwargs=TINY,
+                )
+            ids = plain.submit_many(requests)
+            traced.submit_many(requests)
+            outcome = plain.drain()
+            tracer.events.clear()
+            mirrored = traced.drain()
+            # Exactly one result per request.
+            assert sorted(r.request_id for r in outcome.results) == \
+                sorted(ids)
+            assert len(outcome.results) == len(requests)
+            by_id = {r.request_id: r for r in outcome.results}
+            for request_id, request in zip(ids, requests):
+                result = by_id[request_id]
+                if not result.shed and result.n_shards == 1:
+                    assert result.total_cycles == _cold_cycles(request)
+            # Tracing never moves the timeline.
+            assert [(r.total_cycles, r.start_time, r.finish_time)
+                    for r in outcome.results] == [
+                (r.total_cycles, r.start_time, r.finish_time)
+                for r in mirrored.results
+            ]
+            assert dataclasses.replace(outcome.stats, wall_seconds=0.0) \
+                == dataclasses.replace(mirrored.stats, wall_seconds=0.0)
+            # The event stream rebuilds the stats, replications included.
+            view = service_stats_view(
+                tracer.events, wall_seconds=mirrored.stats.wall_seconds
+            )
+            assert view == mirrored.stats
+            for worker in plain.workers:
+                bound = worker.cache.max_entries
+                assert bound is None or len(worker.cache) <= bound

@@ -441,12 +441,6 @@ def _steady_state_backlog(assignment, config, ideal, *, hall_bound=None):
     return np.ceil(backlog).astype(np.int64)
 
 
-def _round_makespan(assignment, config):
-    """Cycle count of one round under the current row->PE map."""
-    makespan, _hall = _round_makespan_parts(assignment, config)
-    return makespan
-
-
 def _round_makespan_parts(assignment, config):
     """``(makespan, hall_bound)`` of one round under the current map.
 

@@ -62,11 +62,9 @@ from repro.cluster.multichip import (
     ClusterReport,
     RebalanceInfo,
     ShardedAccelerator,
-    ShardedSpmmResult,
     StragglerEvent,
     rebalance_plan,
     simulate_multichip_gcn,
-    simulate_sharded_spmm,
 )
 
 __all__ = [
@@ -89,9 +87,7 @@ __all__ = [
     "ClusterReport",
     "RebalanceInfo",
     "ShardedAccelerator",
-    "ShardedSpmmResult",
     "StragglerEvent",
     "rebalance_plan",
     "simulate_multichip_gcn",
-    "simulate_sharded_spmm",
 ]

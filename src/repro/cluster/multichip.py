@@ -67,7 +67,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from repro.accel.config import ArchConfig
-from repro.accel.cyclemodel import SpmmJob, simulate_spmm
+# Unused here since each chip runs through its own GcnAccelerator;
+# hostbench/layers.py still patches this name on this module.
+from repro.accel.cyclemodel import simulate_spmm  # noqa: F401
 from repro.accel.gcnaccel import GcnAccelerator, build_spmm_jobs, slice_jobs
 from repro.cluster.partition import (
     ShardPlan,
@@ -343,13 +345,6 @@ class ClusterConfig:
     def chip_for(self, chip):
         """The :class:`~repro.accel.ArchConfig` of chip ``chip``."""
         return self.chip_configs[chip]
-
-    @property
-    def is_heterogeneous(self):
-        """Whether any chip differs from the reference chip."""
-        return self.chips is not None and any(
-            cfg != self.chip for cfg in self.chips
-        )
 
     def capacities(self):
         """Relative per-chip compute throughput (reference chip = 1.0).
@@ -687,71 +682,6 @@ def _migration_cycles(cluster, old_plan, new_plan, weights):
         key=lambda pair: fabric.hops(*pair),
     )
     return fabric.transfer_cycles(src, dst, words)
-
-
-@dataclass(frozen=True)
-class ShardedSpmmResult:
-    """Timing outcome of one SpMM sharded across chips."""
-
-    chip_results: tuple
-    """Per-chip :class:`~repro.accel.cyclemodel.SpmmResult`."""
-    comm_cycles: np.ndarray
-    """Per-chip halo-transfer cycles for this SpMM (fabric-priced)."""
-    total_cycles: int
-    """Barrier-synchronized cost: max over chips of compute + comm,
-    in reference-chip cycles."""
-
-    @property
-    def compute_cycles(self):
-        """Per-chip compute cycles at each chip's own clock."""
-        return np.asarray(
-            [r.total_cycles for r in self.chip_results], dtype=np.int64
-        )
-
-
-def simulate_sharded_spmm(job, cluster, plan, *, adjacency=None):
-    """Simulate one SpMM split row-wise across a cluster's chips.
-
-    Each chip runs :func:`~repro.accel.cyclemodel.simulate_spmm` on the
-    job restricted to its rows, on its own
-    :class:`~repro.accel.ArchConfig`. ``adjacency`` (the sparse
-    operand's structure) derives the halo traffic each chip-pair
-    exchanges, priced over the cluster's fabric; omit it for
-    feature-side ``X W`` jobs, whose operand rows are chip-local (zero
-    communication).
-    """
-    if not isinstance(job, SpmmJob):
-        raise ConfigError(f"job must be SpmmJob, got {type(job).__name__}")
-    if job.row_nnz.size != plan.n_rows:
-        raise ConfigError(
-            f"plan covers {plan.n_rows} rows but job has "
-            f"{job.row_nnz.size}"
-        )
-    comm = np.zeros(plan.n_chips, dtype=np.int64)
-    if adjacency is not None:
-        halo = halo_exchange(adjacency, plan)
-        comm = cluster.fabric.comm_cycles(
-            halo.words.astype(np.float64) * job.n_rounds
-        )
-    chip_results = []
-    for chip in range(plan.n_chips):
-        rows = plan.chip_rows(chip)
-        shard_job = SpmmJob(
-            name=f"{job.name}@chip{chip}",
-            row_nnz=job.row_nnz[rows],
-            n_rounds=job.n_rounds,
-            tdq=job.tdq,
-        )
-        chip_results.append(simulate_spmm(shard_job, cluster.chip_for(chip)))
-    compute = np.asarray([
-        cluster.ref_cycles(r.total_cycles, cluster.chip_for(c))
-        for c, r in enumerate(chip_results)
-    ], dtype=np.int64)
-    return ShardedSpmmResult(
-        chip_results=tuple(chip_results),
-        comm_cycles=comm,
-        total_cycles=int((compute + comm).max()),
-    )
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,13 @@ time with latency SLOs. This package adds that layer:
   simulated clock, the signal cache-affinity routing
   (``InferenceService(cache_mode="affinity")``) uses to replicate hot
   autotune entries across per-worker cache shards;
+* :mod:`repro.serve.placement` — the service's placement policies,
+  picked once from ``cache_mode``: cache-blind
+  :class:`~repro.serve.placement.FirstFree` (``"shared"``,
+  ``"partitioned"``) and :class:`~repro.serve.placement.CacheAffinity`
+  (``"affinity"``: warm-aware batch routing, sharded gang re-landing
+  and demand-driven hot-entry replication), called by the event loop
+  at fixed points of every drain;
 * :mod:`repro.serve.service`   — the :class:`InferenceService`: an
   event-driven simulated-clock loop over a pool of simulated
   accelerator instances, with latency percentile / SLO-attainment

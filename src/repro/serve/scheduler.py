@@ -312,15 +312,6 @@ class StreamingScheduler:
         """
         return self._estimates.get((config, a_hops), 0.0)
 
-    def request_class(self, request):
-        """The priority class this scheduler assigns one request.
-
-        2 (best effort) and below only matter with :attr:`priorities`
-        on; without it every request is class 2-equivalent and the EDF
-        order ignores the value entirely.
-        """
-        return request.priority_class(self.critical_slo_ms)
-
     def _cut_decision(self, key):
         """``(when, reason)`` — the instant this group must be sealed.
 

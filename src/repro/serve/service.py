@@ -7,8 +7,10 @@ clock from arrival to arrival, the
 :class:`~repro.serve.scheduler.StreamingScheduler` seals config-affine
 batches when they fill or when a deadline demands it, and a pool of
 simulated accelerator instances picks sealed batches up
-earliest-deadline-first as each instance frees, sharing one
-:class:`~repro.serve.AutotuneCache`. Per-request outcomes come back as
+earliest-deadline-first as each instance frees (a
+:mod:`repro.serve.placement` policy picks which instance), each
+simulating against the :class:`~repro.serve.AutotuneCache` it holds:
+one shared cache, or its own shard. Per-request outcomes come back as
 :class:`~repro.serve.request.InferenceResult` with a full serving
 timeline (queueing delay, service start/finish, end-to-end latency,
 SLO verdict); :class:`ServiceStats` aggregates throughput and hit rate
@@ -72,7 +74,7 @@ from repro.datasets.registry import dataset_fingerprint
 from repro.errors import CeilingError, ConfigError
 from repro.obs.tracer import NULL_TRACER, config_label
 from repro.serve.cache import AutotuneCache, OverlayCache
-from repro.serve.demand import DemandHistogram
+from repro.serve.placement import CacheAffinity, FirstFree
 from repro.serve.request import InferenceResult
 from repro.serve.scheduler import (
     RequestQueue,
@@ -110,9 +112,20 @@ class WorkerState:
     """How many times the instance switched configurations between
     batches (each charged ``reconfig_cycles`` when that is non-zero)."""
     cache: object = None
-    """This instance's own :class:`AutotuneCache` shard under
-    ``cache_mode`` ``"partitioned"``/``"affinity"``; None in the
-    historical shared-cache mode."""
+    """The :class:`AutotuneCache` this instance simulates against: its
+    own shard under ``cache_mode`` ``"partitioned"``/``"affinity"``,
+    the one cache every instance shares under ``"shared"`` (None when
+    the service runs without a cache)."""
+
+    def start_after(self, config, a_hops, start, penalty_cycles):
+        """When ``(config, a_hops)`` work reaching this instance at
+        ``start`` begins: ``penalty_cycles`` later if it must switch
+        configurations first. The one reconfiguration price, shared by
+        dispatch, the backfill screen and affinity routing."""
+        if (self.last_key is not None and self.last_key != (config, a_hops)
+                and penalty_cycles):
+            return start + config.cycles_to_seconds(penalty_cycles)
+        return start
 
 
 @dataclass
@@ -325,7 +338,8 @@ class InferenceService:
     ----------
     n_workers:
         Size of the simulated accelerator pool; each sealed batch goes
-        to the lowest-indexed instance free when it is dispatched.
+        to the lowest-indexed instance free when it is dispatched
+        (unless ``cache_mode="affinity"`` routes it to a warm one).
     cache:
         An :class:`AutotuneCache` shared by all instances, ``True`` for
         a fresh one, or None to disable caching (every request runs the
@@ -423,34 +437,30 @@ class InferenceService:
         ``coschedule``. None means only explicit priorities can reach
         class 0.
     cache_mode:
-        How the pool's autotune cache is organized.
+        How the pool's autotune cache is organized, decided once at
+        construction: it sets the cache each instance's
+        :attr:`WorkerState.cache` holds and the placement policy
+        (:mod:`repro.serve.placement`) the event loop consults.
 
-        * ``"shared"`` (default) — one cache shared by every instance,
-          cache-blind first-free placement: the historical service,
-          bit-identical to before this knob existed.
-        * ``"partitioned"`` — each instance owns a private
+        * ``"shared"`` (default) — every instance holds the one
+          ``cache`` (or None), with cache-blind
+          :class:`~repro.serve.placement.FirstFree` placement: the
+          historical service, bit-identical to before this knob
+          existed.
+        * ``"partitioned"`` — each instance holds a private
           :class:`AutotuneCache` shard (bounded by
-          ``worker_cache_entries``) but placement stays cache-blind
-          first-free: the realistic-deployment baseline the affinity
-          bench compares against.
-        * ``"affinity"`` — per-instance shards plus cache-aware
-          placement: each sealed batch is scored against every
-          candidate instance by *warm-entry coverage* (how many of the
-          batch's (fingerprint, config) keys the instance's shard
-          already holds), and a warm instance that frees within the
-          batch's deadline slack is preferred over a cold first-free
-          one. EDF dispatch order is untouched — affinity only picks
-          *which* feasible instance serves the head batch, and falls
-          back to first-free whenever waiting for a warm instance
-          would risk the SLO (or, for SLO-less traffic, would exceed
-          the batch's own estimated service time). Sharded jobs prefer
-          re-landing on the gang that last served their graph. A
-          per-family :class:`~repro.serve.demand.DemandHistogram`
-          (decayed on the simulated clock) drives proactive
-          replication of hot entries to the least-loaded shards: the
-          hottest keys that fit one shard, admitted only over colder
-          entries, re-planned only when the hot set or the target
-          shards change.
+          ``worker_cache_entries``) but placement stays
+          :class:`~repro.serve.placement.FirstFree`: the
+          realistic-deployment baseline the affinity bench compares
+          against.
+        * ``"affinity"`` — per-instance shards plus the
+          :class:`~repro.serve.placement.CacheAffinity` policy: a
+          sealed batch goes to the instance whose shard holds most of
+          its (fingerprint, config) keys when waiting for it cannot
+          break the batch's deadline, else first-free (EDF dispatch
+          order is untouched); a repeat sharded graph re-lands on its
+          last gang; and hot families' entries are replicated to the
+          least-loaded shards (``replicate_threshold``).
 
         ``"partitioned"``/``"affinity"`` require ``cache=True`` (the
         service builds the per-instance shards itself).
@@ -462,13 +472,14 @@ class InferenceService:
     replicate_threshold:
         Demand level (decayed requests within roughly one
         ``demand_half_life`` window) at which a graph family counts as
-        *hot*. Hot families' warm cache entries, hottest first and at
-        most one shard's worth (``worker_cache_entries``), are pushed
-        to the ``replicate_k`` least-loaded instances via
-        :meth:`AutotuneCache.replicate`; a replica is admitted only
-        over an entry of a family with strictly lower demand, and the
-        push repeats only when the hot set or the target instances
-        change. None disables replication. Affinity mode only: a
+        *hot*. Once per event-loop tick
+        (:meth:`~repro.serve.placement.CacheAffinity.tick`), hot
+        families' warm entries, hottest first and at most one shard's
+        worth (``worker_cache_entries``), are replicated to the
+        ``replicate_k`` least-loaded instances, each replica admitted
+        only over an entry of a colder family, re-planned only when the
+        hot set or the target instances change. None disables
+        replication. Affinity mode only: a
         :class:`~repro.errors.ConfigError` under any other
         ``cache_mode``.
     replicate_k:
@@ -476,8 +487,8 @@ class InferenceService:
         tie-break) receive the hot entries; a shard already holding a
         planned key is left as it is.
     demand_half_life:
-        Half-life (simulated seconds) of the demand histogram's
-        exponential decay.
+        Half-life (simulated seconds) of the affinity policy's
+        per-family demand histogram.
     tracer:
         Optional :class:`~repro.obs.tracer.RecordingTracer` collecting
         the structured event trace of every drain (request span trees,
@@ -578,7 +589,7 @@ class InferenceService:
                     "per instance itself; pass cache=True (a prebuilt "
                     "or disabled cache cannot be partitioned)"
                 )
-            self.cache = None
+            cache = None
         else:
             if cache is True:
                 cache = AutotuneCache()
@@ -587,9 +598,11 @@ class InferenceService:
                     f"cache must be AutotuneCache, True or None, "
                     f"got {type(cache).__name__}"
                 )
-            self.cache = cache
             if cache is not None:
                 cache.tracer = self.tracer
+        self.cache = cache
+        """The one cache every instance shares under ``"shared"`` (None
+        without a cache, and under the per-instance modes)."""
         self.queue = RequestQueue()
         self.max_batch = _check_max_batch(max_batch)
         self.max_wait = _check_max_wait(max_wait)
@@ -661,13 +674,28 @@ class InferenceService:
                 "(the pool-wide fabric is built per pool, then restricted "
                 "per gang); a prebuilt Topology cannot be re-sized"
             )
-        self.workers = [WorkerState(index=i) for i in range(n_workers)]
+        self.workers = [
+            WorkerState(index=i, cache=cache) for i in range(n_workers)
+        ]
+        self._shards = ()
+        """The instances' own cache shards (empty under ``"shared"``)."""
         if cache_mode != "shared":
             for worker in self.workers:
-                shard = AutotuneCache(max_entries=worker_cache_entries)
-                shard.tracer = self.tracer
-                shard.lane = f"cache/w{worker.index}"
-                worker.cache = shard
+                worker.cache = AutotuneCache(max_entries=worker_cache_entries)
+                worker.cache.tracer = self.tracer
+                worker.cache.lane = f"cache/w{worker.index}"
+            self._shards = tuple(worker.cache for worker in self.workers)
+        # Where batches and sharded gangs land (repro.serve.placement).
+        if cache_mode == "affinity":
+            self.placement = CacheAffinity(
+                self.workers, reconfig_cycles=self.reconfig_cycles,
+                shard_entries=worker_cache_entries,
+                replicate_threshold=replicate_threshold,
+                replicate_k=self.replicate_k,
+                demand_half_life=self.demand_half_life, tracer=self.tracer,
+            )
+        else:
+            self.placement = FirstFree()
         self._n_batches = 0
         self._pool_fabric_cache = None
         self._active = []
@@ -675,20 +703,6 @@ class InferenceService:
         self._drain_preemptions = 0
         self._drain_backfills = 0
         self._last_claim = None
-        self._demand = DemandHistogram(half_life=self.demand_half_life)
-        self._gang_affinity = {}
-        """family -> member indices of the gang that last served it
-        (sharded re-landing; persists across drains like the caches)."""
-        self._family_keys = {}
-        """family -> ordered set (dict) of (fingerprint, config) cache
-        keys observed for it — what replication copies around."""
-        self._key_family = {}
-        """(fingerprint, config) cache key -> its family (the inverse of
-        ``_family_keys``): how replica admission prices a victim's
-        demand."""
-        self._replica_plan = None
-        """The (hot families, target instances) the last replication
-        pass planned for; a tick that plans the same does nothing."""
         self._accels = {}
         self._cold_runs = {}
         """(fingerprint, config) cache key -> the
@@ -696,9 +710,6 @@ class InferenceService:
         for it. It lives as long as the service, so a key is tuned once
         however often it is evicted."""
         self._sharded = {}
-        self._drain_routes = 0
-        self._drain_route_hits = 0
-        self._drain_replications = 0
 
     def submit(self, request):
         """Queue one :class:`~repro.serve.request.InferenceRequest`.
@@ -778,16 +789,8 @@ class InferenceService:
         self._drain_preemptions = 0
         self._drain_backfills = 0
         self._last_claim = None
-        self._drain_routes = 0
-        self._drain_route_hits = 0
-        self._drain_replications = 0
-        # The demand histogram is rebuilt per drain: each drain restarts
-        # the simulated clock at zero, and a decayed counter anchored in
-        # a previous epoch would read as infinitely stale. Caches and
-        # gang affinity persist — that is the warm service.
-        if self.cache_mode == "affinity":
-            self._demand = DemandHistogram(half_life=self.demand_half_life)
-            self._replica_plan = None
+        placement = self.placement
+        placement.begin_drain()
         last_snapshot = None
         started = time.perf_counter()
         while (i < n or stream.pending or stream.ready or sharded
@@ -810,9 +813,7 @@ class InferenceService:
                         args["class"] = self._class_of(item.request)
                     tr.instant("request.arrival", ts=item.arrival_time,
                                args=args)
-                if self.cache_mode == "affinity":
-                    self._demand.record(self._family_of(item.request),
-                                        item.arrival_time)
+                placement.arrival(item)
                 if needs_shards:
                     sharded.append(item)
                 else:
@@ -925,23 +926,21 @@ class InferenceService:
                 if not dispatched:
                     break
             # Hand sealed batches, tightest deadline first (class-major
-            # under co-scheduling), to free instances (lowest index when
-            # several are free). With per-worker capacities, only an
-            # instance that fits the batch's largest graph qualifies — a
-            # small chip must not receive a graph its capacity says it
-            # cannot hold. Claimed instances (gang reservations, pending
+            # under co-scheduling), to the instance the placement policy
+            # picks. With per-worker capacities, only an instance that
+            # fits the batch's largest graph is a candidate — a small
+            # chip must not receive a graph its capacity says it cannot
+            # hold. Claimed instances (gang reservations, pending
             # resumes) take no new batch; a deadline-critical batch with
             # nowhere to go may arm a boundary preemption instead.
             claimed = claims | reserved
             while stream.ready:
                 items = stream.peek_ready()
                 needed = self._batch_nodes(items)
-                if self.cache_mode == "affinity":
-                    worker = self._route_worker(items, clock, needed,
-                                                claimed, stream)
-                else:
-                    worker = self._free_worker(clock, needed,
-                                               claimed=claimed)
+                worker = placement.place(
+                    items, self._candidates(needed, claimed), clock, stream,
+                    self._request_key,
+                )
                 if worker is None:
                     if self.coschedule and self._active:
                         self._maybe_preempt(stream.peek_ready(), needed,
@@ -956,9 +955,7 @@ class InferenceService:
                                   stream, results)
             if self.coschedule:
                 self._process_resumes(clock, results)
-            if (self.cache_mode == "affinity"
-                    and self.replicate_threshold is not None):
-                self._replicate_hot(clock)
+            placement.tick(clock)
             if trace:
                 tr.counter("service.queue", ts=clock, values={
                     "pending": stream.pending,
@@ -1028,10 +1025,10 @@ class InferenceService:
             last_snapshot = snapshot
         wall = time.perf_counter() - started
 
-        if trace and self.cache_mode != "shared":
+        if trace and self._shards:
             tr.counter("cache.worker_hit_rate", ts=clock, values={
-                f"w{w.index}": w.cache.stats.hit_rate
-                for w in self.workers
+                f"w{index}": shard.stats.hit_rate
+                for index, shard in enumerate(self._shards)
             })
         results.sort(key=lambda pair: pair[0])
         results = tuple(result for _seq, result in results)
@@ -1060,29 +1057,21 @@ class InferenceService:
             return True
         return self._capacity_of(index) >= nodes
 
-    def _free_worker(self, clock, nodes=0, claimed=frozenset()):
-        """The lowest-indexed fitting instance idle at ``clock``, or None.
-
-        ``claimed`` instances (reserved for a waiting gang or a pending
-        resume under ``coschedule``) are passed over even when idle.
-        """
-        for worker in self.workers:
-            if (worker.free_at <= clock and worker.index not in claimed
-                    and self._worker_fits(worker.index, nodes)):
-                return worker
-        return None
-
-    def _cache_for(self, worker):
-        """The cache an instance simulates against (shared or shard)."""
-        if self.cache_mode == "shared":
-            return self.cache
-        return worker.cache
+    def _candidates(self, nodes, claimed):
+        """The instances, idle or not, a batch of ``nodes``-node graphs
+        may go to: those that fit it, minus ``claimed`` ones."""
+        return [
+            worker for worker in self.workers
+            if worker.index not in claimed
+            and self._worker_fits(worker.index, nodes)
+        ]
 
     def _evictions_total(self):
-        """Cumulative evictions across whichever caches exist."""
-        if self.cache_mode == "shared":
-            return self.cache.stats.evictions if self.cache is not None else 0
-        return sum(w.cache.stats.evictions for w in self.workers)
+        """Cumulative evictions across the pool's distinct caches."""
+        return sum(
+            cache.stats.evictions for cache in self._shards or (self.cache,)
+            if cache is not None
+        )
 
     def _accel_for(self, request):
         """The drain's one :class:`GcnAccelerator` for a request's
@@ -1120,169 +1109,6 @@ class InferenceService:
     def _request_key(self, request):
         """The (fingerprint, config) cache key one request will use."""
         return (self._accel_for(request).fingerprint(), request.config)
-
-    @staticmethod
-    def _family_of(request):
-        """The request's graph family (dataset fingerprint)."""
-        return dataset_fingerprint(request.resolve_graph())
-
-    def _route_worker(self, items, clock, needed, claimed, stream):
-        """Cache-affinity placement for one sealed batch.
-
-        Scores candidate instances by warm-entry coverage of the
-        batch's (fingerprint, config) keys and picks the best-covered
-        *feasible* one — where feasible means free now, or freeing
-        early enough that waiting for it cannot break the batch's
-        earliest deadline (for SLO-less batches the wait is bounded by
-        the scheduler's own EWMA service estimate, so a cold idle pool
-        is never left idle for long). Ties break toward the
-        earliest-free then lowest-indexed instance, and when no warm
-        feasible instance exists the router falls back to the
-        first-free rule — so EDF dispatch order within a priority
-        class is preserved and a batch is never stranded past its
-        deadline waiting for a warm instance.
-        """
-        config = items[0].request.config
-        a_hops = items[0].request.a_hops
-        keys = []
-        seen = set()
-        for item in items:
-            key = self._request_key(item.request)
-            family = self._family_of(item.request)
-            self._family_keys.setdefault(family, {})[key] = None
-            self._key_family[key] = family
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-        estimate = stream.estimate(config, a_hops) * len(items)
-        deadline = min(item.deadline for item in items)
-        best = None
-        best_score = None
-        best_coverage = 0
-        for worker in self.workers:
-            if worker.index in claimed:
-                continue
-            if not self._worker_fits(worker.index, needed):
-                continue
-            coverage = sum(
-                1 for fp, cfg in keys
-                if worker.cache.peek(fp, cfg, trace=False) is not None
-            )
-            if coverage == 0:
-                continue
-            if worker.free_at > clock:
-                # Waiting for this warm instance must be provably
-                # safe: with a deadline, start + estimated service
-                # still meets it; without one, the wait is bounded by
-                # one estimated batch service time (0.0 before any
-                # observation — i.e. never wait while cold).
-                start = max(clock, worker.free_at)
-                if (worker.last_key is not None
-                        and worker.last_key != (config, a_hops)
-                        and self.reconfig_cycles):
-                    start += config.cycles_to_seconds(self.reconfig_cycles)
-                if math.isfinite(deadline):
-                    if start + estimate > deadline:
-                        continue
-                elif worker.free_at - clock > estimate:
-                    continue
-            score = (-coverage, worker.free_at, worker.index)
-            if best_score is None or score < best_score:
-                best = worker
-                best_score = score
-                best_coverage = coverage
-        warm = best is not None
-        if best is None:
-            best = self._free_worker(clock, needed, claimed=claimed)
-        if best is None:
-            return None
-        self._drain_routes += 1
-        self._drain_route_hits += int(warm)
-        if self.tracer.enabled:
-            self.tracer.instant("cache.route", ts=clock, args={
-                "seq": items[0].seq,
-                "size": len(items),
-                "keys": len(keys),
-                "worker": best.index,
-                "coverage": best_coverage,
-                "warm": warm,
-                "wait_ms": max(best.free_at - clock, 0.0) * 1e3,
-            })
-        return best
-
-    def _replicate_hot(self, clock):
-        """Copy the hottest warm entries to the least-loaded shards.
-
-        A plan pass: the families whose windowed demand at ``clock``
-        meets ``replicate_threshold`` are ranked hottest first (ties in
-        first-observation order), and their known (fingerprint,
-        config) keys that some shard holds are taken in that order, up
-        to one shard's worth (``worker_cache_entries``; every key when
-        unbounded). Each of the ``replicate_k`` earliest-free
-        instances' shards then stores, through
-        :meth:`AutotuneCache.replicate`, only the planned keys it
-        lacks. A replica that would evict an entry is admitted only if
-        the victim's family has strictly lower decayed demand than the
-        replica's (TinyLFU-style admission, with the demand histogram
-        as the frequency sketch), so a replica never evicts a hotter
-        key. The plan is sticky: a tick whose hot set and target set
-        equal the last pass's does nothing, so a shard that later
-        evicts a replica gets it back only once demand or load moves.
-        Modeled numbers never change (a replica only converts a future
-        cold simulation into a warm replay).
-        """
-        hot = self._demand.hot(clock, threshold=self.replicate_threshold)
-        if not hot:
-            self._replica_plan = None
-            return
-        targets = sorted(
-            self.workers, key=lambda w: (w.free_at, w.index)
-        )[:self.replicate_k]
-        plan = (frozenset(hot), frozenset(w.index for w in targets))
-        if plan == self._replica_plan:
-            return
-        self._replica_plan = plan
-        demand = self._demand.snapshot(clock)
-        planned = {}
-        for family in sorted(hot, key=demand.__getitem__, reverse=True):
-            for key in self._family_keys.get(family, ()):
-                entry = None
-                for worker in self.workers:
-                    entry = worker.cache.peek(*key, trace=False)
-                    if entry is not None:
-                        break
-                if entry is not None:
-                    planned[key] = (family, entry)
-        replicas = [(key, entry) for key, (_, entry) in planned.items()]
-        if self.worker_cache_entries is not None:
-            del replicas[self.worker_cache_entries:]
-        if not replicas:
-            return
-
-        def admit(key, victim):
-            victim_demand = demand.get(self._key_family.get(victim), 0.0)
-            return victim_demand < demand[planned[key][0]]
-
-        tr = self.tracer
-        if tr.enabled:
-            # Anchor the replicas' store/evict events at this tick, not
-            # at the last-served request's start.
-            tr.set_time(clock)
-        for worker in targets:
-            worker.cache.clock = clock
-            pushed = {}
-            for key in worker.cache.replicate(replicas, admit=admit):
-                family = planned[key][0]
-                pushed[family] = pushed.get(family, 0) + 1
-            for family, count in pushed.items():
-                self._drain_replications += 1
-                if tr.enabled:
-                    tr.instant("cache.replicate", ts=clock,
-                               lane=worker.cache.lane, args={
-                                   "family": str(family)[:24],
-                                   "worker": worker.index,
-                                   "entries": count,
-                               })
 
     def _capacity_of(self, index):
         """Node capacity of one instance (uniform or per-worker)."""
@@ -1481,24 +1307,13 @@ class InferenceService:
         backfill path uses it so only the queue head may ever
         monopolize the whole pool best-effort.
 
-        Under ``cache_mode="affinity"`` a family served before prefers
-        its previous gang: the remembered members are moved to the
-        front of the candidate order (when free), so a repeat
-        oversized graph re-lands on the instances whose shards hold
-        its sharded entry. Feasibility is unchanged — the reordered
-        scan admits exactly the same gang sizes, and the plain
-        index-ordered scan still runs afterwards as the fallback.
+        The placement policy orders the scan
+        (:meth:`~repro.serve.placement.FirstFree.gang_orders`): under
+        ``cache_mode="affinity"`` a family served before tries its
+        previous gang first.
         """
         nodes = request.graph_nodes()
-        orders = [free]
-        if self.cache_mode == "affinity" and free:
-            remembered = self._gang_affinity.get(self._family_of(request))
-            if remembered:
-                preferred = [w for w in free if w.index in remembered]
-                if preferred and preferred != free[:len(preferred)]:
-                    rest = [w for w in free if w.index not in remembered]
-                    orders.insert(0, preferred + rest)
-        for order in orders:
+        for order in self.placement.gang_orders(free, request):
             for end in range(1, len(order) + 1):
                 gang = self._fit_gang(order[:end], nodes)
                 if gang and self._plan_fits(gang, request):
@@ -1539,10 +1354,6 @@ class InferenceService:
             )
         return None
 
-    def _gang_ready_time(self, request):
-        """Earliest simulated second a feasible gang could assemble."""
-        return self._planned_gang(request)[0]
-
     @property
     def _pool_fabric(self):
         """The pool-wide fabric co-scheduled gangs share, memoized.
@@ -1576,18 +1387,10 @@ class InferenceService:
         """
         start = clock
         for worker in workers:
-            if self.worker_configs is not None:
-                config = self.worker_configs[worker.index]
-            else:
-                config = request.config
-            key = (config, request.a_hops)
-            member_start = clock
-            if (worker.last_key is not None and worker.last_key != key
-                    and self.reconfig_cycles):
-                member_start += config.cycles_to_seconds(
-                    self.reconfig_cycles
-                )
-            start = max(start, member_start)
+            config = self._chip_config(worker, request)
+            start = max(start, worker.start_after(
+                config, request.a_hops, clock, self.reconfig_cycles,
+            ))
         return start
 
     def _screen_duration(self, item, gang, constrained, clock):
@@ -1595,12 +1398,13 @@ class InferenceService:
 
         Runs the very simulation :meth:`_serve_sharded` would run —
         same gang, ceilings, fabric restriction and background — against
-        an uncounted :class:`~repro.serve.cache.OverlayCache`, so the
-        shared cache's contents, stats and LRU order stay untouched. Because the cache never changes
-        modeled numbers, the screened duration equals the dispatched
-        duration exactly; the backfill decision is a proof, not an
-        estimate. Memoized per (job, gang, background) so the event
-        loop can re-screen a parked candidate cheaply.
+        an uncounted :class:`~repro.serve.cache.OverlayCache` over the
+        first member's cache, whose contents, stats and LRU order stay
+        untouched. Because the cache never changes modeled numbers, the
+        screened duration equals the dispatched duration exactly; the
+        backfill decision is a proof, not an estimate. Memoized per
+        (job, gang, background) so the event loop can re-screen a
+        parked candidate cheaply.
         """
         indices = tuple(worker.index for worker in gang)
         background = self._background_for(clock) if self.coschedule else None
@@ -1616,7 +1420,7 @@ class InferenceService:
         cluster = _with_background(sharded.cluster, background)
         report = simulate_multichip_gcn(
             sharded, cluster, a_hops=request.a_hops,
-            cache=OverlayCache(self._cache_for(gang[0]), counted=False),
+            cache=OverlayCache(gang[0].cache, counted=False),
         )
         duration = cluster.chip.cycles_to_seconds(report.total_cycles)
         self._screen_memo[key] = duration
@@ -1838,14 +1642,22 @@ class InferenceService:
             shed=True,
         )
 
-    def _reconfigure(self, worker, key, config, start):
+    def _reconfigure(self, worker, config, a_hops, start):
         """Track a config switch; returns ``start`` plus any penalty."""
+        key = (config, a_hops)
         if worker.last_key is not None and worker.last_key != key:
             worker.reconfigs += 1
-            if self.reconfig_cycles:
-                start += config.cycles_to_seconds(self.reconfig_cycles)
+        start = worker.start_after(config, a_hops, start,
+                                   self.reconfig_cycles)
         worker.last_key = key
         return start
+
+    def _chip_config(self, worker, request):
+        """The config one gang member runs a sharded job at: its own
+        with ``worker_configs``, else the request's."""
+        if self.worker_configs is None:
+            return request.config
+        return self.worker_configs[worker.index]
 
     def _serve_sharded(self, item, workers, clock, results, *,
                        constrained=True, backfill=False):
@@ -1857,8 +1669,9 @@ class InferenceService:
         finishes. With ``worker_configs`` the cluster is built from the
         gang members' own configs (a heterogeneous multi-chip job);
         otherwise every chip replicates the request's config. The
-        shared autotune cache is passed down, so each shard's tuning
-        state is cached independently per chip config.
+        first member's cache (the shared one, or its shard) is passed
+        down, so each shard's tuning state is cached independently per
+        chip config.
 
         With ``constrained`` (the normal :meth:`_shard_gang` outcome)
         the members' node capacities become hard
@@ -1869,42 +1682,13 @@ class InferenceService:
         cannot cover the graph).
         """
         request = item.request
-        if self.cache_mode == "affinity":
-            # Remember (and score) the gang this family lands on:
-            # re-landing on the same members means the primary's shard
-            # already holds the sharded entry.
-            family = self._family_of(request)
-            members = tuple(sorted(w.index for w in workers))
-            remembered = self._gang_affinity.get(family)
-            warm = remembered is not None and members == tuple(
-                sorted(remembered)
-            )
-            self._gang_affinity[family] = tuple(w.index for w in workers)
-            self._drain_routes += 1
-            self._drain_route_hits += int(warm)
-            if self.tracer.enabled:
-                self.tracer.instant("cache.route", ts=clock, args={
-                    "seq": item.seq,
-                    "sharded": True,
-                    "members": list(members),
-                    "warm": warm,
-                })
-        if self.worker_configs is not None:
-            start = max(
-                self._reconfigure(
-                    worker,
-                    (self.worker_configs[worker.index], request.a_hops),
-                    self.worker_configs[worker.index],
-                    clock,
-                )
-                for worker in workers
-            )
-        else:
-            key = (request.config, request.a_hops)
-            start = max(
-                self._reconfigure(worker, key, request.config, clock)
-                for worker in workers
-            )
+        self.placement.gang_landed(item, workers, clock)
+        start = clock
+        for worker in workers:
+            config = self._chip_config(worker, request)
+            start = max(start, self._reconfigure(
+                worker, config, request.a_hops, clock,
+            ))
         sharded = self._sharded_for(workers, request, constrained=constrained)
         cluster = _with_background(
             sharded.cluster,
@@ -1916,7 +1700,7 @@ class InferenceService:
             # Anchor the cluster/tuner/cache events of this job at its
             # service start on the simulated clock.
             tr.set_time(start)
-        cache = self._cache_for(workers[0])
+        cache = workers[0].cache
         if cache is not None:
             cache.clock = start
         wall_started = time.perf_counter()
@@ -1967,7 +1751,6 @@ class InferenceService:
         if tr.enabled:
             tr.wall("sim.sharded", seconds=elapsed,
                     args={"seq": item.seq})
-            lane = f"req/{item.seq}"
             member_spans = [
                 tr.span(
                     "sharded.backfill" if backfill else "sharded",
@@ -1976,35 +1759,9 @@ class InferenceService:
                 )
                 for w in workers
             ]
-            req_span = tr.span(
-                "request", lane=lane, start=request.arrival_time,
-                end=finish, args={"seq": item.seq},
+            req_span, svc_span, complete_ev = self._trace_completion(
+                item, result, {"backfilled": backfill},
             )
-            tr.span(
-                "request.queue", lane=lane, start=request.arrival_time,
-                end=start, args={"seq": item.seq},
-            )
-            svc_span = tr.span(
-                "request.service", lane=lane, start=start, end=finish,
-                args={"seq": item.seq},
-            )
-            complete_ev = tr.instant("request.complete", ts=finish, args={
-                "seq": item.seq,
-                "dataset": result.dataset,
-                "cycles": report.total_cycles,
-                "utilization": float(report.utilization),
-                "cache_hit": bool(report.cache_hit),
-                "n_shards": len(workers),
-                "backfilled": backfill,
-                "arrival": request.arrival_time,
-                "start": start,
-                "finish": finish,
-                "e2e_ms": result.e2e_ms,
-                "queue_ms": result.queue_ms,
-                "slo_ms": request.slo_ms,
-                "slo_met": result.slo_met,
-                "preemptions": 0,
-            })
         if self.coschedule:
             # Register the job as an active tenant: its layer
             # boundaries are the preemption points, its per-round halo
@@ -2057,8 +1814,8 @@ class InferenceService:
             items = tuple(live)
             if not items:
                 return
-        key = (batch.config, items[0].request.a_hops)
-        start = self._reconfigure(worker, key, batch.config, base_start)
+        start = self._reconfigure(worker, batch.config,
+                                  items[0].request.a_hops, base_start)
         now = start
         wall_started = time.perf_counter()
         for item in items:
@@ -2105,7 +1862,7 @@ class InferenceService:
             tr.set_time(start)
         started = time.perf_counter()
         accel = self._accel_for(request)
-        cache = self._cache_for(worker)
+        cache = worker.cache
         if cache is not None:
             cache.clock = start
         report = accel.run(cache=cache, tracer=tr if tr.enabled else None)
@@ -2132,45 +1889,53 @@ class InferenceService:
             priority=self._class_of(request) if self.coschedule else None,
         )
         if tr.enabled:
-            finish = result.finish_time
             tr.wall("sim.request", seconds=elapsed,
                     args={"seq": item.seq})
-            lane = f"req/{item.seq}"
             tr.span(
                 "serve", lane=f"worker{worker.index}", start=start,
-                end=finish, args={"seq": item.seq, "batch": batch.index},
+                end=result.finish_time,
+                args={"seq": item.seq, "batch": batch.index},
             )
-            tr.span(
-                "request", lane=lane, start=request.arrival_time,
-                end=finish, args={"seq": item.seq},
+            self._trace_completion(
+                item, result, {"batch": batch.index, "worker": worker.index},
             )
-            tr.span(
-                "request.queue", lane=lane, start=request.arrival_time,
-                end=start, args={"seq": item.seq},
-            )
-            tr.span(
-                "request.service", lane=lane, start=start, end=finish,
-                args={"seq": item.seq},
-            )
-            tr.instant("request.complete", ts=finish, args={
-                "seq": item.seq,
-                "dataset": result.dataset,
-                "cycles": report.total_cycles,
-                "utilization": float(report.utilization),
-                "cache_hit": bool(report.cache_hit),
-                "n_shards": 1,
-                "batch": batch.index,
-                "worker": worker.index,
-                "arrival": request.arrival_time,
-                "start": start,
-                "finish": finish,
-                "e2e_ms": result.e2e_ms,
-                "queue_ms": result.queue_ms,
-                "slo_ms": request.slo_ms,
-                "slo_met": result.slo_met,
-                "preemptions": 0,
-            })
         return result
+
+    def _trace_completion(self, item, result, extra):
+        """Emit a served request's ``request``/``request.queue``/
+        ``request.service`` spans and ``request.complete`` instant (the
+        path's ``extra`` args follow ``n_shards``); returns the request
+        span, service span and completion event, which a preempted
+        sharded job stretches on resume."""
+        tr = self.tracer
+        lane = f"req/{item.seq}"
+        arrival = result.arrival_time
+        start = result.start_time
+        finish = result.finish_time
+        req_span = tr.span("request", lane=lane, start=arrival, end=finish,
+                           args={"seq": item.seq})
+        tr.span("request.queue", lane=lane, start=arrival, end=start,
+                args={"seq": item.seq})
+        svc_span = tr.span("request.service", lane=lane, start=start,
+                           end=finish, args={"seq": item.seq})
+        complete = tr.instant("request.complete", ts=finish, args={
+            "seq": item.seq,
+            "dataset": result.dataset,
+            "cycles": result.total_cycles,
+            "utilization": float(result.utilization),
+            "cache_hit": bool(result.cache_hit),
+            "n_shards": result.n_shards,
+            **extra,
+            "arrival": arrival,
+            "start": start,
+            "finish": finish,
+            "e2e_ms": result.e2e_ms,
+            "queue_ms": result.queue_ms,
+            "slo_ms": result.slo_ms,
+            "slo_met": result.slo_met,
+            "preemptions": 0,
+        })
+        return req_span, svc_span, complete
 
     def _stats(self, results, n_batches, wall, n_evictions=0):
         """Fold per-request results into :class:`ServiceStats`.
@@ -2199,9 +1964,9 @@ class InferenceService:
             n_backfilled=self._drain_backfills,
             n_preemptions=self._drain_preemptions,
             n_evictions=n_evictions,
-            n_routed=self._drain_routes,
-            n_placement_hits=self._drain_route_hits,
-            n_replications=self._drain_replications,
+            n_routed=self.placement.routes,
+            n_placement_hits=self.placement.route_hits,
+            n_replications=self.placement.replications,
         )
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel import ArchConfig, GcnAccelerator, SpmmJob, slice_jobs
+from repro.accel import ArchConfig, GcnAccelerator, slice_jobs
 from repro.accel.gcnaccel import build_spmm_jobs
 from repro.analysis import compare_shard_scaling, compare_shard_topology
 from repro.cluster import (
@@ -14,7 +14,6 @@ from repro.cluster import (
     make_topology,
     rebalance_plan,
     simulate_multichip_gcn,
-    simulate_sharded_spmm,
 )
 from repro.errors import ConfigError
 from repro.serve import AutotuneCache, RmatGraphSpec
@@ -125,33 +124,6 @@ class TestRebalancePlan:
         with pytest.raises(ConfigError):
             rebalance_plan(scattered, row_nnz,
                            ClusterConfig(n_chips=2, chip=CHIP))
-
-
-class TestShardedSpmm:
-    def test_work_conserved_and_barrier_bound(self, dataset):
-        job = SpmmJob(
-            name="A", row_nnz=dataset.adjacency_row_nnz(), n_rounds=8
-        )
-        plan = make_plan(job.row_nnz, 4)
-        cluster = ClusterConfig(n_chips=4, chip=CHIP)
-        result = simulate_sharded_spmm(
-            job, cluster, plan, adjacency=dataset.adjacency
-        )
-        assert sum(
-            r.total_work for r in result.chip_results
-        ) == job.total_work
-        assert result.total_cycles == int(
-            (result.compute_cycles + result.comm_cycles).max()
-        )
-
-    def test_no_adjacency_means_no_comm(self, dataset):
-        job = SpmmJob(
-            name="XW", row_nnz=dataset.x1_row_nnz, n_rounds=8, tdq="tdq1"
-        )
-        plan = make_plan(dataset.adjacency_row_nnz(), 4)
-        cluster = ClusterConfig(n_chips=4, chip=CHIP)
-        result = simulate_sharded_spmm(job, cluster, plan)
-        assert result.comm_cycles.sum() == 0
 
 
 class TestSimulateMultichipGcn:

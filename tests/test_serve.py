@@ -1,6 +1,8 @@
 """The batched inference service: scheduler, autotune cache, service."""
 
+import gc
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 import repro.accel.gcnaccel as gcnaccel
 from repro.accel import ArchConfig, CachedTuning, GcnAccelerator
+from repro.analysis.tracescenarios import trace_scenario
 from repro.datasets import dataset_fingerprint, load_dataset
 from repro.datasets.rmat import edges_fingerprint
 from repro.errors import ConfigError
@@ -921,6 +924,51 @@ class TestInferenceService:
         assert outcome.stats.requests_per_second > 0
         assert outcome.stats.total_cycles > 0
         assert 0.0 < outcome.stats.mean_utilization <= 1.0
+
+
+class TestServiceLifetime:
+    """A drained service holds no reference cycle, so dropping it frees
+    it by reference counting alone, with the cycle collector off. A
+    service that waits for the collector keeps its caches, graphs and
+    accelerators alive next to whatever the caller builds next."""
+
+    @staticmethod
+    def _freed(requests, n_drains, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            service = InferenceService(**kwargs)
+            for _ in range(n_drains):
+                service.submit_many(requests)
+                service.drain()
+            ref = weakref.ref(service)
+            del service
+            return ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("cache_mode",
+                             ["shared", "partitioned", "affinity"])
+    def test_every_cache_mode(self, cache_mode, traced):
+        requests = streaming_traffic(
+            12, arrival_rate=3000.0, slo_ms=5.0, n_nodes=128, seed=3,
+            configs=(CFG_A,), repeat_alpha=1.2, family_size=3,
+            graph_kwargs={"f1": 16, "f2": 8, "f3": 4},
+        )
+        kwargs = dict(n_workers=2, max_batch=2, cache_mode=cache_mode)
+        if cache_mode == "affinity":
+            kwargs["replicate_threshold"] = 1.0
+        if traced:
+            kwargs["tracer"] = RecordingTracer()
+        assert self._freed(requests, 2, **kwargs)
+
+    def test_coscheduled_mixed_drain(self):
+        # Gang claims, a backfill and a boundary preemption/resume.
+        requests, kwargs = trace_scenario("mixed")
+        assert kwargs["coschedule"]
+        assert self._freed(requests, 1, **kwargs)
 
 
 class TestSyntheticTraffic:

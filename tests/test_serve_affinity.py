@@ -10,9 +10,10 @@ Five contracts pinned here:
   cache stats and LRU order.
 * Affinity routing is an optimization, never a semantics change: it
   only picks among *feasible* instances for the batch EDF already
-  chose — a warm instance whose wait would break the batch's deadline
-  (or, SLO-less, exceed one estimated service time) is skipped for the
-  first-free fallback, so no batch is ever stranded waiting for warmth.
+  chose — a warm instance whose wait, plus any reconfiguration it owes,
+  would break the batch's deadline (or, SLO-less, exceed one estimated
+  service time) is skipped for the first-free fallback, so no batch is
+  ever stranded waiting for warmth.
 * Cache metadata (per-entry hit counts and last-use stamps) rides the
   archive format compatibly: version-3 archives round-trip it,
   version-2 archives still load cold, and ``merge`` only disturbs the
@@ -43,6 +44,7 @@ from repro.obs import RecordingTracer
 from repro.obs.views import service_stats_view
 from repro.serve.cache import AutotuneCache
 from repro.serve.demand import DemandHistogram
+from repro.serve.placement import CacheAffinity, FirstFree
 from repro.serve.request import InferenceRequest
 from repro.serve.scheduler import QueuedRequest
 from repro.serve.service import InferenceService, serve_requests
@@ -74,6 +76,16 @@ class _StubStream:
 
     def estimate(self, config, a_hops):
         return self._estimate
+
+
+def _route(service, items, estimate, *, claimed=frozenset()):
+    """Place a sealed batch at clock 0 as the drain does: the service's
+    placement policy over its unclaimed candidates for 128-node graphs,
+    against a scheduler whose service estimate is ``estimate``."""
+    return service.placement.place(
+        items, service._candidates(128, claimed), 0.0,
+        _StubStream(estimate), service._request_key,
+    )
 
 
 class TestDemandHistogram:
@@ -223,21 +235,17 @@ class TestAffinityRouting:
         service = self._service()
         item = self._item(slo_ms=50.0)
         self._warm(service, 1, item)
-        worker = service._route_worker(
-            [item], 0.0, 128, frozenset(), _StubStream(0.001)
-        )
+        worker = _route(service, [item], 0.001)
         assert worker is service.workers[1]
-        assert service._drain_routes == 1
-        assert service._drain_route_hits == 1
+        assert service.placement.routes == 1
+        assert service.placement.route_hits == 1
 
     def test_waits_for_busy_warm_worker_within_slack(self):
         service = self._service()
         item = self._item(slo_ms=50.0)  # deadline 0.05
         self._warm(service, 1, item)
         service.workers[1].free_at = 0.01
-        worker = service._route_worker(
-            [item], 0.0, 128, frozenset(), _StubStream(0.005)
-        )
+        worker = _route(service, [item], 0.005)
         assert worker is service.workers[1]  # 0.01 + 0.005 <= 0.05
 
     def test_never_strands_past_deadline_on_a_warm_worker(self):
@@ -245,19 +253,15 @@ class TestAffinityRouting:
         item = self._item(slo_ms=5.0)  # deadline 0.005
         self._warm(service, 1, item)
         service.workers[1].free_at = 0.004
-        worker = service._route_worker(
-            [item], 0.0, 128, frozenset(), _StubStream(0.002)
-        )
+        worker = _route(service, [item], 0.002)
         # Waiting would blow the deadline (0.004 + 0.002 > 0.005):
         # EDF feasibility wins, the free cold instance serves now.
         assert worker is service.workers[0]
-        assert service._drain_route_hits == 0
+        assert service.placement.route_hits == 0
         # With every instance busy the router reports none rather than
         # queueing the batch on warmth it cannot safely wait for.
         service.workers[0].free_at = 0.02
-        assert service._route_worker(
-            [item], 0.0, 128, frozenset(), _StubStream(0.002)
-        ) is None
+        assert _route(service, [item], 0.002) is None
 
     def test_slo_less_wait_bounded_by_service_estimate(self):
         service = self._service()
@@ -265,22 +269,37 @@ class TestAffinityRouting:
         self._warm(service, 1, item)
         service.workers[1].free_at = 0.01
         # Wait (0.01) within one estimated service (0.02): warm wins.
-        assert service._route_worker(
-            [item], 0.0, 128, frozenset(), _StubStream(0.02)
-        ) is service.workers[1]
+        assert _route(service, [item], 0.02) is service.workers[1]
         # Estimate 0.0 — a cold scheduler — means never wait.
-        assert service._route_worker(
-            [item], 0.0, 128, frozenset(), _StubStream(0.0)
-        ) is service.workers[0]
+        assert _route(service, [item], 0.0) is service.workers[0]
 
     def test_claimed_workers_skipped(self):
         service = self._service()
         item = self._item(slo_ms=50.0)
         self._warm(service, 1, item)
-        worker = service._route_worker(
-            [item], 0.0, 128, frozenset({1}), _StubStream(0.001)
-        )
+        worker = _route(service, [item], 0.001, claimed=frozenset({1}))
         assert worker is service.workers[0]
+
+    @pytest.mark.parametrize("reconfig_cycles, expected", [
+        (0, 1),
+        # 0.04 s at the config's clock: 0.01 + 0.04 + 0.005 > 0.05.
+        (int(0.04 * CFG.frequency_mhz * 1e6), 0),
+    ])
+    def test_reconfiguration_counts_against_a_warm_wait(
+        self, reconfig_cycles, expected
+    ):
+        service = self._service(reconfig_cycles=reconfig_cycles)
+        item = self._item(slo_ms=50.0)  # deadline 0.05
+        self._warm(service, 1, item)
+        warm = service.workers[1]
+        warm.free_at = 0.01
+        warm.last_key = (CFG16, item.request.a_hops)  # must switch first
+        # Free switching: 0.01 + 0.005 meets the deadline, so the busy
+        # warm instance wins. Priced switching pushes its start past
+        # the deadline, so the cold free instance serves now.
+        worker = _route(service, [item], 0.005)
+        assert worker is service.workers[expected]
+        assert service.placement.route_hits == int(expected == 1)
 
     def test_affinity_changes_no_modeled_number(self):
         requests = streaming_traffic(
@@ -348,15 +367,15 @@ class TestReplicaAdmission:
         request = InferenceRequest(graph=_spec(seed), config=config,
                                    arrival_time=0.0)
         item = QueuedRequest(seq=0, request=request)
-        # Routing is where the service learns a family's keys.
-        service._route_worker([item], 0.0, 128, frozenset(),
-                              _StubStream(0.0))
+        # Routing is where the policy learns a family's keys.
+        _route(service, [item], 0.0)
         service._accel_for(request).run(
             cache=service.workers[holder].cache
         )
         if demand:
-            service._demand.record(service._family_of(request), 0.0,
-                                   weight=demand)
+            service.placement._demand.record(
+                service.placement.family_of(request), 0.0, weight=demand
+            )
         return service._request_key(request)
 
     def _stores(self, service, lane="cache/w1"):
@@ -369,11 +388,11 @@ class TestReplicaAdmission:
         coldest = self._family(service, 2, 1.0, holder=1)
         cold = self._family(service, 3, 2.0, holder=1)
         target = service.workers[1].cache
-        service._replicate_hot(0.0)
+        service.placement.tick(0.0)
         assert hot in target and cold in target
         assert coldest not in target  # the LRU victim, demand 1 < 5
         assert target.stats.evictions == 1
-        assert service._drain_replications == 1
+        assert service.placement.replications == 1
 
     def test_colder_replica_refused_while_victim_is_hotter(self):
         service = self._service()
@@ -383,14 +402,14 @@ class TestReplicaAdmission:
         warm = self._family(service, 3, 4.0, holder=0)
         target = service.workers[1].cache
         service.tracer.events.clear()
-        service._replicate_hot(0.0)
+        service.placement.tick(0.0)
         # Storing the warm replica would evict the hottest key at the
         # LRU front (6 >= 4): refused, though a cold key sits behind it.
         assert warm not in target
         assert hottest in target and cold in target
         assert target.stats.evictions == 0
         assert self._stores(service) == []
-        assert service._drain_replications == 0
+        assert service.placement.replications == 0
 
     def test_one_call_stores_at_most_one_shards_worth(self):
         service = self._service(n_workers=3)
@@ -399,7 +418,7 @@ class TestReplicaAdmission:
                                              (3, 5.0, 2), (4, 6.0, 2))]
         target = service.workers[1].cache
         service.tracer.events.clear()
-        service._replicate_hot(0.0)
+        service.placement.tick(0.0)
         assert len(self._stores(service)) == 2
         # The two hottest families, hottest first.
         assert [info.key for info in target.snapshot()] == [
@@ -412,7 +431,7 @@ class TestReplicaAdmission:
         first = self._family(service, 1, 6.0, holder=0)
         second = self._family(service, 2, 5.0, holder=0)
         target = service.workers[1].cache
-        service._replicate_hot(0.0)
+        service.placement.tick(0.0)
         assert first in target and second in target
         # A serve-path store evicts one replica from the target...
         GcnAccelerator(_spec(3).build(), CFG).run(cache=target)
@@ -420,16 +439,16 @@ class TestReplicaAdmission:
         service.tracer.events.clear()
         # ...but the plan is sticky: same hot set, same target, no
         # re-push.
-        service._replicate_hot(0.001)
+        service.placement.tick(0.001)
         assert self._stores(service) == []
         assert first not in target
         # Moving the target set re-plans: instance 0 already holds
         # both, and back on instance 1 the evicted replica returns.
         service.workers[0].free_at, service.workers[1].free_at = 0.0, 1.0
-        service._replicate_hot(0.002)
+        service.placement.tick(0.002)
         assert self._stores(service, lane="cache/w0") == []
         service.workers[0].free_at, service.workers[1].free_at = 1.0, 0.0
-        service._replicate_hot(0.003)
+        service.placement.tick(0.003)
         assert first in target and second in target
 
     def test_replicate_event_counts_the_replicas_stored(self):
@@ -440,14 +459,14 @@ class TestReplicaAdmission:
                 self._family(service, 2, 2.0, holder=0, config=CFG16)]
         target = service.workers[1].cache
         service.tracer.events.clear()
-        service._replicate_hot(0.0)
+        service.placement.tick(0.0)
         (event,) = [e for e in service.tracer.events
                     if e.name == "cache.replicate"]
         assert event.args["worker"] == 1
         assert event.args["entries"] == len(self._stores(service)) == 1
         assert hot in target and pair[0] in target
         assert pair[1] not in target
-        assert service._drain_replications == 1
+        assert service.placement.replications == 1
 
 
 def _trace(kind, seed):
@@ -526,6 +545,23 @@ class TestModeKnobs:
             InferenceService(cache_mode=cache_mode, **{knob: value})
         service = InferenceService(cache_mode=own_mode, **{knob: value})
         assert getattr(service, knob) == value
+
+    def test_mode_decides_each_instances_cache_and_the_policy(self):
+        shared = InferenceService(n_workers=3)
+        assert shared.cache is not None
+        assert all(w.cache is shared.cache for w in shared.workers)
+        assert type(shared.placement) is FirstFree
+        uncached = InferenceService(n_workers=2, cache=None)
+        assert all(w.cache is None for w in uncached.workers)
+        for mode, policy in (("partitioned", FirstFree),
+                             ("affinity", CacheAffinity)):
+            service = InferenceService(n_workers=3, cache_mode=mode,
+                                       worker_cache_entries=4)
+            assert service.cache is None
+            shards = [w.cache for w in service.workers]
+            assert len({id(shard) for shard in shards}) == 3
+            assert all(shard.max_entries == 4 for shard in shards)
+            assert type(service.placement) is policy
 
 
 _COLD_CYCLES = {}

@@ -7,7 +7,7 @@ this config — see :mod:`repro.accel.designs`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -17,6 +17,8 @@ from repro.errors import ConfigError
 @dataclass(frozen=True)
 class ArchConfig:
     """Microarchitecture parameters of the (U/A)WB-GCN SPMM engine.
+
+    Hashed once: the instance keeps its (generated-equal) hash.
 
     Parameters
     ----------
@@ -120,6 +122,23 @@ class ArchConfig:
             raise ConfigError(
                 f"drain_cycles must be >= 0, got {self.drain_cycles}"
             )
+
+    def __hash__(self):
+        # A config keys every cache, scheduler and memo lookup on the
+        # serving path. The kept value is the generated hash, that of
+        # the field tuple in declaration order, so no set or dict
+        # order moves.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self):
+        # Pickle the fields only: an unpickled copy hashes afresh.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     @property
     def raw_cooldown(self):

@@ -429,6 +429,12 @@ class GcnAccelerator:
         identical to the cold run that populated the entry. On a miss the
         cold run's tuning state is stored for the next request.
 
+        An entry is checked against the jobs (:meth:`CachedTuning.matches`)
+        once per accelerator: one this accelerator has already replayed
+        has already matched, since entries and jobs are immutable. An
+        entry that does not match is never memoized, so it is checked,
+        and runs cold, on every hit.
+
         A cold run is a pure function of (jobs, config), so with a cache
         each accelerator drives the tuner at most once: its first miss
         keeps the :class:`ColdRun` (the report's arrays made read-only,
@@ -451,7 +457,8 @@ class GcnAccelerator:
             return self._run_cold(tracer=tracer)
         fingerprint = self.fingerprint()
         entry = cache.lookup(fingerprint, self.config)
-        if entry is not None and entry.matches(self.jobs):
+        if entry is not None and (id(entry) in self._replays
+                                  or entry.matches(self.jobs)):
             return self._run_cached(entry)
         trace = tracer is not None and tracer.enabled
         if not self.remembers_cold_run(traced=trace):
@@ -544,7 +551,9 @@ class GcnAccelerator:
         replay's :class:`LayerTiming` objects, whose arrays are
         read-only. A different entry object under the same key (a
         re-store) is replayed afresh. The memo pins every entry it
-        holds, so an ``id`` in it is never reused.
+        holds, so an ``id`` in it is never reused, which is what lets
+        :meth:`run` skip the structural check for a memoized entry:
+        only an entry that matched is ever replayed and memoized.
         """
         memo = self._replays.get(id(entry))
         if memo is None:

@@ -77,7 +77,10 @@ def trace_scenario(name, *, seed=None):
 
     Returns ``(requests, serve_kwargs)`` ready for
     ``serve_requests(requests, **serve_kwargs)``. ``seed`` overrides
-    the scenario's default traffic seed (graph pools stay fixed).
+    the scenario's default traffic seed (graph pools stay fixed). The
+    ``shard`` scenario has no traffic seed: its three jobs are fixed,
+    so a non-None ``seed`` raises :class:`~repro.errors.ConfigError`
+    rather than pretend to vary them.
     """
     if name == "serve":
         seed = 7 if seed is None else int(seed)
@@ -92,6 +95,11 @@ def trace_scenario(name, *, seed=None):
             "cache_mode": "affinity", "replicate_threshold": 2.0,
         }
     if name == "shard":
+        if seed is not None:
+            raise ConfigError(
+                "trace scenario 'shard' has no traffic seed (its three "
+                f"sharded jobs are fixed); got seed={seed!r}"
+            )
         config = ArchConfig(n_pes=16, hop=1, remote_switching=True)
         return _sharded_trio(config), {
             "n_workers": 4, "chip_capacity": 256, "cache": True,

@@ -345,7 +345,9 @@ def build_parser():
                             "(default: mixed)")
     trace.add_argument("--seed", type=int, default=None,
                        help="override the scenario's traffic seed "
-                            "(default: the scenario's pinned seed)")
+                            "(default: the scenario's pinned seed; the "
+                            "shard scenario has no traffic seed and "
+                            "rejects one)")
     trace.add_argument("--trace-dir", default="results", metavar="DIR",
                        help="directory for the trace JSON and the "
                             "round-timeline CSV (default: results)")

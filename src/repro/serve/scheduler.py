@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
 from repro.obs.tracer import NULL_TRACER, config_label
@@ -64,16 +64,18 @@ class QueuedRequest:
 
     seq: int
     request: InferenceRequest
+    deadline: float = field(init=False, compare=False, repr=False)
+    """Absolute completion deadline in seconds (inf when no SLO): the
+    member request's, computed once on construction since the batch
+    cut and EDF order read it per member."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "deadline", self.request.deadline)
 
     @property
     def arrival_time(self):
         """Simulated-clock arrival second of the member request."""
         return self.request.arrival_time
-
-    @property
-    def deadline(self):
-        """Absolute completion deadline in seconds (inf when no SLO)."""
-        return self.request.deadline
 
 
 @dataclass(frozen=True)
@@ -232,6 +234,8 @@ class StreamingScheduler:
         """Event sink (:mod:`repro.obs`): every sealed batch emits a
         ``batch.cut`` instant stamped with the cut reason."""
         self._groups = {}
+        self._tightest = {}
+        self._pending = 0
         self._order = []
         self._estimates = {}
         self._ready = []
@@ -242,8 +246,10 @@ class StreamingScheduler:
 
     @property
     def pending(self):
-        """Number of admitted requests not yet sealed into a batch."""
-        return sum(len(group) for group in self._groups.values())
+        """Number of admitted requests not yet sealed into a batch (a
+        running count: :meth:`admit` adds one, a cut subtracts its
+        group)."""
+        return self._pending
 
     @property
     def ready(self):
@@ -265,9 +271,13 @@ class StreamingScheduler:
         group = self._groups.get(key)
         if group is None:
             group = self._groups[key] = []
+            self._tightest[key] = math.inf
             if key not in self._order:
                 self._order.append(key)
         group.append(item)
+        self._pending += 1
+        if item.deadline < self._tightest[key]:
+            self._tightest[key] = item.deadline
         if self.max_batch is not None and len(group) >= self.max_batch:
             self._cut(key, item.arrival_time if now is None else now,
                       reason="size")
@@ -317,10 +327,12 @@ class StreamingScheduler:
 
         ``reason`` is ``"deadline"`` when the tightest member deadline
         minus the estimated batch service time binds, ``"timeout"``
-        when the oldest member's ``max_wait`` clock cuts earlier.
+        when the oldest member's ``max_wait`` clock cuts earlier. O(1):
+        the tightest deadline is a running minimum that :meth:`admit`
+        lowers and :meth:`_cut` resets.
         """
         group = self._groups[key]
-        tightest = min(item.deadline for item in group)
+        tightest = self._tightest[key]
         # Estimates are keyed by the hardware surface alone — the
         # priority suffix of a 3-element group key carries no service
         # time information.
@@ -387,6 +399,8 @@ class StreamingScheduler:
         """
         items = self._groups[key]
         self._groups[key] = []
+        self._tightest[key] = math.inf
+        self._pending -= len(items)
         if self.shed_expired:
             live = []
             for item in items:

@@ -1854,7 +1854,6 @@ class InferenceService:
     def _serve_one(self, item, batch, worker, start):
         """Run one request on one instance and record the outcome."""
         request = item.request
-        dataset = request.resolve_graph()
         tr = self.tracer
         if tr.enabled:
             # Anchor this request's tuner/cache events (direct or
@@ -1873,7 +1872,7 @@ class InferenceService:
         )
         result = InferenceResult(
             request_id=request.request_id,
-            dataset=getattr(dataset, "name", "custom"),
+            dataset=accel.name,
             fingerprint=accel.fingerprint(),
             total_cycles=report.total_cycles,
             latency_ms=report.latency_ms,

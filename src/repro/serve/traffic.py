@@ -22,7 +22,7 @@ oversized sharded jobs side by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -46,7 +46,8 @@ class RmatGraphSpec:
     Frozen and hashable, so it doubles as a memoization key: building
     the same spec twice returns the same (cached) dataset object, and
     its accelerator workload fingerprints identically — which is what
-    turns repeat traffic into autotune-cache hits.
+    turns repeat traffic into autotune-cache hits. Hashed once: the
+    instance keeps its (generated-equal) hash.
     """
 
     n_nodes: int
@@ -64,6 +65,20 @@ class RmatGraphSpec:
         check_positive_int(self.avg_degree, "avg_degree")
         for dim_name in ("f1", "f2", "f3"):
             check_positive_int(getattr(self, dim_name), dim_name)
+
+    def __hash__(self):
+        # Same kept-hash idiom as ArchConfig.__hash__: the value is the
+        # generated hash of the field tuple in declaration order.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     @property
     def name(self):

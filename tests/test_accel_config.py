@@ -1,9 +1,13 @@
-"""ArchConfig validation and derived quantities."""
+"""ArchConfig validation, derived quantities and its kept hash."""
+
+import pickle
+from dataclasses import asdict, fields, replace
 
 import pytest
 
 from repro.accel import ArchConfig
 from repro.errors import ConfigError
+from repro.serve import RmatGraphSpec
 
 
 class TestValidation:
@@ -65,3 +69,93 @@ class TestDerived:
         assert cfg.hop == 2
         assert cfg.remote_switching
         assert cfg.n_pes == 256  # untouched
+
+
+# One valid changed value per field, for each value type whose hash the
+# instance keeps after the first call.
+CHANGED = {
+    ArchConfig: {
+        "n_pes": 512, "hop": 1, "remote_switching": True,
+        "mac_latency": 6, "queues_per_pe": 2, "tracking_window": 3,
+        "frequency_mhz": 285.0, "drain_cycles": 3,
+        "sharing_efficiency": 0.9, "pipeline_spmm": False,
+        "switch_damping": 0.5, "convergence_patience": 3,
+        "eq5_approximate": True,
+    },
+    RmatGraphSpec: {
+        "n_nodes": 512, "avg_degree": 4, "f1": 16, "f2": 8, "f3": 4,
+        "x1_density": 0.1, "x2_density": 0.5, "seed": 3,
+        "abcd": (0.45, 0.25, 0.15, 0.15),
+    },
+}
+# Pairs of equal but distinct instances: defaults spelled two ways.
+TWINS = {
+    ArchConfig: (
+        lambda: ArchConfig(),
+        lambda: ArchConfig(drain_cycles=ArchConfig().drain_cycles),
+    ),
+    RmatGraphSpec: (
+        lambda: RmatGraphSpec(n_nodes=384),
+        lambda: RmatGraphSpec(n_nodes=384, abcd=(0.5, 0.2, 0.2, 0.1)),
+    ),
+}
+
+
+def _field_tuple(instance):
+    return tuple(getattr(instance, f.name) for f in fields(instance))
+
+
+@pytest.mark.parametrize("cls", [ArchConfig, RmatGraphSpec],
+                         ids=lambda cls: cls.__name__)
+class TestKeptHash:
+    """The kept hash honours the frozen-dataclass contract."""
+
+    def test_equals_the_generated_field_tuple_hash(self, cls):
+        make, _twin = TWINS[cls]
+        instance = make()
+        assert hash(instance) == hash(_field_tuple(instance))
+        assert hash(instance) == hash(_field_tuple(instance))  # kept
+
+    def test_equal_distinct_instances_hash_and_compare_equal(self, cls):
+        make, twin = TWINS[cls]
+        a, b = make(), twin()
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+
+    def test_hashed_and_unhashed_instances_compare_equal(self, cls):
+        make, twin = TWINS[cls]
+        hashed, fresh = make(), twin()
+        hash(hashed)
+        assert "_hash" not in fresh.__dict__
+        assert hashed == fresh and fresh == hashed
+        assert len({hashed, fresh}) == 1
+
+    def test_replacing_any_field_changes_the_hash(self, cls):
+        make, _twin = TWINS[cls]
+        base = make()
+        hash(base)
+        for name, value in CHANGED[cls].items():
+            changed = replace(base, **{name: value})
+            assert changed != base, name
+            assert hash(changed) != hash(base), name
+            assert hash(changed) == hash(_field_tuple(changed)), name
+
+    def test_repr_asdict_and_fields_show_no_kept_hash(self, cls):
+        make, twin = TWINS[cls]
+        hashed = make()
+        hash(hashed)
+        assert "_hash" not in repr(hashed)
+        assert repr(hashed) == repr(twin())
+        assert "_hash" not in asdict(hashed)
+        assert asdict(hashed) == asdict(twin())
+        assert "_hash" not in [f.name for f in fields(hashed)]
+
+    def test_pickle_round_trip_keeps_eq_and_hash(self, cls):
+        make, twin = TWINS[cls]
+        hashed = make()
+        expected = hash(hashed)
+        restored = pickle.loads(pickle.dumps(hashed))
+        assert restored == hashed
+        assert hash(restored) == expected
+        # The kept hash is not part of the pickled state.
+        assert pickle.dumps(hashed) == pickle.dumps(twin())

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import ConfigError
 
 
 class TestParser:
@@ -155,6 +156,12 @@ class TestCommands:
         assert "CHIP:ONSET:FACTOR" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             main(["shard-bench", "--straggler", "a:b:c"])
+
+    def test_trace_rejects_a_seed_for_the_shard_scenario(self, tmp_path):
+        with pytest.raises(ConfigError, match="'shard'"):
+            main(["trace", "--scenario", "shard", "--seed", "3",
+                  "--trace-dir", str(tmp_path)])
+        assert not list(tmp_path.iterdir())
 
     def test_module_entry_point(self):
         import subprocess

@@ -366,6 +366,15 @@ class TestScenarios:
         with pytest.raises(ConfigError):
             trace_scenario("nope")
 
+    def test_shard_scenario_rejects_a_seed(self):
+        # Its three jobs are fixed: a seed could only pretend to vary
+        # the traffic.
+        for seed in (0, 3):
+            with pytest.raises(ConfigError, match="'shard'"):
+                trace_scenario("shard", seed=seed)
+        requests, _kwargs = trace_scenario("shard")
+        assert [r.request_id for r in requests] == ["A", "B", "C"]
+
     def test_mixed_scenario_fires_the_machinery(self):
         outcome, _ = _scenario_run("mixed")
         assert outcome.stats.n_backfilled >= 1

@@ -456,6 +456,20 @@ def frozen_calls(monkeypatch):
 
 
 @pytest.fixture
+def matches_calls(monkeypatch):
+    """Ids of the entries every ``CachedTuning.matches`` call checks."""
+    calls = []
+    real = CachedTuning.matches
+
+    def counting(entry, jobs):
+        calls.append(id(entry))
+        return real(entry, jobs)
+
+    monkeypatch.setattr(CachedTuning, "matches", counting)
+    return calls
+
+
+@pytest.fixture
 def tune_calls(monkeypatch):
     """Names of the jobs every cold Eq. 5 run tunes, in call order."""
     calls = []
@@ -583,6 +597,54 @@ class TestReplayMemo:
             [tuned] * 2 + [static_report.total_cycles] * 2
         )
         assert len(frozen_calls) == 2 * _stage_count(_requests("a")[0])
+
+    def test_mismatched_entry_runs_cold_on_every_hit(self, matches_calls,
+                                                     frozen_calls):
+        # An entry tuned on a smaller graph fails the structural check;
+        # it is never replayed, so it is checked again on every hit.
+        other = RmatGraphSpec(n_nodes=200, f1=24, f2=12, f3=4, seed=5)
+        bad = CachedTuning.from_report(
+            GcnAccelerator(other.build(), CFG_A).run()
+        )
+        dataset = SPEC.build()
+        cold = GcnAccelerator(dataset, CFG_A).run()
+        accel = GcnAccelerator(dataset, CFG_A)
+        cache = AutotuneCache()
+        for _ in range(2):
+            # The miss stores the good entry; put the bad one back.
+            cache.store(accel.fingerprint(), CFG_A, bad)
+            report = accel.run(cache=cache)
+            assert not report.cache_hit
+            assert report.total_cycles == cold.total_cycles
+        assert matches_calls == [id(bad)] * 2
+        assert frozen_calls == []
+        assert accel._replays == {}
+
+    def test_matching_entry_is_checked_once_per_accelerator(
+            self, matches_calls):
+        dataset = SPEC.build()
+        cache = AutotuneCache()
+        cold = GcnAccelerator(dataset, CFG_A).run(cache=cache)
+        fingerprint = GcnAccelerator(dataset, CFG_A).fingerprint()
+        entry = cache.peek(fingerprint, CFG_A)
+
+        def hits(accel, n=4):
+            for _ in range(n):
+                report = accel.run(cache=cache)
+                assert report.cache_hit
+                assert report.total_cycles == cold.total_cycles
+
+        accel = GcnAccelerator(dataset, CFG_A)
+        hits(accel)
+        assert matches_calls == [id(entry)]
+        # A fresh accelerator, as in the next drain, checks again.
+        hits(GcnAccelerator(dataset, CFG_A))
+        assert matches_calls == [id(entry)] * 2
+        # So does a different entry object re-stored under the key.
+        restored = CachedTuning(layers=entry.layers)
+        cache.store(fingerprint, CFG_A, restored)
+        hits(accel)
+        assert matches_calls == [id(entry)] * 2 + [id(restored)]
 
     def test_memoized_report_arrays_are_read_only(self, tiny_nell):
         cache = AutotuneCache()

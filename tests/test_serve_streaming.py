@@ -23,6 +23,7 @@ from repro.serve import (
     AutotuneCache,
     InferenceRequest,
     LatencyStats,
+    QueuedRequest,
     RequestQueue,
     StreamingScheduler,
     RmatGraphSpec,
@@ -549,3 +550,108 @@ class TestFairnessProperties:
             if n_workers == 1:
                 starts = [r.start_time for r in members]
                 assert starts == sorted(starts)
+
+
+class _RescanningScheduler(StreamingScheduler):
+    """The oracle for the scheduler's O(1) bookkeeping: every cut
+    decision rescans its group's member deadlines and ``pending`` sums
+    the groups."""
+
+    @property
+    def pending(self):
+        return sum(len(group) for group in self._groups.values())
+
+    def _cut_decision(self, key):
+        group = self._groups[key]
+        tightest = min(item.request.deadline for item in group)
+        estimate = self._estimates.get(key[:2], 0.0) * len(group)
+        when = tightest - estimate
+        reason = "deadline"
+        if self.max_wait is not None:
+            timeout = group[0].arrival_time + self.max_wait
+            if timeout < when:
+                when, reason = timeout, "timeout"
+        return when, reason
+
+
+STREAM_CONFIGS = (CFG_A, CFG_B, ArchConfig(n_pes=64, hop=1,
+                                           remote_switching=True))
+# With critical_slo_ms=1.0 these cover priority classes 0, 1 and 2.
+STREAM_SLOS = (None, 0.5, 1.0, 2.0, 50.0)
+
+
+@st.composite
+def scheduler_runs(draw):
+    """Scheduler knobs plus a random call sequence on one clock."""
+    n_configs = draw(st.integers(1, 3))
+    knobs = {
+        "max_batch": draw(st.one_of(st.none(), st.integers(1, 4))),
+        "max_wait": draw(st.sampled_from([None, 1e-3])),
+        "shed_expired": draw(st.booleans()),
+        "priorities": draw(st.booleans()),
+        "critical_slo_ms": 1.0,
+    }
+    gap = st.floats(0.0, 3e-3, allow_nan=False)
+    group = st.integers(0, n_configs - 1)
+    op = st.one_of(
+        st.tuples(st.just("admit"), gap, group,
+                  st.sampled_from(STREAM_SLOS)),
+        st.tuples(st.just("cut_due"), gap),
+        st.tuples(st.just("observe"), group,
+                  st.floats(0.0, 2e-3, allow_nan=False)),
+        st.tuples(st.just("flush"), gap),
+        st.tuples(st.just("pop_ready")),
+    )
+    return knobs, draw(st.lists(op, max_size=40))
+
+
+def _scheduler_state(stream):
+    return (
+        stream.pending, stream.ready, stream.next_cut_time(),
+        [(item.seq, when) for item, when in stream.shed_log],
+    )
+
+
+def _popped(stream):
+    batch = stream.pop_ready()
+    return batch.index, batch.config, [item.seq for item in batch.items]
+
+
+class TestRunningDeadlineMinimum:
+    @settings(max_examples=200, deadline=None)
+    @given(scheduler_runs())
+    def test_running_minimum_equals_a_rescan(self, run):
+        knobs, ops = run
+        fast = StreamingScheduler(**knobs)
+        oracle = _RescanningScheduler(**knobs)
+        both = (fast, oracle)
+        clock = 0.0
+        for seq, op in enumerate(ops):
+            kind = op[0]
+            if kind == "admit":
+                _kind, gap, config, slo_ms = op
+                clock += gap
+                item = QueuedRequest(seq=seq, request=InferenceRequest(
+                    graph=SPEC, config=STREAM_CONFIGS[config],
+                    arrival_time=clock, slo_ms=slo_ms,
+                ))
+                for stream in both:
+                    stream.admit(item, now=clock)
+            elif kind == "cut_due":
+                clock += op[1]
+                assert fast.cut_due(clock) == oracle.cut_due(clock)
+            elif kind == "observe":
+                for stream in both:
+                    stream.observe(STREAM_CONFIGS[op[1]], 1, op[2])
+            elif kind == "flush":
+                clock += op[1]
+                for stream in both:
+                    stream.flush(now=clock)
+            elif fast.ready:
+                assert _popped(fast) == _popped(oracle)
+            assert _scheduler_state(fast) == _scheduler_state(oracle)
+        for stream in both:
+            stream.flush(now=clock)
+        while fast.ready:
+            assert _popped(fast) == _popped(oracle)
+        assert _scheduler_state(fast) == _scheduler_state(oracle)

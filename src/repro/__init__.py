@@ -18,10 +18,10 @@ preprint titled UWB-GCN) as a pure-Python system:
 * :mod:`repro.analysis` — regeneration of every table and figure;
 * :mod:`repro.serve`    — batched multi-graph inference serving with
   autotune caching (scheduler, accelerator pool, ``repro serve-bench``);
-* :mod:`repro.parallel` — the multiprocessing execution backend: a
-  sharded simulation's per-chip cold runs fan out to a worker pool and
-  replay bit-identically (``workers=N`` on
-  :class:`~repro.cluster.ClusterConfig`, ``repro parallel-bench``).
+* :mod:`repro.cluster`  — sharded multi-chip execution with chip-level
+  runtime rebalancing (``repro shard-bench``);
+* :mod:`repro.obs`      — event tracing on the simulated clock and
+  Chrome-trace export (``repro trace``).
 
 Quickstart::
 

@@ -197,10 +197,9 @@ class ColdRun:
     :class:`CachedTuning` extracted from it, and ``events`` the tuner
     events the run emitted, recorded at simulated time 0 so that
     :meth:`~repro.obs.tracer.RecordingTracer.splice` can re-anchor them
-    (None when the run was not traced). The parallel backend ships one
-    per presimulated key, :meth:`GcnAccelerator.run` keeps one per
-    accelerator and :class:`repro.serve.InferenceService` keeps one per
-    cache key for its whole life.
+    (None when the run was not traced). :meth:`GcnAccelerator.run`
+    keeps one per accelerator and :class:`repro.serve.InferenceService`
+    keeps one per cache key for its whole life.
     """
 
     report: AcceleratorReport
@@ -499,8 +498,6 @@ class GcnAccelerator:
 
         ``cold`` must be what :meth:`run` would compute on a miss, which
         any run under the same ``(fingerprint, config)`` cache key is:
-        :func:`repro.parallel.presimulate` seeds each accelerator with
-        its pool-computed run this way, and
         :class:`repro.serve.InferenceService` seeds the accelerators of
         every drain with the runs earlier drains kept. A kept run stays:
         ``cold`` only adds the tuner events a kept untraced run lacks.

@@ -18,10 +18,6 @@ from repro.analysis.figures import (
     fig15_scalability,
 )
 from repro.analysis.export import rows_to_csv, rows_to_json
-from repro.analysis.parallelscale import (
-    compare_parallel_scaling,
-    host_cpu_count,
-)
 from repro.analysis.rebalance import compare_rebalance, rmat_pe_loads
 from repro.analysis.shardscale import (
     compare_shard_scaling,
@@ -60,8 +56,6 @@ __all__ = [
     "fig15_scalability",
     "rows_to_csv",
     "rows_to_json",
-    "compare_parallel_scaling",
-    "host_cpu_count",
     "compare_rebalance",
     "compare_cache_affinity",
     "compare_mixed_load",

@@ -66,7 +66,7 @@ def _sweep_cell(dataset, chip, n_chips, strategy, rebalance,
                 link_words_per_cycle, blocks_per_chip, *,
                 topology="all-to-all", hop_latency_cycles=0,
                 overlap=False, rebalance_signal="load", chips=None,
-                row_ceilings=None, stragglers=None, workers=1):
+                row_ceilings=None, stragglers=None):
     """One (graph, cluster, regime) cell of the sweep."""
     cluster = ClusterConfig(
         n_chips=n_chips,
@@ -82,7 +82,6 @@ def _sweep_cell(dataset, chip, n_chips, strategy, rebalance,
         overlap=overlap,
         row_ceilings=row_ceilings,
         stragglers=stragglers,
-        workers=workers,
     )
     return simulate_multichip_gcn(dataset, cluster)
 
@@ -117,7 +116,7 @@ def compare_shard_scaling(*, chip_counts=(1, 2, 4, 8), n_nodes=8192,
                           blocks_per_chip=8, f1=64, f2=32, f3=8, seed=7,
                           topology="all-to-all", hop_latency_cycles=0,
                           overlap=False, hetero=False, feedback=False,
-                          row_ceiling=None, stragglers=None, workers=1):
+                          row_ceiling=None, stragglers=None):
     """Run the weak+strong scaling sweep; returns ``(rows, text)``.
 
     Strong scaling shards the fixed ``n_nodes`` graph across each chip
@@ -145,11 +144,6 @@ def compare_shard_scaling(*, chip_counts=(1, 2, 4, 8), n_nodes=8192,
     ``(chip, onset_round, factor)`` slowdown events (or
     :class:`~repro.cluster.StragglerEvent`); events naming a chip a
     cell does not have are dropped for that cell.
-
-    ``workers`` runs every cell's per-chip simulations on the
-    :mod:`repro.parallel` process pool — a host-execution knob that
-    shrinks the sweep's wall time and never changes a reported number
-    (the sequential ``workers=1`` path is the oracle).
     """
     chip_counts = tuple(int(c) for c in chip_counts)
     if not chip_counts or min(chip_counts) < 1:
@@ -172,7 +166,6 @@ def compare_shard_scaling(*, chip_counts=(1, 2, 4, 8), n_nodes=8192,
                 row_ceiling, n_chips, dataset.n_nodes
             ),
             stragglers=_cell_stragglers(stragglers, n_chips),
-            workers=workers,
         )
 
     rows = []

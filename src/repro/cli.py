@@ -15,9 +15,7 @@ Usage::
     python -m repro bench-rebalance [--pe-counts 64,256,1024,4096]
     python -m repro shard-bench [--chips 1,2,4,8] [--nodes 8192]
     python -m repro shard-bench --topology ring --hetero --overlap --feedback
-    python -m repro shard-bench --workers 4        # parallel backend
     python -m repro shard-topology [--chips 4] [--aggregate-bandwidth 64]
-    python -m repro parallel-bench [--worker-counts 1,2,4]
     python -m repro mixed-bench [--rates 600,900,1800] [--requests 120]
     python -m repro affinity-bench [--rates 2000,4000,8000] [--workers 4]
     python -m repro serve-bench --arrival-rate 400 --cache-mode affinity \
@@ -198,39 +196,9 @@ def build_parser():
                             "FACTOR from feedback round ONSET on "
                             "(fractional onsets land mid-round); "
                             "repeatable")
-    shard.add_argument("--workers", type=int, default=1,
-                       help="host processes running the per-chip "
-                            "simulations (repro.parallel; results stay "
-                            "bit-identical to the sequential default "
-                            "of 1)")
     shard.add_argument("--seed", type=int, default=7)
     shard.add_argument("--out", default=None, metavar="DIR",
                        help="also write rows as CSV under DIR")
-
-    pbench = sub.add_parser(
-        "parallel-bench",
-        help=("wall-clock scaling of the repro.parallel backend: run "
-              "the shard sweep at each worker count, assert results "
-              "stay bit-identical to the sequential oracle"),
-    )
-    pbench.add_argument("--worker-counts", default="1,2,4",
-                        help="comma-separated worker counts "
-                             "(default: 1,2,4; 1 is always included)")
-    pbench.add_argument("--chips", default="4",
-                        help="comma-separated chip counts for the "
-                             "underlying sweep (default: 4)")
-    pbench.add_argument("--nodes", type=int, default=4096,
-                        help="strong-scaling graph size (default: 4096)")
-    pbench.add_argument("--weak-nodes-per-chip", type=int, default=1024,
-                        help="weak-scaling nodes per chip (default: 1024)")
-    pbench.add_argument("--pes-per-chip", type=int, default=128,
-                        help="PE count of each chip (default: 128)")
-    pbench.add_argument("--repeats", type=int, default=1,
-                        help="best-of repeats per worker count "
-                             "(default: 1)")
-    pbench.add_argument("--seed", type=int, default=7)
-    pbench.add_argument("--out", default=None, metavar="DIR",
-                        help="also write rows as CSV under DIR")
 
     topo = sub.add_parser(
         "shard-topology",
@@ -463,23 +431,8 @@ def main(argv=None):
             row_ceiling=args.row_ceiling,
             stragglers=_parse_stragglers(args.straggler, parser),
             seed=args.seed,
-            workers=args.workers,
         )
         return _emit(args, "shard_scaling", rows, text)
-
-    if args.command == "parallel-bench":
-        from repro.analysis import compare_parallel_scaling
-
-        rows, text = compare_parallel_scaling(
-            worker_counts=_parse_pe_counts(args.worker_counts),
-            chip_counts=_parse_pe_counts(args.chips),
-            n_nodes=args.nodes,
-            weak_nodes_per_chip=args.weak_nodes_per_chip,
-            pes_per_chip=args.pes_per_chip,
-            repeats=args.repeats,
-            seed=args.seed,
-        )
-        return _emit(args, "parallel_scaling", rows, text)
 
     if args.command == "shard-topology":
         from repro.analysis import compare_shard_topology

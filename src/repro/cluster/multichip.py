@@ -203,13 +203,6 @@ class ClusterConfig:
         a blended mid-round measurement at a fractional onset) and
         migrates work off the slowed chip. None (default) is
         bit-identical to no stragglers.
-    workers:
-        Host processes running the per-chip simulations
-        (:mod:`repro.parallel`). Chips are independent between layer
-        barriers, so their simulations parallelize; results are
-        bit-identical to the sequential path for any value. 1
-        (default) keeps the in-process sequential oracle. This is a
-        *host execution* knob — it never changes a modeled cycle.
     background_link_loads:
         Optional per-link word loads (one entry per fabric link, the
         pool link id space when ``topology`` is a
@@ -242,12 +235,10 @@ class ClusterConfig:
     migration_words_per_nnz: float = 2
     row_ceilings: tuple = None
     stragglers: tuple = None
-    workers: int = 1
     background_link_loads: tuple = None
 
     def __post_init__(self):
         check_positive_int(self.n_chips, "n_chips")
-        check_positive_int(self.workers, "workers")
         if self.chips is not None:
             chips = tuple(self.chips)
             if len(chips) != self.n_chips:
@@ -930,9 +921,8 @@ def _feedback_rebalance(sharded, cluster, cache, tracer=None):
     explore_cache = OverlayCache(cache, counted=True)
     # Exploration rounds run untraced at the accelerator level — the
     # tuner events of candidate plans the controller discards would
-    # drown the stream. Shared-cache peek/lookup events still flow
-    # through ``cache.tracer`` and are sequence-identical across
-    # ``workers`` counts; only the winning replay below carries the
+    # drown the stream. Shared-cache lookup events still flow through
+    # ``cache.tracer``; only the winning replay below carries the
     # tracer into the chip simulations.
     trace = tracer is not None and tracer.enabled
     lane = f"cluster/{sharded.name}"
@@ -958,7 +948,7 @@ def _feedback_rebalance(sharded, cluster, cache, tracer=None):
             best = None
             stall = 0
         prev_mult = mult
-        reports = sharded._run_chips(cluster, current, explore_cache)
+        reports = sharded._run_chips(current, explore_cache)
         composed = sharded._compose(cluster, current, reports, mult)
         _cycles, _comm, _costs, chip_compute = composed
         measured = chip_compute.sum(axis=0).astype(np.float64)
@@ -1022,8 +1012,7 @@ def _feedback_rebalance(sharded, cluster, cache, tracer=None):
         # Replay the winner against the caller's cache: stores (or
         # hits) only the surviving plan's tuning entries, and the
         # returned reports carry the caller-visible cache_hit flags.
-        best_reports = sharded._run_chips(cluster, best_plan, cache,
-                                          tracer=tracer)
+        best_reports = sharded._run_chips(best_plan, cache, tracer=tracer)
         best_composed = sharded._compose(cluster, best_plan, best_reports,
                                          steady)
     elif cluster.stragglers:
@@ -1107,13 +1096,15 @@ class ShardedAccelerator:
       replay memo turns a repeat cache hit on its shard into a lookup
       and whose kept cold run turns a repeat miss into a store.
 
-    The fabric background, the autotune cache and the tracer are
-    per-run arguments of :meth:`run`, so one accelerator serves every
-    job of its graph on its shape. Under ``rebalance_signal="cycles"``
-    the plan choice prices the fabric, background included, so it runs
-    on every call; only the per-plan halo sets and chip accelerators
-    are reused. Plans and halo sets are read-only, so the reports that
-    share them cannot change a later run.
+    Run it with ``simulate_multichip_gcn(accelerator, cluster, cache=,
+    tracer=)``: the fabric background (``cluster`` is the bound one up
+    to ``background_link_loads``), the autotune cache and the tracer
+    are per-run, so one accelerator serves every job of its graph on
+    its shape. Under ``rebalance_signal="cycles"`` the plan choice
+    prices the fabric, background included, so it runs on every call;
+    only the per-plan halo sets and chip accelerators are reused. Plans
+    and halo sets are read-only, so the reports that share them cannot
+    change a later run.
     """
 
     def __init__(self, dataset, cluster, *, a_hops=1, plan=None):
@@ -1184,19 +1175,6 @@ class ShardedAccelerator:
                 raise
         return self._plan
 
-    def run(self, *, background=None, cache=None, tracer=None):
-        """Simulate one sharded inference; returns a :class:`ClusterReport`.
-
-        ``background`` is this run's per-link fabric load from other
-        jobs, as in :attr:`ClusterConfig.background_link_loads` (None
-        keeps the bound cluster's). ``cache`` and ``tracer`` are as in
-        :func:`simulate_multichip_gcn`.
-        """
-        cluster = self.cluster
-        if background is not None:
-            cluster = replace(cluster, background_link_loads=background)
-        return self._simulate(cluster, cache, tracer)
-
     def _load_rebalanced(self):
         """``(plan, info)`` of the load-signal controller, built once."""
         if self._load is None:
@@ -1234,20 +1212,12 @@ class ShardedAccelerator:
             self._chips[key] = accels
         return accels
 
-    def _run_chips(self, cluster, plan, cache, tracer=None):
-        """One single-chip simulation per chip over its sliced jobs.
-
-        With ``cluster.workers > 1`` the chip simulations run in the
-        :mod:`repro.parallel` process pool — chips are independent
-        between layer barriers, and the replay protocol keeps the
-        reports and the cache state bit-identical to the sequential
-        order. ``tracer`` flows through to each chip's cold tuner run
-        (spliced deterministically on the parallel path).
-        """
-        from repro.parallel import simulate_accels
-
-        return simulate_accels(self._chip_accels(plan), cache=cache,
-                               workers=cluster.workers, tracer=tracer)
+    def _run_chips(self, plan, cache, tracer=None):
+        """One single-chip simulation per chip over its sliced jobs, in
+        chip order, in this process. ``tracer`` flows through to each
+        chip's cold tuner run."""
+        return [accel.run(cache=cache, tracer=tracer)
+                for accel in self._chip_accels(plan)]
 
     def _compose(self, cluster, plan, chip_reports, slowdown):
         """:func:`_compose_layers` of one plan's chip reports."""
@@ -1303,8 +1273,7 @@ class ShardedAccelerator:
                     info = replace(info, signal=cluster.rebalance_signal)
             else:
                 info = _noop_info(cluster.rebalance_signal)
-            chip_reports = self._run_chips(cluster, plan, cache,
-                                           tracer=tracer)
+            chip_reports = self._run_chips(plan, cache, tracer=tracer)
             # A frozen or load-signal plan pays the steady-state
             # slowdown in full — only the "cycles" feedback path can
             # observe and route around a straggler.

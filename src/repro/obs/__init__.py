@@ -22,11 +22,9 @@ One cross-cutting observability layer over all four execution layers:
   hand-folded originals by the test suite).
 
 Determinism contract: every event timestamp is simulated time, and the
-stream a ``RecordingTracer`` collects is bit-identical from run to run
-and for any ``ClusterConfig(workers=N)`` — the chip-level parallel
-backend splices worker-recorded event batches into the parent stream in
-replay order. Wall-clock profiling
-spans live in a separate, explicitly nondeterministic lane.
+stream a ``RecordingTracer`` collects is bit-identical from run to run.
+Wall-clock profiling spans live in a separate, explicitly
+nondeterministic lane.
 
 Quickstart::
 

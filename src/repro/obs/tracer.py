@@ -19,16 +19,14 @@ bit-identity contract below and exports under its own process lane.
 
 Determinism contract: because control flow depends only on the
 simulated clock, the event stream a :class:`RecordingTracer` collects
-is bit-identical from run to run, and for any chip-level ``workers``
-count (``ClusterConfig(workers=N)``). The one wrinkle is the cold run a
+is bit-identical from run to run. The one wrinkle is the cold run a
 cache miss keeps (:meth:`repro.accel.GcnAccelerator.run`): its tuner
-events are recorded on a local tracer (anchored at 0) — in-process, or
-inside a worker process of the parallel backend
-(:mod:`repro.parallel`) — and :meth:`RecordingTracer.splice`\\ d into
-the stream at exactly the point a direct run would have emitted them,
-between the cache lookup and the store, on every miss that replays
-them. Parallel-only cache peeks are suppressed
-(``peek(..., trace=False)``) so they leave no trace either.
+events are recorded on a local tracer (anchored at 0) and
+:meth:`RecordingTracer.splice`\\ d into the stream at exactly the point
+a direct run would have emitted them, between the cache lookup and the
+store, on every miss that replays them. Routing and overlay probes
+read the cache with ``peek(..., trace=False)``, so they leave no trace
+either.
 """
 
 from __future__ import annotations
@@ -178,11 +176,11 @@ class RecordingTracer:
     def splice(self, events, *, anchor=None):
         """Re-emit events recorded elsewhere into this stream.
 
-        A kept cold run (in-process or from a parallel-backend worker)
-        carries its tuner events anchored at simulated time 0; each
-        miss that replays it splices them here with ``ts += anchor``
-        (default ``now``) and fresh sequence numbers, reproducing the
-        exact stream a direct cold run emits at the same point.
+        A kept cold run carries its tuner events anchored at simulated
+        time 0; each miss that replays it splices them here with
+        ``ts += anchor`` (default ``now``) and fresh sequence numbers,
+        reproducing the exact stream a direct cold run emits at the
+        same point.
         """
         base = self.now if anchor is None else float(anchor)
         for event in events:
@@ -194,9 +192,8 @@ class RecordingTracer:
         """Record a wall-clock profiling span (nondeterministic lane).
 
         Kept out of :attr:`events` entirely: wall timings vary run to
-        run and across ``workers`` counts, so they live in
-        :attr:`wall_events` and export under an explicitly
-        nondeterministic process.
+        run, so they live in :attr:`wall_events` and export under an
+        explicitly nondeterministic process.
         """
         now = time.perf_counter() - self._wall_origin
         event = TraceEvent(

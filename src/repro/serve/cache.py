@@ -176,15 +176,12 @@ class AutotuneCache:
 
         The side-effect-free read behind scheduling probes: the
         affinity router's warm-entry coverage, the search for a shard
-        holding a key to replicate, the backfill screen and
-        the chip-level parallel backend (:mod:`repro.parallel`), which
-        probes every key up front to decide which cold simulations to
-        dispatch. None of them may perturb the hit/miss counters or the
-        LRU order, or a later real run would diverge from the oracle.
-        ``trace=False`` also suppresses the trace event; the parallel
-        backend probes only when ``workers > 1``, so leaving its probes
-        in the stream would break the ``workers=N`` trace bit-identity
-        contract.
+        holding a key to replicate and the backfill screen. None of
+        them may perturb the hit/miss counters or the LRU order, or a
+        later real run would diverge from the oracle. ``trace=False``
+        also suppresses the trace event: :class:`OverlayCache` reads
+        its private layer that way, and the affinity router's coverage
+        and replication probes stay out of the stream.
         """
         entry = self._entries.get(self.key(fingerprint, config))
         if trace and self.tracer.enabled:

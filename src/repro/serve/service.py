@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -395,8 +395,12 @@ class InferenceService:
         Optional dict of :class:`~repro.cluster.ClusterConfig`
         overrides for sharded jobs (e.g. ``link_words_per_cycle``,
         ``topology``, ``overlap``, ``rebalance_signal``); ``n_chips``,
-        ``chip``, ``chips`` and ``row_ceilings`` are always derived
-        from the job itself.
+        ``chip``, ``chips``, ``row_ceilings`` and
+        ``background_link_loads`` are always derived from the job
+        itself, and ``topology`` is a kind, since each gang's fabric is
+        sized per job. An unknown key or a bad value raises
+        :class:`~repro.errors.ConfigError` here, before any request is
+        queued.
     worker_configs:
         Optional per-instance :class:`~repro.accel.ArchConfig` sequence
         (length ``n_workers``) describing a heterogeneous hardware
@@ -644,13 +648,28 @@ class InferenceService:
                     )
         self.worker_configs = worker_configs
         self.cluster_options = dict(cluster_options or {})
+        known = {f.name for f in fields(ClusterConfig)}
+        for key in self.cluster_options:
+            if key not in known:
+                raise ConfigError(
+                    f"cluster_options names {key!r}, which is not a "
+                    "ClusterConfig field"
+                )
         for reserved in ("n_chips", "chip", "chips", "row_ceilings",
-                         "workers", "background_link_loads"):
+                         "background_link_loads"):
             if reserved in self.cluster_options:
                 raise ConfigError(
                     f"cluster_options may not override {reserved!r} "
                     "(derived per sharded job)"
                 )
+        if isinstance(self.cluster_options.get("topology"), Topology):
+            raise ConfigError(
+                "cluster_options needs a topology *kind*: the service "
+                "sizes each gang's fabric itself, and a prebuilt "
+                "Topology cannot be re-sized"
+            )
+        # A probe at pool size, so a bad value fails here, not mid-drain.
+        ClusterConfig(n_chips=n_workers, **self.cluster_options)
         self.coschedule = bool(coschedule)
         if critical_slo_ms is not None:
             try:
@@ -666,14 +685,6 @@ class InferenceService:
                     f"{critical_slo_ms}"
                 )
         self.critical_slo_ms = critical_slo_ms
-        if self.coschedule and isinstance(
-            self.cluster_options.get("topology"), Topology
-        ):
-            raise ConfigError(
-                "coschedule needs a topology *kind* in cluster_options "
-                "(the pool-wide fabric is built per pool, then restricted "
-                "per gang); a prebuilt Topology cannot be re-sized"
-            )
         self.workers = [
             WorkerState(index=i, cache=cache) for i in range(n_workers)
         ]

@@ -204,7 +204,7 @@ class TestShardedAccelerator:
             job = cluster if background is None else self._cluster(
                 background_link_loads=background,
             )
-            got = sharded.run(background=background, cache=cache)
+            got = simulate_multichip_gcn(sharded, job, cache=cache)
             want = simulate_multichip_gcn(dataset, job, cache=fresh_cache)
             assert got.total_cycles == want.total_cycles
             assert got.layer_cycles == want.layer_cycles

@@ -1,11 +1,13 @@
 """Documentation stays healthy: links resolve, cli.md tracks the CLI.
 
-The cheap halves of the CI docs job, run in tier-1 so a broken link or
-a CLI flag change without a ``docs/cli.md`` regeneration fails locally
-too. The README quickstart snippets (which actually simulate) run only
-in the CI docs job — see ``tools/check_docs.py --quickstart``.
+The cheap halves of the CI docs job, run in tier-1 so a broken link,
+a CLI flag change without a ``docs/cli.md`` regeneration or a page
+naming a subcommand the CLI does not register fails locally too. The
+README quickstart snippets (which actually simulate) run only in the
+CI docs job — see ``tools/check_docs.py --quickstart``.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,14 @@ def _run_tool(script, *args):
         cwd=REPO_ROOT,
         timeout=120,
     )
+
+
+def _load_tool(script):
+    path = REPO_ROOT / "tools" / script
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestDocs:
@@ -46,3 +56,16 @@ class TestDocs:
         assert "bench-rebalance" in text, (
             "README must document the perf-harness CLI entry point"
         )
+
+    def test_command_scan_flags_an_unregistered_subcommand(self):
+        tool = _load_tool("gen_cli_docs.py")
+        text = ("Run `python -m repro shard-bench --chips 1,2`, then "
+                "`python -m repro warp-drive --fast` and\n"
+                "python -m repro  warp-drive again.")
+        assert tool.unknown_commands(text) == ["warp-drive"]
+
+    def test_readme_names_only_registered_subcommands(self):
+        tool = _load_tool("gen_cli_docs.py")
+        text = (REPO_ROOT / "README.md").read_text()
+        assert "python -m repro shard-bench" in text
+        assert tool.unknown_commands(text) == []

@@ -1,7 +1,9 @@
 """The batched inference service: scheduler, autotune cache, service."""
 
 import gc
+import importlib
 import json
+import os
 import weakref
 from dataclasses import replace
 
@@ -1046,3 +1048,148 @@ class TestSyntheticTraffic:
 
     def test_spec_build_memoized(self):
         assert SPEC.build() is SPEC.build()
+
+
+def _accel(seed):
+    return GcnAccelerator(
+        RmatGraphSpec(
+            n_nodes=256, avg_degree=6, f1=16, f2=8, f3=4, seed=seed
+        ).build(),
+        CFG_B,
+    )
+
+
+def _entries_equal(a, b):
+    """Whether two caches hold identical entries in identical LRU order."""
+    if list(a._entries.keys()) != list(b._entries.keys()):
+        return False
+    for ea, eb in zip(a._entries.values(), b._entries.values()):
+        for la, lb in zip(ea.layers, eb.layers):
+            for sa, sb in zip(la, lb):
+                if not np.array_equal(sa.owner, sb.owner):
+                    return False
+                if (sa.warmup_costs, sa.converged_round, sa.final_backlog,
+                        sa.total_backlog) != (
+                        sb.warmup_costs, sb.converged_round,
+                        sb.final_backlog, sb.total_backlog):
+                    return False
+    return True
+
+
+class TestCachePeekAndMerge:
+    def test_peek_has_no_side_effects(self):
+        cache = AutotuneCache()
+        a, b = _accel(41), _accel(42)
+        a.run(cache=cache)
+        b.run(cache=cache)
+        before = cache.stats
+        order = list(cache._entries.keys())
+        assert cache.peek(a.fingerprint(), a.config) is not None
+        assert cache.peek("missing", CFG_B) is None
+        assert cache.stats == before
+        assert list(cache._entries.keys()) == order
+
+    def test_merge_contents_and_recency(self):
+        left, right = AutotuneCache(), AutotuneCache()
+        a, b, c = _accel(51), _accel(52), _accel(53)
+        a.run(cache=left)
+        b.run(cache=left)
+        b.run(cache=right)  # duplicates left's entry; not fresher
+        c.run(cache=right)
+        merged = left.merge(right)
+        assert merged == 2
+        assert len(left) == 3
+        # New keys land most recent; the duplicate (equal last-use
+        # stamps, so not fresher) keeps its receiver-side position.
+        keys = list(left._entries.keys())
+        assert keys[0][0] == a.fingerprint()
+        assert keys[1][0] == b.fingerprint()
+        assert keys[2][0] == c.fingerprint()
+        # Counters describe the receiver's own history only.
+        assert left.stats.misses == 2
+
+    def test_merge_respects_lru_bound(self):
+        left = AutotuneCache(max_entries=2)
+        right = AutotuneCache()
+        a, b, c = _accel(61), _accel(62), _accel(63)
+        a.run(cache=left)
+        b.run(cache=right)
+        c.run(cache=right)
+        left.merge(right)
+        assert len(left) == 2
+        assert left.stats.evictions == 1
+        # The receiver's own (least recent) entry was evicted first.
+        assert left.peek(a.fingerprint(), a.config) is None
+
+    def test_merge_type_checked(self):
+        with pytest.raises(ConfigError):
+            AutotuneCache().merge({})
+
+
+class TestAtomicSave:
+    def test_failed_save_leaves_old_archive_readable(self, tmp_path,
+                                                     monkeypatch):
+        cache = AutotuneCache()
+        a = _accel(71)
+        a.run(cache=cache)
+        path = cache.save(tmp_path / "tuning")
+        assert AutotuneCache.load(path).stats.entries == 1
+
+        b = _accel(72)
+        b.run(cache=cache)
+
+        def boom(path, **arrays):
+            # Simulate a crash mid-write: leave a truncated temp file.
+            with open(path, "wb") as fh:
+                fh.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", boom)
+        with pytest.raises(OSError):
+            cache.save(tmp_path / "tuning")
+        monkeypatch.undo()
+
+        # The published archive is the old, complete one — and the
+        # aborted temp file did not leak beside it.
+        restored = AutotuneCache.load(path)
+        assert restored.stats.entries == 1
+        assert restored.peek(a.fingerprint(), a.config) is not None
+        leftovers = [p for p in os.listdir(tmp_path) if ".tmp" in p]
+        assert leftovers == []
+
+    def test_save_still_roundtrips(self, tmp_path):
+        cache = AutotuneCache()
+        a = _accel(73)
+        a.run(cache=cache)
+        path = cache.save(tmp_path / "roundtrip.npz")
+        restored = AutotuneCache.load(path)
+        assert _entries_equal(cache, restored)
+
+
+class TestNoProcessPool:
+    """Serving and sharded simulation both run in one process."""
+
+    def test_service_reserves_workers_cluster_option(self):
+        with pytest.raises(ConfigError):
+            InferenceService(cluster_options={"workers": 2})
+
+    def test_service_has_no_workers_knob(self):
+        # The service serves in one process.
+        with pytest.raises(TypeError):
+            InferenceService(workers=2)
+        with pytest.raises(TypeError):
+            serve_requests([], workers=2)
+
+    def test_chip_level_pool_is_gone(self):
+        from repro.cli import main
+        from repro.cluster import ClusterConfig
+
+        with pytest.raises(TypeError):
+            ClusterConfig(n_chips=2, workers=2)
+        for argv in (["parallel-bench"],
+                     ["shard-bench", "--workers", "2"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.parallel")

@@ -13,12 +13,15 @@ from repro.serve import (
     InferenceService,
     RmatGraphSpec,
     serve_requests,
+    synthetic_traffic,
 )
 
 CFG_A = ArchConfig(n_pes=16, hop=1, remote_switching=True)
 CFG_B = ArchConfig(n_pes=24, hop=1, remote_switching=True)
 SPEC = RmatGraphSpec(n_nodes=192, avg_degree=6, f1=16, f2=8, f3=4, seed=5)
 BIG = RmatGraphSpec(n_nodes=1024, avg_degree=6, f1=16, f2=8, f3=4, seed=6)
+CFG = ArchConfig(n_pes=32, hop=1, remote_switching=True)
+CFG_BIG = ArchConfig(n_pes=64, hop=1, remote_switching=True)
 
 
 def _req(graph=SPEC, config=CFG_A, **kwargs):
@@ -457,3 +460,45 @@ class TestCacheRecencyPersistence:
             cache = AutotuneCache.load(path, max_entries=3)
         cache.store("d", CFG_A, self._entry())
         assert AutotuneCache.key("b", CFG_A) not in cache
+
+
+class TestGangAccounting:
+    def test_gang_members_accounted_identically(self):
+        # Every request needs 2 shards, so each batch gangs up the
+        # whole 2-instance pool — both members see identical traffic.
+        outcome = serve_requests(
+            synthetic_traffic(3, n_graphs=1, n_nodes=1024, seed=3,
+                              configs=(CFG,)),
+            n_workers=2, chip_capacity=512,
+        )
+        assert outcome.stats.n_sharded == 3
+        gang = [w for w in outcome.workers if w.batches_served]
+        assert len(gang) == 2
+        # The invariant the skew bug violated: every gang member
+        # records the same requests, batches and modeled busy time, and
+        # the wall-clock cost splits evenly instead of piling onto
+        # workers[0].
+        assert len({w.requests_served for w in gang}) == 1
+        assert len({w.batches_served for w in gang}) == 1
+        assert gang[0].requests_served == gang[0].batches_served == 3
+        modeled = {round(w.modeled_busy_seconds, 12) for w in gang}
+        assert len(modeled) == 1
+        busy = [w.busy_seconds for w in gang]
+        assert max(busy) == pytest.approx(min(busy))
+
+    def test_reconfig_interval_counts_as_busy(self):
+        # Two back-to-back batches under different configs on one
+        # instance: the config switch charges reconfig_cycles, and the
+        # instance is occupied for that interval too — modeled busy
+        # time must equal its continuous span from first claim to last
+        # finish, reconfiguration included.
+        requests = synthetic_traffic(
+            2, n_graphs=1, n_nodes=256, seed=5, configs=(CFG, CFG_BIG),
+        )
+        outcome = serve_requests(
+            requests, n_workers=1, reconfig_cycles=50_000,
+        )
+        worker = outcome.workers[0]
+        assert worker.reconfigs == 1
+        last_finish = max(r.finish_time for r in outcome.results)
+        assert worker.modeled_busy_seconds == pytest.approx(last_finish)

@@ -37,6 +37,7 @@ from repro.errors import ConfigError
 from repro.serve import (
     AutotuneCache,
     InferenceRequest,
+    InferenceService,
     RmatGraphSpec,
     mixed_traffic,
     serve_requests,
@@ -522,13 +523,28 @@ class TestServiceValidation:
             with pytest.raises(ConfigError):
                 serve_requests([_req()], critical_slo_ms=bad)
 
-    def test_coschedule_rejects_prebuilt_topology(self):
+    @pytest.mark.parametrize("coschedule", [True, False])
+    def test_rejects_prebuilt_topology(self, coschedule):
+        # The service sizes each gang's fabric itself, so a prebuilt
+        # 4-chip ring cannot fit a 2-chip gang.
         topo = make_topology("ring", 4)
-        with pytest.raises(ConfigError):
-            serve_requests(
-                [_req(graph=BIG)], n_workers=4, chip_capacity=256,
-                coschedule=True, cluster_options={"topology": topo},
+        with pytest.raises(ConfigError, match="topology"):
+            InferenceService(
+                n_workers=4, chip_capacity=256, coschedule=coschedule,
+                cluster_options={"topology": topo},
             )
+
+    @pytest.mark.parametrize("options, named", [
+        ({"bogus": 1}, "'bogus'"),
+        ({"topology": "torus"}, "'torus'"),
+        ({"link_words_per_cycle": 0.0}, "link_words_per_cycle"),
+    ], ids=["unknown-key", "unknown-topology", "zero-link-bandwidth"])
+    def test_bad_cluster_options_fail_at_construction(self, options,
+                                                      named):
+        # Rejected before any request is queued, not mid-drain.
+        with pytest.raises(ConfigError, match=named):
+            InferenceService(n_workers=4, chip_capacity=256,
+                             cluster_options=options)
 
     def test_background_link_loads_is_reserved(self):
         with pytest.raises(ConfigError):

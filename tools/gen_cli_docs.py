@@ -2,7 +2,10 @@
 
 The reference is rendered from ``repro.cli.build_parser()`` itself, so
 it cannot drift from the code silently: CI regenerates it and fails on
-any difference (``--check``). Regenerate after changing the CLI with::
+any difference (``--check``). ``--check`` also fails when ``README.md``
+or a hand-written ``docs/*.md`` page names ``python -m repro <cmd>``
+for a subcommand the parser does not register. Regenerate after
+changing the CLI with::
 
     PYTHONPATH=src python tools/gen_cli_docs.py
 
@@ -14,6 +17,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -21,6 +25,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.cli import build_parser  # noqa: E402
+
+_COMMAND = re.compile(r"python -m repro\s+([A-Za-z0-9][\w-]*)")
 
 HEADER = """\
 # CLI reference
@@ -43,6 +49,17 @@ def _subparsers(parser):
                     seen[id(sub)] = (name, sub)
             return list(seen.values())
     return []
+
+
+def unknown_commands(text):
+    """The subcommands ``text`` runs as ``python -m repro <cmd>`` that
+    ``build_parser()`` does not register, in order of first mention."""
+    known = {name for name, _ in _subparsers(build_parser())}
+    unknown = []
+    for name in _COMMAND.findall(text):
+        if name not in known and name not in unknown:
+            unknown.append(name)
+    return unknown
 
 
 def render():
@@ -77,6 +94,19 @@ def main(argv=None):
             print(f"{out} is out of date with repro/cli.py; regenerate "
                   f"with: PYTHONPATH=src python tools/gen_cli_docs.py",
                   file=sys.stderr)
+            return 1
+        pages = [REPO_ROOT / "README.md"]
+        pages += sorted((REPO_ROOT / "docs").glob("*.md"))
+        stale = [
+            (page, name)
+            for page in pages if page.exists() and page != out.resolve()
+            for name in unknown_commands(page.read_text())
+        ]
+        for page, name in stale:
+            print(f"{page.relative_to(REPO_ROOT)} names `python -m repro "
+                  f"{name}`, which repro/cli.py does not register",
+                  file=sys.stderr)
+        if stale:
             return 1
         print(f"{out} is in sync with repro/cli.py")
         return 0

@@ -17,10 +17,10 @@ replica may evict:
     the service already tuned costs a store, and blind dispatch no
     longer pays host time for its lower hit rate;
 (b) the improvement is placement, not semantics: the sweep raises if
-    any per-request cycle count differs between the two modes;
-(c) ``cache_mode="shared"`` stays the oracle: serving a trace with the
-    explicit default kwargs is bit-identical (cycles, timestamps,
-    cache stats) to a call that never mentions the new knobs.
+    any per-request cycle count differs between the two modes.
+
+That ``cache_mode="shared"`` stays the oracle is tier-1's
+``tests/test_serve_affinity.py::TestSharedModeIsTheOracle``.
 
 ``REPRO_AFFINITY_SMOKE=1`` shrinks the sweeps to a seconds-long
 configuration (CI runs it) while asserting the same claims.
@@ -32,8 +32,6 @@ import pytest
 from conftest import run_once, save_artifact
 
 from repro.analysis import compare_cache_affinity
-from repro.serve.service import serve_requests
-from repro.serve.traffic import streaming_traffic
 
 SMOKE = os.environ.get("REPRO_AFFINITY_SMOKE") == "1"
 SWEEP_KWARGS = (
@@ -75,25 +73,3 @@ def test_bench_cache_affinity(benchmark, bench_seed, artifact,
 
     # (b) compare_cache_affinity raises on any per-request cycle
     # mismatch between modes, so reaching here proves cycle identity.
-
-
-def test_shared_mode_is_the_oracle(bench_seed):
-    # (c) Shared-mode identity: explicit default kwargs are a no-op.
-    requests = streaming_traffic(
-        12, arrival_rate=800.0, slo_ms=50.0, n_graphs=3, n_nodes=512,
-        seed=bench_seed,
-    )
-    for request in requests:
-        request.resolve_graph()
-    oracle = serve_requests(requests, n_workers=2, cache=True, max_batch=4)
-    explicit = serve_requests(
-        requests, n_workers=2, cache=True, max_batch=4,
-        cache_mode="shared", replicate_k=2, demand_half_life=0.05,
-    )
-    assert [(r.total_cycles, r.start_time, r.finish_time)
-            for r in oracle.results] == [
-        (r.total_cycles, r.start_time, r.finish_time)
-        for r in explicit.results
-    ]
-    assert oracle.stats.cache_hits == explicit.stats.cache_hits
-    assert oracle.stats.n_routed == explicit.stats.n_routed == 0

@@ -1,4 +1,4 @@
-"""Weak/strong scaling of sharded multi-chip execution (``shard-bench``).
+"""Sharded multi-chip weak/strong scaling (``compare_shard_scaling``).
 
 Claims checked: on a hub-heavy power-law graph, (a) chip-level runtime
 rebalancing (boundary-diffusion block migration driven by the Eq. 5

@@ -1,4 +1,4 @@
-"""Topology x rebalancing-signal sweep (``shard-topology``).
+"""Topology x rebalancing-signal sweep (``compare_shard_topology``).
 
 Claims checked on an internally-clustered hub-heavy RMAT graph with
 coarse migration blocks (nnz-balanced shards can still hide slow

@@ -13,9 +13,8 @@ critical smalls, SLO'd batches and oversized sharded jobs):
 (c) the span tree is well formed, and the stats views rebuilt from
     the stream alone equal the service's hand-folded aggregates.
 
-``REPRO_TRACE_SMOKE=1`` (the CI configuration) is accepted for
-symmetry with the other smoke jobs; the scenario is already
-seconds-long, so smoke and full runs are the same configuration.
+The scenario is seconds-long, so CI runs it as committed and checks
+that ``results/trace_mixed_rounds.*`` regenerate byte-identically.
 """
 
 from conftest import RESULTS_DIR, run_once, save_artifact

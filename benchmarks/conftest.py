@@ -8,7 +8,7 @@ qualitative claim about it.
 
 Dataset sizing: ``REPRO_BENCH_PRESET`` selects ``scaled`` (default) or
 ``full``; ``scaled`` keeps every dataset laptop-tractable while
-preserving the skew profiles that drive the results (see DESIGN.md).
+preserving the row-nnz skew profiles that drive the results.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ BENCH_PRESET = os.environ.get("REPRO_BENCH_PRESET", "scaled")
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "7"))
 # The paper pins 1024 PEs for the cross-platform table and sweeps
 # 512-1024 for scalability but never states the Fig. 14 count; 256 keeps
-# rows/PE in the regime its utilization figures imply (see DESIGN.md).
+# rows/PE in the regime its utilization figures imply.
 BENCH_PES = int(os.environ.get("REPRO_BENCH_PES", "256"))
 
 

@@ -12,9 +12,9 @@ Serving
 This runs *one* inference. For the multi-graph serving scenario — a
 stream of requests scheduled across a pool of simulated accelerators,
 with converged Eq. 5 row maps cached per (graph, config) so repeat
-graphs skip the auto-tuner warm-up — see :mod:`repro.serve`,
-``examples/serving_traffic.py`` and the ``repro serve-bench`` CLI
-subcommand.
+graphs skip the auto-tuner warm-up — see :mod:`repro.serve` and
+``examples/serving_traffic.py``; ``hostbench/run.py`` measures its host
+throughput.
 """
 
 from repro import ArchConfig, GcnAccelerator, load_dataset

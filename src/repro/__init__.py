@@ -17,9 +17,9 @@ preprint titled UWB-GCN) as a pure-Python system:
   the energy model;
 * :mod:`repro.analysis` — regeneration of every table and figure;
 * :mod:`repro.serve`    — batched multi-graph inference serving with
-  autotune caching (scheduler, accelerator pool, ``repro serve-bench``);
+  autotune caching (scheduler, accelerator pool);
 * :mod:`repro.cluster`  — sharded multi-chip execution with chip-level
-  runtime rebalancing (``repro shard-bench``);
+  runtime rebalancing (``benchmarks/bench_shard_scaling.py``);
 * :mod:`repro.obs`      — event tracing on the simulated clock and
   Chrome-trace export (``repro trace``).
 

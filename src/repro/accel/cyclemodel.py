@@ -23,8 +23,8 @@ speculates a chunk of rounds ahead, prices every candidate load vector
 in one :func:`~repro.accel.localshare.share_makespan_batch` kernel
 call, and commits the observations after the fact — eliminating the
 one-Hall-bound-per-round Python loop while staying bit-identical to it
-(the sequential loop survives behind ``batched_tuning=False`` as the
-regression oracle and the baseline of ``repro bench-rebalance``).
+(the sequential loop lives in ``tests/test_accel_cyclemodel.py`` as the
+regression oracle).
 """
 
 from __future__ import annotations
@@ -153,21 +153,17 @@ class SpmmResult:
         return self.total_work / denom if denom else 0.0
 
 
-def simulate_spmm(job, config, *, initial_owner=None, batched_tuning=True,
-                  tracer=None):
+def simulate_spmm(job, config, *, initial_owner=None, tracer=None):
     """Simulate one SPMM under ``config``; returns :class:`SpmmResult`.
 
     ``initial_owner`` warm-starts the row->PE map (the paper reuses the
     converged configuration when the same sparse matrix appears again,
     e.g. A in layer 2 after tuning in layer 1).
 
-    ``batched_tuning`` selects how the Eq. 5 tuning phase is priced:
-    the default speculates the switch-only load trajectory a chunk of
-    rounds ahead (:meth:`RemoteAutoTuner.speculate_loads`) and prices
-    every candidate round in one batched Hall-bound kernel call;
-    ``False`` keeps the original one-``share_makespan``-per-round loop.
-    Both paths are bit-identical — the sequential one survives as the
-    regression oracle and the "old" side of ``repro bench-rebalance``.
+    The Eq. 5 tuning phase speculates the switch-only load trajectory
+    a chunk of rounds ahead (:meth:`RemoteAutoTuner.speculate_loads`)
+    and prices every candidate round in one batched Hall-bound kernel
+    call (:func:`_drive_tuner_batched`).
 
     ``tracer`` (a :class:`~repro.obs.tracer.RecordingTracer`) records
     the Eq. 5 tuning trajectory: one ``tuner.round`` instant per
@@ -175,8 +171,7 @@ def simulate_spmm(job, config, *, initial_owner=None, batched_tuning=True,
     tracer's simulated anchor) and a closing ``tuner.done`` carrying
     the convergence round and final owner-map balance. Events are
     derived from the completed cycle trace after the drive loop, so
-    both tuning drivers emit identically and the default ``None``
-    leaves the hot loop untouched.
+    the default ``None`` leaves the hot loop untouched.
     """
     if not isinstance(job, SpmmJob):
         raise ConfigError(f"job must be SpmmJob, got {type(job).__name__}")
@@ -205,8 +200,7 @@ def simulate_spmm(job, config, *, initial_owner=None, batched_tuning=True,
     round_idx = 0
     hall_for_backlog = None
     if tuner is not None:
-        drive = _drive_tuner_batched if batched_tuning else _drive_tuner
-        round_idx, max_backlog = drive(
+        round_idx, max_backlog = _drive_tuner_batched(
             tuner, assignment, config, cycles, job.n_rounds, ideal
         )
         converged_round = tuner.converged_round
@@ -369,25 +363,6 @@ def simulate_spmm_frozen(job, config, owner, *, warmup_costs=(),
 _TUNING_CHUNK = 8
 
 
-def _drive_tuner(tuner, assignment, config, cycles, n_rounds, ideal):
-    """Sequential reference tuning driver (one Hall bound per round).
-
-    The original pre-vectorization control loop, kept bit-identical as
-    the regression oracle for :func:`_drive_tuner_batched` and as the
-    "old" side of ``repro bench-rebalance``. Fills ``cycles`` for every
-    observed round; returns ``(rounds_consumed, max_backlog)``.
-    """
-    round_idx = 0
-    max_backlog = 0
-    while round_idx < n_rounds and not tuner.converged:
-        makespan, _hall = _round_makespan_parts(assignment, config)
-        max_backlog = max(max_backlog, max(0, makespan - ideal))
-        cycles[round_idx] = makespan + config.drain_cycles
-        tuner.observe_round(makespan)
-        round_idx += 1
-    return round_idx, max_backlog
-
-
 def _drive_tuner_batched(tuner, assignment, config, cycles, n_rounds, ideal):
     """Chunked tuning driver: price whole round batches in one kernel.
 
@@ -396,9 +371,11 @@ def _drive_tuner_batched(tuner, assignment, config, cycles, n_rounds, ideal):
     makespans in a single :func:`share_makespan_batch` call, then
     commits the real observations (which may stop early on a patience
     freeze — leftover speculative rounds are discarded). Bit-identical
-    to :func:`_drive_tuner`: the real tuner replays the exact same
-    :meth:`~RemoteAutoTuner.observe_round` sequence, only the makespan
-    *evaluation* is batched. Returns ``(rounds_consumed, max_backlog)``.
+    to the sequential one-Hall-bound-per-round loop (the oracle in
+    ``tests/test_accel_cyclemodel.py``): the real tuner replays the
+    exact same :meth:`~RemoteAutoTuner.observe_round` sequence, only
+    the makespan *evaluation* is batched. Returns
+    ``(rounds_consumed, max_backlog)``.
     """
     round_idx = 0
     max_backlog = 0

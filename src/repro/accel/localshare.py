@@ -196,9 +196,9 @@ def share_effective_loads(loads, hop, *, cap=None):
     bound — so the cycle model's hot path, which always passes the
     bound it just evaluated, never pays a second Hall evaluation.
 
-    The pre-vectorization heap implementation survives as
-    :func:`_share_effective_loads_reference`; the property suite asserts
-    elementwise equality between the two.
+    The pre-vectorization heap implementation lives in
+    ``tests/test_accel_localshare.py`` as the oracle: the property suite
+    asserts elementwise equality between the two.
     """
     loads = np.asarray(loads, dtype=np.float64)
     n = loads.size
@@ -304,61 +304,6 @@ def _validate_cap(loads, hop, cap):
                 f"pass cap=None to recompute the bound"
             )
     return cap, schedule
-
-
-def _share_effective_loads_reference(loads, hop, *, cap=None):
-    """The pre-vectorization heap-based EDF transport (test oracle).
-
-    Kept verbatim so the property suite can assert the vectorized
-    :func:`share_effective_loads` is elementwise identical to the
-    schedule the original receiver-by-receiver heap produced. Unlike the
-    public function it trusts ``cap`` — the tests also use it to probe
-    infeasible caps.
-    """
-    import heapq
-
-    loads = np.asarray(loads, dtype=np.float64)
-    n = loads.size
-    cap = float(share_makespan(loads, hop) if cap is None else cap)
-    effective = np.zeros(n)
-    pending = []  # heap of [deadline, sender, remaining]
-    for receiver in range(n):
-        # Jobs become available once the receiver enters their window.
-        sender = receiver + hop
-        if sender < n and loads[sender] > 0:
-            heapq.heappush(
-                pending, [min(sender + hop, n - 1), sender, loads[sender]]
-            )
-        if receiver == 0:
-            for early in range(0, min(hop, n)):
-                if loads[early] > 0:
-                    heapq.heappush(
-                        pending,
-                        [min(early + hop, n - 1), early, loads[early]],
-                    )
-        capacity = cap
-        while capacity > 1e-12 and pending:
-            deadline, _sender, remaining = pending[0]
-            if deadline < receiver:
-                break  # cannot happen at a feasible cap
-            take = min(capacity, remaining)
-            effective[receiver] += take
-            capacity -= take
-            pending[0][2] -= take
-            if pending[0][2] <= 1e-12:
-                heapq.heappop(pending)
-        if pending and pending[0][0] <= receiver and pending[0][2] > 1e-9:
-            raise AssertionError(
-                f"EDF transport failed at receiver {receiver}: "
-                f"{pending[0][2]} work past its deadline (cap={cap})"
-            )
-    if pending:
-        residue = sum(item[2] for item in pending)
-        if residue > 1e-6:
-            raise AssertionError(
-                f"EDF transport left {residue} unplaced work (cap={cap})"
-            )
-    return effective
 
 
 def _ceil_div(numerator, denominator):

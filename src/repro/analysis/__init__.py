@@ -2,8 +2,13 @@
 
 Each public function returns plain data (lists of dict rows) plus an
 ASCII rendering, so the benchmark suite can both print the artifact and
-assert the paper's qualitative claims about it. See DESIGN.md for the
-experiment-to-module index.
+assert the paper's qualitative claims about it. The ``repro`` CLI runs
+the paper's tables and figures; the extension sweeps
+(``compare_shard_scaling``, ``compare_shard_topology``,
+``compare_straggler``, ``compare_mixed_load``,
+``compare_cache_affinity``) and the trace scenarios run from their
+``benchmarks/bench_*.py`` files. The experiment-to-module index is the
+"Experiments and regression safety" section of ``docs/architecture.md``.
 """
 
 from repro.analysis.report import ascii_table, format_quantity
@@ -18,7 +23,6 @@ from repro.analysis.figures import (
     fig15_scalability,
 )
 from repro.analysis.export import rows_to_csv, rows_to_json
-from repro.analysis.rebalance import compare_rebalance, rmat_pe_loads
 from repro.analysis.shardscale import (
     compare_shard_scaling,
     compare_shard_topology,
@@ -56,7 +60,6 @@ __all__ = [
     "fig15_scalability",
     "rows_to_csv",
     "rows_to_json",
-    "compare_rebalance",
     "compare_cache_affinity",
     "compare_mixed_load",
     "TRACE_SCENARIOS",
@@ -66,7 +69,6 @@ __all__ = [
     "compare_shard_scaling",
     "compare_shard_topology",
     "compare_straggler",
-    "rmat_pe_loads",
     "heat_strip",
     "rebalancing_heat_story",
     "render_heat_story",

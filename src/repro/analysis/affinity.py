@@ -1,8 +1,8 @@
 """Cache-affinity routing sweep: warm-aware vs cache-blind dispatch.
 
 At millions-of-users scale the autotune warm-up is the dominant
-repeated serving cost (``results/serve_throughput.*`` measures the
-cached path against cold simulation), and in a realistically
+repeated serving cost (a cache hit replays a frozen map instead of
+driving the Eq. 5 tuner), and in a realistically
 *partitioned* deployment each instance owns its own
 :class:`~repro.serve.AutotuneCache` shard — a repeat graph landing on a
 cold instance misses even though a warm instance idles next to it.

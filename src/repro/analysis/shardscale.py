@@ -1,4 +1,4 @@
-"""Weak/strong scaling of sharded multi-chip execution (``shard-bench``).
+"""Weak/strong scaling of sharded multi-chip execution.
 
 The Fig. 15 experiment one level up the hierarchy: instead of sweeping
 PEs inside one chip, sweep *chips* over a power-law RMAT graph and
@@ -16,8 +16,11 @@ over one chip, per regime. **Weak scaling** grows the graph with the
 cluster (fixed nodes per chip): efficiency = 1-chip cycles / k-chip
 cycles (1.0 = perfect). On imbalanced graphs the runtime rebalancer
 recovers most of the gap between the naive and the profiled static
-partition without needing the nnz profile up front — the claim the
-bench suite asserts and ``results/shard_scaling.{csv,txt}`` records.
+partition without needing the nnz profile up front — the claim
+``benchmarks/bench_shard_scaling.py`` asserts and
+``results/shard_scaling.{csv,txt}`` records.
+:func:`compare_shard_topology` is the topology x signal sweep behind
+``benchmarks/bench_shard_topology.py`` and ``results/shard_topology.*``.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ back; the verdict asserts it is strictly positive at every factor,
 which is the claim ``results/straggler.{csv,txt}`` records and the
 bench suite enforces.
 
-Unlike :mod:`shard-bench <.shardscale>`, this sweep uses the *default*
+Unlike the scaling sweep (:mod:`.shardscale`), this sweep uses the *default*
 (mildly skewed) RMAT mix rather than the hub-heavy one: the straggler
 story needs a clean plan that is time-balanced, so that the measured
 gap is attributable to the injected slowdown rather than to an

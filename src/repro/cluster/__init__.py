@@ -23,7 +23,8 @@ generalizing the paper's own mechanisms one level up:
 
 The serving layer (:class:`repro.serve.InferenceService`) plans
 requests whose graphs exceed a per-chip capacity as sharded jobs across
-its instance pool; ``repro shard-bench`` sweeps weak/strong scaling.
+its instance pool; ``benchmarks/bench_shard_scaling.py`` sweeps
+weak/strong scaling.
 
 Quickstart::
 

@@ -341,8 +341,8 @@ def make_plan(row_nnz, n_chips, *, strategy="nnz", blocks_per_chip=8,
     *time* — a chip twice as fast takes twice the non-zeros — while
     ``"rows"`` stays the capacity-blind naive baseline. Both strategies
     produce identical block boundaries, so their cycle outcomes differ
-    only through the assignment — which is what the shard-bench
-    comparison isolates.
+    only through the assignment — which is what the shard-scaling
+    sweep (:func:`repro.analysis.compare_shard_scaling`) isolates.
 
     ``row_ceilings`` are *hard* per-chip row budgets (see
     :func:`check_row_ceilings`): with them set, both strategies run a

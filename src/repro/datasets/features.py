@@ -52,7 +52,8 @@ def sample_row_nnz(n_rows, n_cols, density, *, rng=None, row_skew=0.5):
     This is the pattern-only path used for the ``full`` presets of Nell
     and Reddit, where materializing tens of millions of feature values
     would buy nothing: the accelerator's workload model only consumes
-    per-row non-zero counts (see DESIGN.md Sec. 4).
+    per-row non-zero counts (an :class:`~repro.accel.SpmmJob` is its
+    ``row_nnz`` profile and a round count).
     """
     rng = rng_from_seed(rng)
     mean_nnz = density * n_cols

@@ -43,9 +43,10 @@ time with latency SLOs. This package adds that layer:
   the span-level event stream of a drain (see :mod:`repro.obs`);
 * :mod:`repro.serve.traffic`   — fixed-seed RMAT request mixes,
   Poisson/bursty arrival processes and the multi-tenant
-  :func:`mixed_traffic` regime for the serving benchmarks
-  (``repro serve-bench``, ``repro mixed-bench``,
-  ``benchmarks/bench_serve_*.py``).
+  :func:`mixed_traffic` regime for the serving benchmarks;
+* :mod:`repro.serve.bench`     — the serving benchmarks' default
+  graph parameters and arch config (:func:`default_serving_config`),
+  shared by ``hostbench/``, the extension sweeps and the tests.
 
 Quickstart::
 
@@ -59,11 +60,7 @@ Quickstart::
     print(outcome.latency.p99_ms, outcome.latency.slo_attainment)
 """
 
-from repro.serve.bench import (
-    compare_caching,
-    compare_latency,
-    default_serving_config,
-)
+from repro.serve.bench import default_serving_config
 from repro.serve.cache import AutotuneCache, CacheEntryInfo, CacheStats
 from repro.serve.demand import DemandHistogram
 from repro.serve.request import InferenceRequest, InferenceResult
@@ -92,8 +89,6 @@ from repro.serve.traffic import (
 )
 
 __all__ = [
-    "compare_caching",
-    "compare_latency",
     "default_serving_config",
     "AutotuneCache",
     "CacheEntryInfo",

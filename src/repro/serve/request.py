@@ -32,6 +32,8 @@ class InferenceRequest:
         ``build()`` method returning one (e.g.
         :class:`~repro.serve.traffic.RmatGraphSpec`). Specs are built
         lazily and memoized, so a traffic mix can repeat a spec cheaply.
+        An object with neither ``n_nodes`` nor a callable ``build``
+        raises :class:`~repro.errors.ConfigError` here.
     config:
         The :class:`~repro.accel.ArchConfig` to simulate. Requests
         sharing a config are batched onto the same accelerator instance.
@@ -69,6 +71,15 @@ class InferenceRequest:
     priority: int = None
 
     def __post_init__(self):
+        # A drain resolves graphs lazily, after it has emptied the
+        # queue, so a non-graph accepted here would abort the drain and
+        # lose every queued request with it.
+        if not (hasattr(self.graph, "n_nodes")
+                or callable(getattr(self.graph, "build", None))):
+            raise ConfigError(
+                "graph must be a dataset (with n_nodes) or a spec with a "
+                f"build() method, got {type(self.graph).__name__}"
+            )
         if not isinstance(self.config, ArchConfig):
             raise ConfigError(
                 f"config must be ArchConfig, got {type(self.config).__name__}"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.accel import ArchConfig, SpmmJob, simulate_spmm
+from repro.accel import ArchConfig, SpmmJob, cyclemodel, simulate_spmm
 from repro.errors import ConfigError
 
 
@@ -148,19 +148,40 @@ class TestRawHazardBound:
             == pytest.approx(104, abs=6)
 
 
+def _drive_tuner(tuner, assignment, config, cycles, n_rounds, ideal):
+    """Sequential reference tuning driver (one Hall bound per round).
+
+    The original pre-vectorization control loop, kept bit-identical as
+    the regression oracle for ``cyclemodel._drive_tuner_batched``, whose
+    signature it shares. Fills ``cycles`` for every observed round;
+    returns ``(rounds_consumed, max_backlog)``.
+    """
+    round_idx = 0
+    max_backlog = 0
+    while round_idx < n_rounds and not tuner.converged:
+        makespan, _hall = cyclemodel._round_makespan_parts(assignment, config)
+        max_backlog = max(max_backlog, max(0, makespan - ideal))
+        cycles[round_idx] = makespan + config.drain_cycles
+        tuner.observe_round(makespan)
+        round_idx += 1
+    return round_idx, max_backlog
+
+
 class TestBatchedTuningDriver:
     """The chunked tuning driver is bit-identical to the sequential loop.
 
-    ``batched_tuning=True`` (the default) speculates the switch-only
-    load trajectory and prices whole round batches in one Hall-bound
-    kernel call; ``False`` keeps the original one-bound-per-round loop
-    as the oracle. Every :class:`SpmmResult` field the model exposes
-    must agree between the two.
+    ``simulate_spmm`` speculates the switch-only load trajectory and
+    prices whole round batches in one Hall-bound kernel call; the
+    oracle run swaps in :func:`_drive_tuner`, the original
+    one-bound-per-round loop. Every :class:`SpmmResult` field the model
+    exposes must agree between the two.
     """
 
     def _assert_identical(self, job, config):
-        batched = simulate_spmm(job, config, batched_tuning=True)
-        sequential = simulate_spmm(job, config, batched_tuning=False)
+        batched = simulate_spmm(job, config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cyclemodel, "_drive_tuner_batched", _drive_tuner)
+            sequential = simulate_spmm(job, config)
         assert np.array_equal(
             batched.cycles_per_round, sequential.cycles_per_round
         )
@@ -213,9 +234,13 @@ class TestBatchedTuningDriver:
             )
             self._assert_identical(job, config)
 
-    def test_static_maps_ignore_the_flag(self, skewed_job):
+    def test_static_map_never_calls_the_tuning_driver(self, skewed_job,
+                                                      monkeypatch):
+        def no_tuning(*_args):
+            raise AssertionError("a static map drove the tuner")
+
+        monkeypatch.setattr(cyclemodel, "_drive_tuner_batched", no_tuning)
         config = ArchConfig(n_pes=16, hop=1, remote_switching=False)
-        a = simulate_spmm(skewed_job, config, batched_tuning=True)
-        b = simulate_spmm(skewed_job, config, batched_tuning=False)
-        assert np.array_equal(a.cycles_per_round, b.cycles_per_round)
-        assert not a.tuned
+        result = simulate_spmm(skewed_job, config)
+        assert len(set(result.cycles_per_round.tolist())) == 1
+        assert not result.tuned

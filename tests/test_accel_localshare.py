@@ -2,7 +2,9 @@
 
 The bound is cross-checked against a brute-force evaluation of every
 window (the Hall certificate) and the EDF transport construction proves
-achievability — together they pin the bound from both sides.
+achievability — together they pin the bound from both sides. The
+retired heap-based EDF transport lives here as the oracle of the
+vectorized :func:`share_effective_loads`.
 """
 
 import numpy as np
@@ -12,7 +14,6 @@ from hypothesis import strategies as st
 
 import repro.accel.localshare
 from repro.accel.localshare import (
-    _share_effective_loads_reference,
     share_effective_loads,
     share_makespan,
     share_makespan_batch,
@@ -33,6 +34,61 @@ def brute_force_bound(loads, hop):
             receivers = min(n - 1, j + hop) - max(0, i - hop) + 1
             best = max(best, -(-int(work) // receivers))
     return best
+
+
+def _share_effective_loads_reference(loads, hop, *, cap=None):
+    """The pre-vectorization heap-based EDF transport (test oracle).
+
+    Kept verbatim so the property suite can assert the vectorized
+    :func:`share_effective_loads` is elementwise identical to the
+    schedule the original receiver-by-receiver heap produced. Unlike the
+    public function it trusts ``cap`` — the tests also use it to probe
+    infeasible caps.
+    """
+    import heapq
+
+    loads = np.asarray(loads, dtype=np.float64)
+    n = loads.size
+    cap = float(share_makespan(loads, hop) if cap is None else cap)
+    effective = np.zeros(n)
+    pending = []  # heap of [deadline, sender, remaining]
+    for receiver in range(n):
+        # Jobs become available once the receiver enters their window.
+        sender = receiver + hop
+        if sender < n and loads[sender] > 0:
+            heapq.heappush(
+                pending, [min(sender + hop, n - 1), sender, loads[sender]]
+            )
+        if receiver == 0:
+            for early in range(0, min(hop, n)):
+                if loads[early] > 0:
+                    heapq.heappush(
+                        pending,
+                        [min(early + hop, n - 1), early, loads[early]],
+                    )
+        capacity = cap
+        while capacity > 1e-12 and pending:
+            deadline, _sender, remaining = pending[0]
+            if deadline < receiver:
+                break  # cannot happen at a feasible cap
+            take = min(capacity, remaining)
+            effective[receiver] += take
+            capacity -= take
+            pending[0][2] -= take
+            if pending[0][2] <= 1e-12:
+                heapq.heappop(pending)
+        if pending and pending[0][0] <= receiver and pending[0][2] > 1e-9:
+            raise AssertionError(
+                f"EDF transport failed at receiver {receiver}: "
+                f"{pending[0][2]} work past its deadline (cap={cap})"
+            )
+    if pending:
+        residue = sum(item[2] for item in pending)
+        if residue > 1e-6:
+            raise AssertionError(
+                f"EDF transport left {residue} unplaced work (cap={cap})"
+            )
+    return effective
 
 
 class TestBasicCases:

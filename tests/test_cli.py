@@ -2,8 +2,16 @@
 
 import pytest
 
+from repro.accel import ArchConfig, SpmmJob, simulate_spmm
 from repro.cli import build_parser, main
 from repro.errors import ConfigError
+
+# The extension-sweep subcommands the CLI no longer registers: their
+# sweeps regenerate from benchmarks/bench_*.py.
+REMOVED_SUBCOMMANDS = (
+    "serve-bench", "bench-rebalance", "shard-bench", "shard-topology",
+    "mixed-bench", "affinity-bench",
+)
 
 
 class TestParser:
@@ -81,82 +89,6 @@ class TestCommands:
         assert code == 0
         assert "Fig. 15" in capsys.readouterr().out
 
-    def test_serve_bench(self, capsys, tmp_path):
-        code = main([
-            "serve-bench", "--requests", "8", "--graphs", "2",
-            "--nodes", "384", "--pes", "16", "--workers", "2",
-            "--seed", "3", "--out", str(tmp_path),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Serving throughput" in out
-        assert "cycle-identical" in out
-        assert (tmp_path / "serve_bench.csv").exists()
-
-    def test_serve_bench_defaults(self):
-        args = build_parser().parse_args(["serve-bench"])
-        assert args.requests == 96
-        assert args.graphs == 4
-        assert args.workers == 2
-        assert args.arrival_rate is None
-        assert args.slo_ms is None
-        assert args.arrival is None
-
-    def test_serve_bench_streaming_flags_need_arrival_rate(self, capsys):
-        # --slo-ms etc. without --arrival-rate would silently fall
-        # through to the offline throughput bench; reject instead.
-        with pytest.raises(SystemExit):
-            main(["serve-bench", "--slo-ms", "5"])
-        assert "--arrival-rate" in capsys.readouterr().err
-
-    def test_serve_bench_streaming_mode(self, capsys, tmp_path):
-        code = main([
-            "serve-bench", "--requests", "10", "--graphs", "2",
-            "--nodes", "384", "--pes", "16", "--workers", "2",
-            "--seed", "3", "--arrival-rate", "4000", "--slo-ms", "2",
-            "--max-batch", "4", "--out", str(tmp_path),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Serving latency" in out
-        assert "p50" in out and "p99" in out
-        assert "SLO" in out
-        assert "timeline-identical" in out
-        assert (tmp_path / "serve_latency.csv").exists()
-
-    def test_serve_bench_bursty_arrivals(self, capsys):
-        code = main([
-            "serve-bench", "--requests", "8", "--graphs", "2",
-            "--nodes", "384", "--pes", "16", "--seed", "3",
-            "--arrival-rate", "2000", "--arrival", "bursty",
-        ])
-        assert code == 0
-        assert "bursty arrivals" in capsys.readouterr().out
-
-    def test_serve_bench_rejects_unknown_arrival(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["serve-bench", "--arrival", "psychic"]
-            )
-
-    def test_shard_bench_ceiling_and_straggler(self, capsys):
-        code = main([
-            "shard-bench", "--chips", "1,2", "--nodes", "512",
-            "--weak-nodes-per-chip", "256", "--seed", "3",
-            "--row-ceiling", "400", "--straggler", "1:1.5:2.0",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "row ceiling 400" in out
-        assert "1 straggler(s)" in out
-
-    def test_shard_bench_rejects_malformed_straggler(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["shard-bench", "--straggler", "1:2"])
-        assert "CHIP:ONSET:FACTOR" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            main(["shard-bench", "--straggler", "a:b:c"])
-
     def test_trace_rejects_a_seed_for_the_shard_scenario(self, tmp_path):
         with pytest.raises(ConfigError, match="'shard'"):
             main(["trace", "--scenario", "shard", "--seed", "3",
@@ -176,3 +108,18 @@ class TestCommands:
         )
         assert proc.returncode == 0
         assert "cora/tiny" in proc.stdout
+
+
+class TestRemovedSurface:
+    @pytest.mark.parametrize(
+        "removed", [*REMOVED_SUBCOMMANDS, "batched_tuning"]
+    )
+    def test_removed_surface_stays_gone(self, removed):
+        if removed == "batched_tuning":
+            job = SpmmJob(name="j", row_nnz=[1, 2, 3], n_rounds=2)
+            with pytest.raises(TypeError):
+                simulate_spmm(job, ArchConfig(n_pes=2), batched_tuning=False)
+            return
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([removed])
+        assert excinfo.value.code == 2

@@ -477,14 +477,23 @@ class TestShardScalingHarness:
         assert "rebalancing" in text
 
     def test_flavored_sweep_runs(self):
-        rows, text = compare_shard_scaling(
-            chip_counts=(1, 2), n_nodes=1024, weak_nodes_per_chip=512,
-            pes_per_chip=32, seed=3, topology="ring",
-            hop_latency_cycles=4, hetero=True, overlap=True,
-            feedback=True,
+        flavors = (
+            ({"n_nodes": 1024, "weak_nodes_per_chip": 512,
+              "pes_per_chip": 32, "topology": "ring",
+              "hop_latency_cycles": 4, "hetero": True, "overlap": True,
+              "feedback": True},
+             ("ring", "cycle feedback")),
+            ({"n_nodes": 512, "weak_nodes_per_chip": 256,
+              "row_ceiling": 400, "stragglers": ((1, 1.5, 2.0),)},
+             ("row ceiling 400", "1 straggler(s)")),
         )
-        assert all(r["cycles"] > 0 for r in rows)
-        assert "ring" in text and "cycle feedback" in text
+        for kwargs, labels in flavors:
+            rows, text = compare_shard_scaling(
+                chip_counts=(1, 2), seed=3, **kwargs
+            )
+            assert all(r["cycles"] > 0 for r in rows)
+            for label in labels:
+                assert label in text
 
     def test_topology_sweep_shape(self):
         rows, _text = compare_shard_topology(

@@ -1,10 +1,10 @@
 """Documentation stays healthy: links resolve, cli.md tracks the CLI.
 
 The cheap halves of the CI docs job, run in tier-1 so a broken link,
-a CLI flag change without a ``docs/cli.md`` regeneration or a page
-naming a subcommand the CLI does not register fails locally too. The
-README quickstart snippets (which actually simulate) run only in the
-CI docs job — see ``tools/check_docs.py --quickstart``.
+a CLI flag change without a ``docs/cli.md`` regeneration or a page or
+docstring naming a subcommand the CLI does not register fails locally
+too. The README quickstart snippets (which actually simulate) run only
+in the CI docs job — see ``tools/check_docs.py --quickstart``.
 """
 
 import importlib.util
@@ -53,19 +53,26 @@ class TestDocs:
     def test_readme_has_quickstart_fence(self):
         text = (REPO_ROOT / "README.md").read_text()
         assert "```python" in text
-        assert "bench-rebalance" in text, (
-            "README must document the perf-harness CLI entry point"
+        assert "hostbench/run.py" in text, (
+            "README must document the host-throughput benchmark"
         )
 
     def test_command_scan_flags_an_unregistered_subcommand(self):
         tool = _load_tool("gen_cli_docs.py")
-        text = ("Run `python -m repro shard-bench --chips 1,2`, then "
-                "`python -m repro warp-drive --fast` and\n"
-                "python -m repro  warp-drive again.")
-        assert tool.unknown_commands(text) == ["warp-drive"]
+        texts = (
+            "Run `python -m repro fig15 --pe-counts 8,16`, then "
+            "`python -m repro warp-drive --fast` and\n"
+            "python -m repro  warp-drive again.",
+            # The backticked form, as Markdown and as reST; a dotted
+            # module path is not a command.
+            "See `repro fig15`, then ``repro warp-drive --fast`` and "
+            "`repro warp-drive` again, from `repro.serve`.",
+        )
+        for text in texts:
+            assert tool.unknown_commands(text) == ["warp-drive"]
 
     def test_readme_names_only_registered_subcommands(self):
         tool = _load_tool("gen_cli_docs.py")
         text = (REPO_ROOT / "README.md").read_text()
-        assert "python -m repro shard-bench" in text
+        assert "python -m repro fig15" in text
         assert tool.unknown_commands(text) == []

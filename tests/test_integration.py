@@ -1,8 +1,8 @@
 """End-to-end integration: numerics + timing + the paper's claims.
 
 These tests exercise the full stack the way the benchmark harness does,
-and pin the *qualitative* results the paper reports (see DESIGN.md
-Sec. 3: who wins, in which order, and roughly by how much).
+and pin the *qualitative* results the paper reports: who wins, in which
+order, and roughly by how much.
 """
 
 import numpy as np

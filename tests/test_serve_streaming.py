@@ -33,6 +33,7 @@ from repro.serve import (
     serve_requests,
     streaming_traffic,
 )
+from repro.serve.bench import DEFAULT_GRAPH_KWARGS, default_serving_config
 
 CFG_A = ArchConfig(n_pes=16, hop=1, remote_switching=True)
 CFG_B = ArchConfig(n_pes=32, hop=1, remote_switching=True)
@@ -68,6 +69,15 @@ class TestRequestStreamingFields:
         for bad in (0.0, -5.0, math.inf, "fast"):
             with pytest.raises(ConfigError):
                 _request(slo_ms=bad)
+
+    @pytest.mark.parametrize("graph", [object(), "cora", None],
+                             ids=["object", "name", "none"])
+    def test_graph_must_be_a_dataset_or_spec(self, graph):
+        # Rejected at construction: a drain resolves graphs only after
+        # emptying its queue, so a non-graph there would abort the
+        # drain and lose every other queued request.
+        with pytest.raises(ConfigError, match="graph must be"):
+            _request(graph=graph)
 
     def test_deadline_derives_from_slo(self):
         assert _request(arrival=2.0, slo_ms=500.0).deadline == 2.5
@@ -281,23 +291,34 @@ class TestStreamingService:
 
     def test_cache_changes_nothing_but_wall_cost(self):
         # The invariance guarantee: cached vs uncached runs report
-        # identical cycle counts AND identical simulated timelines.
-        requests = streaming_traffic(
+        # identical cycle counts AND identical simulated timelines, on
+        # a tiny two-config trace and on the full-size serving mix (96
+        # requests over four 4,096-node graphs, about a second).
+        tiny = streaming_traffic(
             12, arrival_rate=2500.0, slo_ms=1.5, n_graphs=2, n_nodes=384,
             seed=13, configs=(CFG_A, CFG_B), graph_kwargs=TINY_GRAPH_KWARGS,
         )
-        cold = serve_requests(requests, n_workers=2, cache=None,
-                              max_batch=3)
-        warm = serve_requests(requests, n_workers=2, cache=True,
-                              max_batch=3)
-        assert cold.stats.cache_hits == 0
-        assert warm.stats.cache_hits > 0
-        for a, b in zip(cold.results, warm.results):
-            assert a.total_cycles == b.total_cycles
-            assert a.utilization == b.utilization
-            assert a.start_time == b.start_time
-            assert a.finish_time == b.finish_time
-        assert cold.latency == warm.latency
+        full = streaming_traffic(
+            96, arrival_rate=400.0, slo_ms=20.0, n_graphs=4, n_nodes=4096,
+            seed=7, configs=(default_serving_config(96),),
+            graph_kwargs=DEFAULT_GRAPH_KWARGS,
+        )
+        for requests, max_batch in ((tiny, 3), (full, 8)):
+            cold = serve_requests(requests, n_workers=2, cache=None,
+                                  max_batch=max_batch)
+            warm = serve_requests(requests, n_workers=2, cache=True,
+                                  max_batch=max_batch)
+            assert cold.stats.cache_hits == 0
+            assert warm.stats.cache_hits > 0
+            assert len(cold.results) == len(warm.results) == len(requests)
+            for a, b in zip(cold.results, warm.results):
+                assert a.total_cycles == b.total_cycles
+                assert a.utilization == b.utilization
+                assert a.start_time == b.start_time
+                assert a.finish_time == b.finish_time
+                assert a.batch == b.batch and a.worker == b.worker
+            assert cold.latency == warm.latency
+            assert cold.stats.n_batches == warm.stats.n_batches
 
     def test_tight_slo_is_reported_missed(self):
         # An SLO shorter than one service time cannot be met; the

@@ -2,9 +2,11 @@
 
 The reference is rendered from ``repro.cli.build_parser()`` itself, so
 it cannot drift from the code silently: CI regenerates it and fails on
-any difference (``--check``). ``--check`` also fails when ``README.md``
-or a hand-written ``docs/*.md`` page names ``python -m repro <cmd>``
-for a subcommand the parser does not register. Regenerate after
+any difference (``--check``). ``--check`` also fails when a page names
+a subcommand the parser does not register, as ``python -m repro <cmd>``
+or as a backticked ``repro <cmd>``. The scanned pages are
+``README.md``, the hand-written ``docs/*.md``, ``src/**/*.py``,
+``examples/*.py`` and ``.claude/skills/**/*.md``. Regenerate after
 changing the CLI with::
 
     PYTHONPATH=src python tools/gen_cli_docs.py
@@ -26,7 +28,13 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.cli import build_parser  # noqa: E402
 
-_COMMAND = re.compile(r"python -m repro\s+([A-Za-z0-9][\w-]*)")
+# ``python -m repro <cmd>``, or ``repro <cmd>`` right after a backtick
+# (Markdown `repro <cmd>`, reST ``repro <cmd>``).
+_COMMAND = re.compile(r"(?:python -m |`)repro\s+([A-Za-z0-9][\w-]*)")
+
+# The pages whose command mentions must name registered subcommands.
+_SCANNED = ("README.md", "docs/*.md", "src/**/*.py", "examples/*.py",
+            ".claude/skills/**/*.md")
 
 HEADER = """\
 # CLI reference
@@ -52,8 +60,9 @@ def _subparsers(parser):
 
 
 def unknown_commands(text):
-    """The subcommands ``text`` runs as ``python -m repro <cmd>`` that
-    ``build_parser()`` does not register, in order of first mention."""
+    """The subcommands ``text`` names as ``python -m repro <cmd>`` or
+    a backticked ``repro <cmd>`` that ``build_parser()`` does not
+    register, in order of first mention."""
     known = {name for name, _ in _subparsers(build_parser())}
     unknown = []
     for name in _COMMAND.findall(text):
@@ -95,17 +104,18 @@ def main(argv=None):
                   f"with: PYTHONPATH=src python tools/gen_cli_docs.py",
                   file=sys.stderr)
             return 1
-        pages = [REPO_ROOT / "README.md"]
-        pages += sorted((REPO_ROOT / "docs").glob("*.md"))
+        pages = [
+            page for pattern in _SCANNED
+            for page in sorted(REPO_ROOT.glob(pattern))
+        ]
         stale = [
             (page, name)
-            for page in pages if page.exists() and page != out.resolve()
+            for page in pages if page != out.resolve()
             for name in unknown_commands(page.read_text())
         ]
         for page, name in stale:
-            print(f"{page.relative_to(REPO_ROOT)} names `python -m repro "
-                  f"{name}`, which repro/cli.py does not register",
-                  file=sys.stderr)
+            print(f"{page.relative_to(REPO_ROOT)} names `repro {name}`, "
+                  f"which repro/cli.py does not register", file=sys.stderr)
         if stale:
             return 1
         print(f"{out} is in sync with repro/cli.py")

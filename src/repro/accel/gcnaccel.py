@@ -229,28 +229,11 @@ def build_spmm_jobs(dataset, *, x2_row_nnz=None, a_hops=1):
             f"x2_row_nnz must have length {dataset.n_nodes}, "
             f"got {x2_row_nnz.size}"
         )
-    layer_inputs = [
-        ("L1", dataset.x1_row_nnz, f2),
-        ("L2", x2_row_nnz, f3),
-    ]
-    layers = []
-    for label, x_row_nnz, n_rounds in layer_inputs:
-        stages = [
-            SpmmJob(
-                name=f"{label}:XW", row_nnz=x_row_nnz, n_rounds=n_rounds,
-                tdq="tdq1",
-            )
-        ]
-        for hop in range(a_hops):
-            suffix = "A(XW)" if hop == 0 else f"A^{hop + 1}(XW)"
-            stages.append(
-                SpmmJob(
-                    name=f"{label}:{suffix}", row_nnz=a_row_nnz,
-                    n_rounds=n_rounds, tdq="tdq2",
-                )
-            )
-        layers.append(stages)
-    return layers
+    return jobs_for_layers(
+        a_row_nnz,
+        [("L1", dataset.x1_row_nnz, f2), ("L2", x2_row_nnz, f3)],
+        a_hops=a_hops,
+    )
 
 
 def jobs_for_layers(a_row_nnz, layer_specs, *, a_hops=1):
@@ -339,26 +322,6 @@ class GcnAccelerator:
         self._dataset_key = (dataset, a_hops) if x2_row_nnz is None else None
         self._replays = {}
         self._cold = None
-
-    @classmethod
-    def for_shard(cls, dataset, config, rows, *, x2_row_nnz=None, a_hops=1,
-                  name=None):
-        """An accelerator simulating one shard of ``dataset``.
-
-        ``rows`` are the global node indices the shard owns; the
-        returned accelerator runs the standard 2-layer job structure
-        with every row profile sliced to the shard (via
-        :func:`slice_jobs`), so multi-chip models can drive it exactly
-        like a single-chip run — including the autotune-cache fast path
-        (the fingerprint hashes the sliced jobs, keying cache entries
-        per shard).
-        """
-        layers = build_spmm_jobs(dataset, x2_row_nnz=x2_row_nnz,
-                                 a_hops=a_hops)
-        if name is None:
-            base = getattr(dataset, "name", "custom")
-            name = f"{base}/shard{len(rows)}r"
-        return cls.from_jobs(slice_jobs(layers, rows), config, name=name)
 
     @classmethod
     def from_jobs(cls, jobs, config, *, name="custom"):

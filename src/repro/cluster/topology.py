@@ -36,10 +36,9 @@ all-to-all at equal aggregate bandwidth.
 Multi-tenant extension (PR 8): contention was originally summed only
 across *one* job's halo flows.  ``comm_cycles(..., background=...)``
 adds a per-link background load — traffic other concurrent jobs put on
-the same physical links — before the bottleneck division, and
-:meth:`Topology.shared_comm_cycles` prices several jobs' matrices
-against their summed link loads in one call.  ``background=None`` takes
-exactly the single-job code path, bit-identical to before.
+the same physical links — before the bottleneck division.
+``background=None`` takes exactly the single-job code path,
+bit-identical to before.
 :func:`subtopology` restricts a pool-wide fabric to one gang's chips
 while *preserving pool link ids*, so the background loads of different
 gangs live in one id space and sum meaningfully.
@@ -189,26 +188,6 @@ class Topology:
                     worst = cost
             out[dst] = worst
         return out
-
-    def shared_comm_cycles(self, matrices):
-        """Per-chip ingress cycles of several concurrent jobs at once.
-
-        ``matrices`` is a sequence of traffic matrices, one per active
-        job on this fabric.  Every link's load is the sum over *all*
-        jobs' flows crossing it, and each job is then priced against
-        those totals — two jobs sharing a link each pay for the combined
-        traffic, while jobs on disjoint links do not interact.  Returns
-        one per-chip cycle array per job, in input order.  With a single
-        matrix this equals ``comm_cycles(matrix)`` exactly.
-        """
-        mats = [self._check_matrix(m) for m in matrices]
-        own = [self.link_loads(m) for m in mats]
-        total = np.sum(own, axis=0) if own else None
-        return tuple(
-            self.comm_cycles(m, background=total - mine if len(mats) > 1
-                             else None)
-            for m, mine in zip(mats, own)
-        )
 
     def transfer_cycles(self, src, dst, words):
         """Cycles for one uncontended ``src -> dst`` transfer of ``words``.

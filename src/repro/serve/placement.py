@@ -39,9 +39,8 @@ class FirstFree:
     def place(self, items, candidates, clock, stream, key_of):
         """The instance a sealed batch goes to, or None to wait.
 
-        ``candidates`` are the unclaimed instances whose capacity fits
-        the batch, in index order; the first one idle at ``clock``
-        serves.
+        ``candidates`` are the unclaimed instances, in index order;
+        the first one idle at ``clock`` serves.
         """
         for worker in candidates:
             if worker.free_at <= clock:

@@ -370,49 +370,33 @@ class InferenceService:
         before service starts). Default 0 models free switching — the
         historical behavior, which flatters small batches.
     chip_capacity:
-        Per-instance node-count capacity: one int for a uniform pool,
-        or a sequence of ``n_workers`` ints for a heterogeneous one. A
-        request whose graph exceeds the pool's largest capacity is
-        planned as a *sharded job*: it gang-schedules the smallest
-        index-ordered set of free instances whose capacities cover the
-        graph (``ceil(n_nodes / chip_capacity)`` instances in the
-        uniform case, clamped to the pool size; instances whose
-        *expected* capacity-proportional share would overflow are left
-        out of the gang, and the *actual* constrained plan is validated
-        before dispatch — a gang whose real nnz-balanced shards would
-        overfill a member re-gangs wider) and executes through
-        the :mod:`repro.cluster` multi-chip model with the members'
-        capacities enforced as hard per-chip row ceilings, occupying
-        all participating instances for the sharded duration; the
-        shared ``AutotuneCache`` is keyed per shard. Only pool-clamped
-        jobs (graphs even the whole pool cannot cover) run with
-        capacities as best-effort estimates. None (default) disables
-        sharding — oversized graphs run single-instance as before.
-        Sharded jobs dispatch earliest-deadline-first with
-        oldest-arrival tie-break, which degenerates to FIFO when no
-        request carries an ``slo_ms``.
+        Node-count capacity of every instance (one positive int: the
+        pool is uniform). A request whose graph exceeds it is planned
+        as a *sharded job*: it gang-schedules the first
+        ``ceil(n_nodes / chip_capacity)`` free instances in index order
+        (more if the *actual* nnz-balanced plan would overfill a
+        member) and executes through the :mod:`repro.cluster`
+        multi-chip model at the request's config, with the capacity
+        enforced as a hard per-chip row ceiling, occupying every member
+        for the sharded duration; the ``AutotuneCache`` is keyed per
+        shard. Only a pool-clamped job (a graph even the whole pool
+        cannot cover) runs every instance with the capacity as a
+        best-effort estimate. None (default) disables sharding —
+        oversized graphs run single-instance as before. Sharded jobs
+        dispatch earliest-deadline-first with oldest-arrival
+        tie-break, which degenerates to FIFO when no request carries an
+        ``slo_ms``.
     cluster_options:
         Optional dict of :class:`~repro.cluster.ClusterConfig`
         overrides for sharded jobs (e.g. ``link_words_per_cycle``,
         ``topology``, ``overlap``, ``rebalance_signal``); ``n_chips``,
         ``chip``, ``chips``, ``row_ceilings`` and
         ``background_link_loads`` are always derived from the job
-        itself, and ``topology`` is a kind, since each gang's fabric is
-        sized per job. An unknown key or a bad value raises
-        :class:`~repro.errors.ConfigError` here, before any request is
-        queued.
-    worker_configs:
-        Optional per-instance :class:`~repro.accel.ArchConfig` sequence
-        (length ``n_workers``) describing a heterogeneous hardware
-        pool. Sharded jobs then run on the *participating instances'
-        own configs* — a :class:`~repro.cluster.ClusterConfig` with one
-        ``chips`` entry per gang member — instead of replicating the
-        request's config, and the capacity-normalized cluster
-        partitioner spreads the graph accordingly. None (default)
-        models the historical uniform pool. Single-instance batches
-        still simulate at the request's config (the request defines the
-        workload's target architecture; sharding is where the pool's
-        physical heterogeneity binds).
+        itself, ``topology`` is a kind, since each gang's fabric is
+        sized per job, and ``stragglers`` is refused, since its chip
+        ids would name gang positions, not instances. An unknown key
+        or a bad value raises :class:`~repro.errors.ConfigError` here,
+        before any request is queued.
     coschedule:
         Multi-tenant co-scheduling of batch and sharded traffic.
         Enables (1) *gang claims*: while the head sharded job waits for
@@ -531,8 +515,7 @@ class InferenceService:
 
     def __init__(self, *, n_workers=2, cache=True, max_batch=None,
                  max_wait=None, shed_expired=False, reconfig_cycles=0,
-                 chip_capacity=None, cluster_options=None,
-                 worker_configs=None, coschedule=False,
+                 chip_capacity=None, cluster_options=None, coschedule=False,
                  critical_slo_ms=None, cache_mode="shared",
                  worker_cache_entries=None, replicate_threshold=None,
                  replicate_k=2, demand_half_life=0.05, tracer=None):
@@ -615,38 +598,8 @@ class InferenceService:
             reconfig_cycles, "reconfig_cycles"
         )
         if chip_capacity is not None:
-            if isinstance(chip_capacity, (list, tuple)):
-                caps = tuple(
-                    check_positive_int(cap, "chip_capacity")
-                    for cap in chip_capacity
-                )
-                if len(caps) != n_workers:
-                    raise ConfigError(
-                        f"chip_capacity must have one entry per worker "
-                        f"({n_workers}), got {len(caps)}"
-                    )
-                chip_capacity = caps
-            else:
-                chip_capacity = check_positive_int(
-                    chip_capacity, "chip_capacity"
-                )
+            chip_capacity = check_positive_int(chip_capacity, "chip_capacity")
         self.chip_capacity = chip_capacity
-        if worker_configs is not None:
-            worker_configs = tuple(worker_configs)
-            if len(worker_configs) != n_workers:
-                raise ConfigError(
-                    f"worker_configs must have one ArchConfig per worker "
-                    f"({n_workers}), got {len(worker_configs)}"
-                )
-            from repro.accel.config import ArchConfig
-
-            for cfg in worker_configs:
-                if not isinstance(cfg, ArchConfig):
-                    raise ConfigError(
-                        "worker_configs entries must be ArchConfig, got "
-                        f"{type(cfg).__name__}"
-                    )
-        self.worker_configs = worker_configs
         self.cluster_options = dict(cluster_options or {})
         known = {f.name for f in fields(ClusterConfig)}
         for key in self.cluster_options:
@@ -662,6 +615,12 @@ class InferenceService:
                     f"cluster_options may not override {reserved!r} "
                     "(derived per sharded job)"
                 )
+        if "stragglers" in self.cluster_options:
+            raise ConfigError(
+                "cluster_options may not set 'stragglers': a straggler's "
+                "chip id is a member position in one sharded job's gang, "
+                "not an instance id, and gangs differ in size"
+            )
         if isinstance(self.cluster_options.get("topology"), Topology):
             raise ConfigError(
                 "cluster_options needs a topology *kind*: the service "
@@ -843,7 +802,7 @@ class InferenceService:
             # with oldest-arrival tie-break (plain FIFO when nothing
             # carries an SLO), whenever enough instances are
             # simultaneously idle; they gang-schedule the lowest-indexed
-            # free instances whose capacities cover the graph. The queue
+            # free instances that cover the graph. The queue
             # head never gets *delayed*: a blocked head plans its gang
             # on the pool's free_at timeline (EASY reservation), and a
             # later job may only backfill onto idle instances when that
@@ -938,24 +897,21 @@ class InferenceService:
                     break
             # Hand sealed batches, tightest deadline first (class-major
             # under co-scheduling), to the instance the placement policy
-            # picks. With per-worker capacities, only an instance that
-            # fits the batch's largest graph is a candidate — a small
-            # chip must not receive a graph its capacity says it cannot
-            # hold. Claimed instances (gang reservations, pending
+            # picks. Claimed instances (gang reservations, pending
             # resumes) take no new batch; a deadline-critical batch with
             # nowhere to go may arm a boundary preemption instead.
             claimed = claims | reserved
+            unclaimed = (
+                [w for w in self.workers if w.index not in claimed]
+                if claimed else self.workers
+            )
             while stream.ready:
                 items = stream.peek_ready()
-                needed = self._batch_nodes(items)
-                worker = placement.place(
-                    items, self._candidates(needed, claimed), clock, stream,
-                    self._request_key,
-                )
+                worker = placement.place(items, unclaimed, clock, stream,
+                                         self._request_key)
                 if worker is None:
                     if self.coschedule and self._active:
-                        self._maybe_preempt(stream.peek_ready(), needed,
-                                            clock)
+                        self._maybe_preempt(items, clock)
                     break
                 if self.coschedule:
                     for entry in self._active:
@@ -984,17 +940,15 @@ class InferenceService:
                 horizon.append(queued[i].arrival_time)
             if stream.pending:
                 horizon.append(stream.next_cut_time())
-            claimed = (self._resume_claims() | reserved
-                       if self.coschedule else set())
             if stream.ready:
-                needed = self._batch_nodes(stream.peek_ready())
-                frees = [
-                    w.free_at for w in self.workers
-                    if self._worker_fits(w.index, needed)
-                    and w.index not in claimed
-                ]
-                if frees:
-                    horizon.append(min(frees))
+                # Dispatch and resumes may have moved the claims.
+                if self.coschedule:
+                    claimed = self._resume_claims() | reserved
+                    unclaimed = [
+                        w for w in self.workers if w.index not in claimed
+                    ]
+                if unclaimed:
+                    horizon.append(min(w.free_at for w in unclaimed))
             if sharded:
                 head = sharded[self._sharded_head(sharded)]
                 planned = self._planned_gang(
@@ -1052,31 +1006,6 @@ class InferenceService:
             latency=LatencyStats.from_results(results),
         )
 
-    @staticmethod
-    def _batch_nodes(items):
-        """The largest member graph of a (peeked) batch, in nodes."""
-        return max(item.request.graph_nodes() for item in items)
-
-    def _worker_fits(self, index, nodes):
-        """Whether one instance's declared capacity covers ``nodes``.
-
-        Unconstrained without ``chip_capacity``; with a uniform
-        capacity every non-sharded request fits every instance, so the
-        check only bites on heterogeneous per-worker capacities.
-        """
-        if self.chip_capacity is None:
-            return True
-        return self._capacity_of(index) >= nodes
-
-    def _candidates(self, nodes, claimed):
-        """The instances, idle or not, a batch of ``nodes``-node graphs
-        may go to: those that fit it, minus ``claimed`` ones."""
-        return [
-            worker for worker in self.workers
-            if worker.index not in claimed
-            and self._worker_fits(worker.index, nodes)
-        ]
-
     def _evictions_total(self):
         """Cumulative evictions across the pool's distinct caches."""
         return sum(
@@ -1121,22 +1050,10 @@ class InferenceService:
         """The (fingerprint, config) cache key one request will use."""
         return (self._accel_for(request).fingerprint(), request.config)
 
-    def _capacity_of(self, index):
-        """Node capacity of one instance (uniform or per-worker)."""
-        if isinstance(self.chip_capacity, tuple):
-            return self.chip_capacity[index]
-        return self.chip_capacity
-
     def _needs_sharding(self, request):
-        """Whether a request's graph exceeds every instance's capacity."""
-        if self.chip_capacity is None:
-            return False
-        largest = (
-            max(self.chip_capacity)
-            if isinstance(self.chip_capacity, tuple)
-            else self.chip_capacity
-        )
-        return request.graph_nodes() > largest
+        """Whether a request's graph exceeds the instance capacity."""
+        return (self.chip_capacity is not None
+                and request.graph_nodes() > self.chip_capacity)
 
     def _class_of(self, request):
         """The request's effective priority class under this service."""
@@ -1167,96 +1084,20 @@ class InferenceService:
                 head = i
         return head
 
-    def _compute_capacity_of(self, index):
-        """Relative compute throughput of one instance (gang split key)."""
-        if self.worker_configs is None:
-            return 1.0
-        cfg = self.worker_configs[index]
-        return cfg.n_pes * cfg.frequency_mhz
-
-    def _fit_gang(self, candidates, nodes):
-        """The covering gang inside ``candidates``, or None.
-
-        The cluster partitioner splits work in proportion to *compute*
-        capacity, so each member's *expected* share of the nodes must
-        fit its declared node capacity — a small chip is not
-        gang-scheduled next to a big one when even its proportional
-        share would overflow. Members whose expected share overflows
-        are pruned (their load redistributes) until the gang is
-        feasible or empty. Pruning depends only on the candidate *set*,
-        and a feasible gang survives pruning of any superset (shares
-        only shrink as members are added), so this finds a covering
-        gang iff the candidate set contains one. Uniform pools reduce
-        to the historical ``ceil(nodes / capacity)`` sizing exactly:
-        ``nodes / k <= capacity`` iff ``k * capacity >= nodes``, and
-        nothing is ever pruned.
-
-        The expected share is only a provisioning estimate — the
-        partitioner balances *nnz*, so on skewed graphs a chip's actual
-        row count can deviate from its proportional share. The hard
-        guarantee lives one level down: :meth:`_shard_gang` validates
-        the *actual* constrained plan (:meth:`_plan_fits`, worker
-        capacities as :func:`~repro.cluster.partition.make_plan` row
-        ceilings) before committing a gang, and the sharded run itself
-        executes under those ceilings, so no instance is ever handed
-        more rows than its declared capacity.
-        """
-        gang = list(candidates)
-        while gang:
-            total = sum(
-                self._compute_capacity_of(w.index) for w in gang
-            )
-            kept = [
-                worker for worker in gang
-                if nodes * self._compute_capacity_of(worker.index) / total
-                <= self._capacity_of(worker.index)
-            ]
-            if len(kept) == len(gang):
-                return gang
-            gang = kept
-        return None
-
-    def _gang_ceilings(self, gang):
-        """The gang members' node capacities as hard row ceilings."""
-        return tuple(self._capacity_of(worker.index) for worker in gang)
-
-    def _gang_cluster(self, workers, request, *, row_ceilings=None,
-                      topology=None):
-        """The :class:`ClusterConfig` a sharded run on ``workers`` uses.
-
-        Under ``coschedule``, ``topology`` carries the gang's
-        restriction of the pool fabric (overriding the kind string in
-        ``cluster_options``).
-        """
-        opts = dict(self.cluster_options)
-        if topology is not None:
-            opts["topology"] = topology
-        if self.worker_configs is not None:
-            return ClusterConfig(
-                n_chips=len(workers),
-                chips=tuple(
-                    self.worker_configs[worker.index] for worker in workers
-                ),
-                row_ceilings=row_ceilings,
-                **opts,
-            )
-        return ClusterConfig(
-            n_chips=len(workers), chip=request.config,
-            row_ceilings=row_ceilings, **opts,
-        )
-
     def _sharded_for(self, gang, request, *, constrained=True):
         """The drain's one :class:`ShardedAccelerator` for a request's
         graph on one gang.
 
         The key — graph, ``a_hops``, request config, the ordered gang
-        members and whether their capacities bind as row ceilings —
-        fixes every field of the gang's :class:`ClusterConfig` except
-        the per-job fabric background: chip configs, row ceilings,
-        fabric restriction, partition and rebalance settings. Plan
-        validation, backfill screens and dispatch of one graph on one
-        gang therefore share its plans, halo sets and per-chip
-        accelerators for the whole drain.
+        members and whether the capacity binds as row ceilings — fixes
+        every field of the gang's :class:`ClusterConfig` except the
+        per-job fabric background: row ceilings, fabric restriction,
+        partition and rebalance settings. Plan validation, backfill
+        screens and dispatch of one graph on one gang therefore share
+        its plans, halo sets and per-chip accelerators for the whole
+        drain. Under ``coschedule`` the gang runs on its restriction of
+        the pool fabric (overriding the kind string in
+        ``cluster_options``).
         """
         dataset = request.resolve_graph()
         indices = tuple(worker.index for worker in gang)
@@ -1264,16 +1105,15 @@ class InferenceService:
                constrained)
         sharded = self._sharded.get(key)
         if sharded is None:
-            ceilings = (
-                self._gang_ceilings(gang)
-                if constrained and self.chip_capacity is not None else None
-            )
-            topology = (
-                subtopology(self._pool_fabric, indices)
-                if self.coschedule else None
-            )
-            cluster = self._gang_cluster(
-                gang, request, row_ceilings=ceilings, topology=topology,
+            opts = dict(self.cluster_options)
+            if self.coschedule:
+                opts["topology"] = subtopology(self._pool_fabric, indices)
+            cluster = ClusterConfig(
+                n_chips=len(gang), chip=request.config,
+                row_ceilings=(
+                    (self.chip_capacity,) * len(gang) if constrained else None
+                ),
+                **opts,
             )
             sharded = ShardedAccelerator(dataset, cluster,
                                          a_hops=request.a_hops)
@@ -1281,17 +1121,16 @@ class InferenceService:
         return sharded
 
     def _plan_fits(self, gang, request):
-        """Whether the *actual* constrained plan is feasible on ``gang``.
+        """Whether the constrained plan exists on ``gang``.
 
-        :meth:`_fit_gang`'s proportional-share check is an estimate; on
-        a skewed graph the real nnz-balanced plan can hand a member
-        more rows than its declared capacity. This asks for the very
-        plan the sharded run would use — same strategy, block
-        granularity and capacities, with the members' capacities as
-        hard row ceilings — and reports whether it exists. The plan
-        comes from the gang's :meth:`_sharded_for` accelerator, which
-        partitions once per drain (an infeasible plan included), so a
-        repeated check during gang scans is a dict lookup.
+        The ceiling guard of the gang scan (:meth:`_first_gang`):
+        ``ceil(nodes / chip_capacity)`` members hold the graph on
+        average, but only the very plan the sharded run would use —
+        same strategy and block granularity, with the capacity as every
+        member's hard row ceiling — proves that none overfills. The
+        plan comes from the gang's :meth:`_sharded_for` accelerator,
+        which partitions once per drain (an infeasible plan included),
+        so a repeated check during gang scans is a dict lookup.
         """
         try:
             self._sharded_for(gang, request).plan
@@ -1299,36 +1138,41 @@ class InferenceService:
             return False
         return True
 
+    def _first_gang(self, order, request):
+        """The shortest prefix of ``order`` a sharded request fits on,
+        or None: the scan starts at ``ceil(nodes / chip_capacity)``
+        members and takes the first prefix that passes
+        :meth:`_plan_fits`."""
+        need = -(-request.graph_nodes() // self.chip_capacity)
+        for end in range(need, len(order) + 1):
+            gang = order[:end]
+            if self._plan_fits(gang, request):
+                return gang
+        return None
+
     def _shard_gang(self, free, request, *, clamp=True):
         """The gang a sharded request runs on: ``(gang, constrained)``.
 
-        The first index-ordered prefix of ``free`` containing a gang
-        that passes both the proportional-share screen
-        (:meth:`_fit_gang`) and actual-plan validation
-        (:meth:`_plan_fits`) — ``ceil(nodes / capacity)`` instances in
-        the uniform case, more when the real plan overfills a member
-        (the job re-gangs wider instead of silently overfilling).
-        ``constrained`` True means the run enforces the members'
-        capacities as hard row ceilings. When even the whole pool holds
-        no feasible gang the job is pool-clamped onto every instance
-        with ``constrained`` False (capacities become best-effort — the
-        pool physically cannot honor them); otherwise an insufficient
-        *free* set returns None and the job waits for more instances to
-        idle. ``clamp=False`` disables the pool-clamp fallback — the
-        backfill path uses it so only the queue head may ever
-        monopolize the whole pool best-effort.
+        The shortest fitting prefix of ``free`` (:meth:`_first_gang`),
+        with ``constrained`` True: the run enforces the capacity as
+        every member's hard row ceiling. When the whole pool is free
+        and still holds no fitting gang, the job is pool-clamped onto
+        every instance with ``constrained`` False (the capacity becomes
+        best-effort — the pool physically cannot honor it); otherwise an
+        insufficient *free* set returns None and the job waits for more
+        instances to idle. ``clamp=False`` disables the pool-clamp
+        fallback — the backfill path uses it so only the queue head may
+        ever monopolize the whole pool best-effort.
 
         The placement policy orders the scan
         (:meth:`~repro.serve.placement.FirstFree.gang_orders`): under
         ``cache_mode="affinity"`` a family served before tries its
         previous gang first.
         """
-        nodes = request.graph_nodes()
         for order in self.placement.gang_orders(free, request):
-            for end in range(1, len(order) + 1):
-                gang = self._fit_gang(order[:end], nodes)
-                if gang and self._plan_fits(gang, request):
-                    return gang, True
+            gang = self._first_gang(order, request)
+            if gang is not None:
+                return gang, True
         if clamp and free and len(free) == len(self.workers):
             return list(free), False
         return None
@@ -1337,27 +1181,22 @@ class InferenceService:
         """``(ready_time, member_indices)`` of the head job's plan.
 
         Scans non-excluded instances in ``free_at`` order (index-stable
-        on ties): at each instant the candidate set is exactly the set
-        :meth:`_shard_gang` will see, and its combined predicate
-        (:meth:`_fit_gang` plus :meth:`_plan_fits`) is
-        order-independent, so the returned time is one at which
-        dispatch really succeeds — the event loop never advances to a
-        horizon that cannot make progress. The fallback (every instance
-        idle) is exactly the pool-clamp case, which always dispatches.
+        on ties) with :meth:`_first_gang`: at each instant the candidate
+        set is exactly the set :meth:`_shard_gang` will see, and whether
+        a gang fits depends only on its size (the plan is the same on
+        any members), so the returned time is one at which dispatch
+        really succeeds — the event loop never advances to a horizon
+        that cannot make progress. The fallback (every instance idle)
+        is exactly the pool-clamp case, which always dispatches.
         ``exclude`` (claimed instances under ``coschedule``) shrinks
         the candidate pool; None when no feasible plan exists inside
         what remains (only possible with a non-empty ``exclude``).
         """
-        nodes = request.graph_nodes()
         eligible = [w for w in self.workers if w.index not in exclude]
         by_free = sorted(eligible, key=lambda w: w.free_at)
-        for end in range(1, len(by_free) + 1):
-            gang = self._fit_gang(by_free[:end], nodes)
-            if gang and self._plan_fits(gang, request):
-                return (
-                    by_free[end - 1].free_at,
-                    tuple(w.index for w in gang),
-                )
+        gang = self._first_gang(by_free, request)
+        if gang is not None:
+            return gang[-1].free_at, tuple(w.index for w in gang)
         if len(eligible) == len(self.workers):
             return (
                 by_free[-1].free_at,
@@ -1398,9 +1237,8 @@ class InferenceService:
         """
         start = clock
         for worker in workers:
-            config = self._chip_config(worker, request)
             start = max(start, worker.start_after(
-                config, request.a_hops, clock, self.reconfig_cycles,
+                request.config, request.a_hops, clock, self.reconfig_cycles,
             ))
         return start
 
@@ -1479,30 +1317,23 @@ class InferenceService:
             if entry.preempted or entry.finish > clock
         ]
 
-    def _maybe_preempt(self, items, needed, clock):
+    def _maybe_preempt(self, items, clock):
         """Boundary-preempt one active job for a critical batch.
 
         Fires only when the pending batch's best member class is 0
-        (deadline-critical) and no fitting instance is free. Among
+        (deadline-critical) and no unclaimed instance is free. Among
         active lower-priority jobs, picks the one with the earliest
         upcoming layer boundary that beats the batch's natural wait
-        (the earliest fitting ``free_at``) and has a member the batch
-        fits on. The gang frees at that boundary; the lowest-indexed
-        fitting member becomes the batch's *grant*, the rest stay
-        claimed for the resume. Returns True when a preemption was
-        armed (the caller re-evaluates once the clock reaches the
-        boundary).
+        (the pool's earliest ``free_at``). The gang frees at that
+        boundary; its lowest-indexed member becomes the batch's
+        *grant*, the rest stay claimed for the resume. Returns True
+        when a preemption was armed (the caller re-evaluates once the
+        clock reaches the boundary).
         """
         cls = min(self._class_of(item.request) for item in items)
         if cls != 0:
             return False
-        fits = [
-            worker.free_at for worker in self.workers
-            if self._worker_fits(worker.index, needed)
-        ]
-        if not fits:
-            return False
-        natural = min(fits)
+        natural = min(worker.free_at for worker in self.workers)
         best = None
         for entry in self._active:
             if (entry.preempted or entry.finish <= clock
@@ -1515,19 +1346,12 @@ class InferenceService:
             boundary = entry.boundaries[0]
             if not clock < boundary < natural:
                 continue
-            member = next(
-                (worker for worker in
-                 sorted(entry.gang, key=lambda w: w.index)
-                 if self._worker_fits(worker.index, needed)),
-                None,
-            )
-            if member is None:
-                continue
             if best is None or boundary < best[0]:
-                best = (boundary, entry, member)
+                best = (boundary, entry)
         if best is None:
             return False
-        boundary, entry, member = best
+        boundary, entry = best
+        member = min(entry.gang, key=lambda w: w.index)
         entry.rel_boundaries = tuple(
             t - boundary for t in entry.boundaries[1:]
         )
@@ -1663,13 +1487,6 @@ class InferenceService:
         worker.last_key = key
         return start
 
-    def _chip_config(self, worker, request):
-        """The config one gang member runs a sharded job at: its own
-        with ``worker_configs``, else the request's."""
-        if self.worker_configs is None:
-            return request.config
-        return self.worker_configs[worker.index]
-
     def _serve_sharded(self, item, workers, clock, results, *,
                        constrained=True, backfill=False):
         """Run one oversized request as a multi-chip job on ``workers``.
@@ -1677,28 +1494,23 @@ class InferenceService:
         All participating instances gang-schedule: service starts once
         every one of them is reconfigured (the slowest switch gates the
         start) and they stay busy until the synchronized sharded run
-        finishes. With ``worker_configs`` the cluster is built from the
-        gang members' own configs (a heterogeneous multi-chip job);
-        otherwise every chip replicates the request's config. The
-        first member's cache (the shared one, or its shard) is passed
-        down, so each shard's tuning state is cached independently per
-        chip config.
+        finishes. Every chip runs the request's config. The first
+        member's cache (the shared one, or its shard) is passed down,
+        so each shard's tuning state is cached independently.
 
         With ``constrained`` (the normal :meth:`_shard_gang` outcome)
-        the members' node capacities become hard
-        :attr:`~repro.cluster.ClusterConfig.row_ceilings` of the
-        cluster plan — the partitioner and every rebalancing migration
-        keep each shard within its instance's declared capacity.
-        Pool-clamped jobs run unconstrained (best effort, the pool
-        cannot cover the graph).
+        ``chip_capacity`` becomes every member's hard
+        :attr:`~repro.cluster.ClusterConfig.row_ceilings` entry — the
+        partitioner and every rebalancing migration keep each shard
+        within it. Pool-clamped jobs run unconstrained (best effort,
+        the pool cannot cover the graph).
         """
         request = item.request
         self.placement.gang_landed(item, workers, clock)
         start = clock
         for worker in workers:
-            config = self._chip_config(worker, request)
             start = max(start, self._reconfigure(
-                worker, config, request.a_hops, clock,
+                worker, request.config, request.a_hops, clock,
             ))
         sharded = self._sharded_for(workers, request, constrained=constrained)
         cluster = _with_background(

@@ -5,6 +5,7 @@ import pytest
 from repro.accel import ArchConfig, SpmmJob, simulate_spmm
 from repro.cli import build_parser, main
 from repro.errors import ConfigError
+from repro.serve import InferenceService
 
 # The extension-sweep subcommands the CLI no longer registers: their
 # sweeps regenerate from benchmarks/bench_*.py.
@@ -112,13 +113,24 @@ class TestCommands:
 
 class TestRemovedSurface:
     @pytest.mark.parametrize(
-        "removed", [*REMOVED_SUBCOMMANDS, "batched_tuning"]
+        "removed", [*REMOVED_SUBCOMMANDS, "batched_tuning",
+                    "worker_configs", "chip_capacity_list"]
     )
     def test_removed_surface_stays_gone(self, removed):
         if removed == "batched_tuning":
             job = SpmmJob(name="j", row_nnz=[1, 2, 3], n_rounds=2)
             with pytest.raises(TypeError):
                 simulate_spmm(job, ArchConfig(n_pes=2), batched_tuning=False)
+            return
+        if removed == "worker_configs":
+            with pytest.raises(TypeError):
+                InferenceService(n_workers=2,
+                                 worker_configs=[ArchConfig(n_pes=2)] * 2)
+            return
+        if removed == "chip_capacity_list":
+            # The pool is uniform: one capacity, never one per instance.
+            with pytest.raises(ConfigError, match="chip_capacity"):
+                InferenceService(n_workers=2, chip_capacity=[128, 256])
             return
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args([removed])

@@ -58,16 +58,6 @@ class TestSliceJobs:
         with pytest.raises(ConfigError):
             slice_jobs(layers, np.empty(0, dtype=np.int64))
 
-    def test_for_shard_matches_sliced_run(self, dataset):
-        plan = make_plan(dataset.adjacency_row_nnz(), 2)
-        rows = plan.chip_rows(0)
-        direct = GcnAccelerator.for_shard(dataset, CHIP, rows).run()
-        layers = build_spmm_jobs(dataset)
-        via_jobs = GcnAccelerator.from_jobs(
-            slice_jobs(layers, rows), CHIP
-        ).run()
-        assert direct.total_cycles == via_jobs.total_cycles
-
 
 class TestRebalancePlan:
     def _skewed(self, n=512, seed=4):

@@ -270,18 +270,6 @@ class TestGangCeilings:
         assert outcome.results[0].total_cycles == constrained.total_cycles
         assert outcome.results[0].total_cycles != unconstrained.total_cycles
 
-    def test_regangs_wider_when_real_plan_overfills(self):
-        # The proportional-share screen accepts the two-member gang
-        # (shares 614/410 fit 630/420) but the actual block-granular
-        # constrained plan does not exist at those ceilings — the job
-        # must re-gang wider instead of overfilling a member.
-        outcome = serve_requests(
-            [_req(graph=BIG)], n_workers=4,
-            chip_capacity=[630, 420, 630, 420],
-            worker_configs=[CFG_B, CFG_A, CFG_B, CFG_A],
-        )
-        assert outcome.results[0].n_shards == 3
-
     def test_pool_clamp_still_serves_best_effort(self):
         # A pool that physically cannot cover the graph clamps onto
         # every instance with the capacities demoted to best-effort;
@@ -351,78 +339,6 @@ class TestShardedQueueEdf:
         assert by_id["doomed"].shed
         assert not by_id["first"].shed
         assert not by_id["fine"].shed
-
-
-class TestHeterogeneousPool:
-    def test_per_worker_capacity_sizes_the_gang(self):
-        # 1024 nodes over capacities [512, 256, 256, 512], equal
-        # compute: the partitioner splits work (hence rows, roughly)
-        # evenly, so every member's equal share must fit its declared
-        # capacity — 3 chips would hand ~341 nodes to a 256-capacity
-        # chip; 4 chips bring the share down to 256.
-        outcome = serve_requests(
-            [_req(graph=BIG)], n_workers=4,
-            chip_capacity=[512, 256, 256, 512],
-        )
-        assert outcome.results[0].n_shards == 4
-
-    def test_undersized_worker_pruned_from_gang(self):
-        # A free under-capacity worker must not poison the gang (or
-        # hang the event loop): the 40-node chip is pruned and the two
-        # 512-node chips serve the 1024-node graph without it.
-        outcome = serve_requests(
-            [_req(graph=BIG)], n_workers=4,
-            chip_capacity=[512, 40, 512, 512],
-        )
-        assert outcome.results[0].n_shards == 2
-        assert outcome.workers[1].batches_served == 0
-        assert outcome.workers[1].modeled_busy_seconds == 0.0
-
-    def test_fits_largest_chip_no_sharding(self):
-        outcome = serve_requests(
-            [_req(graph=SPEC)], n_workers=2, chip_capacity=[128, 256],
-        )
-        assert outcome.results[0].n_shards == 1  # 192 nodes <= 256
-
-    def test_worker_configs_build_hetero_cluster(self):
-        uniform = serve_requests(
-            [_req(graph=BIG, config=CFG_A)], n_workers=2,
-            chip_capacity=512,
-        )
-        hetero = serve_requests(
-            [_req(graph=BIG, config=CFG_A)], n_workers=2,
-            chip_capacity=512, worker_configs=[CFG_B, CFG_A],
-        )
-        assert uniform.results[0].n_shards == 2
-        assert hetero.results[0].n_shards == 2
-        # The hetero pool simulates on its own (bigger) chips, so the
-        # outcome differs from replicating the request config.
-        assert (
-            hetero.results[0].total_cycles
-            != uniform.results[0].total_cycles
-        )
-
-    def test_batches_avoid_undersized_instances(self):
-        # 192-node graphs fit the pool's big chip (no sharding) but
-        # exceed worker 0's declared 128-node capacity: every batch
-        # must land on worker 1 even while worker 0 idles.
-        requests = [_req(graph=SPEC) for _ in range(3)]
-        outcome = serve_requests(
-            requests, n_workers=2, chip_capacity=[128, 256],
-        )
-        assert all(r.n_shards == 1 for r in outcome.results)
-        assert {r.worker for r in outcome.results} == {1}
-        assert outcome.workers[0].requests_served == 0
-
-    def test_capacity_list_length_checked(self):
-        with pytest.raises(ConfigError):
-            InferenceService(n_workers=2, chip_capacity=[256])
-
-    def test_worker_configs_validated(self):
-        with pytest.raises(ConfigError):
-            InferenceService(n_workers=2, worker_configs=[CFG_A])
-        with pytest.raises(ConfigError):
-            InferenceService(n_workers=2, worker_configs=[CFG_A, "cfg"])
 
 
 class TestCacheRecencyPersistence:

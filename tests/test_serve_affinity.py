@@ -80,11 +80,11 @@ class _StubStream:
 
 def _route(service, items, estimate, *, claimed=frozenset()):
     """Place a sealed batch at clock 0 as the drain does: the service's
-    placement policy over its unclaimed candidates for 128-node graphs,
-    against a scheduler whose service estimate is ``estimate``."""
+    placement policy over its unclaimed instances, against a scheduler
+    whose service estimate is ``estimate``."""
+    unclaimed = [w for w in service.workers if w.index not in claimed]
     return service.placement.place(
-        items, service._candidates(128, claimed), 0.0,
-        _StubStream(estimate), service._request_key,
+        items, unclaimed, 0.0, _StubStream(estimate), service._request_key,
     )
 
 

@@ -14,7 +14,7 @@ co-scheduling service (PR 8). Three pillars:
   modeled cycle totals and the set of served work, and per-class SLO
   attainment is monotone in priority.
 * **seam units** — the shared-fabric pricing (``background``,
-  ``shared_comm_cycles``, ``subtopology`` link-id preservation), the
+  ``subtopology`` link-id preservation), the
   :func:`mixed_traffic` generator, and the service's co-scheduling
   parameter validation.
 
@@ -333,20 +333,6 @@ class TestFabricSharing:
     @settings(max_examples=20, deadline=None)
     @given(
         kind=st.sampled_from(["all-to-all", "ring", "mesh2d"]),
-        n=st.integers(2, 6),
-        seed=st.integers(0, 10_000),
-    )
-    def test_shared_single_job_equals_exclusive(self, kind, n, seed):
-        topo = make_topology(kind, n)
-        rng = np.random.default_rng(seed)
-        words = rng.integers(0, 500, size=(n, n)).astype(np.float64)
-        np.fill_diagonal(words, 0.0)
-        (shared,) = topo.shared_comm_cycles([words])
-        assert np.array_equal(shared, topo.comm_cycles(words))
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        kind=st.sampled_from(["all-to-all", "ring", "mesh2d"]),
         seed=st.integers(0, 10_000),
     )
     def test_background_never_speeds_anything_up(self, kind, seed):
@@ -538,7 +524,11 @@ class TestServiceValidation:
         ({"bogus": 1}, "'bogus'"),
         ({"topology": "torus"}, "'torus'"),
         ({"link_words_per_cycle": 0.0}, "link_words_per_cycle"),
-    ], ids=["unknown-key", "unknown-topology", "zero-link-bandwidth"])
+        # Valid at pool size, but a 2-chip gang has no chip 3: chip ids
+        # are gang positions, so the option is refused outright.
+        ({"stragglers": ((3, 0.0, 2.0),)}, "gang"),
+    ], ids=["unknown-key", "unknown-topology", "zero-link-bandwidth",
+            "stragglers"])
     def test_bad_cluster_options_fail_at_construction(self, options,
                                                       named):
         # Rejected before any request is queued, not mid-drain.

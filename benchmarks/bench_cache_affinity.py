@@ -21,23 +21,12 @@ replica may evict:
 
 That ``cache_mode="shared"`` stays the oracle is tier-1's
 ``tests/test_serve_affinity.py::TestSharedModeIsTheOracle``.
-
-``REPRO_AFFINITY_SMOKE=1`` shrinks the sweeps to a seconds-long
-configuration (CI runs it) while asserting the same claims.
 """
-
-import os
 
 import pytest
 from conftest import run_once, save_artifact
 
 from repro.analysis import compare_cache_affinity
-
-SMOKE = os.environ.get("REPRO_AFFINITY_SMOKE") == "1"
-SWEEP_KWARGS = (
-    {"n_requests": 48, "rates": (4000.0, 8000.0), "n_nodes": 2048}
-    if SMOKE else {"n_requests": 96}
-)
 
 
 @pytest.mark.parametrize("artifact, worker_cache_entries", [
@@ -48,7 +37,7 @@ def test_bench_cache_affinity(benchmark, bench_seed, artifact,
                               worker_cache_entries):
     rows, text = run_once(
         benchmark, compare_cache_affinity, seed=bench_seed,
-        worker_cache_entries=worker_cache_entries, **SWEEP_KWARGS
+        worker_cache_entries=worker_cache_entries,
     )
     save_artifact(artifact, rows, text)
 

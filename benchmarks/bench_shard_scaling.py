@@ -6,37 +6,13 @@ load signal) strictly beats the naive static equal-rows partition at
 every multi-chip point, in both weak and strong scaling; (b) sharding
 itself scales — every regime's strong-scaling speedup grows
 monotonically with the chip count.
-
-``REPRO_SHARD_SMOKE=1`` shrinks the sweep to a seconds-long
-configuration (CI runs it so the harness cannot rot) while asserting
-the same claims.
 """
-
-import os
 
 from conftest import run_once, save_artifact
 
 from repro.analysis import compare_shard_scaling
 
-SMOKE = os.environ.get("REPRO_SHARD_SMOKE") == "1"
-CHIP_COUNTS = (1, 2, 4) if SMOKE else (1, 2, 4, 8)
-# The smoke sweep drops the 8-chip points and the 16K-node weak graph
-# but keeps >= 1024 rows per chip — below that, drain overhead and halo
-# traffic dominate and sharding (rebalanced or not) stops paying at
-# all, which is not the regime the scaling claims are about.
-SWEEP_KWARGS = (
-    {"chip_counts": CHIP_COUNTS, "n_nodes": 4096,
-     "weak_nodes_per_chip": 2048}
-    if SMOKE
-    else {"chip_counts": CHIP_COUNTS}
-)
-
-
-HETERO_RING_KWARGS = (
-    {"chip_counts": (1, 2, 4), "n_nodes": 4096, "weak_nodes_per_chip": 2048}
-    if SMOKE
-    else {"chip_counts": (1, 2, 4, 8)}
-)
+CHIP_COUNTS = (1, 2, 4, 8)
 
 
 def test_bench_shard_scaling_hetero_ring(benchmark, bench_seed):
@@ -48,7 +24,7 @@ def test_bench_shard_scaling_hetero_ring(benchmark, bench_seed):
     rows, text = run_once(
         benchmark, compare_shard_scaling, seed=bench_seed,
         topology="ring", hetero=True, overlap=True, feedback=True,
-        hop_latency_cycles=8, **HETERO_RING_KWARGS,
+        hop_latency_cycles=8, chip_counts=CHIP_COUNTS,
     )
     save_artifact("shard_scaling_hetero", rows, text)
 
@@ -56,7 +32,7 @@ def test_bench_shard_scaling_hetero_ring(benchmark, bench_seed):
         (r["mode"], r["regime"], r["chips"]): r for r in rows
     }
     for mode in ("strong", "weak"):
-        for chips in HETERO_RING_KWARGS["chip_counts"]:
+        for chips in CHIP_COUNTS:
             if chips == 1:
                 continue
             static = by_cell[(mode, "rows", chips)]
@@ -67,7 +43,8 @@ def test_bench_shard_scaling_hetero_ring(benchmark, bench_seed):
 
 def test_bench_shard_scaling(benchmark, bench_seed):
     rows, text = run_once(
-        benchmark, compare_shard_scaling, seed=bench_seed, **SWEEP_KWARGS
+        benchmark, compare_shard_scaling, seed=bench_seed,
+        chip_counts=CHIP_COUNTS,
     )
     save_artifact("shard_scaling", rows, text)
 

@@ -13,28 +13,16 @@ intra-chip structure — the regime the static load signal cannot see):
     bandwidth matches;
 (c) double-buffered halo/compute overlap never loses to the serialized
     transfer model.
-
-``REPRO_SHARD_SMOKE=1`` shrinks the graph to a seconds-long
-configuration (CI runs it) while asserting the same claims.
 """
-
-import os
 
 from conftest import run_once, save_artifact
 
 from repro.analysis import compare_shard_topology
 
-SMOKE = os.environ.get("REPRO_SHARD_SMOKE") == "1"
-SWEEP_KWARGS = (
-    {"n_nodes": 4096, "n_chips": 4}
-    if SMOKE
-    else {"n_nodes": 8192, "n_chips": 4}
-)
-
 
 def test_bench_shard_topology(benchmark, bench_seed):
     rows, text = run_once(
-        benchmark, compare_shard_topology, seed=bench_seed, **SWEEP_KWARGS
+        benchmark, compare_shard_topology, seed=bench_seed
     )
     save_artifact("shard_topology", rows, text)
 
@@ -45,9 +33,9 @@ def test_bench_shard_topology(benchmark, bench_seed):
 
     # (a) Measured-cycle feedback >= static load signal everywhere
     # (the feedback controller's round 0 is the load-signal plan and
-    # the best map is restored, so it can only tie or win); at full
-    # size the measurement finds what load balance cannot and wins
-    # strictly somewhere.
+    # the best map is restored, so it can only tie or win), and the
+    # measurement finds what load balance cannot and wins strictly
+    # somewhere.
     strict = False
     for topology in topologies:
         for overlap in (False, True):
@@ -55,8 +43,7 @@ def test_bench_shard_topology(benchmark, bench_seed):
             feedback = by_cell[(topology, "cycles", overlap)]
             assert feedback <= load, (topology, overlap, text)
             strict = strict or feedback < load
-    if not SMOKE:
-        assert strict, text
+    assert strict, text
 
     # (b) Ring strictly slower than all-to-all at equal aggregate
     # bandwidth, in every cell.

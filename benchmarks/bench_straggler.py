@@ -12,24 +12,16 @@ signal first sees a blended mid-round measurement):
     strictly positive fraction of the straggler-induced gap;
 (c) the recovered fraction is substantial, not a rounding artifact:
     at least 10% of the gap at every factor.
-
-``REPRO_STRAGGLER_SMOKE=1`` shrinks the graph to a seconds-long
-configuration (CI runs it) while asserting the same claims.
 """
-
-import os
 
 from conftest import run_once, save_artifact
 
 from repro.analysis import compare_straggler
 
-SMOKE = os.environ.get("REPRO_STRAGGLER_SMOKE") == "1"
-SWEEP_KWARGS = {"n_nodes": 2048} if SMOKE else {"n_nodes": 4096}
-
 
 def test_bench_straggler(benchmark, bench_seed):
     rows, text = run_once(
-        benchmark, compare_straggler, seed=bench_seed, **SWEEP_KWARGS
+        benchmark, compare_straggler, seed=bench_seed
     )
     save_artifact("straggler", rows, text)
 

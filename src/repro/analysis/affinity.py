@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from repro.analysis.report import ascii_table
 from repro.errors import ConfigError
+from repro.serve.bench import DEFAULT_GRAPH_KWARGS, default_serving_config
 from repro.serve.service import serve_requests
 from repro.serve.traffic import streaming_traffic
 
@@ -55,8 +56,8 @@ def compare_cache_affinity(*, n_requests=96,
                            n_workers=4, family_size=12, repeat_alpha=1.2,
                            n_nodes=4096, n_pes=96, max_batch=4,
                            slo_ms=50.0, worker_cache_entries=None,
-                           replicate_threshold=3.0, replicate_k=2,
-                           seed=7, graph_kwargs=None):
+                           replicate_threshold=3.0, seed=7,
+                           graph_kwargs=None):
     """Run the cache-affinity routing sweep; returns ``(rows, text)``.
 
     One Zipf repeat-heavy streaming trace per arrival rate in ``rates``
@@ -64,14 +65,11 @@ def compare_cache_affinity(*, n_requests=96,
     exponent ``repeat_alpha``), served twice on an ``n_workers``
     partitioned pool: cache-blind dispatch vs affinity routing with
     demand-driven replication (``replicate_threshold`` windowed
-    requests, ``replicate_k`` target shards). Two rows per rate report
-    aggregate and per-worker hit rates, placement hit rate, replication
-    count, wall-clock throughput and tail latency / SLO attainment.
+    requests, :data:`~repro.serve.placement.REPLICATE_K` target
+    shards). Two rows per rate report aggregate and per-worker hit
+    rates, placement hit rate, replication count, wall-clock throughput
+    and tail latency / SLO attainment.
     """
-    # Deferred: repro.serve.bench itself imports the analysis package
-    # (for ascii_table), so a module-level import here would be cyclic.
-    from repro.serve.bench import DEFAULT_GRAPH_KWARGS, default_serving_config
-
     if not rates:
         raise ConfigError("rates must be a non-empty sequence")
     rates = tuple(float(rate) for rate in rates)
@@ -84,8 +82,7 @@ def compare_cache_affinity(*, n_requests=96,
     modes = (
         ("blind", {"cache_mode": "partitioned"}),
         ("affinity", {"cache_mode": "affinity",
-                      "replicate_threshold": replicate_threshold,
-                      "replicate_k": replicate_k}),
+                      "replicate_threshold": replicate_threshold}),
     )
     rows = []
     for rate in rates:

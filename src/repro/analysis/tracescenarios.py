@@ -6,7 +6,7 @@ stream exercises a distinct slice of the stack:
 
 * ``serve``  — streaming batch traffic under an SLO on an
   affinity-routed partitioned pool: arrivals, batch cuts (size /
-  deadline / timeout), per-worker batch spans, per-shard cache
+  deadline / flush), per-worker batch spans, per-shard cache
   hit/miss/store, ``cache.route``/``cache.replicate`` placement
   events, per-worker hit-rate counters and per-round Eq. 5 tuner
   events;

@@ -27,7 +27,7 @@ Composition model, per GCN layer:
   nothing can hide;
 * a layer ends at a barrier (the next layer's ``X W`` needs the full
   previous output), so the layer costs the *slowest* chip's composed
-  cost, plus a fixed ``barrier_cycles`` sync overhead.
+  cost, plus a fixed :data:`BARRIER_CYCLES` sync overhead.
 
 Chip-level rebalancing lifts the paper's mechanism one level up: the
 row blocks of the plan play the role of rows, chips play the role of
@@ -48,10 +48,12 @@ signal should be *observed* imbalance):
   regime static load balancing cannot see — migrate under this mode.
 
 Both modes preserve contiguity (diffusion on the chip chain keeps
-shards contiguous and halos small) and restore the best map seen, and
-migrated blocks pay for their adjacency-structure transfer
-(``migration_words_per_nnz`` words per moved non-zero) over the fabric
-before execution starts.
+shards contiguous and halos small), freeze after
+:data:`REBALANCE_PATIENCE` rounds without improvement and restore the
+best map seen (the load signal runs at most
+:data:`MAX_REBALANCE_ROUNDS` rounds), and migrated blocks pay for their
+adjacency-structure transfer (:data:`MIGRATION_WORDS_PER_NNZ` words per
+moved non-zero) over the fabric before execution starts.
 
 A :class:`ShardedAccelerator` binds the model to one graph, ``a_hops``
 and cluster shape and keeps what those determine — the plans, their
@@ -72,6 +74,7 @@ from repro.accel.config import ArchConfig
 from repro.accel.cyclemodel import simulate_spmm  # noqa: F401
 from repro.accel.gcnaccel import GcnAccelerator, build_spmm_jobs, slice_jobs
 from repro.cluster.partition import (
+    PARTITION_STRATEGIES,
     ShardPlan,
     check_capacities,
     check_row_ceilings,
@@ -87,6 +90,18 @@ from repro.utils.validation import (
 )
 
 REBALANCE_SIGNALS = ("load", "cycles")
+BARRIER_CYCLES = 64
+"""Per-layer synchronization overhead, charged once per GCN layer when
+``n_chips > 1``."""
+MIGRATION_WORDS_PER_NNZ = 2
+"""Fabric words charged per migrated adjacency non-zero (index +
+value)."""
+MAX_REBALANCE_ROUNDS = 16
+"""Upper bound on load-signal rebalancing rounds (the controller
+usually freezes earlier, after :data:`REBALANCE_PATIENCE`)."""
+REBALANCE_PATIENCE = 2
+"""Rounds without improvement before the chip-level block map freezes
+(Eq. 5 patience, chip level); both signals honor it."""
 
 
 @dataclass(frozen=True)
@@ -131,6 +146,11 @@ class StragglerEvent:
 class ClusterConfig:
     """Everything that defines a multi-chip deployment.
 
+    What every deployment shares is a module constant, not a field: the
+    per-layer barrier (:data:`BARRIER_CYCLES`), the migration price
+    (:data:`MIGRATION_WORDS_PER_NNZ`) and the chip-level controller's
+    bounds (:data:`MAX_REBALANCE_ROUNDS`, :data:`REBALANCE_PATIENCE`).
+
     Parameters
     ----------
     n_chips:
@@ -163,9 +183,6 @@ class ClusterConfig:
     overlap:
         Double-buffer halo transfers behind compute. Default False
         keeps the serialized ``compute + comm`` layer model.
-    barrier_cycles:
-        Fixed per-layer synchronization overhead, charged once per GCN
-        layer when ``n_chips > 1``.
     strategy:
         Initial partition strategy (``"rows"`` or ``"nnz"``, see
         :func:`~repro.cluster.partition.make_plan`).
@@ -180,15 +197,6 @@ class ClusterConfig:
     feedback_rounds:
         Migration sweeps the ``"cycles"`` signal may run (each costs
         one full per-chip simulation pass).
-    max_rebalance_rounds:
-        Upper bound on load-signal rebalancing iterations (the
-        controller usually freezes earlier via its patience rule).
-    rebalance_patience:
-        Rounds without improvement before the block map freezes
-        (Eq. 5 patience, chip level) — both signals honor it.
-    migration_words_per_nnz:
-        Fabric words charged per migrated adjacency non-zero (index +
-        value = 2 words by default). Any positive finite number.
     row_ceilings:
         Optional hard per-chip row budgets (length ``n_chips``). With
         them set, the initial plan and every migration are constrained
@@ -224,15 +232,11 @@ class ClusterConfig:
     topology: object = "all-to-all"
     hop_latency_cycles: int = 0
     overlap: bool = False
-    barrier_cycles: int = 64
     strategy: str = "nnz"
     blocks_per_chip: int = 8
     rebalance: bool = True
     rebalance_signal: str = "load"
     feedback_rounds: int = 4
-    max_rebalance_rounds: int = 16
-    rebalance_patience: int = 2
-    migration_words_per_nnz: float = 2
     row_ceilings: tuple = None
     stragglers: tuple = None
     background_link_loads: tuple = None
@@ -262,9 +266,6 @@ class ClusterConfig:
         check_positive_finite(
             self.link_words_per_cycle, "link_words_per_cycle"
         )
-        check_positive_finite(
-            self.migration_words_per_nnz, "migration_words_per_nnz"
-        )
         if isinstance(self.topology, Topology):
             if self.topology.n_chips != self.n_chips:
                 raise ConfigError(
@@ -277,9 +278,10 @@ class ClusterConfig:
                 f"got {self.topology!r}"
             )
         check_non_negative_int(self.hop_latency_cycles, "hop_latency_cycles")
-        if self.barrier_cycles < 0:
+        if self.strategy not in PARTITION_STRATEGIES:
             raise ConfigError(
-                f"barrier_cycles must be >= 0, got {self.barrier_cycles}"
+                f"strategy must be one of {PARTITION_STRATEGIES}, "
+                f"got {self.strategy!r}"
             )
         if self.rebalance_signal not in REBALANCE_SIGNALS:
             raise ConfigError(
@@ -288,8 +290,6 @@ class ClusterConfig:
             )
         check_positive_int(self.blocks_per_chip, "blocks_per_chip")
         check_positive_int(self.feedback_rounds, "feedback_rounds")
-        check_positive_int(self.max_rebalance_rounds, "max_rebalance_rounds")
-        check_positive_int(self.rebalance_patience, "rebalance_patience")
         if self.row_ceilings is not None:
             ceilings = check_row_ceilings(self.row_ceilings, self.n_chips)
             object.__setattr__(
@@ -537,8 +537,7 @@ def _diffuse_pairs(bounds, weights, chip_time, marginal, *,
     return moved_any
 
 
-def rebalance_plan(plan, row_nnz, cluster, *, capacities=None,
-                   row_ceilings=None):
+def rebalance_plan(plan, row_nnz, cluster):
     """Run the chip-level Eq. 5 load-signal controller; ``(plan, info)``.
 
     Blocks play the role of rows, chips the role of PEs, and the
@@ -551,19 +550,19 @@ def rebalance_plan(plan, row_nnz, cluster, *, capacities=None,
     exceed half the pair's gap — the intra-chip Shuffling-Lookup-Table
     rule (``work_target = gap / 2``) applied to block migration. The
     sweep repeats until the cluster-wide time gap stops improving for
-    ``rebalance_patience`` rounds (or ``max_rebalance_rounds``); like
-    the intra-chip tuner's freeze, the best map seen is restored.
+    :data:`REBALANCE_PATIENCE` rounds (or :data:`MAX_REBALANCE_ROUNDS`);
+    like the intra-chip tuner's freeze, the best map seen is restored.
 
-    ``capacities`` defaults to the cluster's own
+    The capacities are the cluster's own
     (:meth:`ClusterConfig.capacities`); a homogeneous cluster reduces
     bit-for-bit to the PR 4 unnormalized controller.
 
-    ``row_ceilings`` (defaulting to :attr:`ClusterConfig.row_ceilings`)
-    are hard per-chip row budgets: every transfer is clamped so no
-    migration pushes a chip past its ceiling, and a plan that already
-    violates one raises :class:`~repro.errors.CeilingError`. The
-    best-map restore only ever sees clamped candidates, so the returned
-    plan respects every ceiling too.
+    The cluster's :attr:`~ClusterConfig.row_ceilings` are hard per-chip
+    row budgets: every transfer is clamped so no migration pushes a
+    chip past its ceiling, and a plan that already violates one raises
+    :class:`~repro.errors.CeilingError`. The best-map restore only ever
+    sees clamped candidates, so the returned plan respects every
+    ceiling too.
 
     Requires a contiguous plan (``owner`` sorted in runs, as both
     :func:`~repro.cluster.partition.make_plan` strategies produce):
@@ -571,14 +570,9 @@ def rebalance_plan(plan, row_nnz, cluster, *, capacities=None,
     """
     _check_rebalance_inputs(plan, cluster)
     weights = plan.block_weights(row_nnz)
-    if capacities is None:
-        capacities = cluster.capacities()
-    else:
-        capacities = check_capacities(capacities, plan.n_chips)
-    if row_ceilings is None:
-        row_ceilings = cluster.row_ceilings
+    capacities = cluster.capacities()
     ceilings = check_row_ceilings(
-        row_ceilings, plan.n_chips, n_rows=plan.n_rows
+        cluster.row_ceilings, plan.n_chips, n_rows=plan.n_rows
     )
     if ceilings is not None:
         counts = plan.chip_row_counts()
@@ -611,7 +605,7 @@ def rebalance_plan(plan, row_nnz, cluster, *, capacities=None,
     stall = 0
     rounds = 0
     converged_round = None
-    while rounds < cluster.max_rebalance_rounds:
+    while rounds < MAX_REBALANCE_ROUNDS:
         row_counts = (
             np.add.reduceat(block_rows, bounds[:-1]).astype(np.int64)
             if ceilings is not None else None
@@ -630,7 +624,7 @@ def rebalance_plan(plan, row_nnz, cluster, *, capacities=None,
             stall = 0
         else:
             stall += 1
-            if stall >= cluster.rebalance_patience or not moved_any:
+            if stall >= REBALANCE_PATIENCE or not moved_any:
                 converged_round = rounds
                 break
     new_owner = np.repeat(
@@ -661,7 +655,7 @@ def _migration_cycles(cluster, old_plan, new_plan, weights):
     if not moved.any():
         return 0
     fabric = cluster.fabric
-    words = float(weights[moved].sum()) * cluster.migration_words_per_nnz
+    words = float(weights[moved].sum()) * MIGRATION_WORDS_PER_NNZ
     # One serialized burst priced by the fabric (its bandwidth, not the
     # config field — a prebuilt Topology carries its own), over the
     # farthest moved block's route.
@@ -853,7 +847,7 @@ def _compose_layers(cluster, layers, chip_reports, halo, a_hops, *,
             chip_costs[layer] = chip_compute[layer] + comm_serial[layer]
         cost = int(chip_costs[layer].max())
         if n_chips > 1:
-            cost += cluster.barrier_cycles
+            cost += BARRIER_CYCLES
         layer_cycles.append(cost)
     return layer_cycles, comm_serial, chip_costs, chip_compute
 
@@ -874,7 +868,7 @@ def _feedback_rebalance(sharded, cluster, cache, tracer=None):
     kept — feedback sees communication and migration pricing, so a
     move that balances compute but inflates halos or ships too many
     blocks is rejected by the best-plan restore. Freezes early after
-    ``rebalance_patience`` rounds without improvement, like the
+    :data:`REBALANCE_PATIENCE` rounds without improvement, like the
     intra-chip tuner.
 
     Cache discipline: exploration rounds run against a read-through
@@ -982,7 +976,7 @@ def _feedback_rebalance(sharded, cluster, cache, tracer=None):
             stall = 0
         else:
             stall += 1
-            if stall >= cluster.rebalance_patience and not pending:
+            if stall >= REBALANCE_PATIENCE and not pending:
                 converged_round = rounds
                 break
         if rounds >= cluster.feedback_rounds:
@@ -1033,16 +1027,16 @@ def _feedback_rebalance(sharded, cluster, cache, tracer=None):
 
 
 def simulate_multichip_gcn(dataset, cluster, *, a_hops=1, cache=None,
-                           plan=None, tracer=None):
+                           tracer=None):
     """Simulate a full sharded 2-layer GCN inference on a cluster.
 
-    Partitions ``dataset`` (or adopts a caller-supplied ``plan``),
-    optionally rebalances it at chip level — on the static load signal
-    or, with ``rebalance_signal="cycles"``, on measured per-chip cycles
-    fed back round by round — runs every chip's sliced jobs through the
-    single-chip pipeline at that chip's own :class:`ArchConfig`, and
-    composes layers with the fabric-routed halo model (serialized or
-    double-buffered, see :class:`ClusterConfig`). ``cache`` is an
+    Partitions ``dataset``, optionally rebalances it at chip level — on
+    the static load signal or, with ``rebalance_signal="cycles"``, on
+    measured per-chip cycles fed back round by round — runs every
+    chip's sliced jobs through the single-chip pipeline at that chip's
+    own :class:`ArchConfig`, and composes layers with the fabric-routed
+    halo model (serialized or double-buffered, see
+    :class:`ClusterConfig`). ``cache`` is an
     optional :class:`~repro.serve.AutotuneCache` shared across chips —
     entries are keyed per shard and per chip config (each chip's sliced
     jobs hash to their own fingerprint, and the chip's ArchConfig is
@@ -1054,20 +1048,19 @@ def simulate_multichip_gcn(dataset, cluster, *, a_hops=1, cache=None,
     the run then reuses the plans, halo sets and per-chip accelerators
     it built for earlier jobs. ``cluster`` must then be the
     accelerator's own up to ``background_link_loads`` (this job's
-    fabric background), ``a_hops`` its ``a_hops``, and ``plan`` None.
+    fabric background), and ``a_hops`` its ``a_hops``.
     """
     if isinstance(dataset, ShardedAccelerator):
         sharded = dataset
-        if (not isinstance(cluster, ClusterConfig) or plan is not None
+        if (not isinstance(cluster, ClusterConfig)
                 or a_hops != sharded.a_hops
                 or _shape_of(cluster) != _shape_of(sharded.cluster)):
             raise ConfigError(
                 "a ShardedAccelerator runs only on its own cluster (up to "
-                "background_link_loads), a_hops and plan"
+                "background_link_loads) and a_hops"
             )
     else:
-        sharded = ShardedAccelerator(dataset, cluster, a_hops=a_hops,
-                                     plan=plan)
+        sharded = ShardedAccelerator(dataset, cluster, a_hops=a_hops)
     return sharded._simulate(cluster, cache, tracer)
 
 
@@ -1088,8 +1081,7 @@ class ShardedAccelerator:
     settings. What the graph and that shape determine is built on first
     use and kept for every later run:
 
-    * the initial plan (:func:`~repro.cluster.partition.make_plan`, or
-      the caller's ``plan``);
+    * the initial plan (:func:`~repro.cluster.partition.make_plan`);
     * the load-signal :func:`rebalance_plan` outcome;
     * each plan's :class:`~repro.cluster.partition.HaloExchange`;
     * each plan's per-chip :class:`~repro.accel.GcnAccelerator`, whose
@@ -1107,7 +1099,7 @@ class ShardedAccelerator:
     change a later run.
     """
 
-    def __init__(self, dataset, cluster, *, a_hops=1, plan=None):
+    def __init__(self, dataset, cluster, *, a_hops=1):
         if not isinstance(cluster, ClusterConfig):
             raise ConfigError(
                 f"cluster must be ClusterConfig, got {type(cluster).__name__}"
@@ -1116,34 +1108,13 @@ class ShardedAccelerator:
             row_nnz = dataset.adjacency_row_nnz()
         else:
             row_nnz = dataset.adjacency.row_nnz()
-        if plan is not None:
-            if (plan.n_rows != dataset.n_nodes
-                    or plan.n_chips != cluster.n_chips):
-                raise ConfigError(
-                    f"plan ({plan!r}) does not match dataset "
-                    f"({dataset.n_nodes} nodes) / cluster "
-                    f"({cluster.n_chips} chips)"
-                )
-            if cluster.row_ceilings is not None:
-                ceilings = check_row_ceilings(
-                    cluster.row_ceilings, cluster.n_chips,
-                    n_rows=plan.n_rows,
-                )
-                counts = plan.chip_row_counts()
-                if np.any(counts > ceilings):
-                    over = int(np.argmax(counts > ceilings))
-                    raise CeilingError(
-                        f"supplied plan violates row_ceilings: chip {over} "
-                        f"owns {int(counts[over])} rows, ceiling "
-                        f"{int(ceilings[over])}"
-                    )
         self.dataset = dataset
         self.cluster = cluster
         self.a_hops = a_hops
         self.jobs = build_spmm_jobs(dataset, a_hops=a_hops)
         self.name = getattr(dataset, "name", "custom")
         self._row_nnz = row_nnz
-        self._plan = plan
+        self._plan = None
         self._infeasible = None
         self._load = None
         self._halos = {}
@@ -1153,8 +1124,8 @@ class ShardedAccelerator:
     def plan(self):
         """The initial :class:`~repro.cluster.partition.ShardPlan`.
 
-        Built on first use unless the caller supplied one. When the row
-        ceilings admit no plan, every access raises
+        Built on first use. When the row ceilings admit no plan, every
+        access raises
         :class:`~repro.errors.CeilingError` but only the first runs the
         partitioner.
         """

@@ -31,13 +31,11 @@ time with latency SLOs. This package adds that layer:
   accelerator instances, with latency percentile / SLO-attainment
   accounting (:class:`LatencyStats`), optional admission control
   (``shed_expired`` rejects requests whose deadline expired, reported
-  via ``ServiceStats.shed_rate``), reconfiguration pricing
-  (``reconfig_cycles`` charged when an instance switches configs
-  between batches), sharded dispatch (``chip_capacity`` plans
-  oversized graphs as :mod:`repro.cluster` multi-chip jobs
-  gang-scheduled across the pool), and multi-tenant co-scheduling
-  (``coschedule`` adds gang claims, priority classes, boundary
-  preemption and shared-fabric pricing; off by default and
+  via ``ServiceStats.shed_rate``), sharded dispatch
+  (``chip_capacity`` plans oversized graphs as :mod:`repro.cluster`
+  multi-chip jobs gang-scheduled across the pool), and multi-tenant
+  co-scheduling (``coschedule`` adds gang claims, priority classes,
+  boundary preemption and shared-fabric pricing; off by default and
   bit-identical to the exclusive-gang service). Pass a
   :class:`~repro.obs.tracer.RecordingTracer` as ``tracer`` to record
   the span-level event stream of a drain (see :mod:`repro.obs`);

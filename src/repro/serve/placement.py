@@ -18,6 +18,12 @@ import math
 from repro.datasets.registry import dataset_fingerprint
 from repro.serve.demand import DemandHistogram
 
+REPLICATE_K = 2
+"""How many least-loaded instances (earliest ``free_at``, index
+tie-break) receive each replication pass's hot entries."""
+DEMAND_HALF_LIFE = 0.05
+"""Half-life (simulated seconds) of the per-family demand histogram."""
+
 
 class FirstFree:
     """Cache-blind placement: the first idle candidate serves.
@@ -62,23 +68,20 @@ class CacheAffinity(FirstFree):
     """Cache-affinity placement over the instances' cache shards.
 
     ``workers`` is the service's instance pool, each holding its own
-    shard; ``reconfig_cycles`` prices a configuration switch in the
-    routing wait check exactly as dispatch charges it; the rest are the
-    service's replication knobs (``shard_entries`` is its
-    ``worker_cache_entries``). Decisions emit ``cache.route`` and
-    ``cache.replicate`` events on ``tracer``.
+    shard; ``shard_entries`` (the service's ``worker_cache_entries``)
+    and ``replicate_threshold`` are its replication knobs, and
+    :data:`REPLICATE_K` and :data:`DEMAND_HALF_LIFE` fix the rest.
+    Decisions emit ``cache.route`` and ``cache.replicate`` events on
+    ``tracer``.
     """
 
-    def __init__(self, workers, *, reconfig_cycles, shard_entries,
-                 replicate_threshold, replicate_k, demand_half_life,
+    def __init__(self, workers, *, shard_entries, replicate_threshold,
                  tracer):
         self.workers = workers
-        self.reconfig_cycles = reconfig_cycles
         self.shard_entries = shard_entries
         self.replicate_threshold = replicate_threshold
-        self.replicate_k = replicate_k
         self.tracer = tracer
-        self._demand = DemandHistogram(half_life=demand_half_life)
+        self._demand = DemandHistogram(half_life=DEMAND_HALF_LIFE)
         self._gang_affinity = {}
         """family -> member indices of the gang that last served it
         (sharded re-landing; persists across drains like the caches)."""
@@ -106,7 +109,7 @@ class CacheAffinity(FirstFree):
         self.routes = 0
         self.route_hits = 0
         self.replications = 0
-        self._demand = DemandHistogram(half_life=self._demand.half_life)
+        self._demand = DemandHistogram(half_life=DEMAND_HALF_LIFE)
         self._replica_plan = None
 
     def arrival(self, item):
@@ -120,19 +123,16 @@ class CacheAffinity(FirstFree):
         Scores the candidates by warm-entry coverage of the batch's
         (fingerprint, config) keys (``key_of(request)``) and picks the
         best-covered *feasible* one — where feasible means free now,
-        or freeing early enough that waiting for it, plus any
-        reconfiguration it owes, cannot break the batch's earliest
-        deadline (for SLO-less batches the wait is bounded by the
-        scheduler's own EWMA service estimate, so a cold idle pool is
-        never left idle for long). Ties break toward the earliest-free
-        then lowest-indexed instance, and when no warm feasible
-        instance exists the router falls back to the first-free rule —
-        so EDF dispatch order within a priority class is preserved and
-        a batch is never stranded past its deadline waiting for a warm
-        instance.
+        or freeing early enough that waiting for it cannot break the
+        batch's earliest deadline (for SLO-less batches the wait is
+        bounded by the scheduler's own EWMA service estimate, so a cold
+        idle pool is never left idle for long). Ties break toward the
+        earliest-free then lowest-indexed instance, and when no warm
+        feasible instance exists the router falls back to the
+        first-free rule — so EDF dispatch order within a priority class
+        is preserved and a batch is never stranded past its deadline
+        waiting for a warm instance.
         """
-        config = items[0].request.config
-        a_hops = items[0].request.a_hops
         keys = {}  # an ordered set
         for item in items:
             key = key_of(item.request)
@@ -140,7 +140,8 @@ class CacheAffinity(FirstFree):
             self._family_keys.setdefault(family, {})[key] = None
             self._key_family[key] = family
             keys[key] = None
-        estimate = stream.estimate(config, a_hops) * len(items)
+        request = items[0].request
+        estimate = stream.estimate(request.config, request.a_hops) * len(items)
         deadline = min(item.deadline for item in items)
         best = None
         best_score = None
@@ -154,16 +155,12 @@ class CacheAffinity(FirstFree):
                 continue
             if worker.free_at > clock:
                 # Waiting for this warm instance must be provably
-                # safe: with a deadline, start + estimated service
-                # still meets it; without one, the wait is bounded by
-                # one estimated batch service time (0.0 before any
-                # observation — i.e. never wait while cold).
-                start = worker.start_after(
-                    config, a_hops, max(clock, worker.free_at),
-                    self.reconfig_cycles,
-                )
+                # safe: with a deadline, its free time + estimated
+                # service still meets it; without one, the wait is
+                # bounded by one estimated batch service time (0.0
+                # before any observation — i.e. never wait while cold).
                 if math.isfinite(deadline):
-                    if start + estimate > deadline:
+                    if worker.free_at + estimate > deadline:
                         continue
                 elif worker.free_at - clock > estimate:
                     continue
@@ -241,7 +238,7 @@ class CacheAffinity(FirstFree):
         first-observation order), and their known (fingerprint,
         config) keys that some shard holds are taken in that order, up
         to one shard's worth (``shard_entries``; every key when
-        unbounded). Each of the ``replicate_k`` earliest-free
+        unbounded). Each of the :data:`REPLICATE_K` earliest-free
         instances' shards then stores, through
         :meth:`~repro.serve.cache.AutotuneCache.replicate`, only the
         planned keys it lacks. A replica that would evict an entry is
@@ -263,7 +260,7 @@ class CacheAffinity(FirstFree):
             return
         targets = sorted(
             self.workers, key=lambda w: (w.free_at, w.index)
-        )[:self.replicate_k]
+        )[:REPLICATE_K]
         plan = (frozenset(hot), frozenset(w.index for w in targets))
         if plan == self._replica_plan:
             return

@@ -40,24 +40,6 @@ def _check_max_batch(max_batch):
     return check_positive_int(max_batch, "max_batch")
 
 
-def _check_max_wait(max_wait):
-    """Validate a batch timeout: None (disabled) or finite seconds >= 0."""
-    if max_wait is None:
-        return None
-    try:
-        max_wait = float(max_wait)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"max_wait must be a number or None, got "
-            f"{type(max_wait).__name__}"
-        )
-    if not math.isfinite(max_wait) or max_wait < 0.0:
-        raise ConfigError(
-            f"max_wait must be finite and >= 0, got {max_wait}"
-        )
-    return max_wait
-
-
 @dataclass(frozen=True)
 class QueuedRequest:
     """An accepted request plus its arrival sequence number."""
@@ -174,8 +156,6 @@ class StreamingScheduler:
       service time (a per-group EWMA of observed per-request modeled
       service seconds, fed back via :meth:`observe`) says the batch
       must start now to have a chance of meeting the SLO;
-    * **timeout cut** — the oldest member has waited ``max_wait``
-      seconds (bounds queueing for SLO-less traffic);
     * **flush** — the arrival stream ended (:meth:`flush`).
 
     Cut batches wait in an EDF priority queue: :meth:`pop_ready` hands
@@ -188,9 +168,6 @@ class StreamingScheduler:
     max_batch:
         Size cut threshold in requests (None = no size cuts). Positive
         int.
-    max_wait:
-        Timeout cut threshold in *simulated seconds* measured from the
-        oldest member's arrival (None = no timeout cuts).
     shed_expired:
         Admission control: when True, a member whose deadline has
         already expired at the instant its batch is cut is *shed* —
@@ -223,10 +200,9 @@ class StreamingScheduler:
     reports it as an SLO miss).
     """
 
-    def __init__(self, *, max_batch=None, max_wait=None, shed_expired=False,
+    def __init__(self, *, max_batch=None, shed_expired=False,
                  priorities=False, critical_slo_ms=None, tracer=None):
         self.max_batch = _check_max_batch(max_batch)
-        self.max_wait = _check_max_wait(max_wait)
         self.shed_expired = bool(shed_expired)
         self.priorities = bool(priorities)
         self.critical_slo_ms = critical_slo_ms
@@ -287,9 +263,8 @@ class StreamingScheduler:
 
         ``(config, a_hops)`` historically; with :attr:`priorities` the
         priority class is appended so batches stay priority-pure. The
-        first two elements are always the reconfiguration surface — the
-        service keys instance state and service-time estimates off
-        ``key[:2]``.
+        first two elements are always the hardware surface — the
+        service-time estimates key off ``key[:2]``.
         """
         key = (request.config, request.a_hops)
         if self.priorities:
@@ -322,32 +297,16 @@ class StreamingScheduler:
         """
         return self._estimates.get((config, a_hops), 0.0)
 
-    def _cut_decision(self, key):
-        """``(when, reason)`` — the instant this group must be sealed.
-
-        ``reason`` is ``"deadline"`` when the tightest member deadline
-        minus the estimated batch service time binds, ``"timeout"``
-        when the oldest member's ``max_wait`` clock cuts earlier. O(1):
-        the tightest deadline is a running minimum that :meth:`admit`
-        lowers and :meth:`_cut` resets.
-        """
-        group = self._groups[key]
-        tightest = self._tightest[key]
+    def _cut_time(self, key):
+        """Simulated second at which this group must be sealed: its
+        tightest member deadline minus the estimated batch service
+        time. O(1): the tightest deadline is a running minimum that
+        :meth:`admit` lowers and :meth:`_cut` resets."""
         # Estimates are keyed by the hardware surface alone — the
         # priority suffix of a 3-element group key carries no service
         # time information.
-        estimate = self._estimates.get(key[:2], 0.0) * len(group)
-        when = tightest - estimate
-        reason = "deadline"
-        if self.max_wait is not None:
-            timeout = group[0].arrival_time + self.max_wait
-            if timeout < when:
-                when, reason = timeout, "timeout"
-        return when, reason
-
-    def _cut_time(self, key):
-        """Simulated second at which this group must be sealed."""
-        return self._cut_decision(key)[0]
+        estimate = self._estimates.get(key[:2], 0.0) * len(self._groups[key])
+        return self._tightest[key] - estimate
 
     def next_cut_time(self):
         """Earliest second any live group needs cutting (inf if none)."""
@@ -361,16 +320,12 @@ class StreamingScheduler:
 
         ``now`` is the current simulated-clock second. A group is due
         when its tightest member deadline minus the estimated batch
-        service time, or its oldest member's ``max_wait`` timeout,
-        is at or before ``now``.
+        service time is at or before ``now``.
         """
         cut = 0
         for key in self._order:
-            if not self._groups.get(key):
-                continue
-            when, reason = self._cut_decision(key)
-            if when <= now:
-                self._cut(key, now, reason=reason)
+            if self._groups.get(key) and self._cut_time(key) <= now:
+                self._cut(key, now, reason="deadline")
                 cut += 1
         return cut
 
@@ -435,9 +390,10 @@ class StreamingScheduler:
     def peek_ready(self):
         """The EDF-first ready batch's member tuple, without dispatching.
 
-        Lets the service inspect what :meth:`pop_ready` would hand out
-        (e.g. the largest member graph, for capacity-aware instance
-        placement) before committing to a dispatch.
+        Lets the service's placement policy inspect what
+        :meth:`pop_ready` would hand out (the members' cache keys and
+        tightest deadline) before committing to a dispatch; a batch no
+        instance can take stays queued.
         """
         if not self._ready:
             raise ConfigError("peek_ready on an empty ready queue")

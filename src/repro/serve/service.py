@@ -69,7 +69,7 @@ from repro.cluster.multichip import (
 # Unused here since planning and halo sets moved into ShardedAccelerator;
 # hostbench/layers.py still patches both names on this module.
 from repro.cluster.partition import halo_exchange, make_plan  # noqa: F401
-from repro.cluster.topology import Topology, make_topology, subtopology
+from repro.cluster.topology import Topology, subtopology
 from repro.datasets.registry import dataset_fingerprint
 from repro.errors import CeilingError, ConfigError
 from repro.obs.tracer import NULL_TRACER, config_label
@@ -80,13 +80,8 @@ from repro.serve.scheduler import (
     RequestQueue,
     StreamingScheduler,
     _check_max_batch,
-    _check_max_wait,
 )
-from repro.utils.validation import (
-    check_non_negative_int,
-    check_positive_finite,
-    check_positive_int,
-)
+from repro.utils.validation import check_positive_int
 
 
 @dataclass
@@ -102,30 +97,13 @@ class WorkerState:
     """Simulated second the instance finishes its current batch."""
     modeled_busy_seconds: float = 0.0
     """Simulated seconds the instance was occupied: from the moment it
-    is claimed for a batch (including any reconfiguration penalty) to
-    the batch's finish. Gang members of a sharded job each accrue the
-    full sharded duration."""
-    last_key: object = None
-    """The (config, a_hops) pair the instance is currently configured
-    for (None until its first batch)."""
-    reconfigs: int = 0
-    """How many times the instance switched configurations between
-    batches (each charged ``reconfig_cycles`` when that is non-zero)."""
+    is claimed for a batch to the batch's finish. Gang members of a
+    sharded job each accrue the full sharded duration."""
     cache: object = None
     """The :class:`AutotuneCache` this instance simulates against: its
     own shard under ``cache_mode`` ``"partitioned"``/``"affinity"``,
     the one cache every instance shares under ``"shared"`` (None when
     the service runs without a cache)."""
-
-    def start_after(self, config, a_hops, start, penalty_cycles):
-        """When ``(config, a_hops)`` work reaching this instance at
-        ``start`` begins: ``penalty_cycles`` later if it must switch
-        configurations first. The one reconfiguration price, shared by
-        dispatch, the backfill screen and affinity routing."""
-        if (self.last_key is not None and self.last_key != (config, a_hops)
-                and penalty_cycles):
-            return start + config.cycles_to_seconds(penalty_cycles)
-        return start
 
 
 @dataclass
@@ -136,7 +114,6 @@ class _ActiveJob:
     gang: list
     """The member :class:`WorkerState` objects, in gang order."""
     priority: int
-    start: float
     finish: float
     """Projected finish on the simulated clock (updated on resume)."""
     boundaries: list
@@ -145,7 +122,6 @@ class _ActiveJob:
     flows: object = None
     """Per-link halo words (pool link id space) this job keeps on the
     shared fabric per round, or None for single-chip/clamped gangs."""
-    constrained: bool = True
     preempted: bool = False
     remaining: float = 0.0
     """Modeled seconds of work left past the preemption boundary."""
@@ -346,13 +322,8 @@ class InferenceService:
         full auto-tuner — the ablation mode of the serving benchmark).
     max_batch:
         Optional cap on batch size; a config group is sealed as soon as
-        it accumulates this many requests.
-    max_wait:
-        Optional bound (simulated seconds) on how long a sealed-pending
-        request may wait for its batch to fill — the batch timeout that
-        keeps SLO-less streaming traffic from queueing indefinitely.
-        None disables it (batches then cut on size, deadline slack or
-        end of stream only).
+        it accumulates this many requests (otherwise batches cut on
+        deadline slack or at the end of the stream).
     shed_expired:
         Admission control: shed (reject, with a recorded outcome)
         requests whose deadline has already expired at batch-cut time —
@@ -363,12 +334,6 @@ class InferenceService:
         fields; the shed rate is reported in
         :attr:`ServiceStats.shed_rate`. Default False keeps the
         historical serve-late behavior bit-for-bit.
-    reconfig_cycles:
-        Cycle penalty charged when an instance switches its
-        ``(config, a_hops)`` between consecutive batches (converted to
-        simulated seconds at the incoming config's clock and added
-        before service starts). Default 0 models free switching — the
-        historical behavior, which flatters small batches.
     chip_capacity:
         Node-count capacity of every instance (one positive int: the
         pool is uniform). A request whose graph exceeds it is planned
@@ -459,24 +424,17 @@ class InferenceService:
         cache is bounded via the ``cache`` object itself.
     replicate_threshold:
         Demand level (decayed requests within roughly one
-        ``demand_half_life`` window) at which a graph family counts as
-        *hot*. Once per event-loop tick
+        :data:`~repro.serve.placement.DEMAND_HALF_LIFE` window) at
+        which a graph family counts as *hot*. Once per event-loop tick
         (:meth:`~repro.serve.placement.CacheAffinity.tick`), hot
         families' warm entries, hottest first and at most one shard's
         worth (``worker_cache_entries``), are replicated to the
-        ``replicate_k`` least-loaded instances, each replica admitted
-        only over an entry of a colder family, re-planned only when the
-        hot set or the target instances change. None disables
-        replication. Affinity mode only: a
-        :class:`~repro.errors.ConfigError` under any other
+        :data:`~repro.serve.placement.REPLICATE_K` least-loaded
+        instances, each replica admitted only over an entry of a colder
+        family, re-planned only when the hot set or the target
+        instances change. None disables replication. Affinity mode
+        only: a :class:`~repro.errors.ConfigError` under any other
         ``cache_mode``.
-    replicate_k:
-        How many least-loaded instances (earliest ``free_at``, index
-        tie-break) receive the hot entries; a shard already holding a
-        planned key is left as it is.
-    demand_half_life:
-        Half-life (simulated seconds) of the affinity policy's
-        per-family demand histogram.
     tracer:
         Optional :class:`~repro.obs.tracer.RecordingTracer` collecting
         the structured event trace of every drain (request span trees,
@@ -487,8 +445,8 @@ class InferenceService:
     Units
     -----
     Two clocks must never mix (see the module docstring). Everything
-    scheduling-related — ``arrival_time``, ``max_wait``, deadlines,
-    ``free_at``, the ``start_time``/``finish_time`` of results,
+    scheduling-related — ``arrival_time``, deadlines, ``free_at``,
+    the ``start_time``/``finish_time`` of results,
     ``LatencyStats`` — is *simulated* time: seconds of modeled hardware
     derived from cycle counts via
     :meth:`~repro.accel.ArchConfig.cycles_to_seconds` (latencies are
@@ -514,11 +472,11 @@ class InferenceService:
     """
 
     def __init__(self, *, n_workers=2, cache=True, max_batch=None,
-                 max_wait=None, shed_expired=False, reconfig_cycles=0,
-                 chip_capacity=None, cluster_options=None, coschedule=False,
+                 shed_expired=False, chip_capacity=None,
+                 cluster_options=None, coschedule=False,
                  critical_slo_ms=None, cache_mode="shared",
                  worker_cache_entries=None, replicate_threshold=None,
-                 replicate_k=2, demand_half_life=0.05, tracer=None):
+                 tracer=None):
         check_positive_int(n_workers, "n_workers")
         self.tracer = NULL_TRACER if tracer is None else tracer
         """Event sink (:mod:`repro.obs`): a
@@ -565,10 +523,6 @@ class InferenceService:
                     f"{replicate_threshold}"
                 )
         self.replicate_threshold = replicate_threshold
-        self.replicate_k = check_positive_int(replicate_k, "replicate_k")
-        self.demand_half_life = check_positive_finite(
-            demand_half_life, "demand_half_life"
-        )
         if cache_mode != "shared":
             if cache is not True:
                 raise ConfigError(
@@ -592,11 +546,7 @@ class InferenceService:
         without a cache, and under the per-instance modes)."""
         self.queue = RequestQueue()
         self.max_batch = _check_max_batch(max_batch)
-        self.max_wait = _check_max_wait(max_wait)
         self.shed_expired = bool(shed_expired)
-        self.reconfig_cycles = check_non_negative_int(
-            reconfig_cycles, "reconfig_cycles"
-        )
         if chip_capacity is not None:
             chip_capacity = check_positive_int(chip_capacity, "chip_capacity")
         self.chip_capacity = chip_capacity
@@ -627,8 +577,11 @@ class InferenceService:
                 "sizes each gang's fabric itself, and a prebuilt "
                 "Topology cannot be re-sized"
             )
-        # A probe at pool size, so a bad value fails here, not mid-drain.
-        ClusterConfig(n_chips=n_workers, **self.cluster_options)
+        self._pool = ClusterConfig(n_chips=n_workers, **self.cluster_options)
+        """The ``cluster_options`` cluster at pool size: built here so a
+        bad value fails before any request is queued, and the source of
+        the pool-wide fabric (:attr:`ClusterConfig.fabric`) co-scheduled
+        gangs share."""
         self.coschedule = bool(coschedule)
         if critical_slo_ms is not None:
             try:
@@ -658,16 +611,12 @@ class InferenceService:
         # Where batches and sharded gangs land (repro.serve.placement).
         if cache_mode == "affinity":
             self.placement = CacheAffinity(
-                self.workers, reconfig_cycles=self.reconfig_cycles,
-                shard_entries=worker_cache_entries,
-                replicate_threshold=replicate_threshold,
-                replicate_k=self.replicate_k,
-                demand_half_life=self.demand_half_life, tracer=self.tracer,
+                self.workers, shard_entries=worker_cache_entries,
+                replicate_threshold=replicate_threshold, tracer=self.tracer,
             )
         else:
             self.placement = FirstFree()
         self._n_batches = 0
-        self._pool_fabric_cache = None
         self._active = []
         self._screen_memo = {}
         self._drain_preemptions = 0
@@ -743,7 +692,7 @@ class InferenceService:
         cap = self.max_batch
         if cap is None and len(self.workers) > 1:
             cap = -(-len(queued) // len(self.workers)) or None
-        stream = StreamingScheduler(max_batch=cap, max_wait=self.max_wait,
+        stream = StreamingScheduler(max_batch=cap,
                                     shed_expired=self.shed_expired,
                                     priorities=self.coschedule,
                                     critical_slo_ms=self.critical_slo_ms,
@@ -789,7 +738,7 @@ class InferenceService:
                 else:
                     stream.admit(item, now=clock)
                 i += 1
-            # Seal groups whose deadline slack (or batch timeout) is up.
+            # Seal groups whose deadline slack is up.
             stream.cut_due(clock)
             # The arrival stream has ended: nothing more can join a
             # group, so seal the remainder.
@@ -870,9 +819,7 @@ class InferenceService:
                                                   clamp=False)
                         if picked is not None:
                             gang, constrained = picked
-                            would_end = self._would_start(
-                                gang, cand.request, clock
-                            ) + self._screen_duration(
+                            would_end = clock + self._screen_duration(
                                 cand, gang, constrained, clock
                             )
                             if would_end > t_head:
@@ -1107,7 +1054,7 @@ class InferenceService:
         if sharded is None:
             opts = dict(self.cluster_options)
             if self.coschedule:
-                opts["topology"] = subtopology(self._pool_fabric, indices)
+                opts["topology"] = subtopology(self._pool.fabric, indices)
             cluster = ClusterConfig(
                 n_chips=len(gang), chip=request.config,
                 row_ceilings=(
@@ -1203,44 +1150,6 @@ class InferenceService:
                 tuple(w.index for w in self.workers),
             )
         return None
-
-    @property
-    def _pool_fabric(self):
-        """The pool-wide fabric co-scheduled gangs share, memoized.
-
-        Built from the ``cluster_options`` topology *kind* (default
-        all-to-all) at pool size; each gang runs on its
-        :func:`~repro.cluster.topology.subtopology`, so different gangs'
-        link loads live in one id space and sum as background traffic.
-        """
-        if self._pool_fabric_cache is None:
-            self._pool_fabric_cache = make_topology(
-                self.cluster_options.get("topology", "all-to-all"),
-                len(self.workers),
-                link_words_per_cycle=float(
-                    self.cluster_options.get("link_words_per_cycle", 8.0)
-                ),
-                hop_latency_cycles=int(
-                    self.cluster_options.get("hop_latency_cycles", 0)
-                ),
-            )
-        return self._pool_fabric_cache
-
-    def _would_start(self, workers, request, clock):
-        """When a gang dispatched at ``clock`` would actually start.
-
-        Non-mutating mirror of the :meth:`_reconfigure` gating inside
-        :meth:`_serve_sharded`: the slowest member's reconfiguration
-        penalty (if its configured key differs) delays the whole gang.
-        Used by the backfill screen, which must price a candidate
-        without touching worker state.
-        """
-        start = clock
-        for worker in workers:
-            start = max(start, worker.start_after(
-                request.config, request.a_hops, clock, self.reconfig_cycles,
-            ))
-        return start
 
     def _screen_duration(self, item, gang, constrained, clock):
         """Exact modeled duration a sharded dispatch would take *now*.
@@ -1477,26 +1386,16 @@ class InferenceService:
             shed=True,
         )
 
-    def _reconfigure(self, worker, config, a_hops, start):
-        """Track a config switch; returns ``start`` plus any penalty."""
-        key = (config, a_hops)
-        if worker.last_key is not None and worker.last_key != key:
-            worker.reconfigs += 1
-        start = worker.start_after(config, a_hops, start,
-                                   self.reconfig_cycles)
-        worker.last_key = key
-        return start
-
     def _serve_sharded(self, item, workers, clock, results, *,
                        constrained=True, backfill=False):
         """Run one oversized request as a multi-chip job on ``workers``.
 
-        All participating instances gang-schedule: service starts once
-        every one of them is reconfigured (the slowest switch gates the
-        start) and they stay busy until the synchronized sharded run
-        finishes. Every chip runs the request's config. The first
-        member's cache (the shared one, or its shard) is passed down,
-        so each shard's tuning state is cached independently.
+        All participating instances gang-schedule: service starts at
+        ``clock``, when every one of them is idle, and they stay busy
+        until the synchronized sharded run finishes. Every chip runs the
+        request's config. The first member's cache (the shared one, or
+        its shard) is passed down, so each shard's tuning state is
+        cached independently.
 
         With ``constrained`` (the normal :meth:`_shard_gang` outcome)
         ``chip_capacity`` becomes every member's hard
@@ -1507,11 +1406,6 @@ class InferenceService:
         """
         request = item.request
         self.placement.gang_landed(item, workers, clock)
-        start = clock
-        for worker in workers:
-            start = max(start, self._reconfigure(
-                worker, request.config, request.a_hops, clock,
-            ))
         sharded = self._sharded_for(workers, request, constrained=constrained)
         cluster = _with_background(
             sharded.cluster,
@@ -1522,10 +1416,10 @@ class InferenceService:
         if tr.enabled:
             # Anchor the cluster/tuner/cache events of this job at its
             # service start on the simulated clock.
-            tr.set_time(start)
+            tr.set_time(clock)
         cache = workers[0].cache
         if cache is not None:
-            cache.clock = start
+            cache.clock = clock
         wall_started = time.perf_counter()
         report = simulate_multichip_gcn(
             sharded, cluster, a_hops=request.a_hops, cache=cache,
@@ -1535,7 +1429,7 @@ class InferenceService:
         service_seconds = cluster.chip.cycles_to_seconds(
             report.total_cycles
         )
-        finish = start + service_seconds
+        finish = clock + service_seconds
         primary = workers[0]
         # Every gang member served the request and was busy for the
         # whole sharded run: the request and batch counts go to each
@@ -1563,7 +1457,7 @@ class InferenceService:
             batch=-1,
             sim_seconds=elapsed,
             arrival_time=request.arrival_time,
-            start_time=start,
+            start_time=clock,
             finish_time=finish,
             slo_ms=request.slo_ms,
             n_shards=len(workers),
@@ -1594,7 +1488,7 @@ class InferenceService:
             cum = report.migration_cycles
             for layer_cost in report.layer_cycles[:-1]:
                 cum += layer_cost
-                boundaries.append(start + secs(cum))
+                boundaries.append(clock + secs(cum))
             flows = None
             if cluster.n_chips > 1:
                 flows = cluster.fabric.link_loads(report.halo.words)
@@ -1602,11 +1496,9 @@ class InferenceService:
                 seq=item.seq,
                 gang=list(workers),
                 priority=self._class_of(request),
-                start=start,
                 finish=finish,
                 boundaries=boundaries,
                 flows=flows,
-                constrained=constrained,
                 spans=member_spans,
                 req_span=req_span,
                 svc_span=svc_span,
@@ -1621,24 +1513,21 @@ class InferenceService:
         sealed batch queued for an instance are shed at service start —
         the second admission-control point, complementing the
         batch-cut-time check inside the scheduler. An entirely expired
-        batch releases the instance untouched (no reconfiguration is
-        charged, no batch is counted).
+        batch releases the instance untouched (no batch is counted).
         """
-        base_start = max(clock, worker.free_at)
+        start = max(clock, worker.free_at)
         items = batch.items
         if self.shed_expired:
             live = []
             for item in items:
-                if item.deadline < base_start:
+                if item.deadline < start:
                     results.append((item.seq,
-                                    self._shed_result(item, base_start)))
+                                    self._shed_result(item, start)))
                 else:
                     live.append(item)
             items = tuple(live)
             if not items:
                 return
-        start = self._reconfigure(worker, batch.config,
-                                  items[0].request.a_hops, base_start)
         now = start
         wall_started = time.perf_counter()
         for item in items:
@@ -1655,22 +1544,19 @@ class InferenceService:
                              args={"batch": batch.index})
             self.tracer.span(
                 "batch", lane=f"worker{worker.index}",
-                start=base_start, end=now,
+                start=start, end=now,
                 args={
                     "batch": batch.index,
                     "size": len(items),
                     "config": config_label(batch.config),
-                    "reconfig_s": start - base_start,
+                    # Always 0.0 (switching is free); kept because the
+                    # pinned trace-stream digests hash every arg.
+                    "reconfig_s": 0.0,
                 },
             )
-        # Charged from base_start, not start: the reconfiguration
-        # interval keeps the instance occupied, so excluding it made
-        # utilization denominators disagree with wall-clock occupancy
-        # whenever reconfig_cycles > 0. One consistent definition:
-        # modeled busy time runs from the moment the instance is
-        # claimed (including any reconfiguration) to batch finish —
-        # exactly what the sharded path charges via finish - clock.
-        worker.modeled_busy_seconds += now - base_start
+        # Modeled busy time runs from the moment the instance is
+        # claimed to batch finish, as the sharded path charges it.
+        worker.modeled_busy_seconds += now - start
         worker.batches_served += 1
         self._n_batches += 1
 

@@ -4,8 +4,14 @@ import pytest
 
 from repro.accel import ArchConfig, SpmmJob, simulate_spmm
 from repro.cli import build_parser, main
+from repro.cluster import (
+    ClusterConfig,
+    ShardedAccelerator,
+    rebalance_plan,
+    simulate_multichip_gcn,
+)
 from repro.errors import ConfigError
-from repro.serve import InferenceService
+from repro.serve import InferenceService, StreamingScheduler
 
 # The extension-sweep subcommands the CLI no longer registers: their
 # sweeps regenerate from benchmarks/bench_*.py.
@@ -13,6 +19,35 @@ REMOVED_SUBCOMMANDS = (
     "serve-bench", "bench-rebalance", "shard-bench", "shard-topology",
     "mixed-bench", "affinity-bench",
 )
+
+# Keywords and fields deleted because no caller set anything but their
+# default (now a module constant or the only behavior): passing one is
+# a TypeError.
+REMOVED_KEYWORDS = {
+    "InferenceService.max_wait": lambda: InferenceService(max_wait=0.1),
+    "InferenceService.reconfig_cycles":
+        lambda: InferenceService(reconfig_cycles=0),
+    "InferenceService.replicate_k": lambda: InferenceService(replicate_k=2),
+    "InferenceService.demand_half_life":
+        lambda: InferenceService(demand_half_life=0.05),
+    "StreamingScheduler.max_wait": lambda: StreamingScheduler(max_wait=0.1),
+    "ClusterConfig.barrier_cycles": lambda: ClusterConfig(barrier_cycles=64),
+    "ClusterConfig.migration_words_per_nnz":
+        lambda: ClusterConfig(migration_words_per_nnz=2),
+    "ClusterConfig.max_rebalance_rounds":
+        lambda: ClusterConfig(max_rebalance_rounds=16),
+    "ClusterConfig.rebalance_patience":
+        lambda: ClusterConfig(rebalance_patience=2),
+    "simulate_multichip_gcn.plan":
+        lambda: simulate_multichip_gcn(None, ClusterConfig(), plan=None),
+    "ShardedAccelerator.plan":
+        lambda: ShardedAccelerator(None, ClusterConfig(), plan=None),
+    "rebalance_plan.capacities":
+        lambda: rebalance_plan(None, None, ClusterConfig(), capacities=None),
+    "rebalance_plan.row_ceilings":
+        lambda: rebalance_plan(None, None, ClusterConfig(),
+                               row_ceilings=None),
+}
 
 
 class TestParser:
@@ -114,9 +149,21 @@ class TestCommands:
 class TestRemovedSurface:
     @pytest.mark.parametrize(
         "removed", [*REMOVED_SUBCOMMANDS, "batched_tuning",
-                    "worker_configs", "chip_capacity_list"]
+                    "worker_configs", "chip_capacity_list",
+                    *REMOVED_KEYWORDS, "cluster_options.barrier_cycles"]
     )
     def test_removed_surface_stays_gone(self, removed):
+        if removed in REMOVED_KEYWORDS:
+            with pytest.raises(TypeError):
+                REMOVED_KEYWORDS[removed]()
+            return
+        if removed == "cluster_options.barrier_cycles":
+            # Not a ClusterConfig field any more, so the service refuses
+            # it at construction instead of ignoring it.
+            with pytest.raises(ConfigError, match="barrier_cycles"):
+                InferenceService(chip_capacity=256,
+                                 cluster_options={"barrier_cycles": 1})
+            return
         if removed == "batched_tuning":
             job = SpmmJob(name="j", row_nnz=[1, 2, 3], n_rounds=2)
             with pytest.raises(TypeError):

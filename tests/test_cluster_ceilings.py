@@ -209,17 +209,6 @@ class TestCeilingValidation:
         with pytest.raises(CeilingError):
             rebalance_plan(plan, row_nnz, cluster)
 
-    def test_simulate_rejects_overfull_supplied_plan(self):
-        dataset = RmatGraphSpec(
-            n_nodes=192, avg_degree=6, f1=16, f2=8, f3=4, seed=3
-        ).build()
-        plan = make_plan(dataset.adjacency_row_nnz(), 2, strategy="rows")
-        cluster = ClusterConfig(
-            n_chips=2, chip=CHIP, row_ceilings=(64, 192)
-        )
-        with pytest.raises(CeilingError):
-            simulate_multichip_gcn(dataset, cluster, plan=plan)
-
 
 class TestCeilingSpill:
     def test_sweep_spills_across_chips(self):

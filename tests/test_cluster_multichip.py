@@ -15,6 +15,7 @@ from repro.cluster import (
     rebalance_plan,
     simulate_multichip_gcn,
 )
+from repro.cluster.multichip import BARRIER_CYCLES
 from repro.errors import ConfigError
 from repro.serve import AutotuneCache, RmatGraphSpec
 
@@ -147,7 +148,7 @@ class TestSimulateMultichipGcn:
             ])
             expected = int(
                 (compute + report.comm_cycles_per_layer[layer]).max()
-            ) + cluster.barrier_cycles
+            ) + BARRIER_CYCLES
             assert cost == expected
         assert report.total_cycles == (
             sum(report.layer_cycles) + report.migration_cycles
@@ -179,12 +180,6 @@ class TestSimulateMultichipGcn:
     def test_zero_bandwidth_rejected(self):
         with pytest.raises(ConfigError):
             ClusterConfig(n_chips=2, chip=CHIP, link_words_per_cycle=0)
-
-    def test_mismatched_plan_rejected(self, dataset):
-        plan = make_plan(np.ones(64, dtype=np.int64), 2)
-        cluster = ClusterConfig(n_chips=2, chip=CHIP)
-        with pytest.raises(ConfigError):
-            simulate_multichip_gcn(dataset, cluster, plan=plan)
 
     def test_utilization_in_unit_interval(self, dataset):
         report = simulate_multichip_gcn(
@@ -423,19 +418,6 @@ class TestValidationGaps:
     def test_non_finite_link_bandwidth_rejected(self, bad):
         with pytest.raises(ConfigError):
             ClusterConfig(n_chips=2, chip=CHIP, link_words_per_cycle=bad)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0, -1])
-    def test_non_finite_migration_price_rejected(self, bad):
-        with pytest.raises(ConfigError):
-            ClusterConfig(n_chips=2, chip=CHIP, migration_words_per_nnz=bad)
-
-    def test_fractional_migration_price_accepted(self, dataset):
-        cluster = ClusterConfig(
-            n_chips=4, chip=CHIP, migration_words_per_nnz=0.5,
-            strategy="rows",
-        )
-        report = simulate_multichip_gcn(dataset, cluster)
-        assert report.migration_cycles >= 0
 
     def test_plan_cluster_chip_count_mismatch_rejected(self):
         row_nnz = np.ones(64, dtype=np.int64)

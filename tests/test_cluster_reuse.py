@@ -216,9 +216,8 @@ class TestShardedAccelerator:
         dataset = BIG_A.build()
         sharded = ShardedAccelerator(dataset, self._cluster())
         for cluster, kwargs in (
-            (self._cluster(barrier_cycles=1), {}),
+            (self._cluster(overlap=True), {}),
             (self._cluster(), {"a_hops": 2}),
-            (self._cluster(), {"plan": sharded.plan}),
         ):
             with pytest.raises(ConfigError):
                 simulate_multichip_gcn(sharded, cluster, **kwargs)

@@ -247,7 +247,7 @@ class TestSchedulerEvents:
         cuts = [e for e in tracer.events if e.name == "batch.cut"]
         assert cuts, "streaming run must cut batches"
         assert all(
-            e.args["reason"] in {"size", "deadline", "timeout", "flush"}
+            e.args["reason"] in {"size", "deadline", "flush"}
             for e in cuts
         )
         # max_batch=3 under bursty-enough arrivals forces size cuts.

@@ -1,5 +1,5 @@
-"""Tests for serve-layer admission control, reconfiguration cost,
-sharded dispatch and cache-recency persistence."""
+"""Tests for serve-layer admission control, sharded dispatch and
+cache-recency persistence."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from repro.serve import (
 )
 
 CFG_A = ArchConfig(n_pes=16, hop=1, remote_switching=True)
-CFG_B = ArchConfig(n_pes=24, hop=1, remote_switching=True)
 SPEC = RmatGraphSpec(n_nodes=192, avg_degree=6, f1=16, f2=8, f3=4, seed=5)
 BIG = RmatGraphSpec(n_nodes=1024, avg_degree=6, f1=16, f2=8, f3=4, seed=6)
 CFG = ArchConfig(n_pes=32, hop=1, remote_switching=True)
@@ -102,50 +101,6 @@ class TestShedExpired:
         assert [r.finish_time for r in on.results] == [
             r.finish_time for r in off.results
         ]
-
-
-class TestReconfigCycles:
-    def _alternating(self, n=4):
-        return [
-            _req(config=CFG_A if i % 2 == 0 else CFG_B) for i in range(n)
-        ]
-
-    def test_default_zero_is_free(self):
-        requests = self._alternating()
-        charged = serve_requests(requests, n_workers=1, max_batch=1)
-        assert charged.workers[0].reconfigs == 3  # switches counted
-        base = serve_requests(
-            requests, n_workers=1, max_batch=1, reconfig_cycles=0
-        )
-        assert base.stats.makespan_seconds == charged.stats.makespan_seconds
-
-    def test_switch_penalty_delays_service(self):
-        requests = self._alternating()
-        free = serve_requests(requests, n_workers=1, max_batch=1)
-        penalty_cycles = 500_000
-        charged = serve_requests(
-            requests, n_workers=1, max_batch=1,
-            reconfig_cycles=penalty_cycles,
-        )
-        # Three switches, each charged at the incoming config's clock.
-        expected = (
-            CFG_B.cycles_to_seconds(penalty_cycles) * 2
-            + CFG_A.cycles_to_seconds(penalty_cycles)
-        )
-        assert charged.stats.makespan_seconds == pytest.approx(
-            free.stats.makespan_seconds + expected
-        )
-
-    def test_same_config_never_charged(self):
-        requests = [_req() for _ in range(4)]
-        charged = serve_requests(
-            requests, n_workers=1, max_batch=1, reconfig_cycles=10 ** 9
-        )
-        assert charged.workers[0].reconfigs == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            InferenceService(reconfig_cycles=-1)
 
 
 class TestShardedDispatch:
@@ -404,17 +359,14 @@ class TestGangAccounting:
 
     def test_reconfig_interval_counts_as_busy(self):
         # Two back-to-back batches under different configs on one
-        # instance: the config switch charges reconfig_cycles, and the
-        # instance is occupied for that interval too — modeled busy
-        # time must equal its continuous span from first claim to last
-        # finish, reconfiguration included.
+        # instance: switching configs is free, so the instance is
+        # occupied without a gap — modeled busy time must equal its
+        # continuous span from first claim to last finish.
         requests = synthetic_traffic(
             2, n_graphs=1, n_nodes=256, seed=5, configs=(CFG, CFG_BIG),
         )
-        outcome = serve_requests(
-            requests, n_workers=1, reconfig_cycles=50_000,
-        )
+        outcome = serve_requests(requests, n_workers=1)
         worker = outcome.workers[0]
-        assert worker.reconfigs == 1
+        assert worker.batches_served == 2
         last_finish = max(r.finish_time for r in outcome.results)
         assert worker.modeled_busy_seconds == pytest.approx(last_finish)

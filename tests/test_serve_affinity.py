@@ -10,10 +10,10 @@ Five contracts pinned here:
   cache stats and LRU order.
 * Affinity routing is an optimization, never a semantics change: it
   only picks among *feasible* instances for the batch EDF already
-  chose — a warm instance whose wait, plus any reconfiguration it owes,
-  would break the batch's deadline (or, SLO-less, exceed one estimated
-  service time) is skipped for the first-free fallback, so no batch is
-  ever stranded waiting for warmth.
+  chose — a warm instance whose wait would break the batch's deadline
+  (or, SLO-less, exceed one estimated service time) is skipped for the
+  first-free fallback, so no batch is ever stranded waiting for
+  warmth.
 * Cache metadata (per-entry hit counts and last-use stamps) rides the
   archive format compatibly: version-3 archives round-trip it,
   version-2 archives still load cold, and ``merge`` only disturbs the
@@ -24,7 +24,7 @@ Five contracts pinned here:
   evicts a key of a family at least as hot, and an unchanged hot set
   and target set push nothing.
 * Every combination of the affinity knobs (shard bound, replication
-  fan-out and threshold, co-scheduling) keeps one result per request,
+  threshold, co-scheduling) keeps one result per request,
   cold-run cycles, shard bounds, trace-rebuilt stats and
   traced == untraced timelines over several drains of one service.
 """
@@ -42,6 +42,7 @@ from repro.accel.gcnaccel import GcnAccelerator
 from repro.errors import ConfigError
 from repro.obs import RecordingTracer
 from repro.obs.views import service_stats_view
+from repro.serve import placement
 from repro.serve.cache import AutotuneCache
 from repro.serve.demand import DemandHistogram
 from repro.serve.placement import CacheAffinity, FirstFree
@@ -280,27 +281,6 @@ class TestAffinityRouting:
         worker = _route(service, [item], 0.001, claimed=frozenset({1}))
         assert worker is service.workers[0]
 
-    @pytest.mark.parametrize("reconfig_cycles, expected", [
-        (0, 1),
-        # 0.04 s at the config's clock: 0.01 + 0.04 + 0.005 > 0.05.
-        (int(0.04 * CFG.frequency_mhz * 1e6), 0),
-    ])
-    def test_reconfiguration_counts_against_a_warm_wait(
-        self, reconfig_cycles, expected
-    ):
-        service = self._service(reconfig_cycles=reconfig_cycles)
-        item = self._item(slo_ms=50.0)  # deadline 0.05
-        self._warm(service, 1, item)
-        warm = service.workers[1]
-        warm.free_at = 0.01
-        warm.last_key = (CFG16, item.request.a_hops)  # must switch first
-        # Free switching: 0.01 + 0.005 meets the deadline, so the busy
-        # warm instance wins. Priced switching pushes its start past
-        # the deadline, so the cold free instance serves now.
-        worker = _route(service, [item], 0.005)
-        assert worker is service.workers[expected]
-        assert service.placement.route_hits == int(expected == 1)
-
     def test_affinity_changes_no_modeled_number(self):
         requests = streaming_traffic(
             16, arrival_rate=2000.0, slo_ms=50.0, n_graphs=3, n_nodes=256,
@@ -346,16 +326,20 @@ class TestAffinityRouting:
 class TestReplicaAdmission:
     """Hot-entry replication on 2-entry shards, demand set by hand.
 
-    Instance 1 is the only replication target (``replicate_k=1``,
-    every other instance busy); families reach it as warm entries
+    Instance 1 is the only replication target (``REPLICATE_K`` patched
+    to 1, every other instance busy); families reach it as warm entries
     served on any shard, with the demand each test gives them.
     """
+
+    @pytest.fixture(autouse=True)
+    def _one_target(self, monkeypatch):
+        monkeypatch.setattr(placement, "REPLICATE_K", 1)
 
     def _service(self, n_workers=2):
         service = InferenceService(
             n_workers=n_workers, cache=True, cache_mode="affinity",
             worker_cache_entries=2, replicate_threshold=3.0,
-            replicate_k=1, tracer=RecordingTracer(),
+            tracer=RecordingTracer(),
         )
         for worker in service.workers:
             worker.free_at = 0.0 if worker.index == 1 else 1.0
@@ -507,8 +491,7 @@ class TestSharedModeIsTheOracle:
         explicit = serve_requests(
             requests, n_workers=n_workers, cache=explicit_cache,
             cache_mode="shared", worker_cache_entries=None,
-            replicate_threshold=None, replicate_k=2,
-            demand_half_life=0.05, **kwargs
+            replicate_threshold=None, **kwargs
         )
         for a, b in zip(oracle.results, explicit.results):
             assert a.total_cycles == b.total_cycles
@@ -599,7 +582,6 @@ class TestAffinityKnobProduct:
     @settings(max_examples=25, deadline=None)
     @given(
         worker_cache_entries=st.sampled_from([1, 2, 4, None]),
-        replicate_k=st.sampled_from([1, 2, 4]),
         replicate_threshold=st.sampled_from([1.0, 2.0, 3.0]),
         coschedule=st.booleans(),
         kind=st.sampled_from(["streaming", "mixed"]),
@@ -607,13 +589,12 @@ class TestAffinityKnobProduct:
         seed=st.integers(0, 3),
     )
     def test_knob_product_keeps_every_contract(
-        self, worker_cache_entries, replicate_k, replicate_threshold,
-        coschedule, kind, n_drains, seed
+        self, worker_cache_entries, replicate_threshold, coschedule, kind,
+        n_drains, seed
     ):
         kwargs = dict(
             n_workers=4, cache=True, max_batch=4, cache_mode="affinity",
             worker_cache_entries=worker_cache_entries,
-            replicate_k=replicate_k,
             replicate_threshold=replicate_threshold,
             coschedule=coschedule,
         )

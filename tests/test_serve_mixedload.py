@@ -18,6 +18,10 @@ co-scheduling service (PR 8). Three pillars:
   :func:`mixed_traffic` generator, and the service's co-scheduling
   parameter validation.
 
+A knob-product property then runs every combination of the service's
+mode knobs (``cache_mode`` × ``coschedule`` × ``shed_expired`` ×
+``chip_capacity`` × ``max_batch``) over several drains of one service.
+
 Also pins the EASY-backfill stranding fix (satellite d): freeing
 workers are no longer held idle behind a queue head that cannot fit
 yet — a smaller sharded job behind the head starts immediately, and
@@ -31,7 +35,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.accel import ArchConfig
+from repro.accel import ArchConfig, GcnAccelerator
 from repro.cluster import Topology, make_topology, subtopology
 from repro.errors import ConfigError
 from repro.serve import (
@@ -278,6 +282,73 @@ class TestCoscheduleInvariants:
         present = sorted(att)
         for hi, lo in zip(present, present[1:]):
             assert att[hi] >= att[lo], (att, list(classes))
+
+
+_FRESH_CYCLES = {}
+
+
+def _fresh_cycles(request):
+    """Cycles of one request on a fresh, cache-less accelerator
+    (memoized per graph, config and ``a_hops``)."""
+    key = (request.graph, request.config, request.a_hops)
+    if key not in _FRESH_CYCLES:
+        _FRESH_CYCLES[key] = GcnAccelerator(
+            request.resolve_graph(), request.config, a_hops=request.a_hops
+        ).run().total_cycles
+    return _FRESH_CYCLES[key]
+
+
+class TestServiceKnobProduct:
+    """Every combination of the service's mode knobs, over several
+    drains of one service: one result per request, monotone timelines,
+    no overbooked instance, no stalled loop, cache-invariant cycles."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        cache_mode=st.sampled_from(["shared", "partitioned", "affinity"]),
+        coschedule=st.booleans(),
+        shed_expired=st.booleans(),
+        chip_capacity=st.sampled_from([None, 256]),
+        max_batch=st.sampled_from([None, 1, 4]),
+        kind=st.sampled_from(["streaming", "mixed"]),
+        n_drains=st.integers(2, 3),
+        seed=st.integers(0, 3),
+    )
+    def test_knob_product_keeps_every_contract(
+        self, cache_mode, coschedule, shed_expired, chip_capacity,
+        max_batch, kind, n_drains, seed
+    ):
+        service = InferenceService(
+            n_workers=4, cache=True, cache_mode=cache_mode,
+            coschedule=coschedule, shed_expired=shed_expired,
+            chip_capacity=chip_capacity, max_batch=max_batch,
+            critical_slo_ms=1.0 if coschedule else None,
+        )
+        for drain in range(n_drains):
+            if kind == "streaming":
+                requests = streaming_traffic(
+                    12, arrival_rate=4000.0, slo_ms=5.0, seed=seed + drain,
+                    **TRAFFIC_KW,
+                )
+            else:
+                requests = mixed_traffic(12, seed=seed + drain, **MIXED_KW)
+            ids = service.submit_many(requests)
+            busy_before = [w.modeled_busy_seconds for w in service.workers]
+            try:
+                outcome = service.drain()
+            except RuntimeError as exc:  # the livelock backstop
+                pytest.fail(f"drain {drain} stalled: {exc}")
+            # Exactly one result per request, in submission order.
+            assert [r.request_id for r in outcome.results] == ids
+            for result, request in zip(outcome.results, requests):
+                assert (result.arrival_time <= result.start_time
+                        <= result.finish_time)
+                if not result.shed and result.n_shards == 1:
+                    assert result.total_cycles == _fresh_cycles(request)
+            # No instance is busy for longer than the drain lasted.
+            span = outcome.stats.makespan_seconds
+            for worker, before in zip(service.workers, busy_before):
+                assert worker.modeled_busy_seconds - before <= span + 1e-9
 
 
 class TestBackfillStranding:
@@ -527,8 +598,10 @@ class TestServiceValidation:
         # Valid at pool size, but a 2-chip gang has no chip 3: chip ids
         # are gang positions, so the option is refused outright.
         ({"stragglers": ((3, 0.0, 2.0),)}, "gang"),
+        # Used only when a sharded job is first planned, mid-drain.
+        ({"strategy": "bogus"}, "'bogus'"),
     ], ids=["unknown-key", "unknown-topology", "zero-link-bandwidth",
-            "stragglers"])
+            "stragglers", "unknown-strategy"])
     def test_bad_cluster_options_fail_at_construction(self, options,
                                                       named):
         # Rejected before any request is queued, not mid-drain.

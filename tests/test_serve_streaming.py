@@ -2,7 +2,7 @@
 
 Covers the simulated-clock serving loop end to end: request arrival /
 deadline semantics, the :class:`StreamingScheduler`'s batch-cutting
-rules (size, deadline slack, batch timeout, flush) and EDF dispatch
+rules (size, deadline slack, flush) and EDF dispatch
 order, per-request timeline accounting, seeded fairness property tests
 (no time travel, within-batch FIFO, no config-group starvation), a
 golden latency-percentile regression pinning one fixed trace (same
@@ -139,12 +139,6 @@ class TestStreamingSchedulerCuts:
         # tightest deadline: 1.0s - 2 * 0.1s.
         assert stream.next_cut_time() == pytest.approx(0.8)
 
-    def test_max_wait_bounds_slo_less_requests(self):
-        stream = StreamingScheduler(max_wait=0.25)
-        item = _queued([_request(arrival=1.0)])[0]
-        stream.admit(item)
-        assert stream.next_cut_time() == pytest.approx(1.25)
-
     def test_no_deadline_no_timeout_never_cuts(self):
         stream = StreamingScheduler()
         stream.admit(_queued([_request(arrival=0.0)])[0])
@@ -187,10 +181,6 @@ class TestStreamingSchedulerCuts:
     def test_rejects_bad_knobs(self):
         with pytest.raises(ConfigError):
             StreamingScheduler(max_batch=0)
-        with pytest.raises(ConfigError):
-            StreamingScheduler(max_wait=-0.5)
-        with pytest.raises(ConfigError):
-            StreamingScheduler(max_wait="soon")
         with pytest.raises(ConfigError):
             StreamingScheduler().admit("not queued")
 
@@ -333,19 +323,6 @@ class TestStreamingService:
         assert outcome.latency.slo_met == 0
         assert outcome.latency.slo_attainment == 0.0
 
-    def test_max_wait_cuts_earlier_than_flush(self):
-        # SLO-less requests trickling in: without max_wait the single
-        # config group only flushes once the stream ends, so the first
-        # request waits for the last arrival; with a small max_wait its
-        # batch is sealed (and served) long before that.
-        requests = [
-            _request(CFG_A, arrival=0.1 * i) for i in range(6)
-        ]
-        lazy = self._serve(list(requests), n_workers=1)
-        eager = self._serve(list(requests), n_workers=1, max_wait=0.05)
-        assert eager.results[0].start_time < lazy.results[0].start_time
-        assert eager.stats.n_batches > lazy.stats.n_batches
-
     def test_latency_stats_fold(self):
         outcome = self._serve(
             [_request(CFG_A, slo_ms=10000.0), _request(CFG_A)],
@@ -391,13 +368,6 @@ class TestStreamingService:
         service.submit(_request(CFG_A, arrival=0.5))
         outcome = service.drain()
         assert outcome.results[0].start_time >= 0.5
-
-    def test_service_validates_max_wait_eagerly(self):
-        from repro.serve import InferenceService
-
-        for bad in (-1.0, math.inf, "fast"):
-            with pytest.raises(ConfigError):
-                InferenceService(max_wait=bad)
 
     def test_offline_drain_still_works_through_the_event_loop(self):
         # arrival_time=0 everywhere degenerates to the batch regime.
@@ -574,25 +544,19 @@ class TestFairnessProperties:
 
 
 class _RescanningScheduler(StreamingScheduler):
-    """The oracle for the scheduler's O(1) bookkeeping: every cut
-    decision rescans its group's member deadlines and ``pending`` sums
-    the groups."""
+    """The oracle for the scheduler's O(1) bookkeeping: every cut time
+    rescans its group's member deadlines and ``pending`` sums the
+    groups."""
 
     @property
     def pending(self):
         return sum(len(group) for group in self._groups.values())
 
-    def _cut_decision(self, key):
+    def _cut_time(self, key):
         group = self._groups[key]
         tightest = min(item.request.deadline for item in group)
         estimate = self._estimates.get(key[:2], 0.0) * len(group)
-        when = tightest - estimate
-        reason = "deadline"
-        if self.max_wait is not None:
-            timeout = group[0].arrival_time + self.max_wait
-            if timeout < when:
-                when, reason = timeout, "timeout"
-        return when, reason
+        return tightest - estimate
 
 
 STREAM_CONFIGS = (CFG_A, CFG_B, ArchConfig(n_pes=64, hop=1,
@@ -607,7 +571,6 @@ def scheduler_runs(draw):
     n_configs = draw(st.integers(1, 3))
     knobs = {
         "max_batch": draw(st.one_of(st.none(), st.integers(1, 4))),
-        "max_wait": draw(st.sampled_from([None, 1e-3])),
         "shed_expired": draw(st.booleans()),
         "priorities": draw(st.booleans()),
         "critical_slo_ms": 1.0,

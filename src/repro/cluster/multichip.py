@@ -57,7 +57,8 @@ moved non-zero) over the fabric before execution starts.
 
 A :class:`ShardedAccelerator` binds the model to one graph, ``a_hops``
 and cluster shape and keeps what those determine — the plans, their
-halo sets and the per-chip accelerators — across runs;
+halo sets, their exclusive-fabric prices and the per-chip accelerators
+— across runs;
 :func:`simulate_multichip_gcn` is a thin wrapper over it.
 """
 
@@ -689,7 +690,8 @@ class ClusterReport:
     comm_cycles_per_layer: np.ndarray
     """Per-layer, per-chip *serialized* halo-transfer cycles, shape
     ``(n_layers, n_chips)`` (with overlap, part of this hides behind
-    compute — see :attr:`chip_costs_per_layer`)."""
+    compute — see :attr:`chip_costs_per_layer`). Read-only: on an
+    exclusively-owned fabric every report of one plan shares it."""
     migration_cycles: int
     """One-time cost of shipping rebalanced blocks between chips."""
     total_cycles: int
@@ -777,45 +779,35 @@ class ClusterReport:
         return self.cluster.chip.cycles_to_ms(self.total_cycles)
 
 
-def _compose_layers(cluster, layers, chip_reports, halo, a_hops, *,
-                    slowdown=None):
-    """Fold per-chip layer timings + fabric halo pricing into layer costs.
+def _price_halo(cluster, layers, halo, a_hops):
+    """Fabric pricing of one plan's halo exchange: ``(comm_serial,
+    comm_round)``.
 
-    ``halo`` is the plan's
-    :class:`~repro.cluster.partition.HaloExchange` (None on one chip).
-    Returns ``(layer_cycles, comm_serial, chip_costs, chip_compute)``:
-    per-layer barrier-inclusive costs, the serialized per-chip comm
-    matrix, the composed per-chip per-layer costs (pre-barrier) and the
-    reference-clock per-chip compute matrix.
-
-    ``slowdown`` (per-chip multipliers from
-    :func:`_straggler_multipliers`) scales each chip's reference-clock
-    compute — straggling stretches compute, not the fabric.
+    ``comm_serial`` is the serialized per-layer, per-chip halo-transfer
+    matrix, ``comm_round`` the per-chip exposed tail of the
+    double-buffered model (zeros without ``overlap``). Both are
+    read-only. ``halo`` is the plan's
+    :class:`~repro.cluster.partition.HaloExchange` (None on one chip,
+    which prices nothing). The cluster's ``background_link_loads``, if
+    any, join every flow's contention term.
     """
-    n_layers = len(layers)
     n_chips = cluster.n_chips
-    fabric = cluster.fabric
-
-    comm_serial = np.zeros((n_layers, n_chips), dtype=np.int64)
+    comm_serial = np.zeros((len(layers), n_chips), dtype=np.int64)
     comm_round = np.zeros(n_chips, dtype=np.int64)
-    background = None
-    if cluster.background_link_loads is not None:
-        background = np.asarray(
-            cluster.background_link_loads, dtype=np.float64
-        )
     if halo is not None:
+        fabric = cluster.fabric
+        background = None
+        if cluster.background_link_loads is not None:
+            background = np.asarray(
+                cluster.background_link_loads, dtype=np.float64
+            )
         halo_words = halo.words.astype(np.float64)
         if cluster.overlap:
             # The exposed tail: one dense column's halo (the first
             # double-buffer fill, which nothing can hide behind).
             comm_round = fabric.comm_cycles(halo_words, background=background)
-
-    chip_compute = np.zeros((n_layers, n_chips), dtype=np.int64)
-    chip_costs = np.zeros((n_layers, n_chips), dtype=np.int64)
-    layer_cycles = []
-    for layer in range(n_layers):
-        rounds = layers[layer][0].n_rounds
-        if halo is not None:
+        for layer, stage_jobs in enumerate(layers):
+            rounds = stage_jobs[0].n_rounds
             # Background traffic is per halo round; scale it by the
             # same rounds multiplier as the job's own words so
             # concurrent tenants contend round for round.
@@ -826,6 +818,30 @@ def _compose_layers(cluster, layers, chip_reports, halo, a_hops, *,
                     if background is not None else None
                 ),
             )
+    comm_serial.setflags(write=False)
+    comm_round.setflags(write=False)
+    return comm_serial, comm_round
+
+
+def _compose_layers(cluster, chip_reports, comm, *, slowdown=None):
+    """Fold per-chip layer timings + fabric halo pricing into layer costs.
+
+    ``comm`` is the plan's :func:`_price_halo` pair. Returns
+    ``(layer_cycles, comm_serial, chip_costs, chip_compute)``:
+    per-layer barrier-inclusive costs, the serialized per-chip comm
+    matrix, the composed per-chip per-layer costs (pre-barrier) and the
+    reference-clock per-chip compute matrix.
+
+    ``slowdown`` (per-chip multipliers from
+    :func:`_straggler_multipliers`) scales each chip's reference-clock
+    compute — straggling stretches compute, not the fabric.
+    """
+    comm_serial, comm_round = comm
+    n_layers, n_chips = comm_serial.shape
+    chip_compute = np.zeros((n_layers, n_chips), dtype=np.int64)
+    chip_costs = np.zeros((n_layers, n_chips), dtype=np.int64)
+    layer_cycles = []
+    for layer in range(n_layers):
         for chip in range(n_chips):
             base = cluster.ref_cycles(
                 chip_reports[chip].layers[layer].pipelined_cycles,
@@ -1045,16 +1061,19 @@ def simulate_multichip_gcn(dataset, cluster, *, a_hops=1, cache=None,
 
     This is a thin wrapper over :class:`ShardedAccelerator`, and
     ``dataset`` may also be an accelerator already bound to the graph:
-    the run then reuses the plans, halo sets and per-chip accelerators
-    it built for earlier jobs. ``cluster`` must then be the
-    accelerator's own up to ``background_link_loads`` (this job's
-    fabric background), and ``a_hops`` its ``a_hops``.
+    the run then reuses the plans, halo sets, per-chip accelerators and
+    exclusive-fabric prices it built for earlier jobs. ``cluster`` must
+    then be the accelerator's own up to ``background_link_loads`` (this
+    job's fabric background), and ``a_hops`` its ``a_hops``. The bound
+    cluster itself is accepted by identity; any other is compared field
+    by field.
     """
     if isinstance(dataset, ShardedAccelerator):
         sharded = dataset
-        if (not isinstance(cluster, ClusterConfig)
-                or a_hops != sharded.a_hops
-                or _shape_of(cluster) != _shape_of(sharded.cluster)):
+        if a_hops != sharded.a_hops or (
+                cluster is not sharded.cluster
+                and (not isinstance(cluster, ClusterConfig)
+                     or _shape_of(cluster) != _shape_of(sharded.cluster))):
             raise ConfigError(
                 "a ShardedAccelerator runs only on its own cluster (up to "
                 "background_link_loads) and a_hops"
@@ -1084,6 +1103,10 @@ class ShardedAccelerator:
     * the initial plan (:func:`~repro.cluster.partition.make_plan`);
     * the load-signal :func:`rebalance_plan` outcome;
     * each plan's :class:`~repro.cluster.partition.HaloExchange`;
+    * each plan's price on the exclusively-owned fabric
+      (:func:`_price_halo` without ``background_link_loads``) and the
+      per-link words its halo round puts on the fabric
+      (:meth:`halo_link_loads`);
     * each plan's per-chip :class:`~repro.accel.GcnAccelerator`, whose
       replay memo turns a repeat cache hit on its shard into a lookup
       and whose kept cold run turns a repeat miss into a store.
@@ -1092,11 +1115,17 @@ class ShardedAccelerator:
     tracer=)``: the fabric background (``cluster`` is the bound one up
     to ``background_link_loads``), the autotune cache and the tracer
     are per-run, so one accelerator serves every job of its graph on
-    its shape. Under ``rebalance_signal="cycles"`` the plan choice
-    prices the fabric, background included, so it runs on every call;
-    only the per-plan halo sets and chip accelerators are reused. Plans
-    and halo sets are read-only, so the reports that share them cannot
+    its shape. A run against a background prices the fabric afresh.
+    Under ``rebalance_signal="cycles"`` the plan choice prices the
+    fabric, background included, so it runs on every call; only the
+    per-plan state above is reused. Plans, halo sets, prices and link
+    loads are read-only, so the reports and jobs that share them cannot
     change a later run.
+
+    The accelerator holds its dataset, so a caller may key accelerators
+    by ``id(dataset)`` for as long as it keeps them:
+    :class:`~repro.serve.InferenceService` keeps each one while
+    consecutive drains use it.
     """
 
     def __init__(self, dataset, cluster, *, a_hops=1):
@@ -1118,6 +1147,8 @@ class ShardedAccelerator:
         self._infeasible = None
         self._load = None
         self._halos = {}
+        self._prices = {}
+        self._link_loads = {}
         self._chips = {}
 
     @property
@@ -1166,6 +1197,38 @@ class ShardedAccelerator:
             self._halos[key] = halo
         return halo
 
+    def _fabric_price(self, cluster, plan):
+        """:func:`_price_halo` of one plan on ``cluster``.
+
+        Without ``background_link_loads`` the price depends on the plan
+        and the bound shape alone, so it is built once per plan; a run
+        against a background prices afresh.
+        """
+        halo = self._halo(plan) if cluster.n_chips > 1 else None
+        if cluster.background_link_loads is not None:
+            return _price_halo(cluster, self.jobs, halo, self.a_hops)
+        key = plan.owner.tobytes()
+        price = self._prices.get(key)
+        if price is None:
+            price = _price_halo(cluster, self.jobs, halo, self.a_hops)
+            self._prices[key] = price
+        return price
+
+    def halo_link_loads(self, plan):
+        """Per-link words one halo round of ``plan`` puts on the bound
+        fabric (:meth:`~repro.cluster.topology.Topology.link_loads` of
+        its :class:`~repro.cluster.partition.HaloExchange`), or None on
+        one chip. Built once per plan, read-only."""
+        if self.cluster.n_chips == 1:
+            return None
+        key = plan.owner.tobytes()
+        loads = self._link_loads.get(key)
+        if loads is None:
+            loads = self.cluster.fabric.link_loads(self._halo(plan).words)
+            loads.setflags(write=False)
+            self._link_loads[key] = loads
+        return loads
+
     def _chip_accels(self, plan):
         """One accelerator per chip over its sliced jobs, built once."""
         key = plan.owner.tobytes()
@@ -1192,9 +1255,9 @@ class ShardedAccelerator:
 
     def _compose(self, cluster, plan, chip_reports, slowdown):
         """:func:`_compose_layers` of one plan's chip reports."""
-        halo = self._halo(plan) if cluster.n_chips > 1 else None
-        return _compose_layers(cluster, self.jobs, chip_reports, halo,
-                               self.a_hops, slowdown=slowdown)
+        return _compose_layers(cluster, chip_reports,
+                               self._fabric_price(cluster, plan),
+                               slowdown=slowdown)
 
     def _simulate(self, cluster, cache, tracer):
         """One run on ``cluster``, the bound cluster up to its fabric

@@ -121,7 +121,9 @@ class _ActiveJob:
     the only instants the job may be preempted at."""
     flows: object = None
     """Per-link halo words (pool link id space) this job keeps on the
-    shared fabric per round, or None for single-chip/clamped gangs."""
+    shared fabric per round, or None for single-chip gangs: its
+    accelerator's read-only
+    :meth:`~repro.cluster.ShardedAccelerator.halo_link_loads`."""
     preempted: bool = False
     remaining: float = 0.0
     """Modeled seconds of work left past the preemption boundary."""
@@ -629,6 +631,11 @@ class InferenceService:
         for it. It lives as long as the service, so a key is tuned once
         however often it is evicted."""
         self._sharded = {}
+        """The :class:`ShardedAccelerator` of every (graph, gang) key
+        this drain has used (see :meth:`_sharded_for`)."""
+        self._sharded_prev = {}
+        """The previous drain's entries this drain has not used yet;
+        dropped at the next drain's start."""
 
     def submit(self, request):
         """Queue one :class:`~repro.serve.request.InferenceRequest`.
@@ -659,7 +666,11 @@ class InferenceService:
         the cumulative per-instance counters carry over — that is the
         "warm service" the multi-drain pattern models — and so do the
         cold runs behind every cache miss so far, so a key evicted in
-        one drain is re-stored, not re-tuned, in the next.
+        one drain is re-stored, not re-tuned, in the next. A sharded
+        graph's accelerator on one gang (its plans, halo sets, fabric
+        prices and chip accelerators) carries over while consecutive
+        drains use it. None of this host-side state changes a modeled
+        number.
         """
         queued = self.queue.drain()
         for worker in self.workers:
@@ -676,15 +687,18 @@ class InferenceService:
                 "n_workers": len(self.workers),
                 "coschedule": self.coschedule,
             })
-        # The accelerator memos key by id(dataset); ids can be recycled
-        # across drains, so they never outlive one. That also scopes
-        # each accelerator's replay memo, which pins every entry object
-        # it has replayed, and each sharded accelerator's plans, halo
-        # sets and chip accelerators to one drain. The cold runs the
-        # dropped accelerators kept move to a map keyed by cache key,
-        # one run per key, which lives as long as the service.
+        # The single-instance accelerator memo keys by id(dataset) and
+        # never outlives a drain, which also scopes each accelerator's
+        # replay memo (it pins every entry object it has replayed). The
+        # cold runs the dropped accelerators kept move to a map keyed
+        # by cache key, one run per key, which lives as long as the
+        # service.
         self._drop_accels()
-        self._sharded = {}
+        # Sharded accelerators live in a one-drain window: this drain
+        # starts with exactly those the last drain used, and drops the
+        # rest. Each holds its graph, so no key's id(dataset) can be
+        # recycled while its entry lives.
+        self._sharded_prev, self._sharded = self._sharded, {}
         # Without an explicit batch cap, bound batches so one giant
         # config group still spreads over the whole instance pool (each
         # instance configures once and takes a contiguous share) instead
@@ -1032,8 +1046,8 @@ class InferenceService:
         return head
 
     def _sharded_for(self, gang, request, *, constrained=True):
-        """The drain's one :class:`ShardedAccelerator` for a request's
-        graph on one gang.
+        """The one :class:`ShardedAccelerator` for a request's graph on
+        one gang.
 
         The key — graph, ``a_hops``, request config, the ordered gang
         members and whether the capacity binds as row ceilings — fixes
@@ -1041,9 +1055,11 @@ class InferenceService:
         per-job fabric background: row ceilings, fabric restriction,
         partition and rebalance settings. Plan validation, backfill
         screens and dispatch of one graph on one gang therefore share
-        its plans, halo sets and per-chip accelerators for the whole
-        drain. Under ``coschedule`` the gang runs on its restriction of
-        the pool fabric (overriding the kind string in
+        its plans, halo sets, fabric prices and per-chip accelerators.
+        The drain looks in its own entries first, then takes one over
+        from the previous drain's; only a key neither drain used builds
+        a new accelerator. Under ``coschedule`` the gang runs on its
+        restriction of the pool fabric (overriding the kind string in
         ``cluster_options``).
         """
         dataset = request.resolve_graph()
@@ -1051,6 +1067,9 @@ class InferenceService:
         key = (id(dataset), request.a_hops, request.config, indices,
                constrained)
         sharded = self._sharded.get(key)
+        if sharded is not None:
+            return sharded
+        sharded = self._sharded_prev.pop(key, None)
         if sharded is None:
             opts = dict(self.cluster_options)
             if self.coschedule:
@@ -1064,7 +1083,7 @@ class InferenceService:
             )
             sharded = ShardedAccelerator(dataset, cluster,
                                          a_hops=request.a_hops)
-            self._sharded[key] = sharded
+        self._sharded[key] = sharded
         return sharded
 
     def _plan_fits(self, gang, request):
@@ -1076,8 +1095,9 @@ class InferenceService:
         same strategy and block granularity, with the capacity as every
         member's hard row ceiling — proves that none overfills. The
         plan comes from the gang's :meth:`_sharded_for` accelerator,
-        which partitions once per drain (an infeasible plan included),
-        so a repeated check during gang scans is a dict lookup.
+        which partitions once while consecutive drains use it (an
+        infeasible plan included), so a repeated check during gang
+        scans, in this drain or the next, is a dict lookup.
         """
         try:
             self._sharded_for(gang, request).plan
@@ -1489,16 +1509,13 @@ class InferenceService:
             for layer_cost in report.layer_cycles[:-1]:
                 cum += layer_cost
                 boundaries.append(clock + secs(cum))
-            flows = None
-            if cluster.n_chips > 1:
-                flows = cluster.fabric.link_loads(report.halo.words)
             self._active.append(_ActiveJob(
                 seq=item.seq,
                 gang=list(workers),
                 priority=self._class_of(request),
                 finish=finish,
                 boundaries=boundaries,
-                flows=flows,
+                flows=sharded.halo_link_loads(report.plan),
                 spans=member_spans,
                 req_span=req_span,
                 svc_span=svc_span,

@@ -1,21 +1,34 @@
-"""Per-drain reuse of sharded plans, halo sets and chip accelerators.
+"""Reuse of sharded plans, halo sets, fabric prices and chip accelerators.
 
-A drain keeps one :class:`~repro.cluster.ShardedAccelerator` per
-(graph, gang shape, ``a_hops``): repeated sharded traffic partitions,
-derives halo sets and replays each shard entry once per drain instead
-of once per job. These tests pin
+A service keeps one :class:`~repro.cluster.ShardedAccelerator` per
+(graph, gang shape, ``a_hops``) for as long as consecutive drains use
+it: each drain starts with exactly the accelerators the previous drain
+used. Repeated sharded traffic partitions, derives halo sets, prices
+its exclusive fabric and replays each shard entry once per service
+instead of once per job. These tests pin
 
 * the counts: ``make_plan`` and ``halo_exchange`` once per distinct
   (graph, gang) key, frozen replays once per distinct shard entry and
-  stage;
-* identity: a drain equals a per-job-fresh oracle (no reuse at all) in
-  results, latency, cache stats and LRU order and the recorded event
-  stream, across ``coschedule``, ``cache_mode`` and
+  stage, and none of the three in a later drain of the same traffic;
+* identity: every drain of a service equals a per-job-fresh oracle (no
+  reuse at all) in results, latency, cache stats and LRU order and the
+  recorded event stream, across ``coschedule``, ``cache_mode`` and
   ``rebalance_signal``;
+* the window and its keys: graphs that two drains in a row did not
+  use are freed, a new graph that may reuse a freed ``id`` gets its own
+  cycles, and so does a graph whose fingerprint equals another's;
+* the pricing memo: runs on every fabric kind, with and without
+  overlap, equal fresh simulations, and a run against a background
+  neither reads nor changes the exclusive price;
 * eviction: a shard entry evicted mid-drain is re-stored from the chip
   accelerator's kept cold run, not re-tuned;
-* immutability of what the reuse shares (plans and halo sets).
+* immutability of what the reuse shares (plans, halo sets and halo
+  link loads).
 """
+
+import gc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +46,7 @@ from repro.cluster import (
     make_plan,
     simulate_multichip_gcn,
 )
+from repro.datasets.registry import dataset_fingerprint
 from repro.errors import CeilingError, ConfigError
 from repro.obs import RecordingTracer, stream_fingerprint
 from repro.serve import (
@@ -42,6 +56,8 @@ from repro.serve import (
     RmatGraphSpec,
     mixed_traffic,
 )
+from repro.serve.traffic import clear_graph_cache
+from repro.sparse.coo import CooMatrix
 
 CFG = ArchConfig(n_pes=16, hop=1, remote_switching=True)
 TINY = {"avg_degree": 6, "f1": 16, "f2": 8, "f3": 4}
@@ -91,27 +107,30 @@ def calls(monkeypatch):
 
 class TestReuseCounts:
     @pytest.mark.parametrize("coschedule", [False, True])
-    def test_one_plan_halo_and_replay_per_key_per_drain(self, calls,
-                                                       coschedule):
+    def test_one_plan_halo_and_replay_per_key_per_service(self, calls,
+                                                         coschedule):
         # Two 512-node graphs on a 2 x 256 pool: every job gangs both
         # instances, so there are two (graph, gang) keys and four shard
-        # entries. The first job of each graph tunes cold, the second
-        # replays, the third hits the replay memo.
+        # entries. In the first drain the first job of each graph tunes
+        # cold, the second replays, the third hits the replay memo. The
+        # second drain takes both accelerators over from the first, so
+        # it partitions, derives halo sets and replays nothing.
         requests = _spaced([BIG_A, BIG_B] * 3)
         service = InferenceService(
             n_workers=2, cache=AutotuneCache(), chip_capacity=256,
             coschedule=coschedule,
         )
-        for _ in range(2):
+        for first in (True, False):
             for name in calls:
                 calls[name] = 0
             service.submit_many(requests)
             outcome = service.drain()
             assert outcome.stats.n_sharded == len(requests)
-            assert calls["make_plan"] == 2
-            assert calls["halo_exchange"] == 2
-            assert calls["frozen"] == 2 * 2 * STAGES
+            assert calls["make_plan"] == (2 if first else 0)
+            assert calls["halo_exchange"] == (2 if first else 0)
+            assert calls["frozen"] == (2 * 2 * STAGES if first else 0)
             assert len(service._sharded) == 2
+            assert not service._sharded_prev
 
     def test_evicted_shard_entry_is_restored_not_retuned(self, calls):
         # A 2-entry cache holds one graph's two shard entries: B evicts
@@ -133,11 +152,77 @@ class TestReuseCounts:
         assert cycles[0] == cycles[1] == cycles[3] == cycles[4]
 
 
+class TestDrainWindow:
+    def test_the_window_frees_what_traffic_left(self):
+        # Four drains of three distinct 512-node graphs each, on a
+        # 2 x 256 pool. Each drain keeps only the accelerators the drain
+        # before it used, so once the graph cache lets go, nothing holds
+        # the first two rounds' graphs.
+        def service():
+            return InferenceService(n_workers=2, cache=AutotuneCache(),
+                                    chip_capacity=256)
+
+        def specs(first_seed, count):
+            return [RmatGraphSpec(n_nodes=512, seed=first_seed + i, **TINY)
+                    for i in range(count)]
+
+        warm = service()
+        refs = []
+        for round_index in range(4):
+            graphs = specs(100 + 3 * round_index, 3)
+            refs.append([weakref.ref(graph.build()) for graph in graphs])
+            warm.submit_many(_spaced(graphs))
+            warm.drain()
+        clear_graph_cache()
+        gc.collect()
+        assert all(ref() is None for round_refs in refs[:2]
+                   for ref in round_refs)
+        # New graphs may get a freed graph's id; each still prices as
+        # its own graph.
+        graphs = specs(200, 6)
+        outcomes = []
+        for target in (warm, service()):
+            target.submit_many(_spaced(graphs))
+            outcomes.append(target.drain())
+        got, want = outcomes
+        assert [r.total_cycles for r in got.results] == [
+            r.total_cycles for r in want.results
+        ]
+        assert [r.fingerprint for r in got.results] == [
+            r.fingerprint for r in want.results
+        ]
+
+    def test_equal_fingerprints_keep_their_own_accelerators(self):
+        # A graph and its copy with every column shifted by n/2 share
+        # row-nnz profiles, so fingerprints and shard cache entries,
+        # but not halo sets: the memo keys by graph identity, not by
+        # content.
+        base = BIG_A.build()
+        adjacency = base.adjacency
+        n = adjacency.shape[0]
+        twin = replace(base, adjacency=CooMatrix(
+            adjacency.shape, adjacency.rows, (adjacency.cols + n // 2) % n,
+            adjacency.vals,
+        ))
+        assert dataset_fingerprint(twin) == dataset_fingerprint(base)
+
+        def cycles(graphs):
+            service = InferenceService(n_workers=2, cache=AutotuneCache(),
+                                       chip_capacity=256)
+            service.submit_many(_spaced(graphs))
+            return [r.total_cycles for r in service.drain().results]
+
+        alone = cycles([base]) + cycles([twin])
+        assert alone[0] != alone[1]
+        assert cycles([base, twin, base, twin]) == alone * 2
+
+
 class _FreshShardedService(InferenceService):
     """The no-reuse oracle: a new accelerator for every sharded use."""
 
     def _sharded_for(self, gang, request, *, constrained=True):
         self._sharded = {}
+        self._sharded_prev = {}
         return super()._sharded_for(gang, request, constrained=constrained)
 
 
@@ -159,50 +244,65 @@ def _caches(service):
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 1000),
+    n_drains=st.integers(1, 3),
     coschedule=st.booleans(),
     cache_mode=st.sampled_from(("shared", "affinity")),
     signal=st.sampled_from(("load", "cycles")),
 )
-def test_drain_matches_per_job_fresh_oracle(seed, coschedule, cache_mode,
-                                            signal):
-    requests = mixed_traffic(12, seed=seed, **MIXED_KW)
-    assume(sum(r.graph.n_nodes > 256 for r in requests) >= 2)
+def test_drain_matches_per_job_fresh_oracle(seed, n_drains, coschedule,
+                                            cache_mode, signal):
+    # Fresh traffic per drain over the same graph pool: later drains
+    # run on accelerators the drain before them used.
+    traffic = [mixed_traffic(12, seed=seed + d, **MIXED_KW)
+               for d in range(n_drains)]
+    assume(sum(r.graph.n_nodes > 256 for r in traffic[0]) >= 2)
     kwargs = dict(
         n_workers=4, chip_capacity=256, coschedule=coschedule,
         critical_slo_ms=1.0 if coschedule else None, cache_mode=cache_mode,
         cluster_options={"topology": "ring", "rebalance_signal": signal},
     )
-    runs = []
-    for cls in (InferenceService, _FreshShardedService):
-        tracer = RecordingTracer()
-        service = cls(tracer=tracer, **kwargs)
-        service.submit_many(requests)
-        runs.append((service, service.drain(), tracer))
-    (reused, got, got_trace), (fresh, want, want_trace) = runs
-    assert [_result_key(r) for r in got.results] == [
-        _result_key(r) for r in want.results
-    ]
-    assert got.latency == want.latency
-    for mine, theirs in zip(_caches(reused), _caches(fresh)):
-        assert mine.stats == theirs.stats
-        assert list(mine._entries) == list(theirs._entries)
-    assert stream_fingerprint(got_trace.events) == stream_fingerprint(
-        want_trace.events
-    )
+    reused_trace, fresh_trace = RecordingTracer(), RecordingTracer()
+    reused = InferenceService(tracer=reused_trace, **kwargs)
+    fresh = _FreshShardedService(tracer=fresh_trace, **kwargs)
+    for requests in traffic:
+        outcomes = []
+        for service, tracer in ((reused, reused_trace),
+                                (fresh, fresh_trace)):
+            tracer.events.clear()
+            service.submit_many(requests)
+            outcomes.append(service.drain())
+        got, want = outcomes
+        assert [_result_key(r) for r in got.results] == [
+            _result_key(r) for r in want.results
+        ]
+        assert got.latency == want.latency
+        for mine, theirs in zip(_caches(reused), _caches(fresh)):
+            assert mine.stats == theirs.stats
+            assert list(mine._entries) == list(theirs._entries)
+        assert stream_fingerprint(reused_trace.events) == stream_fingerprint(
+            fresh_trace.events
+        )
 
 
 class TestShardedAccelerator:
-    def _cluster(self, **kwargs):
-        return ClusterConfig(n_chips=2, chip=CFG, **kwargs)
+    def _cluster(self, n_chips=2, **kwargs):
+        return ClusterConfig(n_chips=n_chips, chip=CFG, **kwargs)
 
-    def test_runs_equal_fresh_simulations(self):
+    @pytest.mark.parametrize("overlap", [False, True])
+    @pytest.mark.parametrize("kind", ["all-to-all", "ring", "mesh2d"])
+    def test_runs_equal_fresh_simulations(self, kind, overlap):
+        # The exclusive fabric's price is memoized per plan; the middle
+        # run prices against a background, which must neither read nor
+        # overwrite that memo.
         dataset = BIG_A.build()
-        cluster = self._cluster()
+        cluster = self._cluster(n_chips=4, topology=kind, overlap=overlap)
         sharded = ShardedAccelerator(dataset, cluster)
+        busy = (500.0,) + (0.0,) * (cluster.fabric.n_links - 1)
         cache, fresh_cache = AutotuneCache(), AutotuneCache()
-        for background in (None, (5.0, 0.0), None):
-            job = cluster if background is None else self._cluster(
-                background_link_loads=background,
+        reports = []
+        for background in (None, busy, None):
+            job = cluster if background is None else replace(
+                cluster, background_link_loads=background,
             )
             got = simulate_multichip_gcn(sharded, job, cache=cache)
             want = simulate_multichip_gcn(dataset, job, cache=fresh_cache)
@@ -210,7 +310,16 @@ class TestShardedAccelerator:
             assert got.layer_cycles == want.layer_cycles
             assert got.cluster == want.cluster
             assert np.array_equal(got.halo.words, want.halo.words)
+            assert np.array_equal(got.comm_cycles_per_layer,
+                                  want.comm_cycles_per_layer)
+            assert np.array_equal(got.chip_costs_per_layer,
+                                  want.chip_costs_per_layer)
+            reports.append(got)
         assert cache.stats == fresh_cache.stats
+        exclusive, contended, again = reports
+        assert (contended.comm_cycles_per_layer
+                > exclusive.comm_cycles_per_layer).any()
+        assert again.comm_cycles_per_layer is exclusive.comm_cycles_per_layer
 
     def test_rejects_a_foreign_cluster_or_plan(self):
         dataset = BIG_A.build()
@@ -259,3 +368,21 @@ class TestSharedStateIsReadOnly:
         for rows in halo.rows:
             with pytest.raises(ValueError):
                 rows[:1] = 0
+
+    def test_halo_link_loads_are_read_only(self):
+        cluster = ClusterConfig(n_chips=4, chip=CFG, topology="ring")
+        sharded = ShardedAccelerator(BIG_A.build(), cluster)
+        report = simulate_multichip_gcn(sharded, cluster)
+        loads = sharded.halo_link_loads(report.plan)
+        assert loads is sharded.halo_link_loads(report.plan)
+        assert np.array_equal(
+            loads, cluster.fabric.link_loads(report.halo.words),
+        )
+        with pytest.raises(ValueError):
+            loads[0] = 0
+        with pytest.raises(ValueError):
+            report.comm_cycles_per_layer[0, 0] = 0
+        single = ShardedAccelerator(BIG_A.build(), ClusterConfig(
+            n_chips=1, chip=CFG,
+        ))
+        assert single.halo_link_loads(single.plan) is None

@@ -198,8 +198,9 @@ class ColdRun:
     events the run emitted, recorded at simulated time 0 so that
     :meth:`~repro.obs.tracer.RecordingTracer.splice` can re-anchor them
     (None when the run was not traced). :meth:`GcnAccelerator.run`
-    keeps one per accelerator and :class:`repro.serve.InferenceService`
-    keeps one per cache key for its whole life.
+    keeps one per accelerator, so it lives as long as the accelerator:
+    :class:`repro.serve.InferenceService` keeps an accelerator while
+    consecutive drains use it.
     """
 
     report: AcceleratorReport
@@ -400,12 +401,12 @@ class GcnAccelerator:
         A cold run is a pure function of (jobs, config), so with a cache
         each accelerator drives the tuner at most once: its first miss
         keeps the :class:`ColdRun` (the report's arrays made read-only,
-        the entry it stored and, when traced, its tuner events) unless
-        one was seeded with :meth:`remember_cold`, and every later miss
-        — the key was evicted, or this is another cache — makes the
-        same calls the cold path does: ``lookup``, the events spliced
-        into ``tracer``, ``store`` of that same entry object. It returns
-        a fresh report sharing the kept :class:`LayerTiming` objects.
+        the entry it stored and, when traced, its tuner events), and
+        every later miss — the key was evicted, or this is another
+        cache — makes the same calls the cold path does: ``lookup``,
+        the events spliced into ``tracer``, ``store`` of that same
+        entry object. It returns a fresh report sharing the kept
+        :class:`LayerTiming` objects.
         A run kept untraced is simulated again, once, the first time a
         traced miss needs its events. ``cache=None`` tunes on every call:
         it is the no-cache baseline.
@@ -450,20 +451,14 @@ class GcnAccelerator:
         cold = self._cold
         return cold is not None and (not traced or cold.events is not None)
 
-    @property
-    def kept_cold_run(self):
-        """The :class:`ColdRun` later misses replay, or None (read-only:
-        :meth:`remember_cold` is the only way to set it)."""
-        return self._cold
-
     def remember_cold(self, cold):
         """Keep a :class:`ColdRun` for later misses on this workload.
 
         ``cold`` must be what :meth:`run` would compute on a miss, which
-        any run under the same ``(fingerprint, config)`` cache key is:
-        :class:`repro.serve.InferenceService` seeds the accelerators of
-        every drain with the runs earlier drains kept. A kept run stays:
-        ``cold`` only adds the tuner events a kept untraced run lacks.
+        any run under the same ``(fingerprint, config)`` cache key is,
+        so a twin accelerator's run may seed this one. :meth:`run`
+        keeps its own first miss's run here. A kept run stays: ``cold``
+        only adds the tuner events a kept untraced run lacks.
         """
         kept = self._cold
         if kept is None:

@@ -34,12 +34,13 @@ worse. Rows record per-worker hit rates and replication counts so the
 placement quality is inspectable, not inferred.
 
 Wall-clock throughput (``req_per_s``) is reported but not claimed. The
-simulator tunes each key at most once per service
+simulator tunes each key at most once per accelerator
 (:meth:`~repro.accel.GcnAccelerator.run` keeps its cold run, and the
-service keeps it across drains), so a cache-blind miss on a key the
-service already tuned costs a store, not a tune: the host cost no
-longer charges blind dispatch for its lower hit rate, and the two
-modes' wall times differ by noise and routing work.
+service keeps an accelerator while consecutive drains use it), so a
+cache-blind miss on a key the service already tuned costs a store,
+not a tune: the host cost no longer charges blind dispatch for its
+lower hit rate, and the two modes' wall times differ by noise and
+routing work.
 """
 
 from __future__ import annotations

@@ -625,11 +625,11 @@ class InferenceService:
         self._drain_backfills = 0
         self._last_claim = None
         self._accels = {}
-        self._cold_runs = {}
-        """(fingerprint, config) cache key -> the
-        :class:`~repro.accel.ColdRun` a drain's accelerator computed
-        for it. It lives as long as the service, so a key is tuned once
-        however often it is evicted."""
+        """The :class:`GcnAccelerator` of every (graph, config, a_hops)
+        key this drain has used (see :meth:`_accel_for`)."""
+        self._accels_prev = {}
+        """The previous drain's accelerators this drain has not used
+        yet; dropped at the next drain's start."""
         self._sharded = {}
         """The :class:`ShardedAccelerator` of every (graph, gang) key
         this drain has used (see :meth:`_sharded_for`)."""
@@ -664,13 +664,13 @@ class InferenceService:
         Each drain is an independent simulation epoch: the clock
         restarts at zero and every instance starts idle. The cache and
         the cumulative per-instance counters carry over — that is the
-        "warm service" the multi-drain pattern models — and so do the
-        cold runs behind every cache miss so far, so a key evicted in
-        one drain is re-stored, not re-tuned, in the next. A sharded
-        graph's accelerator on one gang (its plans, halo sets, fabric
-        prices and chip accelerators) carries over while consecutive
-        drains use it. None of this host-side state changes a modeled
-        number.
+        "warm service" the multi-drain pattern models. So does every
+        accelerator while consecutive drains use it: a single-instance
+        one with its jobs, replay memo and kept cold run (so a key
+        evicted in one drain is re-stored, not re-tuned, in the next),
+        a sharded graph's on one gang with its plans, halo sets, fabric
+        prices and chip accelerators. None of this host-side state
+        changes a modeled number.
         """
         queued = self.queue.drain()
         for worker in self.workers:
@@ -687,17 +687,12 @@ class InferenceService:
                 "n_workers": len(self.workers),
                 "coschedule": self.coschedule,
             })
-        # The single-instance accelerator memo keys by id(dataset) and
-        # never outlives a drain, which also scopes each accelerator's
-        # replay memo (it pins every entry object it has replayed). The
-        # cold runs the dropped accelerators kept move to a map keyed
-        # by cache key, one run per key, which lives as long as the
-        # service.
-        self._drop_accels()
-        # Sharded accelerators live in a one-drain window: this drain
-        # starts with exactly those the last drain used, and drops the
-        # rest. Each holds its graph, so no key's id(dataset) can be
-        # recycled while its entry lives.
+        # Both accelerator memos live in a one-drain window: this drain
+        # starts with exactly the accelerators the last drain used, and
+        # drops the rest with their replay memos and cold runs. Each
+        # holds its graph, so no key's id(dataset) can be recycled
+        # while its entry lives.
+        self._accels_prev, self._accels = self._accels, {}
         self._sharded_prev, self._sharded = self._sharded, {}
         # Without an explicit batch cap, bound batches so one giant
         # config group still spreads over the whole instance pool (each
@@ -975,37 +970,27 @@ class InferenceService:
         )
 
     def _accel_for(self, request):
-        """The drain's one :class:`GcnAccelerator` for a request's
-        (dataset, config, a_hops).
+        """The one :class:`GcnAccelerator` for a request's (dataset,
+        config, a_hops).
 
-        Routing keys and serving share it, so its jobs are built once
-        per drain and its replay memo turns every repeat hit on a cache
-        entry into a lookup. It is built holding the cold run an
-        earlier drain kept for its cache key, if any
-        (:meth:`~repro.accel.GcnAccelerator.remember_cold`), so every
-        miss on a key the service has tuned before, in this drain or
-        an earlier one, is a store.
+        Routing keys and serving share it, so its jobs are built once,
+        its replay memo turns every repeat hit on a cache entry into a
+        lookup, and every miss after its first is a store of the cold
+        run it kept. The drain looks in its own accelerators first,
+        then takes one over from the previous drain's; only a key
+        neither drain used builds a new accelerator.
         """
         dataset = request.resolve_graph()
         memo_key = (id(dataset), request.config, request.a_hops)
         accel = self._accels.get(memo_key)
+        if accel is not None:
+            return accel
+        accel = self._accels_prev.pop(memo_key, None)
         if accel is None:
             accel = GcnAccelerator(dataset, request.config,
                                    a_hops=request.a_hops)
-            cold = self._cold_runs.get((accel.fingerprint(), accel.config))
-            if cold is not None:
-                accel.remember_cold(cold)
-            self._accels[memo_key] = accel
+        self._accels[memo_key] = accel
         return accel
-
-    def _drop_accels(self):
-        """Forget the drain's accelerators, keeping each one's cold run
-        under its cache key for the accelerators of later drains."""
-        for accel in self._accels.values():
-            cold = accel.kept_cold_run
-            if cold is not None:
-                self._cold_runs[(accel.fingerprint(), accel.config)] = cold
-        self._accels = {}
 
     def _request_key(self, request):
         """The (fingerprint, config) cache key one request will use."""

@@ -31,6 +31,7 @@ from repro.serve import (
     synthetic_traffic,
 )
 from repro.serve.cache import OverlayCache
+from repro.serve.traffic import clear_graph_cache
 
 CFG_A = ArchConfig(n_pes=16, hop=1, remote_switching=True)
 CFG_B = ArchConfig(n_pes=32, hop=1, remote_switching=True)
@@ -548,27 +549,39 @@ class TestCacheEntryImmutability:
 
 
 class TestReplayMemo:
-    def test_frozen_calls_per_drain_are_keys_times_stages(self,
-                                                         frozen_calls):
-        requests = [
-            InferenceRequest(graph=graph, config=config, a_hops=hops)
-            for graph, config, hops in (
-                (SPEC, CFG_A, 1), (SPEC2, CFG_A, 1), (SPEC, CFG_B, 2),
-            ) * 3
-        ]
+    def test_frozen_calls_per_service_are_keys_times_stages(self,
+                                                           frozen_calls):
+        keys = ((SPEC, CFG_A, 1), (SPEC2, CFG_A, 1), (SPEC, CFG_B, 2))
+
+        def requests_of(subset):
+            return [
+                InferenceRequest(graph=graph, config=config, a_hops=hops)
+                for graph, config, hops in subset * 3
+            ]
+
+        requests = requests_of(keys)
         expected = sum(_stage_count(r) for r in requests[:3])
         service = InferenceService(n_workers=2, cache=AutotuneCache())
-        service.submit_many(requests)
-        service.drain()  # cold: one tune and two hits per key
-        assert len(frozen_calls) == expected
-        for _ in range(2):
-            # Warm drains replay each key once, never zero times: the
-            # memo lives on the drain's accelerators.
+
+        def frozen_per_drain(requests):
             frozen_calls.clear()
             service.submit_many(requests)
             outcome = service.drain()
-            assert outcome.stats.cache_hits == len(requests)
-            assert len(frozen_calls) == expected
+            return len(frozen_calls), outcome.stats.cache_hits
+
+        # Cold: one tune and two hits per key.
+        assert frozen_per_drain(requests)[0] == expected
+        for _ in range(2):
+            # Warm drains replay nothing: the memo lives on the
+            # accelerators earlier drains used.
+            assert frozen_per_drain(requests) == (0, len(requests))
+        # A key a whole drain leaves out loses its accelerator, so on
+        # its return it replays each of its stages once, and only it.
+        without_last = requests_of(keys[:2])
+        assert frozen_per_drain(without_last) == (0, len(without_last))
+        assert frozen_per_drain(requests) == (
+            _stage_count(requests[2]), len(requests),
+        )
 
     def test_restored_entry_mid_drain_is_replayed_afresh(self, monkeypatch,
                                                         frozen_calls):
@@ -744,12 +757,11 @@ class TestColdMemo:
             assert len(tune_calls) == 2 * stages
 
     def test_seeded_run_reports_its_own_dataset(self):
-        # The fingerprint ignores the dataset's name, so a service seeds
-        # a renamed twin with the cold run kept for the original.
+        # The fingerprint ignores the dataset's name, so the original's
+        # cold run may seed a renamed twin.
         dataset = SPEC.build()
         original = GcnAccelerator(dataset, CFG_A)
-        original.run(cache=AutotuneCache())
-        cold = original.kept_cold_run
+        cold = original.cold_run()
         twin = GcnAccelerator(replace(dataset, name="twin"), CFG_A)
         assert twin.fingerprint() == original.fingerprint()
         twin.remember_cold(cold)
@@ -844,8 +856,9 @@ def test_cold_memo_matches_fresh_accelerator_oracle(seeds, cache_mode,
                                                     prefill):
     # Three drains on one service. Every seed draws from the same four
     # graph families, so a later drain mixes keys an earlier drain
-    # tuned (their accelerators are built holding the service's kept
-    # cold runs) with new keys.
+    # tuned with new keys: a key the previous drain used keeps its
+    # accelerator (replay memo and cold run), and a key absent for a
+    # whole drain gets a new one.
     drains = []
     for seed in seeds:
         requests = streaming_traffic(
@@ -1033,6 +1046,81 @@ class TestServiceLifetime:
         requests, kwargs = trace_scenario("mixed")
         assert kwargs["coschedule"]
         assert self._freed(requests, 1, **kwargs)
+
+
+class TestDrainWindow:
+    """Single-instance accelerators live in a one-drain window, as the
+    sharded ones do (``tests/test_cluster_reuse.py``): each drain keeps
+    only those the drain before it used, and each takes its graph,
+    replay memo and kept cold run along when it leaves."""
+
+    @staticmethod
+    def _round(first_seed, count=3):
+        """Requests for ``count`` fresh graphs, one each."""
+        return [
+            InferenceRequest(graph=RmatGraphSpec(
+                n_nodes=128, seed=first_seed + i, f1=16, f2=8, f3=4,
+            ), config=CFG_A)
+            for i in range(count)
+        ]
+
+    def test_the_window_frees_what_traffic_left(self):
+        # Four drains of three distinct graphs each: once the graph
+        # cache lets go, nothing holds the first two rounds' graphs.
+        def service():
+            return InferenceService(n_workers=2, cache=AutotuneCache())
+
+        warm = service()
+        refs = []
+        for round_index in range(4):
+            requests = self._round(100 + 3 * round_index)
+            refs.append([weakref.ref(r.resolve_graph()) for r in requests])
+            warm.submit_many(requests)
+            warm.drain()
+        clear_graph_cache()
+        gc.collect()
+        assert all(ref() is None for round_refs in refs[:2]
+                   for ref in round_refs)
+        # New graphs may get a freed graph's id; each still runs as its
+        # own graph.
+        requests = self._round(200, 6)
+        outcomes = []
+        for target in (warm, service()):
+            target.submit_many(requests)
+            outcomes.append(target.drain())
+        got, want = outcomes
+        assert [r.total_cycles for r in got.results] == [
+            r.total_cycles for r in want.results
+        ]
+        assert [r.fingerprint for r in got.results] == [
+            r.fingerprint for r in want.results
+        ]
+
+    @pytest.mark.parametrize("cache_mode", ["shared", "affinity"])
+    def test_a_bounded_cache_bounds_the_service(self, cache_mode):
+        # Four drains of three fresh graphs each on two-entry caches.
+        # An entry the caches evicted lives only while an accelerator in
+        # the window keeps it, so nothing holds the first two rounds'.
+        kwargs = dict(n_workers=2, max_batch=2)
+        if cache_mode == "shared":
+            kwargs["cache"] = AutotuneCache(max_entries=2)
+        else:
+            kwargs.update(cache=True, cache_mode="affinity",
+                          worker_cache_entries=2, replicate_threshold=1.0)
+        service = InferenceService(**kwargs)
+        refs = []
+        for round_index in range(4):
+            service.submit_many(self._round(300 + 3 * round_index))
+            service.drain()
+            refs.append([
+                weakref.ref(cache.peek(*info.key, trace=False))
+                for cache in _caches(service) for info in cache.snapshot()
+            ])
+        clear_graph_cache()
+        gc.collect()
+        assert refs[0] and refs[1]
+        assert all(ref() is None for round_refs in refs[:2]
+                   for ref in round_refs)
 
 
 class TestSyntheticTraffic:

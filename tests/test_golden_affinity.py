@@ -9,15 +9,26 @@ replication count, p99 latency, SLO attainment and per-instance hit
 rates. ``wall_s`` and ``req_per_s`` are host wall-clock and are not
 pinned.
 
+A second pin hashes three drains of one ``affinity_churn``-shaped
+service (the host benchmark's workload): every request's placement
+and timeline, and every drain's routing, replication and eviction
+counts.
+
 Every pinned column is a deterministic function of the traffic and
 the placement policy, so a refactor of routing, replication or the
 event loop must reproduce them exactly; a conscious policy change
 updates these rows and the two artifacts in the same commit.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.analysis import compare_cache_affinity
+from repro.serve import InferenceService
+from repro.serve.bench import DEFAULT_GRAPH_KWARGS, default_serving_config
+from repro.serve.traffic import streaming_traffic
 
 COLUMNS = (
     "rate", "mode", "hit_rate", "placement_hit_rate", "n_replications",
@@ -70,3 +81,52 @@ def test_affinity_sweep_modeled_columns_pinned(worker_cache_entries):
     ] == GOLDEN[worker_cache_entries]
     # Nothing but the two wall-clock columns goes unpinned.
     assert set(rows[0]) - set(COLUMNS) == {"wall_s", "req_per_s"}
+
+
+CHURN_DIGEST = (
+    "9ab39d5f3a6352e359798fd5a4a686c5723aabb6163c46123bde427b3854c922"
+)
+
+
+def _churn_drains(seeds):
+    """Drain one ``affinity_churn``-shaped service once per seed: four
+    instances with 8-entry shards under 24 Zipf families, replicating
+    at demand 3.0. Returns a canonical JSON dump of every request's
+    ``(request_id, total_cycles, worker, batch, cache_hit, start_time,
+    finish_time)`` and every drain's routed, placement-hit,
+    replication and eviction counts."""
+    service = InferenceService(
+        n_workers=4, cache=True, max_batch=8, cache_mode="affinity",
+        worker_cache_entries=8, replicate_threshold=3.0,
+    )
+    drains = []
+    for seed in seeds:
+        service.submit_many(streaming_traffic(
+            500, arrival_rate=10_000.0, slo_ms=5.0, n_nodes=256,
+            family_size=24, repeat_alpha=1.2, seed=seed,
+            configs=(default_serving_config(32),),
+            graph_kwargs=DEFAULT_GRAPH_KWARGS,
+        ))
+        outcome = service.drain()
+        stats = outcome.stats
+        drains.append({
+            "results": [
+                [r.request_id, r.total_cycles, r.worker, r.batch,
+                 r.cache_hit, r.start_time, r.finish_time]
+                for r in outcome.results
+            ],
+            "counts": [stats.n_routed, stats.n_placement_hits,
+                       stats.n_replications, stats.n_evictions],
+        })
+    return json.dumps(drains, sort_keys=True)
+
+
+def test_multi_drain_churn_placement_pinned():
+    """Routing, replication and eviction over three drains of one
+    service, the third repeating the first drain's traffic against the
+    shards and demand the first two left behind. Unlike the sweep
+    above (single drains of 96 requests), this reaches the shard
+    bound on every drain, so a change to the hot set, the replica
+    ranking or the admission test moves the digest."""
+    doc = _churn_drains((11, 12, 11))
+    assert hashlib.sha256(doc.encode()).hexdigest() == CHURN_DIGEST

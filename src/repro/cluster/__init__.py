@@ -9,9 +9,6 @@ generalizing the paper's own mechanisms one level up:
   (``"rows"`` static / ``"nnz"`` greedy-balanced) into a
   :class:`ShardPlan`, plus the :class:`HaloExchange` feature-row sets
   each chip must receive before aggregation;
-* :mod:`repro.cluster.exec` — numerically exact sharded SpMM / GCN
-  forward (each chip touches only its rows + halo), proving the
-  partition reassembles the unpartitioned result bit-for-bit;
 * :mod:`repro.cluster.multichip` — the multi-chip cycle model: per-chip
   single-chip simulations (autotune cache and all) composed with a
   halo-bandwidth + per-layer-barrier communication model, and a
@@ -52,11 +49,6 @@ from repro.cluster.topology import (
     make_topology,
     subtopology,
 )
-from repro.cluster.exec import (
-    reference_forward,
-    sharded_gcn_forward,
-    sharded_spmm,
-)
 from repro.cluster.multichip import (
     REBALANCE_SIGNALS,
     ClusterConfig,
@@ -81,9 +73,6 @@ __all__ = [
     "make_plan",
     "make_topology",
     "subtopology",
-    "reference_forward",
-    "sharded_gcn_forward",
-    "sharded_spmm",
     "ClusterConfig",
     "ClusterReport",
     "RebalanceInfo",

@@ -22,8 +22,9 @@ Two initial-assignment strategies are provided:
 :func:`halo_exchange` derives the inter-chip communication sets: for
 every chip, which dense-operand rows (columns referenced by its
 adjacency block) live on which other chip. Shard-local execution over
-those sets reassembles the unpartitioned result exactly —
-:mod:`repro.cluster.exec` proves it bit-for-bit.
+those sets reassembles the unpartitioned result exactly; the
+exact-reassembly property suite (``tests/test_prop_cluster.py``, with
+its oracle ``tests/sharded_oracle.py``) proves it bit-for-bit.
 """
 
 from __future__ import annotations

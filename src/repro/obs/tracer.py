@@ -24,8 +24,9 @@ cache miss keeps (:meth:`repro.accel.GcnAccelerator.run`): its tuner
 events are recorded on a local tracer (anchored at 0) and
 :meth:`RecordingTracer.splice`\\ d into the stream at exactly the point
 a direct run would have emitted them, between the cache lookup and the
-store, on every miss that replays them. Routing and overlay probes
-read the cache with ``peek(..., trace=False)``, so they leave no trace
+store, on every miss that replays them. Overlay probes read the cache
+with ``peek(..., trace=False)`` and affinity routing and replication
+test shard membership with ``key in cache``, so they leave no trace
 either.
 """
 

@@ -16,7 +16,8 @@ time with latency SLOs. This package adds that layer:
   :func:`~repro.accel.cyclemodel.simulate_spmm_frozen`;
 * :mod:`repro.serve.demand`    — :class:`DemandHistogram`:
   exponentially-decayed per-graph-family demand counters on the
-  simulated clock, the signal cache-affinity routing
+  simulated clock and the incrementally kept set of families hot at a
+  threshold, the signal cache-affinity routing
   (``InferenceService(cache_mode="affinity")``) uses to replicate hot
   autotune entries across per-worker cache shards;
 * :mod:`repro.serve.placement` — the service's placement policies,

@@ -20,6 +20,7 @@ restart starts warm.
 from __future__ import annotations
 
 import json
+import math
 import os
 import zipfile
 from dataclasses import asdict, dataclass
@@ -80,10 +81,12 @@ class AutotuneCache:
     owner map + warm-up trace per SPMM stage of the inference.
     :meth:`lookup` and :meth:`store` are the hook surface
     :meth:`~repro.accel.GcnAccelerator.run` drives. The service's other
-    entry points are the side-effect-free :meth:`peek` its router
-    probes with and :meth:`replicate`, which copies hot entries between
-    per-instance shards through :meth:`store`; the service never
-    touches entries directly.
+    entry points are side-effect-free reads — ``key in cache`` and
+    ``cache[key]`` for the affinity router's coverage and replica
+    sources, :meth:`peek` for the backfill screen — and
+    :meth:`replicate`, which copies hot entries between per-instance
+    shards through :meth:`store`; the service never touches entries
+    directly.
 
     ``max_entries`` bounds the cache LRU-style: every :meth:`lookup`
     hit and :meth:`store` refreshes the key's recency, and an insert
@@ -134,6 +137,11 @@ class AutotuneCache:
     def __contains__(self, key):
         return key in self._entries
 
+    def __getitem__(self, key):
+        """The entry under a :meth:`key` tuple, read as ``in`` tests
+        it: no counter, no recency, no event."""
+        return self._entries[key]
+
     @staticmethod
     def key(fingerprint, config):
         """The composite cache key for a workload/config pair."""
@@ -174,14 +182,14 @@ class AutotuneCache:
     def peek(self, fingerprint, config, *, trace=True):
         """Return the cached entry without counting or touching recency.
 
-        The side-effect-free read behind scheduling probes: the
-        affinity router's warm-entry coverage, the search for a shard
-        holding a key to replicate and the backfill screen. None of
-        them may perturb the hit/miss counters or the LRU order, or a
-        later real run would diverge from the oracle. ``trace=False``
-        also suppresses the trace event: :class:`OverlayCache` reads
-        its private layer that way, and the affinity router's coverage
-        and replication probes stay out of the stream.
+        The side-effect-free read behind scheduling probes such as the
+        backfill screen's :class:`OverlayCache`, which must not perturb
+        the hit/miss counters or the LRU order, or a later real run
+        would diverge from the oracle. ``trace=False`` also suppresses
+        the trace event: :class:`OverlayCache` reads its private layer
+        that way. (The affinity router tests membership with ``key in
+        cache`` instead: it already holds each key as a tuple, and
+        ``in`` neither re-checks the config type nor emits an event.)
         """
         entry = self._entries.get(self.key(fingerprint, config))
         if trace and self.tracer.enabled:
@@ -417,9 +425,10 @@ class AutotuneCache:
         that is not JSON or without an entry list — raises
         :class:`~repro.errors.ConfigError` naming ``path``. So does a
         malformed entry (a missing field or owner array, an unknown
-        config field) and an entry whose owner map names a PE outside
-        ``[0, config.n_pes)``, naming its slot too: a poisoned entry
-        fails here, not at its first hit mid-drain.
+        config field, a non-finite number: Python's ``json`` reads
+        ``Infinity`` and ``NaN``) and an entry whose owner map names a
+        PE outside ``[0, config.n_pes)``, naming its slot too: a
+        poisoned entry fails here, not at its first hit mid-drain.
         """
         cache = cls(max_entries=max_entries)
         try:
@@ -451,7 +460,7 @@ class AutotuneCache:
                     fingerprint, config, entry, hits, last_used = (
                         _entry_from_index(archive, slot, meta)
                     )
-                except (KeyError, TypeError, ValueError,
+                except (KeyError, TypeError, ValueError, OverflowError,
                         AttributeError) as exc:
                     raise ConfigError(
                         f"autotune cache archive {path} entry {slot} is "
@@ -506,10 +515,12 @@ class OverlayCache:
 def _entry_from_index(archive, slot, meta):
     """One archived entry: ``(fingerprint, config, CachedTuning, hits,
     last_used)``. A malformed index entry raises the ``KeyError``,
-    ``TypeError``, ``ValueError`` or ``AttributeError`` its first bad
-    field trips, an owner map naming a PE outside ``[0, config.n_pes)``
-    a ``ValueError``; :meth:`AutotuneCache.load` turns either into a
-    :class:`~repro.errors.ConfigError` naming the slot."""
+    ``TypeError``, ``ValueError``, ``OverflowError`` or
+    ``AttributeError`` its first bad field trips (``int()`` of an
+    infinite count overflows, of a NaN is a ``ValueError``), an owner
+    map naming a PE outside ``[0, config.n_pes)`` or a non-finite
+    ``last_used`` a ``ValueError``; :meth:`AutotuneCache.load` turns
+    each into a :class:`~repro.errors.ConfigError` naming the slot."""
     config = ArchConfig(**meta["config"])
     layers = []
     flat = 0
@@ -522,16 +533,22 @@ def _entry_from_index(archive, slot, meta):
                 raise ValueError(
                     f"owner PE ids out of range [0, {config.n_pes})"
                 )
+            converged_round = stage_meta["converged_round"]
             stages.append(CachedStage(
                 owner=owner,
                 warmup_costs=tuple(int(c) for c in stage_meta["warmup"]),
-                converged_round=stage_meta["converged_round"],
+                converged_round=(None if converged_round is None
+                                 else int(converged_round)),
                 final_backlog=int(stage_meta["final_backlog"]),
                 total_backlog=int(stage_meta["total_backlog"]),
             ))
             flat += 1
         layers.append(tuple(stages))
+    last_used = float(meta.get("last_used", 0.0))
+    if not math.isfinite(last_used):
+        # It would load, and then break merge's freshness comparison.
+        raise ValueError(f"last_used must be finite, got {last_used}")
     return (
         str(meta["fingerprint"]), config, CachedTuning(layers=tuple(layers)),
-        int(meta.get("hits", 0)), float(meta.get("last_used", 0.0)),
+        int(meta.get("hits", 0)), last_used,
     )

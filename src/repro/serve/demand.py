@@ -13,11 +13,28 @@ observation's weight, so a family's demand is approximately "requests
 seen in the last ``half_life`` seconds" and the whole structure is
 deterministic: same observations at the same simulated times, same
 histogram — no wall clock anywhere.
+
+Given a ``threshold``, the histogram also keeps the set of *hot*
+families, whose demand meets it, and pays per change, not per read: a
+record can only raise its own family's demand and time can only lower
+every family's, so :meth:`DemandHistogram.advance` re-judges just the
+families recorded since the last advance and the hot ones whose
+predicted threshold crossing has come.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+
+from repro.errors import ConfigError
 from repro.utils.validation import check_positive_finite
+
+NOMINATION_MARGIN = 1e-9
+"""Relative margin by which a hot family's predicted threshold
+crossing is brought forward. Rounding in the prediction and in the
+decay expression is about 1e-16 relative, so the exact re-check always
+runs before the true crossing."""
 
 
 class DemandHistogram:
@@ -28,12 +45,32 @@ class DemandHistogram:
     observations. Families are kept in first-observation order, so
     iteration (and therefore every policy built on it) is
     deterministic.
+
+    ``threshold`` (optional) makes the histogram track the hot set:
+    the families whose decayed demand at the last :meth:`advance`
+    meets it. Every membership decision is the exact expression
+    :meth:`demand` evaluates. A family joins when a record since the
+    last advance lifted it to the threshold; a hot family leaves when
+    its turn comes in a heap of predicted threshold crossings, and
+    the prediction only picks the turn. :meth:`advance` times must not
+    decrease.
     """
 
-    def __init__(self, *, half_life=0.05):
+    def __init__(self, *, half_life=0.05, threshold=None):
         self.half_life = check_positive_finite(half_life, "half_life")
-        # family -> [decayed weight, time of last decay]
+        self.threshold = (
+            None if threshold is None
+            else check_positive_finite(threshold, "threshold")
+        )
+        # family -> [decayed weight, time of last decay,
+        #            first-observation rank]
         self._families = {}
+        self._hot = {}  # hot family -> None, an ordered set
+        self._recorded = {}  # families recorded since the last advance
+        # (nomination time, rank, family): exactly one entry per hot
+        # family, pushed when it turns hot or survives a re-check.
+        self._due = []
+        self._now = -math.inf
 
     def __len__(self):
         return len(self._families)
@@ -42,7 +79,7 @@ class DemandHistogram:
         return family in self._families
 
     def _decayed(self, state, now):
-        weight, last = state
+        weight, last = state[0], state[1]
         if now <= last:
             return weight
         return weight * 0.5 ** ((now - last) / self.half_life)
@@ -51,15 +88,22 @@ class DemandHistogram:
         """Observe ``weight`` units of demand for ``family`` at ``now``.
 
         Decays the family's counter to ``now`` first, then adds
-        ``weight``. Returns the updated (decayed + added) demand.
+        ``weight`` (finite and >= 0: a record never lowers demand).
+        Returns the updated (decayed + added) demand.
         """
         now = float(now)
+        weight = float(weight)
+        if not 0.0 <= weight < math.inf:
+            raise ConfigError(
+                f"weight must be finite and >= 0, got {weight}"
+            )
         state = self._families.get(family)
         if state is None:
-            state = [0.0, now]
+            state = [0.0, now, len(self._families)]
             self._families[family] = state
-        state[0] = self._decayed(state, now) + float(weight)
+        state[0] = self._decayed(state, now) + weight
         state[1] = max(state[1], now)
+        self._recorded[family] = None
         return state[0]
 
     def demand(self, family, now):
@@ -73,22 +117,82 @@ class DemandHistogram:
             return 0.0
         return self._decayed(state, float(now))
 
-    def hot(self, now, *, threshold):
-        """Families whose decayed demand at ``now`` meets ``threshold``.
+    def _schedule(self, family, state):
+        """Push a hot family's predicted crossing, brought forward by
+        :data:`NOMINATION_MARGIN`, as its one heap entry."""
+        weight, last, rank = state
+        # demand(t) = weight * 2 ** -((t - last) / half_life) meets the
+        # threshold until t = last + half_life * log2(weight / threshold);
+        # the logs are taken apart so the ratio cannot overflow.
+        offset = self.half_life * (
+            math.log2(weight) - math.log2(self.threshold)
+        )
+        due = last + offset - NOMINATION_MARGIN * (
+            abs(last) + offset + self.half_life
+        )
+        heapq.heappush(self._due, (due, rank, family))
 
-        Returned in first-observation order (deterministic).
+    def advance(self, now):
+        """Bring the hot set to ``now``; returns whether it changed.
+
+        Judges each family recorded since the last advance that was
+        not hot, and each hot family whose nominated crossing time has
+        come, with the exact ``demand(family, now) >= threshold``. No
+        other family can have changed sides: without a record, demand
+        only decays, and a record only raises it.
         """
-        threshold = float(threshold)
+        if self.threshold is None:
+            raise ConfigError("advance needs a histogram with a threshold")
         now = float(now)
-        return [
-            family for family, state in self._families.items()
-            if self._decayed(state, now) >= threshold
-        ]
+        if now < self._now:
+            raise ConfigError(
+                f"advance times must not decrease: {now} < {self._now}"
+            )
+        self._now = now
+        threshold = self.threshold
+        hot = self._hot
+        changed = False
+        for family in self._recorded:
+            if family in hot:
+                # Its entry is now early, never late: a record only
+                # raises demand. If it fell below, that entry is due.
+                continue
+            state = self._families[family]
+            if self._decayed(state, now) >= threshold:
+                hot[family] = None
+                self._schedule(family, state)
+                changed = True
+        self._recorded.clear()
+        due = self._due
+        still_hot = []
+        while due and due[0][0] <= now:
+            _due, _rank, family = heapq.heappop(due)
+            state = self._families[family]
+            if self._decayed(state, now) >= threshold:
+                still_hot.append((family, state))
+            else:
+                del hot[family]
+                changed = True
+        for family, state in still_hot:
+            self._schedule(family, state)
+        return changed
 
-    def snapshot(self, now):
-        """``{family: decayed demand at now}`` in first-observation order."""
-        now = float(now)
-        return {
-            family: self._decayed(state, now)
-            for family, state in self._families.items()
-        }
+    @property
+    def hot_set(self):
+        """The families hot at the last :meth:`advance` (a read-only
+        view of their set)."""
+        return self._hot.keys()
+
+    def ranked(self):
+        """The hot families, hottest first at the last :meth:`advance`.
+
+        A list of ``(family, demand)`` pairs; equal demands keep
+        first-observation order.
+        """
+        now = self._now
+        rows = []
+        for family in self._hot:
+            state = self._families[family]
+            rows.append((-self._decayed(state, now), state[2], family))
+        rows.sort()
+        return [(family, -negated) for negated, _rank, family in rows]

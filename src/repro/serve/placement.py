@@ -6,13 +6,17 @@
 ``"affinity"`` — and its event loop calls the policy's hooks at fixed
 points of every drain; the per-drain counters (``routes``,
 ``route_hits``, ``replications``) feed its stats. A policy holds the
-instance pool and its own state, never the service: a request's cache
-key arrives with each :meth:`~FirstFree.place` call (``key_of``), so a
-dropped service is freed by reference counting alone.
+instance pool and its own state, never the service: the service's
+resolver arrives with each :meth:`~FirstFree.arrival` and
+:meth:`~FirstFree.place` call (``resolve``), so a dropped service is
+freed by reference counting alone. ``resolve(item)`` returns a queued
+request's ``(accelerator, family, cache key)`` and resolves its graph
+only the first time; :class:`FirstFree` never calls it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from repro.datasets.registry import dataset_fingerprint
@@ -39,10 +43,10 @@ class FirstFree:
     def begin_drain(self):
         """Start a drain (no state to reset)."""
 
-    def arrival(self, item):
+    def arrival(self, item, resolve):
         """Observe one admitted queued request (ignored)."""
 
-    def place(self, items, candidates, clock, stream, key_of):
+    def place(self, items, candidates, clock, stream, resolve):
         """The instance a sealed batch goes to, or None to wait.
 
         ``candidates`` are the unclaimed instances, in index order;
@@ -81,7 +85,6 @@ class CacheAffinity(FirstFree):
         self.shard_entries = shard_entries
         self.replicate_threshold = replicate_threshold
         self.tracer = tracer
-        self._demand = DemandHistogram(half_life=DEMAND_HALF_LIFE)
         self._gang_affinity = {}
         """family -> member indices of the gang that last served it
         (sharded re-landing; persists across drains like the caches)."""
@@ -92,9 +95,21 @@ class CacheAffinity(FirstFree):
         """(fingerprint, config) cache key -> its family (the inverse of
         ``_family_keys``): how replica admission prices a victim's
         demand."""
+        self._demand = None
+        """Per-family demand and the hot set, rebuilt each drain (None
+        without replication, its only reader)."""
+        self._hot = frozenset()
+        """The hot families at the last tick."""
         self._replica_plan = None
         """The (hot families, target instances) the last replication
         pass planned for; a tick that plans the same does nothing."""
+        self._free = None
+        """Each instance's ``free_at`` when :attr:`_targets` was last
+        sorted."""
+        self._targets = ((), frozenset())
+        """The :data:`REPLICATE_K` earliest-free instances, and the set
+        of their indices."""
+        self.begin_drain()
 
     @staticmethod
     def family_of(request):
@@ -109,20 +124,32 @@ class CacheAffinity(FirstFree):
         self.routes = 0
         self.route_hits = 0
         self.replications = 0
-        self._demand = DemandHistogram(half_life=DEMAND_HALF_LIFE)
+        if self.replicate_threshold is not None:
+            self._demand = DemandHistogram(
+                half_life=DEMAND_HALF_LIFE,
+                threshold=self.replicate_threshold,
+            )
+        self._hot = frozenset()
         self._replica_plan = None
 
-    def arrival(self, item):
+    def arrival(self, item, resolve):
         """Count one queued request toward its family's demand, at its
-        arrival time."""
-        self._demand.record(self.family_of(item.request), item.arrival_time)
+        arrival time (nothing to count without replication).
 
-    def place(self, items, candidates, clock, stream, key_of):
+        This is the first hook to see a request, so it is where the
+        request's graph is resolved (``resolve(item)``); a sharded
+        job resolves its family only.
+        """
+        if self._demand is not None:
+            self._demand.record(resolve(item)[1], item.arrival_time)
+
+    def place(self, items, candidates, clock, stream, resolve):
         """Cache-affinity placement for one sealed batch.
 
         Scores the candidates by warm-entry coverage of the batch's
-        (fingerprint, config) keys (``key_of(request)``) and picks the
-        best-covered *feasible* one — where feasible means free now,
+        (fingerprint, config) keys (``resolve(item)``): how many of
+        them the candidate's shard holds. It picks the best-covered
+        *feasible* one — where feasible means free now,
         or freeing early enough that waiting for it cannot break the
         batch's earliest deadline (for SLO-less batches the wait is
         bounded by the scheduler's own EWMA service estimate, so a cold
@@ -134,11 +161,13 @@ class CacheAffinity(FirstFree):
         waiting for a warm instance.
         """
         keys = {}  # an ordered set
+        family_keys = self._family_keys
+        key_family = self._key_family
         for item in items:
-            key = key_of(item.request)
-            family = self.family_of(item.request)
-            self._family_keys.setdefault(family, {})[key] = None
-            self._key_family[key] = family
+            _accel, family, key = resolve(item)
+            if key not in key_family:
+                key_family[key] = family
+                family_keys.setdefault(family, {})[key] = None
             keys[key] = None
         request = items[0].request
         estimate = stream.estimate(request.config, request.a_hops) * len(items)
@@ -147,23 +176,24 @@ class CacheAffinity(FirstFree):
         best_score = None
         best_coverage = 0
         for worker in candidates:
-            coverage = sum(
-                1 for fp, cfg in keys
-                if worker.cache.peek(fp, cfg, trace=False) is not None
-            )
-            if coverage == 0:
-                continue
             if worker.free_at > clock:
-                # Waiting for this warm instance must be provably
-                # safe: with a deadline, its free time + estimated
-                # service still meets it; without one, the wait is
-                # bounded by one estimated batch service time (0.0
-                # before any observation — i.e. never wait while cold).
+                # Waiting for a warm instance must be provably safe:
+                # with a deadline, its free time + estimated service
+                # still meets it; without one, the wait is bounded by
+                # one estimated batch service time (0.0 before any
+                # observation — i.e. never wait while cold).
                 if math.isfinite(deadline):
                     if worker.free_at + estimate > deadline:
                         continue
                 elif worker.free_at - clock > estimate:
                     continue
+            cache = worker.cache
+            coverage = 0
+            for key in keys:
+                if key in cache:
+                    coverage += 1
+            if coverage == 0:
+                continue
             score = (-coverage, worker.free_at, worker.index)
             if best_score is None or score < best_score:
                 best = worker
@@ -171,7 +201,7 @@ class CacheAffinity(FirstFree):
                 best_coverage = coverage
         warm = best is not None
         if best is None:
-            best = super().place(items, candidates, clock, stream, key_of)
+            best = super().place(items, candidates, clock, stream, resolve)
         if best is None:
             return None
         self.routes += 1
@@ -229,6 +259,17 @@ class CacheAffinity(FirstFree):
                 "warm": warm,
             })
 
+    def _held(self, ranked):
+        """``(key, family, entry)`` for each known key of the ``ranked``
+        families that some shard holds, in rank order; the entry is the
+        first holder's (by instance index)."""
+        for family, _heat in ranked:
+            for key in self._family_keys.get(family, ()):
+                for worker in self.workers:
+                    if key in worker.cache:
+                        yield key, family, worker.cache[key]
+                        break
+
     def tick(self, clock):
         """Copy the hottest warm entries to the least-loaded shards.
 
@@ -251,40 +292,50 @@ class CacheAffinity(FirstFree):
         only once demand or load moves. Modeled numbers never change
         (a replica only converts a future cold simulation into a warm
         replay).
+
+        A tick pays for what changed since the last one: the histogram
+        judges only the families recorded since then that were not hot
+        and the hot ones whose predicted crossing has come
+        (:meth:`~repro.serve.demand.DemandHistogram.advance`), the
+        targets are re-sorted only when some ``free_at`` moved, and
+        demand is read only for the hot families and the admission
+        victims of a re-plan.
         """
-        if self.replicate_threshold is None:
+        demand = self._demand
+        if demand is None:
             return
-        hot = self._demand.hot(clock, threshold=self.replicate_threshold)
-        if not hot:
+        if demand.advance(clock):
+            self._hot = frozenset(demand.hot_set)
+        if not self._hot:
             self._replica_plan = None
             return
-        targets = sorted(
-            self.workers, key=lambda w: (w.free_at, w.index)
-        )[:REPLICATE_K]
-        plan = (frozenset(hot), frozenset(w.index for w in targets))
+        free = [worker.free_at for worker in self.workers]
+        if free != self._free:
+            self._free = free
+            targets = sorted(
+                self.workers, key=lambda w: (w.free_at, w.index)
+            )[:REPLICATE_K]
+            self._targets = (targets, frozenset(w.index for w in targets))
+        targets, target_indices = self._targets
+        plan = (self._hot, target_indices)
         if plan == self._replica_plan:
             return
         self._replica_plan = plan
-        demand = self._demand.snapshot(clock)
-        planned = {}
-        for family in sorted(hot, key=demand.__getitem__, reverse=True):
-            for key in self._family_keys.get(family, ()):
-                entry = None
-                for worker in self.workers:
-                    entry = worker.cache.peek(*key, trace=False)
-                    if entry is not None:
-                        break
-                if entry is not None:
-                    planned[key] = (family, entry)
-        replicas = [(key, entry) for key, (_, entry) in planned.items()]
-        if self.shard_entries is not None:
-            del replicas[self.shard_entries:]
+        ranked = demand.ranked()
+        replicas = []
+        planned = {}  # replica key -> its family
+        for key, family, entry in itertools.islice(
+            self._held(ranked), self.shard_entries
+        ):
+            replicas.append((key, entry))
+            planned[key] = family
         if not replicas:
             return
+        heat = dict(ranked)
 
         def admit(key, victim):
-            victim_demand = demand.get(self._key_family.get(victim), 0.0)
-            return victim_demand < demand[planned[key][0]]
+            victim_demand = demand.demand(self._key_family.get(victim), clock)
+            return victim_demand < heat[planned[key]]
 
         tr = self.tracer
         if tr.enabled:
@@ -295,7 +346,7 @@ class CacheAffinity(FirstFree):
             worker.cache.clock = clock
             pushed = {}
             for key in worker.cache.replicate(replicas, admit=admit):
-                family = planned[key][0]
+                family = planned[key]
                 pushed[family] = pushed.get(family, 0) + 1
             for family, count in pushed.items():
                 self.replications += 1

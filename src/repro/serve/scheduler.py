@@ -51,6 +51,12 @@ class QueuedRequest:
     member request's, computed once on construction since the batch
     cut and EDF order read it per member."""
 
+    resolved = None
+    """``(accelerator, family, cache key)`` once a placement policy has
+    asked the service to resolve the request's graph (see
+    :meth:`~repro.serve.service.InferenceService._resolve`); cache-blind
+    placement never does, and the class default None stands."""
+
     def __post_init__(self):
         object.__setattr__(self, "deadline", self.request.deadline)
 

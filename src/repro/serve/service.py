@@ -719,6 +719,7 @@ class InferenceService:
         self._last_claim = None
         placement = self.placement
         placement.begin_drain()
+        resolve = self._resolve
         last_snapshot = None
         started = time.perf_counter()
         while (i < n or stream.pending or stream.ready or sharded
@@ -741,7 +742,7 @@ class InferenceService:
                         args["class"] = self._class_of(item.request)
                     tr.instant("request.arrival", ts=item.arrival_time,
                                args=args)
-                placement.arrival(item)
+                placement.arrival(item, resolve)
                 if needs_shards:
                     sharded.append(item)
                 else:
@@ -864,7 +865,7 @@ class InferenceService:
             while stream.ready:
                 items = stream.peek_ready()
                 worker = placement.place(items, unclaimed, clock, stream,
-                                         self._request_key)
+                                         resolve)
                 if worker is None:
                     if self.coschedule and self._active:
                         self._maybe_preempt(items, clock)
@@ -992,9 +993,31 @@ class InferenceService:
         self._accels[memo_key] = accel
         return accel
 
-    def _request_key(self, request):
-        """The (fingerprint, config) cache key one request will use."""
-        return (self._accel_for(request).fingerprint(), request.config)
+    def _resolve(self, item):
+        """A queued request's ``(accelerator, family, cache key)``.
+
+        The placement policy's resolver: the first call resolves the
+        graph and stores the three on the item (``item.resolved``), so
+        placement, replication and :meth:`_serve_one` share one
+        resolution. A sharded job resolves its family only, and builds
+        no single-instance accelerator.
+        """
+        resolved = item.resolved
+        if resolved is None:
+            request = item.request
+            if self._needs_sharding(request):
+                resolved = (
+                    None, dataset_fingerprint(request.resolve_graph()), None,
+                )
+            else:
+                accel = self._accel_for(request)
+                resolved = (
+                    accel, dataset_fingerprint(accel.dataset),
+                    (accel.fingerprint(), request.config),
+                )
+            # QueuedRequest is frozen; its one late-bound slot.
+            object.__setattr__(item, "resolved", resolved)
+        return resolved
 
     def _needs_sharding(self, request):
         """Whether a request's graph exceeds the instance capacity."""
@@ -1571,7 +1594,9 @@ class InferenceService:
             # spliced from a kept cold run) at its service start.
             tr.set_time(start)
         started = time.perf_counter()
-        accel = self._accel_for(request)
+        resolved = item.resolved
+        accel = (self._accel_for(request) if resolved is None
+                 else resolved[0])
         cache = worker.cache
         if cache is not None:
             cache.clock = start

@@ -2,7 +2,8 @@
 
 The cycle models in :mod:`repro.cluster.multichip` only predict *how
 fast* a sharded run is; this module proves the sharding itself computes
-the right answer. Every function executes shard-locally — a chip touches
+the right answer. It is test code: the exact-reassembly property suite
+(``tests/test_prop_cluster.py``) is its one caller. Every function executes shard-locally — a chip touches
 only its own rows plus the halo rows its
 :class:`~repro.cluster.partition.HaloExchange` set names — and
 reassembles per-chip outputs into the global result.
@@ -20,7 +21,7 @@ same pipeline on one chip) for every partitioner and shard count, and
 bit-for-bit equal to :class:`~repro.model.gcn.GcnModel` on every pure
 sparse-kernel stage; stages whose *input* went through the model's
 BLAS dense product agree with the model to float64 round-off. The
-property suite (``tests/test_prop_cluster.py``) asserts all three.
+property suite asserts all three.
 """
 
 from __future__ import annotations

@@ -48,6 +48,10 @@ REMOVED_KEYWORDS = {
         lambda: rebalance_plan(None, None, ClusterConfig(),
                                row_ceilings=None),
 }
+REMOVED_CLUSTER_NAMES = (
+    # The sharded numerical oracle, now tests/sharded_oracle.py.
+    "reference_forward", "sharded_spmm", "sharded_gcn_forward",
+)
 
 
 class TestParser:
@@ -150,9 +154,15 @@ class TestRemovedSurface:
     @pytest.mark.parametrize(
         "removed", [*REMOVED_SUBCOMMANDS, "batched_tuning",
                     "worker_configs", "chip_capacity_list",
-                    *REMOVED_KEYWORDS, "cluster_options.barrier_cycles"]
+                    *REMOVED_KEYWORDS, "cluster_options.barrier_cycles",
+                    *REMOVED_CLUSTER_NAMES]
     )
     def test_removed_surface_stays_gone(self, removed):
+        if removed in REMOVED_CLUSTER_NAMES:
+            # The statement a caller of the old export would write.
+            with pytest.raises(ImportError, match=removed):
+                exec(f"from repro.cluster import {removed}", {})
+            return
         if removed in REMOVED_KEYWORDS:
             with pytest.raises(TypeError):
                 REMOVED_KEYWORDS[removed]()

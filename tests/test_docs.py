@@ -1,9 +1,9 @@
 """Documentation stays healthy: links resolve, cli.md tracks the CLI.
 
 The cheap halves of the CI docs job, run in tier-1 so a broken link,
-a CLI flag change without a ``docs/cli.md`` regeneration or a page or
-docstring naming a subcommand the CLI does not register fails locally
-too. The README quickstart snippets (which actually simulate) run only
+a backticked ``repro.…`` name that no longer resolves, a CLI flag
+change without a ``docs/cli.md`` regeneration or a page or docstring
+naming a subcommand the CLI does not register fails locally too. The README quickstart snippets (which actually simulate) run only
 in the CI docs job — see ``tools/check_docs.py --quickstart``.
 """
 
@@ -70,6 +70,20 @@ class TestDocs:
         )
         for text in texts:
             assert tool.unknown_commands(text) == ["warp-drive"]
+
+    def test_name_scan_flags_a_missing_attribute(self):
+        tool = _load_tool("check_docs.py")
+        text = (
+            "Placement is `repro.serve.placement.CacheAffinity`, its "
+            "pass `repro.serve.placement.CacheAffinity.tick`, and its "
+            "module `repro.serve.placement`; not "
+            "`repro.serve.placement.NoSuchPolicy`, nor the moved oracle "
+            "`repro.cluster.exec`, nor the method `repro.serve.scheduler._cut`."
+        )
+        assert tool.unresolved_names(text) == [
+            "repro.serve.placement.NoSuchPolicy", "repro.cluster.exec",
+            "repro.serve.scheduler._cut",
+        ]
 
     def test_readme_names_only_registered_subcommands(self):
         tool = _load_tool("gen_cli_docs.py")

@@ -9,7 +9,8 @@ the full multi-layer :func:`sharded_gcn_forward` (bit-equal to
 :func:`reference_forward` under every plan; equal to
 :class:`~repro.model.gcn.GcnModel` exactly on pure sparse-kernel
 stages and to float64 round-off beyond the model's BLAS dense
-products — see the :mod:`repro.cluster.exec` docstring).
+products — see the ``sharded_oracle`` module docstring, next to this
+file).
 """
 
 import numpy as np
@@ -17,16 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import (
-    PARTITION_STRATEGIES,
-    make_plan,
+from repro.cluster import PARTITION_STRATEGIES, make_plan
+from repro.model.gcn import GcnModel
+from repro.serve import RmatGraphSpec
+from repro.sparse import CooMatrix, coo_to_csr, spmm_csc_dense, coo_to_csc
+from sharded_oracle import (
     reference_forward,
     sharded_gcn_forward,
     sharded_spmm,
 )
-from repro.model.gcn import GcnModel
-from repro.serve import RmatGraphSpec
-from repro.sparse import CooMatrix, coo_to_csr, spmm_csc_dense, coo_to_csc
 
 
 @st.composite

@@ -422,10 +422,28 @@ def _missing_owner_array(path):
     _edited(path, lambda index, arrays: arrays.pop("e0_s0"))
 
 
+def _infinite_warmup(path):
+    # Python's json reads Infinity; int() of it overflows.
+    _edited(path, lambda index, arrays: index["entries"][0]["layers"][0][0]
+            .update(warmup=[float("inf")]))
+
+
+def _infinite_hits(path):
+    _edited(path, lambda index, arrays: index["entries"][0]
+            .update(hits=float("inf")))
+
+
+def _nan_last_used(path):
+    # A NaN stamp would load, then break merge's freshness comparison.
+    _edited(path, lambda index, arrays: index["entries"][0]
+            .update(last_used=float("nan")))
+
+
 @pytest.mark.parametrize("write", [
     _truncated, _random_bytes, _empty, _without_index, _non_json_index,
     _owner_out_of_range, _without_entries, _entry_without_config,
-    _unknown_config_field, _missing_owner_array,
+    _unknown_config_field, _missing_owner_array, _infinite_warmup,
+    _infinite_hits, _nan_last_used,
 ])
 def test_malformed_archive_load_is_a_config_error(tmp_path, write):
     path = tmp_path / "cache.npz"

@@ -1,7 +1,13 @@
 """Cache-affinity routing, replication, demand histograms and metadata.
 
-Five contracts pinned here:
+Six contracts pinned here:
 
+* The demand histogram's incrementally kept hot set equals a full
+  rescan (``_RescanHistogram``, the histogram it replaced) at every
+  tick, and so does its ranking: a hypothesis property drives both
+  through random records and ticks, with equal times, ticks at a
+  record's own clock and at predicted crossings, weights that land on
+  the threshold, and long gaps.
 * ``cache_mode="shared"`` (the default) is the historical oracle: a
   hypothesis property serves identical traces — batch, streaming and
   mixed/sharded/co-scheduled, at 1/2/4 instances — once with the
@@ -31,6 +37,7 @@ Five contracts pinned here:
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -85,7 +92,7 @@ def _route(service, items, estimate, *, claimed=frozenset()):
     whose service estimate is ``estimate``."""
     unclaimed = [w for w in service.workers if w.index not in claimed]
     return service.placement.place(
-        items, unclaimed, 0.0, _StubStream(estimate), service._request_key,
+        items, unclaimed, 0.0, _StubStream(estimate), service._resolve,
     )
 
 
@@ -107,20 +114,148 @@ class TestDemandHistogram:
         assert hist.demand("fam", 0.1) == pytest.approx(1.5)
 
     def test_hot_threshold_in_first_observation_order(self):
-        hist = DemandHistogram(half_life=0.1)
-        for family, count in (("b", 3), ("a", 1), ("c", 2)):
-            for _ in range(count):
-                hist.record(family, 0.0)
-        assert hist.hot(0.0, threshold=2.0) == ["b", "c"]
-        assert hist.hot(0.1, threshold=1.4) == ["b"]
-        assert hist.snapshot(0.0) == {"b": 3.0, "a": 1.0, "c": 2.0}
-        assert len(hist) == 3 and "a" in hist and "z" not in hist
+        # One histogram per threshold (the hot set is kept for a fixed
+        # one), fed the same observations; the rescanning oracle reads
+        # the hot set in first-observation order.
+        for threshold, now, hot in ((2.0, 0.0, ["b", "c"]),
+                                    (1.4, 0.1, ["b"])):
+            hist = DemandHistogram(half_life=0.1, threshold=threshold)
+            oracle = _RescanHistogram(half_life=0.1)
+            for family, count in (("b", 3), ("a", 1), ("c", 2)):
+                for _ in range(count):
+                    hist.record(family, 0.0)
+                    oracle.record(family, 0.0)
+            assert hist.advance(now)
+            assert oracle.hot(now, threshold=threshold) == hot
+            assert sorted(hist.hot_set, key="bac".index) == hot
+            assert [family for family, _ in hist.ranked()] == hot
+            assert {family: hist.demand(family, 0.0) for family in "bac"} \
+                == oracle.snapshot(0.0) == {"b": 3.0, "a": 1.0, "c": 2.0}
+            assert len(hist) == 3 and "a" in hist and "z" not in hist
 
     def test_half_life_validated(self):
         with pytest.raises(ConfigError):
             DemandHistogram(half_life=0.0)
         with pytest.raises(ConfigError):
             DemandHistogram(half_life=-1.0)
+
+    def test_threshold_weight_and_time_validated(self):
+        for threshold in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigError):
+                DemandHistogram(threshold=threshold)
+        hist = DemandHistogram(threshold=1.0)
+        # A record never lowers demand: the hot set relies on it.
+        for weight in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="weight"):
+                hist.record("fam", 0.0, weight=weight)
+        hist.advance(1.0)
+        with pytest.raises(ConfigError, match="must not decrease"):
+            hist.advance(0.5)
+        with pytest.raises(ConfigError, match="threshold"):
+            DemandHistogram().advance(0.0)
+
+
+class _RescanHistogram:
+    """The rescanning histogram the incremental hot set replaced, kept
+    as its oracle: every read decays every family seen."""
+
+    def __init__(self, *, half_life):
+        self.half_life = half_life
+        self._families = {}
+
+    def _decayed(self, state, now):
+        weight, last = state
+        if now <= last:
+            return weight
+        return weight * 0.5 ** ((now - last) / self.half_life)
+
+    def record(self, family, now, weight=1.0):
+        now = float(now)
+        state = self._families.get(family)
+        if state is None:
+            state = [0.0, now]
+            self._families[family] = state
+        state[0] = self._decayed(state, now) + float(weight)
+        state[1] = max(state[1], now)
+        return state[0]
+
+    def hot(self, now, *, threshold):
+        """Families whose decayed demand at ``now`` meets ``threshold``,
+        in first-observation order."""
+        threshold = float(threshold)
+        now = float(now)
+        return [
+            family for family, state in self._families.items()
+            if self._decayed(state, now) >= threshold
+        ]
+
+    def snapshot(self, now):
+        """``{family: decayed demand at now}`` in first-observation
+        order."""
+        now = float(now)
+        return {
+            family: self._decayed(state, now)
+            for family, state in self._families.items()
+        }
+
+
+_HALF_LIFE = 0.05
+_THRESHOLD = 3.0
+# Equal times, gaps well inside, at and past the half-life, and gaps of
+# tens to thousands of half-lives.
+_GAPS = st.sampled_from((0.0, 0.0, 1e-4, 0.01, 0.05, 0.1, 1.0, 100.0)) \
+    | st.floats(0.0, 0.3)
+# Weights that land on the threshold alone (3.0), in three records of
+# 1.0, after one half-life (6.0), or just under it.
+_WEIGHTS = st.sampled_from((1.0, 1.0, 0.5, 3.0, 6.0, 0.0,
+                            math.nextafter(3.0, 0.0))) | st.floats(0.0, 8.0)
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("record"), st.integers(0, 3), _GAPS, _WEIGHTS),
+    st.tuples(st.just("tick"), _GAPS),
+    # A tick at a family's predicted threshold crossing, nudged by a
+    # few ulps either way.
+    st.tuples(st.just("crossing"), st.integers(0, 3), st.integers(-2, 2)),
+), max_size=60)
+
+
+class TestIncrementalHotSet:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_OPS)
+    def test_equals_the_rescan_at_every_tick(self, ops):
+        hist = DemandHistogram(half_life=_HALF_LIFE, threshold=_THRESHOLD)
+        oracle = _RescanHistogram(half_life=_HALF_LIFE)
+        now = 0.0
+        before = set()
+        for op in ops:
+            if op[0] == "record":
+                _, family, gap, weight = op
+                now += gap
+                hist.record(f"f{family}", now, weight)
+                oracle.record(f"f{family}", now, weight)
+                continue
+            if op[0] == "tick":
+                now += op[1]
+            else:
+                state = oracle._families.get(f"f{op[1]}")
+                if state is not None and state[0] >= _THRESHOLD:
+                    weight, last = state
+                    at = last + _HALF_LIFE * math.log2(weight / _THRESHOLD)
+                    for _ in range(abs(op[2])):
+                        at = math.nextafter(at, math.copysign(math.inf, op[2]))
+                    now = max(now, at)
+            changed = hist.advance(now)
+            hot = oracle.hot(now, threshold=_THRESHOLD)
+            assert set(hist.hot_set) == set(hot)
+            # One pending crossing per hot family, none for the rest.
+            assert sorted(family for _, _, family in hist._due) \
+                == sorted(hot)
+            assert changed == (set(hot) != before)
+            before = set(hot)
+            demand = oracle.snapshot(now)
+            ranked = sorted(hot, key=demand.__getitem__, reverse=True)
+            assert hist.ranked() == [
+                (family, demand[family]) for family in ranked
+            ]
 
 
 class TestCacheMetadata:
@@ -360,7 +495,7 @@ class TestReplicaAdmission:
             service.placement._demand.record(
                 service.placement.family_of(request), 0.0, weight=demand
             )
-        return service._request_key(request)
+        return service._resolve(item)[2]
 
     def _stores(self, service, lane="cache/w1"):
         return [e for e in service.tracer.events

@@ -6,7 +6,11 @@ half by ``tests/test_docs.py``):
 * ``--links``: every relative markdown link in ``README.md`` and
   ``docs/*.md`` must point at an existing file or directory (external
   ``http(s)://`` / ``mailto:`` links and pure ``#anchor`` links are
-  skipped — the repo is developed offline).
+  skipped — the repo is developed offline), and every backticked
+  dotted ``repro.…`` name in them must resolve: its longest importable
+  prefix imports (with ``src/`` on the path) and the rest are
+  attributes, so a page cannot name a module, class or method that
+  moved or no longer exists.
 * ``--quickstart``: every ``python`` code fence in ``README.md`` is
   executed (in order, in one namespace per fence) with ``src/`` on the
   path, so the advertised snippets can never rot.
@@ -17,6 +21,7 @@ With no flags, both checks run. Exit code 0 = healthy.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import re
 import subprocess
@@ -29,6 +34,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # [text](target) — excluding images; target split from an optional title.
 _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
+# A backticked dotted name rooted at the package: `repro.serve.cache`,
+# `repro.serve.placement.CacheAffinity.tick`.
+_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
 
 
 def _doc_files():
@@ -37,11 +45,52 @@ def _doc_files():
     return [path for path in docs if path.exists()]
 
 
+def _resolves(name):
+    """Whether a dotted ``repro.…`` name names something: import its
+    longest importable prefix, then ``getattr`` the rest."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:cut])
+        try:
+            target = importlib.import_module(module_name)
+        except ModuleNotFoundError as exc:
+            # Only a missing prefix of the name itself means "try a
+            # shorter prefix"; a module that fails its own imports is
+            # an error to report, not a name to skip.
+            if exc.name is None or not (
+                module_name == exc.name
+                or module_name.startswith(exc.name + ".")
+            ):
+                raise
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def unresolved_names(text):
+    """The backticked dotted ``repro.…`` names in ``text`` that do not
+    resolve, each once, in order of first mention."""
+    src = str(REPO_ROOT / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    names = dict.fromkeys(_NAME.findall(text))
+    return [name for name in names if not _resolves(name)]
+
+
 def check_links():
-    """Verify relative links in README.md and docs/*.md; returns errors."""
+    """Verify relative links and backticked ``repro.…`` names in
+    README.md and docs/*.md; returns errors."""
     errors = []
     for doc in _doc_files():
         text = doc.read_text()
+        for name in unresolved_names(text):
+            errors.append(
+                f"{doc.relative_to(REPO_ROOT)}: unresolved name `{name}`"
+            )
         for match in _LINK.finditer(text):
             target = match.group(1)
             if target.startswith(("http://", "https://", "mailto:", "#")):

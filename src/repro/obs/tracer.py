@@ -26,8 +26,8 @@ events are recorded on a local tracer (anchored at 0) and
 a direct run would have emitted them, between the cache lookup and the
 store, on every miss that replays them. Overlay probes read the cache
 with ``peek(..., trace=False)`` and affinity routing and replication
-test shard membership with ``key in cache``, so they leave no trace
-either.
+read shards with ``key in cache`` and ``cache.get(key)``, so they
+leave no trace either.
 """
 
 from __future__ import annotations

@@ -82,7 +82,7 @@ class AutotuneCache:
     :meth:`lookup` and :meth:`store` are the hook surface
     :meth:`~repro.accel.GcnAccelerator.run` drives. The service's other
     entry points are side-effect-free reads — ``key in cache`` and
-    ``cache[key]`` for the affinity router's coverage and replica
+    :meth:`get` for the affinity router's coverage and replica
     sources, :meth:`peek` for the backfill screen — and
     :meth:`replicate`, which copies hot entries between per-instance
     shards through :meth:`store`; the service never touches entries
@@ -137,10 +137,10 @@ class AutotuneCache:
     def __contains__(self, key):
         return key in self._entries
 
-    def __getitem__(self, key):
-        """The entry under a :meth:`key` tuple, read as ``in`` tests
-        it: no counter, no recency, no event."""
-        return self._entries[key]
+    def get(self, key):
+        """The entry under a :meth:`key` tuple, or None, read as ``in``
+        tests it: no counter, no recency, no event."""
+        return self._entries.get(key)
 
     @staticmethod
     def key(fingerprint, config):
@@ -187,9 +187,10 @@ class AutotuneCache:
         the hit/miss counters or the LRU order, or a later real run
         would diverge from the oracle. ``trace=False`` also suppresses
         the trace event: :class:`OverlayCache` reads its private layer
-        that way. (The affinity router tests membership with ``key in
-        cache`` instead: it already holds each key as a tuple, and
-        ``in`` neither re-checks the config type nor emits an event.)
+        that way. (The affinity router reads shards with ``key in
+        cache`` and :meth:`get` instead: it already holds each key as
+        a tuple, and neither re-checks the config type nor emits an
+        event.)
         """
         entry = self._entries.get(self.key(fingerprint, config))
         if trace and self.tracer.enabled:

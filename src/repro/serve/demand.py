@@ -14,8 +14,8 @@ seen in the last ``half_life`` seconds" and the whole structure is
 deterministic: same observations at the same simulated times, same
 histogram — no wall clock anywhere.
 
-Given a ``threshold``, the histogram also keeps the set of *hot*
-families, whose demand meets it, and pays per change, not per read: a
+The histogram also keeps the set of *hot* families, whose demand
+meets a fixed ``threshold``, and pays per change, not per read: a
 record can only raise its own family's demand and time can only lower
 every family's, so :meth:`DemandHistogram.advance` re-judges just the
 families recorded since the last advance and the hot ones whose
@@ -46,22 +46,18 @@ class DemandHistogram:
     iteration (and therefore every policy built on it) is
     deterministic.
 
-    ``threshold`` (optional) makes the histogram track the hot set:
-    the families whose decayed demand at the last :meth:`advance`
-    meets it. Every membership decision is the exact expression
-    :meth:`demand` evaluates. A family joins when a record since the
-    last advance lifted it to the threshold; a hot family leaves when
-    its turn comes in a heap of predicted threshold crossings, and
-    the prediction only picks the turn. :meth:`advance` times must not
-    decrease.
+    ``threshold`` defines the hot set: the families whose decayed
+    demand at the last :meth:`advance` meets it. Every membership
+    decision is the exact expression :meth:`demand` evaluates. A
+    family joins when a record since the last advance lifted it to the
+    threshold; a hot family leaves when its turn comes in a heap of
+    predicted threshold crossings, and the prediction only picks the
+    turn. :meth:`advance` times must not decrease.
     """
 
-    def __init__(self, *, half_life=0.05, threshold=None):
+    def __init__(self, *, threshold, half_life=0.05):
         self.half_life = check_positive_finite(half_life, "half_life")
-        self.threshold = (
-            None if threshold is None
-            else check_positive_finite(threshold, "threshold")
-        )
+        self.threshold = check_positive_finite(threshold, "threshold")
         # family -> [decayed weight, time of last decay,
         #            first-observation rank]
         self._families = {}
@@ -141,8 +137,6 @@ class DemandHistogram:
         other family can have changed sides: without a record, demand
         only decays, and a record only raises it.
         """
-        if self.threshold is None:
-            raise ConfigError("advance needs a histogram with a threshold")
         now = float(now)
         if now < self._now:
             raise ConfigError(

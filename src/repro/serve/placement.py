@@ -112,9 +112,10 @@ class CacheAffinity(FirstFree):
         self.begin_drain()
 
     @staticmethod
-    def family_of(request):
-        """The request's graph family (dataset fingerprint)."""
-        return dataset_fingerprint(request.resolve_graph())
+    def family_of(graph):
+        """A graph's family (its dataset fingerprint): what demand,
+        replication and gang re-landing are kept per."""
+        return dataset_fingerprint(graph)
 
     def begin_drain(self):
         """Zero the per-drain counters and rebuild the demand histogram:
@@ -230,7 +231,9 @@ class CacheAffinity(FirstFree):
         """
         orders = [free]
         if free:
-            remembered = self._gang_affinity.get(self.family_of(request))
+            remembered = self._gang_affinity.get(
+                self.family_of(request.resolve_graph())
+            )
             if remembered:
                 preferred = [w for w in free if w.index in remembered]
                 if preferred and preferred != free[:len(preferred)]:
@@ -242,7 +245,7 @@ class CacheAffinity(FirstFree):
         """Remember (and score) the gang a sharded job's family lands
         on: re-landing on the same members means the primary's shard
         already holds the sharded entry."""
-        family = self.family_of(item.request)
+        family = self.family_of(item.request.resolve_graph())
         members = tuple(sorted(w.index for w in gang))
         remembered = self._gang_affinity.get(family)
         warm = remembered is not None and members == tuple(
@@ -266,8 +269,9 @@ class CacheAffinity(FirstFree):
         for family, _heat in ranked:
             for key in self._family_keys.get(family, ()):
                 for worker in self.workers:
-                    if key in worker.cache:
-                        yield key, family, worker.cache[key]
+                    entry = worker.cache.get(key)
+                    if entry is not None:
+                        yield key, family, entry
                         break
 
     def tick(self, clock):

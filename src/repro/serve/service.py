@@ -1006,15 +1006,12 @@ class InferenceService:
         if resolved is None:
             request = item.request
             if self._needs_sharding(request):
-                resolved = (
-                    None, dataset_fingerprint(request.resolve_graph()), None,
-                )
+                accel, graph, key = None, request.resolve_graph(), None
             else:
                 accel = self._accel_for(request)
-                resolved = (
-                    accel, dataset_fingerprint(accel.dataset),
-                    (accel.fingerprint(), request.config),
-                )
+                graph = accel.dataset
+                key = (accel.fingerprint(), request.config)
+            resolved = (accel, CacheAffinity.family_of(graph), key)
             # QueuedRequest is frozen; its one late-bound slot.
             object.__setattr__(item, "resolved", resolved)
         return resolved

@@ -1195,6 +1195,21 @@ class TestCachePeekAndMerge:
         assert cache.stats == before
         assert list(cache._entries.keys()) == order
 
+    def test_get_has_no_side_effects(self):
+        cache = AutotuneCache()
+        a, b = _accel(41), _accel(42)
+        a.run(cache=cache)
+        b.run(cache=cache)
+        before = cache.stats
+        snapshot = cache.snapshot()
+        order = list(cache._entries.keys())
+        key = AutotuneCache.key(a.fingerprint(), a.config)
+        assert cache.get(key) is cache.peek(a.fingerprint(), a.config)
+        assert cache.get(AutotuneCache.key("missing", CFG_B)) is None
+        assert cache.stats == before
+        assert cache.snapshot() == snapshot
+        assert list(cache._entries.keys()) == order
+
     def test_merge_contents_and_recency(self):
         left, right = AutotuneCache(), AutotuneCache()
         a, b, c = _accel(51), _accel(52), _accel(53)

@@ -98,7 +98,7 @@ def _route(service, items, estimate, *, claimed=frozenset()):
 
 class TestDemandHistogram:
     def test_decay_halves_per_half_life(self):
-        hist = DemandHistogram(half_life=0.1)
+        hist = DemandHistogram(half_life=0.1, threshold=1.0)
         hist.record("fam", 0.0, weight=4.0)
         assert hist.demand("fam", 0.0) == 4.0
         assert hist.demand("fam", 0.1) == pytest.approx(2.0)
@@ -106,7 +106,7 @@ class TestDemandHistogram:
         assert hist.demand("missing", 0.3) == 0.0
 
     def test_record_decays_then_accumulates(self):
-        hist = DemandHistogram(half_life=0.1)
+        hist = DemandHistogram(half_life=0.1, threshold=1.0)
         hist.record("fam", 0.0)
         assert hist.record("fam", 0.1) == pytest.approx(1.5)
         # Reads never advance the decay anchor.
@@ -135,9 +135,9 @@ class TestDemandHistogram:
 
     def test_half_life_validated(self):
         with pytest.raises(ConfigError):
-            DemandHistogram(half_life=0.0)
+            DemandHistogram(half_life=0.0, threshold=1.0)
         with pytest.raises(ConfigError):
-            DemandHistogram(half_life=-1.0)
+            DemandHistogram(half_life=-1.0, threshold=1.0)
 
     def test_threshold_weight_and_time_validated(self):
         for threshold in (0.0, -1.0, float("inf"), float("nan")):
@@ -151,8 +151,6 @@ class TestDemandHistogram:
         hist.advance(1.0)
         with pytest.raises(ConfigError, match="must not decrease"):
             hist.advance(0.5)
-        with pytest.raises(ConfigError, match="threshold"):
-            DemandHistogram().advance(0.0)
 
 
 class _RescanHistogram:
@@ -491,11 +489,10 @@ class TestReplicaAdmission:
         service._accel_for(request).run(
             cache=service.workers[holder].cache
         )
+        _accel, family, key = service._resolve(item)
         if demand:
-            service.placement._demand.record(
-                service.placement.family_of(request), 0.0, weight=demand
-            )
-        return service._resolve(item)[2]
+            service.placement._demand.record(family, 0.0, weight=demand)
+        return key
 
     def _stores(self, service, lane="cache/w1"):
         return [e for e in service.tracer.events

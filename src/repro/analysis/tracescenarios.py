@@ -128,7 +128,7 @@ def run_trace_scenario(name, *, seed=None):
     """Replay one scenario under a fresh recording tracer.
 
     Returns ``(outcome, tracer)`` — the
-    :class:`~repro.serve.service.ServiceOutcome` and the
+    :class:`~repro.serve.service.ServeOutcome` and the
     :class:`~repro.obs.tracer.RecordingTracer` holding the simulated
     event stream (plus wall-clock profiling spans).
     """

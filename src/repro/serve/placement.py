@@ -11,7 +11,9 @@ resolver arrives with each :meth:`~FirstFree.arrival` and
 :meth:`~FirstFree.place` call (``resolve``), so a dropped service is
 freed by reference counting alone. ``resolve(item)`` returns a queued
 request's ``(accelerator, family, cache key)`` and resolves its graph
-only the first time; :class:`FirstFree` never calls it.
+only the first time; :class:`FirstFree` never calls it. The sharded
+hooks (:meth:`~FirstFree.gang_orders`, :meth:`~FirstFree.gang_landed`)
+get the job's graph, resolved once when the job was queued.
 """
 
 from __future__ import annotations
@@ -57,11 +59,11 @@ class FirstFree:
                 return worker
         return None
 
-    def gang_orders(self, free, request):
+    def gang_orders(self, free, dataset):
         """The orders a sharded job's gang scan tries: index order."""
         return (free,)
 
-    def gang_landed(self, item, gang, clock):
+    def gang_landed(self, item, dataset, gang, clock):
         """Observe a sharded job dispatched on ``gang`` (ignored)."""
 
     def tick(self, clock):
@@ -219,7 +221,7 @@ class CacheAffinity(FirstFree):
             })
         return best
 
-    def gang_orders(self, free, request):
+    def gang_orders(self, free, dataset):
         """The gang scan's candidate orders: a family served before
         tries its previous gang first.
 
@@ -231,9 +233,7 @@ class CacheAffinity(FirstFree):
         """
         orders = [free]
         if free:
-            remembered = self._gang_affinity.get(
-                self.family_of(request.resolve_graph())
-            )
+            remembered = self._gang_affinity.get(self.family_of(dataset))
             if remembered:
                 preferred = [w for w in free if w.index in remembered]
                 if preferred and preferred != free[:len(preferred)]:
@@ -241,11 +241,11 @@ class CacheAffinity(FirstFree):
                     orders.insert(0, preferred + rest)
         return orders
 
-    def gang_landed(self, item, gang, clock):
+    def gang_landed(self, item, dataset, gang, clock):
         """Remember (and score) the gang a sharded job's family lands
         on: re-landing on the same members means the primary's shard
         already holds the sharded entry."""
-        family = self.family_of(item.request.resolve_graph())
+        family = self.family_of(dataset)
         members = tuple(sorted(w.index for w in gang))
         remembered = self._gang_affinity.get(family)
         warm = remembered is not None and members == tuple(

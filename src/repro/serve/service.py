@@ -35,25 +35,31 @@ runs in this one process (this is a simulator, not a thread pool), but
 admission, batch placement, per-instance accounting and cache sharing
 behave as the deployed system would.
 
-Multi-tenant co-scheduling (PR 8, ``coschedule=True``) unifies the
-batch and sharded paths into one pool: a waiting gang *claims* its
-planned members (claimed instances finish their current batch and take
-no new one, so the gang assembles at a bounded instant instead of
-racing batch traffic for simultaneous idleness), requests carry
-priority classes derived from SLO slack (``critical_slo_ms``), a
-deadline-critical batch may *preempt* a lower-priority sharded job at a
-layer boundary (the remainder resumes on the same gang, cycle totals
-conserved), and concurrent sharded jobs price their halo traffic on one
-shared pool fabric (per-link background loads summing across jobs).
-All of it defaults off — the default service is bit-identical to
-before. Independent of the flag, the sharded queue uses EASY-style
-backfill: when the head job cannot possibly assemble yet, a later
-sharded job may run on idle instances iff it cannot delay the head's
-planned assembly (screened against its exact modeled duration).
+Requests whose graph exceeds ``chip_capacity`` run as multi-chip
+sharded jobs under a policy of their own, :class:`_ShardedDispatch`,
+which a drain builds only when the pool shards. The event loop keeps
+the clock, admission, batch cutting and batch dispatch, and calls the
+policy at fixed seams, so a batch-only service runs none of its code.
+The sharded queue uses EASY-style backfill: when the head job cannot
+possibly assemble yet, a later sharded job may run on idle instances
+iff it cannot delay the head's planned assembly (screened against its
+exact modeled duration). Multi-tenant co-scheduling
+(``coschedule=True``) unifies the batch and sharded paths into one
+pool: a waiting gang *claims* its planned members (claimed instances
+finish their current batch and take no new one, so the gang assembles
+at a bounded instant instead of racing batch traffic for simultaneous
+idleness), requests carry priority classes derived from SLO slack
+(``critical_slo_ms``), a deadline-critical batch may *preempt* a
+lower-priority sharded job at a layer boundary (the remainder resumes
+on the same gang, cycle totals conserved), and concurrent sharded jobs
+price their halo traffic on one shared pool fabric (per-link background
+loads summing across jobs). It defaults off, and the default service
+is bit-identical to the exclusive-gang service.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass, fields, replace
@@ -81,7 +87,7 @@ from repro.serve.scheduler import (
     StreamingScheduler,
     _check_max_batch,
 )
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive_finite, check_positive_int
 
 
 @dataclass
@@ -104,52 +110,6 @@ class WorkerState:
     own shard under ``cache_mode`` ``"partitioned"``/``"affinity"``,
     the one cache every instance shares under ``"shared"`` (None when
     the service runs without a cache)."""
-
-
-@dataclass
-class _ActiveJob:
-    """One running (or boundary-preempted) sharded job's live state."""
-
-    seq: int
-    gang: list
-    """The member :class:`WorkerState` objects, in gang order."""
-    priority: int
-    finish: float
-    """Projected finish on the simulated clock (updated on resume)."""
-    boundaries: list
-    """Absolute simulated seconds of the remaining layer boundaries —
-    the only instants the job may be preempted at."""
-    flows: object = None
-    """Per-link halo words (pool link id space) this job keeps on the
-    shared fabric per round, or None for single-chip gangs: its
-    accelerator's read-only
-    :meth:`~repro.cluster.ShardedAccelerator.halo_link_loads`."""
-    preempted: bool = False
-    remaining: float = 0.0
-    """Modeled seconds of work left past the preemption boundary."""
-    rel_boundaries: tuple = ()
-    """Remaining boundary offsets relative to the preemption boundary,
-    re-anchored at resume."""
-    grant: int = None
-    """Worker index the preempting batch may use (the rest of the gang
-    is claimed for the resume)."""
-    grant_used: bool = False
-    resumes: int = 0
-    spans: list = None
-    """Mutable member worker-lane span events (tracing only) — trimmed
-    at a preemption boundary, replaced by resume spans."""
-    req_span: object = None
-    svc_span: object = None
-    complete_ev: object = None
-    preempt_at: float = None
-
-
-def _with_background(cluster, background):
-    """``cluster`` priced against other jobs' per-link fabric loads
-    (None leaves it as is)."""
-    if background is None:
-        return cluster
-    return replace(cluster, background_link_loads=background)
 
 
 def percentile(values, q):
@@ -352,7 +312,8 @@ class InferenceService:
         oversized graphs run single-instance as before. Sharded jobs
         dispatch earliest-deadline-first with oldest-arrival
         tie-break, which degenerates to FIFO when no request carries an
-        ``slo_ms``.
+        ``slo_ms``, through a per-drain :class:`_ShardedDispatch` that
+        a service without this knob never builds.
     cluster_options:
         Optional dict of :class:`~repro.cluster.ClusterConfig`
         overrides for sharded jobs (e.g. ``link_words_per_cycle``,
@@ -511,19 +472,9 @@ class InferenceService:
                     f"replication; cache_mode={cache_mode!r} would "
                     "ignore it"
                 )
-            try:
-                replicate_threshold = float(replicate_threshold)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    "replicate_threshold must be a number or None, got "
-                    f"{type(replicate_threshold).__name__}"
-                )
-            if not math.isfinite(replicate_threshold) \
-                    or replicate_threshold <= 0.0:
-                raise ConfigError(
-                    "replicate_threshold must be finite and > 0, got "
-                    f"{replicate_threshold}"
-                )
+            replicate_threshold = check_positive_finite(
+                replicate_threshold, "replicate_threshold"
+            )
         self.replicate_threshold = replicate_threshold
         if cache_mode != "shared":
             if cache is not True:
@@ -586,18 +537,9 @@ class InferenceService:
         gangs share."""
         self.coschedule = bool(coschedule)
         if critical_slo_ms is not None:
-            try:
-                critical_slo_ms = float(critical_slo_ms)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    "critical_slo_ms must be a number or None, got "
-                    f"{type(critical_slo_ms).__name__}"
-                )
-            if not math.isfinite(critical_slo_ms) or critical_slo_ms <= 0.0:
-                raise ConfigError(
-                    "critical_slo_ms must be finite and > 0, got "
-                    f"{critical_slo_ms}"
-                )
+            critical_slo_ms = check_positive_finite(
+                critical_slo_ms, "critical_slo_ms"
+            )
         self.critical_slo_ms = critical_slo_ms
         self.workers = [
             WorkerState(index=i, cache=cache) for i in range(n_workers)
@@ -619,23 +561,15 @@ class InferenceService:
         else:
             self.placement = FirstFree()
         self._n_batches = 0
-        self._active = []
-        self._screen_memo = {}
-        self._drain_preemptions = 0
-        self._drain_backfills = 0
-        self._last_claim = None
         self._accels = {}
-        """The :class:`GcnAccelerator` of every (graph, config, a_hops)
-        key this drain has used (see :meth:`_accel_for`)."""
+        """The accelerator of every key this drain has used: a
+        :class:`GcnAccelerator` per (graph, config, a_hops)
+        (:meth:`_accel_for`) and a :class:`ShardedAccelerator` per
+        (graph, a_hops, config, gang, constrained)
+        (:meth:`_sharded_for`)."""
         self._accels_prev = {}
         """The previous drain's accelerators this drain has not used
         yet; dropped at the next drain's start."""
-        self._sharded = {}
-        """The :class:`ShardedAccelerator` of every (graph, gang) key
-        this drain has used (see :meth:`_sharded_for`)."""
-        self._sharded_prev = {}
-        """The previous drain's entries this drain has not used yet;
-        dropped at the next drain's start."""
 
     def submit(self, request):
         """Queue one :class:`~repro.serve.request.InferenceRequest`.
@@ -671,6 +605,10 @@ class InferenceService:
         a sharded graph's on one gang with its plans, halo sets, fabric
         prices and chip accelerators. None of this host-side state
         changes a modeled number.
+
+        The loop keeps the clock, admission, batch cutting and batch
+        dispatch; oversized requests go to this drain's
+        :class:`_ShardedDispatch` (None without ``chip_capacity``).
         """
         queued = self.queue.drain()
         for worker in self.workers:
@@ -687,13 +625,12 @@ class InferenceService:
                 "n_workers": len(self.workers),
                 "coschedule": self.coschedule,
             })
-        # Both accelerator memos live in a one-drain window: this drain
+        # Every accelerator lives in a one-drain window: this drain
         # starts with exactly the accelerators the last drain used, and
         # drops the rest with their replay memos and cold runs. Each
         # holds its graph, so no key's id(dataset) can be recycled
         # while its entry lives.
         self._accels_prev, self._accels = self._accels, {}
-        self._sharded_prev, self._sharded = self._sharded, {}
         # Without an explicit batch cap, bound batches so one giant
         # config group still spreads over the whole instance pool (each
         # instance configures once and takes a contiguous share) instead
@@ -708,22 +645,18 @@ class InferenceService:
                                     tracer=tr)
 
         results = []
-        sharded = []  # FIFO of oversized requests awaiting enough chips
+        sharding = (None if self.chip_capacity is None
+                    else _ShardedDispatch(self, results))
         clock = 0.0
         i, n = 0, len(queued)
         batches_before = self._n_batches
-        self._active = []
-        self._screen_memo = {}
-        self._drain_preemptions = 0
-        self._drain_backfills = 0
-        self._last_claim = None
         placement = self.placement
         placement.begin_drain()
         resolve = self._resolve
         last_snapshot = None
         started = time.perf_counter()
-        while (i < n or stream.pending or stream.ready or sharded
-               or any(entry.preempted for entry in self._active)):
+        while (i < n or stream.pending or stream.ready
+               or (sharding is not None and sharding.waiting())):
             if trace:
                 tr.set_time(clock)
             # Admit everything that has arrived by now. Size cuts
@@ -744,7 +677,7 @@ class InferenceService:
                                args=args)
                 placement.arrival(item, resolve)
                 if needs_shards:
-                    sharded.append(item)
+                    sharding.admit(item)
                 else:
                     stream.admit(item, now=clock)
                 i += 1
@@ -757,174 +690,59 @@ class InferenceService:
             # Record anything admission control shed at the cuts above.
             for item, when in stream.take_shed():
                 results.append((item.seq, self._shed_result(item, when)))
-            # Sharded jobs dispatch first, in priority-then-EDF order
-            # with oldest-arrival tie-break (plain FIFO when nothing
-            # carries an SLO), whenever enough instances are
-            # simultaneously idle; they gang-schedule the lowest-indexed
-            # free instances that cover the graph. The queue
-            # head never gets *delayed*: a blocked head plans its gang
-            # on the pool's free_at timeline (EASY reservation), and a
-            # later job may only backfill onto idle instances when that
-            # cannot push the head's planned assembly back — either it
-            # avoids the reserved instances entirely, or its exact
-            # screened duration proves they are free again in time.
-            if self.coschedule:
-                self._retire_active(clock)
-            claims = self._resume_claims() if self.coschedule else set()
-            reserved = set()
-            while sharded:
-                head_at = self._sharded_head(sharded)
-                head = sharded[head_at]
-                if self.shed_expired and head.deadline < clock:
-                    sharded.pop(head_at)
-                    results.append((head.seq, self._shed_result(head, clock)))
-                    continue
-                free = [w for w in self.workers
-                        if w.free_at <= clock and w.index not in claims]
-                picked = self._shard_gang(free, head.request)
-                if picked is not None:
-                    gang, constrained = picked
-                    sharded.pop(head_at)
-                    self._serve_sharded(head, gang, clock, results,
-                                        constrained=constrained)
-                    continue
-                planned = self._planned_gang(head.request, exclude=claims)
-                if planned is None:
-                    break
-                t_head, head_gang = planned
-                if self.coschedule:
-                    # Claim the planned members: from now until the
-                    # gang assembles they take no new batch, so t_head
-                    # is an upper bound, not a moving target.
-                    reserved = set(head_gang)
-                    claim = (head.seq, tuple(sorted(reserved)))
-                    if trace and claim != self._last_claim:
-                        self._last_claim = claim
-                        tr.instant("gang.claim", ts=clock, args={
-                            "seq": head.seq,
-                            "members": sorted(reserved),
-                            "ready_at": t_head,
-                        })
-                if len(sharded) == 1:
-                    break
-                dispatched = False
-                order = sorted(
-                    (j for j in range(len(sharded)) if j != head_at),
-                    key=lambda j: self._sharded_key(sharded[j]),
-                )
-                for j in order:
-                    cand = sharded[j]
-                    if self.shed_expired and cand.deadline < clock:
-                        continue
-                    unreserved = [
-                        w for w in free if w.index not in head_gang
-                    ]
-                    picked = self._shard_gang(unreserved, cand.request,
-                                              clamp=False)
-                    if picked is None:
-                        # Reserved instances are idle until t_head; the
-                        # candidate may borrow them iff its exact
-                        # modeled duration returns them in time.
-                        picked = self._shard_gang(free, cand.request,
-                                                  clamp=False)
-                        if picked is not None:
-                            gang, constrained = picked
-                            would_end = clock + self._screen_duration(
-                                cand, gang, constrained, clock
-                            )
-                            if would_end > t_head:
-                                picked = None
-                    if picked is None:
-                        continue
-                    gang, constrained = picked
-                    sharded.pop(j)
-                    if trace:
-                        tr.instant("backfill", ts=clock, args={
-                            "seq": cand.seq,
-                            "members": sorted(w.index for w in gang),
-                            "head_seq": head.seq,
-                        })
-                    self._serve_sharded(cand, gang, clock, results,
-                                        constrained=constrained,
-                                        backfill=True)
-                    self._drain_backfills += 1
-                    dispatched = True
-                    break
-                if not dispatched:
-                    break
-            # Hand sealed batches, tightest deadline first (class-major
-            # under co-scheduling), to the instance the placement policy
-            # picks. Claimed instances (gang reservations, pending
-            # resumes) take no new batch; a deadline-critical batch with
-            # nowhere to go may arm a boundary preemption instead.
-            claimed = claims | reserved
+            # Sharded jobs dispatch first. The instances they hold back
+            # (the waiting head's gang claim, preempted jobs' resumes)
+            # take no new batch.
+            claimed = () if sharding is None else sharding.dispatch(clock)
             unclaimed = (
                 [w for w in self.workers if w.index not in claimed]
                 if claimed else self.workers
             )
+            # Hand sealed batches, tightest deadline first (class-major
+            # under co-scheduling), to the instance the placement policy
+            # picks; a deadline-critical batch with nowhere to go may
+            # arm a boundary preemption instead.
             while stream.ready:
                 items = stream.peek_ready()
                 worker = placement.place(items, unclaimed, clock, stream,
                                          resolve)
                 if worker is None:
-                    if self.coschedule and self._active:
-                        self._maybe_preempt(items, clock)
+                    if sharding is not None:
+                        sharding.preempt(items, clock)
                     break
-                if self.coschedule:
-                    for entry in self._active:
-                        if (entry.preempted and not entry.grant_used
-                                and entry.grant == worker.index):
-                            entry.grant_used = True
+                if sharding is not None:
+                    sharding.granted(worker)
                 self._serve_batch(stream.pop_ready(), worker, clock,
                                   stream, results)
-            if self.coschedule:
-                self._process_resumes(clock, results)
+            if sharding is not None:
+                sharding.resume(clock)
             placement.tick(clock)
             if trace:
                 tr.counter("service.queue", ts=clock, values={
                     "pending": stream.pending,
                     "ready": stream.ready,
-                    "sharded": len(sharded),
-                    "active": len(self._active),
+                    "sharded": 0 if sharding is None else len(sharding.queue),
+                    "active": 0 if sharding is None else len(sharding.active),
                 })
             # Advance the clock to the next event: an arrival, a
-            # deadline-forced cut, an unclaimed instance freeing up, the
-            # head sharded job's planned assembly, a backfill
-            # opportunity (any instance freeing while the head waits),
-            # or a preempted gang coming back together.
+            # deadline-forced cut, an unclaimed instance freeing up, or
+            # one of the sharded policy's events.
             horizon = []
             if i < n:
                 horizon.append(queued[i].arrival_time)
             if stream.pending:
                 horizon.append(stream.next_cut_time())
             if stream.ready:
-                # Dispatch and resumes may have moved the claims.
-                if self.coschedule:
-                    claimed = self._resume_claims() | reserved
+                if sharding is not None:
+                    # Grants and resumes may have moved the claims.
+                    claimed = sharding.claimed()
                     unclaimed = [
                         w for w in self.workers if w.index not in claimed
                     ]
                 if unclaimed:
                     horizon.append(min(w.free_at for w in unclaimed))
-            if sharded:
-                head = sharded[self._sharded_head(sharded)]
-                planned = self._planned_gang(
-                    head.request, exclude=self._resume_claims()
-                    if self.coschedule else frozenset()
-                )
-                if planned is not None:
-                    horizon.append(planned[0])
-                if len(sharded) > 1:
-                    busy = [w.free_at for w in self.workers
-                            if w.free_at > clock]
-                    if busy:
-                        horizon.append(min(busy))
-            if self.coschedule:
-                for entry in self._active:
-                    if entry.preempted:
-                        horizon.append(max(
-                            w.free_at for w in entry.gang
-                        ))
+            if sharding is not None:
+                sharding.next_events(clock, horizon)
             if not horizon:
                 break
             clock = max(clock, min(horizon))
@@ -933,11 +751,14 @@ class InferenceService:
             # of spinning (a claimed-worker accounting bug would
             # otherwise hang the caller silently).
             snapshot = (
-                clock, i, len(results), len(sharded),
+                clock, i, len(results),
                 int(stream.ready), int(stream.pending),
                 self._n_batches,
                 tuple(w.free_at for w in self.workers),
-                tuple(entry.preempted for entry in self._active),
+                None if sharding is None else (
+                    len(sharding.queue),
+                    tuple(entry.preempted for entry in sharding.active),
+                ),
             )
             if snapshot == last_snapshot:
                 raise RuntimeError(
@@ -958,7 +779,7 @@ class InferenceService:
         evictions = self._evictions_total() - evictions_before
         return ServeOutcome(
             results=results,
-            stats=self._stats(results, n_batches, wall, evictions),
+            stats=self._stats(results, n_batches, wall, evictions, sharding),
             workers=tuple(self.workers),
             latency=LatencyStats.from_results(results),
         )
@@ -1025,34 +846,10 @@ class InferenceService:
         """The request's effective priority class under this service."""
         return request.priority_class(self.critical_slo_ms)
 
-    def _sharded_key(self, item):
-        """Sort key of one queued sharded job.
-
-        EDF with oldest-arrival tie-break by default; under
-        ``coschedule`` the priority class majors it (a critical sharded
-        job jumps any later-deadline best-effort one).
-        """
-        if self.coschedule:
-            return (self._class_of(item.request), item.deadline, item.seq)
-        return (item.deadline, item.seq)
-
-    def _sharded_head(self, sharded):
-        """Index of the first sharded job in :meth:`_sharded_key` order.
-
-        Deadlines are infinite without an SLO, so an SLO-less queue
-        degenerates to FIFO (lowest sequence number = index 0).
-        """
-        head = 0
-        for i in range(1, len(sharded)):
-            if self._sharded_key(sharded[i]) < self._sharded_key(
-                sharded[head]
-            ):
-                head = i
-        return head
-
-    def _sharded_for(self, gang, request, *, constrained=True):
-        """The one :class:`ShardedAccelerator` for a request's graph on
-        one gang.
+    def _sharded_for(self, gang, request, dataset, *, constrained=True):
+        """The one :class:`ShardedAccelerator` for a request's graph
+        (``dataset``, resolved once when the job was queued) on one
+        gang.
 
         The key — graph, ``a_hops``, request config, the ordered gang
         members and whether the capacity binds as row ceilings — fixes
@@ -1061,20 +858,21 @@ class InferenceService:
         partition and rebalance settings. Plan validation, backfill
         screens and dispatch of one graph on one gang therefore share
         its plans, halo sets, fabric prices and per-chip accelerators.
+        It lives in the same one-drain window as :meth:`_accel_for`'s
+        accelerators, whose 3-tuple keys cannot equal this 5-tuple.
         The drain looks in its own entries first, then takes one over
         from the previous drain's; only a key neither drain used builds
         a new accelerator. Under ``coschedule`` the gang runs on its
         restriction of the pool fabric (overriding the kind string in
         ``cluster_options``).
         """
-        dataset = request.resolve_graph()
         indices = tuple(worker.index for worker in gang)
         key = (id(dataset), request.a_hops, request.config, indices,
                constrained)
-        sharded = self._sharded.get(key)
+        sharded = self._accels.get(key)
         if sharded is not None:
             return sharded
-        sharded = self._sharded_prev.pop(key, None)
+        sharded = self._accels_prev.pop(key, None)
         if sharded is None:
             opts = dict(self.cluster_options)
             if self.coschedule:
@@ -1088,301 +886,8 @@ class InferenceService:
             )
             sharded = ShardedAccelerator(dataset, cluster,
                                          a_hops=request.a_hops)
-        self._sharded[key] = sharded
+        self._accels[key] = sharded
         return sharded
-
-    def _plan_fits(self, gang, request):
-        """Whether the constrained plan exists on ``gang``.
-
-        The ceiling guard of the gang scan (:meth:`_first_gang`):
-        ``ceil(nodes / chip_capacity)`` members hold the graph on
-        average, but only the very plan the sharded run would use —
-        same strategy and block granularity, with the capacity as every
-        member's hard row ceiling — proves that none overfills. The
-        plan comes from the gang's :meth:`_sharded_for` accelerator,
-        which partitions once while consecutive drains use it (an
-        infeasible plan included), so a repeated check during gang
-        scans, in this drain or the next, is a dict lookup.
-        """
-        try:
-            self._sharded_for(gang, request).plan
-        except CeilingError:
-            return False
-        return True
-
-    def _first_gang(self, order, request):
-        """The shortest prefix of ``order`` a sharded request fits on,
-        or None: the scan starts at ``ceil(nodes / chip_capacity)``
-        members and takes the first prefix that passes
-        :meth:`_plan_fits`."""
-        need = -(-request.graph_nodes() // self.chip_capacity)
-        for end in range(need, len(order) + 1):
-            gang = order[:end]
-            if self._plan_fits(gang, request):
-                return gang
-        return None
-
-    def _shard_gang(self, free, request, *, clamp=True):
-        """The gang a sharded request runs on: ``(gang, constrained)``.
-
-        The shortest fitting prefix of ``free`` (:meth:`_first_gang`),
-        with ``constrained`` True: the run enforces the capacity as
-        every member's hard row ceiling. When the whole pool is free
-        and still holds no fitting gang, the job is pool-clamped onto
-        every instance with ``constrained`` False (the capacity becomes
-        best-effort — the pool physically cannot honor it); otherwise an
-        insufficient *free* set returns None and the job waits for more
-        instances to idle. ``clamp=False`` disables the pool-clamp
-        fallback — the backfill path uses it so only the queue head may
-        ever monopolize the whole pool best-effort.
-
-        The placement policy orders the scan
-        (:meth:`~repro.serve.placement.FirstFree.gang_orders`): under
-        ``cache_mode="affinity"`` a family served before tries its
-        previous gang first.
-        """
-        for order in self.placement.gang_orders(free, request):
-            gang = self._first_gang(order, request)
-            if gang is not None:
-                return gang, True
-        if clamp and free and len(free) == len(self.workers):
-            return list(free), False
-        return None
-
-    def _planned_gang(self, request, *, exclude=frozenset()):
-        """``(ready_time, member_indices)`` of the head job's plan.
-
-        Scans non-excluded instances in ``free_at`` order (index-stable
-        on ties) with :meth:`_first_gang`: at each instant the candidate
-        set is exactly the set :meth:`_shard_gang` will see, and whether
-        a gang fits depends only on its size (the plan is the same on
-        any members), so the returned time is one at which dispatch
-        really succeeds — the event loop never advances to a horizon
-        that cannot make progress. The fallback (every instance idle)
-        is exactly the pool-clamp case, which always dispatches.
-        ``exclude`` (claimed instances under ``coschedule``) shrinks
-        the candidate pool; None when no feasible plan exists inside
-        what remains (only possible with a non-empty ``exclude``).
-        """
-        eligible = [w for w in self.workers if w.index not in exclude]
-        by_free = sorted(eligible, key=lambda w: w.free_at)
-        gang = self._first_gang(by_free, request)
-        if gang is not None:
-            return gang[-1].free_at, tuple(w.index for w in gang)
-        if len(eligible) == len(self.workers):
-            return (
-                by_free[-1].free_at,
-                tuple(w.index for w in self.workers),
-            )
-        return None
-
-    def _screen_duration(self, item, gang, constrained, clock):
-        """Exact modeled duration a sharded dispatch would take *now*.
-
-        Runs the very simulation :meth:`_serve_sharded` would run —
-        same gang, ceilings, fabric restriction and background — against
-        an uncounted :class:`~repro.serve.cache.OverlayCache` over the
-        first member's cache, whose contents, stats and LRU order stay
-        untouched. Because the cache never changes modeled numbers, the
-        screened duration equals the dispatched duration exactly; the
-        backfill decision is a proof, not an estimate. Memoized per
-        (job, gang, background) so the event loop can re-screen a
-        parked candidate cheaply.
-        """
-        indices = tuple(worker.index for worker in gang)
-        background = self._background_for(clock) if self.coschedule else None
-        bg_key = (
-            None if background is None else tuple(background.tolist())
-        )
-        key = (item.seq, indices, constrained, bg_key)
-        cached = self._screen_memo.get(key)
-        if cached is not None:
-            return cached
-        request = item.request
-        sharded = self._sharded_for(gang, request, constrained=constrained)
-        cluster = _with_background(sharded.cluster, background)
-        report = simulate_multichip_gcn(
-            sharded, cluster, a_hops=request.a_hops,
-            cache=OverlayCache(gang[0].cache, counted=False),
-        )
-        duration = cluster.chip.cycles_to_seconds(report.total_cycles)
-        self._screen_memo[key] = duration
-        return duration
-
-    def _background_for(self, clock):
-        """Per-link words other active jobs keep on the pool fabric.
-
-        Sums the stored per-round halo flows of every running (not
-        preempted, not finished) sharded job. None when nothing
-        contends — the single-tenant fast path, which prices exactly
-        as the exclusive fabric did.
-        """
-        flows = [
-            entry.flows for entry in self._active
-            if not entry.preempted and entry.flows is not None
-            and entry.finish > clock
-        ]
-        if not flows:
-            return None
-        return np.sum(flows, axis=0)
-
-    def _resume_claims(self):
-        """Instance indices reserved for preempted jobs' resumes.
-
-        Every gang member of a preempted job is claimed — it takes no
-        new batch, so the resume is never pushed back — except the
-        granted instance while its one-batch grant is still open.
-        """
-        claims = set()
-        for entry in self._active:
-            if not entry.preempted:
-                continue
-            for worker in entry.gang:
-                if (entry.grant == worker.index
-                        and not entry.grant_used):
-                    continue
-                claims.add(worker.index)
-        return claims
-
-    def _retire_active(self, clock):
-        """Drop finished jobs from the active registry (keep preempted)."""
-        self._active = [
-            entry for entry in self._active
-            if entry.preempted or entry.finish > clock
-        ]
-
-    def _maybe_preempt(self, items, clock):
-        """Boundary-preempt one active job for a critical batch.
-
-        Fires only when the pending batch's best member class is 0
-        (deadline-critical) and no unclaimed instance is free. Among
-        active lower-priority jobs, picks the one with the earliest
-        upcoming layer boundary that beats the batch's natural wait
-        (the pool's earliest ``free_at``). The gang frees at that
-        boundary; its lowest-indexed member becomes the batch's
-        *grant*, the rest stay claimed for the resume. Returns True
-        when a preemption was armed (the caller re-evaluates once the
-        clock reaches the boundary).
-        """
-        cls = min(self._class_of(item.request) for item in items)
-        if cls != 0:
-            return False
-        natural = min(worker.free_at for worker in self.workers)
-        best = None
-        for entry in self._active:
-            if (entry.preempted or entry.finish <= clock
-                    or entry.priority <= cls):
-                continue
-            while entry.boundaries and entry.boundaries[0] <= clock:
-                entry.boundaries.pop(0)
-            if not entry.boundaries:
-                continue
-            boundary = entry.boundaries[0]
-            if not clock < boundary < natural:
-                continue
-            if best is None or boundary < best[0]:
-                best = (boundary, entry)
-        if best is None:
-            return False
-        boundary, entry = best
-        member = min(entry.gang, key=lambda w: w.index)
-        entry.rel_boundaries = tuple(
-            t - boundary for t in entry.boundaries[1:]
-        )
-        entry.remaining = entry.finish - boundary
-        for worker in entry.gang:
-            worker.free_at = boundary
-            worker.modeled_busy_seconds -= entry.remaining
-        entry.grant = member.index
-        entry.grant_used = False
-        entry.boundaries = []
-        entry.preempted = True
-        entry.preempt_at = boundary
-        self._drain_preemptions += 1
-        if self.tracer.enabled:
-            self.tracer.instant("preempt", ts=boundary, args={
-                "seq": entry.seq,
-                "grant": member.index,
-                "remaining_ms": entry.remaining * 1e3,
-            })
-            # The gang frees at the boundary: trim the running spans
-            # there; the remainder's spans are re-emitted at resume.
-            for span in entry.spans or ():
-                span.dur = max(boundary - span.ts, 0.0)
-            if entry.svc_span is not None:
-                entry.svc_span.dur = max(
-                    boundary - entry.svc_span.ts, 0.0
-                )
-        return True
-
-    def _process_resumes(self, clock, results):
-        """Resume preempted jobs whose whole gang is idle again.
-
-        Runs *after* the batch loop each iteration, so the granted
-        batch dispatches first. The remainder re-occupies the same gang
-        for exactly the preserved ``remaining`` seconds (the modeled
-        cycle total is conserved — only the timeline stretched), the
-        surviving layer boundaries re-anchor at the resume instant, and
-        the job's recorded result is patched with the stretched finish
-        and its preemption count.
-        """
-        for entry in self._active:
-            if not entry.preempted:
-                continue
-            if max(worker.free_at for worker in entry.gang) > clock:
-                continue
-            finish = clock + entry.remaining
-            for worker in entry.gang:
-                worker.free_at = finish
-                worker.modeled_busy_seconds += entry.remaining
-            entry.boundaries = [
-                clock + offset for offset in entry.rel_boundaries
-            ]
-            entry.rel_boundaries = ()
-            entry.remaining = 0.0
-            entry.finish = finish
-            entry.grant = None
-            entry.preempted = False
-            entry.resumes += 1
-            if self.tracer.enabled:
-                lane = f"req/{entry.seq}"
-                self.tracer.span(
-                    "request.preempted", lane=lane,
-                    start=entry.preempt_at, end=clock,
-                    args={"seq": entry.seq},
-                )
-                entry.spans = [
-                    self.tracer.span(
-                        "sharded.resume", lane=f"worker{w.index}",
-                        start=clock, end=finish, args={"seq": entry.seq},
-                    )
-                    for w in entry.gang
-                ]
-                entry.svc_span = self.tracer.span(
-                    "request.resume", lane=lane, start=clock, end=finish,
-                    args={"seq": entry.seq},
-                )
-                entry.preempt_at = None
-                if entry.req_span is not None:
-                    entry.req_span.dur = finish - entry.req_span.ts
-                ev = entry.complete_ev
-                if ev is not None:
-                    # The recorded completion moves with the stretched
-                    # timeline, exactly as the result is patched below.
-                    ev.ts = finish
-                    e2e_ms = (finish - ev.args["arrival"]) * 1e3
-                    ev.args["finish"] = finish
-                    ev.args["e2e_ms"] = e2e_ms
-                    if ev.args.get("slo_ms") is not None:
-                        ev.args["slo_met"] = e2e_ms <= ev.args["slo_ms"]
-                    ev.args["preemptions"] = entry.resumes
-            for at, (seq, result) in enumerate(results):
-                if seq == entry.seq:
-                    results[at] = (seq, replace(
-                        result, finish_time=finish,
-                        preemptions=entry.resumes,
-                    ))
-                    break
 
     def _shed_result(self, item, when):
         """The recorded outcome of a request shed at simulated ``when``."""
@@ -1410,123 +915,6 @@ class InferenceService:
             slo_ms=request.slo_ms,
             shed=True,
         )
-
-    def _serve_sharded(self, item, workers, clock, results, *,
-                       constrained=True, backfill=False):
-        """Run one oversized request as a multi-chip job on ``workers``.
-
-        All participating instances gang-schedule: service starts at
-        ``clock``, when every one of them is idle, and they stay busy
-        until the synchronized sharded run finishes. Every chip runs the
-        request's config. The first member's cache (the shared one, or
-        its shard) is passed down, so each shard's tuning state is
-        cached independently.
-
-        With ``constrained`` (the normal :meth:`_shard_gang` outcome)
-        ``chip_capacity`` becomes every member's hard
-        :attr:`~repro.cluster.ClusterConfig.row_ceilings` entry — the
-        partitioner and every rebalancing migration keep each shard
-        within it. Pool-clamped jobs run unconstrained (best effort,
-        the pool cannot cover the graph).
-        """
-        request = item.request
-        self.placement.gang_landed(item, workers, clock)
-        sharded = self._sharded_for(workers, request, constrained=constrained)
-        cluster = _with_background(
-            sharded.cluster,
-            self._background_for(clock) if self.coschedule else None,
-        )
-        dataset = request.resolve_graph()
-        tr = self.tracer
-        if tr.enabled:
-            # Anchor the cluster/tuner/cache events of this job at its
-            # service start on the simulated clock.
-            tr.set_time(clock)
-        cache = workers[0].cache
-        if cache is not None:
-            cache.clock = clock
-        wall_started = time.perf_counter()
-        report = simulate_multichip_gcn(
-            sharded, cluster, a_hops=request.a_hops, cache=cache,
-            tracer=tr if tr.enabled else None,
-        )
-        elapsed = time.perf_counter() - wall_started
-        service_seconds = cluster.chip.cycles_to_seconds(
-            report.total_cycles
-        )
-        finish = clock + service_seconds
-        primary = workers[0]
-        # Every gang member served the request and was busy for the
-        # whole sharded run: the request and batch counts go to each
-        # member alike, and the one wall-clock simulation cost is split
-        # evenly (the counters then satisfy the gang invariant —
-        # identical requests_served/batches_served/modeled_busy_seconds
-        # across members, busy_seconds summing to the measured cost —
-        # instead of piling requests and wall time onto workers[0]).
-        for worker in workers:
-            worker.free_at = finish
-            worker.requests_served += 1
-            worker.busy_seconds += elapsed / len(workers)
-            worker.modeled_busy_seconds += finish - clock
-            worker.batches_served += 1
-        self._n_batches += 1
-        result = InferenceResult(
-            request_id=request.request_id,
-            dataset=getattr(dataset, "name", "custom"),
-            fingerprint=f"{dataset_fingerprint(dataset)}@{len(workers)}chips",
-            total_cycles=report.total_cycles,
-            latency_ms=report.latency_ms,
-            utilization=report.utilization,
-            cache_hit=report.cache_hit,
-            worker=primary.index,
-            batch=-1,
-            sim_seconds=elapsed,
-            arrival_time=request.arrival_time,
-            start_time=clock,
-            finish_time=finish,
-            slo_ms=request.slo_ms,
-            n_shards=len(workers),
-            priority=self._class_of(request) if self.coschedule else None,
-        )
-        member_spans = None
-        req_span = svc_span = complete_ev = None
-        if tr.enabled:
-            tr.wall("sim.sharded", seconds=elapsed,
-                    args={"seq": item.seq})
-            member_spans = [
-                tr.span(
-                    "sharded.backfill" if backfill else "sharded",
-                    lane=f"worker{w.index}", start=clock, end=finish,
-                    args={"seq": item.seq, "n_shards": len(workers)},
-                )
-                for w in workers
-            ]
-            req_span, svc_span, complete_ev = self._trace_completion(
-                item, result, {"backfilled": backfill},
-            )
-        if self.coschedule:
-            # Register the job as an active tenant: its layer
-            # boundaries are the preemption points, its per-round halo
-            # flows the background traffic later jobs price against.
-            secs = cluster.chip.cycles_to_seconds
-            boundaries = []
-            cum = report.migration_cycles
-            for layer_cost in report.layer_cycles[:-1]:
-                cum += layer_cost
-                boundaries.append(clock + secs(cum))
-            self._active.append(_ActiveJob(
-                seq=item.seq,
-                gang=list(workers),
-                priority=self._class_of(request),
-                finish=finish,
-                boundaries=boundaries,
-                flows=sharded.halo_link_loads(report.plan),
-                spans=member_spans,
-                req_span=req_span,
-                svc_span=svc_span,
-                complete_ev=complete_ev,
-            ))
-        results.append((item.seq, result))
 
     def _serve_batch(self, batch, worker, clock, stream, results):
         """Run one sealed batch back-to-back on one instance.
@@ -1669,11 +1057,12 @@ class InferenceService:
         })
         return req_span, svc_span, complete
 
-    def _stats(self, results, n_batches, wall, n_evictions=0):
+    def _stats(self, results, n_batches, wall, n_evictions, sharding):
         """Fold per-request results into :class:`ServiceStats`.
 
         Cache, cycle and utilization aggregates cover *served* requests
-        only — a shed request never reached an instance.
+        only — a shed request never reached an instance. ``sharding``
+        is the drain's :class:`_ShardedDispatch`, or None.
         """
         served = [r for r in results if not r.shed]
         n_shed = len(results) - len(served)
@@ -1693,13 +1082,617 @@ class InferenceService:
             ),
             n_shed=n_shed,
             n_sharded=n_sharded,
-            n_backfilled=self._drain_backfills,
-            n_preemptions=self._drain_preemptions,
+            n_backfilled=0 if sharding is None else sharding.backfills,
+            n_preemptions=0 if sharding is None else sharding.preemptions,
             n_evictions=n_evictions,
             n_routed=self.placement.routes,
             n_placement_hits=self.placement.route_hits,
             n_replications=self.placement.replications,
         )
+
+
+@dataclass
+class _ActiveJob:
+    """One running (or boundary-preempted) sharded job's live state."""
+
+    seq: int
+    gang: list
+    """The member :class:`WorkerState` objects, in gang order."""
+    priority: int
+    finish: float
+    """Projected finish on the simulated clock (updated on resume)."""
+    boundaries: list
+    """Absolute simulated seconds of the remaining layer boundaries —
+    the only instants the job may be preempted at."""
+    flows: object = None
+    """Per-link halo words (pool link id space) this job keeps on the
+    shared fabric per round, or None for single-chip gangs: its
+    accelerator's read-only
+    :meth:`~repro.cluster.ShardedAccelerator.halo_link_loads`."""
+    preempted: bool = False
+    remaining: float = 0.0
+    """Modeled seconds of work left past the preemption boundary."""
+    rel_boundaries: tuple = ()
+    """Remaining boundary offsets relative to the preemption boundary,
+    re-anchored at resume."""
+    grant: int = None
+    """Worker index the preempting batch may use (the rest of the gang
+    is claimed for the resume)."""
+    grant_used: bool = False
+    resumes: int = 0
+    spans: list = None
+    """Mutable member worker-lane span events (tracing only) — trimmed
+    at a preemption boundary, replaced by resume spans."""
+    req_span: object = None
+    svc_span: object = None
+    complete_ev: object = None
+    preempt_at: float = None
+
+
+class _ShardedDispatch:
+    """One drain's sharded-dispatch policy.
+
+    :meth:`InferenceService.drain` builds it only when the pool shards
+    (``chip_capacity``) and drops it on return, so it, and nothing that
+    outlives a drain, may hold the service. It owns the queue of
+    oversized requests and the registry of running jobs (``active``)
+    behind claims, preemption and fabric sharing. Only ``coschedule``
+    registers a job, so without it every tenant step runs on an empty
+    registry.
+    """
+
+    def __init__(self, service, results):
+        self.service = service
+        self.results = results
+        """The drain's ``(seq, result)`` list, which a resume patches."""
+        self.queue = []
+        """``(key, item, dataset)`` of every waiting job in key order."""
+        self.active = []
+        self.reserved = ()
+        """The head's claimed members at the last dispatch."""
+        self.backfills = 0
+        self.preemptions = 0
+        self._last_claim = None
+
+    def admit(self, item):
+        """Queue one oversized request, resolving its graph once.
+
+        The key — deadline, then arrival sequence, led by the priority
+        class under ``coschedule`` — never changes while the job waits,
+        so the queue is kept sorted on insertion: EDF with
+        oldest-arrival tie-break (FIFO when nothing carries an SLO).
+        """
+        service = self.service
+        request = item.request
+        key = (item.deadline, item.seq)
+        if service.coschedule:
+            key = (service._class_of(request),) + key
+        bisect.insort(self.queue, (key, item, request.resolve_graph()))
+
+    def waiting(self):
+        """Whether a job is queued or waits to resume."""
+        return bool(self.queue) or any(
+            entry.preempted for entry in self.active
+        )
+
+    def dispatch(self, clock):
+        """Start every job that can start at ``clock``; returns the
+        instance indices held back from batch traffic.
+
+        Jobs start in key order whenever enough instances are
+        simultaneously idle, each on the lowest-indexed free instances
+        that cover its graph (:meth:`_shard_gang`). The head is never
+        *delayed*: a blocked head plans its gang on the pool's
+        ``free_at`` timeline (EASY reservation), and under
+        ``coschedule`` claims the planned members. A later job may
+        start only on idle instances where that cannot push the head's
+        planned assembly back (:meth:`_backfill`). The held-back
+        instances are the head's claim and the preempted jobs' resumes.
+        """
+        service = self.service
+        tr = service.tracer
+        if self.active:
+            self.active = [
+                entry for entry in self.active
+                if entry.preempted or entry.finish > clock
+            ]
+        claims = self._resume_claims()
+        reserved = ()
+        queue = self.queue
+        while queue:
+            _key, head, dataset = queue[0]
+            if service.shed_expired and head.deadline < clock:
+                del queue[0]
+                self.results.append(
+                    (head.seq, service._shed_result(head, clock))
+                )
+                continue
+            free = [w for w in service.workers
+                    if w.free_at <= clock and w.index not in claims]
+            picked = self._shard_gang(free, head.request, dataset)
+            if picked is not None:
+                del queue[0]
+                gang, constrained = picked
+                self._serve(head, dataset, gang, constrained, clock)
+                continue
+            planned = self._planned_gang(head.request, dataset, claims)
+            if planned is None:
+                break
+            t_head, head_gang = planned
+            if service.coschedule:
+                # Claim the planned members: from now until the gang
+                # assembles they take no new batch, so t_head is an
+                # upper bound, not a moving target.
+                reserved = head_gang
+                claim = (head.seq, tuple(sorted(head_gang)))
+                if tr.enabled and claim != self._last_claim:
+                    self._last_claim = claim
+                    tr.instant("gang.claim", ts=clock, args={
+                        "seq": head.seq,
+                        "members": sorted(head_gang),
+                        "ready_at": t_head,
+                    })
+            if not self._backfill(head, head_gang, t_head, free, clock):
+                break
+        self.reserved = reserved
+        return claims.union(reserved)
+
+    def _backfill(self, head, head_gang, t_head, free, clock):
+        """Start the first later job that cannot delay the head's
+        planned assembly at ``t_head``; whether one started.
+
+        A candidate either avoids the head's planned members entirely,
+        or borrows idle ones when its exact screened duration
+        (:meth:`_screen_duration`) proves they are free again in time.
+        Only the head may be pool-clamped.
+        """
+        service = self.service
+        queue = self.queue
+        unreserved = [w for w in free if w.index not in head_gang]
+        for at in range(1, len(queue)):
+            _key, cand, dataset = queue[at]
+            if service.shed_expired and cand.deadline < clock:
+                continue
+            request = cand.request
+            picked = self._shard_gang(unreserved, request, dataset,
+                                      clamp=False)
+            if picked is None:
+                # Reserved instances are idle until t_head; the
+                # candidate may borrow them iff its exact modeled
+                # duration returns them in time.
+                picked = self._shard_gang(free, request, dataset,
+                                          clamp=False)
+                if picked is not None and clock + self._screen_duration(
+                    request, dataset, *picked, clock
+                ) > t_head:
+                    picked = None
+            if picked is None:
+                continue
+            del queue[at]
+            gang, constrained = picked
+            if service.tracer.enabled:
+                service.tracer.instant("backfill", ts=clock, args={
+                    "seq": cand.seq,
+                    "members": sorted(w.index for w in gang),
+                    "head_seq": head.seq,
+                })
+            self._serve(cand, dataset, gang, constrained, clock,
+                        backfill=True)
+            self.backfills += 1
+            return True
+        return False
+
+    def _first_gang(self, order, request, dataset):
+        """The shortest prefix of ``order`` a sharded request fits on,
+        or None.
+
+        The scan starts at ``ceil(nodes / chip_capacity)`` members,
+        which hold the graph on average, but only the very plan the
+        sharded run would use — same strategy and block granularity,
+        with the capacity as every member's hard row ceiling — proves
+        that none overfills. The plan comes from the gang's
+        :meth:`InferenceService._sharded_for` accelerator, which
+        partitions once while consecutive drains use it (an infeasible
+        plan included), so a repeated check is a dict lookup.
+        """
+        service = self.service
+        need = -(-request.graph_nodes() // service.chip_capacity)
+        for end in range(need, len(order) + 1):
+            gang = order[:end]
+            try:
+                service._sharded_for(gang, request, dataset).plan
+            except CeilingError:
+                continue
+            return gang
+        return None
+
+    def _shard_gang(self, free, request, dataset, *, clamp=True):
+        """The gang a sharded request runs on: ``(gang, constrained)``.
+
+        The shortest fitting prefix of ``free`` (:meth:`_first_gang`),
+        with ``constrained`` True: the run enforces the capacity as
+        every member's hard row ceiling. When the whole pool is free
+        and still holds no fitting gang, the job is pool-clamped onto
+        every instance with ``constrained`` False (the capacity becomes
+        best-effort — the pool physically cannot honor it); otherwise an
+        insufficient *free* set returns None and the job waits for more
+        instances to idle. ``clamp=False`` disables the pool-clamp
+        fallback — the backfill path uses it so only the queue head may
+        ever monopolize the whole pool best-effort.
+
+        The placement policy orders the scan
+        (:meth:`~repro.serve.placement.FirstFree.gang_orders`): under
+        ``cache_mode="affinity"`` a family served before tries its
+        previous gang first.
+        """
+        service = self.service
+        for order in service.placement.gang_orders(free, dataset):
+            gang = self._first_gang(order, request, dataset)
+            if gang is not None:
+                return gang, True
+        if clamp and free and len(free) == len(service.workers):
+            return list(free), False
+        return None
+
+    def _planned_gang(self, request, dataset, exclude):
+        """``(ready_time, member_indices)`` of the head job's plan.
+
+        Scans non-excluded instances in ``free_at`` order (index-stable
+        on ties) with :meth:`_first_gang`: at each instant the candidate
+        set is exactly the set :meth:`_shard_gang` will see, and whether
+        a gang fits depends only on its size (the plan is the same on
+        any members), so the returned time is one at which dispatch
+        really succeeds — the event loop never advances to a horizon
+        that cannot make progress. The fallback (every instance idle)
+        is exactly the pool-clamp case, which always dispatches.
+        ``exclude`` (the resume claims) shrinks the candidate pool;
+        None when no feasible plan exists inside what remains (only
+        possible with a non-empty ``exclude``).
+        """
+        workers = self.service.workers
+        eligible = [w for w in workers if w.index not in exclude]
+        by_free = sorted(eligible, key=lambda w: w.free_at)
+        gang = self._first_gang(by_free, request, dataset)
+        if gang is not None:
+            return gang[-1].free_at, tuple(w.index for w in gang)
+        if len(eligible) == len(workers):
+            return by_free[-1].free_at, tuple(w.index for w in workers)
+        return None
+
+    def _screen_duration(self, request, dataset, gang, constrained, clock):
+        """Exact modeled duration a sharded dispatch would take *now*.
+
+        Runs the very simulation :meth:`_serve` would run — same gang,
+        ceilings, fabric restriction and background — against an
+        uncounted :class:`~repro.serve.cache.OverlayCache` over the
+        first member's cache, whose contents, stats and LRU order stay
+        untouched. Because the cache never changes modeled numbers, the
+        screened duration equals the dispatched duration exactly; the
+        backfill decision is a proof, not an estimate.
+        """
+        sharded = self.service._sharded_for(gang, request, dataset,
+                                             constrained=constrained)
+        cluster = self._priced(sharded.cluster, clock)
+        report = simulate_multichip_gcn(
+            sharded, cluster, a_hops=request.a_hops,
+            cache=OverlayCache(gang[0].cache, counted=False),
+        )
+        return cluster.chip.cycles_to_seconds(report.total_cycles)
+
+    def _priced(self, cluster, clock):
+        """``cluster`` priced against the per-link words the other
+        running jobs keep on the pool fabric.
+
+        Sums the stored per-round halo flows of every running (not
+        preempted, not finished) job. With nothing contending — always
+        without ``coschedule`` — the cluster comes back as is, and
+        prices exactly as the exclusive fabric does.
+        """
+        flows = [
+            entry.flows for entry in self.active
+            if not entry.preempted and entry.flows is not None
+            and entry.finish > clock
+        ]
+        if not flows:
+            return cluster
+        return replace(cluster, background_link_loads=np.sum(flows, axis=0))
+
+    def _resume_claims(self):
+        """Instance indices reserved for preempted jobs' resumes.
+
+        Every gang member of a preempted job is claimed — it takes no
+        new batch, so the resume is never pushed back — except the
+        granted instance while its one-batch grant is still open.
+        """
+        claims = set()
+        for entry in self.active:
+            if entry.preempted:
+                for worker in entry.gang:
+                    if entry.grant != worker.index or entry.grant_used:
+                        claims.add(worker.index)
+        return claims
+
+    def claimed(self):
+        """The instance indices held back from batch traffic now: the
+        resume claims plus the head's claim at the last dispatch."""
+        return self._resume_claims().union(self.reserved)
+
+    def granted(self, worker):
+        """A batch was dispatched to ``worker``: close the one-batch
+        grant it held for a preempted job, if any."""
+        for entry in self.active:
+            if (entry.preempted and not entry.grant_used
+                    and entry.grant == worker.index):
+                entry.grant_used = True
+
+    def preempt(self, items, clock):
+        """Boundary-preempt one active job for a critical batch.
+
+        Fires only when the pending batch's best member class is 0
+        (deadline-critical) and no unclaimed instance is free. Among
+        active lower-priority jobs, picks the one with the earliest
+        upcoming layer boundary that beats the batch's natural wait
+        (the pool's earliest ``free_at``). The gang frees at that
+        boundary; its lowest-indexed member becomes the batch's
+        *grant*, the rest stay claimed for the resume. The drain
+        re-evaluates once the clock reaches the boundary.
+        """
+        if not self.active:
+            return
+        service = self.service
+        cls = min(service._class_of(item.request) for item in items)
+        if cls != 0:
+            return
+        natural = min(worker.free_at for worker in service.workers)
+        best = None
+        for entry in self.active:
+            if (entry.preempted or entry.finish <= clock
+                    or entry.priority <= cls):
+                continue
+            while entry.boundaries and entry.boundaries[0] <= clock:
+                entry.boundaries.pop(0)
+            if not entry.boundaries:
+                continue
+            boundary = entry.boundaries[0]
+            if not clock < boundary < natural:
+                continue
+            if best is None or boundary < best[0]:
+                best = (boundary, entry)
+        if best is None:
+            return
+        boundary, entry = best
+        member = min(entry.gang, key=lambda w: w.index)
+        entry.rel_boundaries = tuple(
+            t - boundary for t in entry.boundaries[1:]
+        )
+        entry.remaining = entry.finish - boundary
+        for worker in entry.gang:
+            worker.free_at = boundary
+            worker.modeled_busy_seconds -= entry.remaining
+        entry.grant = member.index
+        entry.grant_used = False
+        entry.boundaries = []
+        entry.preempted = True
+        entry.preempt_at = boundary
+        self.preemptions += 1
+        tr = service.tracer
+        if tr.enabled:
+            tr.instant("preempt", ts=boundary, args={
+                "seq": entry.seq,
+                "grant": member.index,
+                "remaining_ms": entry.remaining * 1e3,
+            })
+            # The gang frees at the boundary: trim the running spans
+            # there; the remainder's spans are re-emitted at resume.
+            for span in entry.spans or ():
+                span.dur = max(boundary - span.ts, 0.0)
+            if entry.svc_span is not None:
+                entry.svc_span.dur = max(
+                    boundary - entry.svc_span.ts, 0.0
+                )
+
+    def resume(self, clock):
+        """Resume preempted jobs whose whole gang is idle again.
+
+        Runs *after* the batch loop each iteration, so the granted
+        batch dispatches first. The remainder re-occupies the same gang
+        for exactly the preserved ``remaining`` seconds (the modeled
+        cycle total is conserved — only the timeline stretched), the
+        surviving layer boundaries re-anchor at the resume instant, and
+        the job's recorded result is patched with the stretched finish
+        and its preemption count.
+        """
+        tr = self.service.tracer
+        for entry in self.active:
+            if not entry.preempted:
+                continue
+            if max(worker.free_at for worker in entry.gang) > clock:
+                continue
+            finish = clock + entry.remaining
+            for worker in entry.gang:
+                worker.free_at = finish
+                worker.modeled_busy_seconds += entry.remaining
+            entry.boundaries = [
+                clock + offset for offset in entry.rel_boundaries
+            ]
+            entry.rel_boundaries = ()
+            entry.remaining = 0.0
+            entry.finish = finish
+            entry.grant = None
+            entry.preempted = False
+            entry.resumes += 1
+            if tr.enabled:
+                lane = f"req/{entry.seq}"
+                tr.span(
+                    "request.preempted", lane=lane,
+                    start=entry.preempt_at, end=clock,
+                    args={"seq": entry.seq},
+                )
+                entry.spans = [
+                    tr.span(
+                        "sharded.resume", lane=f"worker{w.index}",
+                        start=clock, end=finish, args={"seq": entry.seq},
+                    )
+                    for w in entry.gang
+                ]
+                entry.svc_span = tr.span(
+                    "request.resume", lane=lane, start=clock, end=finish,
+                    args={"seq": entry.seq},
+                )
+                entry.preempt_at = None
+                if entry.req_span is not None:
+                    entry.req_span.dur = finish - entry.req_span.ts
+                ev = entry.complete_ev
+                if ev is not None:
+                    # The recorded completion moves with the stretched
+                    # timeline, exactly as the result is patched below.
+                    ev.ts = finish
+                    e2e_ms = (finish - ev.args["arrival"]) * 1e3
+                    ev.args["finish"] = finish
+                    ev.args["e2e_ms"] = e2e_ms
+                    if ev.args.get("slo_ms") is not None:
+                        ev.args["slo_met"] = e2e_ms <= ev.args["slo_ms"]
+                    ev.args["preemptions"] = entry.resumes
+            results = self.results
+            for at, (seq, result) in enumerate(results):
+                if seq == entry.seq:
+                    results[at] = (seq, replace(
+                        result, finish_time=finish,
+                        preemptions=entry.resumes,
+                    ))
+                    break
+
+    def next_events(self, clock, horizon):
+        """Add the instants this policy can next make progress at to
+        ``horizon``: the head's planned assembly, any instance freeing
+        while jobs wait behind the head (a backfill opportunity), and
+        each preempted gang coming back together."""
+        workers = self.service.workers
+        if self.queue:
+            _key, head, dataset = self.queue[0]
+            planned = self._planned_gang(head.request, dataset,
+                                         self._resume_claims())
+            if planned is not None:
+                horizon.append(planned[0])
+            if len(self.queue) > 1:
+                busy = [w.free_at for w in workers if w.free_at > clock]
+                if busy:
+                    horizon.append(min(busy))
+        for entry in self.active:
+            if entry.preempted:
+                horizon.append(max(w.free_at for w in entry.gang))
+
+    def _serve(self, item, dataset, gang, constrained, clock, *,
+               backfill=False):
+        """Run one queued job as a multi-chip job on ``gang``.
+
+        All participating instances gang-schedule: service starts at
+        ``clock``, when every one of them is idle, and they stay busy
+        until the synchronized sharded run finishes. Every chip runs the
+        request's config. The first member's cache (the shared one, or
+        its shard) is passed down, so each shard's tuning state is
+        cached independently.
+
+        With ``constrained`` (the normal :meth:`_shard_gang` outcome)
+        ``chip_capacity`` becomes every member's hard
+        :attr:`~repro.cluster.ClusterConfig.row_ceilings` entry — the
+        partitioner and every rebalancing migration keep each shard
+        within it. Pool-clamped jobs run unconstrained (best effort,
+        the pool cannot cover the graph).
+        """
+        service = self.service
+        request = item.request
+        service.placement.gang_landed(item, dataset, gang, clock)
+        sharded = service._sharded_for(gang, request, dataset,
+                                       constrained=constrained)
+        cluster = self._priced(sharded.cluster, clock)
+        tr = service.tracer
+        if tr.enabled:
+            # Anchor the cluster/tuner/cache events of this job at its
+            # service start on the simulated clock.
+            tr.set_time(clock)
+        cache = gang[0].cache
+        if cache is not None:
+            cache.clock = clock
+        wall_started = time.perf_counter()
+        report = simulate_multichip_gcn(
+            sharded, cluster, a_hops=request.a_hops, cache=cache,
+            tracer=tr if tr.enabled else None,
+        )
+        elapsed = time.perf_counter() - wall_started
+        finish = clock + cluster.chip.cycles_to_seconds(report.total_cycles)
+        # Every gang member served the request and was busy for the
+        # whole sharded run: the request and batch counts go to each
+        # member alike, and the one wall-clock simulation cost is split
+        # evenly (the counters then satisfy the gang invariant —
+        # identical requests_served/batches_served/modeled_busy_seconds
+        # across members, busy_seconds summing to the measured cost —
+        # instead of piling requests and wall time onto gang[0]).
+        for worker in gang:
+            worker.free_at = finish
+            worker.requests_served += 1
+            worker.busy_seconds += elapsed / len(gang)
+            worker.modeled_busy_seconds += finish - clock
+            worker.batches_served += 1
+        service._n_batches += 1
+        result = InferenceResult(
+            request_id=request.request_id,
+            dataset=getattr(dataset, "name", "custom"),
+            fingerprint=f"{dataset_fingerprint(dataset)}@{len(gang)}chips",
+            total_cycles=report.total_cycles,
+            latency_ms=report.latency_ms,
+            utilization=report.utilization,
+            cache_hit=report.cache_hit,
+            worker=gang[0].index,
+            batch=-1,
+            sim_seconds=elapsed,
+            arrival_time=request.arrival_time,
+            start_time=clock,
+            finish_time=finish,
+            slo_ms=request.slo_ms,
+            n_shards=len(gang),
+            priority=(service._class_of(request) if service.coschedule
+                      else None),
+        )
+        member_spans = None
+        req_span = svc_span = complete_ev = None
+        if tr.enabled:
+            tr.wall("sim.sharded", seconds=elapsed,
+                    args={"seq": item.seq})
+            member_spans = [
+                tr.span(
+                    "sharded.backfill" if backfill else "sharded",
+                    lane=f"worker{w.index}", start=clock, end=finish,
+                    args={"seq": item.seq, "n_shards": len(gang)},
+                )
+                for w in gang
+            ]
+            req_span, svc_span, complete_ev = service._trace_completion(
+                item, result, {"backfilled": backfill},
+            )
+        if service.coschedule:
+            # Register the job as an active tenant: its layer
+            # boundaries are the preemption points, its per-round halo
+            # flows the background traffic later jobs price against.
+            secs = cluster.chip.cycles_to_seconds
+            boundaries = []
+            cum = report.migration_cycles
+            for layer_cost in report.layer_cycles[:-1]:
+                cum += layer_cost
+                boundaries.append(clock + secs(cum))
+            self.active.append(_ActiveJob(
+                seq=item.seq,
+                gang=list(gang),
+                priority=result.priority,
+                finish=finish,
+                boundaries=boundaries,
+                flows=sharded.halo_link_loads(report.plan),
+                spans=member_spans,
+                req_span=req_span,
+                svc_span=svc_span,
+                complete_ev=complete_ev,
+            ))
+        self.results.append((item.seq, result))
 
 
 def serve_requests(requests, **options):

@@ -129,8 +129,8 @@ class TestReuseCounts:
             assert calls["make_plan"] == (2 if first else 0)
             assert calls["halo_exchange"] == (2 if first else 0)
             assert calls["frozen"] == (2 * 2 * STAGES if first else 0)
-            assert len(service._sharded) == 2
-            assert not service._sharded_prev
+            assert len(_sharded_entries(service._accels)) == 2
+            assert not _sharded_entries(service._accels_prev)
 
     def test_evicted_shard_entry_is_restored_not_retuned(self, calls):
         # A 2-entry cache holds one graph's two shard entries: B evicts
@@ -217,13 +217,21 @@ class TestDrainWindow:
         assert cycles([base, twin, base, twin]) == alone * 2
 
 
+def _sharded_entries(window):
+    """The keys of a window's :class:`ShardedAccelerator` entries."""
+    return [key for key, accel in window.items()
+            if isinstance(accel, ShardedAccelerator)]
+
+
 class _FreshShardedService(InferenceService):
     """The no-reuse oracle: a new accelerator for every sharded use."""
 
-    def _sharded_for(self, gang, request, *, constrained=True):
-        self._sharded = {}
-        self._sharded_prev = {}
-        return super()._sharded_for(gang, request, constrained=constrained)
+    def _sharded_for(self, gang, request, dataset, *, constrained=True):
+        for window in (self._accels, self._accels_prev):
+            for key in _sharded_entries(window):
+                del window[key]
+        return super()._sharded_for(gang, request, dataset,
+                                    constrained=constrained)
 
 
 def _result_key(result):

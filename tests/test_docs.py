@@ -1,7 +1,8 @@
 """Documentation stays healthy: links resolve, cli.md tracks the CLI.
 
 The cheap halves of the CI docs job, run in tier-1 so a broken link,
-a backticked ``repro.…`` name that no longer resolves, a CLI flag
+a backticked ``repro.…`` name or a qualified ``src/`` docstring
+cross-reference that no longer resolves, a CLI flag
 change without a ``docs/cli.md`` regeneration or a page or docstring
 naming a subcommand the CLI does not register fails locally too. The README quickstart snippets (which actually simulate) run only
 in the CI docs job — see ``tools/check_docs.py --quickstart``.
@@ -83,6 +84,20 @@ class TestDocs:
         assert tool.unresolved_names(text) == [
             "repro.serve.placement.NoSuchPolicy", "repro.cluster.exec",
             "repro.serve.scheduler._cut",
+        ]
+
+    def test_reference_scan_flags_a_missing_attribute(self):
+        tool = _load_tool("check_docs.py")
+        docstring = '''"""The :class:`~repro.serve.service.ServeOutcome` of
+        :meth:`repro.serve.service.InferenceService.drain` (see
+        :mod:`repro.serve`); not a
+        :class:`~repro.serve.service.ServiceOutcome`, nor
+        :py:meth:`repro.serve.placement.CacheAffinity.untick`. The
+        relative :meth:`_serve` and a plain `repro.nowhere` are not
+        references."""'''
+        assert tool.unresolved_refs(docstring) == [
+            "repro.serve.service.ServiceOutcome",
+            "repro.serve.placement.CacheAffinity.untick",
         ]
 
     def test_readme_names_only_registered_subcommands(self):

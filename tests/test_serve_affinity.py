@@ -661,6 +661,13 @@ class TestModeKnobs:
         service = InferenceService(cache_mode=own_mode, **{knob: value})
         assert getattr(service, knob) == value
 
+    @pytest.mark.parametrize("bad", [0, -1, math.inf, math.nan, "x", "3",
+                                     True])
+    def test_replicate_threshold_must_be_positive_finite(self, bad):
+        # A number in a string or a bool is refused, not coerced.
+        with pytest.raises(ConfigError, match="replicate_threshold"):
+            InferenceService(cache_mode="affinity", replicate_threshold=bad)
+
     def test_mode_decides_each_instances_cache_and_the_policy(self):
         shared = InferenceService(n_workers=3)
         assert shared.cache is not None

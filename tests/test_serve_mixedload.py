@@ -20,7 +20,8 @@ co-scheduling service (PR 8). Three pillars:
 
 A knob-product property then runs every combination of the service's
 mode knobs (``cache_mode`` × ``coschedule`` × ``shed_expired`` ×
-``chip_capacity`` × ``max_batch``) over several drains of one service.
+``chip_capacity`` × ``max_batch``) over several drains of one service
+and of a traced twin.
 
 Also pins the EASY-backfill stranding fix (satellite d): freeing
 workers are no longer held idle behind a queue head that cannot fit
@@ -29,6 +30,7 @@ the head still starts at the instant it would have anyway.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from hypothesis import strategies as st
 from repro.accel import ArchConfig, GcnAccelerator
 from repro.cluster import Topology, make_topology, subtopology
 from repro.errors import ConfigError
+from repro.obs import RecordingTracer, latency_stats_view, service_stats_view
 from repro.serve import (
     AutotuneCache,
     InferenceRequest,
@@ -301,7 +304,9 @@ def _fresh_cycles(request):
 class TestServiceKnobProduct:
     """Every combination of the service's mode knobs, over several
     drains of one service: one result per request, monotone timelines,
-    no overbooked instance, no stalled loop, cache-invariant cycles."""
+    no overbooked instance, no stalled loop, cache-invariant cycles,
+    and a traced twin that serves the same drains and whose event
+    stream rebuilds the stats and the latency."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -318,12 +323,15 @@ class TestServiceKnobProduct:
         self, cache_mode, coschedule, shed_expired, chip_capacity,
         max_batch, kind, n_drains, seed
     ):
-        service = InferenceService(
+        kwargs = dict(
             n_workers=4, cache=True, cache_mode=cache_mode,
             coschedule=coschedule, shed_expired=shed_expired,
             chip_capacity=chip_capacity, max_batch=max_batch,
             critical_slo_ms=1.0 if coschedule else None,
         )
+        service = InferenceService(**kwargs)
+        tracer = RecordingTracer()
+        twin = InferenceService(tracer=tracer, **kwargs)
         for drain in range(n_drains):
             if kind == "streaming":
                 requests = streaming_traffic(
@@ -333,11 +341,28 @@ class TestServiceKnobProduct:
             else:
                 requests = mixed_traffic(12, seed=seed + drain, **MIXED_KW)
             ids = service.submit_many(requests)
+            twin.submit_many(requests)
             busy_before = [w.modeled_busy_seconds for w in service.workers]
             try:
                 outcome = service.drain()
+                tracer.events.clear()
+                mirrored = twin.drain()
             except RuntimeError as exc:  # the livelock backstop
                 pytest.fail(f"drain {drain} stalled: {exc}")
+            # Tracing moves nothing, and the stream rebuilds the stats
+            # (preempted jobs' patched completions and shed requests
+            # included).
+            assert [_result_key(r) for r in mirrored.results] == [
+                _result_key(r) for r in outcome.results
+            ]
+            stats = mirrored.stats
+            assert replace(stats, wall_seconds=0.0) == replace(
+                outcome.stats, wall_seconds=0.0
+            )
+            assert service_stats_view(
+                tracer.events, wall_seconds=stats.wall_seconds
+            ) == stats
+            assert latency_stats_view(tracer.events) == mirrored.latency
             # Exactly one result per request, in submission order.
             assert [r.request_id for r in outcome.results] == ids
             for result, request in zip(outcome.results, requests):
@@ -576,7 +601,7 @@ class TestPriorityClassification:
 
 class TestServiceValidation:
     def test_critical_slo_ms_must_be_positive_finite(self):
-        for bad in (0.0, -1.0, math.inf, math.nan, "fast"):
+        for bad in (0.0, -1.0, math.inf, math.nan, "fast", True, "1.0"):
             with pytest.raises(ConfigError):
                 serve_requests([_req()], critical_slo_ms=bad)
 

@@ -10,7 +10,10 @@ half by ``tests/test_docs.py``):
   dotted ``repro.…`` name in them must resolve: its longest importable
   prefix imports (with ``src/`` on the path) and the rest are
   attributes, so a page cannot name a module, class or method that
-  moved or no longer exists.
+  moved or no longer exists. The same holds for every fully-qualified
+  Sphinx cross-reference (``:class:`~repro.…```, ``:meth:`repro.…```)
+  in ``src/**/*.py``; relative ones (``:meth:`_serve```) are not
+  checked.
 * ``--quickstart``: every ``python`` code fence in ``README.md`` is
   executed (in order, in one namespace per fence) with ``src/`` on the
   path, so the advertised snippets can never rot.
@@ -37,6 +40,9 @@ _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 # A backticked dotted name rooted at the package: `repro.serve.cache`,
 # `repro.serve.placement.CacheAffinity.tick`.
 _NAME = re.compile(r"`(repro(?:\.\w+)+)`")
+# A qualified Sphinx cross-reference in a docstring:
+# :class:`~repro.serve.cache.AutotuneCache`, :py:meth:`repro.obs.views.x`.
+_REF = re.compile(r":[\w:]+:`~?(repro(?:\.\w+)+)`")
 
 
 def _doc_files():
@@ -71,20 +77,35 @@ def _resolves(name):
     return False
 
 
-def unresolved_names(text):
-    """The backticked dotted ``repro.…`` names in ``text`` that do not
-    resolve, each once, in order of first mention."""
+def unresolved_names(text, pattern=_NAME):
+    """The dotted ``repro.…`` names ``pattern`` finds in ``text`` (by
+    default the backticked ones) that do not resolve, each once, in
+    order of first mention."""
     src = str(REPO_ROOT / "src")
     if src not in sys.path:
         sys.path.insert(0, src)
-    names = dict.fromkeys(_NAME.findall(text))
+    names = dict.fromkeys(pattern.findall(text))
     return [name for name in names if not _resolves(name)]
+
+
+def unresolved_refs(text):
+    """The qualified Sphinx cross-references to ``repro.…`` in
+    ``text`` that do not resolve, each once, in order of first
+    mention."""
+    return unresolved_names(text, _REF)
 
 
 def check_links():
     """Verify relative links and backticked ``repro.…`` names in
-    README.md and docs/*.md; returns errors."""
+    README.md and docs/*.md, and qualified cross-references in
+    src/**/*.py; returns errors."""
     errors = []
+    for source in sorted((REPO_ROOT / "src").rglob("*.py")):
+        for name in unresolved_refs(source.read_text()):
+            errors.append(
+                f"{source.relative_to(REPO_ROOT)}: unresolved reference "
+                f"`{name}`"
+            )
     for doc in _doc_files():
         text = doc.read_text()
         for name in unresolved_names(text):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -145,11 +146,19 @@ class CachedTuning:
 
 @dataclass(frozen=True)
 class AcceleratorReport:
-    """End-to-end inference outcome for one design on one dataset."""
+    """End-to-end inference outcome for one design on one dataset.
+
+    A report does not change once built: ``layers`` is a tuple of frozen
+    :class:`LayerTiming` objects, and :attr:`total_work`,
+    :attr:`utilization` and :attr:`latency_ms` are computed on first
+    use and kept. That is what lets :meth:`GcnAccelerator.run` return
+    one report object to every hit on a cache entry, and its kept cold
+    run's report to every repeat miss; the arrays of both are read-only.
+    """
 
     dataset: str
     config: ArchConfig
-    layers: list
+    layers: tuple
     total_cycles: int
     cache_hit: bool = False
     """True when this report was replayed from a cached tuning entry
@@ -163,18 +172,18 @@ class AcceleratorReport:
             out.extend(layer.stages)
         return out
 
-    @property
+    @cached_property
     def total_work(self):
         """Total MAC tasks across all SPMMs."""
         return sum(result.total_work for result in self.spmm_results)
 
-    @property
+    @cached_property
     def utilization(self):
         """Overall PE utilization: MACs / (PEs x end-to-end cycles)."""
         denom = self.config.n_pes * self.total_cycles
         return self.total_work / denom if denom else 0.0
 
-    @property
+    @cached_property
     def latency_ms(self):
         """Inference latency in milliseconds at the configured clock."""
         return self.config.cycles_to_ms(self.total_cycles)
@@ -398,6 +407,10 @@ class GcnAccelerator:
         entry that does not match is never memoized, so it is checked,
         and runs cold, on every hit.
 
+        Each entry object is replayed once per accelerator
+        (:meth:`_run_cached`), and every hit on it returns that one
+        :class:`AcceleratorReport`.
+
         A cold run is a pure function of (jobs, config), so with a cache
         each accelerator drives the tuner at most once: its first miss
         keeps the :class:`ColdRun` (the report's arrays made read-only,
@@ -405,11 +418,10 @@ class GcnAccelerator:
         every later miss — the key was evicted, or this is another
         cache — makes the same calls the cold path does: ``lookup``,
         the events spliced into ``tracer``, ``store`` of that same
-        entry object. It returns a fresh report sharing the kept
-        :class:`LayerTiming` objects.
+        entry object. Every miss returns the kept run's report.
         A run kept untraced is simulated again, once, the first time a
-        traced miss needs its events. ``cache=None`` tunes on every call:
-        it is the no-cache baseline.
+        traced miss needs its events. ``cache=None`` tunes on every call
+        and returns a new report each time: it is the no-cache baseline.
 
         ``tracer`` (a :class:`~repro.obs.tracer.RecordingTracer`)
         records the cold path's per-stage Eq. 5 tuning events; the
@@ -430,8 +442,7 @@ class GcnAccelerator:
         if trace:
             tracer.splice(cold.events)
         cache.store(fingerprint, self.config, cold.entry)
-        return replace(cold.report, dataset=self._name,
-                       layers=list(cold.report.layers))
+        return cold.report
 
     def cold_run(self, *, traced=False):
         """Simulate cold, cache-less; returns the :class:`ColdRun` a
@@ -458,13 +469,19 @@ class GcnAccelerator:
         any run under the same ``(fingerprint, config)`` cache key is,
         so a twin accelerator's run may seed this one. :meth:`run`
         keeps its own first miss's run here. A kept run stays: ``cold``
-        only adds the tuner events a kept untraced run lacks.
+        only adds the tuner events a kept untraced run lacks. The kept
+        report names this accelerator's workload, since the fingerprint
+        ignores a twin's name.
         """
         kept = self._cold
         if kept is None:
-            for result in cold.report.spmm_results:
+            report = cold.report
+            for result in report.spmm_results:
                 result.cycles_per_round.setflags(write=False)
                 result.final_owner.setflags(write=False)
+            if report.dataset != self._name:
+                cold = replace(cold,
+                               report=replace(report, dataset=self._name))
             self._cold = cold
         elif kept.events is None and cold.events is not None:
             self._cold = replace(kept, events=cold.events)
@@ -493,7 +510,7 @@ class GcnAccelerator:
         return AcceleratorReport(
             dataset=self._name,
             config=self.config,
-            layers=layers,
+            layers=tuple(layers),
             total_cycles=total,
         )
 
@@ -502,13 +519,13 @@ class GcnAccelerator:
 
         The replay is a pure function of (jobs, config, entry) and
         entries are immutable, so each entry object is replayed once per
-        accelerator: later hits get a fresh report sharing the first
-        replay's :class:`LayerTiming` objects, whose arrays are
-        read-only. A different entry object under the same key (a
-        re-store) is replayed afresh. The memo pins every entry it
-        holds, so an ``id`` in it is never reused, which is what lets
-        :meth:`run` skip the structural check for a memoized entry:
-        only an entry that matched is ever replayed and memoized.
+        accelerator, into one :class:`AcceleratorReport` (its arrays
+        read-only) that every later hit on that object returns. A
+        different entry object under the same key (a re-store) is
+        replayed afresh. The memo pins every entry it holds, so an
+        ``id`` in it is never reused, which is what lets :meth:`run`
+        skip the structural check for a memoized entry: only an entry
+        that matched is ever replayed and memoized.
         """
         memo = self._replays.get(id(entry))
         if memo is None:
@@ -533,16 +550,15 @@ class GcnAccelerator:
                 layer_timing, layer_cycles = self._layer_timing(results)
                 layers.append(layer_timing)
                 total += layer_cycles
-            memo = (entry, tuple(layers), total)
+            memo = (entry, AcceleratorReport(
+                dataset=self._name,
+                config=self.config,
+                layers=tuple(layers),
+                total_cycles=total,
+                cache_hit=True,
+            ))
             self._replays[id(entry)] = memo
-        _entry, layers, total = memo
-        return AcceleratorReport(
-            dataset=self._name,
-            config=self.config,
-            layers=list(layers),
-            total_cycles=total,
-            cache_hit=True,
-        )
+        return memo[1]
 
     def _layer_timing(self, results):
         """Fold one layer's stage results into a :class:`LayerTiming`."""

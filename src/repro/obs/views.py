@@ -73,23 +73,14 @@ def service_stats_view(events, *, wall_seconds=0.0):
 
 def latency_stats_view(events):
     """Rebuild :class:`~repro.serve.service.LatencyStats` from events."""
-    from repro.serve.service import LatencyStats, percentile
+    from repro.serve.service import LatencyStats
 
     done = _completions(events)
-    latencies = [e.args["e2e_ms"] for e in done]
-    queues = [e.args["queue_ms"] for e in done]
-    with_slo = [e for e in done if e.args.get("slo_ms") is not None]
-    return LatencyStats(
-        n=len(done),
-        p50_ms=percentile(latencies, 50),
-        p95_ms=percentile(latencies, 95),
-        p99_ms=percentile(latencies, 99),
-        mean_ms=sum(latencies) / len(latencies) if latencies else 0.0,
-        max_ms=max(latencies) if latencies else 0.0,
-        mean_queue_ms=sum(queues) / len(queues) if queues else 0.0,
-        slo_requests=len(with_slo),
-        slo_met=sum(1 for e in with_slo if e.args.get("slo_met")),
-        p999_ms=percentile(latencies, 99.9),
+    return LatencyStats.fold(
+        [e.args["e2e_ms"] for e in done],
+        [e.args["queue_ms"] for e in done],
+        [e.args.get("slo_met") for e in done
+         if e.args.get("slo_ms") is not None],
     )
 
 

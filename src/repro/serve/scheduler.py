@@ -57,6 +57,11 @@ class QueuedRequest:
     :meth:`~repro.serve.service.InferenceService._resolve`); cache-blind
     placement never does, and the class default None stands."""
 
+    dataset = None
+    """A sharded job's built graph once the service has resolved it
+    (:meth:`~repro.serve.service.InferenceService._dataset_of`), so the
+    placement resolver and the sharded queue share one resolution."""
+
     def __post_init__(self):
         object.__setattr__(self, "deadline", self.request.deadline)
 

@@ -121,7 +121,11 @@ def percentile(values, q):
     """
     if not 0.0 < q <= 100.0:
         raise ConfigError(f"percentile q must be in (0, 100], got {q}")
-    ordered = sorted(values)
+    return _nearest_rank(sorted(values), q)
+
+
+def _nearest_rank(ordered, q):
+    """:func:`percentile` of values already sorted ascending."""
     if not ordered:
         return 0.0
     rank = math.ceil(q / 100.0 * len(ordered))
@@ -161,6 +165,31 @@ class LatencyStats:
         return self.slo_met / self.slo_requests
 
     @classmethod
+    def fold(cls, latencies, queues, slo_verdicts):
+        """Latency statistics of the served requests, in request order:
+        their end-to-end and queueing milliseconds, and the
+        met-or-missed verdicts of those that carried an SLO.
+
+        The latencies are sorted once and every percentile is read off
+        that order by nearest rank, as :func:`percentile` would; the
+        means sum in request order.
+        """
+        ordered = sorted(latencies)
+        n = len(ordered)
+        return cls(
+            n=n,
+            p50_ms=_nearest_rank(ordered, 50),
+            p95_ms=_nearest_rank(ordered, 95),
+            p99_ms=_nearest_rank(ordered, 99),
+            mean_ms=sum(latencies) / n if n else 0.0,
+            max_ms=ordered[-1] if n else 0.0,
+            mean_queue_ms=sum(queues) / len(queues) if queues else 0.0,
+            slo_requests=len(slo_verdicts),
+            slo_met=sum(1 for met in slo_verdicts if met),
+            p999_ms=_nearest_rank(ordered, 99.9),
+        )
+
+    @classmethod
     def from_results(cls, results):
         """Fold per-request results into latency statistics.
 
@@ -168,21 +197,11 @@ class LatencyStats:
         have no latency; the shed rate lives in
         :attr:`ServiceStats.shed_rate`.
         """
-        results = [r for r in results if not r.shed]
-        latencies = [r.e2e_ms for r in results]
-        queues = [r.queue_ms for r in results]
-        with_slo = [r for r in results if r.slo_ms is not None]
-        return cls(
-            n=len(results),
-            p50_ms=percentile(latencies, 50),
-            p95_ms=percentile(latencies, 95),
-            p99_ms=percentile(latencies, 99),
-            mean_ms=sum(latencies) / len(latencies) if latencies else 0.0,
-            max_ms=max(latencies) if latencies else 0.0,
-            mean_queue_ms=sum(queues) / len(queues) if queues else 0.0,
-            slo_requests=len(with_slo),
-            slo_met=sum(1 for r in with_slo if r.slo_met),
-            p999_ms=percentile(latencies, 99.9),
+        served = [r for r in results if not r.shed]
+        return cls.fold(
+            [r.e2e_ms for r in served],
+            [r.queue_ms for r in served],
+            [r.slo_met for r in served if r.slo_ms is not None],
         )
 
 
@@ -603,8 +622,8 @@ class InferenceService:
         one with its jobs, replay memo and kept cold run (so a key
         evicted in one drain is re-stored, not re-tuned, in the next),
         a sharded graph's on one gang with its plans, halo sets, fabric
-        prices and chip accelerators. None of this host-side state
-        changes a modeled number.
+        prices, chip accelerators and stored reports. None of this
+        host-side state changes a modeled number.
 
         The loop keeps the clock, admission, batch cutting and batch
         dispatch; oversized requests go to this drain's
@@ -820,14 +839,14 @@ class InferenceService:
         The placement policy's resolver: the first call resolves the
         graph and stores the three on the item (``item.resolved``), so
         placement, replication and :meth:`_serve_one` share one
-        resolution. A sharded job resolves its family only, and builds
-        no single-instance accelerator.
+        resolution. A sharded job resolves its family only, through
+        :meth:`_dataset_of`, and builds no single-instance accelerator.
         """
         resolved = item.resolved
         if resolved is None:
             request = item.request
             if self._needs_sharding(request):
-                accel, graph, key = None, request.resolve_graph(), None
+                accel, graph, key = None, self._dataset_of(item), None
             else:
                 accel = self._accel_for(request)
                 graph = accel.dataset
@@ -836,6 +855,18 @@ class InferenceService:
             # QueuedRequest is frozen; its one late-bound slot.
             object.__setattr__(item, "resolved", resolved)
         return resolved
+
+    @staticmethod
+    def _dataset_of(item):
+        """A sharded job's built graph, resolved on the first call and
+        kept on the item (``item.dataset``): :meth:`_resolve` and the
+        sharded queue share it."""
+        dataset = item.dataset
+        if dataset is None:
+            dataset = item.request.resolve_graph()
+            # QueuedRequest is frozen; a late-bound slot like resolved.
+            object.__setattr__(item, "dataset", dataset)
+        return dataset
 
     def _needs_sharding(self, request):
         """Whether a request's graph exceeds the instance capacity."""
@@ -1155,7 +1186,9 @@ class _ShardedDispatch:
         self._last_claim = None
 
     def admit(self, item):
-        """Queue one oversized request, resolving its graph once.
+        """Queue one oversized request with its graph, resolved once
+        per job (:meth:`InferenceService._dataset_of`, which an
+        affinity hook may have called first).
 
         The key — deadline, then arrival sequence, led by the priority
         class under ``coschedule`` — never changes while the job waits,
@@ -1167,7 +1200,7 @@ class _ShardedDispatch:
         key = (item.deadline, item.seq)
         if service.coschedule:
             key = (service._class_of(request),) + key
-        bisect.insort(self.queue, (key, item, request.resolve_graph()))
+        bisect.insort(self.queue, (key, item, service._dataset_of(item)))
 
     def waiting(self):
         """Whether a job is queued or waits to resume."""

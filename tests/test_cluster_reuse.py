@@ -9,7 +9,12 @@ instead of once per job. These tests pin
 
 * the counts: ``make_plan`` and ``halo_exchange`` once per distinct
   (graph, gang) key, frozen replays once per distinct shard entry and
-  stage, and none of the three in a later drain of the same traffic;
+  stage, compositions once per distinct set of chip reports, none of
+  the four in a later drain of the same traffic, and one graph
+  resolution per sharded job;
+* the stored report: a warm run on the bound exclusive fabric returns
+  the plan's one stored :class:`~repro.cluster.ClusterReport`, equal to
+  a fresh simulation field by field and event by event;
 * identity: every drain of a service equals a per-job-fresh oracle (no
   reuse at all) in results, latency, cache stats and LRU order and the
   recorded event stream, across ``coschedule``, ``cache_mode`` and
@@ -38,7 +43,7 @@ from hypothesis import strategies as st
 import repro.accel.gcnaccel as gcnaccel
 import repro.cluster.multichip as multichip
 import repro.serve.service as service_module
-from repro.accel import ArchConfig
+from repro.accel import ArchConfig, CachedTuning
 from repro.cluster import (
     ClusterConfig,
     ShardedAccelerator,
@@ -81,9 +86,11 @@ def _spaced(graphs, gap=1.0):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of partitioner, halo, frozen-replay and cold-tune calls,
-    by every module name they are reachable through."""
-    counts = {"make_plan": 0, "halo_exchange": 0, "frozen": 0, "tune": 0}
+    """Counts of partitioner, halo, frozen-replay, cold-tune and
+    composition calls, by every module name they are reachable
+    through."""
+    counts = {"make_plan": 0, "halo_exchange": 0, "frozen": 0, "tune": 0,
+              "compose": 0}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -102,6 +109,8 @@ def calls(monkeypatch):
     )
     monkeypatch.setattr(gcnaccel, "simulate_spmm",
                         counting("tune", gcnaccel.simulate_spmm))
+    monkeypatch.setattr(multichip, "_compose_layers",
+                        counting("compose", multichip._compose_layers))
     return counts
 
 
@@ -112,9 +121,11 @@ class TestReuseCounts:
         # Two 512-node graphs on a 2 x 256 pool: every job gangs both
         # instances, so there are two (graph, gang) keys and four shard
         # entries. In the first drain the first job of each graph tunes
-        # cold, the second replays, the third hits the replay memo. The
+        # cold, the second replays, the third hits the replay memo; the
+        # first two compose, the third returns the stored report. The
         # second drain takes both accelerators over from the first, so
-        # it partitions, derives halo sets and replays nothing.
+        # it partitions, derives halo sets, replays and composes
+        # nothing.
         requests = _spaced([BIG_A, BIG_B] * 3)
         service = InferenceService(
             n_workers=2, cache=AutotuneCache(), chip_capacity=256,
@@ -129,6 +140,7 @@ class TestReuseCounts:
             assert calls["make_plan"] == (2 if first else 0)
             assert calls["halo_exchange"] == (2 if first else 0)
             assert calls["frozen"] == (2 * 2 * STAGES if first else 0)
+            assert calls["compose"] == (2 * 2 if first else 0)
             assert len(_sharded_entries(service._accels)) == 2
             assert not _sharded_entries(service._accels_prev)
 
@@ -150,6 +162,35 @@ class TestReuseCounts:
         assert calls["tune"] == 2 * 2 * STAGES
         cycles = [r.total_cycles for r in outcome.results]
         assert cycles[0] == cycles[1] == cycles[3] == cycles[4]
+
+
+    @pytest.mark.parametrize("cache_mode", ["shared", "affinity"])
+    def test_one_graph_resolution_per_sharded_job(self, monkeypatch,
+                                                 cache_mode):
+        # Under affinity with replication the placement resolver sees
+        # a sharded job before its queue does; both share one build.
+        resolved = []
+        real = InferenceRequest.resolve_graph
+
+        def counting(request):
+            resolved.append(request)
+            return real(request)
+
+        requests = mixed_traffic(40, seed=1, **MIXED_KW)
+        service = InferenceService(
+            n_workers=4, chip_capacity=256, coschedule=True,
+            critical_slo_ms=1.0, cache_mode=cache_mode,
+            replicate_threshold=3.0 if cache_mode == "affinity" else None,
+        )
+        service.submit_many(requests)
+        service.drain()
+        monkeypatch.setattr(InferenceRequest, "resolve_graph", counting)
+        service.submit_many(requests)
+        outcome = service.drain()
+        sharded = [r for r in resolved if r.graph.n_nodes > 256]
+        assert outcome.stats.n_sharded > 0
+        assert len(sharded) == outcome.stats.n_sharded
+        assert len({id(r) for r in sharded}) == len(sharded)
 
 
 class TestDrainWindow:
@@ -352,6 +393,119 @@ class TestShardedAccelerator:
             with pytest.raises(CeilingError):
                 sharded.plan
         assert calls["make_plan"] == 1
+
+
+def _assert_same_report(got, want):
+    """Two :class:`ClusterReport` objects agree field by field."""
+    assert got.dataset == want.dataset
+    assert got.cluster == want.cluster
+    assert np.array_equal(got.plan.owner, want.plan.owner)
+    assert got.rebalance == want.rebalance
+    assert got.total_cycles == want.total_cycles
+    assert got.layer_cycles == want.layer_cycles
+    assert got.migration_cycles == want.migration_cycles
+    for name in ("comm_cycles_per_layer", "chip_costs_per_layer",
+                 "chip_compute_per_layer"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.array_equal(got.halo.words, want.halo.words)
+    assert [r.total_cycles for r in got.chip_reports] == [
+        r.total_cycles for r in want.chip_reports
+    ]
+    assert [r.cache_hit for r in got.chip_reports] == [
+        r.cache_hit for r in want.chip_reports
+    ]
+    for name in ("utilization", "total_work", "comm_cycles",
+                 "compute_imbalance", "cache_hit", "latency_ms"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+class TestStoredReport:
+    def test_warm_runs_return_the_stored_report(self, calls):
+        # One accelerator runs a sequence of jobs; each is checked
+        # against a fresh simulation on a cache that saw the same
+        # calls. ``composed`` counts the accelerator's own
+        # compositions, so a warm run that returns the stored report
+        # composes nothing.
+        dataset = BIG_A.build()
+        cluster = ClusterConfig(n_chips=4, chip=CFG, topology="ring")
+        busy = replace(cluster, background_link_loads=(
+            (500.0,) + (0.0,) * (cluster.fabric.n_links - 1)
+        ))
+        sharded = ShardedAccelerator(dataset, cluster)
+        cache, fresh_cache = AutotuneCache(), AutotuneCache()
+
+        def run(job=cluster, *, traced=False, cached=True):
+            tracers = [RecordingTracer() if traced else None
+                       for _ in range(2)]
+            calls["compose"] = 0
+            got = simulate_multichip_gcn(
+                sharded, job, cache=cache if cached else None,
+                tracer=tracers[0],
+            )
+            composed = calls["compose"]
+            want = simulate_multichip_gcn(
+                dataset, job, cache=fresh_cache if cached else None,
+                tracer=tracers[1],
+            )
+            _assert_same_report(got, want)
+            if traced:
+                assert tracers[0].events
+                assert stream_fingerprint(tracers[0].events) == (
+                    stream_fingerprint(tracers[1].events)
+                )
+            assert cache.stats == fresh_cache.stats
+            return got, composed
+
+        def stored():
+            (report,) = sharded._reports.values()
+            return report
+
+        cold, composed = run(traced=True)
+        assert composed == 1 and cold is stored() and not cold.cache_hit
+        # The first hits replay new chip reports: one recomposition.
+        warm, composed = run()
+        assert composed == 1 and warm is stored() and warm.cache_hit
+        for traced in (False, True):
+            again, composed = run(traced=traced)
+            assert composed == 0 and again is warm
+        for array in (warm.chip_costs_per_layer,
+                      warm.chip_compute_per_layer,
+                      warm.comm_cycles_per_layer):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+
+        # A background-priced run composes afresh and leaves the slot.
+        contended, composed = run(busy)
+        assert composed == 1 and stored() is warm
+        assert (contended.comm_cycles_per_layer
+                > warm.comm_cycles_per_layer).any()
+        again, composed = run(traced=True)
+        assert composed == 0 and again is warm
+
+        # Chip 0's entry is evicted and another object re-stored under
+        # its key: its replay is new, so the job recomposes once.
+        chip0 = sharded._chip_accels(warm.plan)[0]
+        key = AutotuneCache.key(chip0.fingerprint(), CFG)
+        for target in (cache, fresh_cache):
+            target.store(*key, CachedTuning(layers=target.get(key).layers))
+        restored, composed = run()
+        assert composed == 1 and restored is stored()
+        assert restored.chip_reports[0] is not warm.chip_reports[0]
+        assert all(a is b for a, b in zip(restored.chip_reports[1:],
+                                          warm.chip_reports[1:]))
+        again, composed = run(traced=True)
+        assert composed == 0 and again is restored
+
+        # A cache-less run tunes every chip, so it replaces the one
+        # slot, and the report it replaced is freed.
+        replaced = weakref.ref(restored)
+        del cold, warm, again, restored, contended
+        uncached, composed = run(cached=False)
+        assert composed == 1 and uncached is stored()
+        assert not uncached.cache_hit
+        gc.collect()
+        assert replaced() is None
+        assert len(sharded._reports) == 1
 
 
 class TestSharedStateIsReadOnly:

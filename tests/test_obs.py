@@ -16,6 +16,8 @@ import json
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.accel.config import ArchConfig
 from repro.analysis.tracescenarios import (
@@ -46,7 +48,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.serve.cache import AutotuneCache
-from repro.serve.service import percentile, serve_requests
+from repro.serve.service import LatencyStats, percentile, serve_requests
 from repro.serve.traffic import RmatGraphSpec, streaming_traffic
 
 TINY = {"f1": 16, "f2": 8, "f3": 4}
@@ -212,6 +214,21 @@ class TestPercentileAndStats:
         assert p999 in values
         assert percentile(values, 99) <= p999 <= max(values)
         assert percentile([5.0], 99.9) == 5.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(latencies=st.lists(
+        st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+        max_size=300,
+    ))
+    def test_one_sort_fold_equals_percentile(self, latencies):
+        # The fold sorts once and reads each percentile by nearest
+        # rank; it must agree with percentile() on any list.
+        stats = LatencyStats.fold(latencies, latencies, [])
+        assert stats.n == len(latencies)
+        for q, got in ((50, stats.p50_ms), (95, stats.p95_ms),
+                       (99, stats.p99_ms), (99.9, stats.p999_ms)):
+            assert got == percentile(latencies, q)
+        assert stats.max_ms == (max(latencies) if latencies else 0.0)
 
     def test_p999_reported_and_ordered(self):
         outcome, _ = _streaming_run()

@@ -680,13 +680,15 @@ class TestReplayMemo:
         assert matches_calls == [id(entry)] * 2 + [id(restored)]
 
     def test_memoized_report_arrays_are_read_only(self, tiny_nell):
+        # Every hit on one entry returns the one replayed report, so
+        # nothing in it may be writable.
         cache = AutotuneCache()
         accel = GcnAccelerator(tiny_nell, CFG_A)
         accel.run(cache=cache)
         first = accel.run(cache=cache)
         second = accel.run(cache=cache)
-        assert first is not second and first.layers is not second.layers
-        assert first.layers[0] is second.layers[0]
+        assert first.cache_hit and first is second
+        assert isinstance(first.layers, tuple)
         for result in second.spmm_results:
             with pytest.raises(ValueError):
                 result.cycles_per_round[0] = 0

@@ -436,55 +436,37 @@ class GcnAccelerator:
                                   or entry.matches(self.jobs)):
             return self._run_cached(entry)
         trace = tracer is not None and tracer.enabled
-        if not self.remembers_cold_run(traced=trace):
-            self.remember_cold(self.cold_run(traced=trace))
         cold = self._cold
+        if cold is None or (trace and cold.events is None):
+            cold = self._keep_cold(traced=trace)
         if trace:
             tracer.splice(cold.events)
         cache.store(fingerprint, self.config, cold.entry)
         return cold.report
 
-    def cold_run(self, *, traced=False):
-        """Simulate cold, cache-less; returns the :class:`ColdRun` a
-        miss keeps. ``traced`` records the tuner events on a local
-        :class:`~repro.obs.tracer.RecordingTracer` at simulated 0."""
+    def _keep_cold(self, *, traced):
+        """Simulate cold, cache-less, and keep the :class:`ColdRun` a
+        miss stores; returns it. ``traced`` records the tuner events on
+        a local :class:`~repro.obs.tracer.RecordingTracer` at simulated
+        0. A kept run stays: simulating again only adds the tuner
+        events a kept untraced run lacks, to the same report and
+        entry.
+        """
         local = RecordingTracer() if traced else None
         report = self._run_cold(tracer=local)
-        return ColdRun(
-            report=report,
-            entry=CachedTuning.from_report(report),
-            events=tuple(local.events) if traced else None,
-        )
-
-    def remembers_cold_run(self, *, traced=False):
-        """Whether a cache miss would skip the tuner (see :meth:`run`);
-        ``traced`` asks for a kept run that has its tuner events."""
-        cold = self._cold
-        return cold is not None and (not traced or cold.events is not None)
-
-    def remember_cold(self, cold):
-        """Keep a :class:`ColdRun` for later misses on this workload.
-
-        ``cold`` must be what :meth:`run` would compute on a miss, which
-        any run under the same ``(fingerprint, config)`` cache key is,
-        so a twin accelerator's run may seed this one. :meth:`run`
-        keeps its own first miss's run here. A kept run stays: ``cold``
-        only adds the tuner events a kept untraced run lacks. The kept
-        report names this accelerator's workload, since the fingerprint
-        ignores a twin's name.
-        """
+        events = tuple(local.events) if traced else None
         kept = self._cold
         if kept is None:
-            report = cold.report
             for result in report.spmm_results:
                 result.cycles_per_round.setflags(write=False)
                 result.final_owner.setflags(write=False)
-            if report.dataset != self._name:
-                cold = replace(cold,
-                               report=replace(report, dataset=self._name))
-            self._cold = cold
-        elif kept.events is None and cold.events is not None:
-            self._cold = replace(kept, events=cold.events)
+            kept = ColdRun(report=report,
+                           entry=CachedTuning.from_report(report),
+                           events=events)
+        else:
+            kept = replace(kept, events=events)
+        self._cold = kept
+        return kept
 
     def _run_cold(self, *, tracer=None):
         """Full simulation: drive the auto-tuner on every stage."""

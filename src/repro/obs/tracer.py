@@ -24,10 +24,11 @@ cache miss keeps (:meth:`repro.accel.GcnAccelerator.run`): its tuner
 events are recorded on a local tracer (anchored at 0) and
 :meth:`RecordingTracer.splice`\\ d into the stream at exactly the point
 a direct run would have emitted them, between the cache lookup and the
-store, on every miss that replays them. Overlay probes read the cache
-with ``peek(..., trace=False)`` and affinity routing and replication
-read shards with ``key in cache`` and ``cache.get(key)``, so they
-leave no trace either.
+store, on every miss that replays them. The backfill screen's overlay
+probe reads the shared cache with ``peek``, which records a
+``cache.peek`` event but moves no counter or recency; affinity routing
+and replication read shards with ``key in cache`` and
+``cache.get(key)``, which leave no trace.
 """
 
 from __future__ import annotations

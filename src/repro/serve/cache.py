@@ -179,21 +179,19 @@ class AutotuneCache:
             )
         return entry
 
-    def peek(self, fingerprint, config, *, trace=True):
+    def peek(self, fingerprint, config):
         """Return the cached entry without counting or touching recency.
 
         The side-effect-free read behind scheduling probes such as the
         backfill screen's :class:`OverlayCache`, which must not perturb
         the hit/miss counters or the LRU order, or a later real run
-        would diverge from the oracle. ``trace=False`` also suppresses
-        the trace event: :class:`OverlayCache` reads its private layer
-        that way. (The affinity router reads shards with ``key in
-        cache`` and :meth:`get` instead: it already holds each key as
-        a tuple, and neither re-checks the config type nor emits an
-        event.)
+        would diverge from the oracle; it records a ``cache.peek``
+        event. (The affinity router reads shards with ``key in cache``
+        and :meth:`get` instead: it already holds each key as a tuple,
+        and neither re-checks the config type nor emits an event.)
         """
         entry = self._entries.get(self.key(fingerprint, config))
-        if trace and self.tracer.enabled:
+        if self.tracer.enabled:
             args = self._key_args(fingerprint, config)
             args["found"] = entry is not None
             self.tracer.instant("cache.peek", lane=self.lane, args=args)
@@ -432,45 +430,51 @@ class AutotuneCache:
         poisoned entry fails here, not at its first hit mid-drain.
         """
         cache = cls(max_entries=max_entries)
-        try:
-            archive = np.load(path)
-        except (EOFError, ValueError, zipfile.BadZipFile) as exc:
-            raise ConfigError(
-                f"cannot read autotune cache archive {path}: {exc}"
-            ) from exc
-        with archive:
+        # np.load leaves a file it opened itself open when the archive
+        # is truncated, so the handle is ours to close.
+        with open(path, "rb") as handle:
             try:
-                index = json.loads(bytes(archive["index"]).decode())
-            except (KeyError, ValueError) as exc:
+                archive = np.load(handle)
+            except (EOFError, ValueError, zipfile.BadZipFile) as exc:
                 raise ConfigError(
-                    f"autotune cache archive {path} has no readable "
-                    f"index: {exc}"
+                    f"cannot read autotune cache archive {path}: {exc}"
                 ) from exc
-            version = index.get("version") if isinstance(index, dict) else None
-            if version not in (1, 2, 3):
-                raise ConfigError(
-                    f"unsupported cache archive version {version} in {path}"
-                )
-            entries = index.get("entries")
-            if not isinstance(entries, list):
-                raise ConfigError(
-                    f"autotune cache archive {path} index has no entry list"
-                )
-            for slot, meta in enumerate(entries):
+            with archive:
                 try:
-                    fingerprint, config, entry, hits, last_used = (
-                        _entry_from_index(archive, slot, meta)
-                    )
-                except (KeyError, TypeError, ValueError, OverflowError,
-                        AttributeError) as exc:
+                    index = json.loads(bytes(archive["index"]).decode())
+                except (KeyError, ValueError) as exc:
                     raise ConfigError(
-                        f"autotune cache archive {path} entry {slot} is "
-                        f"malformed: {exc!r}"
+                        f"autotune cache archive {path} has no readable "
+                        f"index: {exc}"
                     ) from exc
-                cache.store(fingerprint, config, entry)
-                key = cache.key(fingerprint, config)
-                if key in cache._entries:
-                    cache._meta[key] = [hits, last_used]
+                version = (index.get("version") if isinstance(index, dict)
+                           else None)
+                if version not in (1, 2, 3):
+                    raise ConfigError(
+                        f"unsupported cache archive version {version} in "
+                        f"{path}"
+                    )
+                entries = index.get("entries")
+                if not isinstance(entries, list):
+                    raise ConfigError(
+                        f"autotune cache archive {path} index has no entry "
+                        "list"
+                    )
+                for slot, meta in enumerate(entries):
+                    try:
+                        fingerprint, config, entry, hits, last_used = (
+                            _entry_from_index(archive, slot, meta)
+                        )
+                    except (KeyError, TypeError, ValueError, OverflowError,
+                            AttributeError) as exc:
+                        raise ConfigError(
+                            f"autotune cache archive {path} entry {slot} is "
+                            f"malformed: {exc!r}"
+                        ) from exc
+                    cache.store(fingerprint, config, entry)
+                    key = cache.key(fingerprint, config)
+                    if key in cache._entries:
+                        cache._meta[key] = [hits, last_used]
         return cache
 
 
@@ -501,12 +505,6 @@ class OverlayCache:
                 entry = self._shared.lookup(fingerprint, config)
             else:
                 entry = self._shared.peek(fingerprint, config)
-        return entry
-
-    def peek(self, fingerprint, config, *, trace=True):
-        entry = self._own.peek(fingerprint, config, trace=False)
-        if entry is None and self._shared is not None:
-            entry = self._shared.peek(fingerprint, config, trace=trace)
         return entry
 
     def store(self, fingerprint, config, entry):

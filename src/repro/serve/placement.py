@@ -6,14 +6,13 @@
 ``"affinity"`` — and its event loop calls the policy's hooks at fixed
 points of every drain; the per-drain counters (``routes``,
 ``route_hits``, ``replications``) feed its stats. A policy holds the
-instance pool and its own state, never the service: the service's
-resolver arrives with each :meth:`~FirstFree.arrival` and
-:meth:`~FirstFree.place` call (``resolve``), so a dropped service is
-freed by reference counting alone. ``resolve(item)`` returns a queued
-request's ``(accelerator, family, cache key)`` and resolves its graph
-only the first time; :class:`FirstFree` never calls it. The sharded
-hooks (:meth:`~FirstFree.gang_orders`, :meth:`~FirstFree.gang_landed`)
-get the job's graph, resolved once when the job was queued.
+instance pool and its own state, never the service, so a dropped
+service is freed by reference counting alone. Every hook gets queued
+requests the service has already resolved, once, at admission, and
+reads what it needs from them
+(:attr:`~repro.serve.scheduler.QueuedRequest.resolved`): a
+single-instance request's ``(accelerator, family, cache key)``, a
+sharded job's ``(graph, family)``.
 """
 
 from __future__ import annotations
@@ -45,10 +44,10 @@ class FirstFree:
     def begin_drain(self):
         """Start a drain (no state to reset)."""
 
-    def arrival(self, item, resolve):
+    def arrival(self, item):
         """Observe one admitted queued request (ignored)."""
 
-    def place(self, items, candidates, clock, stream, resolve):
+    def place(self, items, candidates, clock, stream):
         """The instance a sealed batch goes to, or None to wait.
 
         ``candidates`` are the unclaimed instances, in index order;
@@ -59,11 +58,12 @@ class FirstFree:
                 return worker
         return None
 
-    def gang_orders(self, free, dataset):
-        """The orders a sharded job's gang scan tries: index order."""
+    def gang_orders(self, free, item):
+        """The orders a queued sharded job's gang scan tries: index
+        order."""
         return (free,)
 
-    def gang_landed(self, item, dataset, gang, clock):
+    def gang_landed(self, item, gang, clock):
         """Observe a sharded job dispatched on ``gang`` (ignored)."""
 
     def tick(self, clock):
@@ -135,39 +135,38 @@ class CacheAffinity(FirstFree):
         self._hot = frozenset()
         self._replica_plan = None
 
-    def arrival(self, item, resolve):
+    def arrival(self, item):
         """Count one queued request toward its family's demand, at its
-        arrival time (nothing to count without replication).
-
-        This is the first hook to see a request, so it is where the
-        request's graph is resolved (``resolve(item)``); a sharded
-        job resolves its family only.
-        """
+        arrival time (nothing to count without replication): the
+        family admission resolved it to (``item.resolved[1]``), sharded
+        or not."""
         if self._demand is not None:
-            self._demand.record(resolve(item)[1], item.arrival_time)
+            self._demand.record(item.resolved[1], item.arrival_time)
 
-    def place(self, items, candidates, clock, stream, resolve):
+    def place(self, items, candidates, clock, stream):
         """Cache-affinity placement for one sealed batch.
 
         Scores the candidates by warm-entry coverage of the batch's
-        (fingerprint, config) keys (``resolve(item)``): how many of
-        them the candidate's shard holds. It picks the best-covered
-        *feasible* one — where feasible means free now,
-        or freeing early enough that waiting for it cannot break the
-        batch's earliest deadline (for SLO-less batches the wait is
-        bounded by the scheduler's own EWMA service estimate, so a cold
-        idle pool is never left idle for long). Ties break toward the
-        earliest-free then lowest-indexed instance, and when no warm
-        feasible instance exists the router falls back to the
-        first-free rule — so EDF dispatch order within a priority class
-        is preserved and a batch is never stranded past its deadline
-        waiting for a warm instance.
+        (fingerprint, config) keys, as admission resolved them
+        (``item.resolved``): how many of them the candidate's shard
+        holds. It picks the best-covered *feasible* one — where
+        feasible means free now, or freeing early enough that waiting
+        for it cannot break the batch's earliest deadline (for SLO-less
+        batches the wait is bounded by the scheduler's own EWMA service
+        estimate, so a cold idle pool is never left idle for long).
+        Ties break toward the earliest-free then lowest-indexed
+        instance, and when no warm feasible instance exists the router
+        falls back to the first-free rule — so EDF dispatch order
+        within a priority class is preserved and a batch is never
+        stranded past its deadline waiting for a warm instance. Routing
+        is where a key is first registered under its family, for
+        replication to copy.
         """
         keys = {}  # an ordered set
         family_keys = self._family_keys
         key_family = self._key_family
         for item in items:
-            _accel, family, key = resolve(item)
+            _accel, family, key = item.resolved
             if key not in key_family:
                 key_family[key] = family
                 family_keys.setdefault(family, {})[key] = None
@@ -204,7 +203,7 @@ class CacheAffinity(FirstFree):
                 best_coverage = coverage
         warm = best is not None
         if best is None:
-            best = super().place(items, candidates, clock, stream, resolve)
+            best = super().place(items, candidates, clock, stream)
         if best is None:
             return None
         self.routes += 1
@@ -221,9 +220,10 @@ class CacheAffinity(FirstFree):
             })
         return best
 
-    def gang_orders(self, free, dataset):
+    def gang_orders(self, free, item):
         """The gang scan's candidate orders: a family served before
-        tries its previous gang first.
+        tries its previous gang first. The family is the one the job
+        was resolved to at admission (``item.resolved[1]``).
 
         The remembered members are moved to the front of the free
         order, so a repeat oversized graph re-lands on the instances
@@ -233,7 +233,7 @@ class CacheAffinity(FirstFree):
         """
         orders = [free]
         if free:
-            remembered = self._gang_affinity.get(self.family_of(dataset))
+            remembered = self._gang_affinity.get(item.resolved[1])
             if remembered:
                 preferred = [w for w in free if w.index in remembered]
                 if preferred and preferred != free[:len(preferred)]:
@@ -241,11 +241,11 @@ class CacheAffinity(FirstFree):
                     orders.insert(0, preferred + rest)
         return orders
 
-    def gang_landed(self, item, dataset, gang, clock):
+    def gang_landed(self, item, gang, clock):
         """Remember (and score) the gang a sharded job's family lands
         on: re-landing on the same members means the primary's shard
         already holds the sharded entry."""
-        family = self.family_of(dataset)
+        family = item.resolved[1]
         members = tuple(sorted(w.index for w in gang))
         remembered = self._gang_affinity.get(family)
         warm = remembered is not None and members == tuple(

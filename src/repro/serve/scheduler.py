@@ -40,9 +40,10 @@ def _check_max_batch(max_batch):
     return check_positive_int(max_batch, "max_batch")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QueuedRequest:
-    """An accepted request plus its arrival sequence number."""
+    """An accepted request plus its arrival sequence number, and what
+    the serving loop resolved it to when it admitted it."""
 
     seq: int
     request: InferenceRequest
@@ -50,20 +51,17 @@ class QueuedRequest:
     """Absolute completion deadline in seconds (inf when no SLO): the
     member request's, computed once on construction since the batch
     cut and EDF order read it per member."""
-
-    resolved = None
-    """``(accelerator, family, cache key)`` once a placement policy has
-    asked the service to resolve the request's graph (see
-    :meth:`~repro.serve.service.InferenceService._resolve`); cache-blind
-    placement never does, and the class default None stands."""
-
-    dataset = None
-    """A sharded job's built graph once the service has resolved it
-    (:meth:`~repro.serve.service.InferenceService._dataset_of`), so the
-    placement resolver and the sharded queue share one resolution."""
+    resolved: tuple = field(default=None, init=False, compare=False,
+                            repr=False)
+    """What the service resolved the request's graph to at admission
+    (:meth:`~repro.serve.service.InferenceService._resolve`), None
+    until then: ``(accelerator, family, cache key)`` for a
+    single-instance request, ``(graph, family)`` for a sharded job.
+    Placement, replication, the sharded queue and the serve all read
+    it."""
 
     def __post_init__(self):
-        object.__setattr__(self, "deadline", self.request.deadline)
+        self.deadline = self.request.deadline
 
     @property
     def arrival_time(self):

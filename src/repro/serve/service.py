@@ -76,7 +76,6 @@ from repro.cluster.multichip import (
 # hostbench/layers.py still patches both names on this module.
 from repro.cluster.partition import halo_exchange, make_plan  # noqa: F401
 from repro.cluster.topology import Topology, subtopology
-from repro.datasets.registry import dataset_fingerprint
 from repro.errors import CeilingError, ConfigError
 from repro.obs.tracer import NULL_TRACER, config_label
 from repro.serve.cache import AutotuneCache, OverlayCache
@@ -582,8 +581,9 @@ class InferenceService:
         self._n_batches = 0
         self._accels = {}
         """The accelerator of every key this drain has used: a
-        :class:`GcnAccelerator` per (graph, config, a_hops)
-        (:meth:`_accel_for`) and a :class:`ShardedAccelerator` per
+        :class:`GcnAccelerator` per (graph, config, a_hops), in its
+        ``(accelerator, family, cache key)`` record
+        (:meth:`_accel_for`), and a :class:`ShardedAccelerator` per
         (graph, a_hops, config, gang, constrained)
         (:meth:`_sharded_for`)."""
         self._accels_prev = {}
@@ -664,26 +664,29 @@ class InferenceService:
                                     tracer=tr)
 
         results = []
-        sharding = (None if self.chip_capacity is None
+        capacity = self.chip_capacity
+        sharding = (None if capacity is None
                     else _ShardedDispatch(self, results))
         clock = 0.0
         i, n = 0, len(queued)
         batches_before = self._n_batches
         placement = self.placement
         placement.begin_drain()
-        resolve = self._resolve
         last_snapshot = None
         started = time.perf_counter()
         while (i < n or stream.pending or stream.ready
                or (sharding is not None and sharding.waiting())):
             if trace:
                 tr.set_time(clock)
-            # Admit everything that has arrived by now. Size cuts
-            # happen inside admit(), in arrival order; graphs over the
-            # per-chip capacity divert to the sharded-job queue.
+            # Admit everything that has arrived by now, resolving each
+            # request's graph once. Size cuts happen inside admit(), in
+            # arrival order; graphs over the per-chip capacity divert to
+            # the sharded-job queue.
             while i < n and queued[i].arrival_time <= clock:
                 item = queued[i]
-                needs_shards = self._needs_sharding(item.request)
+                needs_shards = (capacity is not None
+                                and item.request.graph_nodes() > capacity)
+                self._resolve(item, needs_shards)
                 if trace:
                     args = {
                         "seq": item.seq,
@@ -694,7 +697,7 @@ class InferenceService:
                         args["class"] = self._class_of(item.request)
                     tr.instant("request.arrival", ts=item.arrival_time,
                                args=args)
-                placement.arrival(item, resolve)
+                placement.arrival(item)
                 if needs_shards:
                     sharding.admit(item)
                 else:
@@ -723,8 +726,7 @@ class InferenceService:
             # arm a boundary preemption instead.
             while stream.ready:
                 items = stream.peek_ready()
-                worker = placement.place(items, unclaimed, clock, stream,
-                                         resolve)
+                worker = placement.place(items, unclaimed, clock, stream)
                 if worker is None:
                     if sharding is not None:
                         sharding.preempt(items, clock)
@@ -811,75 +813,58 @@ class InferenceService:
         )
 
     def _accel_for(self, request):
-        """The one :class:`GcnAccelerator` for a request's (dataset,
-        config, a_hops).
+        """The ``(accelerator, family, cache key)`` record of a
+        request's (dataset, config, a_hops): its one
+        :class:`GcnAccelerator`, the graph's placement family and the
+        ``(fingerprint, config)`` key the accelerator runs under.
 
-        Routing keys and serving share it, so its jobs are built once,
-        its replay memo turns every repeat hit on a cache entry into a
-        lookup, and every miss after its first is a store of the cold
-        run it kept. The drain looks in its own accelerators first,
+        Placement and serving share the accelerator, so its jobs are
+        built once, its replay memo turns every repeat hit on a cache
+        entry into a lookup, and every miss after its first is a store
+        of the cold run it kept. The family and key are computed once,
+        with the accelerator. The drain looks in its own records first,
         then takes one over from the previous drain's; only a key
         neither drain used builds a new accelerator.
         """
         dataset = request.resolve_graph()
         memo_key = (id(dataset), request.config, request.a_hops)
-        accel = self._accels.get(memo_key)
-        if accel is not None:
-            return accel
-        accel = self._accels_prev.pop(memo_key, None)
-        if accel is None:
+        record = self._accels.get(memo_key)
+        if record is not None:
+            return record
+        record = self._accels_prev.pop(memo_key, None)
+        if record is None:
             accel = GcnAccelerator(dataset, request.config,
                                    a_hops=request.a_hops)
-        self._accels[memo_key] = accel
-        return accel
+            record = (accel, CacheAffinity.family_of(dataset),
+                      (accel.fingerprint(), request.config))
+        self._accels[memo_key] = record
+        return record
 
-    def _resolve(self, item):
-        """A queued request's ``(accelerator, family, cache key)``.
+    def _resolve(self, item, sharded=False):
+        """Resolve a queued request's graph, once, at admission, and
+        write what it resolved to on the item (``item.resolved``).
 
-        The placement policy's resolver: the first call resolves the
-        graph and stores the three on the item (``item.resolved``), so
-        placement, replication and :meth:`_serve_one` share one
-        resolution. A sharded job resolves its family only, through
-        :meth:`_dataset_of`, and builds no single-instance accelerator.
+        A single-instance request takes its ``(accelerator, family,
+        cache key)`` record from the drain's window
+        (:meth:`_accel_for`). A ``sharded`` job takes ``(graph,
+        family)``: it runs on a gang's accelerator, which the sharded
+        policy looks up per gang. Placement, replication, the sharded
+        queue and the serve read the record and never resolve again.
         """
-        resolved = item.resolved
-        if resolved is None:
-            request = item.request
-            if self._needs_sharding(request):
-                accel, graph, key = None, self._dataset_of(item), None
-            else:
-                accel = self._accel_for(request)
-                graph = accel.dataset
-                key = (accel.fingerprint(), request.config)
-            resolved = (accel, CacheAffinity.family_of(graph), key)
-            # QueuedRequest is frozen; its one late-bound slot.
-            object.__setattr__(item, "resolved", resolved)
-        return resolved
-
-    @staticmethod
-    def _dataset_of(item):
-        """A sharded job's built graph, resolved on the first call and
-        kept on the item (``item.dataset``): :meth:`_resolve` and the
-        sharded queue share it."""
-        dataset = item.dataset
-        if dataset is None:
-            dataset = item.request.resolve_graph()
-            # QueuedRequest is frozen; a late-bound slot like resolved.
-            object.__setattr__(item, "dataset", dataset)
-        return dataset
-
-    def _needs_sharding(self, request):
-        """Whether a request's graph exceeds the instance capacity."""
-        return (self.chip_capacity is not None
-                and request.graph_nodes() > self.chip_capacity)
+        request = item.request
+        if sharded:
+            graph = request.resolve_graph()
+            item.resolved = (graph, CacheAffinity.family_of(graph))
+        else:
+            item.resolved = self._accel_for(request)
 
     def _class_of(self, request):
         """The request's effective priority class under this service."""
         return request.priority_class(self.critical_slo_ms)
 
-    def _sharded_for(self, gang, request, dataset, *, constrained=True):
-        """The one :class:`ShardedAccelerator` for a request's graph
-        (``dataset``, resolved once when the job was queued) on one
+    def _sharded_for(self, gang, item, *, constrained=True):
+        """The one :class:`ShardedAccelerator` for a queued sharded
+        job's graph (resolved at admission, ``item.resolved``) on one
         gang.
 
         The key — graph, ``a_hops``, request config, the ordered gang
@@ -890,13 +875,15 @@ class InferenceService:
         screens and dispatch of one graph on one gang therefore share
         its plans, halo sets, fabric prices and per-chip accelerators.
         It lives in the same one-drain window as :meth:`_accel_for`'s
-        accelerators, whose 3-tuple keys cannot equal this 5-tuple.
+        records, whose 3-tuple keys cannot equal this 5-tuple.
         The drain looks in its own entries first, then takes one over
         from the previous drain's; only a key neither drain used builds
         a new accelerator. Under ``coschedule`` the gang runs on its
         restriction of the pool fabric (overriding the kind string in
         ``cluster_options``).
         """
+        request = item.request
+        dataset = item.resolved[0]
         indices = tuple(worker.index for worker in gang)
         key = (id(dataset), request.a_hops, request.config, indices,
                constrained)
@@ -1002,7 +989,11 @@ class InferenceService:
         self._n_batches += 1
 
     def _serve_one(self, item, batch, worker, start):
-        """Run one request on one instance and record the outcome."""
+        """Run one request on one instance and record the outcome.
+
+        The request runs on the accelerator it was resolved to at
+        admission (``item.resolved``).
+        """
         request = item.request
         tr = self.tracer
         if tr.enabled:
@@ -1010,9 +1001,7 @@ class InferenceService:
             # spliced from a kept cold run) at its service start.
             tr.set_time(start)
         started = time.perf_counter()
-        resolved = item.resolved
-        accel = (self._accel_for(request) if resolved is None
-                 else resolved[0])
+        accel, _family, (fingerprint, _config) = item.resolved
         cache = worker.cache
         if cache is not None:
             cache.clock = start
@@ -1025,7 +1014,7 @@ class InferenceService:
         result = InferenceResult(
             request_id=request.request_id,
             dataset=accel.name,
-            fingerprint=accel.fingerprint(),
+            fingerprint=fingerprint,
             total_cycles=report.total_cycles,
             latency_ms=report.latency_ms,
             utilization=report.utilization,
@@ -1177,7 +1166,7 @@ class _ShardedDispatch:
         self.results = results
         """The drain's ``(seq, result)`` list, which a resume patches."""
         self.queue = []
-        """``(key, item, dataset)`` of every waiting job in key order."""
+        """``(key, item)`` of every waiting job in key order."""
         self.active = []
         self.reserved = ()
         """The head's claimed members at the last dispatch."""
@@ -1186,9 +1175,8 @@ class _ShardedDispatch:
         self._last_claim = None
 
     def admit(self, item):
-        """Queue one oversized request with its graph, resolved once
-        per job (:meth:`InferenceService._dataset_of`, which an
-        affinity hook may have called first).
+        """Queue one oversized request, resolved at admission to its
+        graph and family (``item.resolved``).
 
         The key — deadline, then arrival sequence, led by the priority
         class under ``coschedule`` — never changes while the job waits,
@@ -1200,7 +1188,7 @@ class _ShardedDispatch:
         key = (item.deadline, item.seq)
         if service.coschedule:
             key = (service._class_of(request),) + key
-        bisect.insort(self.queue, (key, item, service._dataset_of(item)))
+        bisect.insort(self.queue, (key, item))
 
     def waiting(self):
         """Whether a job is queued or waits to resume."""
@@ -1233,7 +1221,7 @@ class _ShardedDispatch:
         reserved = ()
         queue = self.queue
         while queue:
-            _key, head, dataset = queue[0]
+            _key, head = queue[0]
             if service.shed_expired and head.deadline < clock:
                 del queue[0]
                 self.results.append(
@@ -1242,13 +1230,12 @@ class _ShardedDispatch:
                 continue
             free = [w for w in service.workers
                     if w.free_at <= clock and w.index not in claims]
-            picked = self._shard_gang(free, head.request, dataset)
+            picked = self._shard_gang(free, head)
             if picked is not None:
                 del queue[0]
-                gang, constrained = picked
-                self._serve(head, dataset, gang, constrained, clock)
+                self._serve(head, *picked, clock)
                 continue
-            planned = self._planned_gang(head.request, dataset, claims)
+            planned = self._planned_gang(head, claims)
             if planned is None:
                 break
             t_head, head_gang = planned
@@ -1283,41 +1270,37 @@ class _ShardedDispatch:
         queue = self.queue
         unreserved = [w for w in free if w.index not in head_gang]
         for at in range(1, len(queue)):
-            _key, cand, dataset = queue[at]
+            _key, cand = queue[at]
             if service.shed_expired and cand.deadline < clock:
                 continue
-            request = cand.request
-            picked = self._shard_gang(unreserved, request, dataset,
-                                      clamp=False)
+            picked = self._shard_gang(unreserved, cand, clamp=False)
             if picked is None:
                 # Reserved instances are idle until t_head; the
                 # candidate may borrow them iff its exact modeled
                 # duration returns them in time.
-                picked = self._shard_gang(free, request, dataset,
-                                          clamp=False)
+                picked = self._shard_gang(free, cand, clamp=False)
                 if picked is not None and clock + self._screen_duration(
-                    request, dataset, *picked, clock
+                    *picked, clock
                 ) > t_head:
                     picked = None
             if picked is None:
                 continue
             del queue[at]
-            gang, constrained = picked
+            gang, sharded = picked
             if service.tracer.enabled:
                 service.tracer.instant("backfill", ts=clock, args={
                     "seq": cand.seq,
                     "members": sorted(w.index for w in gang),
                     "head_seq": head.seq,
                 })
-            self._serve(cand, dataset, gang, constrained, clock,
-                        backfill=True)
+            self._serve(cand, gang, sharded, clock, backfill=True)
             self.backfills += 1
             return True
         return False
 
-    def _first_gang(self, order, request, dataset):
-        """The shortest prefix of ``order`` a sharded request fits on,
-        or None.
+    def _first_gang(self, order, item):
+        """``(gang, accelerator)`` for the shortest prefix of ``order``
+        a queued sharded job fits on, or None.
 
         The scan starts at ``ceil(nodes / chip_capacity)`` members,
         which hold the graph on average, but only the very plan the
@@ -1326,32 +1309,35 @@ class _ShardedDispatch:
         that none overfills. The plan comes from the gang's
         :meth:`InferenceService._sharded_for` accelerator, which
         partitions once while consecutive drains use it (an infeasible
-        plan included), so a repeated check is a dict lookup.
+        plan included), so a repeated check is a dict lookup. The
+        accelerator that validated the gang is the one it runs on.
         """
         service = self.service
-        need = -(-request.graph_nodes() // service.chip_capacity)
+        need = -(-item.request.graph_nodes() // service.chip_capacity)
         for end in range(need, len(order) + 1):
             gang = order[:end]
+            sharded = service._sharded_for(gang, item)
             try:
-                service._sharded_for(gang, request, dataset).plan
+                sharded.plan
             except CeilingError:
                 continue
-            return gang
+            return gang, sharded
         return None
 
-    def _shard_gang(self, free, request, dataset, *, clamp=True):
-        """The gang a sharded request runs on: ``(gang, constrained)``.
+    def _shard_gang(self, free, item, *, clamp=True):
+        """The gang a queued sharded job runs on, with the accelerator
+        it runs: ``(gang, accelerator)``, or None.
 
         The shortest fitting prefix of ``free`` (:meth:`_first_gang`),
-        with ``constrained`` True: the run enforces the capacity as
-        every member's hard row ceiling. When the whole pool is free
-        and still holds no fitting gang, the job is pool-clamped onto
-        every instance with ``constrained`` False (the capacity becomes
-        best-effort — the pool physically cannot honor it); otherwise an
-        insufficient *free* set returns None and the job waits for more
-        instances to idle. ``clamp=False`` disables the pool-clamp
-        fallback — the backfill path uses it so only the queue head may
-        ever monopolize the whole pool best-effort.
+        on an accelerator that enforces the capacity as every member's
+        hard row ceiling. When the whole pool is free and still holds no
+        fitting gang, the job is pool-clamped onto every instance, on an
+        unconstrained accelerator (the capacity becomes best-effort —
+        the pool physically cannot honor it); otherwise an insufficient
+        *free* set returns None and the job waits for more instances to
+        idle. ``clamp=False`` disables the pool-clamp fallback — the
+        backfill path uses it so only the queue head may ever
+        monopolize the whole pool best-effort.
 
         The placement policy orders the scan
         (:meth:`~repro.serve.placement.FirstFree.gang_orders`): under
@@ -1359,15 +1345,16 @@ class _ShardedDispatch:
         previous gang first.
         """
         service = self.service
-        for order in service.placement.gang_orders(free, dataset):
-            gang = self._first_gang(order, request, dataset)
-            if gang is not None:
-                return gang, True
+        for order in service.placement.gang_orders(free, item):
+            picked = self._first_gang(order, item)
+            if picked is not None:
+                return picked
         if clamp and free and len(free) == len(service.workers):
-            return list(free), False
+            gang = list(free)
+            return gang, service._sharded_for(gang, item, constrained=False)
         return None
 
-    def _planned_gang(self, request, dataset, exclude):
+    def _planned_gang(self, item, exclude):
         """``(ready_time, member_indices)`` of the head job's plan.
 
         Scans non-excluded instances in ``free_at`` order (index-stable
@@ -1385,29 +1372,29 @@ class _ShardedDispatch:
         workers = self.service.workers
         eligible = [w for w in workers if w.index not in exclude]
         by_free = sorted(eligible, key=lambda w: w.free_at)
-        gang = self._first_gang(by_free, request, dataset)
-        if gang is not None:
+        picked = self._first_gang(by_free, item)
+        if picked is not None:
+            gang = picked[0]
             return gang[-1].free_at, tuple(w.index for w in gang)
         if len(eligible) == len(workers):
             return by_free[-1].free_at, tuple(w.index for w in workers)
         return None
 
-    def _screen_duration(self, request, dataset, gang, constrained, clock):
+    def _screen_duration(self, gang, sharded, clock):
         """Exact modeled duration a sharded dispatch would take *now*.
 
         Runs the very simulation :meth:`_serve` would run — same gang,
-        ceilings, fabric restriction and background — against an
-        uncounted :class:`~repro.serve.cache.OverlayCache` over the
-        first member's cache, whose contents, stats and LRU order stay
+        accelerator (so the same ceilings and fabric restriction) and
+        background — against an uncounted
+        :class:`~repro.serve.cache.OverlayCache` over the first
+        member's cache, whose contents, stats and LRU order stay
         untouched. Because the cache never changes modeled numbers, the
         screened duration equals the dispatched duration exactly; the
         backfill decision is a proof, not an estimate.
         """
-        sharded = self.service._sharded_for(gang, request, dataset,
-                                             constrained=constrained)
         cluster = self._priced(sharded.cluster, clock)
         report = simulate_multichip_gcn(
-            sharded, cluster, a_hops=request.a_hops,
+            sharded, cluster, a_hops=sharded.a_hops,
             cache=OverlayCache(gang[0].cache, counted=False),
         )
         return cluster.chip.cycles_to_seconds(report.total_cycles)
@@ -1602,9 +1589,8 @@ class _ShardedDispatch:
         each preempted gang coming back together."""
         workers = self.service.workers
         if self.queue:
-            _key, head, dataset = self.queue[0]
-            planned = self._planned_gang(head.request, dataset,
-                                         self._resume_claims())
+            _key, head = self.queue[0]
+            planned = self._planned_gang(head, self._resume_claims())
             if planned is not None:
                 horizon.append(planned[0])
             if len(self.queue) > 1:
@@ -1615,9 +1601,9 @@ class _ShardedDispatch:
             if entry.preempted:
                 horizon.append(max(w.free_at for w in entry.gang))
 
-    def _serve(self, item, dataset, gang, constrained, clock, *,
-               backfill=False):
-        """Run one queued job as a multi-chip job on ``gang``.
+    def _serve(self, item, gang, sharded, clock, *, backfill=False):
+        """Run one queued job as a multi-chip job on ``gang``, on the
+        accelerator :meth:`_shard_gang` picked with it.
 
         All participating instances gang-schedule: service starts at
         ``clock``, when every one of them is idle, and they stay busy
@@ -1626,18 +1612,16 @@ class _ShardedDispatch:
         its shard) is passed down, so each shard's tuning state is
         cached independently.
 
-        With ``constrained`` (the normal :meth:`_shard_gang` outcome)
-        ``chip_capacity`` becomes every member's hard
-        :attr:`~repro.cluster.ClusterConfig.row_ceilings` entry — the
-        partitioner and every rebalancing migration keep each shard
-        within it. Pool-clamped jobs run unconstrained (best effort,
-        the pool cannot cover the graph).
+        Normally ``chip_capacity`` is every member's hard
+        :attr:`~repro.cluster.ClusterConfig.row_ceilings` entry in the
+        accelerator's cluster — the partitioner and every rebalancing
+        migration keep each shard within it. A pool-clamped job's
+        accelerator has none (best effort, the pool cannot cover the
+        graph).
         """
         service = self.service
         request = item.request
-        service.placement.gang_landed(item, dataset, gang, clock)
-        sharded = service._sharded_for(gang, request, dataset,
-                                       constrained=constrained)
+        service.placement.gang_landed(item, gang, clock)
         cluster = self._priced(sharded.cluster, clock)
         tr = service.tracer
         if tr.enabled:
@@ -1670,8 +1654,8 @@ class _ShardedDispatch:
         service._n_batches += 1
         result = InferenceResult(
             request_id=request.request_id,
-            dataset=getattr(dataset, "name", "custom"),
-            fingerprint=f"{dataset_fingerprint(dataset)}@{len(gang)}chips",
+            dataset=sharded.name,
+            fingerprint=f"{item.resolved[1]}@{len(gang)}chips",
             total_cycles=report.total_cycles,
             latency_ms=report.latency_ms,
             utilization=report.utilization,

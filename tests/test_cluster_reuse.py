@@ -76,6 +76,10 @@ MIXED_KW = {
 }
 
 
+BURST_KW = dict(MIXED_KW, arrival_rate=1e6, critical_slo_ms=0.01,
+                batch_slo_ms=0.05, sharded_slo_ms=0.05)
+
+
 def _spaced(graphs, gap=1.0):
     """Requests far enough apart that every job finds the pool idle."""
     return [
@@ -164,33 +168,71 @@ class TestReuseCounts:
         assert cycles[0] == cycles[1] == cycles[3] == cycles[4]
 
 
-    @pytest.mark.parametrize("cache_mode", ["shared", "affinity"])
-    def test_one_graph_resolution_per_sharded_job(self, monkeypatch,
-                                                 cache_mode):
-        # Under affinity with replication the placement resolver sees
-        # a sharded job before its queue does; both share one build.
-        resolved = []
-        real = InferenceRequest.resolve_graph
-
-        def counting(request):
-            resolved.append(request)
-            return real(request)
-
-        requests = mixed_traffic(40, seed=1, **MIXED_KW)
-        service = InferenceService(
-            n_workers=4, chip_capacity=256, coschedule=True,
-            critical_slo_ms=1.0, cache_mode=cache_mode,
-            replicate_threshold=3.0 if cache_mode == "affinity" else None,
+    @pytest.mark.parametrize("cache_mode,chip_capacity,shed_expired", [
+        pytest.param(
+            mode, capacity, shed,
+            id=mode + ("" if capacity else "-unsharded")
+            + ("-shed" if shed else ""),
         )
-        service.submit_many(requests)
-        service.drain()
-        monkeypatch.setattr(InferenceRequest, "resolve_graph", counting)
-        service.submit_many(requests)
-        outcome = service.drain()
-        sharded = [r for r in resolved if r.graph.n_nodes > 256]
-        assert outcome.stats.n_sharded > 0
-        assert len(sharded) == outcome.stats.n_sharded
-        assert len({id(r) for r in sharded}) == len(sharded)
+        for mode in ("shared", "partitioned", "affinity")
+        for capacity in (256, None)
+        for shed in (False, True)
+    ])
+    def test_one_graph_resolution_per_sharded_job(self, monkeypatch,
+                                                 cache_mode, chip_capacity,
+                                                 shed_expired):
+        # Every request is resolved once, at admission, shed or not:
+        # placement, replication, the sharded queue and the serve read
+        # what admission resolved. A dispatched sharded job runs on the
+        # accelerator its gang scan validated: one window lookup.
+        calls = {"resolve_graph": [], "_sharded_for": []}
+
+        def counting(owner, name, argument):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name].append(args[argument])
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(InferenceRequest, "resolve_graph", 0)  # the request
+        counting(InferenceService, "_sharded_for", 2)  # the queued job
+
+        def service():
+            return InferenceService(
+                n_workers=4, chip_capacity=chip_capacity, coschedule=True,
+                critical_slo_ms=1.0, cache_mode=cache_mode,
+                shed_expired=shed_expired,
+                replicate_threshold=(3.0 if cache_mode == "affinity"
+                                     else None),
+            )
+
+        # A burst with microsecond SLOs: with shed_expired, requests
+        # expire while queueing, sharded jobs among them.
+        requests = mixed_traffic(40, seed=1, **BURST_KW)
+        warm = service()
+        warm.submit_many(requests)
+        warm.drain()
+        calls["resolve_graph"].clear()
+        warm.submit_many(requests)
+        outcome = warm.drain()
+        resolved = calls["resolve_graph"]
+        assert sorted(r.request_id for r in resolved) == sorted(
+            r.request_id for r in outcome.results
+        )
+        assert len({id(r) for r in resolved}) == len(requests)
+        assert (outcome.stats.n_sharded > 0) == (chip_capacity is not None)
+        assert (outcome.stats.n_shed > 0) == shed_expired
+
+        spaced = service()
+        spaced.submit_many(_spaced([BIG_A, BIG_B] * 3))
+        calls["_sharded_for"].clear()
+        outcome = spaced.drain()
+        jobs = calls["_sharded_for"]
+        assert outcome.stats.n_sharded == (0 if chip_capacity is None
+                                           else 6)
+        assert len(jobs) == len({id(item) for item in jobs})
+        assert len(jobs) == outcome.stats.n_sharded
 
 
 class TestDrainWindow:
@@ -267,12 +309,11 @@ def _sharded_entries(window):
 class _FreshShardedService(InferenceService):
     """The no-reuse oracle: a new accelerator for every sharded use."""
 
-    def _sharded_for(self, gang, request, dataset, *, constrained=True):
+    def _sharded_for(self, gang, item, *, constrained=True):
         for window in (self._accels, self._accels_prev):
             for key in _sharded_entries(window):
                 del window[key]
-        return super()._sharded_for(gang, request, dataset,
-                                    constrained=constrained)
+        return super()._sharded_for(gang, item, constrained=constrained)
 
 
 def _result_key(result):

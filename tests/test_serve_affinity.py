@@ -87,12 +87,15 @@ class _StubStream:
 
 
 def _route(service, items, estimate, *, claimed=frozenset()):
-    """Place a sealed batch at clock 0 as the drain does: the service's
-    placement policy over its unclaimed instances, against a scheduler
-    whose service estimate is ``estimate``."""
+    """Place a sealed batch at clock 0 as the drain does: the items
+    resolved as admission resolves them, then the service's placement
+    policy over its unclaimed instances, against a scheduler whose
+    service estimate is ``estimate``."""
+    for item in items:
+        service._resolve(item)
     unclaimed = [w for w in service.workers if w.index not in claimed]
     return service.placement.place(
-        items, unclaimed, 0.0, _StubStream(estimate), service._resolve,
+        items, unclaimed, 0.0, _StubStream(estimate),
     )
 
 
@@ -414,6 +417,31 @@ class TestAffinityRouting:
         worker = _route(service, [item], 0.001, claimed=frozenset({1}))
         assert worker is service.workers[0]
 
+    def test_a_sharded_family_relands_on_its_last_gang(self):
+        # Gang memory is kept per family: a job whose graph is another
+        # object with the same fingerprint tries the gang the family
+        # last ran on first, and landing there again counts as warm.
+        service = self._service(n_workers=4, chip_capacity=128)
+        graph = _spec(1, n_nodes=256).build()
+        twin = dataclasses.replace(graph, name="twin")
+        first, again = (
+            QueuedRequest(seq=seq, request=InferenceRequest(
+                graph=job_graph, config=CFG, arrival_time=0.0,
+            ))
+            for seq, job_graph in enumerate((graph, twin))
+        )
+        for item in (first, again):
+            service._resolve(item, True)
+        assert first.resolved[1] == again.resolved[1]
+        workers = service.workers
+        policy = service.placement
+        policy.gang_landed(first, workers[2:], 0.0)
+        assert policy.gang_orders(workers, again) == [
+            workers[2:] + workers[:2], workers,
+        ]
+        policy.gang_landed(again, workers[2:], 1.0)
+        assert (policy.routes, policy.route_hits) == (2, 1)
+
     def test_affinity_changes_no_modeled_number(self):
         requests = streaming_traffic(
             16, arrival_rate=2000.0, slo_ms=50.0, n_graphs=3, n_nodes=256,
@@ -486,10 +514,8 @@ class TestReplicaAdmission:
         item = QueuedRequest(seq=0, request=request)
         # Routing is where the policy learns a family's keys.
         _route(service, [item], 0.0)
-        service._accel_for(request).run(
-            cache=service.workers[holder].cache
-        )
-        _accel, family, key = service._resolve(item)
+        accel, family, key = item.resolved
+        accel.run(cache=service.workers[holder].cache)
         if demand:
             service.placement._demand.record(family, 0.0, weight=demand)
         return key

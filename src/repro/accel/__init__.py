@@ -48,7 +48,6 @@ from repro.accel.gcnaccel import (
     AcceleratorReport,
     CachedStage,
     CachedTuning,
-    ColdRun,
     GcnAccelerator,
     LayerTiming,
     build_spmm_jobs,
@@ -84,7 +83,6 @@ __all__ = [
     "AcceleratorReport",
     "CachedStage",
     "CachedTuning",
-    "ColdRun",
     "GcnAccelerator",
     "LayerTiming",
     "build_spmm_jobs",

@@ -163,12 +163,14 @@ class AutotuneCache:
         recency.
         """
         key = self.key(fingerprint, config)
-        entry = self._entries.get(key)
+        # A hit moves its key to the back with one pop and one
+        # re-insert: each dict operation re-hashes the config.
+        entry = self._entries.pop(key, None)
         if entry is None:
             self._misses += 1
         else:
             self._hits += 1
-            self._entries[key] = self._entries.pop(key)
+            self._entries[key] = entry
             meta = self._meta[key]
             meta[0] += 1
             meta[1] = self.clock

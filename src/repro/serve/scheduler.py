@@ -152,6 +152,36 @@ class RequestQueue:
         return pending
 
 
+@dataclass(slots=True)
+class _Surface:
+    """The service-time EWMA of one hardware surface ``(config,
+    a_hops)``, shared by every group batching on it."""
+
+    seconds: float = 0.0
+    """Per-request modeled service seconds (0.0 before any
+    observation)."""
+    observed: bool = False
+    """Whether :meth:`StreamingScheduler.observe` has fed it yet: the
+    first observation sets the estimate, later ones average into it.
+    A flag, since 0.0 is a valid observation."""
+
+
+@dataclass(slots=True)
+class _Group:
+    """The pending members of one grouping key, with what its cut time
+    reads, so no per-tick scan hashes the key."""
+
+    key: tuple
+    surface: _Surface
+    """The EWMA record of ``key[:2]``, shared with the surface's other
+    priority-class groups and updated in place."""
+    items: list = field(default_factory=list)
+    """Admitted members in arrival order; emptied by each cut."""
+    tightest: float = math.inf
+    """Running minimum of the members' deadlines: :meth:`admit` lowers
+    it, a cut resets it to inf."""
+
+
 class StreamingScheduler:
     """Event-driven admission with deadline-aware batch cutting.
 
@@ -162,9 +192,10 @@ class StreamingScheduler:
     * **size cut** — the group reached ``max_batch`` members;
     * **deadline cut** — :meth:`cut_due` finds the group's cut time has
       passed: its tightest member deadline minus the estimated batch
-      service time (a per-group EWMA of observed per-request modeled
-      service seconds, fed back via :meth:`observe`) says the batch
-      must start now to have a chance of meeting the SLO;
+      service time (an EWMA of observed per-request modeled service
+      seconds per ``(config, a_hops)`` surface, fed back via
+      :meth:`observe`) says the batch must start now to have a chance
+      of meeting the SLO;
     * **flush** — the arrival stream ended (:meth:`flush`).
 
     Cut batches wait in an EDF priority queue: :meth:`pop_ready` hands
@@ -219,10 +250,12 @@ class StreamingScheduler:
         """Event sink (:mod:`repro.obs`): every sealed batch emits a
         ``batch.cut`` instant stamped with the cut reason."""
         self._groups = {}
-        self._tightest = {}
+        """Grouping key -> its :class:`_Group`, in first-seen order (the
+        order every cut scan visits them in). A record outlives its
+        cuts, so a key is hashed once per admitted request."""
+        self._surfaces = {}
+        """``(config, a_hops)`` -> its shared :class:`_Surface`."""
         self._pending = 0
-        self._order = []
-        self._estimates = {}
         self._ready = []
         self._n_dispatched = 0
         self.shed_log = []
@@ -255,16 +288,14 @@ class StreamingScheduler:
         key = self._group_key(item.request)
         group = self._groups.get(key)
         if group is None:
-            group = self._groups[key] = []
-            self._tightest[key] = math.inf
-            if key not in self._order:
-                self._order.append(key)
-        group.append(item)
+            group = self._groups[key] = _Group(key, self._surface(key[:2]))
+        group.items.append(item)
         self._pending += 1
-        if item.deadline < self._tightest[key]:
-            self._tightest[key] = item.deadline
-        if self.max_batch is not None and len(group) >= self.max_batch:
-            self._cut(key, item.arrival_time if now is None else now,
+        if item.deadline < group.tightest:
+            group.tightest = item.deadline
+        if (self.max_batch is not None
+                and len(group.items) >= self.max_batch):
+            self._cut(group, item.arrival_time if now is None else now,
                       reason="size")
 
     def _group_key(self, request):
@@ -286,16 +317,25 @@ class StreamingScheduler:
         ``seconds`` is the request's modeled hardware service time in
         simulated seconds (cycles at the config clock — not the
         wall-clock simulation cost). Updates the ``(config, a_hops)``
-        group's EWMA estimate (half-life one observation), which the
-        deadline cut uses to answer "how long would this batch take if
-        it started now".
+        surface's EWMA estimate (half-life one observation), which the
+        deadline cut of every group on that surface uses to answer
+        "how long would this batch take if it started now".
         """
-        key = (config, a_hops)
-        previous = self._estimates.get(key)
-        if previous is None:
-            self._estimates[key] = seconds
+        surface = self._surface((config, a_hops))
+        if surface.observed:
+            surface.seconds = 0.5 * surface.seconds + 0.5 * seconds
         else:
-            self._estimates[key] = 0.5 * previous + 0.5 * seconds
+            surface.seconds = seconds
+            surface.observed = True
+
+    def _surface(self, surface_key):
+        """The one :class:`_Surface` record of a ``(config, a_hops)``
+        key, made on first use. Groups keep a reference to it, so
+        :meth:`observe` updates it in place, never replaces it."""
+        surface = self._surfaces.get(surface_key)
+        if surface is None:
+            surface = self._surfaces[surface_key] = _Surface()
+        return surface
 
     def estimate(self, config, a_hops):
         """Current EWMA per-request service estimate for a group key.
@@ -304,23 +344,24 @@ class StreamingScheduler:
         a wait budget (cache-affinity routing) therefore never wait
         while the scheduler knows nothing.
         """
-        return self._estimates.get((config, a_hops), 0.0)
+        surface = self._surfaces.get((config, a_hops))
+        return 0.0 if surface is None else surface.seconds
 
-    def _cut_time(self, key):
-        """Simulated second at which this group must be sealed: its
-        tightest member deadline minus the estimated batch service
-        time. O(1): the tightest deadline is a running minimum that
-        :meth:`admit` lowers and :meth:`_cut` resets."""
-        # Estimates are keyed by the hardware surface alone — the
-        # priority suffix of a 3-element group key carries no service
-        # time information.
-        estimate = self._estimates.get(key[:2], 0.0) * len(self._groups[key])
-        return self._tightest[key] - estimate
+    def _cut_time(self, group):
+        """Simulated second at which a :class:`_Group` must be sealed:
+        its tightest member deadline minus the estimated batch service
+        time. O(1) and hashes nothing: the tightest deadline is a
+        running minimum that :meth:`admit` lowers and :meth:`_cut`
+        resets, and the estimate is the group's surface record (the
+        priority suffix of a 3-element key carries no service-time
+        information)."""
+        return group.tightest - group.surface.seconds * len(group.items)
 
     def next_cut_time(self):
         """Earliest second any live group needs cutting (inf if none)."""
         times = [
-            self._cut_time(key) for key in self._order if self._groups.get(key)
+            self._cut_time(group)
+            for group in self._groups.values() if group.items
         ]
         return min(times) if times else math.inf
 
@@ -332,9 +373,9 @@ class StreamingScheduler:
         service time is at or before ``now``.
         """
         cut = 0
-        for key in self._order:
-            if self._groups.get(key) and self._cut_time(key) <= now:
-                self._cut(key, now, reason="deadline")
+        for group in self._groups.values():
+            if group.items and self._cut_time(group) <= now:
+                self._cut(group, now, reason="deadline")
                 cut += 1
         return cut
 
@@ -344,26 +385,27 @@ class StreamingScheduler:
         ``now`` is the simulated instant of the flush — the batch-cut
         time stamped on any members shed here.
         """
-        for key in self._order:
-            if self._groups.get(key):
-                self._cut(key, now, reason="flush")
+        for group in self._groups.values():
+            if group.items:
+                self._cut(group, now, reason="flush")
 
     def take_shed(self):
         """Drain and return the accumulated shed log."""
         shed, self.shed_log = self.shed_log, []
         return shed
 
-    def _cut(self, key, now, *, reason="flush"):
-        """Seal one group into the EDF-ordered ready queue.
+    def _cut(self, group, now, *, reason="flush"):
+        """Seal one :class:`_Group` into the EDF-ordered ready queue.
 
         With ``shed_expired``, members whose deadline lies strictly
         before ``now`` are logged as shed instead of sealed; a group
         whose members all expired produces no batch (and no
         ``batch.cut`` event — only sealed batches trace).
         """
-        items = self._groups[key]
-        self._groups[key] = []
-        self._tightest[key] = math.inf
+        items = group.items
+        key = group.key
+        group.items = []
+        group.tightest = math.inf
         self._pending -= len(items)
         if self.shed_expired:
             live = []

@@ -31,6 +31,7 @@ from repro.serve import (
     streaming_traffic,
     synthetic_traffic,
 )
+from repro.serve.bench import DEFAULT_GRAPH_KWARGS, default_serving_config
 from repro.serve.cache import OverlayCache
 from repro.serve.traffic import clear_graph_cache
 
@@ -1137,6 +1138,50 @@ class TestDrainWindow:
         assert refs[0] and refs[1]
         assert all(ref() is None for round_refs in refs[:2]
                    for ref in round_refs)
+
+
+class TestWarmRequestCost:
+    """A warm request is a few dict hits: counted over a second drain
+    of repeat traffic, where every request is a cache hit."""
+
+    # Per request: the scheduler group (admit), the accelerator window,
+    # the cache hit's pop, re-insert and metadata read, and observe.
+    HASHES_PER_REQUEST = 6
+    # Per drain: each accelerator key's first use moves its record out
+    # of the previous drain's window, and each scheduler group and
+    # surface record is made once.
+    HASHES_PER_DRAIN = 32
+
+    def test_a_warm_request_hashes_its_config_six_times(self, monkeypatch):
+        requests = streaming_traffic(
+            500, arrival_rate=20_000.0, slo_ms=5.0, n_nodes=256,
+            family_size=8, repeat_alpha=1.1, seed=1,
+            configs=(default_serving_config(32),),
+            graph_kwargs=DEFAULT_GRAPH_KWARGS,
+        )
+        service = InferenceService(n_workers=4, cache=True, max_batch=8)
+        service.submit_many(requests)
+        service.drain()
+        service.submit_many(requests)
+        calls = {"__hash__": 0, "lookup": 0}
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(ArchConfig, "__hash__")
+        counting(AutotuneCache, "lookup")
+        outcome = service.drain()
+        monkeypatch.undo()
+        n = len(requests)
+        assert outcome.stats.cache_hits == n
+        assert calls["lookup"] == n
+        assert calls["__hash__"] <= (self.HASHES_PER_REQUEST * n
+                                     + self.HASHES_PER_DRAIN)
 
 
 class TestSyntheticTraffic:

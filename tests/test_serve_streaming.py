@@ -14,7 +14,7 @@ simulation cost, never a cycle count or a simulated timestamp.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.accel import ArchConfig
@@ -545,17 +545,16 @@ class TestFairnessProperties:
 
 class _RescanningScheduler(StreamingScheduler):
     """The oracle for the scheduler's O(1) bookkeeping: every cut time
-    rescans its group's member deadlines and ``pending`` sums the
-    groups."""
+    rescans its group's member deadlines and reads the estimate through
+    the public :meth:`estimate`, and ``pending`` sums the groups."""
 
     @property
     def pending(self):
-        return sum(len(group) for group in self._groups.values())
+        return sum(len(group.items) for group in self._groups.values())
 
-    def _cut_time(self, key):
-        group = self._groups[key]
-        tightest = min(item.request.deadline for item in group)
-        estimate = self._estimates.get(key[:2], 0.0) * len(group)
+    def _cut_time(self, group):
+        tightest = min(item.request.deadline for item in group.items)
+        estimate = self.estimate(*group.key[:2]) * len(group.items)
         return tightest - estimate
 
 
@@ -604,11 +603,19 @@ def _popped(stream):
 class TestRunningDeadlineMinimum:
     @settings(max_examples=200, deadline=None)
     @given(scheduler_runs())
+    # A first observation of 0.0 seconds is an observation: the next
+    # one averages with it.
+    @example(({"max_batch": None, "shed_expired": False,
+               "priorities": False, "critical_slo_ms": 1.0},
+              [("observe", 0, 0.0), ("observe", 0, 1e-3)]))
     def test_running_minimum_equals_a_rescan(self, run):
         knobs, ops = run
         fast = StreamingScheduler(**knobs)
         oracle = _RescanningScheduler(**knobs)
         both = (fast, oracle)
+        # The EWMA folded by hand, per config index: the first
+        # observation sets it, each later one averages half-and-half.
+        ewma = {}
         clock = 0.0
         for seq, op in enumerate(ops):
             kind = op[0]
@@ -625,8 +632,11 @@ class TestRunningDeadlineMinimum:
                 clock += op[1]
                 assert fast.cut_due(clock) == oracle.cut_due(clock)
             elif kind == "observe":
+                _kind, config, seconds = op
                 for stream in both:
-                    stream.observe(STREAM_CONFIGS[op[1]], 1, op[2])
+                    stream.observe(STREAM_CONFIGS[config], 1, seconds)
+                ewma[config] = (0.5 * ewma[config] + 0.5 * seconds
+                                if config in ewma else seconds)
             elif kind == "flush":
                 clock += op[1]
                 for stream in both:
@@ -634,6 +644,9 @@ class TestRunningDeadlineMinimum:
             elif fast.ready:
                 assert _popped(fast) == _popped(oracle)
             assert _scheduler_state(fast) == _scheduler_state(oracle)
+            assert [fast.estimate(config, 1) for config in STREAM_CONFIGS] == [
+                ewma.get(index, 0.0) for index in range(len(STREAM_CONFIGS))
+            ]
         for stream in both:
             stream.flush(now=clock)
         while fast.ready:

@@ -256,11 +256,18 @@ class StreamingScheduler:
         self._surfaces = {}
         """``(config, a_hops)`` -> its shared :class:`_Surface`."""
         self._pending = 0
+        """Admitted members not yet sealed into a batch: :meth:`admit`
+        adds one, a cut subtracts its group. The serving loop reads it
+        once or twice per tick, without a property call."""
         self._ready = []
+        """The EDF heap of sealed batches. It is only ever mutated in
+        place, never rebound, so the serving loop holds it for a whole
+        drain and reads its length per tick without a call."""
         self._n_dispatched = 0
         self.shed_log = []
         """``(QueuedRequest, shed_time)`` pairs of rejected members, in
-        shed order; the service drains it via :meth:`take_shed`."""
+        shed order; the service drains it via :meth:`take_shed`. Only
+        ``shed_expired`` fills it."""
 
     @property
     def pending(self):
@@ -311,22 +318,26 @@ class StreamingScheduler:
             key = key + (request.priority_class(self.critical_slo_ms),)
         return key
 
-    def observe(self, config, a_hops, seconds):
-        """Feed back one served request's modeled service time.
+    def observe(self, config, a_hops, *seconds):
+        """Feed back served requests' modeled service times, in service
+        order.
 
-        ``seconds`` is the request's modeled hardware service time in
-        simulated seconds (cycles at the config clock — not the
-        wall-clock simulation cost). Updates the ``(config, a_hops)``
-        surface's EWMA estimate (half-life one observation), which the
-        deadline cut of every group on that surface uses to answer
-        "how long would this batch take if it started now".
+        Each of ``seconds`` is one request's modeled hardware service
+        time in simulated seconds (cycles at the config clock — not the
+        wall-clock simulation cost). Folds them, in order, into the
+        ``(config, a_hops)`` surface's EWMA estimate (half-life one
+        observation), which the deadline cut of every group on that
+        surface uses to answer "how long would this batch take if it
+        started now". The service passes a whole batch's times in one
+        call, so the surface is looked up once per batch.
         """
         surface = self._surface((config, a_hops))
-        if surface.observed:
-            surface.seconds = 0.5 * surface.seconds + 0.5 * seconds
-        else:
-            surface.seconds = seconds
-            surface.observed = True
+        for value in seconds:
+            if surface.observed:
+                surface.seconds = 0.5 * surface.seconds + 0.5 * value
+            else:
+                surface.seconds = value
+                surface.observed = True
 
     def _surface(self, surface_key):
         """The one :class:`_Surface` record of a ``(config, a_hops)``
@@ -347,34 +358,38 @@ class StreamingScheduler:
         surface = self._surfaces.get((config, a_hops))
         return 0.0 if surface is None else surface.seconds
 
-    def _cut_time(self, group):
-        """Simulated second at which a :class:`_Group` must be sealed:
-        its tightest member deadline minus the estimated batch service
-        time. O(1) and hashes nothing: the tightest deadline is a
-        running minimum that :meth:`admit` lowers and :meth:`_cut`
-        resets, and the estimate is the group's surface record (the
-        priority suffix of a 3-element key carries no service-time
-        information)."""
-        return group.tightest - group.surface.seconds * len(group.items)
-
     def next_cut_time(self):
-        """Earliest second any live group needs cutting (inf if none)."""
-        times = [
-            self._cut_time(group)
-            for group in self._groups.values() if group.items
-        ]
-        return min(times) if times else math.inf
+        """Earliest second any live group needs cutting (inf if none).
+
+        A group's cut time is its tightest member deadline minus the
+        estimated batch service time. It is O(1) and hashes nothing:
+        the tightest deadline is a running minimum that :meth:`admit`
+        lowers and :meth:`_cut` resets, and the estimate is the group's
+        surface record (the priority suffix of a 3-element key carries
+        no service-time information). The scan makes no call and builds
+        no list per group.
+        """
+        earliest = math.inf
+        for group in self._groups.values():
+            items = group.items
+            if items:
+                at = group.tightest - group.surface.seconds * len(items)
+                if at < earliest:
+                    earliest = at
+        return earliest
 
     def cut_due(self, now):
         """Seal every group whose cut time has passed; returns the count.
 
         ``now`` is the current simulated-clock second. A group is due
         when its tightest member deadline minus the estimated batch
-        service time is at or before ``now``.
+        service time (:meth:`next_cut_time`) is at or before ``now``.
         """
         cut = 0
         for group in self._groups.values():
-            if group.items and self._cut_time(group) <= now:
+            items = group.items
+            if (items and group.tightest
+                    - group.surface.seconds * len(items) <= now):
                 self._cut(group, now, reason="deadline")
                 cut += 1
         return cut

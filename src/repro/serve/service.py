@@ -628,6 +628,13 @@ class InferenceService:
         The loop keeps the clock, admission, batch cutting and batch
         dispatch; oversized requests go to this drain's
         :class:`_ShardedDispatch` (None without ``chip_capacity``).
+        A tick pays for its events, not for the pool: it reads the
+        scheduler's counts without a call, collects shed members only
+        when the service sheds, and checks for a livelock only on a
+        tick whose clock did not advance. Two such ticks in a row with
+        the same loop state mean no event can ever fire again, and the
+        drain raises :class:`RuntimeError` ("serving event loop
+        stalled") instead of spinning.
         """
         queued = self.queue.drain()
         for worker in self.workers:
@@ -663,6 +670,11 @@ class InferenceService:
                                     critical_slo_ms=self.critical_slo_ms,
                                     tracer=tr)
 
+        # The scheduler's ready heap is mutated in place, never rebound:
+        # the loop reads its length, and the pending count, per tick
+        # without a call.
+        ready = stream._ready
+        shed = self.shed_expired
         results = []
         capacity = self.chip_capacity
         sharding = (None if capacity is None
@@ -674,7 +686,7 @@ class InferenceService:
         placement.begin_drain()
         last_snapshot = None
         started = time.perf_counter()
-        while (i < n or stream.pending or stream.ready
+        while (i < n or stream._pending or ready
                or (sharding is not None and sharding.waiting())):
             if trace:
                 tr.set_time(clock)
@@ -682,7 +694,7 @@ class InferenceService:
             # request's graph once. Size cuts happen inside admit(), in
             # arrival order; graphs over the per-chip capacity divert to
             # the sharded-job queue.
-            while i < n and queued[i].arrival_time <= clock:
+            while i < n and queued[i].request.arrival_time <= clock:
                 item = queued[i]
                 needs_shards = (capacity is not None
                                 and item.request.graph_nodes() > capacity)
@@ -710,8 +722,9 @@ class InferenceService:
             if i >= n:
                 stream.flush(now=clock)
             # Record anything admission control shed at the cuts above.
-            for item, when in stream.take_shed():
-                results.append((item.seq, self._shed_result(item, when)))
+            if shed:
+                for item, when in stream.take_shed():
+                    results.append((item.seq, self._shed_result(item, when)))
             # Sharded jobs dispatch first. The instances they hold back
             # (the waiting head's gang claim, preempted jobs' resumes)
             # take no new batch.
@@ -724,7 +737,7 @@ class InferenceService:
             # under co-scheduling), to the instance the placement policy
             # picks; a deadline-critical batch with nowhere to go may
             # arm a boundary preemption instead.
-            while stream.ready:
+            while ready:
                 items = stream.peek_ready()
                 worker = placement.place(items, unclaimed, clock, stream)
                 if worker is None:
@@ -740,8 +753,8 @@ class InferenceService:
             placement.tick(clock)
             if trace:
                 tr.counter("service.queue", ts=clock, values={
-                    "pending": stream.pending,
-                    "ready": stream.ready,
+                    "pending": stream._pending,
+                    "ready": len(ready),
                     "sharded": 0 if sharding is None else len(sharding.queue),
                     "active": 0 if sharding is None else len(sharding.active),
                 })
@@ -750,10 +763,10 @@ class InferenceService:
             # one of the sharded policy's events.
             horizon = []
             if i < n:
-                horizon.append(queued[i].arrival_time)
-            if stream.pending:
+                horizon.append(queued[i].request.arrival_time)
+            if stream._pending:
                 horizon.append(stream.next_cut_time())
-            if stream.ready:
+            if ready:
                 if sharding is not None:
                     # Grants and resumes may have moved the claims.
                     claimed = sharding.claimed()
@@ -766,14 +779,21 @@ class InferenceService:
                 sharding.next_events(clock, horizon)
             if not horizon:
                 break
-            clock = max(clock, min(horizon))
-            # Livelock backstop: two identical consecutive snapshots
-            # mean no event can ever fire again — fail loudly instead
-            # of spinning (a claimed-worker accounting bug would
-            # otherwise hang the caller silently).
+            next_clock = min(horizon)
+            if next_clock > clock:
+                # The clock advanced: this tick made progress, so no
+                # livelock snapshot is due.
+                clock = next_clock
+                last_snapshot = None
+                continue
+            # Livelock backstop, on a tick whose clock did not advance:
+            # two such ticks in a row with identical snapshots of the
+            # loop state mean no event can ever fire again — fail loudly
+            # instead of spinning (a claimed-worker accounting bug would
+            # otherwise hang the caller silently). The clock is the same
+            # at both, so the snapshot leaves it out.
             snapshot = (
-                clock, i, len(results),
-                int(stream.ready), int(stream.pending),
+                i, len(results), len(ready), stream._pending,
                 self._n_batches,
                 tuple(w.free_at for w in self.workers),
                 None if sharding is None else (
@@ -958,12 +978,16 @@ class InferenceService:
                 return
         now = start
         wall_started = time.perf_counter()
+        served = []
         for item in items:
             result = self._serve_one(item, batch, worker, now)
             now = result.finish_time
-            stream.observe(item.request.config, item.request.a_hops,
-                           result.modeled_seconds)
+            served.append(result.modeled_seconds)
             results.append((item.seq, result))
+        # Every member shares the batch's surface, and nothing reads its
+        # estimate while the batch runs: fold the members' times in
+        # service order, with one surface lookup.
+        stream.observe(batch.config, items[0].request.a_hops, *served)
         elapsed = time.perf_counter() - wall_started
         worker.busy_seconds += elapsed
         worker.free_at = now
@@ -1173,6 +1197,9 @@ class _ShardedDispatch:
         self.backfills = 0
         self.preemptions = 0
         self._last_claim = None
+        self._plan = None
+        """The head's last plan with what it was made from: ``(head,
+        resume claims, free_at vector, plan)`` (:meth:`_plan_head`)."""
 
     def admit(self, item):
         """Queue one oversized request, resolved at admission to its
@@ -1235,7 +1262,7 @@ class _ShardedDispatch:
                 del queue[0]
                 self._serve(head, *picked, clock)
                 continue
-            planned = self._planned_gang(head, claims)
+            planned = self._plan_head(head, claims)
             if planned is None:
                 break
             t_head, head_gang = planned
@@ -1379,6 +1406,25 @@ class _ShardedDispatch:
         if len(eligible) == len(workers):
             return by_free[-1].free_at, tuple(w.index for w in workers)
         return None
+
+    def _plan_head(self, head, claims):
+        """The queue head's :meth:`_planned_gang` plan, excluding the
+        resume ``claims``.
+
+        A plan depends only on the head, the claims and every
+        instance's ``free_at``, so while all three are unchanged the
+        last plan is reused: a waiting head is planned once, not once
+        in :meth:`dispatch` and again in :meth:`next_events`, and not
+        again on a later tick that moved none of them.
+        """
+        free_at = [w.free_at for w in self.service.workers]
+        memo = self._plan
+        if (memo is not None and memo[0] is head and memo[1] == claims
+                and memo[2] == free_at):
+            return memo[3]
+        planned = self._planned_gang(head, claims)
+        self._plan = (head, claims, free_at, planned)
+        return planned
 
     def _screen_duration(self, gang, sharded, clock):
         """Exact modeled duration a sharded dispatch would take *now*.
@@ -1590,7 +1636,7 @@ class _ShardedDispatch:
         workers = self.service.workers
         if self.queue:
             _key, head = self.queue[0]
-            planned = self._planned_gang(head, self._resume_claims())
+            planned = self._plan_head(head, self._resume_claims())
             if planned is not None:
                 horizon.append(planned[0])
             if len(self.queue) > 1:

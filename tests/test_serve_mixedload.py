@@ -51,6 +51,7 @@ from repro.serve import (
     streaming_traffic,
     synthetic_traffic,
 )
+from repro.serve.service import _ShardedDispatch
 
 CFG = ArchConfig(n_pes=16, hop=1, remote_switching=True)
 TINY = {"avg_degree": 6, "f1": 16, "f2": 8, "f3": 4}
@@ -421,6 +422,64 @@ class TestBackfillStranding:
         for name in ("A", "B", "C"):
             assert co[name].start_time == plain[name].start_time
             assert co[name].total_cycles == plain[name].total_cycles
+
+
+class TestWaitingHeadPlan:
+    """A waiting sharded head is planned once per tick: the dispatch
+    policy reuses its last plan while the head, the resume claims and
+    every instance's ``free_at`` are unchanged, and re-plans when one
+    of them moves."""
+
+    def test_a_waiting_head_is_planned_once_per_tick(self, monkeypatch):
+        # 4 instances x 256 rows: A (400 rows, 2 chips) starts on
+        # instances 0-1; B (700 rows, 3 chips) waits for a third.
+        service = InferenceService(n_workers=4, chip_capacity=256)
+        service.submit_many([
+            InferenceRequest(graph=RmatGraphSpec(n_nodes=nodes, seed=seed,
+                                                 **TINY),
+                             config=CFG, arrival_time=0.0)
+            for nodes, seed in ((400, 11), (700, 12))
+        ])
+        results = []
+        sharding = _ShardedDispatch(service, results)
+        for item in service.queue.drain():
+            service._resolve(item, True)
+            sharding.admit(item)
+        real = _ShardedDispatch._planned_gang
+        planned = []
+
+        def counting(self, item, exclude):
+            planned.append(item.seq)
+            return real(self, item, exclude)
+
+        monkeypatch.setattr(_ShardedDispatch, "_planned_gang", counting)
+        sharding.dispatch(0.0)
+        assert [seq for seq, _result in results] == [0]
+        a_finish = results[0][1].finish_time
+        horizon = []
+        sharding.next_events(0.0, horizon)
+        # One plan for the tick: next_events reused dispatch's.
+        assert planned == [1]
+        assert horizon == [a_finish]
+        # A later tick that moved nothing plans nothing.
+        assert sharding.dispatch(a_finish / 4) == set()
+        sharding.next_events(a_finish / 4, [])
+        assert planned == [1]
+        # An instance's free_at moved: the head is planned again, and
+        # the reused plan is what a fresh plan reads.
+        service.workers[2].free_at = a_finish / 2
+        horizon = []
+        sharding.next_events(a_finish / 4, horizon)
+        assert planned == [1, 1]
+        assert horizon == [a_finish]
+        head = sharding.queue[0][1]
+        assert sharding._plan_head(head, set()) == real(sharding, head,
+                                                        set())
+        assert planned == [1, 1]
+        # The resume claims moved: claiming two of the four instances
+        # leaves no 3-chip gang to plan.
+        assert sharding._plan_head(head, {2, 3}) is None
+        assert planned == [1, 1, 1]
 
 
 class TestFabricSharing:

@@ -22,6 +22,7 @@ from repro.errors import ConfigError
 from repro.serve import (
     AutotuneCache,
     InferenceRequest,
+    InferenceService,
     LatencyStats,
     QueuedRequest,
     RequestQueue,
@@ -34,6 +35,7 @@ from repro.serve import (
     streaming_traffic,
 )
 from repro.serve.bench import DEFAULT_GRAPH_KWARGS, default_serving_config
+from repro.serve.placement import FirstFree
 
 CFG_A = ArchConfig(n_pes=16, hop=1, remote_switching=True)
 CFG_B = ArchConfig(n_pes=32, hop=1, remote_switching=True)
@@ -138,6 +140,18 @@ class TestStreamingSchedulerCuts:
         # Two queued members need two estimated services before the
         # tightest deadline: 1.0s - 2 * 0.1s.
         assert stream.next_cut_time() == pytest.approx(0.8)
+
+    def test_observing_a_batch_equals_observing_each_member(self):
+        # The service folds a whole batch's times in one call; the EWMA
+        # must take them in order, exactly as one call per member.
+        seconds = (0.0, 3e-4, 1e-4, 7e-4)
+        batched = StreamingScheduler()
+        batched.observe(CFG_A, 1, *seconds)
+        single = StreamingScheduler()
+        for value in seconds:
+            single.observe(CFG_A, 1, value)
+        assert batched.estimate(CFG_A, 1) == single.estimate(CFG_A, 1)
+        assert batched.estimate(CFG_B, 1) == 0.0
 
     def test_no_deadline_no_timeout_never_cuts(self):
         stream = StreamingScheduler()
@@ -379,6 +393,41 @@ class TestStreamingService:
         assert outcome.stats.modeled_requests_per_second > 0.0
 
 
+class _NeverPlaces(FirstFree):
+    """A placement policy that never hands a sealed batch to any
+    instance: once the arrivals are in, no event can fire again."""
+
+    MAX_TICKS = 1_000
+
+    def __init__(self):
+        self.ticks = 0
+
+    def place(self, items, candidates, clock, stream):
+        return None
+
+    def tick(self, clock):
+        # Fail fast, without a test timeout, if the backstop is broken.
+        self.ticks += 1
+        if self.ticks > self.MAX_TICKS:
+            pytest.fail(f"the drain spun {self.ticks} ticks without "
+                        "raising the livelock backstop")
+
+
+class TestLivelockBackstop:
+    def test_a_loop_that_cannot_progress_raises(self):
+        # The arrivals advance the clock first; then every tick leaves
+        # the loop state unchanged, and the check raises at the second.
+        service = InferenceService(n_workers=2, cache=None, max_batch=2)
+        policy = service.placement = _NeverPlaces()
+        service.submit_many([
+            _request(arrival=at, slo_ms=1.0) for at in (0.0, 1e-4, 2e-4)
+        ])
+        with pytest.raises(RuntimeError,
+                           match="serving event loop stalled"):
+            service.drain()
+        assert policy.ticks < 10
+
+
 class TestGoldenLatency:
     """Pinned latency percentiles for one fixed-seed streaming trace.
 
@@ -545,17 +594,33 @@ class TestFairnessProperties:
 
 class _RescanningScheduler(StreamingScheduler):
     """The oracle for the scheduler's O(1) bookkeeping: every cut time
-    rescans its group's member deadlines and reads the estimate through
-    the public :meth:`estimate`, and ``pending`` sums the groups."""
+    that ``cut_due`` and ``next_cut_time`` decide by rescans its
+    group's member deadlines and reads the estimate through the public
+    :meth:`estimate`, and ``pending`` sums the groups."""
 
     @property
     def pending(self):
         return sum(len(group.items) for group in self._groups.values())
 
-    def _cut_time(self, group):
+    def _rescanned_cut_time(self, group):
         tightest = min(item.request.deadline for item in group.items)
         estimate = self.estimate(*group.key[:2]) * len(group.items)
         return tightest - estimate
+
+    def next_cut_time(self):
+        return min(
+            (self._rescanned_cut_time(group)
+             for group in self._groups.values() if group.items),
+            default=math.inf,
+        )
+
+    def cut_due(self, now):
+        cut = 0
+        for group in self._groups.values():
+            if group.items and self._rescanned_cut_time(group) <= now:
+                self._cut(group, now, reason="deadline")
+                cut += 1
+        return cut
 
 
 STREAM_CONFIGS = (CFG_A, CFG_B, ArchConfig(n_pes=64, hop=1,
@@ -608,6 +673,12 @@ class TestRunningDeadlineMinimum:
     @example(({"max_batch": None, "shed_expired": False,
                "priorities": False, "critical_slo_ms": 1.0},
               [("observe", 0, 0.0), ("observe", 0, 1e-3)]))
+    # A cut forgets its members' deadlines: the next member's own
+    # deadline sets the group's cut time.
+    @example(({"max_batch": None, "shed_expired": False,
+               "priorities": False, "critical_slo_ms": 1.0},
+              [("admit", 0.0, 0, 0.5), ("flush", 0.0),
+               ("admit", 0.0, 0, 50.0)]))
     def test_running_minimum_equals_a_rescan(self, run):
         knobs, ops = run
         fast = StreamingScheduler(**knobs)

@@ -14,11 +14,61 @@ import numpy as np
 from repro.errors import ConfigError
 
 
+def _kept_values(instance):
+    """A frozen dataclass instance's field values in declaration order,
+    kept on the instance (``_values``) after the first call."""
+    try:
+        return instance._values
+    except AttributeError:
+        values = tuple([getattr(instance, f.name) for f in fields(instance)])
+        object.__setattr__(instance, "_values", values)
+        return values
+
+
+def kept_hash(self):
+    """``__hash__`` of a frozen dataclass used as a hot key.
+
+    The value is the generated one, the hash of the field tuple in
+    declaration order, so no set or dict order moves. It is kept on the
+    instance (``_hash``) at the first call, so every later call is one
+    attribute read.
+    """
+    try:
+        return self._hash
+    except AttributeError:
+        value = hash(_kept_values(self))
+        object.__setattr__(self, "_hash", value)
+        return value
+
+
+def kept_eq(self, other):
+    """``__eq__`` to pair with :func:`kept_hash`: the generated compare
+    of the two field tuples, reading the kept ones, and
+    ``NotImplemented`` for any other class."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    try:
+        return self._values == other._values
+    except AttributeError:
+        return _kept_values(self) == _kept_values(other)
+
+
+def kept_state(self):
+    """``__getstate__`` that leaves the kept values out: a pickled or
+    copied instance carries its fields only and fills its kept values
+    afresh on first use."""
+    state = dict(self.__dict__)
+    state.pop("_hash", None)
+    state.pop("_values", None)
+    return state
+
+
 @dataclass(frozen=True)
 class ArchConfig:
     """Microarchitecture parameters of the (U/A)WB-GCN SPMM engine.
 
-    Hashed once: the instance keeps its (generated-equal) hash.
+    Hashed and compared through one kept field tuple (see
+    :func:`kept_hash`): the values are those of the generated methods.
 
     Parameters
     ----------
@@ -123,22 +173,11 @@ class ArchConfig:
                 f"drain_cycles must be >= 0, got {self.drain_cycles}"
             )
 
-    def __hash__(self):
-        # A config keys every cache, scheduler and memo lookup on the
-        # serving path. The kept value is the generated hash, that of
-        # the field tuple in declaration order, so no set or dict
-        # order moves.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    def __getstate__(self):
-        # Pickle the fields only: an unpickled copy hashes afresh.
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+    # A config keys every cache, scheduler and memo lookup on the
+    # serving path: it keeps its field tuple and that tuple's hash.
+    __hash__ = kept_hash
+    __eq__ = kept_eq
+    __getstate__ = kept_state
 
     @property
     def raw_cooldown(self):

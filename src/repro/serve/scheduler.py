@@ -475,6 +475,8 @@ class StreamingScheduler:
             raise ConfigError("pop_ready on an empty ready queue")
         entry = heapq.heappop(self._ready)
         key, items = entry[-2], entry[-1]
-        batch = Batch(index=self._n_dispatched, config=key[0], items=items)
+        # Positional, in field order: a keyword call would build a dict
+        # per batch for the generated __init__ to unpack.
+        batch = Batch(self._n_dispatched, key[0], items)
         self._n_dispatched += 1
         return batch

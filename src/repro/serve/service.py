@@ -63,6 +63,7 @@ import bisect
 import math
 import time
 from dataclasses import dataclass, fields, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -275,6 +276,59 @@ class ServiceStats:
         if self.makespan_seconds <= 0:
             return float("inf")
         return self.n_requests / self.makespan_seconds
+
+
+def _fold_results(results, **counts):
+    """A drain's ``(ServiceStats, LatencyStats)``, folded in one pass
+    over its results in request order.
+
+    ``counts`` are the :class:`ServiceStats` fields no result carries
+    (``n_batches``, ``wall_seconds`` and the sharded, cache and
+    placement counters). Cache, cycle and utilization aggregates, like
+    the latencies, cover served requests only: a shed request never
+    reached an instance. Each result's end-to-end latency is computed
+    once, as :attr:`~repro.serve.request.InferenceResult.e2e_ms` and
+    ``slo_met`` compute it. The float means are ``sum()`` over lists in
+    request order, so they equal :meth:`LatencyStats.from_results` and
+    the per-field folds bit for bit on every Python, including one whose
+    ``sum`` compensates.
+    """
+    n_shed = n_sharded = hits = total_cycles = 0
+    makespan = -math.inf
+    utils, latencies, queues, verdicts = [], [], [], []
+    for result in results:
+        if result.shed:
+            n_shed += 1
+            continue
+        if result.n_shards > 1:
+            n_sharded += 1
+        if result.cache_hit:
+            hits += 1
+        total_cycles += result.total_cycles
+        utils.append(result.utilization)
+        arrival = result.arrival_time
+        finish = result.finish_time
+        if finish > makespan:
+            makespan = finish
+        e2e_ms = (finish - arrival) * 1e3
+        latencies.append(e2e_ms)
+        queues.append((result.start_time - arrival) * 1e3)
+        slo_ms = result.slo_ms
+        if slo_ms is not None:
+            verdicts.append(e2e_ms <= slo_ms)
+    n_served = len(utils)
+    stats = ServiceStats(
+        n_requests=len(results),
+        cache_hits=hits,
+        cache_misses=n_served - hits,
+        total_cycles=total_cycles,
+        mean_utilization=sum(utils) / n_served if n_served else 0.0,
+        makespan_seconds=makespan if n_served else 0.0,
+        n_shed=n_shed,
+        n_sharded=n_sharded,
+        **counts,
+    )
+    return stats, LatencyStats.fold(latencies, queues, verdicts)
 
 
 @dataclass(frozen=True)
@@ -814,16 +868,21 @@ class InferenceService:
                 f"w{index}": shard.stats.hit_rate
                 for index, shard in enumerate(self._shards)
             })
-        results.sort(key=lambda pair: pair[0])
-        results = tuple(result for _seq, result in results)
-        n_batches = self._n_batches - batches_before
-        evictions = self._evictions_total() - evictions_before
-        return ServeOutcome(
-            results=results,
-            stats=self._stats(results, n_batches, wall, evictions, sharding),
-            workers=tuple(self.workers),
-            latency=LatencyStats.from_results(results),
+        results.sort(key=itemgetter(0))
+        results = tuple(map(itemgetter(1), results))
+        stats, latency = _fold_results(
+            results,
+            n_batches=self._n_batches - batches_before,
+            wall_seconds=wall,
+            n_backfilled=0 if sharding is None else sharding.backfills,
+            n_preemptions=0 if sharding is None else sharding.preemptions,
+            n_evictions=self._evictions_total() - evictions_before,
+            n_routed=placement.routes,
+            n_placement_hits=placement.route_hits,
+            n_replications=placement.replications,
         )
+        return ServeOutcome(results=results, stats=stats,
+                            workers=tuple(self.workers), latency=latency)
 
     def _evictions_total(self):
         """Cumulative evictions across the pool's distinct caches."""
@@ -936,22 +995,23 @@ class InferenceService:
                 "slo_ms": request.slo_ms,
                 "waited_ms": (when - request.arrival_time) * 1e3,
             })
+        # Positional, in field order, as _serve_one builds its result.
         return InferenceResult(
-            request_id=request.request_id,
-            dataset=getattr(request.graph, "name", "custom"),
-            fingerprint="",
-            total_cycles=0,
-            latency_ms=0.0,
-            utilization=0.0,
-            cache_hit=False,
-            worker=-1,
-            batch=-1,
-            sim_seconds=0.0,
-            arrival_time=request.arrival_time,
-            start_time=when,
-            finish_time=when,
-            slo_ms=request.slo_ms,
-            shed=True,
+            request.request_id,                     # request_id
+            getattr(request.graph, "name", "custom"),  # dataset
+            "",                                     # fingerprint
+            0,                                      # total_cycles
+            0.0,                                    # latency_ms
+            0.0,                                    # utilization
+            False,                                  # cache_hit
+            -1,                                     # worker
+            -1,                                     # batch
+            0.0,                                    # sim_seconds
+            request.arrival_time,                   # arrival_time
+            when,                                   # start_time
+            when,                                   # finish_time
+            request.slo_ms,                         # slo_ms
+            True,                                   # shed
         )
 
     def _serve_batch(self, batch, worker, clock, stream, results):
@@ -1035,22 +1095,28 @@ class InferenceService:
         service_seconds = request.config.cycles_to_seconds(
             report.total_cycles
         )
+        # Positional, in InferenceResult's field order: calling a class
+        # with keywords builds a dict per call for the generated
+        # __init__ to unpack, about three times the cost, once per
+        # request.
         result = InferenceResult(
-            request_id=request.request_id,
-            dataset=accel.name,
-            fingerprint=fingerprint,
-            total_cycles=report.total_cycles,
-            latency_ms=report.latency_ms,
-            utilization=report.utilization,
-            cache_hit=report.cache_hit,
-            worker=worker.index,
-            batch=batch.index,
-            sim_seconds=elapsed,
-            arrival_time=request.arrival_time,
-            start_time=start,
-            finish_time=start + service_seconds,
-            slo_ms=request.slo_ms,
-            priority=self._class_of(request) if self.coschedule else None,
+            request.request_id,                     # request_id
+            accel.name,                             # dataset
+            fingerprint,                            # fingerprint
+            report.total_cycles,                    # total_cycles
+            report.latency_ms,                      # latency_ms
+            report.utilization,                     # utilization
+            report.cache_hit,                       # cache_hit
+            worker.index,                           # worker
+            batch.index,                            # batch
+            elapsed,                                # sim_seconds
+            request.arrival_time,                   # arrival_time
+            start,                                  # start_time
+            start + service_seconds,                # finish_time
+            request.slo_ms,                         # slo_ms
+            False,                                  # shed
+            1,                                      # n_shards
+            self._class_of(request) if self.coschedule else None,  # priority
         )
         if tr.enabled:
             tr.wall("sim.request", seconds=elapsed,
@@ -1100,39 +1166,6 @@ class InferenceService:
             "preemptions": 0,
         })
         return req_span, svc_span, complete
-
-    def _stats(self, results, n_batches, wall, n_evictions, sharding):
-        """Fold per-request results into :class:`ServiceStats`.
-
-        Cache, cycle and utilization aggregates cover *served* requests
-        only — a shed request never reached an instance. ``sharding``
-        is the drain's :class:`_ShardedDispatch`, or None.
-        """
-        served = [r for r in results if not r.shed]
-        n_shed = len(results) - len(served)
-        n_sharded = sum(1 for r in served if r.n_shards > 1)
-        hits = sum(1 for r in served if r.cache_hit)
-        utils = [r.utilization for r in served]
-        return ServiceStats(
-            n_requests=len(results),
-            n_batches=n_batches,
-            cache_hits=hits,
-            cache_misses=len(served) - hits,
-            wall_seconds=wall,
-            total_cycles=sum(r.total_cycles for r in served),
-            mean_utilization=sum(utils) / len(utils) if utils else 0.0,
-            makespan_seconds=max(
-                (r.finish_time for r in served), default=0.0
-            ),
-            n_shed=n_shed,
-            n_sharded=n_sharded,
-            n_backfilled=0 if sharding is None else sharding.backfills,
-            n_preemptions=0 if sharding is None else sharding.preemptions,
-            n_evictions=n_evictions,
-            n_routed=self.placement.routes,
-            n_placement_hits=self.placement.route_hits,
-            n_replications=self.placement.replications,
-        )
 
 
 @dataclass
@@ -1196,6 +1229,10 @@ class _ShardedDispatch:
         """The head's claimed members at the last dispatch."""
         self.backfills = 0
         self.preemptions = 0
+        self.n_preempted = 0
+        """Active jobs preempted and not resumed yet: :meth:`preempt`
+        adds one, :meth:`resume` takes one away. While it is 0, no step
+        scans ``active`` for a preempted job."""
         self._last_claim = None
         self._plan = None
         """The head's last plan with what it was made from: ``(head,
@@ -1219,9 +1256,7 @@ class _ShardedDispatch:
 
     def waiting(self):
         """Whether a job is queued or waits to resume."""
-        return bool(self.queue) or any(
-            entry.preempted for entry in self.active
-        )
+        return bool(self.queue) or self.n_preempted > 0
 
     def dispatch(self, clock):
         """Start every job that can start at ``clock``; returns the
@@ -1471,6 +1506,8 @@ class _ShardedDispatch:
         granted instance while its one-batch grant is still open.
         """
         claims = set()
+        if not self.n_preempted:
+            return claims
         for entry in self.active:
             if entry.preempted:
                 for worker in entry.gang:
@@ -1486,6 +1523,8 @@ class _ShardedDispatch:
     def granted(self, worker):
         """A batch was dispatched to ``worker``: close the one-batch
         grant it held for a preempted job, if any."""
+        if not self.n_preempted:
+            return
         for entry in self.active:
             if (entry.preempted and not entry.grant_used
                     and entry.grant == worker.index):
@@ -1541,6 +1580,7 @@ class _ShardedDispatch:
         entry.preempted = True
         entry.preempt_at = boundary
         self.preemptions += 1
+        self.n_preempted += 1
         tr = service.tracer
         if tr.enabled:
             tr.instant("preempt", ts=boundary, args={
@@ -1568,6 +1608,8 @@ class _ShardedDispatch:
         the job's recorded result is patched with the stretched finish
         and its preemption count.
         """
+        if not self.n_preempted:
+            return
         tr = self.service.tracer
         for entry in self.active:
             if not entry.preempted:
@@ -1586,6 +1628,7 @@ class _ShardedDispatch:
             entry.finish = finish
             entry.grant = None
             entry.preempted = False
+            self.n_preempted -= 1
             entry.resumes += 1
             if tr.enabled:
                 lane = f"req/{entry.seq}"
@@ -1643,9 +1686,10 @@ class _ShardedDispatch:
                 busy = [w.free_at for w in workers if w.free_at > clock]
                 if busy:
                     horizon.append(min(busy))
-        for entry in self.active:
-            if entry.preempted:
-                horizon.append(max(w.free_at for w in entry.gang))
+        if self.n_preempted:
+            for entry in self.active:
+                if entry.preempted:
+                    horizon.append(max(w.free_at for w in entry.gang))
 
     def _serve(self, item, gang, sharded, clock, *, backfill=False):
         """Run one queued job as a multi-chip job on ``gang``, on the
@@ -1698,24 +1742,27 @@ class _ShardedDispatch:
             worker.modeled_busy_seconds += finish - clock
             worker.batches_served += 1
         service._n_batches += 1
+        # Positional, in field order, as InferenceService._serve_one
+        # builds its result.
         result = InferenceResult(
-            request_id=request.request_id,
-            dataset=sharded.name,
-            fingerprint=f"{item.resolved[1]}@{len(gang)}chips",
-            total_cycles=report.total_cycles,
-            latency_ms=report.latency_ms,
-            utilization=report.utilization,
-            cache_hit=report.cache_hit,
-            worker=gang[0].index,
-            batch=-1,
-            sim_seconds=elapsed,
-            arrival_time=request.arrival_time,
-            start_time=clock,
-            finish_time=finish,
-            slo_ms=request.slo_ms,
-            n_shards=len(gang),
-            priority=(service._class_of(request) if service.coschedule
-                      else None),
+            request.request_id,                     # request_id
+            sharded.name,                           # dataset
+            f"{item.resolved[1]}@{len(gang)}chips",  # fingerprint
+            report.total_cycles,                    # total_cycles
+            report.latency_ms,                      # latency_ms
+            report.utilization,                     # utilization
+            report.cache_hit,                       # cache_hit
+            gang[0].index,                          # worker
+            -1,                                     # batch
+            elapsed,                                # sim_seconds
+            request.arrival_time,                   # arrival_time
+            clock,                                  # start_time
+            finish,                                 # finish_time
+            request.slo_ms,                         # slo_ms
+            False,                                  # shed
+            len(gang),                              # n_shards
+            # priority
+            service._class_of(request) if service.coschedule else None,
         )
         member_spans = None
         req_span = svc_span = complete_ev = None

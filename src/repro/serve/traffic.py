@@ -22,12 +22,12 @@ oversized sharded jobs side by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from repro.accel.config import ArchConfig
+from repro.accel.config import ArchConfig, kept_eq, kept_hash, kept_state
 from repro.datasets.features import dense_weight_matrix, sample_row_nnz
 from repro.datasets.normalize import gcn_normalize
 from repro.datasets.rmat import rmat_edges
@@ -46,8 +46,9 @@ class RmatGraphSpec:
     Frozen and hashable, so it doubles as a memoization key: building
     the same spec twice returns the same (cached) dataset object, and
     its accelerator workload fingerprints identically — which is what
-    turns repeat traffic into autotune-cache hits. Hashed once: the
-    instance keeps its (generated-equal) hash.
+    turns repeat traffic into autotune-cache hits. Hashed and compared
+    through one kept field tuple, with the generated methods' values
+    (:func:`~repro.accel.config.kept_hash`).
     """
 
     n_nodes: int
@@ -66,19 +67,11 @@ class RmatGraphSpec:
         for dim_name in ("f1", "f2", "f3"):
             check_positive_int(getattr(self, dim_name), dim_name)
 
-    def __hash__(self):
-        # Same kept-hash idiom as ArchConfig.__hash__: the value is the
-        # generated hash of the field tuple in declaration order.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+    # The graph cache compares an equal spec from another trace on
+    # every build: compare and hash through the kept field tuple.
+    __hash__ = kept_hash
+    __eq__ = kept_eq
+    __getstate__ = kept_state
 
     @property
     def name(self):

@@ -1,5 +1,6 @@
 """ArchConfig validation, derived quantities and its kept hash."""
 
+import copy
 import pickle
 from dataclasses import asdict, fields, replace
 
@@ -100,6 +101,9 @@ TWINS = {
     ),
 }
 
+# The values an instance keeps after its first hash or compare.
+KEPT = ("_hash", "_values")
+
 
 def _field_tuple(instance):
     return tuple(getattr(instance, f.name) for f in fields(instance))
@@ -159,3 +163,35 @@ class TestKeptHash:
         assert hash(restored) == expected
         # The kept hash is not part of the pickled state.
         assert pickle.dumps(hashed) == pickle.dumps(twin())
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy],
+                             ids=["copy", "deepcopy"])
+    def test_copies_keep_eq_and_hash_but_no_kept_value(self, cls, clone):
+        make, _twin = TWINS[cls]
+        kept = make()
+        expected = hash(kept)
+        assert kept == make()  # both kept values are filled now
+        assert set(KEPT) <= set(kept.__dict__)
+        duplicate = clone(kept)
+        assert duplicate is not kept
+        assert not set(KEPT) & set(duplicate.__dict__)
+        assert duplicate == kept and kept == duplicate
+        assert hash(duplicate) == expected
+
+    def test_a_hashed_instance_reads_its_kept_hash(self, cls):
+        make, _twin = TWINS[cls]
+        instance = make()
+        hash(instance)
+        sentinel = 12345
+        object.__setattr__(instance, "_hash", sentinel)
+        assert hash(instance) == sentinel
+        assert {instance: 1}.get(instance) == 1
+
+    def test_eq_against_another_class_is_not_implemented(self, cls):
+        make, _twin = TWINS[cls]
+        instance = make()
+        # The field tuple holds equal values but is another class.
+        for other in (_field_tuple(instance), None, 0):
+            assert instance.__eq__(other) is NotImplemented
+            assert instance != other
+        assert instance.__eq__(make()) is True

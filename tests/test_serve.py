@@ -6,7 +6,8 @@ import json
 import os
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.accel.gcnaccel as gcnaccel
+import repro.serve.service as service_module
 from repro.accel import ArchConfig, CachedTuning, GcnAccelerator
 from repro.analysis.tracescenarios import trace_scenario
 from repro.datasets import dataset_fingerprint, load_dataset
@@ -33,6 +35,9 @@ from repro.serve import (
 )
 from repro.serve.bench import DEFAULT_GRAPH_KWARGS, default_serving_config
 from repro.serve.cache import OverlayCache
+from repro.serve.request import InferenceResult
+from repro.serve.scheduler import Batch, QueuedRequest
+from repro.serve.service import _ShardedDispatch
 from repro.serve.traffic import clear_graph_cache
 
 CFG_A = ArchConfig(n_pes=16, hop=1, remote_switching=True)
@@ -1154,7 +1159,10 @@ class TestWarmRequestCost:
     # surface record is made once.
     HASHES_PER_DRAIN = 32
 
-    def test_a_warm_request_hashes_its_config_five_times(self, monkeypatch):
+    @staticmethod
+    def _warm_service():
+        """A service that drained one repeat trace, with the same trace
+        queued again: ``(service, requests)``."""
         requests = streaming_traffic(
             500, arrival_rate=20_000.0, slo_ms=5.0, n_nodes=256,
             family_size=8, repeat_alpha=1.1, seed=1,
@@ -1165,6 +1173,10 @@ class TestWarmRequestCost:
         service.submit_many(requests)
         service.drain()
         service.submit_many(requests)
+        return service, requests
+
+    def test_a_warm_request_hashes_its_config_five_times(self, monkeypatch):
+        service, requests = self._warm_service()
         calls = {"__hash__": 0, "lookup": 0}
 
         def counting(owner, name):
@@ -1187,6 +1199,150 @@ class TestWarmRequestCost:
             + self.HASHES_PER_BATCH * outcome.stats.n_batches
             + self.HASHES_PER_DRAIN
         )
+
+    def test_a_warm_drain_builds_its_records_without_keywords(
+            self, monkeypatch):
+        # Calling a class with keywords builds a dict per call: every
+        # result and batch of a warm drain is built positionally.
+        service, requests = self._warm_service()
+        built = {InferenceResult: 0, Batch: 0}
+        keywords = []
+
+        def recording(cls):
+            # __init__, not __new__: a class whose __new__ was set and
+            # deleted again rejects constructor arguments from then on.
+            real = cls.__init__
+
+            def init(self, *args, **kwargs):
+                built[cls] += 1
+                if kwargs:
+                    keywords.append((cls.__name__, sorted(kwargs)))
+                real(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", init)
+
+        for cls in built:
+            recording(cls)
+        outcome = service.drain()
+        monkeypatch.undo()
+        assert outcome.stats.cache_hits == len(requests)
+        assert built == {InferenceResult: len(requests),
+                         Batch: outcome.stats.n_batches}
+        assert keywords == []
+
+
+def _typed(record):
+    """Every field of a dataclass record with its value's type, so
+    ``True`` and ``1`` or ``False`` and ``0`` differ."""
+    return [(f.name, type(getattr(record, f.name)), getattr(record, f.name))
+            for f in fields(record)]
+
+
+class TestRecordFieldOrder:
+    """The service builds its per-request records positionally; every
+    site must fill each field with what keyword construction names.
+    Inputs are distinct per field (by value and type) wherever the site
+    takes the field from its inputs."""
+
+    @staticmethod
+    def _clock(monkeypatch, *readings):
+        ticks = iter(readings)
+        monkeypatch.setattr(service_module, "time",
+                            SimpleNamespace(perf_counter=lambda: next(ticks)))
+
+    def test_a_served_request(self, monkeypatch):
+        service = InferenceService(n_workers=4, cache=None, coschedule=True)
+        report = SimpleNamespace(total_cycles=12_345, latency_ms=2.5,
+                                 utilization=0.75, cache_hit=True)
+        accel = SimpleNamespace(name="graph-x",
+                                run=lambda cache, tracer: report)
+        item = QueuedRequest(seq=11, request=InferenceRequest(
+            graph=SPEC, config=CFG_A, request_id="req-7",
+            arrival_time=0.125, slo_ms=7.0, priority=4,
+        ))
+        item.resolved = (accel, "family", ("fp-x", CFG_A))
+        batch = Batch(9, CFG_A, (item,))
+        self._clock(monkeypatch, 100.0, 100.5)
+        result = service._serve_one(item, batch, service.workers[3], 0.25)
+        expected = InferenceResult(
+            request_id="req-7", dataset="graph-x", fingerprint="fp-x",
+            total_cycles=12_345, latency_ms=2.5, utilization=0.75,
+            cache_hit=True, worker=3, batch=9, sim_seconds=0.5,
+            arrival_time=0.125, start_time=0.25,
+            finish_time=0.25 + CFG_A.cycles_to_seconds(12_345),
+            slo_ms=7.0, shed=False, n_shards=1, priority=4, preemptions=0,
+        )
+        values = [(kind, value) for _name, kind, value in _typed(expected)]
+        assert len(set(values)) == len(values)
+        assert _typed(result) == _typed(expected)
+
+    def test_a_sharded_job(self, monkeypatch):
+        service = InferenceService(n_workers=4, cache=None,
+                                   chip_capacity=256, coschedule=True)
+        report = SimpleNamespace(
+            total_cycles=54_321, latency_ms=3.5, utilization=0.625,
+            cache_hit=True, migration_cycles=0, layer_cycles=[54_321],
+            plan=None,
+        )
+        monkeypatch.setattr(service_module, "simulate_multichip_gcn",
+                            lambda *args, **kwargs: report)
+        sharded = SimpleNamespace(
+            name="sharded-x", cluster=SimpleNamespace(chip=CFG_B),
+            halo_link_loads=lambda plan: None,
+        )
+        item = QueuedRequest(seq=5, request=InferenceRequest(
+            graph=SPEC, config=CFG_B, request_id="job-5",
+            arrival_time=0.0625, slo_ms=9.0, priority=3,
+        ))
+        item.resolved = (None, "fam")
+        results = []
+        gang = service.workers[1:3]
+        self._clock(monkeypatch, 10.0, 10.75)
+        _ShardedDispatch(service, results)._serve(item, gang, sharded, 0.375)
+        [(seq, result)] = results
+        assert seq == 5
+        expected = InferenceResult(
+            request_id="job-5", dataset="sharded-x",
+            fingerprint="fam@2chips", total_cycles=54_321, latency_ms=3.5,
+            utilization=0.625, cache_hit=True, worker=1, batch=-1,
+            sim_seconds=0.75, arrival_time=0.0625, start_time=0.375,
+            finish_time=0.375 + CFG_B.cycles_to_seconds(54_321),
+            slo_ms=9.0, shed=False, n_shards=2, priority=3, preemptions=0,
+        )
+        values = [(kind, value) for _name, kind, value in _typed(expected)]
+        assert len(set(values)) == len(values)
+        assert _typed(result) == _typed(expected)
+
+    def test_a_shed_request(self):
+        # Only the request's fields and the shed instant vary here; the
+        # rest are the shed outcome's constants.
+        service = InferenceService(n_workers=1, shed_expired=True)
+        item = QueuedRequest(seq=3, request=InferenceRequest(
+            graph=SPEC, config=CFG_A, request_id="late-3",
+            arrival_time=0.5, slo_ms=0.25,
+        ))
+        result = service._shed_result(item, 0.875)
+        expected = InferenceResult(
+            request_id="late-3", dataset=SPEC.name, fingerprint="",
+            total_cycles=0, latency_ms=0.0, utilization=0.0,
+            cache_hit=False, worker=-1, batch=-1, sim_seconds=0.0,
+            arrival_time=0.5, start_time=0.875, finish_time=0.875,
+            slo_ms=0.25, shed=True, n_shards=1, priority=None,
+            preemptions=0,
+        )
+        assert _typed(result) == _typed(expected)
+
+    def test_a_popped_batch(self):
+        stream = StreamingScheduler(max_batch=2)
+        queued = [QueuedRequest(seq=seq, request=InferenceRequest(
+            graph=SPEC, config=config, arrival_time=0.0,
+        )) for seq, config in enumerate((CFG_A, CFG_A, CFG_B))]
+        for item in queued:
+            stream.admit(item, now=0.0)
+        stream.flush(now=0.0)
+        stream.pop_ready()
+        batch = stream.pop_ready()
+        expected = Batch(index=1, config=CFG_B, items=(queued[2],))
+        assert _typed(batch) == _typed(expected)
 
 
 class TestSyntheticTraffic:

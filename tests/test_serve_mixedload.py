@@ -482,6 +482,48 @@ class TestWaitingHeadPlan:
         assert planned == [1, 1, 1]
 
 
+class TestPreemptedCount:
+    """The sharded policy counts its preempted jobs, so a tick with none
+    scans no running job; the count must always equal a scan."""
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_the_count_equals_the_preempted_jobs_at_every_tick(
+            self, seed, monkeypatch):
+        requests = mixed_traffic(
+            80, arrival_rate=8000.0, chip_capacity=256, configs=(CFG,),
+            sharded_nodes=1000, avg_degree=6, graph_kwargs=TINY_GK,
+            critical_fraction=0.3, sharded_fraction=0.15,
+            critical_slo_ms=1.0, seed=seed,
+        )
+        seen = []
+
+        def check(policy):
+            preempted = sum(1 for entry in policy.active if entry.preempted)
+            assert policy.n_preempted == preempted
+            seen.append(preempted)
+
+        real_dispatch = _ShardedDispatch.dispatch
+        real_next_events = _ShardedDispatch.next_events
+
+        def dispatch(self, clock):
+            check(self)
+            return real_dispatch(self, clock)
+
+        def next_events(self, clock, horizon):
+            real_next_events(self, clock, horizon)
+            check(self)
+
+        monkeypatch.setattr(_ShardedDispatch, "dispatch", dispatch)
+        monkeypatch.setattr(_ShardedDispatch, "next_events", next_events)
+        outcome = serve_requests(
+            requests, n_workers=4, chip_capacity=256, max_batch=4,
+            coschedule=True, critical_slo_ms=1.0,
+        )
+        # The drain preempted and resumed: the count rose and fell.
+        assert outcome.stats.n_preemptions > 0
+        assert max(seen) > 0 and seen[-1] == 0
+
+
 class TestFabricSharing:
     """The shared-fabric seam: background pricing and subtopologies."""
 

@@ -12,6 +12,8 @@ simulation cost, never a cycle count or a simulated timestamp.
 """
 
 import math
+import struct
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,6 +38,8 @@ from repro.serve import (
 )
 from repro.serve.bench import DEFAULT_GRAPH_KWARGS, default_serving_config
 from repro.serve.placement import FirstFree
+from repro.serve.request import InferenceResult
+from repro.serve.service import ServiceStats, _fold_results
 
 CFG_A = ArchConfig(n_pes=16, hop=1, remote_switching=True)
 CFG_B = ArchConfig(n_pes=32, hop=1, remote_switching=True)
@@ -101,6 +105,103 @@ class TestPercentile:
         for bad in (0, -5, 101):
             with pytest.raises(ConfigError):
                 percentile([1.0], bad)
+
+
+def _result(shed, n_shards, cache_hit, slo_ms, total_cycles, utilization,
+            arrival, queue_s, service_s):
+    """A result shaped as the service records one: a shed request
+    carries zeroed fields and finishes at its shed instant."""
+    start = arrival + queue_s
+    if shed:
+        return InferenceResult(
+            "r", "g", "", 0, 0.0, 0.0, False, -1, -1, 0.0, arrival, start,
+            start, slo_ms, True,
+        )
+    return InferenceResult(
+        "r", "g", "fp", total_cycles, service_s * 1e3, utilization,
+        cache_hit, 0, 0, 0.0, arrival, start, start + service_s, slo_ms,
+        False, n_shards,
+    )
+
+
+_SECONDS = st.floats(0.0, 10.0, allow_nan=False)
+_RESULTS = st.lists(st.builds(
+    _result,
+    shed=st.booleans(),
+    n_shards=st.sampled_from([1, 1, 2, 4]),
+    cache_hit=st.booleans(),
+    slo_ms=st.none() | st.floats(0.01, 1e4),
+    total_cycles=st.integers(0, 10**9),
+    utilization=st.floats(0.0, 1.0),
+    arrival=_SECONDS,
+    queue_s=_SECONDS,
+    service_s=_SECONDS,
+), max_size=40)
+# The ServiceStats fields no result carries: the drain passes them in.
+_COUNT_FIELDS = ("n_batches", "n_backfilled", "n_preemptions",
+                 "n_evictions", "n_routed", "n_placement_hits",
+                 "n_replications")
+_COUNTS = st.fixed_dictionaries({
+    **{name: st.integers(0, 50) for name in _COUNT_FIELDS},
+    "wall_seconds": st.floats(0.0, 5.0),
+})
+
+
+def _two_pass(results, **counts):
+    """The reference folds: each aggregate in a pass of its own over
+    the served results, and :meth:`LatencyStats.from_results`."""
+    served = [r for r in results if not r.shed]
+    utils = [r.utilization for r in served]
+    hits = sum(1 for r in served if r.cache_hit)
+    stats = ServiceStats(
+        n_requests=len(results),
+        cache_hits=hits,
+        cache_misses=len(served) - hits,
+        total_cycles=sum(r.total_cycles for r in served),
+        mean_utilization=sum(utils) / len(utils) if utils else 0.0,
+        makespan_seconds=max((r.finish_time for r in served), default=0.0),
+        n_shed=len(results) - len(served),
+        n_sharded=sum(1 for r in served if r.n_shards > 1),
+        **counts,
+    )
+    return stats, LatencyStats.from_results(results)
+
+
+def _bits(record):
+    """Every field of a stats record, floats as their IEEE bytes."""
+    return [
+        (f.name, type(value),
+         struct.pack("<d", value) if isinstance(value, float) else value)
+        for f in fields(record) for value in [getattr(record, f.name)]
+    ]
+
+
+class TestOnePassFold:
+    """A drain folds its stats in one pass over its results; the
+    figures must equal the per-field folds bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(results=_RESULTS, counts=_COUNTS)
+    @example(results=[], counts={**dict.fromkeys(_COUNT_FIELDS, 0),
+                                 "wall_seconds": 0.0})
+    def test_one_pass_equals_the_two_pass_reference(self, results, counts):
+        stats, latency = _fold_results(results, **counts)
+        want_stats, want_latency = _two_pass(results, **counts)
+        assert _bits(stats) == _bits(want_stats)
+        assert _bits(latency) == _bits(want_latency)
+
+    def test_a_drain_reports_the_fold_of_its_results(self):
+        outcome = serve_requests(
+            [_request(CFG_A, slo_ms=10000.0), _request(CFG_B),
+             _request(CFG_A, arrival=1e-4, slo_ms=1e-3)],
+            n_workers=2, cache=_SHARED_CACHE,
+        )
+        want_stats, want_latency = _two_pass(
+            outcome.results, n_batches=outcome.stats.n_batches,
+            wall_seconds=outcome.stats.wall_seconds,
+        )
+        assert _bits(outcome.stats) == _bits(want_stats)
+        assert _bits(outcome.latency) == _bits(want_latency)
 
 
 class TestStreamingSchedulerCuts:

@@ -1305,8 +1305,6 @@ class ShardedAccelerator:
                 "a_hops": self.a_hops,
             })
             for ev in (cluster.stragglers or ()):
-                if not isinstance(ev, StragglerEvent):
-                    ev = StragglerEvent(*ev)
                 tracer.instant("cluster.straggler", lane=lane, args={
                     "chip": ev.chip,
                     "onset_round": ev.onset_round,

@@ -43,7 +43,8 @@ def _check_max_batch(max_batch):
 @dataclass(slots=True)
 class QueuedRequest:
     """An accepted request plus its arrival sequence number, and what
-    the serving loop resolved it to when it admitted it."""
+    the serving loop resolved it and its priority class to when it
+    admitted it."""
 
     seq: int
     request: InferenceRequest
@@ -59,6 +60,12 @@ class QueuedRequest:
     single-instance request, ``(graph, family)`` for a sharded job.
     Placement, replication, the sharded queue and the serve all read
     it."""
+    priority: int = field(default=None, init=False, compare=False,
+                          repr=False)
+    """The priority class admission decided
+    (:meth:`~repro.serve.request.InferenceRequest.priority_class`), or
+    None when the service does not co-schedule. Everything downstream
+    reads it; nothing derives the class again."""
 
     def __post_init__(self):
         self.deadline = self.request.deadline
@@ -77,16 +84,6 @@ class Batch:
     config: object
     items: tuple
     """The member :class:`QueuedRequest` objects in arrival order."""
-
-    @property
-    def arrival(self):
-        """Sequence number of the oldest member (the batch's priority)."""
-        return self.items[0].seq
-
-    @property
-    def deadline(self):
-        """Tightest member deadline — the batch's EDF key."""
-        return min(item.deadline for item in self.items)
 
     def __len__(self):
         return len(self.items)
@@ -186,8 +183,8 @@ class StreamingScheduler:
     """Event-driven admission with deadline-aware batch cutting.
 
     The serving loop feeds it one :class:`QueuedRequest` at a time via
-    :meth:`admit`; requests accumulate in per-(config, a_hops) groups
-    until a *cut* seals a batch:
+    :meth:`admit`; requests accumulate in groups keyed by ``(config,
+    a_hops, item.priority)`` until a *cut* seals a batch:
 
     * **size cut** — the group reached ``max_batch`` members;
     * **deadline cut** — :meth:`cut_due` finds the group's cut time has
@@ -203,6 +200,13 @@ class StreamingScheduler:
     member's arrival sequence — so SLO-less traffic degrades to plain
     FIFO and no config group can starve another with equal deadlines.
 
+    The key's class is :attr:`QueuedRequest.priority`, which the
+    co-scheduling service writes at admission: batches are then
+    priority-pure and the ready queue orders by ``(class, deadline,
+    arrival)``. A scheduler used alone sets ``item.priority`` on every
+    item or on none; with every class None the order is exactly the
+    historical ``(deadline, arrival)`` EDF.
+
     Parameters
     ----------
     max_batch:
@@ -216,19 +220,6 @@ class StreamingScheduler:
         :class:`~repro.serve.request.InferenceResult` outcomes) instead
         of being served hopelessly late. Default False preserves the
         historical serve-late behavior bit-for-bit.
-    priorities:
-        Priority-class mode (the co-scheduling service turns this on):
-        the grouping key gains the request's
-        :meth:`~repro.serve.request.InferenceRequest.priority_class`
-        (batches are priority-pure — a best-effort request never rides
-        in front of a critical one by sharing its batch), and the ready
-        queue orders by ``(class, deadline, arrival)`` so a lower class
-        always dispatches first. Default False is bit-identical to the
-        historical ``(deadline, arrival)`` EDF order.
-    critical_slo_ms:
-        The SLO threshold (ms) at or under which a request without an
-        explicit priority derives class 0 (deadline-critical). Only
-        consulted when ``priorities`` is on.
 
     All times this class consumes and produces — :meth:`cut_due` /
     :meth:`next_cut_time` instants, deadlines, :meth:`observe` service
@@ -240,12 +231,9 @@ class StreamingScheduler:
     reports it as an SLO miss).
     """
 
-    def __init__(self, *, max_batch=None, shed_expired=False,
-                 priorities=False, critical_slo_ms=None, tracer=None):
+    def __init__(self, *, max_batch=None, shed_expired=False, tracer=None):
         self.max_batch = _check_max_batch(max_batch)
         self.shed_expired = bool(shed_expired)
-        self.priorities = bool(priorities)
-        self.critical_slo_ms = critical_slo_ms
         self.tracer = NULL_TRACER if tracer is None else tracer
         """Event sink (:mod:`repro.obs`): every sealed batch emits a
         ``batch.cut`` instant stamped with the cut reason."""
@@ -292,7 +280,8 @@ class StreamingScheduler:
             raise ConfigError(
                 f"admit expects a QueuedRequest, got {type(item).__name__}"
             )
-        key = self._group_key(item.request)
+        request = item.request
+        key = (request.config, request.a_hops, item.priority)
         group = self._groups.get(key)
         if group is None:
             group = self._groups[key] = _Group(key, self._surface(key[:2]))
@@ -304,19 +293,6 @@ class StreamingScheduler:
                 and len(group.items) >= self.max_batch):
             self._cut(group, item.arrival_time if now is None else now,
                       reason="size")
-
-    def _group_key(self, request):
-        """The grouping key one request batches under.
-
-        ``(config, a_hops)`` historically; with :attr:`priorities` the
-        priority class is appended so batches stay priority-pure. The
-        first two elements are always the hardware surface — the
-        service-time estimates key off ``key[:2]``.
-        """
-        key = (request.config, request.a_hops)
-        if self.priorities:
-            key = key + (request.priority_class(self.critical_slo_ms),)
-        return key
 
     def observe(self, config, a_hops, *seconds):
         """Feed back served requests' modeled service times, in service
@@ -440,18 +416,16 @@ class StreamingScheduler:
                 "a_hops": key[1],
                 "seqs": [item.seq for item in items],
             }
-            if self.priorities:
+            if key[2] is not None:
                 args["class"] = key[2]
             self.tracer.instant("batch.cut", lane="service", ts=now,
                                 args=args)
-        deadline = min(item.deadline for item in items)
-        if self.priorities:
-            # Class-major EDF: a lower class always dispatches first;
-            # within a class the historical (deadline, arrival) order.
-            entry = (key[2], deadline, items[0].seq, key, tuple(items))
-        else:
-            entry = (deadline, items[0].seq, key, tuple(items))
-        heapq.heappush(self._ready, entry)
+        # Class-major EDF; with every class None, the historical
+        # (deadline, arrival) order.
+        heapq.heappush(self._ready, (
+            key[2], min(item.deadline for item in items), items[0].seq,
+            key, tuple(items),
+        ))
 
     def peek_ready(self):
         """The EDF-first ready batch's member tuple, without dispatching.

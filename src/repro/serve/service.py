@@ -396,17 +396,18 @@ class InferenceService:
         sized per job, and ``stragglers`` is refused, since its chip
         ids would name gang positions, not instances. An unknown key
         or a bad value raises :class:`~repro.errors.ConfigError` here,
-        before any request is queued.
+        before any request is queued, and so do options without
+        ``chip_capacity``, which no job would read.
     coschedule:
         Multi-tenant co-scheduling of batch and sharded traffic.
         Enables (1) *gang claims*: while the head sharded job waits for
         members, its planned instances stop taking new batches at their
         next batch boundary, so the gang assembles at a bounded instant
-        instead of racing batch traffic; (2) *priority classes*: the
-        streaming scheduler groups and dispatches class-major
-        (``(class, deadline, arrival)``), with classes derived per
-        request via
-        :meth:`~repro.serve.request.InferenceRequest.priority_class`;
+        instead of racing batch traffic; (2) *priority classes*:
+        admission decides each request's class once, via
+        :meth:`~repro.serve.request.InferenceRequest.priority_class`,
+        and the streaming scheduler and the sharded queue group and
+        dispatch class-major (``(class, deadline, arrival)``);
         (3) *boundary preemption*: a class-0 (deadline-critical) batch
         with no free fitting instance preempts the lower-priority
         active sharded job with the earliest upcoming layer boundary —
@@ -423,7 +424,8 @@ class InferenceService:
         SLO threshold (ms) at or under which a request without an
         explicit ``priority`` derives class 0 (deadline-critical) under
         ``coschedule``. None means only explicit priorities can reach
-        class 0.
+        class 0. Without ``coschedule`` nothing would read it, so
+        setting it raises :class:`~repro.errors.ConfigError`.
     cache_mode:
         How the pool's autotune cache is organized, decided once at
         construction: it sets the cache each instance's
@@ -607,11 +609,22 @@ class InferenceService:
         bad value fails before any request is queued, and the source of
         the pool-wide fabric (:attr:`ClusterConfig.fabric`) co-scheduled
         gangs share."""
+        if self.cluster_options and chip_capacity is None:
+            raise ConfigError(
+                "cluster_options configure sharded jobs, which only "
+                "chip_capacity creates; without it they would be ignored"
+            )
         self.coschedule = bool(coschedule)
         if critical_slo_ms is not None:
             critical_slo_ms = check_positive_finite(
                 critical_slo_ms, "critical_slo_ms"
             )
+            if not coschedule:
+                raise ConfigError(
+                    "critical_slo_ms is the class-0 threshold of "
+                    "coschedule=True; without co-scheduling it would be "
+                    "ignored"
+                )
         self.critical_slo_ms = critical_slo_ms
         self.workers = [
             WorkerState(index=i, cache=cache) for i in range(n_workers)
@@ -720,8 +733,6 @@ class InferenceService:
             cap = -(-len(queued) // len(self.workers)) or None
         stream = StreamingScheduler(max_batch=cap,
                                     shed_expired=self.shed_expired,
-                                    priorities=self.coschedule,
-                                    critical_slo_ms=self.critical_slo_ms,
                                     tracer=tr)
 
         # The scheduler's ready heap is mutated in place, never rebound:
@@ -745,9 +756,9 @@ class InferenceService:
             if trace:
                 tr.set_time(clock)
             # Admit everything that has arrived by now, resolving each
-            # request's graph once. Size cuts happen inside admit(), in
-            # arrival order; graphs over the per-chip capacity divert to
-            # the sharded-job queue.
+            # request's graph and class once. Size cuts happen inside
+            # admit(), in arrival order; graphs over the per-chip
+            # capacity divert to the sharded-job queue.
             while i < n and queued[i].request.arrival_time <= clock:
                 item = queued[i]
                 needs_shards = (capacity is not None
@@ -759,8 +770,8 @@ class InferenceService:
                         "slo_ms": item.request.slo_ms,
                         "sharded": needs_shards,
                     }
-                    if self.coschedule:
-                        args["class"] = self._class_of(item.request)
+                    if item.priority is not None:
+                        args["class"] = item.priority
                     tr.instant("request.arrival", ts=item.arrival_time,
                                args=args)
                 placement.arrival(item)
@@ -920,8 +931,9 @@ class InferenceService:
         return record
 
     def _resolve(self, item, sharded=False):
-        """Resolve a queued request's graph, once, at admission, and
-        write what it resolved to on the item (``item.resolved``).
+        """Resolve a queued request's graph and priority class, once, at
+        admission, and write both on the item (``item.resolved``,
+        ``item.priority``).
 
         A single-instance request takes its ``(accelerator, family,
         cache key)`` record from the drain's window
@@ -929,6 +941,9 @@ class InferenceService:
         family)``: it runs on a gang's accelerator, which the sharded
         policy looks up per gang. Placement, replication, the sharded
         queue and the serve read the record and never resolve again.
+        Under ``coschedule`` the class is the request's
+        :meth:`~repro.serve.request.InferenceRequest.priority_class` at
+        ``critical_slo_ms``; otherwise it stays None.
         """
         request = item.request
         if sharded:
@@ -936,10 +951,8 @@ class InferenceService:
             item.resolved = (graph, CacheAffinity.family_of(graph))
         else:
             item.resolved = self._accel_for(request)
-
-    def _class_of(self, request):
-        """The request's effective priority class under this service."""
-        return request.priority_class(self.critical_slo_ms)
+        if self.coschedule:
+            item.priority = request.priority_class(self.critical_slo_ms)
 
     def _sharded_for(self, gang, item, *, constrained=True):
         """The one :class:`ShardedAccelerator` for a queued sharded
@@ -1116,7 +1129,7 @@ class InferenceService:
             request.slo_ms,                         # slo_ms
             False,                                  # shed
             1,                                      # n_shards
-            self._class_of(request) if self.coschedule else None,  # priority
+            item.priority,                          # priority
         )
         if tr.enabled:
             tr.wall("sim.request", seconds=elapsed,
@@ -1173,6 +1186,10 @@ class _ActiveJob:
     """One running (or boundary-preempted) sharded job's live state."""
 
     seq: int
+    slot: int
+    """Index of the job's ``(seq, result)`` pair in the drain's result
+    list, which a resume replaces. It holds for the whole drain: the
+    list only grows until the loop ends."""
     gang: list
     """The member :class:`WorkerState` objects, in gang order."""
     priority: int
@@ -1240,19 +1257,17 @@ class _ShardedDispatch:
 
     def admit(self, item):
         """Queue one oversized request, resolved at admission to its
-        graph and family (``item.resolved``).
+        graph and family (``item.resolved``) and its priority class
+        (``item.priority``).
 
-        The key — deadline, then arrival sequence, led by the priority
-        class under ``coschedule`` — never changes while the job waits,
-        so the queue is kept sorted on insertion: EDF with
-        oldest-arrival tie-break (FIFO when nothing carries an SLO).
+        The key — class, deadline, arrival sequence — never changes
+        while the job waits, so the queue is kept sorted on insertion:
+        class-major EDF with oldest-arrival tie-break. Without
+        ``coschedule`` every class is None, so the order is plain EDF
+        (FIFO when nothing carries an SLO).
         """
-        service = self.service
-        request = item.request
-        key = (item.deadline, item.seq)
-        if service.coschedule:
-            key = (service._class_of(request),) + key
-        bisect.insort(self.queue, (key, item))
+        bisect.insort(self.queue,
+                      ((item.priority, item.deadline, item.seq), item))
 
     def waiting(self):
         """Whether a job is queued or waits to resume."""
@@ -1533,7 +1548,7 @@ class _ShardedDispatch:
     def preempt(self, items, clock):
         """Boundary-preempt one active job for a critical batch.
 
-        Fires only when the pending batch's best member class is 0
+        Fires only when the pending batch's class is 0
         (deadline-critical) and no unclaimed instance is free. Among
         active lower-priority jobs, picks the one with the earliest
         upcoming layer boundary that beats the batch's natural wait
@@ -1544,10 +1559,11 @@ class _ShardedDispatch:
         """
         if not self.active:
             return
-        service = self.service
-        cls = min(service._class_of(item.request) for item in items)
+        # A batch is priority-pure: the class is in its group key.
+        cls = items[0].priority
         if cls != 0:
             return
+        service = self.service
         natural = min(worker.free_at for worker in service.workers)
         best = None
         for entry in self.active:
@@ -1663,13 +1679,10 @@ class _ShardedDispatch:
                         ev.args["slo_met"] = e2e_ms <= ev.args["slo_ms"]
                     ev.args["preemptions"] = entry.resumes
             results = self.results
-            for at, (seq, result) in enumerate(results):
-                if seq == entry.seq:
-                    results[at] = (seq, replace(
-                        result, finish_time=finish,
-                        preemptions=entry.resumes,
-                    ))
-                    break
+            results[entry.slot] = (entry.seq, replace(
+                results[entry.slot][1], finish_time=finish,
+                preemptions=entry.resumes,
+            ))
 
     def next_events(self, clock, horizon):
         """Add the instants this policy can next make progress at to
@@ -1761,8 +1774,7 @@ class _ShardedDispatch:
             request.slo_ms,                         # slo_ms
             False,                                  # shed
             len(gang),                              # n_shards
-            # priority
-            service._class_of(request) if service.coschedule else None,
+            item.priority,                          # priority
         )
         member_spans = None
         req_span = svc_span = complete_ev = None
@@ -1780,6 +1792,7 @@ class _ShardedDispatch:
             req_span, svc_span, complete_ev = service._trace_completion(
                 item, result, {"backfilled": backfill},
             )
+        self.results.append((item.seq, result))
         if service.coschedule:
             # Register the job as an active tenant: its layer
             # boundaries are the preemption points, its per-round halo
@@ -1792,6 +1805,7 @@ class _ShardedDispatch:
                 boundaries.append(clock + secs(cum))
             self.active.append(_ActiveJob(
                 seq=item.seq,
+                slot=len(self.results) - 1,
                 gang=list(gang),
                 priority=result.priority,
                 finish=finish,
@@ -1802,7 +1816,6 @@ class _ShardedDispatch:
                 svc_span=svc_span,
                 complete_ev=complete_ev,
             ))
-        self.results.append((item.seq, result))
 
 
 def serve_requests(requests, **options):

@@ -31,6 +31,10 @@ REMOVED_KEYWORDS = {
     "InferenceService.demand_half_life":
         lambda: InferenceService(demand_half_life=0.05),
     "StreamingScheduler.max_wait": lambda: StreamingScheduler(max_wait=0.1),
+    "StreamingScheduler.priorities":
+        lambda: StreamingScheduler(priorities=True),
+    "StreamingScheduler.critical_slo_ms":
+        lambda: StreamingScheduler(critical_slo_ms=1.0),
     "ClusterConfig.barrier_cycles": lambda: ClusterConfig(barrier_cycles=64),
     "ClusterConfig.migration_words_per_nnz":
         lambda: ClusterConfig(migration_words_per_nnz=2),

@@ -86,6 +86,12 @@ class TestDocs:
             "repro.serve.scheduler._cut",
         ]
 
+    def test_name_scan_covers_the_skill_pages(self):
+        # The verify recipe must not keep naming what a change removed.
+        tool = _load_tool("check_docs.py")
+        skill = REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
+        assert skill in tool._doc_files()
+
     def test_reference_scan_flags_a_missing_attribute(self):
         tool = _load_tool("check_docs.py")
         docstring = '''"""The :class:`~repro.serve.service.ServeOutcome` of

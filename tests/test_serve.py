@@ -1260,6 +1260,7 @@ class TestRecordFieldOrder:
             arrival_time=0.125, slo_ms=7.0, priority=4,
         ))
         item.resolved = (accel, "family", ("fp-x", CFG_A))
+        item.priority = item.request.priority_class(service.critical_slo_ms)
         batch = Batch(9, CFG_A, (item,))
         self._clock(monkeypatch, 100.0, 100.5)
         result = service._serve_one(item, batch, service.workers[3], 0.25)
@@ -1294,6 +1295,7 @@ class TestRecordFieldOrder:
             arrival_time=0.0625, slo_ms=9.0, priority=3,
         ))
         item.resolved = (None, "fam")
+        item.priority = item.request.priority_class(service.critical_slo_ms)
         results = []
         gang = service.workers[1:3]
         self._clock(monkeypatch, 10.0, 10.75)

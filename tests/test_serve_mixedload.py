@@ -159,15 +159,23 @@ class TestOffModeOracle:
         assert outcome.stats.n_preemptions == 0
 
     def test_critical_slo_requires_coschedule_consistency(self):
-        # critical_slo_ms alone (coschedule off) must not change results.
-        requests = streaming_traffic(
-            10, arrival_rate=500.0, slo_ms=2.0, seed=4, **TRAFFIC_KW
-        )
-        base = serve_requests(requests, n_workers=2)
-        scoped = serve_requests(requests, n_workers=2, critical_slo_ms=1.0)
-        assert [_result_key(r) for r in scoped.results] == [
-            _result_key(r) for r in base.results
-        ]
+        # Only co-scheduling reads the class-0 threshold: without it the
+        # knob would be inert, so construction refuses it.
+        with pytest.raises(ConfigError, match="critical_slo_ms"):
+            InferenceService(n_workers=2, critical_slo_ms=1.0)
+        with pytest.raises(ConfigError, match="critical_slo_ms"):
+            InferenceService(n_workers=2, coschedule=False,
+                             critical_slo_ms=1.0)
+
+    def test_cluster_options_require_chip_capacity(self):
+        # Only sharded jobs read cluster_options, and only chip_capacity
+        # makes a job sharded.
+        with pytest.raises(ConfigError, match="chip_capacity"):
+            InferenceService(n_workers=4,
+                             cluster_options={"topology": "ring"})
+        with pytest.raises(ConfigError, match="chip_capacity"):
+            InferenceService(n_workers=4, coschedule=True,
+                             cluster_options={"link_words_per_cycle": 2.0})
 
 
 def _worker_busy_bounded(outcome):
@@ -522,6 +530,60 @@ class TestPreemptedCount:
         # The drain preempted and resumed: the count rose and fell.
         assert outcome.stats.n_preemptions > 0
         assert max(seen) > 0 and seen[-1] == 0
+
+
+class TestClassDecidedOnce:
+    """Admission decides each request's priority class once, onto
+    ``QueuedRequest.priority``; batching, the sharded queue, preemption,
+    results and trace args read it and derive nothing."""
+
+    @staticmethod
+    def _counted_drain(monkeypatch, **kwargs):
+        """A ``mixed_sharded``-shaped drain (critical, batch and sharded
+        traffic on a ring) with every ``priority_class`` call counted,
+        recording the threshold each call passed; returns the outcome,
+        the thresholds and each request's class at 1.0 ms."""
+        requests = mixed_traffic(
+            80, arrival_rate=8000.0, chip_capacity=256, configs=(CFG,),
+            sharded_nodes=1000, avg_degree=6, graph_kwargs=TINY_GK,
+            critical_fraction=0.3, sharded_fraction=0.15,
+            critical_slo_ms=1.0, seed=1,
+        )
+        classes = [request.priority_class(1.0) for request in requests]
+        real = InferenceRequest.priority_class
+        thresholds = []
+
+        def counting(self, critical_slo_ms=None):
+            thresholds.append(critical_slo_ms)
+            return real(self, critical_slo_ms)
+
+        monkeypatch.setattr(InferenceRequest, "priority_class", counting)
+        outcome = serve_requests(
+            requests, n_workers=4, chip_capacity=256, max_batch=4,
+            cluster_options={"topology": "ring"}, **kwargs,
+        )
+        # Every reader of the class ran: batches, sharded jobs, and
+        # (under co-scheduling) a preemption.
+        assert 0 < outcome.stats.n_sharded < len(requests)
+        return outcome, thresholds, classes
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_once_per_request_under_coscheduling(self, monkeypatch,
+                                                 traced):
+        outcome, thresholds, classes = self._counted_drain(
+            monkeypatch, coschedule=True, critical_slo_ms=1.0,
+            tracer=RecordingTracer() if traced else None,
+        )
+        assert outcome.stats.n_preemptions > 0
+        assert thresholds == [1.0] * len(classes)
+        assert [r.priority for r in outcome.results] == classes
+
+    def test_never_without_coscheduling(self, monkeypatch):
+        outcome, thresholds, _classes = self._counted_drain(
+            monkeypatch, tracer=RecordingTracer(),
+        )
+        assert thresholds == []
+        assert all(r.priority is None for r in outcome.results)
 
 
 class TestFabricSharing:

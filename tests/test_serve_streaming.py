@@ -726,19 +726,19 @@ class _RescanningScheduler(StreamingScheduler):
 
 STREAM_CONFIGS = (CFG_A, CFG_B, ArchConfig(n_pes=64, hop=1,
                                            remote_switching=True))
-# With critical_slo_ms=1.0 these cover priority classes 0, 1 and 2.
+# At a critical threshold of 1.0 ms these cover priority classes 0, 1
+# and 2.
 STREAM_SLOS = (None, 0.5, 1.0, 2.0, 50.0)
 
 
 @st.composite
 def scheduler_runs(draw):
-    """Scheduler knobs plus a random call sequence on one clock."""
+    """Scheduler knobs, whether admitted items carry a priority class,
+    and a random call sequence on one clock."""
     n_configs = draw(st.integers(1, 3))
     knobs = {
         "max_batch": draw(st.one_of(st.none(), st.integers(1, 4))),
         "shed_expired": draw(st.booleans()),
-        "priorities": draw(st.booleans()),
-        "critical_slo_ms": 1.0,
     }
     gap = st.floats(0.0, 3e-3, allow_nan=False)
     group = st.integers(0, n_configs - 1)
@@ -751,7 +751,7 @@ def scheduler_runs(draw):
         st.tuples(st.just("flush"), gap),
         st.tuples(st.just("pop_ready")),
     )
-    return knobs, draw(st.lists(op, max_size=40))
+    return knobs, draw(st.booleans()), draw(st.lists(op, max_size=40))
 
 
 def _scheduler_state(stream):
@@ -771,17 +771,15 @@ class TestRunningDeadlineMinimum:
     @given(scheduler_runs())
     # A first observation of 0.0 seconds is an observation: the next
     # one averages with it.
-    @example(({"max_batch": None, "shed_expired": False,
-               "priorities": False, "critical_slo_ms": 1.0},
+    @example(({"max_batch": None, "shed_expired": False}, False,
               [("observe", 0, 0.0), ("observe", 0, 1e-3)]))
     # A cut forgets its members' deadlines: the next member's own
     # deadline sets the group's cut time.
-    @example(({"max_batch": None, "shed_expired": False,
-               "priorities": False, "critical_slo_ms": 1.0},
+    @example(({"max_batch": None, "shed_expired": False}, False,
               [("admit", 0.0, 0, 0.5), ("flush", 0.0),
                ("admit", 0.0, 0, 50.0)]))
     def test_running_minimum_equals_a_rescan(self, run):
-        knobs, ops = run
+        knobs, classes, ops = run
         fast = StreamingScheduler(**knobs)
         oracle = _RescanningScheduler(**knobs)
         both = (fast, oracle)
@@ -798,6 +796,9 @@ class TestRunningDeadlineMinimum:
                     graph=SPEC, config=STREAM_CONFIGS[config],
                     arrival_time=clock, slo_ms=slo_ms,
                 ))
+                if classes:
+                    # As a co-scheduling service's admission does.
+                    item.priority = item.request.priority_class(1.0)
                 for stream in both:
                     stream.admit(item, now=clock)
             elif kind == "cut_due":

@@ -3,10 +3,11 @@
 Two independent checks, both exercised by CI's docs job (and the link
 half by ``tests/test_docs.py``):
 
-* ``--links``: every relative markdown link in ``README.md`` and
-  ``docs/*.md`` must point at an existing file or directory (external
-  ``http(s)://`` / ``mailto:`` links and pure ``#anchor`` links are
-  skipped — the repo is developed offline), and every backticked
+* ``--links``: every relative markdown link in ``README.md``,
+  ``docs/*.md`` and the skill pages (``.claude/skills/**/*.md``) must
+  point at an existing file or directory (external ``http(s)://`` /
+  ``mailto:`` links and pure ``#anchor`` links are skipped — the repo
+  is developed offline), and every backticked
   dotted ``repro.…`` name in them must resolve: its longest importable
   prefix imports (with ``src/`` on the path) and the rest are
   attributes, so a page cannot name a module, class or method that
@@ -48,6 +49,7 @@ _REF = re.compile(r":[\w:]+:`~?(repro(?:\.\w+)+)`")
 def _doc_files():
     docs = [REPO_ROOT / "README.md"]
     docs.extend(sorted((REPO_ROOT / "docs").glob("*.md")))
+    docs.extend(sorted((REPO_ROOT / ".claude" / "skills").glob("**/*.md")))
     return [path for path in docs if path.exists()]
 
 
@@ -97,8 +99,8 @@ def unresolved_refs(text):
 
 def check_links():
     """Verify relative links and backticked ``repro.…`` names in
-    README.md and docs/*.md, and qualified cross-references in
-    src/**/*.py; returns errors."""
+    README.md, docs/*.md and the skill pages, and qualified
+    cross-references in src/**/*.py; returns errors."""
     errors = []
     for source in sorted((REPO_ROOT / "src").rglob("*.py")):
         for name in unresolved_refs(source.read_text()):

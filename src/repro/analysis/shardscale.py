@@ -25,6 +25,8 @@ partition without needing the nnz profile up front — the claim
 
 from __future__ import annotations
 
+import math
+
 from repro.accel.config import ArchConfig
 from repro.analysis.report import ascii_table
 from repro.cluster.multichip import ClusterConfig, simulate_multichip_gcn
@@ -172,60 +174,44 @@ def compare_shard_scaling(*, chip_counts=(1, 2, 4, 8), n_nodes=8192,
         )
 
     rows = []
-    strong_graph = _graph(n_nodes, avg_degree, seed, f1, f2, f3)
-    baselines = {}
-    for regime, strategy, rebalance in REGIMES:
-        for n_chips in chip_counts:
-            report = cell(strong_graph, n_chips, strategy, rebalance)
-            baselines.setdefault(regime, report.total_cycles)
-            rows.append({
-                "mode": "strong",
-                "regime": regime,
-                "chips": n_chips,
-                "nodes": n_nodes,
-                "cycles": report.total_cycles,
-                "speedup": round(
-                    baselines[regime] / report.total_cycles, 3
-                ),
-                "efficiency": round(
-                    baselines[regime]
-                    / (report.total_cycles * n_chips), 3
-                ),
-                "comm_frac": round(report.comm_fraction, 4),
-                "imbalance": round(report.compute_imbalance, 3),
-                "migrated_blocks": report.rebalance.migrated_blocks,
-                "utilization": round(report.utilization, 4),
-            })
-
-    weak_graphs = {
-        n_chips: _graph(
-            nodes_per_chip * n_chips, avg_degree, seed, f1, f2, f3
-        )
-        for n_chips in chip_counts
+    graphs = {
+        "strong": dict.fromkeys(
+            chip_counts, _graph(n_nodes, avg_degree, seed, f1, f2, f3)
+        ),
+        "weak": {
+            n_chips: _graph(
+                nodes_per_chip * n_chips, avg_degree, seed, f1, f2, f3
+            )
+            for n_chips in chip_counts
+        },
     }
-    weak_base = {}
-    for regime, strategy, rebalance in REGIMES:
-        for n_chips in chip_counts:
-            dataset = weak_graphs[n_chips]
-            report = cell(dataset, n_chips, strategy, rebalance)
-            weak_base.setdefault(regime, report.total_cycles)
-            rows.append({
-                "mode": "weak",
-                "regime": regime,
-                "chips": n_chips,
-                "nodes": nodes_per_chip * n_chips,
-                "cycles": report.total_cycles,
-                "speedup": round(
-                    weak_base[regime] * n_chips / report.total_cycles, 3
-                ),
-                "efficiency": round(
-                    weak_base[regime] / report.total_cycles, 3
-                ),
-                "comm_frac": round(report.comm_fraction, 4),
-                "imbalance": round(report.compute_imbalance, 3),
-                "migrated_blocks": report.rebalance.migrated_blocks,
-                "utilization": round(report.utilization, 4),
-            })
+    for mode, mode_graphs in graphs.items():
+        baselines = {}
+        for regime, strategy, rebalance in REGIMES:
+            for n_chips in chip_counts:
+                dataset = mode_graphs[n_chips]
+                # The work grows by ``scale`` over the 1-chip run's:
+                # 1 under strong scaling, the chip count under weak.
+                scale = dataset.n_nodes // mode_graphs[1].n_nodes
+                report = cell(dataset, n_chips, strategy, rebalance)
+                base = baselines.setdefault(regime, report.total_cycles)
+                rows.append({
+                    "mode": mode,
+                    "regime": regime,
+                    "chips": n_chips,
+                    "nodes": dataset.n_nodes,
+                    "cycles": report.total_cycles,
+                    "speedup": round(
+                        base * scale / report.total_cycles, 3
+                    ),
+                    "efficiency": round(
+                        base * scale / (report.total_cycles * n_chips), 3
+                    ),
+                    "comm_frac": round(report.comm_fraction, 4),
+                    "imbalance": round(report.compute_imbalance, 3),
+                    "migrated_blocks": report.rebalance.migrated_blocks,
+                    "utilization": round(report.utilization, 4),
+                })
 
     flavor = []
     if topology != "all-to-all":
@@ -275,15 +261,8 @@ def _verdict(rows):
         "chip-level rebalancing vs static rows partition: "
         f"{min(gains):.2f}x-{max(gains):.2f}x fewer cycles across "
         f"multi-chip points (geo-mean "
-        f"{(_prod(gains)) ** (1.0 / len(gains)):.2f}x)"
+        f"{math.prod(gains) ** (1.0 / len(gains)):.2f}x)"
     )
-
-
-def _prod(values):
-    out = 1.0
-    for v in values:
-        out *= v
-    return out
 
 
 def compare_shard_topology(*, n_chips=4, n_nodes=8192, avg_degree=12,

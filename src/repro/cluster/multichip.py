@@ -471,72 +471,58 @@ def _pending_onset(cluster, round_index):
     return any(ev.onset_round > round_index for ev in cluster.stragglers)
 
 
-def _diffuse_pairs(bounds, weights, chip_time, marginal, *,
-                   block_rows=None, row_counts=None, row_ceilings=None):
+def _diffuse_pairs(bounds, weights, chip_time, marginal, block_rows,
+                   row_ceilings):
     """One boundary-diffusion sweep toward equal per-chip *time*.
 
-    ``chip_time[c]`` is chip ``c``'s current time estimate and
-    ``marginal[c]`` its estimated time per unit of block weight; both
-    stay fixed within the sweep while ``chip_time`` is updated
-    incrementally as blocks move. Each adjacent pair shifts boundary
-    blocks from its hotter to its colder side, stopping before the
-    transferred time would exceed half the pair's gap (the SLT rule) and
-    never emptying the giver. Returns True when any block moved.
+    ``bounds`` are the chips' contiguous block bounds, shifted in
+    place; ``block_rows`` holds each block's row count. ``chip_time[c]``
+    is chip ``c``'s current time estimate and ``marginal[c]`` its
+    estimated time per unit of block weight; both stay fixed within the
+    sweep while ``chip_time`` is updated incrementally as blocks move.
 
-    With ``row_ceilings`` set (plus ``block_rows``, rows per block, and
-    ``row_counts``, current rows per chip — mutated in place), every
-    transfer is additionally clamped so the receiving chip never
-    exceeds its hard row ceiling; the giver can only shrink, so it
-    stays feasible by construction.
+    In each adjacent pair, left to right, the hotter chip is the giver
+    and the colder one the taker. The giver hands over its boundary
+    blocks one at a time, nearest the boundary first: the left chip
+    its tail, the right chip its head. It stops before the transferred
+    time would exceed half the pair's gap (the SLT rule), and it always
+    keeps its farthest block. Unless ``row_ceilings`` is None, the
+    taker also stops before its rows, counted from ``bounds`` and
+    ``block_rows``, would exceed its hard ceiling; the giver only
+    shrinks, so it stays feasible by construction. Returns True when
+    any block moved.
     """
-    n_chips = chip_time.size
     moved_any = False
-    for left in range(n_chips - 1):
+    for left in range(chip_time.size - 1):
         gap = chip_time[left] - chip_time[left + 1]
-        target = abs(gap) / 2.0
+        if gap == 0:
+            continue
         if gap > 0:
-            # Left chip hotter: shift its tail blocks rightward.
-            shifted, acc = 0, 0.0
-            while bounds[left + 1] - 1 - shifted > bounds[left]:
-                b = bounds[left + 1] - 1 - shifted
-                w = float(weights[b])
-                dt = w * marginal[left]
-                if acc + dt > target:
-                    break
-                if row_ceilings is not None:
-                    rows_b = int(block_rows[b])
-                    if row_counts[left + 1] + rows_b > row_ceilings[left + 1]:
-                        break
-                    row_counts[left] -= rows_b
-                    row_counts[left + 1] += rows_b
-                acc += dt
-                shifted += 1
-                chip_time[left] -= w * marginal[left]
-                chip_time[left + 1] += w * marginal[left + 1]
-            if shifted:
-                bounds[left + 1] -= shifted
-                moved_any = True
-        elif gap < 0:
-            shifted, acc = 0, 0.0
-            while bounds[left + 1] + shifted < bounds[left + 2] - 1:
-                b = bounds[left + 1] + shifted
-                w = float(weights[b])
-                dt = w * marginal[left + 1]
-                if acc + dt > target:
-                    break
-                if row_ceilings is not None:
-                    rows_b = int(block_rows[b])
-                    if row_counts[left] + rows_b > row_ceilings[left]:
-                        break
-                    row_counts[left + 1] -= rows_b
-                    row_counts[left] += rows_b
-                acc += dt
-                shifted += 1
-                chip_time[left + 1] -= w * marginal[left + 1]
-                chip_time[left] += w * marginal[left]
-            if shifted:
-                bounds[left + 1] += shifted
-                moved_any = True
+            giver, taker = left, left + 1
+            blocks = range(bounds[left + 1] - 1, bounds[left], -1)
+        else:
+            giver, taker = left + 1, left
+            blocks = range(bounds[left + 1], bounds[left + 2] - 1)
+        target = abs(gap) / 2.0
+        # Rows the taker can still take under its ceiling.
+        room = math.inf if row_ceilings is None else (
+            row_ceilings[taker]
+            - block_rows[bounds[taker]:bounds[taker + 1]].sum()
+        )
+        shifted, acc = 0, 0.0
+        for b in blocks:
+            w = float(weights[b])
+            dt = w * marginal[giver]
+            room -= block_rows[b]
+            if acc + dt > target or room < 0:
+                break
+            acc += dt
+            shifted += 1
+            chip_time[giver] -= dt
+            chip_time[taker] += w * marginal[taker]
+        if shifted:
+            bounds[left + 1] += blocks.step * shifted
+            moved_any = True
     return moved_any
 
 
@@ -609,14 +595,9 @@ def rebalance_plan(plan, row_nnz, cluster):
     rounds = 0
     converged_round = None
     while rounds < MAX_REBALANCE_ROUNDS:
-        row_counts = (
-            np.add.reduceat(block_rows, bounds[:-1]).astype(np.int64)
-            if ceilings is not None else None
-        )
         moved_any = _diffuse_pairs(
-            bounds, weights, chip_times(bounds), marginal,
-            block_rows=block_rows if ceilings is not None else None,
-            row_counts=row_counts, row_ceilings=ceilings,
+            bounds, weights, chip_times(bounds), marginal, block_rows,
+            ceilings,
         )
         times = chip_times(bounds)
         gap_history.append(gap_of(times))
@@ -1001,7 +982,7 @@ def _feedback_rebalance(sharded, cluster, cache, tracer=None):
                 },
             )
         if best is None or total < best[0]:
-            best = (total, current, reports, composed)
+            best = (total, current, reports)
             stall = 0
         else:
             stall += 1
@@ -1012,14 +993,9 @@ def _feedback_rebalance(sharded, cluster, cache, tracer=None):
             break
         loads = np.add.reduceat(weights, bounds[:-1]).astype(np.float64)
         marginal = measured / np.maximum(loads, 1.0)
-        row_counts = (
-            np.add.reduceat(block_rows, bounds[:-1]).astype(np.int64)
-            if ceilings is not None else None
-        )
         moved = _diffuse_pairs(
-            bounds, weights, measured.copy(), marginal,
-            block_rows=block_rows if ceilings is not None else None,
-            row_counts=row_counts, row_ceilings=ceilings,
+            bounds, weights, measured.copy(), marginal, block_rows,
+            ceilings,
         )
         if not moved and not pending:
             converged_round = rounds
@@ -1029,20 +1005,17 @@ def _feedback_rebalance(sharded, cluster, cache, tracer=None):
             np.arange(cluster.n_chips, dtype=np.int64), np.diff(bounds)
         ))
 
-    _total, best_plan, best_reports, best_composed = best
-    steady = _straggler_multipliers(cluster)
+    _total, best_plan, best_reports = best
     if cache is not None:
         # Replay the winner against the caller's cache: stores (or
         # hits) only the surviving plan's tuning entries, and the
         # returned reports carry the caller-visible cache_hit flags.
         best_reports = sharded._run_chips(best_plan, cache, tracer=tracer)
-        best_composed = sharded._compose(cluster, best_plan, best_reports,
-                                         steady)
-    elif cluster.stragglers:
-        # The winning round may have measured a pre-onset or blended
-        # regime; what the run ultimately pays is the steady state.
-        best_composed = sharded._compose(cluster, best_plan, best_reports,
-                                         steady)
+    # The winning round may have measured a pre-onset or blended
+    # regime; what the run ultimately pays is the steady state.
+    best_composed = sharded._compose(
+        cluster, best_plan, best_reports, _straggler_multipliers(cluster)
+    )
     moved = best_plan.owner != initial.owner
     info = RebalanceInfo(
         rounds=rounds,
@@ -1161,16 +1134,13 @@ class ShardedAccelerator:
             raise ConfigError(
                 f"cluster must be ClusterConfig, got {type(cluster).__name__}"
             )
-        if hasattr(dataset, "adjacency_row_nnz"):
-            row_nnz = dataset.adjacency_row_nnz()
-        else:
-            row_nnz = dataset.adjacency.row_nnz()
         self.dataset = dataset
         self.cluster = cluster
         self.a_hops = a_hops
         self.jobs = build_spmm_jobs(dataset, a_hops=a_hops)
         self.name = getattr(dataset, "name", "custom")
-        self._row_nnz = row_nnz
+        # The adjacency profile, from the first aggregation stage.
+        self._row_nnz = self.jobs[0][1].row_nnz
         self._plan = None
         self._infeasible = None
         self._load = None

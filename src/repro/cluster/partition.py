@@ -19,6 +19,11 @@ Two initial-assignment strategies are provided:
   (GNNIE-style degree-aware partitioning), while keeping every shard a
   run of consecutive blocks.
 
+Both strategies run through one sweep that clamps every chip's stop
+boundary to what its hard row ceiling and the chips after it allow; a
+plan without ceilings is the same sweep under ceilings no chip can
+reach.
+
 :func:`halo_exchange` derives the inter-chip communication sets: for
 every chip, which dense-operand rows (columns referenced by its
 adjacency block) live on which other chip. Shard-local execution over
@@ -47,6 +52,14 @@ def _read_only(values):
     out = np.array(values, dtype=np.int64)
     out.setflags(write=False)
     return out
+
+
+def _check_profile(row_nnz):
+    """A per-row work profile as int64; negative work is a ConfigError."""
+    row_nnz = check_1d_int_array(row_nnz, "row_nnz")
+    if row_nnz.size and row_nnz.min() < 0:
+        raise ConfigError("row_nnz must be non-negative")
+    return row_nnz
 
 
 @dataclass(frozen=True)
@@ -132,8 +145,9 @@ class ShardPlan:
         ).astype(np.int64)
 
     def block_weights(self, row_nnz):
-        """Per-block total weight (e.g. nnz) from a per-row profile."""
-        row_nnz = check_1d_int_array(row_nnz, "row_nnz")
+        """Per-block total weight (e.g. nnz) from a non-negative per-row
+        profile."""
+        row_nnz = _check_profile(row_nnz)
         if row_nnz.size != self.n_rows:
             raise ConfigError(
                 f"row_nnz must have length {self.n_rows}, got {row_nnz.size}"
@@ -276,14 +290,17 @@ def _suffix_need(bounds, ceilings, n_chips):
     return need
 
 
-def _constrained_owner(bounds, weights, n_chips, strategy, capacities,
-                       ceilings):
+def _sweep_owner(bounds, weights, n_chips, strategy, capacities,
+                 ceilings):
     """Block->chip assignment honouring hard per-chip row ceilings.
 
-    Runs the same target-driven sweep as the unconstrained strategies
-    but clamps every chip's stop boundary into its feasible interval:
-    at least far enough that the remaining chips can still cover the
-    suffix (``need``), at most as far as the chip's own ceiling and the
+    Each chip in turn stops at its strategy's target boundary — an
+    equal share of the blocks for ``"rows"``, the first boundary whose
+    cumulative weight reaches the chip's capacity share for ``"nnz"``
+    (``weights`` must be non-negative, so that cumulative weight never
+    falls) — clamped into its feasible interval: at least one block,
+    and far enough that the remaining chips can still cover the suffix
+    (``need``), at most as far as the chip's own ceiling and the
     one-block-per-remaining-chip reserve allow. Spilled work cascades
     to later chips by construction.
     """
@@ -318,7 +335,6 @@ def _constrained_owner(bounds, weights, n_chips, strategy, capacities,
             )
         block = min(max(desired, e_lo), e_hi)
         owner[start:block] = chip
-    owner[block:] = n_chips - 1
     return owner
 
 
@@ -326,10 +342,11 @@ def make_plan(row_nnz, n_chips, *, strategy="nnz", blocks_per_chip=8,
               capacities=None, row_ceilings=None):
     """Partition ``n_rows`` rows across ``n_chips`` chips.
 
-    ``row_nnz`` is the per-row work profile (the adjacency row-nnz for
-    GCN aggregation). Blocks are equal-row-count (the finest migration
-    granularity, ``min(n_chips * blocks_per_chip, n_rows)`` of them);
-    ``strategy`` picks the initial block->chip assignment:
+    ``row_nnz`` is the non-negative per-row work profile (the adjacency
+    row-nnz for GCN aggregation). Blocks are equal-row-count (the
+    finest migration granularity, ``min(n_chips * blocks_per_chip,
+    n_rows)`` of them); ``strategy`` picks the initial block->chip
+    assignment:
 
     * ``"rows"`` — each chip takes an equal count of consecutive blocks;
     * ``"nnz"``  — a greedy sweep assigns consecutive blocks until the
@@ -346,14 +363,14 @@ def make_plan(row_nnz, n_chips, *, strategy="nnz", blocks_per_chip=8,
     sweep (:func:`repro.analysis.compare_shard_scaling`) isolates.
 
     ``row_ceilings`` are *hard* per-chip row budgets (see
-    :func:`check_row_ceilings`): with them set, both strategies run a
-    constrained sweep that stops taking blocks at a chip's ceiling and
-    spills the excess to later chips, raising :class:`CeilingError`
-    when no contiguous assignment can satisfy every ceiling. With
-    ``row_ceilings=None`` (the default) the unconstrained code path is
-    untouched and bit-identical to earlier releases.
+    :func:`check_row_ceilings`): a chip stops taking blocks at its
+    ceiling and the excess spills to later chips, and
+    :class:`CeilingError` is raised when no contiguous assignment can
+    satisfy every ceiling. Without them every chip's ceiling is
+    ``n_rows``, which no chip can reach, so both strategies run the
+    same sweep either way.
     """
-    row_nnz = check_1d_int_array(row_nnz, "row_nnz")
+    row_nnz = _check_profile(row_nnz)
     n_chips = check_positive_int(n_chips, "n_chips")
     check_positive_int(blocks_per_chip, "blocks_per_chip")
     capacities = check_capacities(capacities, n_chips)
@@ -379,36 +396,12 @@ def make_plan(row_nnz, n_chips, *, strategy="nnz", blocks_per_chip=8,
     bounds[-1] = n_rows
 
     ceilings = check_row_ceilings(row_ceilings, n_chips, n_rows=n_rows)
-    if ceilings is not None:
-        weights = np.add.reduceat(row_nnz, bounds[:-1]).astype(np.float64)
-        owner = _constrained_owner(
-            bounds, weights, n_chips, strategy, capacities, ceilings
-        )
-    elif strategy == "rows":
-        owner = np.arange(n_blocks, dtype=np.int64) * n_chips // n_blocks
-    else:
-        weights = np.add.reduceat(row_nnz, bounds[:-1]).astype(np.float64)
-        total = float(weights.sum())
-        # Cumulative capacity shares: uniform capacities give the exact
-        # (chip + 1) / n_chips fractions of the homogeneous sweep.
-        cum_cap = np.cumsum(capacities)
-        cap_total = float(cum_cap[-1])
-        owner = np.empty(n_blocks, dtype=np.int64)
-        cum = 0.0
-        block = 0
-        for chip in range(n_chips):
-            target = total * float(cum_cap[chip]) / cap_total
-            start = block
-            # Leave one block per remaining chip; take at least one.
-            ceiling = n_blocks - (n_chips - chip - 1)
-            while block < ceiling and (block == start or cum < target):
-                cum += weights[block]
-                block += 1
-            owner[start:block] = chip
-        # Weightless trailing blocks never push ``cum`` past the final
-        # target; sweep them onto the last chip so every block is owned
-        # and the plan stays contiguous.
-        owner[block:] = n_chips - 1
+    if ceilings is None:
+        ceilings = np.full(n_chips, n_rows, dtype=np.int64)
+    weights = np.add.reduceat(row_nnz, bounds[:-1]).astype(np.float64)
+    owner = _sweep_owner(
+        bounds, weights, n_chips, strategy, capacities, ceilings
+    )
     return ShardPlan(
         n_rows=n_rows, n_chips=n_chips, block_bounds=bounds, owner=owner
     )

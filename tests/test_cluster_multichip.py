@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.accel import ArchConfig, GcnAccelerator, slice_jobs
@@ -15,7 +15,7 @@ from repro.cluster import (
     rebalance_plan,
     simulate_multichip_gcn,
 )
-from repro.cluster.multichip import BARRIER_CYCLES
+from repro.cluster.multichip import BARRIER_CYCLES, _diffuse_pairs
 from repro.errors import ConfigError
 from repro.serve import AutotuneCache, RmatGraphSpec
 
@@ -115,6 +115,136 @@ class TestRebalancePlan:
         with pytest.raises(ConfigError):
             rebalance_plan(scattered, row_nnz,
                            ClusterConfig(n_chips=2, chip=CHIP))
+
+
+def _diffuse_pairs_reference(bounds, weights, chip_time, marginal, *,
+                             block_rows=None, row_counts=None,
+                             row_ceilings=None):
+    """The mirrored boundary-diffusion sweep: one transfer loop for a
+    hotter left chip and its mirror for a hotter right chip, with the
+    caller's per-chip ``row_counts`` mutated in place. The oracle for
+    :func:`~repro.cluster.multichip._diffuse_pairs`."""
+    n_chips = chip_time.size
+    moved_any = False
+    for left in range(n_chips - 1):
+        gap = chip_time[left] - chip_time[left + 1]
+        target = abs(gap) / 2.0
+        if gap > 0:
+            shifted, acc = 0, 0.0
+            while bounds[left + 1] - 1 - shifted > bounds[left]:
+                b = bounds[left + 1] - 1 - shifted
+                w = float(weights[b])
+                dt = w * marginal[left]
+                if acc + dt > target:
+                    break
+                if row_ceilings is not None:
+                    rows_b = int(block_rows[b])
+                    if row_counts[left + 1] + rows_b > row_ceilings[left + 1]:
+                        break
+                    row_counts[left] -= rows_b
+                    row_counts[left + 1] += rows_b
+                acc += dt
+                shifted += 1
+                chip_time[left] -= w * marginal[left]
+                chip_time[left + 1] += w * marginal[left + 1]
+            if shifted:
+                bounds[left + 1] -= shifted
+                moved_any = True
+        elif gap < 0:
+            shifted, acc = 0, 0.0
+            while bounds[left + 1] + shifted < bounds[left + 2] - 1:
+                b = bounds[left + 1] + shifted
+                w = float(weights[b])
+                dt = w * marginal[left + 1]
+                if acc + dt > target:
+                    break
+                if row_ceilings is not None:
+                    rows_b = int(block_rows[b])
+                    if row_counts[left] + rows_b > row_ceilings[left]:
+                        break
+                    row_counts[left + 1] -= rows_b
+                    row_counts[left] += rows_b
+                acc += dt
+                shifted += 1
+                chip_time[left + 1] -= w * marginal[left + 1]
+                chip_time[left] += w * marginal[left]
+            if shifted:
+                bounds[left + 1] += shifted
+                moved_any = True
+    return moved_any
+
+
+@st.composite
+def diffusion_sweeps(draw):
+    """A random contiguous chip chain: block bounds, integer or float
+    block weights, per-block rows, uniform or heterogeneous marginals,
+    time estimates and, optionally, row ceilings at or above each
+    chip's rows."""
+    n_chips = draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    per_chip = rng.integers(1, draw(st.integers(2, 12)), size=n_chips)
+    bounds = np.concatenate(([0], np.cumsum(per_chip))).astype(np.int64)
+    n_blocks = int(bounds[-1])
+    if draw(st.booleans()):
+        weights = rng.integers(0, 50, size=n_blocks).astype(np.int64)
+        weights[rng.integers(0, n_blocks, size=2)] *= 40
+    else:
+        weights = rng.exponential(10.0, size=n_blocks)
+    block_rows = rng.integers(1, 6, size=n_blocks).astype(np.int64)
+    if draw(st.booleans()):
+        marginal = np.ones(n_chips)
+    else:
+        marginal = rng.uniform(0.1, 3.0, size=n_chips)
+    if draw(st.booleans()):
+        # The load signal: each chip's time is its load times marginal.
+        chip_time = (np.add.reduceat(weights, bounds[:-1]).astype(np.float64)
+                     * marginal)
+    else:
+        # A measured signal, independent of the loads.
+        chip_time = rng.integers(0, 2_000, size=n_chips).astype(np.float64)
+    ceilings = None
+    if draw(st.booleans()):
+        rows = np.add.reduceat(block_rows, bounds[:-1])
+        ceilings = rows + rng.integers(0, draw(st.sampled_from([1, 4, 30])),
+                                       size=n_chips)
+    return bounds, weights, chip_time, marginal, block_rows, ceilings
+
+
+class TestDiffusePairsMatchesMirroredSweep:
+    """The one-loop sweep moves exactly what the mirrored one moved."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(diffusion_sweeps())
+    # The taker fills its ceiling exactly.
+    @example((np.array([0, 3, 4]), np.array([5, 5, 5, 1]),
+              np.array([15.0, 1.0]), np.ones(2), np.ones(4, dtype=np.int64),
+              np.array([4, 2])))
+    # A weightless block still leaves the giver its last one.
+    @example((np.array([0, 1, 2]), np.zeros(2), np.array([100.0, 0.0]),
+              np.ones(2), np.ones(2, dtype=np.int64), None))
+    def test_sweep_equals_reference(self, case):
+        bounds, weights, chip_time, marginal, block_rows, ceilings = case
+        # Both sweeps shift bounds and times in place: each gets a copy.
+        bounds, chip_time = bounds.copy(), chip_time.copy()
+        ref_bounds, ref_time = bounds.copy(), chip_time.copy()
+        row_counts = (
+            np.add.reduceat(block_rows, bounds[:-1]).astype(np.int64)
+            if ceilings is not None else None
+        )
+        ref_moved = _diffuse_pairs_reference(
+            ref_bounds, weights, ref_time, marginal,
+            block_rows=block_rows if ceilings is not None else None,
+            row_counts=row_counts, row_ceilings=ceilings,
+        )
+        moved = _diffuse_pairs(bounds, weights, chip_time, marginal,
+                               block_rows, ceilings)
+        assert moved == ref_moved
+        assert np.array_equal(bounds, ref_bounds)
+        assert np.array_equal(chip_time, ref_time)
+        if ceilings is not None:
+            assert np.array_equal(
+                np.add.reduceat(block_rows, bounds[:-1]), row_counts
+            )
 
 
 class TestSimulateMultichipGcn:

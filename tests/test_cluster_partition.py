@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     PARTITION_STRATEGIES,
     ShardPlan,
+    check_capacities,
     halo_exchange,
     make_plan,
 )
@@ -77,6 +80,104 @@ class TestMakePlan:
         row_nnz[0] = 10_000
         plan = make_plan(row_nnz, 8, strategy="nnz")
         assert np.unique(plan.owner).size == 8
+
+
+def _unconstrained_plan_reference(row_nnz, n_chips, strategy,
+                                  blocks_per_chip, capacities):
+    """``(block_bounds, owner)`` of the unconstrained assignment sweep
+    ``make_plan`` ran beside the ceiling-clamped one: the oracle for a
+    plan without ``row_ceilings``."""
+    capacities = check_capacities(capacities, n_chips)
+    n_rows = row_nnz.size
+    n_blocks = min(n_chips * blocks_per_chip, n_rows)
+    bounds = np.floor(
+        np.arange(n_blocks + 1) * (n_rows / n_blocks)
+    ).astype(np.int64)
+    bounds[-1] = n_rows
+    if strategy == "rows":
+        owner = np.arange(n_blocks, dtype=np.int64) * n_chips // n_blocks
+        return bounds, owner
+    weights = np.add.reduceat(row_nnz, bounds[:-1]).astype(np.float64)
+    total = float(weights.sum())
+    cum_cap = np.cumsum(capacities)
+    cap_total = float(cum_cap[-1])
+    owner = np.empty(n_blocks, dtype=np.int64)
+    cum = 0.0
+    block = 0
+    for chip in range(n_chips):
+        target = total * float(cum_cap[chip]) / cap_total
+        start = block
+        # Leave one block per remaining chip; take at least one.
+        ceiling = n_blocks - (n_chips - chip - 1)
+        while block < ceiling and (block == start or cum < target):
+            cum += weights[block]
+            block += 1
+        owner[start:block] = chip
+    # Weightless trailing blocks never push ``cum`` past the final
+    # target; they go to the last chip.
+    owner[block:] = n_chips - 1
+    return bounds, owner
+
+
+@st.composite
+def unconstrained_plans(draw):
+    """Random non-negative profiles (zero rows and hub rows), chip and
+    block counts, and uniform or heterogeneous capacities."""
+    n_chips = draw(st.integers(1, 9))
+    n_rows = draw(st.integers(n_chips, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    row_nnz = rng.integers(0, draw(st.sampled_from([1, 2, 9, 40])),
+                           size=n_rows)
+    row_nnz[rng.random(n_rows) < draw(st.sampled_from([0.0, 0.5, 0.95]))] = 0
+    hubs = rng.integers(0, n_rows, size=draw(st.integers(0, 4)))
+    row_nnz[hubs] += rng.integers(100, 20_000, size=hubs.size)
+    capacities = draw(st.one_of(
+        st.none(),
+        st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                 min_size=n_chips, max_size=n_chips),
+        st.lists(st.floats(0.1, 8.0), min_size=n_chips, max_size=n_chips),
+    ))
+    return (row_nnz, n_chips, draw(st.sampled_from(PARTITION_STRATEGIES)),
+            draw(st.integers(1, 12)), capacities)
+
+
+class TestMakePlanMatchesUnconstrainedSweep:
+    """A plan without ceilings runs the clamped sweep under ceilings no
+    chip can reach; it must equal the unconstrained sweep exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(unconstrained_plans())
+    # Weightless blocks: a cumulative weight that reaches a target
+    # exactly stops there.
+    @example((np.zeros(40, dtype=np.int64), 3, "nnz", 4, None))
+    @example((np.array([1, 1, 0, 0, 1, 1, 0, 0]), 2, "nnz", 4, None))
+    def test_plan_equals_reference(self, case):
+        row_nnz, n_chips, strategy, blocks_per_chip, capacities = case
+        plan = make_plan(row_nnz, n_chips, strategy=strategy,
+                         blocks_per_chip=blocks_per_chip,
+                         capacities=capacities)
+        bounds, owner = _unconstrained_plan_reference(
+            row_nnz, n_chips, strategy, blocks_per_chip, capacities
+        )
+        assert np.array_equal(plan.block_bounds, bounds)
+        assert np.array_equal(plan.owner, owner)
+
+
+class TestNegativeProfileRejected:
+    def _negative(self):
+        row_nnz = _rng_row_nnz(64)
+        row_nnz[5] = -1
+        return row_nnz
+
+    @pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
+    def test_make_plan(self, strategy):
+        with pytest.raises(ConfigError, match="non-negative"):
+            make_plan(self._negative(), 4, strategy=strategy)
+
+    def test_block_weights(self):
+        plan = make_plan(_rng_row_nnz(64), 4)
+        with pytest.raises(ConfigError, match="non-negative"):
+            plan.block_weights(self._negative())
 
 
 class TestShardPlanValidation:

@@ -37,7 +37,7 @@ from repro.accel.localshare import (
     share_window_bounds,
     share_window_bounds_batch,
 )
-from repro.accel.remote import RemoteAutoTuner, TrackedTuple, TuningOutcome
+from repro.accel.remote import RemoteAutoTuner, TrackedTuple
 from repro.accel.cyclemodel import (
     SpmmJob,
     SpmmResult,
@@ -75,7 +75,6 @@ __all__ = [
     "share_window_bounds_batch",
     "RemoteAutoTuner",
     "TrackedTuple",
-    "TuningOutcome",
     "SpmmJob",
     "SpmmResult",
     "simulate_spmm",

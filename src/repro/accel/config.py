@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.utils.validation import check_bool
 
 
 def _kept_values(instance):
@@ -165,6 +166,9 @@ class ArchConfig:
                 "convergence_patience must be >= 1, got "
                 f"{self.convergence_patience}"
             )
+        for name in ("remote_switching", "pipeline_spmm", "eq5_approximate"):
+            value = check_bool(getattr(self, name), name)
+            object.__setattr__(self, name, value)
         if self.drain_cycles is None:
             derived = int(np.ceil(np.log2(max(self.n_pes, 2)))) + self.mac_latency
             object.__setattr__(self, "drain_cycles", derived)

@@ -65,7 +65,7 @@ and each plan's last composed exclusive-fabric report — across runs;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import is_
 
@@ -87,6 +87,7 @@ from repro.cluster.partition import (
 from repro.cluster.topology import TOPOLOGY_KINDS, Topology, make_topology
 from repro.errors import CeilingError, ConfigError
 from repro.utils.validation import (
+    check_bool,
     check_non_negative_int,
     check_positive_finite,
     check_positive_int,
@@ -214,18 +215,10 @@ class ClusterConfig:
         a blended mid-round measurement at a fractional onset) and
         migrates work off the slowed chip. None (default) is
         bit-identical to no stragglers.
-    background_link_loads:
-        Optional per-link word loads (one entry per fabric link, the
-        pool link id space when ``topology`` is a
-        :func:`~repro.cluster.topology.subtopology`) that *other
-        concurrent jobs* put on this cluster's links per halo round.
-        Added to every halo flow's contention term — scaled by the same
-        rounds multiplier as the job's own halo words, so concurrent
-        tenants contend round for round — via the ``background``
-        argument of :meth:`~repro.cluster.topology.Topology.comm_cycles`.
-        None (default) prices an exclusively-owned fabric, bit-identical
-        to before. The serving layer derives this from its active-job
-        registry when fabric co-scheduling is on.
+
+    The traffic other concurrent jobs keep on the fabric is not a field:
+    it belongs to one run, and :func:`simulate_multichip_gcn` takes it
+    as ``background=``.
     """
 
     n_chips: int = 4
@@ -242,7 +235,6 @@ class ClusterConfig:
     feedback_rounds: int = 4
     row_ceilings: tuple = None
     stragglers: tuple = None
-    background_link_loads: tuple = None
 
     def __post_init__(self):
         check_positive_int(self.n_chips, "n_chips")
@@ -281,6 +273,9 @@ class ClusterConfig:
                 f"got {self.topology!r}"
             )
         check_non_negative_int(self.hop_latency_cycles, "hop_latency_cycles")
+        for name in ("overlap", "rebalance"):
+            value = check_bool(getattr(self, name), name)
+            object.__setattr__(self, name, value)
         if self.strategy not in PARTITION_STRATEGIES:
             raise ConfigError(
                 f"strategy must be one of {PARTITION_STRATEGIES}, "
@@ -312,22 +307,6 @@ class ClusterConfig:
             object.__setattr__(
                 self, "stragglers", tuple(events) if events else None
             )
-        if self.background_link_loads is not None:
-            try:
-                loads = tuple(float(v) for v in self.background_link_loads)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    "background_link_loads must be a sequence of numbers"
-                )
-            for v in loads:
-                if not math.isfinite(v) or v < 0:
-                    raise ConfigError(
-                        "background_link_loads entries must be finite and "
-                        f">= 0, got {v}"
-                    )
-            # Length is validated against the resolved fabric's link
-            # count at pricing time (the fabric may not be built yet).
-            object.__setattr__(self, "background_link_loads", loads)
 
     @property
     def chip_configs(self):
@@ -771,7 +750,7 @@ class ClusterReport:
         return self.cluster.chip.cycles_to_ms(self.total_cycles)
 
 
-def _price_halo(cluster, layers, halo, a_hops):
+def _price_halo(cluster, layers, halo, a_hops, background=None):
     """Fabric pricing of one plan's halo exchange: ``(comm_serial,
     comm_round)``.
 
@@ -780,19 +759,18 @@ def _price_halo(cluster, layers, halo, a_hops):
     double-buffered model (zeros without ``overlap``). Both are
     read-only. ``halo`` is the plan's
     :class:`~repro.cluster.partition.HaloExchange` (None on one chip,
-    which prices nothing). The cluster's ``background_link_loads``, if
-    any, join every flow's contention term.
+    which prices nothing). ``background``, the per-link words other
+    concurrent jobs put on the fabric per halo round, joins every
+    flow's contention term; a malformed one is a
+    :class:`~repro.errors.ConfigError`.
     """
     n_chips = cluster.n_chips
     comm_serial = np.zeros((len(layers), n_chips), dtype=np.int64)
     comm_round = np.zeros(n_chips, dtype=np.int64)
+    fabric = cluster.fabric
+    if background is not None:
+        background = fabric._check_background(background)
     if halo is not None:
-        fabric = cluster.fabric
-        background = None
-        if cluster.background_link_loads is not None:
-            background = np.asarray(
-                cluster.background_link_loads, dtype=np.float64
-            )
         halo_words = halo.words.astype(np.float64)
         if cluster.overlap:
             # The exposed tail: one dense column's halo (the first
@@ -862,7 +840,7 @@ def _compose_layers(cluster, chip_reports, comm, *, slowdown=None):
     return layer_cycles, comm_serial, chip_costs, chip_compute
 
 
-def _feedback_rebalance(sharded, cluster, cache, tracer=None):
+def _feedback_rebalance(sharded, cache, tracer, background):
     """Cycle-feedback rebalancing: migrate on measured per-chip cycles.
 
     Round 0 starts from the load-signal plan — before anything has run
@@ -905,15 +883,15 @@ def _feedback_rebalance(sharded, cluster, cache, tracer=None):
 
     ``sharded`` is the :class:`ShardedAccelerator` being run: the
     controller starts from its initial and load-signal plans and reuses
-    its per-plan halo sets and chip accelerators, while ``cluster`` —
-    the accelerator's, with this run's fabric background — prices every
-    candidate.
+    its per-plan halo sets and chip accelerators, and its cluster,
+    under this run's fabric ``background``, prices every candidate.
 
     Returns ``(plan, info, chip_reports, composed)`` with the winning
     plan's reports and composition run against the caller's cache.
     """
     from repro.serve.cache import OverlayCache
 
+    cluster = sharded.cluster
     initial = sharded.plan
     weights = initial.block_weights(sharded._row_nnz)
     block_rows = initial.block_sizes
@@ -953,7 +931,7 @@ def _feedback_rebalance(sharded, cluster, cache, tracer=None):
             stall = 0
         prev_mult = mult
         reports = sharded._run_chips(current, explore_cache)
-        composed = sharded._compose(cluster, current, reports, mult)
+        composed = sharded._compose(current, reports, mult, background)
         _cycles, _comm, _costs, chip_compute = composed
         measured = chip_compute.sum(axis=0).astype(np.float64)
         gap_history.append(int(measured.max() - measured.min()))
@@ -1014,7 +992,7 @@ def _feedback_rebalance(sharded, cluster, cache, tracer=None):
     # The winning round may have measured a pre-onset or blended
     # regime; what the run ultimately pays is the steady state.
     best_composed = sharded._compose(
-        cluster, best_plan, best_reports, _straggler_multipliers(cluster)
+        best_plan, best_reports, _straggler_multipliers(cluster), background
     )
     moved = best_plan.owner != initial.owner
     info = RebalanceInfo(
@@ -1029,7 +1007,7 @@ def _feedback_rebalance(sharded, cluster, cache, tracer=None):
 
 
 def simulate_multichip_gcn(dataset, cluster, *, a_hops=1, cache=None,
-                           tracer=None):
+                           tracer=None, background=None):
     """Simulate a full sharded 2-layer GCN inference on a cluster.
 
     Partitions ``dataset``, optionally rebalances it at chip level — on
@@ -1045,38 +1023,37 @@ def simulate_multichip_gcn(dataset, cluster, *, a_hops=1, cache=None,
     part of the key), so repeat sharded requests replay through the
     frozen fast path chip by chip even on heterogeneous clusters.
 
+    ``background`` is the per-link word load (one entry per fabric
+    link, the pool link id space when ``topology`` is a
+    :func:`~repro.cluster.topology.subtopology`) that *other concurrent
+    jobs* put on the fabric per halo round. It joins every halo flow's
+    contention term, scaled by the same rounds multiplier as the job's
+    own halo words, so concurrent tenants contend round for round (the
+    ``background`` argument of
+    :meth:`~repro.cluster.topology.Topology.comm_cycles`); a wrong
+    length, a negative or non-finite entry or a non-number is a
+    :class:`~repro.errors.ConfigError`. None (default) prices an
+    exclusively-owned fabric.
+    The serving layer derives it from its running jobs under fabric
+    co-scheduling.
+
     This is a thin wrapper over :class:`ShardedAccelerator`, and
     ``dataset`` may also be an accelerator already bound to the graph:
     the run then reuses the plans, halo sets, per-chip accelerators,
     exclusive-fabric prices and stored reports it built for earlier
-    jobs. ``cluster`` must
-    then be the accelerator's own up to ``background_link_loads`` (this
-    job's fabric background), and ``a_hops`` its ``a_hops``. The bound
-    cluster itself is accepted by identity; any other is compared field
-    by field.
+    jobs. ``cluster`` must then be the accelerator's own or an equal
+    one, and ``a_hops`` its ``a_hops``; the report carries the
+    accelerator's cluster.
     """
     if isinstance(dataset, ShardedAccelerator):
         sharded = dataset
-        if a_hops != sharded.a_hops or (
-                cluster is not sharded.cluster
-                and (not isinstance(cluster, ClusterConfig)
-                     or _shape_of(cluster) != _shape_of(sharded.cluster))):
+        if a_hops != sharded.a_hops or cluster != sharded.cluster:
             raise ConfigError(
-                "a ShardedAccelerator runs only on its own cluster (up to "
-                "background_link_loads) and a_hops"
+                "a ShardedAccelerator runs only on its own cluster and a_hops"
             )
     else:
         sharded = ShardedAccelerator(dataset, cluster, a_hops=a_hops)
-    return sharded._simulate(cluster, cache, tracer)
-
-
-def _shape_of(cluster):
-    """Every :class:`ClusterConfig` field but the per-job fabric
-    background: what a :class:`ShardedAccelerator` is bound to."""
-    return tuple(
-        getattr(cluster, f.name) for f in fields(cluster)
-        if f.name != "background_link_loads"
-    )
+    return sharded._simulate(cache, tracer, background)
 
 
 class ShardedAccelerator:
@@ -1091,18 +1068,17 @@ class ShardedAccelerator:
     * the load-signal :func:`rebalance_plan` outcome;
     * each plan's :class:`~repro.cluster.partition.HaloExchange`;
     * each plan's price on the exclusively-owned fabric
-      (:func:`_price_halo` without ``background_link_loads``) and the
-      per-link words its halo round puts on the fabric
-      (:meth:`halo_link_loads`);
+      (:func:`_price_halo` without a background) and the per-link words
+      its halo round puts on the fabric (:meth:`halo_link_loads`);
     * each plan's per-chip :class:`~repro.accel.GcnAccelerator`, whose
       replay memo turns a repeat cache hit on its shard into a lookup
       and whose kept cold run turns a repeat miss into a store;
-    * each plan's last :class:`ClusterReport` on the bound cluster
-      itself (see below).
+    * each plan's last :class:`ClusterReport` without a background (see
+      below).
 
     Run it with ``simulate_multichip_gcn(accelerator, cluster, cache=,
-    tracer=)``: the fabric background (``cluster`` is the bound one up
-    to ``background_link_loads``), the autotune cache and the tracer
+    tracer=, background=)``, where ``cluster`` is the bound one or an
+    equal one: the fabric background, the autotune cache and the tracer
     are per-run, so one accelerator serves every job of its graph on
     its shape. A run against a background prices the fabric afresh.
     Under ``rebalance_signal="cycles"`` the plan choice prices the
@@ -1111,17 +1087,18 @@ class ShardedAccelerator:
     loads are read-only, so the reports and jobs that share them cannot
     change a later run.
 
-    A run on the bound cluster object itself, with no background, no
-    stragglers and no ``"cycles"`` feedback, is a pure function of its
-    plan and its chips' reports, which the chip accelerators' memos
-    return as the same objects on every warm run. Such a run still
-    calls every chip's ``run``, so every cache lookup, hit counter, LRU
-    move and cache event happens as before; when the chips return the
-    very reports the plan's stored :class:`ClusterReport` was composed
-    from, that report is returned, and otherwise the plan's one slot is
-    recomposed and replaced. The stored report holds the chip reports
-    it is keyed by, so their identity cannot be recycled. Every other
-    run composes afresh and neither reads nor writes the slot.
+    A run without a background or ``"cycles"`` feedback is a pure
+    function of its plan and its chips' reports, which the chip
+    accelerators' memos return as the same objects on every warm run;
+    stragglers are part of the bound shape, and the report charges
+    their steady-state slowdown. Such a run still calls every chip's
+    ``run``, so every cache lookup, hit counter, LRU move and cache
+    event happens as before; when the chips return the very reports the
+    plan's stored :class:`ClusterReport` was composed from, that report
+    is returned, and otherwise the plan's one slot is recomposed and
+    replaced. The stored report holds the chip reports it is keyed by,
+    so their identity cannot be recycled. A run against a background
+    composes afresh and neither reads nor writes the slot.
 
     The accelerator holds its dataset, so a caller may key accelerators
     by ``id(dataset)`` for as long as it keeps them:
@@ -1196,16 +1173,18 @@ class ShardedAccelerator:
             self._halos[key] = halo
         return halo
 
-    def _fabric_price(self, cluster, plan):
-        """:func:`_price_halo` of one plan on ``cluster``.
+    def _fabric_price(self, plan, background):
+        """:func:`_price_halo` of one plan under ``background``.
 
-        Without ``background_link_loads`` the price depends on the plan
-        and the bound shape alone, so it is built once per plan; a run
-        against a background prices afresh.
+        Without a background the price depends on the plan and the
+        bound shape alone, so it is built once per plan; a run against
+        a background prices afresh.
         """
+        cluster = self.cluster
         halo = self._halo(plan) if cluster.n_chips > 1 else None
-        if cluster.background_link_loads is not None:
-            return _price_halo(cluster, self.jobs, halo, self.a_hops)
+        if background is not None:
+            return _price_halo(cluster, self.jobs, halo, self.a_hops,
+                               background)
         key = plan.owner.tobytes()
         price = self._prices.get(key)
         if price is None:
@@ -1252,15 +1231,16 @@ class ShardedAccelerator:
         return [accel.run(cache=cache, tracer=tracer)
                 for accel in self._chip_accels(plan)]
 
-    def _compose(self, cluster, plan, chip_reports, slowdown):
+    def _compose(self, plan, chip_reports, slowdown, background):
         """:func:`_compose_layers` of one plan's chip reports."""
-        return _compose_layers(cluster, chip_reports,
-                               self._fabric_price(cluster, plan),
+        return _compose_layers(self.cluster, chip_reports,
+                               self._fabric_price(plan, background),
                                slowdown=slowdown)
 
-    def _simulate(self, cluster, cache, tracer):
-        """One run on ``cluster``, the bound cluster up to its fabric
-        background."""
+    def _simulate(self, cache, tracer, background):
+        """One run on the bound cluster under a fabric ``background``
+        (None for an exclusively-owned fabric)."""
+        cluster = self.cluster
         initial = self.plan
         trace = tracer is not None and tracer.enabled
         lane = f"cluster/{self.name}"
@@ -1289,10 +1269,9 @@ class ShardedAccelerator:
         )
         if feedback:
             plan, info, chip_reports, composed = _feedback_rebalance(
-                self, cluster, cache, tracer=tracer,
+                self, cache, tracer, background,
             )
-            report = self._report(cluster, plan, info, chip_reports,
-                                  composed)
+            report = self._report(plan, info, chip_reports, composed)
         else:
             plan = initial
             if cluster.rebalance:
@@ -1306,19 +1285,16 @@ class ShardedAccelerator:
             else:
                 info = _noop_info(cluster.rebalance_signal)
             chip_reports = self._run_chips(plan, cache, tracer=tracer)
-            if (cluster is self.cluster
-                    and cluster.background_link_loads is None
-                    and not cluster.stragglers):
+            # A frozen or load-signal plan pays the steady-state
+            # slowdown in full — only the "cycles" feedback path can
+            # observe and route around a straggler.
+            if background is None:
                 report = self._stored_report(plan, info, chip_reports)
             else:
-                # A frozen or load-signal plan pays the steady-state
-                # slowdown in full — only the "cycles" feedback path
-                # can observe and route around a straggler.
-                report = self._report(
-                    cluster, plan, info, chip_reports,
-                    self._compose(cluster, plan, chip_reports,
-                                  _straggler_multipliers(cluster)),
-                )
+                report = self._report(plan, info, chip_reports, self._compose(
+                    plan, chip_reports, _straggler_multipliers(cluster),
+                    background,
+                ))
 
         if trace:
             info = report.rebalance
@@ -1361,7 +1337,8 @@ class ShardedAccelerator:
 
     def _stored_report(self, plan, info, chip_reports):
         """The :class:`ClusterReport` of ``plan`` on the bound cluster's
-        exclusive fabric, composed once per set of chip reports.
+        exclusive fabric, under the steady-state straggler slowdown,
+        composed once per set of chip reports.
 
         The plan's one slot is returned when ``chip_reports`` are the
         very objects it was composed from, and recomposed and replaced
@@ -1371,17 +1348,17 @@ class ShardedAccelerator:
         report = self._reports.get(key)
         if report is None or not all(
                 map(is_, chip_reports, report.chip_reports)):
-            cluster = self.cluster
-            report = self._report(
-                cluster, plan, info, chip_reports,
-                self._compose(cluster, plan, chip_reports, None),
-            )
+            report = self._report(plan, info, chip_reports, self._compose(
+                plan, chip_reports, _straggler_multipliers(self.cluster),
+                None,
+            ))
             self._reports[key] = report
         return report
 
-    def _report(self, cluster, plan, info, chip_reports, composed):
+    def _report(self, plan, info, chip_reports, composed):
         """The :class:`ClusterReport` of one composed run of ``plan``,
         migration from the initial plan included."""
+        cluster = self.cluster
         initial = self.plan
         migration_cycles = _migration_cycles(
             cluster, initial, plan, initial.block_weights(self._row_nnz)

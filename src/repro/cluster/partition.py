@@ -266,22 +266,21 @@ def _suffix_need(bounds, ceilings, n_chips):
                 "blocks_per_chip or the ceiling"
             )
         # Chip ``chip`` must start early enough that its farthest
-        # affordable stop still reaches need[chip + 1]; scan starts in
-        # ascending order so the first feasible start is the minimal one.
-        found = -1
-        for b in range(n_blocks - (n_chips - chip) + 1):
-            reach = _ceiling_reach(bounds, b, ceilings[chip])
-            hi = min(reach, n_blocks - (n_chips - chip - 1))
-            if max(b + 1, int(need[chip + 1])) <= hi:
-                found = b
-                break
-        if found < 0:
+        # affordable stop still reaches need[chip + 1]: one search over
+        # every candidate start, of which the first feasible is minimal.
+        starts = np.arange(n_blocks - (n_chips - chip) + 1)
+        reach = np.searchsorted(
+            bounds, bounds[starts] + ceilings[chip], side="right"
+        ) - 1
+        hi = np.minimum(reach, n_blocks - (n_chips - chip - 1))
+        feasible = np.maximum(starts + 1, need[chip + 1]) <= hi
+        if not feasible.any():
             raise CeilingError(
                 f"row_ceilings {ceilings.tolist()} admit no contiguous "
                 f"plan over {n_blocks} blocks: chips {chip}..{n_chips - 1} "
                 "cannot cover the remaining rows"
             )
-        need[chip] = found
+        need[chip] = int(feasible.argmax())
     if need[0] > 0:
         raise CeilingError(
             f"row_ceilings {ceilings.tolist()} admit no contiguous plan: "

@@ -211,7 +211,12 @@ class Topology:
         return words
 
     def _check_background(self, background):
-        background = np.asarray(background, dtype=np.float64)
+        try:
+            background = np.asarray(background, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                "background link loads must be numbers"
+            ) from None
         expected = max(self.n_links, 1)
         if background.shape != (expected,):
             raise ConfigError(

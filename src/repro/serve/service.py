@@ -390,14 +390,14 @@ class InferenceService:
         Optional dict of :class:`~repro.cluster.ClusterConfig`
         overrides for sharded jobs (e.g. ``link_words_per_cycle``,
         ``topology``, ``overlap``, ``rebalance_signal``); ``n_chips``,
-        ``chip``, ``chips``, ``row_ceilings`` and
-        ``background_link_loads`` are always derived from the job
-        itself, ``topology`` is a kind, since each gang's fabric is
-        sized per job, and ``stragglers`` is refused, since its chip
-        ids would name gang positions, not instances. An unknown key
-        or a bad value raises :class:`~repro.errors.ConfigError` here,
-        before any request is queued, and so do options without
-        ``chip_capacity``, which no job would read.
+        ``chip``, ``chips`` and ``row_ceilings`` are always derived
+        from the job itself, ``topology`` is a kind, since each gang's
+        fabric is sized per job, and ``stragglers`` is refused, since
+        its chip ids would name gang positions, not instances. An
+        unknown key or a bad value raises
+        :class:`~repro.errors.ConfigError` here, before any request is
+        queued, and so do options without ``chip_capacity``, which no
+        job would read.
     coschedule:
         Multi-tenant co-scheduling of batch and sharded traffic.
         Enables (1) *gang claims*: while the head sharded job waits for
@@ -585,8 +585,7 @@ class InferenceService:
                     f"cluster_options names {key!r}, which is not a "
                     "ClusterConfig field"
                 )
-        for reserved in ("n_chips", "chip", "chips", "row_ceilings",
-                         "background_link_loads"):
+        for reserved in ("n_chips", "chip", "chips", "row_ceilings"):
             if reserved in self.cluster_options:
                 raise ConfigError(
                     f"cluster_options may not override {reserved!r} "
@@ -961,11 +960,11 @@ class InferenceService:
 
         The key — graph, ``a_hops``, request config, the ordered gang
         members and whether the capacity binds as row ceilings — fixes
-        every field of the gang's :class:`ClusterConfig` except the
-        per-job fabric background: row ceilings, fabric restriction,
-        partition and rebalance settings. Plan validation, backfill
-        screens and dispatch of one graph on one gang therefore share
-        its plans, halo sets, fabric prices and per-chip accelerators.
+        every field of the gang's :class:`ClusterConfig`: row ceilings,
+        fabric restriction, partition and rebalance settings. Plan
+        validation, backfill screens and dispatch of one graph on one
+        gang therefore share its plans, halo sets, fabric prices and
+        per-chip accelerators.
         It lives in the same one-drain window as :meth:`_accel_for`'s
         records, whose 3-tuple keys cannot equal this 5-tuple.
         The drain looks in its own entries first, then takes one over
@@ -1488,30 +1487,29 @@ class _ShardedDispatch:
         screened duration equals the dispatched duration exactly; the
         backfill decision is a proof, not an estimate.
         """
-        cluster = self._priced(sharded.cluster, clock)
+        cluster = sharded.cluster
         report = simulate_multichip_gcn(
             sharded, cluster, a_hops=sharded.a_hops,
             cache=OverlayCache(gang[0].cache, counted=False),
+            background=self._background(clock),
         )
         return cluster.chip.cycles_to_seconds(report.total_cycles)
 
-    def _priced(self, cluster, clock):
-        """``cluster`` priced against the per-link words the other
-        running jobs keep on the pool fabric.
+    def _background(self, clock):
+        """The per-link words the running jobs keep on the pool fabric,
+        or None.
 
         Sums the stored per-round halo flows of every running (not
         preempted, not finished) job. With nothing contending — always
-        without ``coschedule`` — the cluster comes back as is, and
-        prices exactly as the exclusive fabric does.
+        without ``coschedule`` — it is None, and a job prices exactly
+        as on an exclusive fabric.
         """
         flows = [
             entry.flows for entry in self.active
             if not entry.preempted and entry.flows is not None
             and entry.finish > clock
         ]
-        if not flows:
-            return cluster
-        return replace(cluster, background_link_loads=np.sum(flows, axis=0))
+        return np.sum(flows, axis=0) if flows else None
 
     def _resume_claims(self):
         """Instance indices reserved for preempted jobs' resumes.
@@ -1725,7 +1723,8 @@ class _ShardedDispatch:
         service = self.service
         request = item.request
         service.placement.gang_landed(item, gang, clock)
-        cluster = self._priced(sharded.cluster, clock)
+        cluster = sharded.cluster
+        background = self._background(clock)
         tr = service.tracer
         if tr.enabled:
             # Anchor the cluster/tuner/cache events of this job at its
@@ -1737,7 +1736,7 @@ class _ShardedDispatch:
         wall_started = time.perf_counter()
         report = simulate_multichip_gcn(
             sharded, cluster, a_hops=request.a_hops, cache=cache,
-            tracer=tr if tr.enabled else None,
+            tracer=tr if tr.enabled else None, background=background,
         )
         elapsed = time.perf_counter() - wall_started
         finish = clock + cluster.chip.cycles_to_seconds(report.total_cycles)

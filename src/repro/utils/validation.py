@@ -29,6 +29,18 @@ def check_non_negative_int(value, name):
     return int(value)
 
 
+def check_bool(value, name):
+    """Return ``value`` as ``bool`` if it is a bool or ``numpy.bool_``.
+
+    A switch refuses anything else: the string ``"false"`` is truthy.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(
+            f"{name} must be a bool, got {type(value).__name__}"
+        )
+    return bool(value)
+
+
 def check_positive_finite(value, name):
     """Return ``value`` as ``float`` if it is a finite positive number."""
     if isinstance(value, bool) or not isinstance(

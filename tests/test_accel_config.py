@@ -4,6 +4,7 @@ import copy
 import pickle
 from dataclasses import asdict, fields, replace
 
+import numpy as np
 import pytest
 
 from repro.accel import ArchConfig
@@ -38,6 +39,18 @@ class TestValidation:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             ArchConfig(**kwargs)
+
+    @pytest.mark.parametrize("switch", [
+        "remote_switching", "pipeline_spmm", "eq5_approximate",
+    ])
+    def test_switches_take_only_bools(self, switch):
+        # "False" is truthy: accepting it would turn the switch on.
+        for bad in ("False", "true", 0, 1, None):
+            with pytest.raises(ConfigError, match=f"{switch} must be a bool"):
+                ArchConfig(**{switch: bad})
+        for value in (True, False, np.True_, np.False_):
+            stored = getattr(ArchConfig(**{switch: value}), switch)
+            assert type(stored) is bool and stored == value
 
     def test_drain_derived_from_pes_and_mac(self):
         cfg = ArchConfig(n_pes=256, mac_latency=5)

@@ -42,6 +42,9 @@ REMOVED_KEYWORDS = {
         lambda: ClusterConfig(max_rebalance_rounds=16),
     "ClusterConfig.rebalance_patience":
         lambda: ClusterConfig(rebalance_patience=2),
+    # A run's fabric background is simulate_multichip_gcn(background=).
+    "ClusterConfig.background_link_loads":
+        lambda: ClusterConfig(background_link_loads=(1.0,)),
     "simulate_multichip_gcn.plan":
         lambda: simulate_multichip_gcn(None, ClusterConfig(), plan=None),
     "ShardedAccelerator.plan":
@@ -63,6 +66,9 @@ REMOVED_EXPORTS = {
     # The private type of a cache miss's kept cold run: no public
     # method takes or returns one.
     "ColdRun": "repro.accel",
+    # The tuner's unused outcome record; a cached tuning is
+    # CachedTuning, built from the SpmmResult.
+    "TuningOutcome": "repro.accel",
 }
 
 

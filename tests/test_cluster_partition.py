@@ -12,7 +12,8 @@ from repro.cluster import (
     halo_exchange,
     make_plan,
 )
-from repro.errors import ConfigError, ShapeError
+from repro.cluster.partition import _ceiling_reach, _suffix_need
+from repro.errors import CeilingError, ConfigError, ShapeError
 from repro.sparse import CooMatrix, coo_to_csr
 
 
@@ -161,6 +162,88 @@ class TestMakePlanMatchesUnconstrainedSweep:
         )
         assert np.array_equal(plan.block_bounds, bounds)
         assert np.array_equal(plan.owner, owner)
+
+
+def _suffix_need_reference(bounds, ceilings, n_chips):
+    """``_suffix_need`` as one :func:`_ceiling_reach` call per candidate
+    start block, scanned in ascending order: the oracle for its
+    one-search-per-chip form."""
+    n_blocks = bounds.size - 1
+    smallest_block = int(np.diff(bounds).min())
+    need = np.empty(n_chips + 1, dtype=np.int64)
+    need[n_chips] = n_blocks
+    for chip in range(n_chips - 1, -1, -1):
+        if int(ceilings[chip]) < smallest_block:
+            raise CeilingError(
+                f"chip {chip} row ceiling {int(ceilings[chip])} is below "
+                f"the block granularity ({smallest_block} rows): raise "
+                "blocks_per_chip or the ceiling"
+            )
+        found = -1
+        for b in range(n_blocks - (n_chips - chip) + 1):
+            reach = _ceiling_reach(bounds, b, ceilings[chip])
+            hi = min(reach, n_blocks - (n_chips - chip - 1))
+            if max(b + 1, int(need[chip + 1])) <= hi:
+                found = b
+                break
+        if found < 0:
+            raise CeilingError(
+                f"row_ceilings {ceilings.tolist()} admit no contiguous "
+                f"plan over {n_blocks} blocks: chips {chip}..{n_chips - 1} "
+                "cannot cover the remaining rows"
+            )
+        need[chip] = found
+    if need[0] > 0:
+        raise CeilingError(
+            f"row_ceilings {ceilings.tolist()} admit no contiguous plan: "
+            f"chip 0 would need to start at block {int(need[0])}"
+        )
+    return need
+
+
+@st.composite
+def ceiling_cases(draw):
+    """Block bounds built as ``make_plan`` builds them, and per-chip
+    ceilings from below the block size to beyond the graph, so that
+    feasible and infeasible sets both occur."""
+    n_chips = draw(st.integers(1, 9))
+    n_rows = draw(st.integers(n_chips, 400))
+    n_blocks = min(n_chips * draw(st.integers(1, 12)), n_rows)
+    bounds = np.floor(
+        np.arange(n_blocks + 1) * (n_rows / n_blocks)
+    ).astype(np.int64)
+    bounds[-1] = n_rows
+    share = -(-n_rows // n_chips)
+    top = draw(st.sampled_from([share, 2 * share, n_rows]))
+    ceilings = np.asarray(draw(st.lists(
+        st.integers(1, top), min_size=n_chips, max_size=n_chips,
+    )), dtype=np.int64)
+    return bounds, ceilings, n_chips
+
+
+def _need_or_error(bounds, ceilings, n_chips, fn):
+    try:
+        return fn(bounds, ceilings, n_chips).tolist()
+    except CeilingError as exc:
+        return str(exc)
+
+
+class TestSuffixNeedMatchesPerStartScan:
+    """The first feasible start of each chip, found by one search over
+    every candidate start, equals the per-start scan's: the same
+    ``need``, or the same :class:`CeilingError` message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ceiling_cases())
+    # Ceilings that fit exactly, and one chip too small for a block.
+    @example((np.array([0, 2, 4, 6, 8]), np.array([4, 4]), 2))
+    @example((np.array([0, 3, 6, 9]), np.array([9, 2, 9]), 3))
+    def test_need_equals_reference(self, case):
+        bounds, ceilings, n_chips = case
+        assert _need_or_error(bounds, ceilings, n_chips, _suffix_need) == (
+            _need_or_error(bounds, ceilings, n_chips,
+                           _suffix_need_reference)
+        )
 
 
 class TestNegativeProfileRejected:

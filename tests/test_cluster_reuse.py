@@ -12,9 +12,10 @@ instead of once per job. These tests pin
   stage, compositions once per distinct set of chip reports, none of
   the four in a later drain of the same traffic, and one graph
   resolution per sharded job;
-* the stored report: a warm run on the bound exclusive fabric returns
+* the stored report: a warm run without a fabric background returns
   the plan's one stored :class:`~repro.cluster.ClusterReport`, equal to
-  a fresh simulation field by field and event by event;
+  a fresh simulation field by field and event by event, stragglers
+  included;
 * identity: every drain of a service equals a per-job-fresh oracle (no
   reuse at all) in results, latency, cache stats and LRU order and the
   recorded event stream, across ``coschedule``, ``cache_mode`` and
@@ -391,11 +392,11 @@ class TestShardedAccelerator:
         cache, fresh_cache = AutotuneCache(), AutotuneCache()
         reports = []
         for background in (None, busy, None):
-            job = cluster if background is None else replace(
-                cluster, background_link_loads=background,
-            )
-            got = simulate_multichip_gcn(sharded, job, cache=cache)
-            want = simulate_multichip_gcn(dataset, job, cache=fresh_cache)
+            got = simulate_multichip_gcn(sharded, cluster, cache=cache,
+                                         background=background)
+            want = simulate_multichip_gcn(dataset, cluster,
+                                          cache=fresh_cache,
+                                          background=background)
             assert got.total_cycles == want.total_cycles
             assert got.layer_cycles == want.layer_cycles
             assert got.cluster == want.cluster
@@ -420,9 +421,21 @@ class TestShardedAccelerator:
         ):
             with pytest.raises(ConfigError):
                 simulate_multichip_gcn(sharded, cluster, **kwargs)
-        same_but_background = self._cluster(background_link_loads=(1.0, 2.0))
-        report = simulate_multichip_gcn(sharded, same_but_background)
-        assert report.cluster is same_but_background
+        equal = self._cluster()
+        report = simulate_multichip_gcn(sharded, equal, background=(1.0, 2.0))
+        assert report.cluster is sharded.cluster
+
+    @pytest.mark.parametrize("background", [
+        (1.0, 2.0, 3.0), (1.0, -2.0), (1.0, float("nan")), ("a", "b"),
+    ], ids=["length", "negative", "nan", "not-a-number"])
+    def test_rejects_a_malformed_background(self, background):
+        # One chip prices no halo, but its background is checked too.
+        for cluster in (self._cluster(), self._cluster(n_chips=1)):
+            for dataset in (BIG_A.build(),
+                            ShardedAccelerator(BIG_A.build(), cluster)):
+                with pytest.raises(ConfigError, match="background"):
+                    simulate_multichip_gcn(dataset, cluster,
+                                           background=background)
 
     def test_infeasible_plan_is_partitioned_once(self, calls):
         # Two 256-row blocks cannot fit under a 255-row ceiling.
@@ -469,24 +482,22 @@ class TestStoredReport:
         # composes nothing.
         dataset = BIG_A.build()
         cluster = ClusterConfig(n_chips=4, chip=CFG, topology="ring")
-        busy = replace(cluster, background_link_loads=(
-            (500.0,) + (0.0,) * (cluster.fabric.n_links - 1)
-        ))
+        busy = (500.0,) + (0.0,) * (cluster.fabric.n_links - 1)
         sharded = ShardedAccelerator(dataset, cluster)
         cache, fresh_cache = AutotuneCache(), AutotuneCache()
 
-        def run(job=cluster, *, traced=False, cached=True):
+        def run(background=None, *, traced=False, cached=True):
             tracers = [RecordingTracer() if traced else None
                        for _ in range(2)]
             calls["compose"] = 0
             got = simulate_multichip_gcn(
-                sharded, job, cache=cache if cached else None,
-                tracer=tracers[0],
+                sharded, cluster, cache=cache if cached else None,
+                tracer=tracers[0], background=background,
             )
             composed = calls["compose"]
             want = simulate_multichip_gcn(
-                dataset, job, cache=fresh_cache if cached else None,
-                tracer=tracers[1],
+                dataset, cluster, cache=fresh_cache if cached else None,
+                tracer=tracers[1], background=background,
             )
             _assert_same_report(got, want)
             if traced:
@@ -547,6 +558,62 @@ class TestStoredReport:
         gc.collect()
         assert replaced() is None
         assert len(sharded._reports) == 1
+
+    def test_a_straggler_run_returns_the_stored_report(self, calls):
+        # Stragglers are part of the bound shape, and a run without a
+        # background charges their steady-state slowdown, so it returns
+        # the plan's stored report like any other. A run against a
+        # background composes afresh under the same multipliers: an
+        # all-zero one prices like none, so it equals the stored report.
+        dataset = BIG_A.build()
+        cluster = ClusterConfig(n_chips=4, chip=CFG, topology="ring",
+                                stragglers=((1, 0.0, 2.0),))
+        idle = (0.0,) * cluster.fabric.n_links
+        busy = (500.0,) + idle[1:]
+        sharded = ShardedAccelerator(dataset, cluster)
+        cache, fresh_cache = AutotuneCache(), AutotuneCache()
+
+        def run(background=None):
+            calls["compose"] = 0
+            got = simulate_multichip_gcn(sharded, cluster, cache=cache,
+                                         background=background)
+            composed = calls["compose"]
+            want = simulate_multichip_gcn(dataset, cluster,
+                                          cache=fresh_cache,
+                                          background=background)
+            _assert_same_report(got, want)
+            assert cache.stats == fresh_cache.stats
+            return got, composed
+
+        cold, composed = run()
+        assert composed == 1 and not cold.cache_hit
+        warm, composed = run()
+        assert composed == 1 and warm.cache_hit
+        for _ in range(2):
+            again, composed = run()
+            assert composed == 0 and again is warm
+        (stored,) = sharded._reports.values()
+        assert stored is warm
+
+        fresh, composed = run(idle)
+        assert composed == 1 and fresh is not warm
+        _assert_same_report(fresh, warm)
+        contended, composed = run(busy)
+        assert composed == 1
+        assert (contended.comm_cycles_per_layer
+                > warm.comm_cycles_per_layer).any()
+        again, composed = run()
+        assert composed == 0 and again is warm
+
+        # The stored report charges chip 1 its full slowdown.
+        plain = simulate_multichip_gcn(dataset, replace(cluster,
+                                                        stragglers=None))
+        assert np.array_equal(plain.plan.owner, warm.plan.owner)
+        slowed = warm.chip_compute_per_layer
+        base = plain.chip_compute_per_layer
+        assert np.array_equal(slowed[:, 1], base[:, 1] * 2)
+        assert np.array_equal(np.delete(slowed, 1, axis=1),
+                              np.delete(base, 1, axis=1))
 
 
 class TestSharedStateIsReadOnly:

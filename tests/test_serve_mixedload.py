@@ -788,8 +788,12 @@ class TestServiceValidation:
         ({"stragglers": ((3, 0.0, 2.0),)}, "gang"),
         # Used only when a sharded job is first planned, mid-drain.
         ({"strategy": "bogus"}, "'bogus'"),
+        # Truthy strings: each would switch its model on.
+        ({"overlap": "false"}, "overlap must be a bool"),
+        ({"rebalance": "no"}, "rebalance must be a bool"),
     ], ids=["unknown-key", "unknown-topology", "zero-link-bandwidth",
-            "stragglers", "unknown-strategy"])
+            "stragglers", "unknown-strategy", "overlap-string",
+            "rebalance-string"])
     def test_bad_cluster_options_fail_at_construction(self, options,
                                                       named):
         # Rejected before any request is queued, not mid-drain.

@@ -11,8 +11,13 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from repro.errors import ConfigError
-from repro.utils.validation import check_bool
+from repro.utils.validation import (
+    check_bool,
+    check_fraction,
+    check_non_negative_int,
+    check_positive_finite,
+    check_positive_int,
+)
 
 
 def _kept_values(instance):
@@ -64,12 +69,27 @@ def kept_state(self):
     return state
 
 
+_FIELD_CHECKS = (
+    (check_positive_int, ("n_pes", "mac_latency", "queues_per_pe",
+                          "tracking_window", "convergence_patience")),
+    (check_non_negative_int, ("hop",)),
+    (check_positive_finite, ("frequency_mhz", "switch_damping")),
+)
+"""How :meth:`ArchConfig.__post_init__` checks its numeric fields (the
+switches, ``sharing_efficiency`` and ``drain_cycles`` have their own
+rules)."""
+
+
 @dataclass(frozen=True)
 class ArchConfig:
     """Microarchitecture parameters of the (U/A)WB-GCN SPMM engine.
 
     Hashed and compared through one kept field tuple (see
     :func:`kept_hash`): the values are those of the generated methods.
+    Every field is checked at construction through
+    :mod:`repro.utils.validation`: a wrong type (a bool or a fractional
+    count included), a NaN or infinite rate, or an out-of-range value
+    raises :class:`~repro.errors.ConfigError` naming the field.
 
     Parameters
     ----------
@@ -132,50 +152,21 @@ class ArchConfig:
     eq5_approximate: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.n_pes, (int, np.integer)) or self.n_pes < 1:
-            raise ConfigError(f"n_pes must be a positive int, got {self.n_pes}")
-        if not isinstance(self.hop, (int, np.integer)) or self.hop < 0:
-            raise ConfigError(f"hop must be a non-negative int, got {self.hop}")
-        if self.mac_latency < 1:
-            raise ConfigError(
-                f"mac_latency must be >= 1, got {self.mac_latency}"
-            )
-        if self.queues_per_pe < 1:
-            raise ConfigError(
-                f"queues_per_pe must be >= 1, got {self.queues_per_pe}"
-            )
-        if self.tracking_window < 1:
-            raise ConfigError(
-                f"tracking_window must be >= 1, got {self.tracking_window}"
-            )
-        if self.frequency_mhz <= 0:
-            raise ConfigError(
-                f"frequency_mhz must be > 0, got {self.frequency_mhz}"
-            )
-        if not 0.0 < self.sharing_efficiency <= 1.0:
-            raise ConfigError(
-                "sharing_efficiency must be in (0, 1], got "
-                f"{self.sharing_efficiency}"
-            )
-        if self.switch_damping <= 0:
-            raise ConfigError(
-                f"switch_damping must be > 0, got {self.switch_damping}"
-            )
-        if self.convergence_patience < 1:
-            raise ConfigError(
-                "convergence_patience must be >= 1, got "
-                f"{self.convergence_patience}"
-            )
+        # Checked only: every stored value but the switches' stays the
+        # caller's, so no hash, repr or label moves.
+        for check, names in _FIELD_CHECKS:
+            for name in names:
+                check(getattr(self, name), name)
+        check_fraction(self.sharing_efficiency, "sharing_efficiency",
+                       inclusive_low=False)
         for name in ("remote_switching", "pipeline_spmm", "eq5_approximate"):
             value = check_bool(getattr(self, name), name)
             object.__setattr__(self, name, value)
         if self.drain_cycles is None:
             derived = int(np.ceil(np.log2(max(self.n_pes, 2)))) + self.mac_latency
             object.__setattr__(self, "drain_cycles", derived)
-        elif self.drain_cycles < 0:
-            raise ConfigError(
-                f"drain_cycles must be >= 0, got {self.drain_cycles}"
-            )
+        else:
+            check_non_negative_int(self.drain_cycles, "drain_cycles")
 
     # A config keys every cache, scheduler and memo lookup on the
     # serving path: it keeps its field tuple and that tuple's hash.

@@ -29,7 +29,7 @@ regression oracle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,12 @@ from repro.accel.localshare import share_makespan, share_makespan_batch
 from repro.accel.remote import RemoteAutoTuner
 from repro.accel.workload import RowAssignment
 from repro.errors import ConfigError
-from repro.utils.validation import check_1d_int_array, check_positive_int
+from repro.utils.validation import (
+    check_1d_int_array,
+    check_choice,
+    check_instance,
+    check_positive_int,
+)
 
 
 @dataclass(frozen=True)
@@ -62,8 +67,7 @@ class SpmmJob:
             self, "row_nnz", check_1d_int_array(self.row_nnz, "row_nnz")
         )
         check_positive_int(self.n_rounds, "n_rounds")
-        if self.tdq not in ("tdq1", "tdq2"):
-            raise ConfigError(f"tdq must be 'tdq1' or 'tdq2', got {self.tdq}")
+        check_choice(self.tdq, ("tdq1", "tdq2"), "tdq")
         if self.row_nnz.size == 0:
             raise ConfigError("row_nnz must be non-empty")
         if self.row_nnz.min() < 0:
@@ -173,12 +177,8 @@ def simulate_spmm(job, config, *, initial_owner=None, tracer=None):
     derived from the completed cycle trace after the drive loop, so
     the default ``None`` leaves the hot loop untouched.
     """
-    if not isinstance(job, SpmmJob):
-        raise ConfigError(f"job must be SpmmJob, got {type(job).__name__}")
-    if not isinstance(config, ArchConfig):
-        raise ConfigError(
-            f"config must be ArchConfig, got {type(config).__name__}"
-        )
+    check_instance(job, SpmmJob, "job")
+    check_instance(config, ArchConfig, "config")
     assignment = RowAssignment(job.row_nnz, config.n_pes, owner=initial_owner)
     ideal = -(-job.work_per_round // config.n_pes)
 
@@ -305,12 +305,8 @@ def simulate_spmm_frozen(job, config, owner, *, warmup_costs=(),
     and re-extracting tuning state from a replayed report yields the
     entry it replayed.
     """
-    if not isinstance(job, SpmmJob):
-        raise ConfigError(f"job must be SpmmJob, got {type(job).__name__}")
-    if not isinstance(config, ArchConfig):
-        raise ConfigError(
-            f"config must be ArchConfig, got {type(config).__name__}"
-        )
+    check_instance(job, SpmmJob, "job")
+    check_instance(config, ArchConfig, "config")
     assignment = RowAssignment(job.row_nnz, config.n_pes, owner=owner)
     ideal = -(-job.work_per_round // config.n_pes)
     drain = config.drain_cycles

@@ -25,13 +25,16 @@ import numpy as np
 from repro.accel.config import ArchConfig
 from repro.accel.cyclemodel import (
     SpmmJob,
-    SpmmResult,
     simulate_spmm,
     simulate_spmm_frozen,
 )
 from repro.errors import ConfigError
 from repro.obs.tracer import RecordingTracer
-from repro.utils.validation import check_1d_int_array
+from repro.utils.validation import (
+    check_1d_int_array,
+    check_instance,
+    check_positive_int,
+)
 
 
 @dataclass(frozen=True)
@@ -224,8 +227,7 @@ def build_spmm_jobs(dataset, *, x2_row_nnz=None, a_hops=1):
     ``a_hops`` adjacency stages. ``x2_row_nnz`` overrides the dataset's
     forecast X2 profile with a measured one.
     """
-    if not isinstance(a_hops, int) or a_hops < 1:
-        raise ConfigError(f"a_hops must be a positive int, got {a_hops}")
+    check_positive_int(a_hops, "a_hops")
     if hasattr(dataset, "adjacency_row_nnz"):
         a_row_nnz = dataset.adjacency_row_nnz()
     else:
@@ -315,10 +317,7 @@ class GcnAccelerator:
     """The accelerator model bound to one workload and configuration."""
 
     def __init__(self, dataset, config, *, x2_row_nnz=None, a_hops=1):
-        if not isinstance(config, ArchConfig):
-            raise ConfigError(
-                f"config must be ArchConfig, got {type(config).__name__}"
-            )
+        check_instance(config, ArchConfig, "config")
         self.dataset = dataset
         self.config = config
         self.jobs = build_spmm_jobs(
@@ -336,10 +335,7 @@ class GcnAccelerator:
     @classmethod
     def from_jobs(cls, jobs, config, *, name="custom"):
         """Build directly from job lists (e.g. :func:`jobs_for_layers`)."""
-        if not isinstance(config, ArchConfig):
-            raise ConfigError(
-                f"config must be ArchConfig, got {type(config).__name__}"
-            )
+        check_instance(config, ArchConfig, "config")
         instance = cls.__new__(cls)
         instance.dataset = None
         instance.config = config

@@ -7,13 +7,10 @@ suite prints the series the paper plots and asserts their shape.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.accel.config import ArchConfig
 from repro.accel.designs import (
     DESIGN_LABELS,
     DESIGN_NAMES,
-    design_config,
     run_design_suite,
 )
 from repro.accel.gcnaccel import GcnAccelerator

@@ -73,8 +73,6 @@ def measure_cpu_latency_ms(dataset, *, repeats=3):
     runs in milliseconds — the conventional 'best of N' timing that
     excludes warm-up noise.
     """
-    import scipy.sparse as sp
-
     from repro.sparse.convert import to_scipy_csr
 
     if not dataset.has_numeric_features:

@@ -88,6 +88,9 @@ from repro.cluster.topology import TOPOLOGY_KINDS, Topology, make_topology
 from repro.errors import CeilingError, ConfigError
 from repro.utils.validation import (
     check_bool,
+    check_choice,
+    check_instance,
+    check_non_negative_finite,
     check_non_negative_int,
     check_positive_finite,
     check_positive_int,
@@ -128,20 +131,16 @@ class StragglerEvent:
     factor: float = 2.0
 
     def __post_init__(self):
-        check_non_negative_int(self.chip, "straggler chip")
-        onset = float(self.onset_round)
-        if not math.isfinite(onset) or onset < 0:
+        chip = check_non_negative_int(self.chip, "straggler chip")
+        onset = check_non_negative_finite(
+            self.onset_round, "straggler onset_round"
+        )
+        factor = check_positive_finite(self.factor, "straggler factor")
+        if factor < 1.0:
             raise ConfigError(
-                f"straggler onset_round must be finite and >= 0, "
-                f"got {self.onset_round}"
+                f"straggler factor must be >= 1.0, got {self.factor}"
             )
-        factor = float(self.factor)
-        if not math.isfinite(factor) or factor < 1.0:
-            raise ConfigError(
-                f"straggler factor must be finite and >= 1.0, "
-                f"got {self.factor}"
-            )
-        object.__setattr__(self, "chip", int(self.chip))
+        object.__setattr__(self, "chip", chip)
         object.__setattr__(self, "onset_round", onset)
         object.__setattr__(self, "factor", factor)
 
@@ -246,18 +245,11 @@ class ClusterConfig:
                     f"({self.n_chips}), got {len(chips)}"
                 )
             for cfg in chips:
-                if not isinstance(cfg, ArchConfig):
-                    raise ConfigError(
-                        "chips entries must be ArchConfig, got "
-                        f"{type(cfg).__name__}"
-                    )
+                check_instance(cfg, ArchConfig, "chips entries")
             object.__setattr__(self, "chips", chips)
             # The reference chip: its clock is the report's cycle domain.
             object.__setattr__(self, "chip", chips[0])
-        if not isinstance(self.chip, ArchConfig):
-            raise ConfigError(
-                f"chip must be ArchConfig, got {type(self.chip).__name__}"
-            )
+        check_instance(self.chip, ArchConfig, "chip")
         check_positive_finite(
             self.link_words_per_cycle, "link_words_per_cycle"
         )
@@ -267,25 +259,15 @@ class ClusterConfig:
                     f"topology connects {self.topology.n_chips} chips "
                     f"but the cluster has {self.n_chips}"
                 )
-        elif self.topology not in TOPOLOGY_KINDS:
-            raise ConfigError(
-                f"topology must be one of {TOPOLOGY_KINDS} or a Topology, "
-                f"got {self.topology!r}"
-            )
+        else:
+            check_choice(self.topology, TOPOLOGY_KINDS, "topology")
         check_non_negative_int(self.hop_latency_cycles, "hop_latency_cycles")
         for name in ("overlap", "rebalance"):
             value = check_bool(getattr(self, name), name)
             object.__setattr__(self, name, value)
-        if self.strategy not in PARTITION_STRATEGIES:
-            raise ConfigError(
-                f"strategy must be one of {PARTITION_STRATEGIES}, "
-                f"got {self.strategy!r}"
-            )
-        if self.rebalance_signal not in REBALANCE_SIGNALS:
-            raise ConfigError(
-                f"rebalance_signal must be one of {REBALANCE_SIGNALS}, "
-                f"got {self.rebalance_signal!r}"
-            )
+        check_choice(self.strategy, PARTITION_STRATEGIES, "strategy")
+        check_choice(self.rebalance_signal, REBALANCE_SIGNALS,
+                     "rebalance_signal")
         check_positive_int(self.blocks_per_chip, "blocks_per_chip")
         check_positive_int(self.feedback_rounds, "feedback_rounds")
         if self.row_ceilings is not None:
@@ -403,10 +385,7 @@ def _plan_bounds(plan):
 
 
 def _check_rebalance_inputs(plan, cluster):
-    if not isinstance(plan, ShardPlan):
-        raise ConfigError(
-            f"plan must be ShardPlan, got {type(plan).__name__}"
-        )
+    check_instance(plan, ShardPlan, "plan")
     if plan.n_chips != cluster.n_chips:
         raise ConfigError(
             f"plan shards across {plan.n_chips} chips but the cluster "
@@ -1107,10 +1086,7 @@ class ShardedAccelerator:
     """
 
     def __init__(self, dataset, cluster, *, a_hops=1):
-        if not isinstance(cluster, ClusterConfig):
-            raise ConfigError(
-                f"cluster must be ClusterConfig, got {type(cluster).__name__}"
-            )
+        check_instance(cluster, ClusterConfig, "cluster")
         self.dataset = dataset
         self.cluster = cluster
         self.a_hops = a_hops

@@ -42,7 +42,11 @@ from repro.errors import CeilingError, ConfigError
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.coo import CooMatrix
 from repro.sparse.csr import CsrMatrix
-from repro.utils.validation import check_1d_int_array, check_positive_int
+from repro.utils.validation import (
+    check_1d_int_array,
+    check_choice,
+    check_positive_int,
+)
 
 PARTITION_STRATEGIES = ("rows", "nnz")
 
@@ -378,11 +382,7 @@ def make_plan(row_nnz, n_chips, *, strategy="nnz", blocks_per_chip=8,
         raise ConfigError(
             f"cannot split {n_rows} rows across {n_chips} chips"
         )
-    if strategy not in PARTITION_STRATEGIES:
-        raise ConfigError(
-            f"strategy must be one of {PARTITION_STRATEGIES}, "
-            f"got {strategy!r}"
-        )
+    check_choice(strategy, PARTITION_STRATEGIES, "strategy")
     n_blocks = min(n_chips * blocks_per_chip, n_rows)
     if n_blocks < n_chips:
         raise ConfigError(

@@ -53,6 +53,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.utils.validation import (
+    check_choice,
     check_non_negative_int,
     check_positive_finite,
     check_positive_int,
@@ -105,11 +106,7 @@ class Topology:
     n_links: int = 0
 
     def __post_init__(self):
-        if self.kind not in TOPOLOGY_KINDS:
-            raise ConfigError(
-                f"topology kind must be one of {TOPOLOGY_KINDS}, "
-                f"got {self.kind!r}"
-            )
+        check_choice(self.kind, TOPOLOGY_KINDS, "topology kind")
         check_positive_int(self.n_chips, "n_chips")
         check_positive_finite(
             self.link_words_per_cycle, "link_words_per_cycle"
@@ -389,10 +386,7 @@ def make_topology(kind, n_chips, *, link_words_per_cycle=8.0,
     aggregate bandwidth, divide a budget by each topology's
     :attr:`Topology.n_links` (what ``compare_shard_topology`` does).
     """
-    if kind not in _BUILDERS:
-        raise ConfigError(
-            f"topology kind must be one of {TOPOLOGY_KINDS}, got {kind!r}"
-        )
+    check_choice(kind, TOPOLOGY_KINDS, "topology kind")
     n_chips = check_positive_int(n_chips, "n_chips")
     routes, n_links = _BUILDERS[kind](n_chips)
     return Topology(

@@ -10,7 +10,7 @@ Reddit "by itself is already very balanced" at 92%).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.errors import DatasetError
 

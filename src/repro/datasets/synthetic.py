@@ -8,7 +8,7 @@ the per-row non-zero counts that drive the workload models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -22,6 +22,7 @@ from repro.hw.pe import ProcessingElement
 from repro.sparse.convert import coo_to_csc
 from repro.sparse.coo import CooMatrix
 from repro.sparse.csc import CscMatrix
+from repro.utils.validation import check_choice
 
 _MAX_CYCLES_PER_ROUND = 2_000_000
 
@@ -85,8 +86,7 @@ def simulate_spmm_detailed(a_matrix, b_dense, *, n_pes=8, hop=0,
         raise ConfigError(
             f"B must be ({a_csc.shape[1]}, k), got {b_dense.shape}"
         )
-    if tdq not in ("tdq1", "tdq2"):
-        raise ConfigError(f"tdq must be 'tdq1' or 'tdq2', got {tdq}")
+    check_choice(tdq, ("tdq1", "tdq2"), "tdq")
 
     m, k = a_csc.shape[0], b_dense.shape[1]
     if owner_of_row is None:

@@ -31,7 +31,7 @@ from repro.accel.config import ArchConfig
 from repro.accel.gcnaccel import CachedStage, CachedTuning
 from repro.errors import ConfigError
 from repro.obs.tracer import NULL_TRACER, config_label
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_instance, check_positive_int
 
 
 @dataclass(frozen=True)
@@ -210,10 +210,7 @@ class AutotuneCache:
         used; when ``max_entries`` is set, least-recently-used entries
         are evicted to make room.
         """
-        if not isinstance(entry, CachedTuning):
-            raise ConfigError(
-                f"entry must be CachedTuning, got {type(entry).__name__}"
-            )
+        check_instance(entry, CachedTuning, "entry")
         key = self.key(fingerprint, config)
         self._entries.pop(key, None)
         self._entries[key] = entry
@@ -259,10 +256,7 @@ class AutotuneCache:
         contents and LRU order, regardless of how the donors were
         populated in time.
         """
-        if not isinstance(other, AutotuneCache):
-            raise ConfigError(
-                f"other must be AutotuneCache, got {type(other).__name__}"
-            )
+        check_instance(other, AutotuneCache, "other")
         merged = 0
         for key, entry in list(other._entries.items()):
             fingerprint, config = key
@@ -426,10 +420,12 @@ class AutotuneCache:
         that is not JSON or without an entry list — raises
         :class:`~repro.errors.ConfigError` naming ``path``. So does a
         malformed entry (a missing field or owner array, an unknown
-        config field, a non-finite number: Python's ``json`` reads
-        ``Infinity`` and ``NaN``) and an entry whose owner map names a
-        PE outside ``[0, config.n_pes)``, naming its slot too: a
-        poisoned entry fails here, not at its first hit mid-drain.
+        config field or one :class:`~repro.accel.ArchConfig` refuses,
+        such as a fractional ``mac_latency``, a non-finite number:
+        Python's ``json`` reads ``Infinity`` and ``NaN``) and an entry
+        whose owner map names a PE outside ``[0, config.n_pes)``,
+        naming its slot too: a poisoned entry fails here, not at its
+        first hit mid-drain.
         """
         cache = cls(max_entries=max_entries)
         # np.load leaves a file it opened itself open when the archive

@@ -19,11 +19,24 @@ from dataclasses import dataclass
 
 from repro.accel.config import ArchConfig
 from repro.errors import ConfigError
+from repro.utils.validation import (
+    check_instance,
+    check_non_negative_finite,
+    check_non_negative_int,
+    check_positive_finite,
+    check_positive_int,
+)
 
 
 @dataclass(frozen=True)
 class InferenceRequest:
     """One GCN inference to schedule.
+
+    Every field but ``request_id`` is checked once, here, through
+    :mod:`repro.utils.validation`; a bad value raises
+    :class:`~repro.errors.ConfigError` naming the field.
+    :meth:`~repro.serve.scheduler.RequestQueue.submit` queues this very
+    object and checks nothing again.
 
     Parameters
     ----------
@@ -80,45 +93,17 @@ class InferenceRequest:
                 "graph must be a dataset (with n_nodes) or a spec with a "
                 f"build() method, got {type(self.graph).__name__}"
             )
-        if not isinstance(self.config, ArchConfig):
-            raise ConfigError(
-                f"config must be ArchConfig, got {type(self.config).__name__}"
-            )
-        if not isinstance(self.a_hops, int) or self.a_hops < 1:
-            raise ConfigError(
-                f"a_hops must be a positive int, got {self.a_hops}"
-            )
-        try:
-            arrival = float(self.arrival_time)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                "arrival_time must be a number, got "
-                f"{type(self.arrival_time).__name__}"
-            )
-        if not math.isfinite(arrival) or arrival < 0.0:
-            raise ConfigError(
-                f"arrival_time must be finite and >= 0, got {arrival}"
-            )
-        object.__setattr__(self, "arrival_time", arrival)
+        check_instance(self.config, ArchConfig, "config")
+        check_positive_int(self.a_hops, "a_hops")
+        object.__setattr__(self, "arrival_time", check_non_negative_finite(
+            self.arrival_time, "arrival_time"
+        ))
         if self.slo_ms is not None:
-            try:
-                slo = float(self.slo_ms)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"slo_ms must be a number or None, got "
-                    f"{type(self.slo_ms).__name__}"
-                )
-            if not math.isfinite(slo) or slo <= 0.0:
-                raise ConfigError(
-                    f"slo_ms must be finite and > 0, got {slo}"
-                )
-            object.__setattr__(self, "slo_ms", slo)
+            object.__setattr__(self, "slo_ms", check_positive_finite(
+                self.slo_ms, "slo_ms"
+            ))
         if self.priority is not None:
-            if not isinstance(self.priority, int) or self.priority < 0:
-                raise ConfigError(
-                    "priority must be a non-negative int or None, got "
-                    f"{self.priority!r}"
-                )
+            check_non_negative_int(self.priority, "priority")
 
     def priority_class(self, critical_slo_ms=None):
         """The request's effective priority class (lower = more urgent).

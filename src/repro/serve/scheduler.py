@@ -25,12 +25,21 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
-from repro.obs.tracer import NULL_TRACER, config_label
+from repro.obs.tracer import (
+    NULL_TRACER,
+    NullTracer,
+    RecordingTracer,
+    config_label,
+)
 from repro.serve.request import InferenceRequest
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import (
+    check_bool,
+    check_instance,
+    check_positive_int,
+)
 
 
 def _check_max_batch(max_batch):
@@ -42,12 +51,16 @@ def _check_max_batch(max_batch):
 
 @dataclass(slots=True)
 class QueuedRequest:
-    """An accepted request plus its arrival sequence number, and what
-    the serving loop resolved it and its priority class to when it
+    """An accepted request plus its arrival sequence number and id, and
+    what the serving loop resolved it and its priority class to when it
     admitted it."""
 
     seq: int
     request: InferenceRequest
+    """The caller's request object itself: the queue copies nothing."""
+    request_id: object = field(init=False, compare=False, repr=False)
+    """The id every result of this request carries: the request's own
+    ``request_id``, or ``seq`` when that is None."""
     deadline: float = field(init=False, compare=False, repr=False)
     """Absolute completion deadline in seconds (inf when no SLO): the
     member request's, computed once on construction since the batch
@@ -68,7 +81,10 @@ class QueuedRequest:
     reads it; nothing derives the class again."""
 
     def __post_init__(self):
-        self.deadline = self.request.deadline
+        request = self.request
+        self.request_id = (self.seq if request.request_id is None
+                           else request.request_id)
+        self.deadline = request.deadline
 
     @property
     def arrival_time(self):
@@ -110,9 +126,11 @@ class RequestQueue:
         """Accept a request; returns its assigned request id.
 
         Requests without an explicit ``request_id`` get the arrival
-        sequence number as their id. A request arriving earlier than
-        the previously submitted one is rejected with
-        :class:`~repro.errors.ConfigError`.
+        sequence number as their id, kept on the queued item
+        (:attr:`QueuedRequest.request_id`): the request itself was
+        checked when it was built and is queued as it is, not copied.
+        A request arriving earlier than the previously submitted one is
+        rejected with :class:`~repro.errors.ConfigError`.
         """
         if not isinstance(request, InferenceRequest):
             raise ConfigError(
@@ -126,12 +144,10 @@ class RequestQueue:
                 f"{self._last_arrival:.6f}s was already submitted"
             )
         self._last_arrival = request.arrival_time
-        seq = self._next_seq
+        item = QueuedRequest(self._next_seq, request)
         self._next_seq += 1
-        if request.request_id is None:
-            request = replace(request, request_id=seq)
-        self._pending.append(QueuedRequest(seq=seq, request=request))
-        return request.request_id
+        self._pending.append(item)
+        return item.request_id
 
     def submit_many(self, requests):
         """Accept an iterable of requests; returns their ids."""
@@ -219,7 +235,14 @@ class StreamingScheduler:
         service turns the log into rejected
         :class:`~repro.serve.request.InferenceResult` outcomes) instead
         of being served hopelessly late. Default False preserves the
-        historical serve-late behavior bit-for-bit.
+        historical serve-late behavior bit-for-bit. A bool: anything
+        else, the string ``"no"`` included, raises
+        :class:`~repro.errors.ConfigError`.
+    tracer:
+        None (the :data:`~repro.obs.tracer.NULL_TRACER`), a
+        :class:`~repro.obs.tracer.NullTracer` or a
+        :class:`~repro.obs.tracer.RecordingTracer`; anything else
+        raises :class:`~repro.errors.ConfigError` here.
 
     All times this class consumes and produces — :meth:`cut_due` /
     :meth:`next_cut_time` instants, deadlines, :meth:`observe` service
@@ -233,8 +256,10 @@ class StreamingScheduler:
 
     def __init__(self, *, max_batch=None, shed_expired=False, tracer=None):
         self.max_batch = _check_max_batch(max_batch)
-        self.shed_expired = bool(shed_expired)
-        self.tracer = NULL_TRACER if tracer is None else tracer
+        self.shed_expired = check_bool(shed_expired, "shed_expired")
+        self.tracer = NULL_TRACER if tracer is None else check_instance(
+            tracer, (NullTracer, RecordingTracer), "tracer"
+        )
         """Event sink (:mod:`repro.obs`): every sealed batch emits a
         ``batch.cut`` instant stamped with the cut reason."""
         self._groups = {}

@@ -62,6 +62,7 @@ from __future__ import annotations
 import bisect
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from operator import itemgetter
 
@@ -78,7 +79,12 @@ from repro.cluster.multichip import (
 from repro.cluster.partition import halo_exchange, make_plan  # noqa: F401
 from repro.cluster.topology import Topology, subtopology
 from repro.errors import CeilingError, ConfigError
-from repro.obs.tracer import NULL_TRACER, config_label
+from repro.obs.tracer import (
+    NULL_TRACER,
+    NullTracer,
+    RecordingTracer,
+    config_label,
+)
 from repro.serve.cache import AutotuneCache, OverlayCache
 from repro.serve.placement import CacheAffinity, FirstFree
 from repro.serve.request import InferenceResult
@@ -87,7 +93,13 @@ from repro.serve.scheduler import (
     StreamingScheduler,
     _check_max_batch,
 )
-from repro.utils.validation import check_positive_finite, check_positive_int
+from repro.utils.validation import (
+    check_bool,
+    check_choice,
+    check_instance,
+    check_positive_finite,
+    check_positive_int,
+)
 
 
 @dataclass
@@ -367,7 +379,9 @@ class InferenceService:
         back with ``InferenceResult.shed`` True and zeroed cycle
         fields; the shed rate is reported in
         :attr:`ServiceStats.shed_rate`. Default False keeps the
-        historical serve-late behavior bit-for-bit.
+        historical serve-late behavior bit-for-bit. A bool, as is
+        ``coschedule``: the string ``"false"`` raises
+        :class:`~repro.errors.ConfigError` rather than switching it on.
     chip_capacity:
         Node-count capacity of every instance (one positive int: the
         pool is uniform). A request whose graph exceeds it is planned
@@ -387,9 +401,11 @@ class InferenceService:
         ``slo_ms``, through a per-drain :class:`_ShardedDispatch` that
         a service without this knob never builds.
     cluster_options:
-        Optional dict of :class:`~repro.cluster.ClusterConfig`
-        overrides for sharded jobs (e.g. ``link_words_per_cycle``,
-        ``topology``, ``overlap``, ``rebalance_signal``); ``n_chips``,
+        Optional mapping (a dict; a string or a list of pairs raises
+        :class:`~repro.errors.ConfigError`) of
+        :class:`~repro.cluster.ClusterConfig` overrides for sharded
+        jobs (e.g. ``link_words_per_cycle``, ``topology``,
+        ``overlap``, ``rebalance_signal``); ``n_chips``,
         ``chip``, ``chips`` and ``row_ceilings`` are always derived
         from the job itself, ``topology`` is a kind, since each gang's
         fabric is sized per job, and ``stragglers`` is refused, since
@@ -477,7 +493,10 @@ class InferenceService:
         the structured event trace of every drain (request span trees,
         batch cuts, gang claims, backfills, preemptions, cache and
         cluster events — all on the simulated clock). None (default)
-        uses the zero-overhead :class:`~repro.obs.tracer.NullTracer`.
+        uses the zero-overhead :class:`~repro.obs.tracer.NullTracer`;
+        anything but a ``NullTracer`` or a ``RecordingTracer`` raises
+        :class:`~repro.errors.ConfigError` here, not at the first
+        drain.
 
     Units
     -----
@@ -515,18 +534,17 @@ class InferenceService:
                  worker_cache_entries=None, replicate_threshold=None,
                  tracer=None):
         check_positive_int(n_workers, "n_workers")
-        self.tracer = NULL_TRACER if tracer is None else tracer
+        self.tracer = NULL_TRACER if tracer is None else check_instance(
+            tracer, (NullTracer, RecordingTracer), "tracer"
+        )
         """Event sink (:mod:`repro.obs`): a
         :class:`~repro.obs.tracer.RecordingTracer` collects the span
         tree of every request plus scheduler/cluster/cache events on
         the simulated clock; the default :data:`NULL_TRACER` costs one
         attribute check per hook."""
-        if cache_mode not in ("shared", "partitioned", "affinity"):
-            raise ConfigError(
-                "cache_mode must be 'shared', 'partitioned' or "
-                f"'affinity', got {cache_mode!r}"
-            )
-        self.cache_mode = cache_mode
+        self.cache_mode = check_choice(
+            cache_mode, ("shared", "partitioned", "affinity"), "cache_mode"
+        )
         if worker_cache_entries is not None:
             if cache_mode == "shared":
                 raise ConfigError(
@@ -573,11 +591,13 @@ class InferenceService:
         without a cache, and under the per-instance modes)."""
         self.queue = RequestQueue()
         self.max_batch = _check_max_batch(max_batch)
-        self.shed_expired = bool(shed_expired)
+        self.shed_expired = check_bool(shed_expired, "shed_expired")
         if chip_capacity is not None:
             chip_capacity = check_positive_int(chip_capacity, "chip_capacity")
         self.chip_capacity = chip_capacity
-        self.cluster_options = dict(cluster_options or {})
+        self.cluster_options = {} if cluster_options is None else dict(
+            check_instance(cluster_options, Mapping, "cluster_options")
+        )
         known = {f.name for f in fields(ClusterConfig)}
         for key in self.cluster_options:
             if key not in known:
@@ -613,7 +633,7 @@ class InferenceService:
                 "cluster_options configure sharded jobs, which only "
                 "chip_capacity creates; without it they would be ignored"
             )
-        self.coschedule = bool(coschedule)
+        self.coschedule = check_bool(coschedule, "coschedule")
         if critical_slo_ms is not None:
             critical_slo_ms = check_positive_finite(
                 critical_slo_ms, "critical_slo_ms"
@@ -1009,7 +1029,7 @@ class InferenceService:
             })
         # Positional, in field order, as _serve_one builds its result.
         return InferenceResult(
-            request.request_id,                     # request_id
+            item.request_id,                        # request_id
             getattr(request.graph, "name", "custom"),  # dataset
             "",                                     # fingerprint
             0,                                      # total_cycles
@@ -1112,7 +1132,7 @@ class InferenceService:
         # __init__ to unpack, about three times the cost, once per
         # request.
         result = InferenceResult(
-            request.request_id,                     # request_id
+            item.request_id,                        # request_id
             accel.name,                             # dataset
             fingerprint,                            # fingerprint
             report.total_cycles,                    # total_cycles
@@ -1757,7 +1777,7 @@ class _ShardedDispatch:
         # Positional, in field order, as InferenceService._serve_one
         # builds its result.
         result = InferenceResult(
-            request.request_id,                     # request_id
+            item.request_id,                        # request_id
             sharded.name,                           # dataset
             f"{item.resolved[1]}@{len(gang)}chips",  # fingerprint
             report.total_cycles,                    # total_cycles

@@ -36,7 +36,15 @@ from repro.errors import ConfigError
 from repro.serve.request import InferenceRequest
 from repro.sparse.coo import CooMatrix
 from repro.utils.rng import rng_from_seed, spawn_rngs
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import (
+    check_choice,
+    check_fraction,
+    check_instance,
+    check_non_negative_finite,
+    check_non_negative_int,
+    check_positive_finite,
+    check_positive_int,
+)
 
 
 @dataclass(frozen=True)
@@ -48,7 +56,10 @@ class RmatGraphSpec:
     its accelerator workload fingerprints identically — which is what
     turns repeat traffic into autotune-cache hits. Hashed and compared
     through one kept field tuple, with the generated methods' values
-    (:func:`~repro.accel.config.kept_hash`).
+    (:func:`~repro.accel.config.kept_hash`). Every field but ``abcd`` is
+    checked at construction, not at :meth:`build` mid-drain: a NaN or
+    out-of-range density or a negative seed raises
+    :class:`~repro.errors.ConfigError` naming the field.
     """
 
     n_nodes: int
@@ -62,10 +73,13 @@ class RmatGraphSpec:
     abcd: tuple = (0.5, 0.2, 0.2, 0.1)
 
     def __post_init__(self):
-        check_positive_int(self.n_nodes, "n_nodes")
-        check_positive_int(self.avg_degree, "avg_degree")
-        for dim_name in ("f1", "f2", "f3"):
-            check_positive_int(getattr(self, dim_name), dim_name)
+        # Checked only, so the stored fields (and the graph cache's
+        # keys) stay the caller's.
+        for name in ("n_nodes", "avg_degree", "f1", "f2", "f3"):
+            check_positive_int(getattr(self, name), name)
+        check_fraction(self.x1_density, "x1_density")
+        check_fraction(self.x2_density, "x2_density")
+        check_non_negative_int(self.seed, "seed")
 
     # The graph cache compares an equal spec from another trace on
     # every build: compare and hash through the kept field tuple.
@@ -143,15 +157,13 @@ def synthetic_traffic(n_requests, *, n_graphs=4, n_nodes=2048, seed=7,
     """
     check_positive_int(n_requests, "n_requests")
     check_positive_int(n_graphs, "n_graphs")
+    check_non_negative_finite(zipf_skew, "zipf_skew")
     graph_kwargs = dict(graph_kwargs or {})
     if configs is None:
         configs = (ArchConfig(n_pes=64, hop=1, remote_switching=True),)
     configs = tuple(configs)
     for config in configs:
-        if not isinstance(config, ArchConfig):
-            raise ConfigError(
-                f"configs must be ArchConfig, got {type(config).__name__}"
-            )
+        check_instance(config, ArchConfig, "configs")
     rng = rng_from_seed(seed)
     specs = [
         RmatGraphSpec(
@@ -175,32 +187,10 @@ def synthetic_traffic(n_requests, *, n_graphs=4, n_nodes=2048, seed=7,
 def _check_repeat(repeat_alpha, family_size):
     """Validate the repeat-heavy traffic knobs (both may be None)."""
     if repeat_alpha is not None:
-        try:
-            repeat_alpha = float(repeat_alpha)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                "repeat_alpha must be a number, got "
-                f"{type(repeat_alpha).__name__}"
-            )
-        if not (np.isfinite(repeat_alpha) and repeat_alpha >= 0):
-            raise ConfigError(
-                f"repeat_alpha must be finite and >= 0, got {repeat_alpha}"
-            )
+        repeat_alpha = check_non_negative_finite(repeat_alpha, "repeat_alpha")
     if family_size is not None:
         family_size = check_positive_int(family_size, "family_size")
     return repeat_alpha, family_size
-
-
-def _check_rate(rate):
-    try:
-        rate = float(rate)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"rate must be a number, got {type(rate).__name__}"
-        )
-    if not rate > 0:
-        raise ConfigError(f"rate must be > 0, got {rate}")
-    return rate
 
 
 def poisson_arrivals(n_requests, *, rate, seed=0, start=0.0):
@@ -212,7 +202,7 @@ def poisson_arrivals(n_requests, *, rate, seed=0, start=0.0):
     of length ``n_requests``.
     """
     check_positive_int(n_requests, "n_requests")
-    rate = _check_rate(rate)
+    rate = check_positive_finite(rate, "rate")
     rng = rng_from_seed(seed)
     gaps = rng.exponential(1.0 / rate, size=n_requests)
     return start + np.cumsum(gaps)
@@ -230,7 +220,7 @@ def bursty_arrivals(n_requests, *, rate, burst_size=8, seed=0, start=0.0):
     """
     check_positive_int(n_requests, "n_requests")
     check_positive_int(burst_size, "burst_size")
-    rate = _check_rate(rate)
+    rate = check_positive_finite(rate, "rate")
     rng = rng_from_seed(seed)
     n_bursts = -(-n_requests // burst_size)
     epochs = np.cumsum(rng.exponential(burst_size / rate, size=n_bursts))
@@ -256,6 +246,7 @@ def streaming_traffic(n_requests, *, arrival_rate, arrival="poisson",
     requests in arrival order, ready for
     :meth:`InferenceService.submit_many`.
     """
+    check_choice(arrival, ("poisson", "bursty"), "arrival")
     repeat_alpha, family_size = _check_repeat(repeat_alpha, family_size)
     if repeat_alpha is not None:
         zipf_skew = repeat_alpha
@@ -268,13 +259,9 @@ def streaming_traffic(n_requests, *, arrival_rate, arrival="poisson",
     )
     if arrival == "poisson":
         times = poisson_arrivals(n_requests, rate=arrival_rate, seed=seed)
-    elif arrival == "bursty":
+    else:
         times = bursty_arrivals(
             n_requests, rate=arrival_rate, burst_size=burst_size, seed=seed
-        )
-    else:
-        raise ConfigError(
-            f"arrival must be 'poisson' or 'bursty', got {arrival!r}"
         )
     return [
         replace(request, arrival_time=float(when), slo_ms=slo_ms)
@@ -314,11 +301,9 @@ def mixed_traffic(n_requests, *, arrival_rate, chip_capacity, seed=7,
         n_graphs = family_size
     check_positive_int(n_graphs, "n_graphs")
     chip_capacity = check_positive_int(chip_capacity, "chip_capacity")
-    for name, fraction in (("critical_fraction", critical_fraction),
-                           ("sharded_fraction", sharded_fraction)):
-        if not 0.0 <= float(fraction) <= 1.0:
-            raise ConfigError(f"{name} must be in [0, 1], got {fraction}")
-    if float(critical_fraction) + float(sharded_fraction) > 1.0:
+    critical_fraction = check_fraction(critical_fraction, "critical_fraction")
+    sharded_fraction = check_fraction(sharded_fraction, "sharded_fraction")
+    if critical_fraction + sharded_fraction > 1.0:
         raise ConfigError(
             "critical_fraction + sharded_fraction must be <= 1, got "
             f"{critical_fraction} + {sharded_fraction}"
@@ -328,10 +313,7 @@ def mixed_traffic(n_requests, *, arrival_rate, chip_capacity, seed=7,
         configs = (ArchConfig(n_pes=64, hop=1, remote_switching=True),)
     configs = tuple(configs)
     for config in configs:
-        if not isinstance(config, ArchConfig):
-            raise ConfigError(
-                f"configs must be ArchConfig, got {type(config).__name__}"
-            )
+        check_instance(config, ArchConfig, "configs")
     small_nodes = small_nodes or max(chip_capacity // 4, 16)
     batch_nodes = batch_nodes or max(chip_capacity // 2, 16)
     sharded_nodes = sharded_nodes or 3 * chip_capacity
@@ -359,8 +341,8 @@ def mixed_traffic(n_requests, *, arrival_rate, chip_capacity, seed=7,
     rng = rng_from_seed(seed)
     kinds = rng.choice(
         3, size=n_requests,
-        p=[float(critical_fraction), 1.0 - float(critical_fraction)
-           - float(sharded_fraction), float(sharded_fraction)],
+        p=[critical_fraction, 1.0 - critical_fraction - sharded_fraction,
+           sharded_fraction],
     )
     if repeat_alpha is None:
         picks = rng.integers(0, n_graphs, size=n_requests)

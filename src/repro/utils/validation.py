@@ -2,13 +2,40 @@
 
 These raise :class:`repro.errors.ConfigError` with a message naming the
 offending argument, so user-facing constructors can validate succinctly.
+Each returns the value it accepted (numbers in their plain Python type),
+so a caller may keep the normalized value or ignore it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import ConfigError
+
+
+def check_instance(value, cls, name):
+    """Return ``value`` if it is an instance of ``cls`` (a class or a
+    tuple of classes), else raise."""
+    if not isinstance(value, cls):
+        expected = " or ".join(
+            c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,))
+        )
+        raise ConfigError(
+            f"{name} must be {expected}, got {type(value).__name__}"
+        )
+    return value
+
+
+def check_choice(value, choices, name):
+    """Return ``value`` if it is one of ``choices``, else raise."""
+    if value not in choices:
+        raise ConfigError(
+            f"{name} must be one of {', '.join(map(repr, choices))}, "
+            f"got {value!r}"
+        )
+    return value
 
 
 def check_positive_int(value, name):
@@ -41,26 +68,36 @@ def check_bool(value, name):
     return bool(value)
 
 
-def check_positive_finite(value, name):
-    """Return ``value`` as ``float`` if it is a finite positive number."""
+def _as_float(value, name):
+    """``value`` as ``float`` if it is a real number and not a bool."""
     if isinstance(value, bool) or not isinstance(
         value, (int, float, np.integer, np.floating)
     ):
         raise ConfigError(
             f"{name} must be a number, got {type(value).__name__}"
         )
-    value = float(value)
-    if not np.isfinite(value) or value <= 0:
+    return float(value)
+
+
+def check_positive_finite(value, name):
+    """Return ``value`` as ``float`` if it is a finite positive number."""
+    value = _as_float(value, name)
+    if not math.isfinite(value) or value <= 0:
         raise ConfigError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
+def check_non_negative_finite(value, name):
+    """Return ``value`` as ``float`` if it is a finite number >= 0."""
+    value = _as_float(value, name)
+    if not math.isfinite(value) or value < 0:
+        raise ConfigError(f"{name} must be finite and >= 0, got {value}")
     return value
 
 
 def check_fraction(value, name, *, inclusive_low=True, inclusive_high=True):
     """Return ``value`` as ``float`` if it lies in [0, 1] (bounds optional)."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {type(value).__name__}")
+    value = _as_float(value, name)
     low_ok = value >= 0.0 if inclusive_low else value > 0.0
     high_ok = value <= 1.0 if inclusive_high else value < 1.0
     if not (low_ok and high_ok):

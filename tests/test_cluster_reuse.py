@@ -215,13 +215,14 @@ class TestReuseCounts:
         warm.submit_many(requests)
         warm.drain()
         calls["resolve_graph"].clear()
-        warm.submit_many(requests)
+        ids = warm.submit_many(requests)
         outcome = warm.drain()
+        # The queue keeps the caller's requests: each submitted object
+        # is resolved exactly once, and the results carry the ids
+        # submit_many returned.
         resolved = calls["resolve_graph"]
-        assert sorted(r.request_id for r in resolved) == sorted(
-            r.request_id for r in outcome.results
-        )
-        assert len({id(r) for r in resolved}) == len(requests)
+        assert sorted(map(id, resolved)) == sorted(map(id, requests))
+        assert [r.request_id for r in outcome.results] == ids
         assert (outcome.stats.n_sharded > 0) == (chip_capacity is not None)
         assert (outcome.stats.n_shed > 0) == shed_expired
 

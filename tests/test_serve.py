@@ -80,6 +80,31 @@ class TestRequestQueue:
         with pytest.raises(ConfigError):
             RequestQueue().submit("not a request")
 
+    def test_submit_keeps_the_callers_requests(self, monkeypatch):
+        # Each request was checked when it was built: submit builds no
+        # copy, and the id it returns rides on the queued item.
+        trace = [
+            replace(request, request_id=f"r{i}") if i % 3 == 0 else request
+            for i, request in enumerate(streaming_traffic(
+                40, arrival_rate=100.0, n_nodes=256, seed=3,
+            ))
+        ]
+        checks = []
+        check = InferenceRequest.__post_init__
+        monkeypatch.setattr(InferenceRequest, "__post_init__",
+                            lambda self: checks.append(self) or check(self))
+        queue = RequestQueue()
+        ids = queue.submit_many(trace)
+        assert checks == []
+        assert ids == [
+            seq if request.request_id is None else request.request_id
+            for seq, request in enumerate(trace)
+        ]
+        drained = queue.drain()
+        assert [item.request_id for item in drained] == ids
+        assert all(item.request is request
+                   for item, request in zip(drained, trace))
+
 
 def _offline_batches(queued, *, max_batch=None):
     """Admit a whole queue at once, flush, and pop every batch."""
@@ -462,6 +487,16 @@ def test_malformed_archive_load_is_a_config_error(tmp_path, write):
         # A file the failed load left open warns when it is freed.
         gc.collect()
     assert [w for w in caught if w.category is ResourceWarning] == []
+
+
+def test_an_archived_config_is_checked_like_any_other(tmp_path):
+    # A fractional MAC depth once loaded and priced every later hit.
+    path = tmp_path / "cache.npz"
+    _edited(path, lambda index, arrays: index["entries"][0]["config"]
+            .update(mac_latency=2.5))
+    with pytest.raises(ConfigError,
+                       match=r"cache\.npz entry 0 is malformed.*mac_latency"):
+        AutotuneCache.load(path)
 
 
 def _stages(entry):

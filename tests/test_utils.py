@@ -1,5 +1,7 @@
 """RNG helpers and argument validation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,12 @@ from repro.utils import (
     check_positive_int,
     rng_from_seed,
     spawn_rngs,
+)
+from repro.utils.validation import (
+    check_choice,
+    check_instance,
+    check_non_negative_finite,
+    check_positive_finite,
 )
 
 
@@ -82,6 +90,39 @@ class TestValidation:
             check_fraction(0.0, "x", inclusive_low=False)
         with pytest.raises(ConfigError):
             check_fraction(1.0, "x", inclusive_high=False)
+
+    @pytest.mark.parametrize("bad", ["0.5", True, None, 0.5j])
+    def test_fraction_takes_only_numbers(self, bad):
+        with pytest.raises(ConfigError, match="x must be a number"):
+            check_fraction(bad, "x")
+
+    def test_instance_names_the_classes(self):
+        assert check_instance(3, int, "x") == 3
+        assert check_instance(3.0, (int, float), "x") == 3.0
+        with pytest.raises(ConfigError, match="x must be int, got str"):
+            check_instance("3", int, "x")
+        with pytest.raises(ConfigError,
+                           match="x must be int or float, got NoneType"):
+            check_instance(None, (int, float), "x")
+
+    def test_choice(self):
+        assert check_choice("ring", ("ring", "mesh2d"), "x") == "ring"
+        with pytest.raises(
+            ConfigError, match="x must be one of 'ring', 'mesh2d', got 'torus'"
+        ):
+            check_choice("torus", ("ring", "mesh2d"), "x")
+
+    def test_non_negative_finite(self):
+        assert check_non_negative_finite(0, "x") == 0.0
+        assert type(check_non_negative_finite(np.float32(2), "x")) is float
+        for bad in (-0.5, math.nan, math.inf, True, "1"):
+            with pytest.raises(ConfigError, match="x must be"):
+                check_non_negative_finite(bad, "x")
+
+    def test_positive_finite_refuses_nan_and_infinity(self):
+        for bad in (math.nan, math.inf, -math.inf, 0.0):
+            with pytest.raises(ConfigError, match="x must be finite"):
+                check_positive_finite(bad, "x")
 
     def test_1d_int_array_converts(self):
         out = check_1d_int_array([1, 2, 3], "x")

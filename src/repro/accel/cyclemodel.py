@@ -18,11 +18,13 @@ Reddit-scale simulation instantaneous while early-round underutilization
 (the paper's residual 4-10% gap) is still captured faithfully.
 
 The tuning phase itself is batched: the Eq. 5 switch trajectory depends
-only on observed loads (never on measured makespans), so the model
-speculates a chunk of rounds ahead, prices every candidate load vector
-in one :func:`~repro.accel.localshare.share_makespan_batch` kernel
-call, and commits the observations after the fact — eliminating the
-one-Hall-bound-per-round Python loop while staying bit-identical to it
+only on observed loads (never on measured makespans), so the tuner
+walks a chunk of rounds' switches on the real map, the model prices
+every walked load vector in one
+:func:`~repro.accel.localshare.share_makespan_batch` kernel call, and
+the tuner commits the makespans after the fact, restoring the best map
+on a freeze — each round's work done once, with no
+one-Hall-bound-per-round Python loop, while staying bit-identical to it
 (the sequential loop lives in ``tests/test_accel_cyclemodel.py`` as the
 regression oracle).
 """
@@ -164,10 +166,10 @@ def simulate_spmm(job, config, *, initial_owner=None, tracer=None):
     converged configuration when the same sparse matrix appears again,
     e.g. A in layer 2 after tuning in layer 1).
 
-    The Eq. 5 tuning phase speculates the switch-only load trajectory
-    a chunk of rounds ahead (:meth:`RemoteAutoTuner.speculate_loads`)
-    and prices every candidate round in one batched Hall-bound kernel
-    call (:func:`_drive_tuner_batched`).
+    The Eq. 5 tuning phase walks a chunk of rounds at a time
+    (:meth:`~repro.accel.remote.RemoteAutoTuner.advance`) and prices
+    every walked round in one batched Hall-bound kernel call
+    (:func:`_drive_tuner_batched`).
 
     ``tracer`` (a :class:`~repro.obs.tracer.RecordingTracer`) records
     the Eq. 5 tuning trajectory: one ``tuner.round`` instant per
@@ -351,46 +353,38 @@ def simulate_spmm_frozen(job, config, owner, *, warmup_costs=(),
     )
 
 
-# How many tuning rounds to speculate per batched kernel call. The
-# Eq. 5 tuner typically freezes within a handful of rounds (patience 2-4
-# in every shipped config), so one chunk usually covers the whole
-# tuning phase; rounds speculated past a patience freeze only waste
-# their share of one batched Hall evaluation.
+# How many tuning rounds one walk covers. The Eq. 5 tuner typically
+# freezes within a handful of rounds (patience 2-4 in every shipped
+# config), so one chunk usually covers the whole tuning phase; rounds
+# walked past a patience freeze only waste their share of one batched
+# Hall evaluation and their switches, which the freeze undoes.
 _TUNING_CHUNK = 8
 
 
 def _drive_tuner_batched(tuner, assignment, config, cycles, n_rounds, ideal):
-    """Chunked tuning driver: price whole round batches in one kernel.
+    """Chunked tuning driver: each chunk of rounds is walked once.
 
-    Speculates the tuner's switch-only load trajectory up to
-    ``_TUNING_CHUNK`` rounds ahead, evaluates all candidate rounds'
-    makespans in a single :func:`share_makespan_batch` call, then
-    commits the real observations (which may stop early on a patience
-    freeze — leftover speculative rounds are discarded). Bit-identical
-    to the sequential one-Hall-bound-per-round loop (the oracle in
-    ``tests/test_accel_cyclemodel.py``): the real tuner replays the
-    exact same :meth:`~RemoteAutoTuner.observe_round` sequence, only
-    the makespan *evaluation* is batched. Returns
-    ``(rounds_consumed, max_backlog)``.
+    :meth:`RemoteAutoTuner.advance` applies up to ``_TUNING_CHUNK``
+    rounds of switches, prices their load vectors in one
+    :func:`share_makespan_batch` call through ``price`` (with the
+    sharing efficiency and the RaW bound) and commits the makespans,
+    stopping at a freeze. Bit-identical to the sequential
+    one-Hall-bound-per-round loop (the oracle in
+    ``tests/test_accel_cyclemodel.py``): only the makespan *evaluation*
+    is batched. Returns ``(rounds_consumed, max_backlog)``.
     """
-    round_idx = 0
-    max_backlog = 0
-    drain = config.drain_cycles
     raw_bound = _raw_hazard_bound(assignment, config)  # load-map invariant
-    while round_idx < n_rounds and not tuner.converged:
-        budget = min(_TUNING_CHUNK, n_rounds - round_idx)
-        loads_matrix = tuner.speculate_loads(budget)
+
+    def price(loads_matrix):
         halls = share_makespan_batch(loads_matrix, config.hop)
         spans = np.ceil(halls / config.sharing_efficiency).astype(np.int64)
-        makespans = np.maximum(spans, raw_bound)
-        consumed = tuner.observe_rounds(makespans)
-        if consumed == 0:  # cannot happen: guards an infinite loop
-            raise AssertionError("tuner consumed no speculated rounds")
-        chunk = makespans[:consumed]
-        cycles[round_idx:round_idx + consumed] = chunk + drain
-        max_backlog = max(max_backlog, max(0, int(chunk.max()) - ideal))
-        round_idx += consumed
-    return round_idx, max_backlog
+        return np.maximum(spans, raw_bound)
+
+    while tuner.round_index < n_rounds and not tuner.converged:
+        tuner.advance(min(_TUNING_CHUNK, n_rounds - tuner.round_index), price)
+    makespans = np.asarray(tuner.makespan_history, dtype=np.int64)
+    cycles[:makespans.size] = makespans + config.drain_cycles
+    return makespans.size, max(0, int(makespans.max()) - ideal)
 
 
 def _steady_state_backlog(assignment, config, ideal, *, hall_bound=None):

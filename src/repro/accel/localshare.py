@@ -15,12 +15,14 @@ schedule beats T*; conversely a water-filling schedule achieves it.
 
 Boundary windows are dominated by prefix/suffix windows (widening a
 clipped window to the edge only adds work without adding receivers), so
-the implementation evaluates: all prefix windows, all suffix windows,
-and all interior windows per length — each fully vectorized, for one
-load vector or a whole batch of them at once
-(:func:`share_window_bounds_batch`). The batched form is what the cycle
-model's auto-tuning phase uses to price several candidate rounds in a
-single kernel call.
+the implementation evaluates all prefix and all suffix windows in one
+vectorized pass, then asks whether any interior window beats their
+maximum: one running-min pass per load vector, and a binary search on
+the bound value only for the load vectors where one does. Every step
+is vectorized over a whole batch of load vectors
+(:func:`share_makespan_batch`), which is what the cycle model's
+auto-tuning phase uses to price several candidate rounds in a single
+kernel call.
 """
 
 from __future__ import annotations
@@ -28,12 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
-
-# Below this many PEs the interior Hall bound is evaluated as one dense
-# (n x n) vectorized pass instead of a per-length Python loop; the dense
-# path is ~5-10x faster for the PE counts the cycle model sweeps while
-# the loop (with its early-exit) stays better for 1024+ PE arrays.
-_DENSE_WINDOW_LIMIT = 512
 
 
 def share_makespan(loads, hop, *, efficiency=1.0):
@@ -59,15 +55,11 @@ def share_makespan_batch(loads_matrix, hop, *, efficiency=1.0):
     call prices every candidate round of an auto-tuning chunk (or a
     single frozen round — the scalar entry point delegates here), so the
     rebalancing hot path never evaluates the Hall bound in a Python
-    loop over rounds. Returns an ``int64`` array of length ``rounds``.
+    loop over rounds. The interior family is searched only above the
+    prefix and suffix bound, since below it cannot change the max.
+    Returns an ``int64`` array of length ``rounds``.
     """
-    loads = np.asarray(loads_matrix, dtype=np.int64)
-    if loads.ndim != 2 or loads.shape[1] == 0:
-        raise ConfigError(
-            "loads_matrix must be a (rounds, n_pes) array with n_pes >= 1"
-        )
-    if hop < 0:
-        raise ConfigError(f"hop must be >= 0, got {hop}")
+    loads, hop = _checked_batch(loads_matrix, hop)
     if not 0.0 < efficiency <= 1.0:
         raise ConfigError(f"efficiency must be in (0, 1], got {efficiency}")
     if loads.shape[0] == 0:
@@ -75,8 +67,10 @@ def share_makespan_batch(loads_matrix, hop, *, efficiency=1.0):
     if hop == 0:
         ideal = loads.max(axis=1)
     else:
-        interior, prefix, suffix = share_window_bounds_batch(loads, hop)
-        ideal = np.maximum(np.maximum(interior, prefix), suffix)
+        cumsum, prefix, suffix = _edge_bounds(loads, hop)
+        ideal = _interior_bound(
+            cumsum, loads, hop, floor=np.maximum(prefix, suffix)
+        )
     return np.ceil(ideal / efficiency).astype(np.int64)
 
 
@@ -95,12 +89,18 @@ def share_window_bounds(loads, hop):
 def share_window_bounds_batch(loads_matrix, hop):
     """Batched :func:`share_window_bounds` over ``(rounds, n_pes)`` loads.
 
-    Returns three ``int64`` arrays of length ``rounds``. All three
-    bound families vectorize over the round axis; the interior family
-    is evaluated densely for a single narrow row and otherwise by a
-    per-round binary search on the bound value (see the inline comment
-    below), with an active-rounds mask so finished rounds stop paying.
+    Returns three ``int64`` arrays of length ``rounds``: the interior
+    component comes from the same search :func:`share_makespan_batch`
+    runs, with a floor of 0 in place of the prefix and suffix bound.
     """
+    loads, hop = _checked_batch(loads_matrix, hop)
+    cumsum, prefix, suffix = _edge_bounds(loads, hop)
+    floor = np.zeros(loads.shape[0], dtype=np.int64)
+    return _interior_bound(cumsum, loads, hop, floor=floor), prefix, suffix
+
+
+def _checked_batch(loads_matrix, hop):
+    """``(loads, hop)`` as an ``int64`` batch and an int, once checked."""
     loads = np.asarray(loads_matrix, dtype=np.int64)
     if loads.ndim != 2 or loads.shape[1] == 0:
         raise ConfigError(
@@ -108,65 +108,65 @@ def share_window_bounds_batch(loads_matrix, hop):
         )
     if hop < 0:
         raise ConfigError(f"hop must be >= 0, got {hop}")
+    return loads, int(hop)
+
+
+def _edge_bounds(loads, hop):
+    """``(cumsum, prefix, suffix)``: the two clipped families per row.
+
+    ``cumsum`` is each row's running work with a leading 0 column.
+    """
     n_rounds, n = loads.shape
-    hop = int(hop)
     cumsum = np.zeros((n_rounds, n + 1), dtype=np.int64)
     np.cumsum(loads, axis=1, out=cumsum[:, 1:])
-
-    # Prefix windows [0..j]: receivers are [0 .. min(j + hop, n - 1)].
     j = np.arange(n)
+    # Prefix windows [0..j]: receivers are [0 .. min(j + hop, n - 1)].
     prefix_recv = np.minimum(j + hop, n - 1) + 1
-    prefix_bound = _ceil_div(cumsum[:, 1:], prefix_recv).max(axis=1)
-
+    prefix = _ceil_div(cumsum[:, 1:], prefix_recv).max(axis=1)
     # Suffix windows [i..n-1]: receivers are [max(i - hop, 0) .. n-1].
     suffix_work = cumsum[:, n:] - cumsum[:, :-1]
     suffix_recv = n - np.maximum(j - hop, 0)
-    suffix_bound = _ceil_div(suffix_work, suffix_recv).max(axis=1)
+    suffix = _ceil_div(suffix_work, suffix_recv).max(axis=1)
+    return cumsum, prefix, suffix
 
-    # Interior windows of each length L: receivers = L + 2*hop (no
-    # clipping; clipped windows are dominated by prefix/suffix above).
-    # Dense evaluation is O(n^2) per round — right for one narrow load
-    # vector (few numpy dispatches), wasteful for a batch, where the
-    # O(n log max_load) bound search below wins at every width.
-    if n_rounds == 1 and n <= _DENSE_WINDOW_LIMIT:
-        # One vectorized pass over the (end, start) difference matrix.
-        # The receiver count depends only on the window length, so taking
-        # ceil per window and maxing globally equals the per-length loop.
-        # Inverted (start > end) entries have non-positive sums, hence
-        # non-positive ceilings — they can never win the max.
-        sums = cumsum[:, 1:, None] - cumsum[:, None, :-1]
-        lengths = np.arange(1, n + 1)[:, None] - np.arange(n)[None, :]
-        receivers = np.maximum(np.minimum(lengths + 2 * hop, n), 1)
-        bounds = -(-sums // receivers)
-        interior_bound = np.maximum(bounds.max(axis=(1, 2)), 0)
-        return interior_bound, prefix_bound, suffix_bound
-    # Wide arrays: resolve the interior family by binary search on the
-    # bound value instead of a per-length window sweep. ceil is
-    # monotone, so the family max equals ceil(max W/(L + 2*hop)), and
-    # "is the max > T" linearizes: with D[k] = cumsum[k] - T*k, some
-    # window has W > T*(L + 2*hop) iff max(D[k2] - D[k1]) > 2*hop*T
-    # over k1 < k2 — one running-min pass. O(log max_load) vectorized
-    # scans per round, batched over rounds. Receiver counts are
-    # deliberately NOT clipped at n here: a clipped window is dominated
-    # by the prefix/suffix families (see module docstring), so the
-    # overall makespan is unchanged; only the reported interior
-    # component may sit below the dense path's on windows wider than
-    # n - 2*hop, which can never win the three-way max.
-    lo = np.zeros(n_rounds, dtype=np.int64)
-    hi = np.maximum(loads.max(axis=1), 0)  # bound <= max load always
-    positions = np.arange(n + 1, dtype=np.int64)
+
+def _interior_bound(cumsum, loads, hop, *, floor):
+    """Per row, the interior family's bound or ``floor``, whichever is higher.
+
+    Interior windows of length L have L + 2*hop receivers. ceil is
+    monotone, so the family max equals ceil(max W/(L + 2*hop)), and
+    "is the max > T" linearizes: with D[k] = cumsum[k] - T*k, some
+    window has W > T*(L + 2*hop) iff max(D[k2] - D[k1]) > 2*hop*T over
+    k1 < k2 — one running-min pass. Each row is tested once at its
+    ``floor``; only the rows that exceed it binary-search the bound
+    value over ``[floor + 1, max load]`` (the bound never exceeds the
+    max load), with an active-rows mask so finished rows stop paying.
+    Receiver counts are deliberately NOT clipped at n: a clipped window
+    is dominated by the prefix/suffix families (see module docstring),
+    so the makespan is unchanged; only the interior component alone may
+    sit below a clipped evaluation on windows wider than n - 2*hop,
+    which can never win the three-way max.
+    """
+    positions = np.arange(cumsum.shape[1], dtype=np.int64)
+
+    def exceeds(rows, level):
+        shifted = cumsum[rows] - level[:, None] * positions
+        runmin = np.minimum.accumulate(shifted[:, :-1], axis=1)
+        return (shifted[:, 1:] - runmin).max(axis=1) > 2 * hop * level
+
+    lo = floor.copy()
+    hi = floor.copy()
+    over = np.flatnonzero(exceeds(slice(None), floor))
+    lo[over] += 1
+    hi[over] = np.maximum(loads[over].max(axis=1), 0)
     while True:
         active = np.flatnonzero(lo < hi)
         if active.size == 0:
-            break
+            return lo
         mid = (lo[active] + hi[active]) // 2
-        level = cumsum[active] - mid[:, None] * positions
-        runmin = np.minimum.accumulate(level[:, :-1], axis=1)
-        maxdiff = (level[:, 1:] - runmin).max(axis=1)
-        exceeded = maxdiff > 2 * hop * mid
+        exceeded = exceeds(active, mid)
         lo[active[exceeded]] = mid[exceeded] + 1
         hi[active[~exceeded]] = mid[~exceeded]
-    return lo, prefix_bound, suffix_bound
 
 
 def share_effective_loads(loads, hop, *, cap=None):

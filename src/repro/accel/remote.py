@@ -18,6 +18,10 @@ paper), updating each tracked tuple per round until the map converges;
 the converged map is reused for all remaining rounds.
 
 This module reproduces that control loop exactly at row granularity.
+The cycle model drives it a chunk of rounds at a time
+(:meth:`RemoteAutoTuner.advance`): every round's switch is applied
+once, on the real map, and the chunk's makespans are priced in one
+call.
 """
 
 from __future__ import annotations
@@ -48,12 +52,23 @@ class TrackedTuple:
 class RemoteAutoTuner:
     """Runtime row-migration controller for one SPMM job.
 
-    Drive it with :meth:`observe_round` once per processed column of the
-    dense operand; it mutates the shared :class:`RowAssignment` in place,
-    exactly like the Shuffling Switches retarget rows between rounds.
-    Once :attr:`converged` is True the map is frozen (the paper reuses
-    the best configuration for the remaining columns) — further calls
-    are no-ops.
+    Drive it with :meth:`advance`, which walks a chunk of rounds and
+    prices them in one call, or with :meth:`observe_round`, its
+    one-round case, once per processed column of the dense operand.
+    Either mutates the shared :class:`RowAssignment` in place, exactly
+    like the Shuffling Switches retarget rows between rounds. Once
+    :attr:`converged` is True the map is frozen (the paper reuses the
+    best configuration for the remaining columns) — further calls are
+    no-ops.
+
+    A round has two halves. The switch (which rows move) depends only
+    on the loads, the gap and the tracked tuples; the measured makespan
+    drives only best-map tracking and the patience freeze. So a walk
+    applies the switches first, recording each round's loads and owner
+    map before its switch, and commits the makespans after: a freeze at
+    round ``k`` restores the best map recorded up to ``k``, whatever the
+    walk did after ``k``, and nothing reads the tracked tuples once the
+    map is frozen.
     """
 
     def __init__(self, assignment, *, rows_per_pe_equal, tracking_window=2,
@@ -82,10 +97,31 @@ class RemoteAutoTuner:
         self.makespan_history = []
         self._best_makespan = None
         self._best_owner = None
+        self._best_loads = None
         self._stall_rounds = 0
 
+    def advance(self, budget, price):
+        """Walk up to ``budget`` rounds; returns the rounds consumed.
+
+        The switches of the walked rounds are applied first, stopping
+        after a round whose gap is 0 (that round freezes the map
+        whatever it measures). ``price`` is then called once, with the
+        walked rounds' loads as an ``int64`` matrix of shape
+        ``(rounds, n_pes)`` whose row 0 is the loads this call started
+        from, and returns their makespans in order. The makespans are
+        committed round by round as :meth:`observe_round` takes them; a
+        freeze ends the walk at its round (consumed: its makespan was
+        measured) and restores the best map. A converged tuner, or a
+        ``budget`` below 1, consumes and prices nothing.
+        """
+        if self.converged or budget < 1:
+            return 0
+        loads, owners, gaps, _moved = self._roll(budget)
+        makespans = np.asarray(price(loads), dtype=np.int64).tolist()
+        return self._commit(loads, owners, gaps, makespans)
+
     def observe_round(self, makespan):
-        """Advance one auto-tuning round.
+        """Advance one auto-tuning round: :meth:`advance` of one round.
 
         ``makespan`` is the measured cycle count of the round just
         completed (what the PESM's hardware counters see). Returns True
@@ -93,33 +129,41 @@ class RemoteAutoTuner:
         """
         if self.converged:
             return False
-        self.round_index += 1
-        loads = self.assignment.loads
-        hot = int(np.argmax(loads))
-        cold = int(np.argmin(loads))
-        gap = int(loads[hot] - loads[cold])
-        self.gap_history.append(gap)
-        self.makespan_history.append(int(makespan))
+        loads, owners, gaps, moved = self._roll(1)
+        self._commit(loads, owners, gaps, (makespan,))
+        return moved > 0 and not self.converged
 
-        if self._best_makespan is None or makespan < self._best_makespan:
-            self._best_makespan = makespan
-            self._best_owner = self.assignment.snapshot()
-            self._stall_rounds = 0
-        else:
-            self._stall_rounds += 1
+    def _roll(self, budget):
+        """Apply the switches of up to ``budget`` rounds.
 
-        if self.round_index == 1:
-            # Round 1 only profiles: Eq. 5 gives N_1 = 0.
-            self.initial_gap = max(gap, 1)
-            return False
+        Returns ``(loads, owners, gaps, moved)``: per walked round, its
+        loads (one matrix row) and owner map before its switch and its
+        hotspot-coldspot gap, plus the row pairs the last round moved.
+        """
+        assignment = self.assignment
+        loads = np.empty((budget, assignment.n_pes), dtype=np.int64)
+        owners = []
+        gaps = []
+        moved = 0
+        for k in range(budget):
+            current = assignment.loads
+            loads[k] = current
+            owners.append(assignment.owner.copy())
+            hot = int(current.argmax())
+            cold = int(current.argmin())
+            gap = int(current[hot] - current[cold])
+            gaps.append(gap)
+            if self.round_index + k == 0:
+                # Round 1 only profiles: Eq. 5 gives N_1 = 0.
+                self.initial_gap = max(gap, 1)
+            elif gap == 0:
+                break  # the map freezes this round, whatever it measures
+            else:
+                moved = self._switch(hot, cold, gap)
+        return loads[:len(gaps)], owners, gaps, moved
 
-        if self._stall_rounds >= self.patience:
-            self._freeze()
-            return False
-        if gap == 0:
-            self._freeze()
-            return False
-
+    def _switch(self, hot, cold, gap):
+        """Eq. 5's step for the (hot, cold) pair; returns the pairs moved."""
         slot = self._find_or_create_slot(hot, cold)
         if self.approximate:
             step = _shift_approx_step(
@@ -132,105 +176,35 @@ class RemoteAutoTuner:
         slot.n_switched = new_total
         slot.rounds_tracked += 1
         if delta <= 0:
-            return False
+            return 0
         # Eq. 5 budgets how many rows may move; the SLT stops selecting
         # once the transferred work would equalize the pair (gap / 2),
         # so a switch narrows the gap instead of inverting it.
-        moved = self.assignment.swap_rows(
+        return self.assignment.swap_rows(
             hot, cold, delta, work_target=gap / 2.0
         )
-        return moved > 0
 
-    def speculate_loads(self, budget):
-        """Per-PE loads of the next up-to-``budget`` rounds, as a matrix.
-
-        Row ``k`` is the load vector the tuner would observe at its
-        ``k``-th upcoming :meth:`observe_round` call — row 0 is the
-        current assignment's loads, later rows follow the Eq. 5 switch
-        trajectory. The trajectory is *switch-only*: which rows move
-        depends only on loads, gaps and the tracked-tuple state, never
-        on measured makespans (those influence only best-map tracking
-        and the patience freeze), so it can be rolled forward on a
-        shadow copy without knowing any makespan. This is what lets
-        the cycle model price a whole chunk of tuning rounds in one
-        batched Hall-bound kernel call and then commit the real
-        observations via :meth:`observe_rounds`.
-
-        Fewer than ``budget`` rows come back when the trajectory
-        provably freezes early regardless of makespans (zero gap, or a
-        zero patience). A patience freeze driven by real makespans can
-        still cut the consumed prefix shorter — extra speculative rows
-        are then simply discarded. Pure: neither the tuner nor its
-        assignment is mutated. Returns an ``int64`` array of shape
-        ``(rounds, n_pes)`` (empty when converged or ``budget <= 0``).
-        """
-        budget = int(budget)
-        if budget <= 0 or self.converged:
-            return np.empty((0, self.assignment.n_pes), dtype=np.int64)
-        clone = self._speculation_clone()
-        rows = [self.assignment.loads.copy()]
-        # Strictly improving probe makespans keep the clone's stall
-        # counter at zero, so the clone freezes exactly when the real
-        # tuner would freeze for makespan-independent reasons.
-        probe = 0
-        while len(rows) < budget:
-            clone.observe_round(probe)
-            probe -= 1
-            if clone.converged:
-                break
-            rows.append(clone.assignment.loads.copy())
-        return np.asarray(rows, dtype=np.int64)
-
-    def observe_rounds(self, makespans):
-        """Feed a batch of measured makespans; returns rounds consumed.
-
-        Equivalent to calling :meth:`observe_round` once per entry in
-        order, stopping after the call that freezes the map (the freeze
-        round itself is consumed — its makespan was measured). The
-        ``makespans`` must price the load vectors
-        :meth:`speculate_loads` returned, in the same order.
-        """
+    def _commit(self, loads, owners, gaps, makespans):
+        """Take the walked rounds' makespans; returns the rounds consumed."""
         consumed = 0
-        for makespan in np.asarray(makespans, dtype=np.int64).tolist():
-            if self.converged:
-                break
-            self.observe_round(makespan)
+        for owner, gap, makespan in zip(owners, gaps, makespans, strict=True):
+            self.round_index += 1
+            self.gap_history.append(gap)
+            self.makespan_history.append(int(makespan))
+            if self._best_makespan is None or makespan < self._best_makespan:
+                self._best_makespan = makespan
+                self._best_owner = owner
+                self._best_loads = loads[consumed]
+                self._stall_rounds = 0
+            else:
+                self._stall_rounds += 1
             consumed += 1
+            if self.round_index > 1 and (
+                self._stall_rounds >= self.patience or gap == 0
+            ):
+                self._freeze()
+                break
         return consumed
-
-    def _speculation_clone(self):
-        """A throwaway tuner sharing this one's switch-relevant state.
-
-        The clone owns a copied :class:`RowAssignment` and copied
-        tracked tuples, so driving it leaves the real tuner untouched;
-        makespan-derived state (best map, stall counter, histories) is
-        deliberately fresh — speculation never consults it.
-        """
-        shadow = RowAssignment(
-            self.assignment.row_nnz,
-            self.assignment.n_pes,
-            owner=self.assignment.owner,
-        )
-        clone = RemoteAutoTuner(
-            shadow,
-            rows_per_pe_equal=self.rows_per_pe_equal,
-            tracking_window=self.tracking_window,
-            damping=self.damping,
-            patience=self.patience,
-            approximate=self.approximate,
-        )
-        clone.round_index = self.round_index
-        clone.initial_gap = self.initial_gap
-        clone.tracked = [
-            TrackedTuple(
-                hot=slot.hot,
-                cold=slot.cold,
-                n_switched=slot.n_switched,
-                rounds_tracked=slot.rounds_tracked,
-            )
-            for slot in self.tracked
-        ]
-        return clone
 
     def _find_or_create_slot(self, hot, cold):
         """Locate the tracked tuple for (hot, cold), evicting the oldest."""
@@ -244,20 +218,11 @@ class RemoteAutoTuner:
         return slot
 
     def _freeze(self):
-        """Stop tuning and restore the best configuration seen so far."""
+        """Stop tuning and restore the best map seen so far, with its loads."""
         self.converged = True
         self.converged_round = self.round_index
-        if self._best_owner is not None:
-            current = self.assignment.snapshot()
-            if not np.array_equal(current, self._best_owner):
-                # Rebuild loads from the best map (cheap: one bincount).
-                best = RowAssignment(
-                    self.assignment.row_nnz,
-                    self.assignment.n_pes,
-                    owner=self._best_owner,
-                )
-                self.assignment.owner = best.owner
-                self.assignment.loads = best.loads
+        self.assignment.owner = self._best_owner
+        self.assignment.loads = self._best_loads.copy()
 
 
 def _shift_approx_step(gap, initial_gap, rows_per_pe):

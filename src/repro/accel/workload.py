@@ -102,43 +102,42 @@ class RowAssignment:
         """
         if hot == cold or n_rows_each <= 0:
             return 0
-        hot_rows = self.rows_of(hot)
-        cold_rows = self.rows_of(cold)
+        owner = self.owner
+        hot_rows = (owner == hot).nonzero()[0]
+        cold_rows = (owner == cold).nonzero()[0]
         budget = min(int(n_rows_each), hot_rows.size, cold_rows.size)
         if budget == 0:
             return 0
-        by_weight = hot_rows[
-            np.argsort(self.row_nnz[hot_rows], kind="stable")[::-1]
-        ]
+        hot_weights = self.row_nnz[hot_rows]
+        # Heaviest first; equal weights in descending row order.
+        heaviest = np.argsort(hot_weights, kind="stable")[::-1]
         if work_target is None:
-            chosen = by_weight[:budget]
+            chosen = heaviest[:budget]
         else:
-            chosen = []
+            picked = []
             moved_work = 0.0
-            for row in by_weight:
-                if len(chosen) >= budget:
+            for position, weight in enumerate(hot_weights[heaviest].tolist()):
+                if len(picked) >= budget:
                     break
-                weight = self.row_nnz[row]
                 if moved_work + weight > work_target:
                     continue  # try a lighter row instead
-                chosen.append(row)
+                picked.append(position)
                 moved_work += weight
                 if moved_work >= work_target:
                     break
-            if not chosen and by_weight.size:
-                # Every row overshoots on its own: move the lightest one
-                # (minimal overshoot beats moving nothing — the Eq. 5
-                # feedback shrinks the next step if this was too much).
-                chosen = [by_weight[-1]]
-            chosen = np.asarray(chosen, dtype=np.int64)
+            # Every row overshoots on its own: move the lightest one
+            # (minimal overshoot beats moving nothing — the Eq. 5
+            # feedback shrinks the next step if this was too much).
+            chosen = heaviest[picked] if picked else heaviest[-1:]
         count = chosen.size
-        if count == 0:
-            return 0
-        cold_lightest = cold_rows[
-            np.argsort(self.row_nnz[cold_rows], kind="stable")[:count]
-        ]
-        self.move_rows(chosen, cold)
-        self.move_rows(cold_lightest, hot)
+        cold_weights = self.row_nnz[cold_rows]
+        lightest = np.argsort(cold_weights, kind="stable")[:count]
+        hot_work = int(hot_weights[chosen].sum())
+        cold_work = int(cold_weights[lightest].sum())
+        owner[hot_rows[chosen]] = cold
+        owner[cold_rows[lightest]] = hot
+        self.loads[hot] += cold_work - hot_work
+        self.loads[cold] += hot_work - cold_work
         return count
 
     def snapshot(self):

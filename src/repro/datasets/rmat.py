@@ -21,7 +21,10 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.utils.rng import rng_from_seed
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import (
+    check_non_negative_finite,
+    check_positive_int,
+)
 
 
 def edges_fingerprint(src, dst, n_nodes):
@@ -49,6 +52,30 @@ def edges_fingerprint(src, dst, n_nodes):
     return digest.hexdigest()
 
 
+def check_abcd(abcd):
+    """Return ``abcd`` as four floats if they are RMAT quadrant odds.
+
+    The rule: four finite, non-negative numbers that sum to 1 within
+    ``1e-9``; anything else raises :class:`~repro.errors.ConfigError`
+    naming ``abcd``.
+    """
+    try:
+        parts = tuple(abcd)
+    except TypeError:
+        raise ConfigError(
+            f"abcd must be four numbers, got {type(abcd).__name__}"
+        ) from None
+    if len(parts) != 4:
+        raise ConfigError(f"abcd must be four numbers, got {len(parts)}")
+    probs = tuple(
+        check_non_negative_finite(part, f"abcd[{index}]")
+        for index, part in enumerate(parts)
+    )
+    if abs(sum(probs) - 1.0) > 1e-9:
+        raise ConfigError(f"abcd must sum to 1, got {abcd}")
+    return probs
+
+
 def rmat_edges(n_nodes, n_edges, *, abcd=(0.45, 0.22, 0.22, 0.11), rng=None,
                dedupe=True, max_attempts=8):
     """Generate ``n_edges`` unique directed edges on ``n_nodes`` nodes.
@@ -64,7 +91,7 @@ def rmat_edges(n_nodes, n_edges, *, abcd=(0.45, 0.22, 0.22, 0.11), rng=None,
         ``max_attempts`` oversampling rounds the function returns what it
         has (callers treat ``n_edges`` as a target, not a contract).
     abcd:
-        RMAT quadrant probabilities; must sum to 1.
+        RMAT quadrant probabilities, as :func:`check_abcd` accepts them.
     dedupe:
         When False, duplicates are kept (useful for multigraph-style
         weighting).
@@ -77,9 +104,7 @@ def rmat_edges(n_nodes, n_edges, *, abcd=(0.45, 0.22, 0.22, 0.11), rng=None,
     n_nodes = check_positive_int(n_nodes, "n_nodes")
     if n_edges < 0:
         raise ConfigError(f"n_edges must be >= 0, got {n_edges}")
-    a, b, c, d = (float(x) for x in abcd)
-    if min(a, b, c, d) < 0 or abs(a + b + c + d - 1.0) > 1e-9:
-        raise ConfigError(f"abcd must be non-negative and sum to 1, got {abcd}")
+    a, b, c, d = check_abcd(abcd)
     rng = rng_from_seed(rng)
     if n_edges == 0:
         empty = np.zeros(0, dtype=np.int64)

@@ -17,6 +17,7 @@ from repro.model.activations import get_activation
 from repro.sparse.convert import coo_to_csc, coo_to_csr
 from repro.sparse.coo import CooMatrix
 from repro.sparse.ops import spmm_csc_dense, spmm_csr_dense
+from repro.utils.validation import check_positive_int
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,9 @@ class GcnLayer:
         weight = np.asarray(weight, dtype=np.float64)
         if weight.ndim != 2:
             raise ShapeError(f"weight must be 2-D, got {weight.ndim}-D")
-        if not isinstance(a_hops, int) or a_hops < 1:
-            raise ShapeError(f"a_hops must be a positive int, got {a_hops}")
         self.adjacency = adjacency
         self.weight = weight
-        self.a_hops = a_hops
+        self.a_hops = check_positive_int(a_hops, "a_hops")
         self.activation_name = activation
         self.activation = get_activation(activation)
         # The hardware keeps A resident in CSC (TDQ-2's native format).

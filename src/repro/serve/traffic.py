@@ -30,7 +30,7 @@ import numpy as np
 from repro.accel.config import ArchConfig, kept_eq, kept_hash, kept_state
 from repro.datasets.features import dense_weight_matrix, sample_row_nnz
 from repro.datasets.normalize import gcn_normalize
-from repro.datasets.rmat import rmat_edges
+from repro.datasets.rmat import check_abcd, rmat_edges
 from repro.datasets.synthetic import GcnDataset
 from repro.errors import ConfigError
 from repro.serve.request import InferenceRequest
@@ -56,9 +56,10 @@ class RmatGraphSpec:
     its accelerator workload fingerprints identically — which is what
     turns repeat traffic into autotune-cache hits. Hashed and compared
     through one kept field tuple, with the generated methods' values
-    (:func:`~repro.accel.config.kept_hash`). Every field but ``abcd`` is
-    checked at construction, not at :meth:`build` mid-drain: a NaN or
-    out-of-range density or a negative seed raises
+    (:func:`~repro.accel.config.kept_hash`). Every field is checked at
+    construction, not at :meth:`build` mid-drain: a NaN or out-of-range
+    density, a negative seed or an ``abcd`` that is not a tuple
+    :func:`~repro.datasets.rmat.check_abcd` accepts raises
     :class:`~repro.errors.ConfigError` naming the field.
     """
 
@@ -80,6 +81,7 @@ class RmatGraphSpec:
         check_fraction(self.x1_density, "x1_density")
         check_fraction(self.x2_density, "x2_density")
         check_non_negative_int(self.seed, "seed")
+        check_abcd(check_instance(self.abcd, tuple, "abcd"))  # a hash key
 
     # The graph cache compares an equal spec from another trace on
     # every build: compare and hash through the kept field tuple.

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.accel import ArchConfig, SpmmJob, cyclemodel, simulate_spmm
+from repro.accel.remote import TrackedTuple, _shift_approx_step
+from repro.accel.workload import RowAssignment
 from repro.errors import ConfigError
+from test_accel_workload import swap_rows_reference
 
 
 @pytest.fixture
@@ -148,13 +153,81 @@ class TestRawHazardBound:
             == pytest.approx(104, abs=6)
 
 
+def _observe_round(tuner, makespan):
+    """One Eq. 5 round, taken the way the tuner took it one at a time.
+
+    The body of ``RemoteAutoTuner.observe_round`` before rounds were
+    walked in chunks (test oracle): measure the round, track the best
+    map, then freeze or switch, all on the fields of ``tuner``. The
+    freeze rebuilds the best map's loads from its owner, and the switch
+    goes through :func:`swap_rows_reference`, so nothing here runs the
+    tuner's walk or the current ``swap_rows``. Returns True when a
+    switch was applied.
+    """
+    if tuner.converged:
+        return False
+    tuner.round_index += 1
+    assignment = tuner.assignment
+    loads = assignment.loads
+    hot = int(np.argmax(loads))
+    cold = int(np.argmin(loads))
+    gap = int(loads[hot] - loads[cold])
+    tuner.gap_history.append(gap)
+    tuner.makespan_history.append(int(makespan))
+
+    if tuner._best_makespan is None or makespan < tuner._best_makespan:
+        tuner._best_makespan = makespan
+        tuner._best_owner = assignment.snapshot()
+        tuner._stall_rounds = 0
+    else:
+        tuner._stall_rounds += 1
+
+    if tuner.round_index == 1:
+        tuner.initial_gap = max(gap, 1)  # round 1 only profiles
+        return False
+    if tuner._stall_rounds >= tuner.patience or gap == 0:
+        tuner.converged = True
+        tuner.converged_round = tuner.round_index
+        best = RowAssignment(
+            assignment.row_nnz, assignment.n_pes, owner=tuner._best_owner
+        )
+        assignment.owner = best.owner
+        assignment.loads = best.loads
+        return False
+
+    slot = next((s for s in tuner.tracked if s.key == (hot, cold)), None)
+    if slot is None:
+        slot = TrackedTuple(hot=hot, cold=cold)
+        tuner.tracked.append(slot)
+        if len(tuner.tracked) > tuner.tracking_window:
+            tuner.tracked.pop(0)
+    if tuner.approximate:
+        step = _shift_approx_step(
+            gap, tuner.initial_gap, tuner.rows_per_pe_equal
+        )
+    else:
+        step = (gap / tuner.initial_gap) * (tuner.rows_per_pe_equal / 2.0)
+    new_total = slot.n_switched + tuner.damping * step
+    delta = int(round(new_total)) - int(round(slot.n_switched))
+    slot.n_switched = new_total
+    slot.rounds_tracked += 1
+    if delta <= 0:
+        return False
+    moved = swap_rows_reference(
+        assignment, hot, cold, delta, work_target=gap / 2.0
+    )
+    return moved > 0
+
+
 def _drive_tuner(tuner, assignment, config, cycles, n_rounds, ideal):
     """Sequential reference tuning driver (one Hall bound per round).
 
     The original pre-vectorization control loop, kept bit-identical as
     the regression oracle for ``cyclemodel._drive_tuner_batched``, whose
-    signature it shares. Fills ``cycles`` for every observed round;
-    returns ``(rounds_consumed, max_backlog)``.
+    signature it shares. It drives the tuner ``simulate_spmm`` built
+    through :func:`_observe_round`, never through the tuner's own
+    methods. Fills ``cycles`` for every observed round; returns
+    ``(rounds_consumed, max_backlog)``.
     """
     round_idx = 0
     max_backlog = 0
@@ -162,18 +235,50 @@ def _drive_tuner(tuner, assignment, config, cycles, n_rounds, ideal):
         makespan, _hall = cyclemodel._round_makespan_parts(assignment, config)
         max_backlog = max(max_backlog, max(0, makespan - ideal))
         cycles[round_idx] = makespan + config.drain_cycles
-        tuner.observe_round(makespan)
+        _observe_round(tuner, makespan)
         round_idx += 1
     return round_idx, max_backlog
+
+
+@st.composite
+def _tuning_jobs(draw):
+    """A random SPMM job and a remote-switching config to tune it under.
+
+    Row profiles may be flat (every gap 0, a freeze at round 2) or carry
+    a hub; short jobs run out of rounds mid-tuning.
+    """
+    n_rows = draw(st.integers(8, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        row_nnz = np.full(n_rows, draw(st.integers(0, 6)))
+    else:
+        row_nnz = rng.integers(0, 25, size=n_rows)
+    if draw(st.booleans()):
+        row_nnz[draw(st.integers(0, n_rows - 1))] += draw(
+            st.integers(50, 400)
+        )
+    job = SpmmJob(
+        name="rand", row_nnz=row_nnz, n_rounds=draw(st.integers(1, 24))
+    )
+    config = ArchConfig(
+        n_pes=draw(st.integers(2, 48)),
+        hop=draw(st.integers(0, 2)),
+        remote_switching=True,
+        convergence_patience=draw(st.integers(1, 5)),
+        switch_damping=draw(st.floats(0.3, 1.0)),
+        tracking_window=draw(st.integers(1, 3)),
+        eq5_approximate=draw(st.booleans()),
+    )
+    return job, config
 
 
 class TestBatchedTuningDriver:
     """The chunked tuning driver is bit-identical to the sequential loop.
 
-    ``simulate_spmm`` speculates the switch-only load trajectory and
-    prices whole round batches in one Hall-bound kernel call; the
-    oracle run swaps in :func:`_drive_tuner`, the original
-    one-bound-per-round loop. Every :class:`SpmmResult` field the model
+    ``simulate_spmm`` walks chunks of rounds' switches and prices each
+    chunk in one Hall-bound kernel call; the oracle run swaps in
+    :func:`_drive_tuner`, the original one-bound-per-round loop over
+    :func:`_observe_round`. Every :class:`SpmmResult` field the model
     exposes must agree between the two.
     """
 
@@ -211,28 +316,10 @@ class TestBatchedTuningDriver:
         result = self._assert_identical(job, config)
         assert result.converged_round is None
 
-    def test_identical_across_random_configs(self, rng):
-        for _ in range(25):
-            n_rows = int(rng.integers(8, 200))
-            row_nnz = rng.integers(0, 25, size=n_rows)
-            if rng.random() < 0.5:
-                row_nnz[rng.integers(0, n_rows)] += int(
-                    rng.integers(50, 400)
-                )
-            job = SpmmJob(
-                name="rand", row_nnz=row_nnz,
-                n_rounds=int(rng.integers(1, 24)),
-            )
-            config = ArchConfig(
-                n_pes=int(rng.integers(2, 48)),
-                hop=int(rng.integers(0, 3)),
-                remote_switching=True,
-                convergence_patience=int(rng.integers(1, 5)),
-                switch_damping=float(rng.uniform(0.3, 1.0)),
-                tracking_window=int(rng.integers(1, 4)),
-                eq5_approximate=bool(rng.random() < 0.3),
-            )
-            self._assert_identical(job, config)
+    @settings(max_examples=150, deadline=None)
+    @given(_tuning_jobs())
+    def test_identical_across_random_configs(self, case):
+        self._assert_identical(*case)
 
     def test_static_map_never_calls_the_tuning_driver(self, skewed_job,
                                                       monkeypatch):

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.accel.localshare
 from repro.accel.localshare import (
     share_effective_loads,
     share_makespan,
@@ -332,25 +331,33 @@ class TestBatchedKernel:
                                  efficiency=0.0)
 
     def test_window_bounds_batch_max_matches_brute(self, rng):
-        for _ in range(15):
+        # A hub away from both edges makes the interior family beat the
+        # prefix and suffix bound, so the makespan kernel runs both of
+        # its branches: rows settled at that bound and rows that search.
+        interior_won = edge_held = 0
+        for _ in range(30):
             n = int(rng.integers(2, 20))
             hop = int(rng.integers(1, 4))
             matrix = rng.integers(0, 80, size=(3, n))
+            if n > 2 * hop + 2:
+                hub = rng.integers(hop + 1, n - hop - 1)
+                matrix[0, hub] += int(rng.integers(200, 2000))
             interior, prefix, suffix = share_window_bounds_batch(matrix, hop)
+            spans = share_makespan_batch(matrix, hop)
             for r in range(3):
-                assert max(
-                    int(interior[r]), int(prefix[r]), int(suffix[r])
-                ) == brute_force_bound(matrix[r], hop)
+                expected = brute_force_bound(matrix[r], hop)
+                edge = max(int(prefix[r]), int(suffix[r]))
+                assert max(int(interior[r]), edge) == expected
+                assert int(spans[r]) == expected
+                if int(interior[r]) > edge:
+                    interior_won += 1
+                else:
+                    edge_held += 1
+        assert interior_won and edge_held
 
 
 class TestWideArrayPath:
-    """The binary-search interior path (n past the dense limit)."""
-
-    @pytest.fixture(autouse=True)
-    def _force_wide_path(self, monkeypatch):
-        monkeypatch.setattr(
-            repro.accel.localshare, "_DENSE_WINDOW_LIMIT", 0
-        )
+    """The binary-search interior path, the only one, on single rows."""
 
     def test_makespan_matches_brute_force(self, rng):
         for _ in range(40):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel.localshare import share_makespan
+from repro.accel.localshare import share_makespan, share_makespan_batch
 from repro.accel.remote import RemoteAutoTuner, TrackedTuple
-from repro.accel.workload import RowAssignment
+from repro.accel.workload import RowAssignment, per_pe_loads
 from repro.errors import ConfigError
 
 
@@ -140,7 +140,12 @@ def test_property_tuning_never_hurts_final_makespan(row_nnz, n_pes):
 
 
 class TestSpeculation:
-    """speculate_loads / observe_rounds — the batched-driver surface."""
+    """``advance``: a chunk's switches walked ahead of its makespans.
+
+    The walk applies the switch-only trajectory first, prices the
+    walked rounds' loads in one ``price`` call, then commits the
+    makespans, stopping at a freeze.
+    """
 
     def _fresh(self, row_nnz, n_pes):
         assignment = RowAssignment(row_nnz, n_pes)
@@ -150,58 +155,79 @@ class TestSpeculation:
         )
         return tuner, assignment
 
+    @staticmethod
+    def _pricer(makespans, priced):
+        """A ``price`` that records each matrix and answers ``makespans``."""
+        def price(loads_matrix):
+            priced.append(loads_matrix.copy())
+            return makespans[:loads_matrix.shape[0]]
+        return price
+
     def test_speculation_is_pure(self, rng):
+        # Rounds walked past a patience freeze leave no trace: the map
+        # and its loads are the best round's, as recorded, and the
+        # histories stop at the freeze round.
         row_nnz = rng.integers(1, 9, size=64)
         row_nnz[5] = 150
         tuner, assignment = self._fresh(row_nnz, 8)
-        owner_before = assignment.snapshot()
-        loads_before = assignment.loads.copy()
-        matrix = tuner.speculate_loads(6)
-        assert matrix.shape[1] == 8
-        assert 1 <= matrix.shape[0] <= 6
-        assert np.array_equal(assignment.owner, owner_before)
-        assert np.array_equal(assignment.loads, loads_before)
-        assert tuner.round_index == 0 and not tuner.converged
+        priced = []
+        consumed = tuner.advance(8, self._pricer([90, 95, 95] + [1] * 5,
+                                                 priced))
+        assert consumed == 3 == tuner.converged_round
+        walked = priced[0]
+        assert walked.shape[0] > consumed  # the walk ran past the freeze
+        assert np.array_equal(assignment.loads, walked[0])
+        assert np.array_equal(
+            assignment.loads, per_pe_loads(assignment.owner, row_nnz, 8)
+        )
+        initial = RowAssignment(row_nnz, 8)
+        assert np.array_equal(assignment.owner, initial.owner)
+        assert tuner.makespan_history == [90, 95, 95]
+        assert len(tuner.gap_history) == 3 and tuner.round_index == 3
 
     def test_first_row_is_current_loads(self, rng):
         row_nnz = rng.integers(1, 9, size=64)
         tuner, assignment = self._fresh(row_nnz, 8)
-        matrix = tuner.speculate_loads(4)
-        assert np.array_equal(matrix[0], assignment.loads)
+        loads_before = assignment.loads.copy()
+        priced = []
+        tuner.advance(4, self._pricer([60, 50, 40, 30], priced))
+        assert len(priced) == 1
+        assert priced[0].dtype == np.int64 and priced[0].shape[1] == 8
+        assert np.array_equal(priced[0][0], loads_before)
 
     def test_trajectory_matches_real_observations(self, rng):
-        # Feeding the speculated rounds' true makespans through
-        # observe_round must walk the exact speculated load trajectory.
+        # The priced rows are the loads the one-round loop observes when
+        # it is fed the same makespans.
         row_nnz = rng.integers(0, 10, size=96)
         row_nnz[11] = 220
-        tuner, assignment = self._fresh(row_nnz, 12)
-        matrix = tuner.speculate_loads(5)
-        for k in range(matrix.shape[0]):
-            if tuner.converged:
-                break
-            assert np.array_equal(assignment.loads, matrix[k])
-            tuner.observe_round(share_makespan(assignment.loads, 0))
+        tuner, _ = self._fresh(row_nnz, 12)
+        priced = []
+        tuner.advance(5, lambda matrix: (
+            priced.append(matrix.copy()) or share_makespan_batch(matrix, 0)
+        ))
+        loop_tuner, loop_assignment = self._fresh(row_nnz, 12)
+        for k in range(tuner.round_index):
+            assert np.array_equal(loop_assignment.loads, priced[0][k])
+            loop_tuner.observe_round(share_makespan(loop_assignment.loads, 0))
 
-    def test_observe_rounds_stops_at_freeze(self, rng):
+    def test_advance_stops_at_freeze(self, rng):
         row_nnz = rng.integers(1, 6, size=48)
         row_nnz[0] = 100
-        tuner, assignment = self._fresh(row_nnz, 6)
+        tuner, _ = self._fresh(row_nnz, 6)
         # Constant makespans stall the tuner into its patience freeze
         # (default patience 2) partway through the batch.
-        consumed = tuner.observe_rounds([50, 50, 50, 50, 50, 50])
+        consumed = tuner.advance(6, self._pricer([50] * 6, []))
         assert tuner.converged
         assert consumed == tuner.converged_round
         assert consumed < 6
-        # Further batches are no-ops once frozen.
-        assert tuner.observe_rounds([40, 40]) == 0
 
-    def test_observe_rounds_matches_observe_round(self, rng):
+    def test_advance_matches_observe_round(self, rng):
         row_nnz = rng.integers(0, 10, size=80)
         row_nnz[7] = 180
         batch_tuner, _ = self._fresh(row_nnz, 10)
         loop_tuner, _ = self._fresh(row_nnz, 10)
         makespans = [90, 70, 60, 60, 60, 55]
-        consumed = batch_tuner.observe_rounds(makespans)
+        consumed = batch_tuner.advance(6, self._pricer(makespans, []))
         for makespan in makespans[:consumed]:
             loop_tuner.observe_round(makespan)
         assert batch_tuner.makespan_history == loop_tuner.makespan_history
@@ -211,12 +237,20 @@ class TestSpeculation:
             batch_tuner.assignment.snapshot(),
             loop_tuner.assignment.snapshot(),
         )
+        assert np.array_equal(
+            batch_tuner.assignment.loads, loop_tuner.assignment.loads
+        )
 
     def test_speculation_empty_when_converged_or_no_budget(self, rng):
         row_nnz = rng.integers(1, 5, size=32)
         tuner, _ = self._fresh(row_nnz, 4)
-        assert tuner.speculate_loads(0).shape == (0, 4)
+        priced = []
+        assert tuner.advance(0, self._pricer([50], priced)) == 0
+        assert priced == [] and tuner.round_index == 0
         # Stalled makespans freeze the map (default patience 2).
-        tuner.observe_rounds([50] * 8)
+        tuner.advance(8, self._pricer([50] * 8, priced))
         assert tuner.converged
-        assert tuner.speculate_loads(5).shape == (0, 4)
+        owner = tuner.assignment.snapshot()
+        assert tuner.advance(5, self._pricer([40] * 5, priced)) == 0
+        assert len(priced) == 1
+        assert np.array_equal(tuner.assignment.owner, owner)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.accel.workload import (
     RowAssignment,
@@ -128,3 +130,106 @@ class TestSwapRows:
     def test_swap_bounded_by_owned_rows(self, assignment):
         moved = assignment.swap_rows(0, 1, 100)
         assert moved == 2  # PE0 only owned 2 rows
+
+
+def swap_rows_reference(assignment, hot, cold, n_rows_each, *,
+                        work_target=None):
+    """The SLT row exchange as :meth:`RowAssignment.swap_rows` did it
+    before the switch lost its generic paths (test oracle).
+
+    Rescans the owner array for both PEs, walks the hot rows over NumPy
+    scalars and moves both row sets through ``move_rows``. The tuning
+    oracle in ``tests/test_accel_cyclemodel.py`` switches through it.
+    """
+    if hot == cold or n_rows_each <= 0:
+        return 0
+    hot_rows = np.flatnonzero(assignment.owner == hot)
+    cold_rows = np.flatnonzero(assignment.owner == cold)
+    budget = min(int(n_rows_each), hot_rows.size, cold_rows.size)
+    if budget == 0:
+        return 0
+    row_nnz = assignment.row_nnz
+    by_weight = hot_rows[np.argsort(row_nnz[hot_rows], kind="stable")[::-1]]
+    if work_target is None:
+        chosen = by_weight[:budget]
+    else:
+        chosen = []
+        moved_work = 0.0
+        for row in by_weight:
+            if len(chosen) >= budget:
+                break
+            weight = row_nnz[row]
+            if moved_work + weight > work_target:
+                continue
+            chosen.append(row)
+            moved_work += weight
+            if moved_work >= work_target:
+                break
+        if not chosen and by_weight.size:
+            chosen = [by_weight[-1]]
+        chosen = np.asarray(chosen, dtype=np.int64)
+    count = chosen.size
+    if count == 0:
+        return 0
+    cold_lightest = cold_rows[
+        np.argsort(row_nnz[cold_rows], kind="stable")[:count]
+    ]
+    assignment.move_rows(chosen, cold)
+    assignment.move_rows(cold_lightest, hot)
+    return count
+
+
+_WORK_TARGETS = st.one_of(
+    st.none(),
+    st.integers(0, 60),
+    st.integers(0, 121).map(lambda twice: twice / 2.0),
+)
+
+
+@st.composite
+def _swap_sequences(draw):
+    """A row profile, an owner map and a sequence of swaps over it."""
+    n_pes = draw(st.integers(2, 6))
+    n_rows = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        row_nnz = [draw(st.integers(0, 6))] * n_rows  # all equal, or zero
+    else:
+        row_nnz = draw(st.lists(
+            st.integers(0, 12), min_size=n_rows, max_size=n_rows
+        ))
+    owner = draw(st.lists(
+        st.integers(0, n_pes - 1), min_size=n_rows, max_size=n_rows
+    ))
+    pe = st.integers(0, n_pes - 1)
+    swaps = draw(st.lists(
+        st.tuples(pe, pe, st.integers(-1, 8), _WORK_TARGETS), max_size=12
+    ))
+    return row_nnz, n_pes, owner, swaps
+
+
+class TestSwapRowsMatchesReference:
+    """``swap_rows`` equals the rescanning exchange it replaced, exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_swap_sequences())
+    # Exact ties: equal weights (order among them decides which rows
+    # move), a selection landing exactly on its target, a half-integer
+    # target between two sums, and zero-weight rows.
+    @example(([3] * 6, 2, [0, 0, 0, 1, 1, 1],
+              [(0, 1, 2, None), (0, 1, 3, 3.0), (1, 0, 2, 4.5)]))
+    @example(([2, 2, 1, 1, 0, 0], 2, [0, 0, 0, 1, 1, 1],
+              [(0, 1, 3, 2), (1, 0, 3, 2.5), (0, 1, 2, 0.0)]))
+    @example(([0] * 5, 3, [0, 1, 2, 0, 1], [(0, 1, 2, 0.5), (1, 2, 1, None)]))
+    def test_swap_sequences_match(self, case):
+        row_nnz, n_pes, owner, swaps = case
+        fast = RowAssignment(row_nnz, n_pes, owner=owner)
+        slow = RowAssignment(row_nnz, n_pes, owner=owner)
+        for hot, cold, n_rows_each, work_target in swaps:
+            moved = fast.swap_rows(hot, cold, n_rows_each,
+                                   work_target=work_target)
+            expected = swap_rows_reference(slow, hot, cold, n_rows_each,
+                                           work_target=work_target)
+            assert moved == expected
+            assert fast.owner.tolist() == slow.owner.tolist()
+            assert fast.loads.tolist() == slow.loads.tolist()
+            assert fast.loads.dtype == slow.loads.dtype

@@ -11,7 +11,7 @@ from repro.accel import (
 )
 from repro.accel.remote import _shift_approx_step
 from repro.datasets import gcn_normalize
-from repro.errors import ConfigError, ShapeError
+from repro.errors import ConfigError
 from repro.model import GcnModel
 from repro.model.layers import GcnLayer
 from repro.sparse import CooMatrix
@@ -51,8 +51,9 @@ class TestMultiHopModel:
         assert np.allclose(model.forward(x).logits, logits)
 
     def test_bad_hops_raises(self, graph, rng):
-        with pytest.raises(ShapeError):
-            GcnLayer(graph, rng.normal(size=(6, 4)), a_hops=0)
+        for a_hops in (0, True, 1.0):
+            with pytest.raises(ConfigError, match="a_hops"):
+                GcnLayer(graph, rng.normal(size=(6, 4)), a_hops=a_hops)
 
 
 class TestDeepGcnModel:

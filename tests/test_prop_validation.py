@@ -56,6 +56,7 @@ FIELDS = [
         ("f1", "positive int"), ("f2", "positive int"),
         ("f3", "positive int"), ("x1_density", "fraction"),
         ("x2_density", "fraction"), ("seed", "non-negative int"),
+        ("abcd", "quadrant odds"),
     )
 ] + [
     (InferenceRequest(SPEC, CONFIG), name, rule, nullable)
@@ -101,6 +102,15 @@ BAD = {
     "bool": st.one_of(_NOT_NUMBERS, st.sampled_from(["False", 0, 1, 0.0])),
     "config": st.one_of(_NOT_NUMBERS, st.just(SPEC), st.just(64)),
     "graph": st.one_of(_NOT_NUMBERS, st.just(CONFIG), st.just(256)),
+    "quadrant odds": st.one_of(
+        _NOT_NUMBERS, st.just("abcd"), st.just(0.5),
+        st.tuples(_NOT_FINITE, st.just(0.2), st.just(0.2), st.just(0.1)),
+        st.tuples(st.just(0.5), _NEGATIVE_REALS, st.just(0.3), st.just(0.2)),
+        st.tuples(_NOT_NUMBERS, st.just(0.2), st.just(0.2), st.just(0.1)),
+        st.lists(st.floats(0.0, 1.0), min_size=0, max_size=3).map(tuple),
+        st.just((0.25,) * 5), st.just((0.9,) * 4), st.just((0.1,) * 4),
+        st.just([0.5, 0.2, 0.2, 0.1]),  # legal odds, but not hashable
+    ),
 }
 
 LEGAL = {
@@ -115,6 +125,10 @@ LEGAL = {
     "bool": _BOOLS,
     "config": st.just(ArchConfig(n_pes=32)),
     "graph": st.just(RmatGraphSpec(n_nodes=128, seed=3)),
+    "quadrant odds": st.sampled_from([
+        (0.25, 0.25, 0.25, 0.25), (0.45, 0.22, 0.22, 0.11), (1, 0, 0, 0),
+        (np.float64(0.7), 0.1, 0.1, 0.1),
+    ]),
 }
 
 
@@ -154,6 +168,13 @@ PROBES = {
     "x2-above-one": (lambda: RmatGraphSpec(n_nodes=256, x2_density=2.0),
                      "x2_density"),
     "seed-negative": (lambda: RmatGraphSpec(n_nodes=256, seed=-1), "seed"),
+    "abcd-nan": (lambda: RmatGraphSpec(n_nodes=64, seed=11,
+                                       abcd=(math.nan, 0.2, 0.2, 0.1)),
+                 "abcd"),
+    "abcd-string": (lambda: RmatGraphSpec(n_nodes=64, abcd="abcd"), "abcd"),
+    "abcd-not-stochastic": (
+        lambda: RmatGraphSpec(n_nodes=64, abcd=(0.9, 0.9, 0.9, 0.9)),
+        "abcd"),
     "a_hops-bool": (lambda: InferenceRequest(SPEC, CONFIG, a_hops=True),
                     "a_hops"),
     "priority-bool": (lambda: InferenceRequest(SPEC, CONFIG, priority=True),

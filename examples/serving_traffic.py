@@ -31,7 +31,7 @@ def main():
                    convergence_patience=3),
     )
     requests = synthetic_traffic(
-        40, n_graphs=4, n_nodes=4096, seed=7, configs=configs,
+        40, family_size=4, n_nodes=4096, seed=7, configs=configs,
     )
     print(f"mix: {len(requests)} requests over 4 graphs, "
           f"{len(configs)} arch configs\n")

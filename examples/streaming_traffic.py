@@ -30,7 +30,7 @@ def run_mix(cache, rate, arrival="poisson"):
         arrival_rate=rate,
         arrival=arrival,
         slo_ms=SLO_MS,
-        n_graphs=4,
+        family_size=4,
         n_nodes=2048,
         seed=7,
         configs=(ArchConfig(n_pes=64, hop=1, remote_switching=True),),

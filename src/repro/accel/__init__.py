@@ -28,13 +28,11 @@ from repro.accel.workload import (
     RowAssignment,
     initial_assignment,
     per_pe_loads,
-    per_pe_max_row,
 )
 from repro.accel.localshare import (
     share_effective_loads,
     share_makespan,
     share_makespan_batch,
-    share_window_bounds,
     share_window_bounds_batch,
 )
 from repro.accel.remote import RemoteAutoTuner, TrackedTuple
@@ -67,11 +65,9 @@ __all__ = [
     "RowAssignment",
     "initial_assignment",
     "per_pe_loads",
-    "per_pe_max_row",
     "share_effective_loads",
     "share_makespan",
     "share_makespan_batch",
-    "share_window_bounds",
     "share_window_bounds_batch",
     "RemoteAutoTuner",
     "TrackedTuple",

@@ -280,9 +280,8 @@ def _trace_tuning(tracer, job, config, cycles, rounds_tuned,
     )
 
 
-def simulate_spmm_frozen(job, config, owner, *, warmup_costs=(),
-                         converged_round=None, final_backlog=None,
-                         total_backlog=None):
+def simulate_spmm_frozen(job, config, owner, *, warmup_costs,
+                         converged_round, final_backlog, total_backlog):
     """Evaluate an SPMM under a known-good frozen row->PE map.
 
     The fast path behind :class:`~repro.serve.AutotuneCache` hits: instead
@@ -297,9 +296,9 @@ def simulate_spmm_frozen(job, config, owner, *, warmup_costs=(),
     kernel as the tuning phase (via :func:`_round_makespan_parts`), so
     the two paths cannot drift.
 
-    ``final_backlog``/``total_backlog`` optionally supply the cached
-    steady-state queue statistics (pure functions of ``owner`` and
-    ``config``); when omitted they are recomputed via the EDF transport.
+    ``final_backlog``/``total_backlog`` are the cached steady-state
+    queue statistics (pure functions of ``owner`` and ``config``), so
+    a replay never runs the EDF transport.
 
     The result's ``tuned`` flag is the cold run's: a recorded warm-up
     or convergence round means the tuner drove it. An unconverged
@@ -322,21 +321,13 @@ def simulate_spmm_frozen(job, config, owner, *, warmup_costs=(),
     cycles = np.empty(job.n_rounds, dtype=np.int64)
     cycles[:warmup.size] = warmup
     makespans_seen = warmup - drain
-    hall = None
     if warmup.size < job.n_rounds:
-        frozen_makespan, hall = _round_makespan_parts(assignment, config)
+        frozen_makespan = _round_makespan_parts(assignment, config)[0]
         cycles[warmup.size:] = frozen_makespan + drain
         makespans_seen = np.append(makespans_seen, frozen_makespan)
     max_backlog = (
         max(0, int(makespans_seen.max()) - ideal) if makespans_seen.size else 0
     )
-
-    if final_backlog is None or total_backlog is None:
-        per_pe_backlog = _steady_state_backlog(
-            assignment, config, ideal, hall_bound=hall
-        )
-        final_backlog = int(per_pe_backlog.max()) if per_pe_backlog.size else 0
-        total_backlog = int(per_pe_backlog.sum())
     return SpmmResult(
         job_name=job.name,
         n_rounds=job.n_rounds,

@@ -54,11 +54,6 @@ class LayerTiming:
         return self.stages[0]
 
     @property
-    def axw(self):
-        """The layer's final ``A @ (...)`` stage."""
-        return self.stages[-1]
-
-    @property
     def serial_cycles(self):
         """Layer cycles without inter-SPMM pipelining."""
         return sum(stage.total_cycles for stage in self.stages)

@@ -32,66 +32,51 @@ import numpy as np
 from repro.errors import ConfigError
 
 
-def share_makespan(loads, hop, *, efficiency=1.0):
+def share_makespan(loads, hop):
     """Minimum cycles for one round under ``hop``-local sharing.
 
-    ``loads`` is the per-PE owned work for this round. ``efficiency``
-    models the online heuristic's distance from the ideal bound
-    (1.0 = ideal). Returns an ``int`` cycle count.
+    ``loads`` is the per-PE owned work for this round. Returns an
+    ``int`` cycle count: the ideal bound, which the cycle model scales
+    by ``ArchConfig.sharing_efficiency`` itself.
     """
     loads = np.asarray(loads, dtype=np.int64)
     if loads.ndim != 1 or loads.size == 0:
         raise ConfigError("loads must be a non-empty 1-D array")
-    return int(
-        share_makespan_batch(loads[None, :], hop, efficiency=efficiency)[0]
-    )
+    return int(share_makespan_batch(loads[None, :], hop)[0])
 
 
-def share_makespan_batch(loads_matrix, hop, *, efficiency=1.0):
+def share_makespan_batch(loads_matrix, hop):
     """Per-round makespans for a ``(rounds, n_pes)`` batch of load vectors.
 
     The batched form of :func:`share_makespan`: row ``r`` of the result
-    equals ``share_makespan(loads_matrix[r], hop, efficiency=...)``. One
-    call prices every candidate round of an auto-tuning chunk (or a
-    single frozen round — the scalar entry point delegates here), so the
-    rebalancing hot path never evaluates the Hall bound in a Python
-    loop over rounds. The interior family is searched only above the
-    prefix and suffix bound, since below it cannot change the max.
-    Returns an ``int64`` array of length ``rounds``.
+    equals ``share_makespan(loads_matrix[r], hop)``. One call prices
+    every candidate round of an auto-tuning chunk (or a single frozen
+    round — the scalar entry point delegates here), so the rebalancing
+    hot path never evaluates the Hall bound in a Python loop over
+    rounds. The interior family is searched only above the prefix and
+    suffix bound, since below it cannot change the max. Returns an
+    ``int64`` array of length ``rounds``.
     """
     loads, hop = _checked_batch(loads_matrix, hop)
-    if not 0.0 < efficiency <= 1.0:
-        raise ConfigError(f"efficiency must be in (0, 1], got {efficiency}")
     if loads.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
     if hop == 0:
-        ideal = loads.max(axis=1)
-    else:
-        cumsum, prefix, suffix = _edge_bounds(loads, hop)
-        ideal = _interior_bound(
-            cumsum, loads, hop, floor=np.maximum(prefix, suffix)
-        )
-    return np.ceil(ideal / efficiency).astype(np.int64)
-
-
-def share_window_bounds(loads, hop):
-    """The three families of Hall lower bounds; the max is the makespan.
-
-    Returns ``(interior, prefix, suffix)`` bounds as Python ints. Exposed
-    separately for the property tests, which cross-check against a
-    brute-force evaluation of every window.
-    """
-    loads = np.asarray(loads, dtype=np.int64)
-    interior, prefix, suffix = share_window_bounds_batch(loads[None, :], hop)
-    return int(interior[0]), int(prefix[0]), int(suffix[0])
+        return loads.max(axis=1)
+    cumsum, prefix, suffix = _edge_bounds(loads, hop)
+    floor = np.maximum(prefix, suffix)
+    return _interior_bound(cumsum, loads, hop, floor=floor)
 
 
 def share_window_bounds_batch(loads_matrix, hop):
-    """Batched :func:`share_window_bounds` over ``(rounds, n_pes)`` loads.
+    """The three families of Hall lower bounds over ``(rounds, n_pes)`` loads.
 
-    Returns three ``int64`` arrays of length ``rounds``: the interior
-    component comes from the same search :func:`share_makespan_batch`
-    runs, with a floor of 0 in place of the prefix and suffix bound.
+    Returns ``(interior, prefix, suffix)`` as three ``int64`` arrays of
+    length ``rounds``; their elementwise max is the makespan. The
+    interior component comes from the same search
+    :func:`share_makespan_batch` runs, with a floor of 0 in place of the
+    prefix and suffix bound. Exposed separately for the property tests,
+    which cross-check each family against a brute-force evaluation of
+    every window.
     """
     loads, hop = _checked_batch(loads_matrix, hop)
     cumsum, prefix, suffix = _edge_bounds(loads, hop)

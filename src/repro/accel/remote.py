@@ -31,7 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.accel.workload import RowAssignment
-from repro.errors import ConfigError
+from repro.utils.validation import (
+    check_bool,
+    check_instance,
+    check_positive_finite,
+    check_positive_int,
+)
 
 
 @dataclass
@@ -73,21 +78,19 @@ class RemoteAutoTuner:
 
     def __init__(self, assignment, *, rows_per_pe_equal, tracking_window=2,
                  damping=1.0, patience=2, approximate=False):
-        if not isinstance(assignment, RowAssignment):
-            raise ConfigError(
-                "assignment must be a RowAssignment, got "
-                f"{type(assignment).__name__}"
-            )
-        if rows_per_pe_equal <= 0:
-            raise ConfigError(
-                f"rows_per_pe_equal must be > 0, got {rows_per_pe_equal}"
-            )
-        self.assignment = assignment
-        self.rows_per_pe_equal = float(rows_per_pe_equal)
-        self.tracking_window = int(tracking_window)
-        self.damping = float(damping)
-        self.patience = int(patience)
-        self.approximate = bool(approximate)
+        # ArchConfig's rules for the fields simulate_spmm passes on.
+        self.assignment = check_instance(
+            assignment, RowAssignment, "assignment"
+        )
+        self.rows_per_pe_equal = check_positive_finite(
+            rows_per_pe_equal, "rows_per_pe_equal"
+        )
+        self.tracking_window = check_positive_int(
+            tracking_window, "tracking_window"
+        )
+        self.damping = check_positive_finite(damping, "damping")
+        self.patience = check_positive_int(patience, "patience")
+        self.approximate = check_bool(approximate, "approximate")
         self.round_index = 0
         self.initial_gap = None
         self.converged = False

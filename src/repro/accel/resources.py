@@ -117,7 +117,3 @@ def report_tq_depth(report):
     """
     return max(result.final_backlog for result in report.spmm_results)
 
-
-def report_tq_slots(report):
-    """Total steady-state TQ slots to provision (drives the area model)."""
-    return max(result.total_backlog for result in report.spmm_results)

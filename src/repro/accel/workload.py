@@ -2,8 +2,8 @@
 
 The SPMM engine statically partitions output rows across PEs (paper
 Fig. 6); remote switching later migrates individual rows between PEs.
-:class:`RowAssignment` owns that map and derives the per-PE quantities
-the cycle model consumes: total load and heaviest-single-row load.
+:class:`RowAssignment` owns that map and keeps the per-PE loads the
+cycle model consumes.
 """
 
 from __future__ import annotations
@@ -25,13 +25,6 @@ def per_pe_loads(assignment, row_nnz, n_pes):
     loads = np.zeros(n_pes, dtype=np.int64)
     np.add.at(loads, assignment, row_nnz)
     return loads
-
-
-def per_pe_max_row(assignment, row_nnz, n_pes):
-    """Heaviest single row owned by each PE (drives the RaW bound)."""
-    heaviest = np.zeros(n_pes, dtype=np.int64)
-    np.maximum.at(heaviest, assignment, row_nnz)
-    return heaviest
 
 
 class RowAssignment:
@@ -70,24 +63,6 @@ class RowAssignment:
     def total_work(self):
         """Total tasks per round (sum of all row nnz)."""
         return int(self.row_nnz.sum())
-
-    def rows_of(self, pe):
-        """Row indices currently owned by ``pe`` (ascending)."""
-        return np.flatnonzero(self.owner == pe)
-
-    def max_rows(self):
-        """Per-PE heaviest-row loads (recomputed; used pre-convergence only)."""
-        return per_pe_max_row(self.owner, self.row_nnz, self.n_pes)
-
-    def move_rows(self, rows, dest):
-        """Reassign ``rows`` to PE ``dest``, updating loads incrementally."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return
-        moved = self.row_nnz[rows]
-        np.subtract.at(self.loads, self.owner[rows], moved)
-        self.owner[rows] = dest
-        self.loads[dest] += int(moved.sum())
 
     def swap_rows(self, hot, cold, n_rows_each, *, work_target=None):
         """Exchange rows between a hotspot and coldspot PE.

@@ -22,7 +22,7 @@ from repro.analysis.figures import (
     fig14_resources,
     fig15_scalability,
 )
-from repro.analysis.export import rows_to_csv, rows_to_json
+from repro.analysis.export import rows_to_csv
 from repro.analysis.shardscale import (
     compare_shard_scaling,
     compare_shard_topology,
@@ -59,7 +59,6 @@ __all__ = [
     "fig14_resources",
     "fig15_scalability",
     "rows_to_csv",
-    "rows_to_json",
     "compare_cache_affinity",
     "compare_mixed_load",
     "TRACE_SCENARIOS",

@@ -1,13 +1,12 @@
-"""CSV / JSON export of experiment rows.
+"""CSV export of experiment rows.
 
-Every harness function returns rows as a list of flat dicts; these
-helpers persist them so EXPERIMENTS.md can reference stable artifacts.
+Every harness function returns rows as a list of flat dicts; this
+helper persists them as the committed ``results/*.csv`` artifacts.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 
 from repro.errors import ConfigError
@@ -27,14 +26,3 @@ def rows_to_csv(rows, path):
             writer.writerow(row)
     return path
 
-
-def rows_to_json(rows, path):
-    """Write dict rows to ``path`` as pretty-printed JSON."""
-    if not rows:
-        raise ConfigError("rows must be non-empty")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(rows, handle, indent=2, default=float)
-        handle.write("\n")
-    return path

@@ -108,10 +108,7 @@ def _cell_stragglers(stragglers, n_chips):
     """Straggler events whose chip exists at this cell's chip count."""
     if not stragglers:
         return None
-    kept = tuple(
-        ev for ev in stragglers
-        if (ev.chip if hasattr(ev, "chip") else int(ev[0])) < n_chips
-    )
+    kept = tuple(ev for ev in stragglers if ev.chip < n_chips)
     return kept or None
 
 

@@ -86,7 +86,7 @@ def trace_scenario(name, *, seed=None):
         seed = 7 if seed is None else int(seed)
         config = ArchConfig(n_pes=64, hop=1, remote_switching=True)
         requests = streaming_traffic(
-            24, arrival_rate=400.0, slo_ms=20.0, n_graphs=3,
+            24, arrival_rate=400.0, slo_ms=20.0, family_size=3,
             n_nodes=512, seed=seed, configs=(config,), avg_degree=4,
             graph_kwargs=_TINY_LAYERS,
         )

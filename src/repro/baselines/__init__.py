@@ -5,8 +5,8 @@ PyTorch+cuSPARSE on a Tesla P100, an EIE-like reference design, and the
 no-rebalancing baseline. None of that hardware is available offline,
 so each platform is a substitute:
 
-* CPU — a calibrated analytic model (default) plus an optional
-  *measured* mode that times scipy SPMM on the host;
+* CPU — an analytic model calibrated against the paper's published
+  Xeon latencies;
 * GPU — an analytic throughput+overhead model calibrated against the
   paper's published P100 numbers (no GPU in this environment);
 * EIE — the baseline engine clocked at 285 MHz (the paper itself calls
@@ -16,7 +16,7 @@ so each platform is a substitute:
 """
 
 from repro.baselines.platforms import PlatformResult
-from repro.baselines.cpu import CpuModel, measure_cpu_latency_ms
+from repro.baselines.cpu import CpuModel
 from repro.baselines.gpu import GpuModel
 from repro.baselines.eie import EieLikeModel
 from repro.baselines.energy import (
@@ -28,7 +28,6 @@ from repro.baselines.energy import (
 __all__ = [
     "PlatformResult",
     "CpuModel",
-    "measure_cpu_latency_ms",
     "GpuModel",
     "EieLikeModel",
     "PLATFORM_POWER_WATTS",

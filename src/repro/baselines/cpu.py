@@ -13,16 +13,12 @@ plus ~1 ms of framework overhead:
     nell      782M            1.61 s          0.49
     reddit    6.6G            10.8 s          0.61
 
-The default model uses 0.5 GFLOP/s + 1.0 ms. ``measure_cpu_latency_ms``
-offers a *measured* alternative: it times the actual scipy-based forward
-pass on this host (useful as a sanity cross-check; absolute host speed
-differs from the paper's Xeon, so the modeled numbers are what the
-Table 3 bench reports).
+The model uses 0.5 GFLOP/s + 1.0 ms. It is analytic on purpose: the
+host running this reproduction is not the paper's Xeon, so a measured
+time would not compare with the published numbers Table 3 reports.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.baselines.energy import PLATFORM_POWER_WATTS
 from repro.baselines.platforms import PlatformResult
@@ -65,33 +61,3 @@ def total_inference_ops(dataset):
     layer2 = count_ops_a_xw(a_nnz, x2_nnz, f3)
     return layer1 + layer2
 
-
-def measure_cpu_latency_ms(dataset, *, repeats=3):
-    """Wall-clock time of the scipy-based reference forward pass.
-
-    Requires materialized features. Returns the best of ``repeats``
-    runs in milliseconds — the conventional 'best of N' timing that
-    excludes warm-up noise.
-    """
-    from repro.sparse.convert import to_scipy_csr
-
-    if not dataset.has_numeric_features:
-        raise ValueError(
-            "measured CPU mode needs materialized features; "
-            "use the analytic CpuModel for pattern-only datasets"
-        )
-    a = to_scipy_csr(dataset.adjacency)
-    x = to_scipy_csr(dataset.features)
-    w1, w2 = dataset.weights
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        xw = x @ w1
-        h1 = a @ xw
-        h1[h1 < 0] = 0.0
-        out = a @ (h1 @ w2)
-        elapsed = (time.perf_counter() - start) * 1e3
-        if elapsed < best:
-            best = elapsed
-        del xw, h1, out
-    return best

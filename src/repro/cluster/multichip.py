@@ -207,8 +207,8 @@ class ClusterConfig:
         (:class:`~repro.errors.CeilingError` when infeasible). None
         (default) keeps the unconstrained behavior bit-identical.
     stragglers:
-        Optional :class:`StragglerEvent` sequence (or ``(chip,
-        onset_round, factor)`` tuples): chips that slow down mid-run.
+        Optional :class:`StragglerEvent` sequence: chips that slow
+        down mid-run.
         Steady-state composition charges the full slowdown; the
         ``"cycles"`` feedback signal observes it per round (including
         a blended mid-round measurement at a fractional onset) and
@@ -278,8 +278,7 @@ class ClusterConfig:
         if self.stragglers is not None:
             events = []
             for ev in self.stragglers:
-                if not isinstance(ev, StragglerEvent):
-                    ev = StragglerEvent(*ev)
+                check_instance(ev, StragglerEvent, "stragglers entries")
                 if ev.chip >= self.n_chips:
                     raise ConfigError(
                         f"straggler chip {ev.chip} out of range for "
@@ -616,8 +615,8 @@ class ClusterReport:
     """End-to-end outcome of one sharded multi-chip GCN inference.
 
     All composed figures (``layer_cycles``, ``total_cycles``, the
-    per-layer cost arrays) are in *reference-chip* cycles; per-chip
-    raw figures (:attr:`compute_cycles`) stay at each chip's own clock.
+    per-layer cost arrays) are in *reference-chip* cycles; each chip's
+    own report (``chip_reports``) stays at that chip's clock.
 
     A report does not change once built: its chip reports are
     immutable, its cost arrays read-only, and :attr:`total_work`,
@@ -670,13 +669,6 @@ class ClusterReport:
     def total_work(self):
         """Total MAC tasks across all chips."""
         return sum(r.total_work for r in self.chip_reports)
-
-    @property
-    def compute_cycles(self):
-        """Per-chip end-to-end compute cycles at each chip's own clock."""
-        return np.asarray(
-            [r.total_cycles for r in self.chip_reports], dtype=np.int64
-        )
 
     @cached_property
     def comm_cycles(self):

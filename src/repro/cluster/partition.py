@@ -158,13 +158,6 @@ class ShardPlan:
             )
         return np.add.reduceat(row_nnz, self.block_bounds[:-1])
 
-    def chip_loads(self, row_nnz):
-        """Per-chip total weight under this plan (length ``n_chips``)."""
-        return np.bincount(
-            self.owner, weights=self.block_weights(row_nnz),
-            minlength=self.n_chips,
-        ).astype(np.int64)
-
     def with_owner(self, owner):
         """A new plan with the same blocks under a new block->chip map."""
         return ShardPlan(
@@ -428,21 +421,6 @@ class HaloExchange:
         object.__setattr__(
             self, "rows", tuple(_read_only(rows) for rows in self.rows)
         )
-
-    @property
-    def in_rows(self):
-        """Halo rows each chip receives (length ``n_chips``)."""
-        return self.words.sum(axis=1)
-
-    @property
-    def out_rows(self):
-        """Halo rows each chip sends (length ``n_chips``)."""
-        return self.words.sum(axis=0)
-
-    @property
-    def total_rows(self):
-        """Total halo rows exchanged per dense column."""
-        return int(self.words.sum())
 
 
 def _as_csr(adjacency):

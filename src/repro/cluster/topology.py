@@ -54,6 +54,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.utils.validation import (
     check_choice,
+    check_instance,
     check_non_negative_int,
     check_positive_finite,
     check_positive_int,
@@ -125,13 +126,6 @@ class Topology:
     def aggregate_bandwidth(self):
         """Total fabric bandwidth: links x per-link words/cycle."""
         return self.n_links * self.link_words_per_cycle
-
-    @property
-    def max_hops(self):
-        """The fabric diameter in links."""
-        return max(
-            (len(r) for per_dst in self.routes for r in per_dst), default=0
-        )
 
     def link_loads(self, words):
         """Per-link word totals of a traffic matrix (the contention term).
@@ -349,17 +343,14 @@ def subtopology(topology, chips):
     a ring or mesh the gang members keep their *pool* positions, so a
     scattered gang pays the pool's real multi-hop routes.
     """
-    if not isinstance(topology, Topology):
-        raise ConfigError(
-            f"subtopology expects a Topology, got {type(topology).__name__}"
-        )
-    chips = [int(c) for c in chips]
+    check_instance(topology, Topology, "topology")
+    chips = [check_non_negative_int(c, "subtopology chip") for c in chips]
     if not chips:
         raise ConfigError("subtopology needs at least one chip")
     if len(set(chips)) != len(chips):
         raise ConfigError(f"subtopology chips must be distinct, got {chips}")
     for c in chips:
-        if not 0 <= c < topology.n_chips:
+        if c >= topology.n_chips:
             raise ConfigError(
                 f"chip {c} out of range for a {topology.n_chips}-chip fabric"
             )

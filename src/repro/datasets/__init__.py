@@ -23,7 +23,7 @@ from repro.datasets.specs import (
     dataset_names,
     get_spec,
 )
-from repro.datasets.rmat import edges_fingerprint, rmat_edges
+from repro.datasets.rmat import rmat_edges
 from repro.datasets.normalize import gcn_normalize, add_self_loops
 from repro.datasets.features import (
     sparse_feature_matrix,
@@ -32,7 +32,6 @@ from repro.datasets.features import (
 )
 from repro.datasets.synthetic import GcnDataset, build_dataset
 from repro.datasets.registry import dataset_fingerprint, load_dataset
-from repro.datasets.io import load_dataset_file, save_dataset
 
 __all__ = [
     "DatasetSpec",
@@ -41,7 +40,6 @@ __all__ = [
     "dataset_names",
     "get_spec",
     "rmat_edges",
-    "edges_fingerprint",
     "dataset_fingerprint",
     "gcn_normalize",
     "add_self_loops",
@@ -51,6 +49,4 @@ __all__ = [
     "GcnDataset",
     "build_dataset",
     "load_dataset",
-    "load_dataset_file",
-    "save_dataset",
 ]

@@ -29,18 +29,15 @@ def add_self_loops(adjacency):
     return CooMatrix(adjacency.shape, rows, cols, vals)
 
 
-def gcn_normalize(adjacency, *, add_loops=True):
+def gcn_normalize(adjacency):
     """Symmetric degree normalization of a square adjacency matrix.
 
     Computes ``D^-1/2 (A + I) D^-1/2`` where ``D`` is the diagonal degree
-    matrix of ``A + I`` (``D_ii = sum_j (A + I)_ij``). Isolated nodes
-    (degree 0 even after self-loops are disabled) keep zero rows.
+    matrix of ``A + I`` (``D_ii = sum_j (A + I)_ij``). A row whose degree
+    is not positive keeps zero entries.
     """
-    n_rows, n_cols = adjacency.shape
-    if n_rows != n_cols:
-        raise ShapeError(f"adjacency must be square, got {adjacency.shape}")
-    if add_loops:
-        adjacency = add_self_loops(adjacency)
+    adjacency = add_self_loops(adjacency)
+    n_rows = adjacency.shape[0]
     degree = np.zeros(n_rows)
     np.add.at(degree, adjacency.rows, adjacency.vals)
     inv_sqrt = np.zeros(n_rows)

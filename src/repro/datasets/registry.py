@@ -2,8 +2,7 @@
 
 Building the Reddit-scale adjacency takes seconds; benchmarks and tests
 ask for the same dataset many times, so :func:`load_dataset` memoizes on
-``(name, preset, seed, materialize)``. The cache can be cleared for
-memory-sensitive runs.
+``(name, preset, seed, materialize)`` for the life of the process.
 
 :func:`dataset_fingerprint` hashes exactly the dataset properties the
 cycle models consume, giving the serving layer a content-addressed key:
@@ -77,12 +76,3 @@ def dataset_fingerprint(dataset):
     object.__setattr__(dataset, "_fingerprint", fingerprint)
     return fingerprint
 
-
-def clear_dataset_cache():
-    """Drop all cached datasets (frees multi-GB full presets)."""
-    _CACHE.clear()
-
-
-def cache_info():
-    """Return the list of currently cached dataset keys."""
-    return sorted(_CACHE.keys())

@@ -15,8 +15,6 @@ millions) generate in seconds.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from repro.errors import ConfigError
@@ -25,31 +23,6 @@ from repro.utils.validation import (
     check_non_negative_finite,
     check_positive_int,
 )
-
-
-def edges_fingerprint(src, dst, n_nodes):
-    """Structural hash of an edge list (order-insensitive).
-
-    Two edge lists containing the same (src, dst) pairs — in any order,
-    with duplicates collapsed — hash identically, so a regenerated RMAT
-    graph can be recognized as "the same graph" by the serving layer's
-    :class:`~repro.serve.AutotuneCache` without comparing edge lists.
-    """
-    n_nodes = check_positive_int(n_nodes, "n_nodes")
-    src = np.asarray(src, dtype=np.int64).ravel()
-    dst = np.asarray(dst, dtype=np.int64).ravel()
-    if src.size != dst.size:
-        raise ConfigError(
-            f"src and dst must have equal length, got {src.size}, {dst.size}"
-        )
-    if src.size and (src.min() < 0 or src.max() >= n_nodes
-                     or dst.min() < 0 or dst.max() >= n_nodes):
-        raise ConfigError("edge endpoints out of range")
-    keys = np.unique(src * np.int64(n_nodes) + dst)
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(np.int64(n_nodes).tobytes())
-    digest.update(np.ascontiguousarray(keys).tobytes())
-    return digest.hexdigest()
 
 
 def check_abcd(abcd):

@@ -91,11 +91,6 @@ class GcnDataset:
             object.__setattr__(self, "_a_row_nnz", cached)
         return cached
 
-    def layer_dims(self):
-        """Per-layer (n, in_features, out_features) tuples."""
-        f1, f2, f3 = self.feature_dims
-        return [(self.n_nodes, f1, f2), (self.n_nodes, f2, f3)]
-
     def summary(self):
         """Human-readable one-paragraph description used by examples."""
         f1, f2, f3 = self.feature_dims

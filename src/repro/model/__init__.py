@@ -15,8 +15,6 @@ from repro.model.ordering import (
     count_ops_a_xw,
     count_ops_ax_w,
     layer_ordering_ops,
-    structural_product_nnz,
-    expected_product_nnz,
 )
 
 __all__ = [
@@ -32,6 +30,4 @@ __all__ = [
     "count_ops_a_xw",
     "count_ops_ax_w",
     "layer_ordering_ops",
-    "structural_product_nnz",
-    "expected_product_nnz",
 ]

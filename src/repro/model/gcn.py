@@ -113,10 +113,6 @@ class GcnModel:
             layer_results=results, logits=logits, probabilities=probs
         )
 
-    def predict(self, features):
-        """Class index per node (argmax of the output probabilities)."""
-        return np.argmax(self.forward(features).probabilities, axis=1)
-
 
 def build_model(dataset, *, final_softmax=True):
     """Construct a :class:`GcnModel` from a :class:`GcnDataset`."""

@@ -72,47 +72,6 @@ def count_ops_ax_w(a_col_nnz, x_row_nnz, n_rows, x_n_cols, f_out):
     return spgemm_ops + int(n_rows) * int(x_n_cols) * int(f_out)
 
 
-def expected_product_nnz(a_row_nnz, x_density, n_cols_x):
-    """Expected nnz of ``A @ X`` under an independence assumption.
-
-    ``P[(AX)[i, c] != 0] = 1 - (1 - p)^{d_i}`` where ``d_i`` is row i's
-    non-zero count in A and ``p`` the density of X. Exact in expectation
-    for uniformly scattered X; the paper's Table 2 numbers are consistent
-    with ``A @ X1`` densifying almost completely, which this reproduces.
-    """
-    a_row_nnz = np.asarray(a_row_nnz, dtype=np.float64)
-    p = float(x_density)
-    if not 0.0 <= p <= 1.0:
-        raise ShapeError(f"x_density must be in [0, 1], got {p}")
-    prob_nonzero = 1.0 - np.power(1.0 - p, a_row_nnz)
-    return int(round(float(prob_nonzero.sum()) * int(n_cols_x)))
-
-
-def structural_product_nnz(a_csr, x_csr):
-    """Exact nnz of ``A @ X`` from the two structures (no values).
-
-    Row-by-row set union; intended for the small datasets (Cora,
-    Citeseer, Pubmed at a push). Larger graphs should use
-    :func:`expected_product_nnz`.
-    """
-    if a_csr.shape[1] != x_csr.shape[0]:
-        raise ShapeError(
-            f"inner dimensions disagree: {a_csr.shape} @ {x_csr.shape}"
-        )
-    total = 0
-    x_indptr, x_cols = x_csr.indptr, x_csr.col_ids
-    for row in range(a_csr.shape[0]):
-        mids, _vals = a_csr.row_slice(row)
-        if mids.size == 0:
-            continue
-        pieces = [
-            x_cols[x_indptr[m]:x_indptr[m + 1]] for m in mids.tolist()
-        ]
-        if pieces:
-            total += np.unique(np.concatenate(pieces)).size
-    return total
-
-
 def layer_ordering_ops(adjacency, x_row_nnz, x_n_cols, f_out):
     """Op counts for one layer under both orders (Table 2 row builder).
 

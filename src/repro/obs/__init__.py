@@ -45,8 +45,6 @@ from repro.obs.tracer import (
     RecordingTracer,
     TraceEvent,
     config_label,
-    event_key,
-    stream_fingerprint,
 )
 from repro.obs.trace_export import (
     check_span_tree,
@@ -71,8 +69,6 @@ __all__ = [
     "RecordingTracer",
     "TraceEvent",
     "config_label",
-    "event_key",
-    "stream_fingerprint",
     "check_span_tree",
     "chrome_trace",
     "load_chrome_trace",

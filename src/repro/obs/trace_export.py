@@ -26,6 +26,9 @@ from repro.errors import ConfigError
 _US = 1e6
 """Simulated seconds to Chrome-trace microseconds."""
 
+_MAX_HEAT_STRIPS = 12
+"""Layer rows :func:`render_round_heat` draws before it counts the rest."""
+
 _LANE_GROUPS = (
     ("worker", "pool"),
     ("req/", "requests"),
@@ -225,13 +228,14 @@ def round_timeline_rows(events):
     return rows
 
 
-def render_round_heat(events, *, max_strips=12):
+def render_round_heat(events):
     """ASCII heat strips of per-layer chip utilization per sharded job.
 
     Feeds the ``cluster.chip_util`` counters through the existing
     :func:`~repro.analysis.heatmap.heat_strip` grading — the Fig. 10
-    view, per chip instead of per PE. Returns the rendered text, or
-    ``""`` when no cluster counters were recorded.
+    view, per chip instead of per PE. Shows the first
+    ``_MAX_HEAT_STRIPS`` layer rows and counts the rest. Returns the
+    rendered text, or ``""`` when no cluster counters were recorded.
     """
     from repro.analysis.heatmap import _GRADES, heat_strip
 
@@ -253,7 +257,7 @@ def render_round_heat(events, *, max_strips=12):
         strips.append((label, heat_strip(loads, ideal=0.5)))
     if not strips:
         return ""
-    shown = strips[:max_strips]
+    shown = strips[:_MAX_HEAT_STRIPS]
     width = max(len(label) for label, _ in shown)
     lines = [f"{label:<{width}}  |{strip}|" for label, strip in shown]
     if len(strips) > len(shown):

@@ -175,16 +175,15 @@ class RecordingTracer:
             args=dict(values or {}),
         ))
 
-    def splice(self, events, *, anchor=None):
+    def splice(self, events):
         """Re-emit events recorded elsewhere into this stream.
 
         A kept cold run carries its tuner events anchored at simulated
         time 0; each miss that replays it splices them here with
-        ``ts += anchor`` (default ``now``) and fresh sequence numbers,
-        reproducing the exact stream a direct cold run emits at the
-        same point.
+        ``ts += now`` and fresh sequence numbers, reproducing the exact
+        stream a direct cold run emits at the same point.
         """
-        base = self.now if anchor is None else float(anchor)
+        base = self.now
         for event in events:
             self._emit(replace(
                 event, ts=event.ts + base, args=dict(event.args),
@@ -214,15 +213,3 @@ def config_label(config):
         f"@{getattr(config, 'frequency_mhz', 0):g}MHz"
     )
 
-
-def event_key(event):
-    """The comparison tuple of one event (bit-identity checks)."""
-    return (
-        event.name, event.lane, event.ts, event.kind, event.dur,
-        tuple(sorted(event.args.items())), event.seq,
-    )
-
-
-def stream_fingerprint(events):
-    """Tuple-of-tuples fingerprint of a whole event stream."""
-    return tuple(event_key(event) for event in events)

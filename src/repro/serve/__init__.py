@@ -53,7 +53,7 @@ Quickstart::
 
     service = InferenceService(n_workers=2, cache=True, max_batch=8)
     service.submit_many(streaming_traffic(
-        32, arrival_rate=200.0, slo_ms=5.0, n_graphs=4, seed=7,
+        32, arrival_rate=200.0, slo_ms=5.0, family_size=4, seed=7,
     ))
     outcome = service.drain()
     print(outcome.latency.p99_ms, outcome.latency.slo_attainment)

@@ -405,15 +405,14 @@ class AutotuneCache:
     def load(cls, path, *, max_entries=None):
         """Rebuild a cache from a :meth:`save` archive.
 
-        Entries are restored in archive order, which for version-2+
-        archives is the saved process's LRU order — recency carries
-        across processes. ``max_entries`` applies the LRU bound to the
-        restored cache; archives holding more entries than the bound
-        keep the ``max_entries`` *most recently used* ones. Version-3
-        archives also restore per-entry hit counts and last-used
-        stamps; version-1 (sorted by key, no recency) and version-2
-        archives still load, with metadata defaulting to cold
-        (0 hits, last used at 0.0).
+        Entries are restored in archive order, which is the saved
+        process's LRU order — recency carries across processes — with
+        their hit counts and last-used stamps. ``max_entries`` applies
+        the LRU bound to the restored cache; archives holding more
+        entries than the bound keep the ``max_entries`` *most recently
+        used* ones. Only the version :meth:`save` writes (3) loads; an
+        archive of any other version raises
+        :class:`~repro.errors.ConfigError`.
 
         A file that is not a readable archive — truncated, not an
         ``.npz`` at all, empty, without an ``index``, with an index
@@ -447,7 +446,7 @@ class AutotuneCache:
                     ) from exc
                 version = (index.get("version") if isinstance(index, dict)
                            else None)
-                if version not in (1, 2, 3):
+                if version != 3:
                     raise ConfigError(
                         f"unsupported cache archive version {version} in "
                         f"{path}"
@@ -541,11 +540,11 @@ def _entry_from_index(archive, slot, meta):
             ))
             flat += 1
         layers.append(tuple(stages))
-    last_used = float(meta.get("last_used", 0.0))
+    last_used = float(meta["last_used"])
     if not math.isfinite(last_used):
         # It would load, and then break merge's freshness comparison.
         raise ValueError(f"last_used must be finite, got {last_used}")
     return (
         str(meta["fingerprint"]), config, CachedTuning(layers=tuple(layers)),
-        int(meta.get("hits", 0)), last_used,
+        int(meta["hits"]), last_used,
     )

@@ -216,11 +216,6 @@ class InferenceResult:
         return (self.start_time - self.arrival_time) * 1e3
 
     @property
-    def service_ms(self):
-        """Milliseconds of modeled service time on the instance."""
-        return (self.finish_time - self.start_time) * 1e3
-
-    @property
     def e2e_ms(self):
         """End-to-end latency in ms: arrival to finish (queue + service)."""
         return (self.finish_time - self.arrival_time) * 1e3

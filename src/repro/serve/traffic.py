@@ -144,22 +144,23 @@ def clear_graph_cache():
     _build_rmat_dataset.cache_clear()
 
 
-def synthetic_traffic(n_requests, *, n_graphs=4, n_nodes=2048, seed=7,
-                      configs=None, avg_degree=8, zipf_skew=1.1,
+def synthetic_traffic(n_requests, *, family_size=4, n_nodes=2048, seed=7,
+                      configs=None, avg_degree=8, repeat_alpha=1.1,
                       graph_kwargs=None):
-    """A repeated-graph request mix over ``n_graphs`` RMAT specs.
+    """A repeated-graph request mix over ``family_size`` RMAT specs.
 
-    Graph popularity follows a Zipf-like law with exponent ``zipf_skew``
-    (1.0 = classic Zipf; higher = hotter head), mirroring production
-    query distributions. Each request cycles through ``configs``
-    (default: one balanced AWB design), so the scheduler has real
-    config-affinity batching to do. ``graph_kwargs`` forwards extra
-    :class:`RmatGraphSpec` fields (layer dims, densities). Returns a
-    list of :class:`InferenceRequest` in arrival order.
+    Graph popularity follows a Zipf-like law with exponent
+    ``repeat_alpha`` (1.0 = classic Zipf; higher = hotter head = more
+    fingerprint reuse), mirroring production query distributions. Each
+    request cycles through ``configs`` (default: one balanced AWB
+    design), so the scheduler has real config-affinity batching to do.
+    ``graph_kwargs`` forwards extra :class:`RmatGraphSpec` fields (layer
+    dims, densities). Returns a list of :class:`InferenceRequest` in
+    arrival order.
     """
     check_positive_int(n_requests, "n_requests")
-    check_positive_int(n_graphs, "n_graphs")
-    check_non_negative_finite(zipf_skew, "zipf_skew")
+    check_positive_int(family_size, "family_size")
+    check_non_negative_finite(repeat_alpha, "repeat_alpha")
     graph_kwargs = dict(graph_kwargs or {})
     if configs is None:
         configs = (ArchConfig(n_pes=64, hop=1, remote_switching=True),)
@@ -172,11 +173,11 @@ def synthetic_traffic(n_requests, *, n_graphs=4, n_nodes=2048, seed=7,
             n_nodes=n_nodes, avg_degree=avg_degree, seed=1000 + graph_idx,
             **graph_kwargs,
         )
-        for graph_idx in range(n_graphs)
+        for graph_idx in range(family_size)
     ]
-    weights = 1.0 / np.arange(1, n_graphs + 1) ** zipf_skew
+    weights = 1.0 / np.arange(1, family_size + 1) ** repeat_alpha
     weights /= weights.sum()
-    choices = rng.choice(n_graphs, size=n_requests, p=weights)
+    choices = rng.choice(family_size, size=n_requests, p=weights)
     return [
         InferenceRequest(
             graph=specs[graph_idx],
@@ -184,15 +185,6 @@ def synthetic_traffic(n_requests, *, n_graphs=4, n_nodes=2048, seed=7,
         )
         for i, graph_idx in enumerate(choices)
     ]
-
-
-def _check_repeat(repeat_alpha, family_size):
-    """Validate the repeat-heavy traffic knobs (both may be None)."""
-    if repeat_alpha is not None:
-        repeat_alpha = check_non_negative_finite(repeat_alpha, "repeat_alpha")
-    if family_size is not None:
-        family_size = check_positive_int(family_size, "family_size")
-    return repeat_alpha, family_size
 
 
 def poisson_arrivals(n_requests, *, rate, seed=0, start=0.0):
@@ -230,33 +222,25 @@ def bursty_arrivals(n_requests, *, rate, burst_size=8, seed=0, start=0.0):
 
 
 def streaming_traffic(n_requests, *, arrival_rate, arrival="poisson",
-                      burst_size=8, slo_ms=None, n_graphs=4, n_nodes=2048,
-                      seed=7, configs=None, avg_degree=8, zipf_skew=1.1,
-                      repeat_alpha=None, family_size=None,
+                      burst_size=8, slo_ms=None, family_size=4, n_nodes=2048,
+                      seed=7, configs=None, avg_degree=8, repeat_alpha=1.1,
                       graph_kwargs=None):
     """A :func:`synthetic_traffic` mix stamped with an arrival process.
 
     ``arrival`` selects the process (``"poisson"`` or ``"bursty"`` at
     ``arrival_rate`` requests/second); ``slo_ms`` attaches the same
     end-to-end latency SLO to every request (None = no deadlines).
-    ``repeat_alpha``/``family_size`` are the repeat-heavy knob the
-    affinity benchmarks sweep: when set they override
-    ``zipf_skew``/``n_graphs`` as the Zipf exponent and pool size of
-    the graph-family popularity law (higher alpha = hotter head = more
-    fingerprint reuse). Everything derives from ``seed``, so the trace
-    — graphs, arrival times and deadlines — is deterministic. Returns
-    requests in arrival order, ready for
+    ``family_size`` and ``repeat_alpha`` are the pool size and Zipf
+    exponent of the graph-family popularity law, the repeat-heavy knob
+    the affinity benchmarks sweep. Everything derives from ``seed``, so
+    the trace — graphs, arrival times and deadlines — is deterministic.
+    Returns requests in arrival order, ready for
     :meth:`InferenceService.submit_many`.
     """
     check_choice(arrival, ("poisson", "bursty"), "arrival")
-    repeat_alpha, family_size = _check_repeat(repeat_alpha, family_size)
-    if repeat_alpha is not None:
-        zipf_skew = repeat_alpha
-    if family_size is not None:
-        n_graphs = family_size
     base = synthetic_traffic(
-        n_requests, n_graphs=n_graphs, n_nodes=n_nodes, seed=seed,
-        configs=configs, avg_degree=avg_degree, zipf_skew=zipf_skew,
+        n_requests, family_size=family_size, n_nodes=n_nodes, seed=seed,
+        configs=configs, avg_degree=avg_degree, repeat_alpha=repeat_alpha,
         graph_kwargs=graph_kwargs,
     )
     if arrival == "poisson":
@@ -276,8 +260,8 @@ def mixed_traffic(n_requests, *, arrival_rate, chip_capacity, seed=7,
                   sharded_fraction=0.15, critical_slo_ms=1.0,
                   batch_slo_ms=20.0, sharded_slo_ms=None,
                   small_nodes=None, batch_nodes=None, sharded_nodes=None,
-                  n_graphs=3, avg_degree=8, repeat_alpha=None,
-                  family_size=None, graph_kwargs=None):
+                  family_size=3, avg_degree=8, repeat_alpha=None,
+                  graph_kwargs=None):
     """A multi-tenant request mix: critical, batch and sharded tenants.
 
     Models the co-scheduling regime of a shared pool: a Poisson stream
@@ -289,19 +273,17 @@ def mixed_traffic(n_requests, *, arrival_rate, chip_capacity, seed=7,
     ``chip_capacity`` so the service gang-schedules it). Node counts
     default to ``chip_capacity // 4``, ``chip_capacity // 2`` and
     ``3 * chip_capacity``. Each tenant class draws from its own pool of
-    ``n_graphs`` fixed-seed RMAT specs, so repeat traffic still hits
-    the autotune cache. ``family_size`` overrides ``n_graphs``, and
-    ``repeat_alpha`` (None = historical uniform picks) makes each
-    class's pool Zipf-popular with that exponent — the repeat-heavy
-    regime the cache-affinity benchmarks model. Everything derives
-    from ``seed``; the trace is deterministic. Returns requests in
-    arrival order.
+    ``family_size`` fixed-seed RMAT specs, so repeat traffic still hits
+    the autotune cache. ``repeat_alpha`` (None = uniform picks) makes
+    each class's pool Zipf-popular with that exponent — the
+    repeat-heavy regime the cache-affinity benchmarks model. Everything
+    derives from ``seed``; the trace is deterministic. Returns requests
+    in arrival order.
     """
     check_positive_int(n_requests, "n_requests")
-    repeat_alpha, family_size = _check_repeat(repeat_alpha, family_size)
-    if family_size is not None:
-        n_graphs = family_size
-    check_positive_int(n_graphs, "n_graphs")
+    check_positive_int(family_size, "family_size")
+    if repeat_alpha is not None:
+        check_non_negative_finite(repeat_alpha, "repeat_alpha")
     chip_capacity = check_positive_int(chip_capacity, "chip_capacity")
     critical_fraction = check_fraction(critical_fraction, "critical_fraction")
     sharded_fraction = check_fraction(sharded_fraction, "sharded_fraction")
@@ -336,7 +318,7 @@ def mixed_traffic(n_requests, *, arrival_rate, chip_capacity, seed=7,
                 n_nodes=nodes, avg_degree=avg_degree,
                 seed=seed_base + graph_idx, **graph_kwargs,
             )
-            for graph_idx in range(n_graphs)
+            for graph_idx in range(family_size)
         ]
         for seed_base, nodes, _slo in classes
     ]
@@ -347,11 +329,11 @@ def mixed_traffic(n_requests, *, arrival_rate, chip_capacity, seed=7,
            sharded_fraction],
     )
     if repeat_alpha is None:
-        picks = rng.integers(0, n_graphs, size=n_requests)
+        picks = rng.integers(0, family_size, size=n_requests)
     else:
-        weights = 1.0 / np.arange(1, n_graphs + 1) ** repeat_alpha
+        weights = 1.0 / np.arange(1, family_size + 1) ** repeat_alpha
         weights /= weights.sum()
-        picks = rng.choice(n_graphs, size=n_requests, p=weights)
+        picks = rng.choice(family_size, size=n_requests, p=weights)
     times = poisson_arrivals(n_requests, rate=arrival_rate, seed=seed)
     requests = []
     for i in range(n_requests):

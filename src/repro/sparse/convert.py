@@ -1,17 +1,15 @@
-"""Conversions between the COO, CSR and CSC formats (and scipy bridges).
+"""Conversions from the COO format to the compressed CSR and CSC formats.
 
 All conversions are vectorized (argsort + cumulative counts) so the
 Reddit-scale adjacency matrix (~24M non-zeros) converts in well under a
-second. The scipy bridges exist for the CPU software baseline and for
-oracle comparisons in the test suite; the simulators never touch scipy.
+second. Nothing here touches scipy; the test suite uses it as an
+independent oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import FormatError
-from repro.sparse.coo import CooMatrix
 from repro.sparse.csc import CscMatrix
 from repro.sparse.csr import CsrMatrix
 
@@ -34,60 +32,3 @@ def coo_to_csc(coo):
     indptr = np.concatenate(([0], np.cumsum(counts)))
     return CscMatrix(coo.shape, indptr, rows, vals)
 
-
-def csr_to_coo(csr):
-    """Convert a :class:`CsrMatrix` to canonical :class:`CooMatrix`."""
-    return CooMatrix(csr.shape, csr.expand_rows(), csr.col_ids, csr.vals)
-
-
-def csc_to_coo(csc):
-    """Convert a :class:`CscMatrix` to canonical :class:`CooMatrix`."""
-    return CooMatrix(csc.shape, csc.row_ids, csc.expand_cols(), csc.vals)
-
-
-def csr_to_csc(csr):
-    """Convert CSR to CSC directly (transpose of the compressed axis)."""
-    return coo_to_csc(csr_to_coo(csr))
-
-
-def csc_to_csr(csc):
-    """Convert CSC to CSR directly."""
-    return coo_to_csr(csc_to_coo(csc))
-
-
-def from_scipy(mat):
-    """Build a canonical :class:`CooMatrix` from any scipy sparse matrix."""
-    try:
-        coo = mat.tocoo()
-    except AttributeError:
-        raise FormatError(
-            f"expected a scipy sparse matrix, got {type(mat).__name__}"
-        )
-    return CooMatrix(coo.shape, coo.row, coo.col, coo.data)
-
-
-def to_scipy_csr(mat):
-    """Convert any repro sparse matrix to ``scipy.sparse.csr_matrix``."""
-    import scipy.sparse as sp
-
-    coo = _as_coo(mat)
-    return sp.csr_matrix((coo.vals, (coo.rows, coo.cols)), shape=coo.shape)
-
-
-def to_scipy_csc(mat):
-    """Convert any repro sparse matrix to ``scipy.sparse.csc_matrix``."""
-    import scipy.sparse as sp
-
-    coo = _as_coo(mat)
-    return sp.csc_matrix((coo.vals, (coo.rows, coo.cols)), shape=coo.shape)
-
-
-def _as_coo(mat):
-    """Normalize any of the three formats to COO."""
-    if isinstance(mat, CooMatrix):
-        return mat
-    if isinstance(mat, CsrMatrix):
-        return csr_to_coo(mat)
-    if isinstance(mat, CscMatrix):
-        return csc_to_coo(mat)
-    raise FormatError(f"not a repro sparse matrix: {type(mat).__name__}")

@@ -109,12 +109,6 @@ class CooMatrix:
         out[self.rows, self.cols] = self.vals
         return out
 
-    def transpose(self):
-        """Return the transpose as a new canonical ``CooMatrix``."""
-        return CooMatrix(
-            (self.shape[1], self.shape[0]), self.cols, self.rows, self.vals
-        )
-
     def scaled(self, factor):
         """Return a copy with all values multiplied by ``factor``."""
         return CooMatrix(self.shape, self.rows, self.cols, self.vals * factor)

@@ -65,11 +65,6 @@ class CscMatrix:
         """
         return np.bincount(self.row_ids, minlength=self.shape[0]).astype(np.int64)
 
-    def col_slice(self, col):
-        """Return ``(row_ids, vals)`` views for one column."""
-        lo, hi = self.indptr[col], self.indptr[col + 1]
-        return self.row_ids[lo:hi], self.vals[lo:hi]
-
     def expand_cols(self):
         """Return the implicit column index of every stored entry."""
         return np.repeat(np.arange(self.shape[1]), self.col_nnz())

@@ -2,8 +2,9 @@
 
 CSR is the row-oriented twin of the CSC format used by the accelerator.
 The simulators use it to enumerate the non-zeros a PE owns (PEs are
-assigned contiguous row ranges, paper Sec. 3.2), and the software CPU
-baseline multiplies in CSR because that is what ``torch``/``scipy`` do.
+assigned contiguous row ranges, paper Sec. 3.2), and the reference GCN
+layer multiplies its sparse features in CSR
+(:func:`~repro.sparse.ops.spmm_csr_dense`).
 """
 
 from __future__ import annotations
@@ -57,67 +58,9 @@ class CsrMatrix:
         """Per-row non-zero counts (length n_rows)."""
         return np.diff(self.indptr)
 
-    def row_slice(self, row):
-        """Return ``(col_ids, vals)`` views for one row."""
-        lo, hi = self.indptr[row], self.indptr[row + 1]
-        return self.col_ids[lo:hi], self.vals[lo:hi]
-
     def expand_rows(self):
         """Return the implicit row index of every stored entry (length nnz)."""
         return np.repeat(np.arange(self.shape[0]), self.row_nnz())
-
-    def row_block(self, lo, hi):
-        """The contiguous row slice ``[lo, hi)`` as a new CsrMatrix.
-
-        The block keeps the full column range, so ``A.row_block(lo, hi)
-        @ B`` computes rows ``lo..hi`` of ``A @ B`` — the shard-local
-        adjacency view of :mod:`repro.cluster`. Entry order within each
-        row is preserved, which keeps blocked SPMM accumulation
-        bit-identical to the unblocked kernel.
-        """
-        lo, hi = int(lo), int(hi)
-        if not 0 <= lo <= hi <= self.shape[0]:
-            raise ShapeError(
-                f"row block [{lo}, {hi}) out of range for {self.shape[0]} rows"
-            )
-        start, stop = int(self.indptr[lo]), int(self.indptr[hi])
-        return CsrMatrix(
-            (hi - lo, self.shape[1]),
-            self.indptr[lo:hi + 1] - start,
-            self.col_ids[start:stop],
-            self.vals[start:stop],
-        )
-
-    def take_rows(self, rows):
-        """Gather an arbitrary row subset as a new CsrMatrix.
-
-        ``rows`` is a 1-D array of row indices (duplicates allowed);
-        output row ``i`` is input row ``rows[i]``, with per-row entry
-        order preserved (same bit-exactness property as
-        :meth:`row_block`). This is the non-contiguous shard view used
-        after chip-level rebalancing migrates row blocks.
-        """
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        if rows.size and (rows.min() < 0 or rows.max() >= self.shape[0]):
-            raise ShapeError("row index out of range in take_rows")
-        counts = self.indptr[rows + 1] - self.indptr[rows]
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        n_entries = int(indptr[-1])
-        if n_entries:
-            # Vectorized ragged gather: for each selected row, a ramp
-            # over its entry run starting at the row's indptr offset.
-            run_starts = indptr[:-1]
-            offsets = np.repeat(self.indptr[rows], counts)
-            ramp = np.arange(n_entries) - np.repeat(run_starts, counts)
-            flat = offsets + ramp
-        else:
-            flat = np.empty(0, dtype=np.int64)
-        return CsrMatrix(
-            (rows.size, self.shape[1]),
-            indptr,
-            self.col_ids[flat],
-            self.vals[flat],
-        )
 
     def to_dense(self):
         """Materialize as a dense float64 array."""

@@ -12,8 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.sparse.coo import CooMatrix
-from repro.sparse.convert import coo_to_csr, csr_to_coo
 from repro.sparse.csc import CscMatrix
 from repro.sparse.csr import CsrMatrix
 
@@ -69,7 +67,8 @@ def spmm_csr_dense(a_csr, b_dense):
     """Multiply ``A (CSR, m x n) @ B (dense, n x k)`` -> dense ``(m, k)``.
 
     Row-oriented formulation: each output row is the weighted sum of the
-    B rows selected by that A row. Used by the CPU software baseline.
+    B rows selected by that A row. The reference GCN layer computes a
+    sparse ``X @ W`` with it.
     """
     if not isinstance(a_csr, CsrMatrix):
         raise ShapeError(f"a_csr must be CsrMatrix, got {type(a_csr).__name__}")
@@ -85,100 +84,3 @@ def spmm_csr_dense(a_csr, b_dense):
     rows = a_csr.expand_rows()
     np.add.at(out, rows, a_csr.vals[:, None] * b_dense[a_csr.col_ids, :])
     return out
-
-
-def spmv_csr(a_csr, x):
-    """Multiply ``A (CSR, m x n) @ x (n,)`` -> ``(m,)`` vector."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size != a_csr.shape[1]:
-        raise ShapeError(f"x must have length {a_csr.shape[1]}, got {x.size}")
-    out = np.zeros(a_csr.shape[0])
-    if a_csr.nnz:
-        np.add.at(out, a_csr.expand_rows(), a_csr.vals * x[a_csr.col_ids])
-    return out
-
-
-# Expanded-product chunk size for spgemm_csr: bounds the temporary
-# (row, col, val) triple arrays to a few MB regardless of output size.
-_SPGEMM_CHUNK_PRODUCTS = 4_000_000
-
-
-def spgemm_csr(a_csr, b_csr):
-    """Multiply two sparse matrices, returning a canonical ``CooMatrix``.
-
-    The paper never runs SPGEMM in hardware (it is exactly what the
-    ``(A @ X) @ W`` ordering would need and Table 2 shows why it loses),
-    but the op-count analysis needs the result's structure.
-
-    Fully vectorized expansion-merge formulation: every scalar product
-    ``A[i, j] * B[j, l]`` is materialized as a COO triple in one NumPy
-    pass (``a``'s non-zeros repeated by the matching ``B`` row lengths),
-    then duplicates are summed by the canonical COO constructor. Work is
-    chunked over ``A``'s non-zeros so the expanded temporaries stay
-    bounded; each chunk covers a contiguous run of ``A`` rows' products.
-    """
-    if a_csr.shape[1] != b_csr.shape[0]:
-        raise ShapeError(
-            f"inner dimensions disagree: {a_csr.shape} @ {b_csr.shape}"
-        )
-    shape = (a_csr.shape[0], b_csr.shape[1])
-    if a_csr.nnz == 0 or b_csr.nnz == 0:
-        return CooMatrix.empty(shape)
-    a_rows = a_csr.expand_rows()
-    a_cols = a_csr.col_ids
-    a_vals = a_csr.vals
-    b_indptr = b_csr.indptr
-    # Products contributed by each A non-zero = nnz of the B row it hits.
-    fanout = b_indptr[a_cols + 1] - b_indptr[a_cols]
-    boundaries = np.concatenate(([0], np.cumsum(fanout)))
-    total_products = int(boundaries[-1])
-    if total_products == 0:
-        return CooMatrix.empty(shape)
-
-    parts = []
-    start_nnz = 0
-    while start_nnz < a_vals.size:
-        stop_nnz = int(np.searchsorted(
-            boundaries, boundaries[start_nnz] + _SPGEMM_CHUNK_PRODUCTS,
-            side="right",
-        )) - 1
-        stop_nnz = max(stop_nnz, start_nnz + 1)  # always advance
-        chunk = slice(start_nnz, stop_nnz)
-        counts = fanout[chunk]
-        n_products = int(counts.sum())
-        if n_products:
-            # For each A non-zero, gather its B row's entries: flat B
-            # indices are the start offset repeated, plus a within-run
-            # ramp (a vectorized "ragged arange").
-            offsets = np.repeat(b_indptr[a_cols[chunk]], counts)
-            run_starts = np.cumsum(counts) - counts
-            ramp = np.arange(n_products) - np.repeat(run_starts, counts)
-            flat = offsets + ramp
-            part = CooMatrix(
-                shape,
-                np.repeat(a_rows[chunk], counts),
-                b_csr.col_ids[flat],
-                np.repeat(a_vals[chunk], counts) * b_csr.vals[flat],
-                keep_zeros=True,
-            )
-            parts.append(part)
-        start_nnz = stop_nnz
-    if len(parts) == 1:
-        coo = parts[0]
-        # Re-canonicalize without keep_zeros to drop cancelled entries.
-        return CooMatrix(shape, coo.rows, coo.cols, coo.vals)
-    # Each chunk is already duplicate-summed, so the merge concatenates
-    # at most output-sized parts — expanded product triples never
-    # coexist across chunks.
-    return CooMatrix(
-        shape,
-        np.concatenate([p.rows for p in parts]),
-        np.concatenate([p.cols for p in parts]),
-        np.concatenate([p.vals for p in parts]),
-    )
-
-
-def transpose_csr(a_csr):
-    """Transpose a CSR matrix, returning CSR of the transposed shape."""
-    coo = csr_to_coo(a_csr)
-    return coo_to_csr(coo.transpose())

@@ -3,8 +3,8 @@
 The paper's entire motivation is that per-row non-zero counts of graph
 adjacency matrices are power-law distributed, so a static equal-rows
 partition starves most PEs while one drowns. This module quantifies that
-skew (coefficient of variation, Gini, max/mean) and computes the per-PE
-loads induced by a row partition.
+skew (coefficient of variation, Gini, max/mean) and gives the row owners
+of the static equal-rows partition.
 """
 
 from __future__ import annotations
@@ -71,42 +71,23 @@ def distribution_stats(counts):
     )
 
 
-def row_nnz_histogram(counts, *, n_bins=50, log_bins=True):
+def row_nnz_histogram(counts, *, n_bins=50):
     """Histogram of per-row nnz counts (the data behind Figs. 1 and 13).
 
-    Returns ``(bin_edges, bin_counts)``. With ``log_bins`` the edges grow
-    geometrically, which is the natural axis for power-law data.
+    Returns ``(bin_edges, bin_counts)``. The edges grow geometrically,
+    which is the natural axis for power-law data.
     """
     counts = check_1d_int_array(counts, "counts")
     n_bins = check_positive_int(n_bins, "n_bins")
     if counts.size == 0:
         raise ConfigError("counts must be non-empty")
     top = max(int(counts.max()), 1)
-    if log_bins:
-        edges = np.unique(
-            np.round(np.geomspace(1, top + 1, n_bins + 1)).astype(np.int64)
-        )
-        edges = np.concatenate(([0], edges))
-    else:
-        edges = np.linspace(0, top + 1, n_bins + 1)
+    edges = np.unique(
+        np.round(np.geomspace(1, top + 1, n_bins + 1)).astype(np.int64)
+    )
+    edges = np.concatenate(([0], edges))
     hist, edges = np.histogram(counts, bins=edges)
     return edges, hist
-
-
-def partition_loads(row_nnz, n_partitions):
-    """Per-PE workload under the paper's static equal-rows partition.
-
-    Rows are assigned to PEs in contiguous blocks (paper Fig. 6): PE ``p``
-    owns rows ``[p * ceil(n/P), ...)``. Returns an int64 array of length
-    ``n_partitions`` whose entry ``p`` is the number of non-zeros PE ``p``
-    must process per round.
-    """
-    row_nnz = check_1d_int_array(row_nnz, "row_nnz")
-    n_partitions = check_positive_int(n_partitions, "n_partitions")
-    owners = equal_rows_owner(row_nnz.size, n_partitions)
-    loads = np.zeros(n_partitions, dtype=np.int64)
-    np.add.at(loads, owners, row_nnz)
-    return loads
 
 
 def equal_rows_owner(n_rows, n_partitions):

@@ -95,12 +95,11 @@ def check_non_negative_finite(value, name):
     return value
 
 
-def check_fraction(value, name, *, inclusive_low=True, inclusive_high=True):
-    """Return ``value`` as ``float`` if it lies in [0, 1] (bounds optional)."""
+def check_fraction(value, name, *, inclusive_low=True):
+    """Return ``value`` as ``float`` if it lies in [0, 1] (or (0, 1])."""
     value = _as_float(value, name)
     low_ok = value >= 0.0 if inclusive_low else value > 0.0
-    high_ok = value <= 1.0 if inclusive_high else value < 1.0
-    if not (low_ok and high_ok):
+    if not (low_ok and value <= 1.0):
         raise ConfigError(f"{name} must lie in the unit interval, got {value}")
     return value
 

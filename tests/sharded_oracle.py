@@ -3,19 +3,20 @@
 The cycle models in :mod:`repro.cluster.multichip` only predict *how
 fast* a sharded run is; this module proves the sharding itself computes
 the right answer. It is test code: the exact-reassembly property suite
-(``tests/test_prop_cluster.py``) is its one caller. Every function executes shard-locally — a chip touches
-only its own rows plus the halo rows its
-:class:`~repro.cluster.partition.HaloExchange` set names — and
-reassembles per-chip outputs into the global result.
+(``tests/test_prop_cluster.py``) is its caller, and
+``tests/test_cluster_partition.py`` checks its row gather. Every
+function executes shard-locally — a chip touches only its own rows plus
+the halo rows its :class:`~repro.cluster.partition.HaloExchange` set
+names — and reassembles per-chip outputs into the global result.
 
 The reassembly guarantee is exact, not approximate: every kernel here
 accumulates each output element's products in a fixed order that does
 not depend on how many rows the call sees — the sparse kernels by the
-ascending-column ordering :meth:`~repro.sparse.csr.CsrMatrix.take_rows`
-preserves, the dense ``X @ W`` product by using an unoptimized
-``einsum`` (a sequential per-element C reduction) instead of BLAS,
-whose block/SIMD strategy shifts with the operand shape and can move a
-result by 1 ulp between a 50-row and a 400-row call. Sharded outputs
+ascending-column ordering :func:`take_rows` preserves, the dense
+``X @ W`` product by using an unoptimized ``einsum`` (a sequential
+per-element C reduction) instead of BLAS, whose block/SIMD strategy
+shifts with the operand shape and can move a result by 1 ulp between a
+50-row and a 400-row call. Sharded outputs
 are therefore **bit-for-bit** equal to :func:`reference_forward` (the
 same pipeline on one chip) for every partitioner and shard count, and
 bit-for-bit equal to :class:`~repro.model.gcn.GcnModel` on every pure
@@ -37,6 +38,34 @@ from repro.sparse.csr import CsrMatrix
 from repro.sparse.ops import spmm_csr_dense
 
 
+def take_rows(csr, rows):
+    """Gather an arbitrary row subset of ``csr`` as a new CsrMatrix.
+
+    ``rows`` is a 1-D array of row indices (duplicates allowed); output
+    row ``i`` is input row ``rows[i]``, with per-row entry order
+    preserved, so a sharded SPMM over the gathered rows accumulates
+    every output element in the unsharded kernel's order.
+    """
+    rows = np.asarray(rows, dtype=np.int64).ravel()
+    if rows.size and (rows.min() < 0 or rows.max() >= csr.shape[0]):
+        raise ShapeError("row index out of range in take_rows")
+    counts = csr.indptr[rows + 1] - csr.indptr[rows]
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    n_entries = int(indptr[-1])
+    if n_entries:
+        # Vectorized ragged gather: for each selected row, a ramp over
+        # its entry run starting at the row's indptr offset.
+        run_starts = indptr[:-1]
+        offsets = np.repeat(csr.indptr[rows], counts)
+        ramp = np.arange(n_entries) - np.repeat(run_starts, counts)
+        flat = offsets + ramp
+    else:
+        flat = np.empty(0, dtype=np.int64)
+    return CsrMatrix(
+        (rows.size, csr.shape[1]), indptr, csr.col_ids[flat], csr.vals[flat]
+    )
+
+
 def _compact_chip_block(csr, rows, needed):
     """The chip's adjacency block in the compacted column space.
 
@@ -48,7 +77,7 @@ def _compact_chip_block(csr, rows, needed):
     and the plan, so callers build it once and reuse it across layers
     and hops.
     """
-    block = csr.take_rows(rows)
+    block = take_rows(csr, rows)
     local = np.searchsorted(needed, block.col_ids)
     if local.size and (
         local.max() >= needed.size or
@@ -204,7 +233,7 @@ def _shard_times_weight(features, rows, weight):
                 f"features have {features.shape[1]} columns, weight "
                 f"expects {weight.shape[0]}"
             )
-        return spmm_csr_dense(coo_to_csr(features).take_rows(rows), weight)
+        return spmm_csr_dense(take_rows(coo_to_csr(features), rows), weight)
     dense = np.asarray(features, dtype=np.float64)
     if dense.ndim != 2 or dense.shape[1] != weight.shape[0]:
         raise ShapeError(

@@ -16,7 +16,6 @@ from repro.accel.localshare import (
     share_effective_loads,
     share_makespan,
     share_makespan_batch,
-    share_window_bounds,
     share_window_bounds_batch,
 )
 from repro.errors import ConfigError
@@ -115,12 +114,6 @@ class TestBasicCases:
     def test_single_pe(self):
         assert share_makespan([7], 2) == 7
 
-    def test_efficiency_inflates(self):
-        loads = [0, 0, 30, 0, 0]
-        ideal = share_makespan(loads, 1)
-        lossy = share_makespan(loads, 1, efficiency=0.5)
-        assert lossy == 2 * ideal
-
     def test_empty_raises(self):
         with pytest.raises(ConfigError):
             share_makespan([], 1)
@@ -128,10 +121,6 @@ class TestBasicCases:
     def test_negative_hop_raises(self):
         with pytest.raises(ConfigError):
             share_makespan([1], -1)
-
-    def test_bad_efficiency_raises(self):
-        with pytest.raises(ConfigError):
-            share_makespan([1], 1, efficiency=0.0)
 
 
 class TestAgainstBruteForce:
@@ -146,8 +135,10 @@ class TestAgainstBruteForce:
 
     def test_window_bounds_components(self):
         loads = np.array([100, 0, 0, 0, 50, 0])
-        interior, prefix, suffix = share_window_bounds(loads, 1)
-        assert max(interior, prefix, suffix) == brute_force_bound(loads, 1)
+        interior, prefix, suffix = share_window_bounds_batch(loads[None, :], 1)
+        assert max(interior[0], prefix[0], suffix[0]) == brute_force_bound(
+            loads, 1
+        )
 
 
 class TestEffectiveLoads:
@@ -308,14 +299,6 @@ class TestBatchedKernel:
                 share_makespan(matrix[r], hop) for r in range(n_rounds)
             ]
 
-    def test_efficiency_forwarded(self):
-        matrix = np.array([[0, 30, 0], [10, 10, 10]])
-        lossy = share_makespan_batch(matrix, 1, efficiency=0.5)
-        assert list(lossy) == [
-            share_makespan(matrix[0], 1, efficiency=0.5),
-            share_makespan(matrix[1], 1, efficiency=0.5),
-        ]
-
     def test_empty_batch_allowed(self):
         assert share_makespan_batch(np.zeros((0, 5), dtype=int), 1).size == 0
 
@@ -323,12 +306,9 @@ class TestBatchedKernel:
         with pytest.raises(ConfigError):
             share_makespan_batch(np.zeros((2, 0), dtype=int), 1)
 
-    def test_bad_hop_and_efficiency_rejected(self):
+    def test_bad_hop_rejected(self):
         with pytest.raises(ConfigError):
             share_makespan_batch(np.ones((1, 3), dtype=int), -1)
-        with pytest.raises(ConfigError):
-            share_makespan_batch(np.ones((1, 3), dtype=int), 1,
-                                 efficiency=0.0)
 
     def test_window_bounds_batch_max_matches_brute(self, rng):
         # A hub away from both edges makes the interior family beat the

@@ -9,9 +9,28 @@ from repro.accel.workload import (
     RowAssignment,
     initial_assignment,
     per_pe_loads,
-    per_pe_max_row,
 )
 from repro.errors import ConfigError
+
+
+def rows_of(assignment, pe):
+    """Row indices ``pe`` currently owns (ascending)."""
+    return np.flatnonzero(assignment.owner == pe)
+
+
+def move_rows(assignment, rows, dest):
+    """Reassign ``rows`` to PE ``dest``, updating the loads in place.
+
+    The generic row move :func:`swap_rows_reference` builds a switch
+    from; ``RowAssignment.swap_rows`` updates its two loads itself.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        return
+    moved = assignment.row_nnz[rows]
+    np.subtract.at(assignment.loads, assignment.owner[rows], moved)
+    assignment.owner[rows] = dest
+    assignment.loads[dest] += int(moved.sum())
 
 
 @pytest.fixture
@@ -31,17 +50,10 @@ class TestBasics:
     def test_total_work(self, assignment):
         assert assignment.total_work == 21
 
-    def test_per_pe_max_row(self, assignment):
-        assert assignment.max_rows().tolist() == [10, 1, 2, 2]
-
     def test_per_pe_loads_function(self):
         owner = np.array([0, 0, 1])
         loads = per_pe_loads(owner, np.array([1, 2, 3]), 2)
         assert loads.tolist() == [3, 3]
-
-    def test_per_pe_max_row_function(self):
-        owner = np.array([0, 0, 1])
-        assert per_pe_max_row(owner, np.array([1, 2, 3]), 2).tolist() == [2, 3]
 
     def test_custom_owner(self):
         asg = RowAssignment([1, 2, 3], 3, owner=[2, 1, 0])
@@ -58,27 +70,27 @@ class TestBasics:
 
 class TestMoves:
     def test_move_rows_updates_loads(self, assignment):
-        assignment.move_rows([0], 3)
+        move_rows(assignment, [0], 3)
         assert assignment.loads.tolist() == [1, 2, 4, 14]
         assert assignment.owner[0] == 3
 
     def test_move_conserves_work(self, assignment):
         before = assignment.loads.sum()
-        assignment.move_rows([0, 4, 6], 1)
+        move_rows(assignment, [0, 4, 6], 1)
         assert assignment.loads.sum() == before
 
     def test_move_empty_is_noop(self, assignment):
         before = assignment.loads.copy()
-        assignment.move_rows([], 2)
+        move_rows(assignment, [], 2)
         assert np.array_equal(assignment.loads, before)
 
     def test_snapshot_is_copy(self, assignment):
         snap = assignment.snapshot()
-        assignment.move_rows([0], 2)
+        move_rows(assignment, [0], 2)
         assert snap[0] == 0
 
     def test_rows_of(self, assignment):
-        assert assignment.rows_of(0).tolist() == [0, 1]
+        assert rows_of(assignment, 0).tolist() == [0, 1]
 
 
 class TestSwapRows:
@@ -138,13 +150,13 @@ def swap_rows_reference(assignment, hot, cold, n_rows_each, *,
     before the switch lost its generic paths (test oracle).
 
     Rescans the owner array for both PEs, walks the hot rows over NumPy
-    scalars and moves both row sets through ``move_rows``. The tuning
+    scalars and moves both row sets through :func:`move_rows`. The tuning
     oracle in ``tests/test_accel_cyclemodel.py`` switches through it.
     """
     if hot == cold or n_rows_each <= 0:
         return 0
-    hot_rows = np.flatnonzero(assignment.owner == hot)
-    cold_rows = np.flatnonzero(assignment.owner == cold)
+    hot_rows = rows_of(assignment, hot)
+    cold_rows = rows_of(assignment, cold)
     budget = min(int(n_rows_each), hot_rows.size, cold_rows.size)
     if budget == 0:
         return 0
@@ -174,8 +186,8 @@ def swap_rows_reference(assignment, hot, cold, n_rows_each, *,
     cold_lightest = cold_rows[
         np.argsort(row_nnz[cold_rows], kind="stable")[:count]
     ]
-    assignment.move_rows(chosen, cold)
-    assignment.move_rows(cold_lightest, hot)
+    move_rows(assignment, chosen, cold)
+    move_rows(assignment, cold_lightest, hot)
     return count
 
 

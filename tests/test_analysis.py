@@ -1,6 +1,5 @@
 """The analysis harness: report rendering, tables, figures, export."""
 
-import json
 
 import pytest
 
@@ -13,7 +12,6 @@ from repro.analysis import (
     fig_nnz_distribution,
     format_quantity,
     rows_to_csv,
-    rows_to_json,
     table1_profile,
     table2_ordering,
     table3_crossplatform,
@@ -164,16 +162,9 @@ class TestExport:
         assert content[0] == "a,b"
         assert len(content) == 3
 
-    def test_json_round_trip(self, tmp_path):
-        rows = [{"a": 1.5}]
-        path = rows_to_json(rows, tmp_path / "out.json")
-        assert json.loads(path.read_text()) == [{"a": 1.5}]
-
     def test_empty_rows_raise(self, tmp_path):
         with pytest.raises(ConfigError):
             rows_to_csv([], tmp_path / "out.csv")
-        with pytest.raises(ConfigError):
-            rows_to_json([], tmp_path / "out.json")
 
     def test_nested_directories_created(self, tmp_path):
         path = rows_to_csv([{"a": 1}], tmp_path / "deep" / "dir" / "o.csv")

@@ -10,7 +10,6 @@ from repro.baselines import (
     PLATFORM_POWER_WATTS,
     energy_joules,
     inferences_per_kilojoule,
-    measure_cpu_latency_ms,
 )
 from repro.baselines.cpu import total_inference_ops
 from repro.errors import ConfigError
@@ -43,17 +42,6 @@ class TestCpuModel:
         result = CpuModel().evaluate("cora", 1e6)
         assert result.platform == "cpu"
         assert result.power_watts == PLATFORM_POWER_WATTS["cpu"]
-
-    def test_measured_mode_runs(self, tiny_cora):
-        latency = measure_cpu_latency_ms(tiny_cora, repeats=1)
-        assert latency > 0
-
-    def test_measured_mode_needs_features(self):
-        from repro.datasets import build_dataset
-
-        ds = build_dataset("cora", "tiny", seed=1, materialize=False)
-        with pytest.raises(ValueError):
-            measure_cpu_latency_ms(ds)
 
 
 class TestGpuModel:

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.accel import ArchConfig, SpmmJob, simulate_spmm
+from repro.accel import (
+    ArchConfig,
+    SpmmJob,
+    share_makespan,
+    share_makespan_batch,
+    simulate_spmm,
+)
 from repro.cli import build_parser, main
 from repro.cluster import (
     ClusterConfig,
@@ -10,8 +16,18 @@ from repro.cluster import (
     rebalance_plan,
     simulate_multichip_gcn,
 )
+from repro.datasets import gcn_normalize
 from repro.errors import ConfigError
-from repro.serve import InferenceService, StreamingScheduler
+from repro.obs import RecordingTracer, render_round_heat
+from repro.serve import (
+    InferenceService,
+    StreamingScheduler,
+    mixed_traffic,
+    streaming_traffic,
+    synthetic_traffic,
+)
+from repro.sparse import CooMatrix, row_nnz_histogram
+from repro.utils.validation import check_fraction
 
 # The extension-sweep subcommands the CLI no longer registers: their
 # sweeps regenerate from benchmarks/bench_*.py.
@@ -54,6 +70,32 @@ REMOVED_KEYWORDS = {
     "rebalance_plan.row_ceilings":
         lambda: rebalance_plan(None, None, ClusterConfig(),
                                row_ceilings=None),
+    # The cycle model divides by ArchConfig.sharing_efficiency itself.
+    "share_makespan.efficiency":
+        lambda: share_makespan([1], 1, efficiency=1.0),
+    "share_makespan_batch.efficiency":
+        lambda: share_makespan_batch([[1]], 1, efficiency=1.0),
+    "RecordingTracer.splice.anchor":
+        lambda: RecordingTracer().splice((), anchor=0.0),
+    "render_round_heat.max_strips":
+        lambda: render_round_heat((), max_strips=1),
+    "row_nnz_histogram.log_bins":
+        lambda: row_nnz_histogram([1], log_bins=False),
+    "gcn_normalize.add_loops":
+        lambda: gcn_normalize(CooMatrix.empty((1, 1)), add_loops=False),
+    "check_fraction.inclusive_high":
+        lambda: check_fraction(0.5, "x", inclusive_high=False),
+    # One name per traffic knob: family_size and repeat_alpha.
+    "synthetic_traffic.n_graphs": lambda: synthetic_traffic(1, n_graphs=1),
+    "synthetic_traffic.zipf_skew":
+        lambda: synthetic_traffic(1, zipf_skew=1.0),
+    "streaming_traffic.n_graphs":
+        lambda: streaming_traffic(1, arrival_rate=1.0, n_graphs=1),
+    "streaming_traffic.zipf_skew":
+        lambda: streaming_traffic(1, arrival_rate=1.0, zipf_skew=1.0),
+    "mixed_traffic.n_graphs":
+        lambda: mixed_traffic(1, arrival_rate=1.0, chip_capacity=64,
+                              n_graphs=1),
 }
 REMOVED_CLUSTER_NAMES = (
     # The sharded numerical oracle, now tests/sharded_oracle.py.
@@ -69,6 +111,25 @@ REMOVED_EXPORTS = {
     # The tuner's unused outcome record; a cached tuning is
     # CachedTuning, built from the SpmmResult.
     "TuningOutcome": "repro.accel",
+    # Names nothing but their own tests called (tests/test_dead_code.py
+    # keeps it so). The scalar window bounds are the batched ones on
+    # one row; the stream fingerprint is tests/trace_identity.py.
+    **dict.fromkeys(("per_pe_max_row", "share_window_bounds"),
+                    "repro.accel"),
+    **dict.fromkeys(
+        ("csc_to_coo", "csc_to_csr", "csr_to_coo", "csr_to_csc",
+         "from_scipy", "to_scipy_csc", "to_scipy_csr", "spmv_csr",
+         "spgemm_csr", "transpose_csr", "partition_loads"),
+        "repro.sparse",
+    ),
+    # "io" is the dataset persistence module.
+    **dict.fromkeys(("edges_fingerprint", "load_dataset_file",
+                     "save_dataset", "io"), "repro.datasets"),
+    **dict.fromkeys(("structural_product_nnz", "expected_product_nnz"),
+                    "repro.model"),
+    "measure_cpu_latency_ms": "repro.baselines",
+    "rows_to_json": "repro.analysis",
+    **dict.fromkeys(("event_key", "stream_fingerprint"), "repro.obs"),
 }
 
 

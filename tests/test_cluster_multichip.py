@@ -10,6 +10,7 @@ from repro.accel.gcnaccel import build_spmm_jobs
 from repro.analysis import compare_shard_scaling, compare_shard_topology
 from repro.cluster import (
     ClusterConfig,
+    StragglerEvent,
     make_plan,
     make_topology,
     rebalance_plan,
@@ -18,6 +19,7 @@ from repro.cluster import (
 from repro.cluster.multichip import BARRIER_CYCLES, _diffuse_pairs
 from repro.errors import ConfigError
 from repro.serve import AutotuneCache, RmatGraphSpec
+from test_cluster_partition import chip_loads
 
 CHIP = ArchConfig(n_pes=32, hop=1, remote_switching=True)
 SPEC = RmatGraphSpec(
@@ -74,8 +76,8 @@ class TestRebalancePlan:
         balanced, info = rebalance_plan(plan, row_nnz, cluster)
         assert info.migrated
         assert (
-            balanced.chip_loads(row_nnz).max()
-            < plan.chip_loads(row_nnz).max()
+            chip_loads(balanced, row_nnz).max()
+            < chip_loads(plan, row_nnz).max()
         )
 
     def test_preserves_contiguity(self):
@@ -95,8 +97,8 @@ class TestRebalancePlan:
             cluster = ClusterConfig(n_chips=4, chip=CHIP)
             balanced, _ = rebalance_plan(plan, row_nnz, cluster)
             assert (
-                balanced.chip_loads(row_nnz).max()
-                <= plan.chip_loads(row_nnz).max()
+                chip_loads(balanced, row_nnz).max()
+                <= chip_loads(plan, row_nnz).max()
             )
 
     def test_single_chip_noop(self):
@@ -378,7 +380,7 @@ class TestHeterogeneousCluster:
         big = CHIP.with_updates(n_pes=CHIP.n_pes * 4)
         cluster = ClusterConfig(n_chips=2, chips=(big, CHIP))
         report = simulate_multichip_gcn(dataset, cluster)
-        loads = report.plan.chip_loads(dataset.adjacency_row_nnz())
+        loads = chip_loads(report.plan, dataset.adjacency_row_nnz())
         assert loads[0] > loads[1]
 
     def test_slow_clock_chip_stretches_reference_cycles(self, dataset):
@@ -586,7 +588,8 @@ class TestShardScalingHarness:
               "feedback": True},
              ("ring", "cycle feedback")),
             ({"n_nodes": 512, "weak_nodes_per_chip": 256,
-              "row_ceiling": 400, "stragglers": ((1, 1.5, 2.0),)},
+              "row_ceiling": 400,
+              "stragglers": (StragglerEvent(1, 1.5, 2.0),)},
              ("row ceiling 400", "1 straggler(s)")),
         )
         for kwargs, labels in flavors:

@@ -48,13 +48,14 @@ from repro.accel import ArchConfig, CachedTuning
 from repro.cluster import (
     ClusterConfig,
     ShardedAccelerator,
+    StragglerEvent,
     halo_exchange,
     make_plan,
     simulate_multichip_gcn,
 )
 from repro.datasets.registry import dataset_fingerprint
 from repro.errors import CeilingError, ConfigError
-from repro.obs import RecordingTracer, stream_fingerprint
+from repro.obs import RecordingTracer
 from repro.serve import (
     AutotuneCache,
     InferenceRequest,
@@ -64,6 +65,7 @@ from repro.serve import (
 )
 from repro.serve.traffic import clear_graph_cache
 from repro.sparse.coo import CooMatrix
+from trace_identity import stream_fingerprint
 
 CFG = ArchConfig(n_pes=16, hop=1, remote_switching=True)
 TINY = {"avg_degree": 6, "f1": 16, "f2": 8, "f3": 4}
@@ -568,7 +570,7 @@ class TestStoredReport:
         # all-zero one prices like none, so it equals the stored report.
         dataset = BIG_A.build()
         cluster = ClusterConfig(n_chips=4, chip=CFG, topology="ring",
-                                stragglers=((1, 0.0, 2.0),))
+                                stragglers=(StragglerEvent(1, 0.0, 2.0),))
         idle = (0.0,) * cluster.fabric.n_links
         busy = (500.0,) + idle[1:]
         sharded = ShardedAccelerator(dataset, cluster)

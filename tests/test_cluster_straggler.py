@@ -62,11 +62,10 @@ class TestStragglerEvent:
         with pytest.raises(ConfigError):
             StragglerEvent(chip=0, onset_round=float("nan"))
 
-    def test_cluster_coerces_tuples(self):
-        cluster = _cluster(stragglers=((2, 1.5, 3.0),))
-        ev = cluster.stragglers[0]
-        assert isinstance(ev, StragglerEvent)
-        assert (ev.chip, ev.onset_round, ev.factor) == (2, 1.5, 3.0)
+    def test_cluster_refuses_tuple_entries(self):
+        # Every entry must be a StragglerEvent.
+        with pytest.raises(ConfigError, match="stragglers entries"):
+            _cluster(stragglers=((2, 1.5, 3.0),))
 
     def test_cluster_rejects_out_of_range_chip(self):
         with pytest.raises(ConfigError):

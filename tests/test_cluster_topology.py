@@ -106,7 +106,7 @@ class TestMesh2d:
         assert topo.hops(0, 5) == 3
         assert topo.hops(0, 2) == 2
         assert topo.hops(0, 3) == 1
-        assert topo.max_hops == 3
+        assert max(topo.hops(s, d) for s in range(6) for d in range(6)) == 3
 
     def test_prime_count_degenerates_to_line(self):
         topo = make_topology("mesh2d", 5)  # 1 x 5

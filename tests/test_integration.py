@@ -75,8 +75,12 @@ class TestPaperClaims:
         job level because tiny-preset layer dims let the balanced X2 W
         job dominate the overall number."""
         def a_gain(reports):
-            base = sum(l.axw.total_cycles for l in reports["baseline"].layers)
-            best = sum(l.axw.total_cycles for l in reports["design_d"].layers)
+            base = sum(
+                l.stages[-1].total_cycles for l in reports["baseline"].layers
+            )
+            best = sum(
+                l.stages[-1].total_cycles for l in reports["design_d"].layers
+            )
             return base / best
 
         assert a_gain(suite["nell"]) > a_gain(suite["cora"])
@@ -85,7 +89,7 @@ class TestPaperClaims:
         """Fig. 14 F-J: the imbalance lives in the A(XW) SPMM, and it is
         worst on the clustered Nell graph."""
         def a_util(reports):
-            return reports["baseline"].layers[0].axw.utilization
+            return reports["baseline"].layers[0].stages[-1].utilization
 
         assert a_util(suite["nell"]) < a_util(suite["cora"])
 
@@ -114,8 +118,8 @@ class TestWarmStartAcrossLayers:
     def test_layer2_a_spmm_reuses_converged_map(self, tiny_nell):
         config = ArchConfig(n_pes=16, hop=2, remote_switching=True)
         report = GcnAccelerator(tiny_nell, config).run()
-        l1_a = report.layers[0].axw
-        l2_a = report.layers[1].axw
+        l1_a = report.layers[0].stages[-1]
+        l2_a = report.layers[1].stages[-1]
         # Layer 2 starts from layer 1's converged map: its first round
         # is no worse than layer 1's first (untuned) round.
         assert l2_a.cycles_per_round[0] <= l1_a.cycles_per_round[0]

@@ -1,4 +1,4 @@
-"""Dataset persistence and the Fig. 10 heat-strip rendering."""
+"""The Fig. 10 heat-strip rendering."""
 
 import numpy as np
 import pytest
@@ -8,56 +8,7 @@ from repro.analysis.heatmap import (
     rebalancing_heat_story,
     render_heat_story,
 )
-from repro.datasets.io import load_dataset_file, save_dataset
-from repro.errors import ConfigError, DatasetError
-
-
-class TestDatasetIo:
-    def test_round_trip(self, tiny_cora, tmp_path):
-        path = save_dataset(tiny_cora, tmp_path / "cora.npz")
-        loaded = load_dataset_file(path)
-        assert loaded.name == tiny_cora.name
-        assert loaded.adjacency == tiny_cora.adjacency
-        assert loaded.features == tiny_cora.features
-        assert np.array_equal(loaded.weights[0], tiny_cora.weights[0])
-        assert np.array_equal(loaded.x2_row_nnz, tiny_cora.x2_row_nnz)
-
-    def test_round_trip_pattern_only(self, tmp_path):
-        from repro.datasets import build_dataset
-
-        ds = build_dataset("cora", "tiny", seed=4, materialize=False)
-        path = save_dataset(ds, tmp_path / "p.npz")
-        loaded = load_dataset_file(path)
-        assert not loaded.has_numeric_features
-        assert np.array_equal(loaded.x1_row_nnz, ds.x1_row_nnz)
-
-    def test_loaded_dataset_runs_inference(self, tiny_cora, tmp_path):
-        from repro.model import build_model
-
-        loaded = load_dataset_file(
-            save_dataset(tiny_cora, tmp_path / "c.npz")
-        )
-        reference = build_model(tiny_cora).forward(tiny_cora.features)
-        reloaded = build_model(loaded).forward(loaded.features)
-        assert np.allclose(
-            reference.probabilities, reloaded.probabilities
-        )
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(DatasetError):
-            load_dataset_file(tmp_path / "absent.npz")
-
-    def test_save_rejects_non_dataset(self, tmp_path):
-        with pytest.raises(DatasetError):
-            save_dataset("not a dataset", tmp_path / "x.npz")
-
-    def test_version_check(self, tiny_cora, tmp_path):
-        path = save_dataset(tiny_cora, tmp_path / "v.npz")
-        data = dict(np.load(path, allow_pickle=False))
-        data["format_version"] = np.array(99)
-        np.savez_compressed(path, **data)
-        with pytest.raises(DatasetError):
-            load_dataset_file(path)
+from repro.errors import ConfigError
 
 
 class TestHeatStrip:

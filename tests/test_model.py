@@ -113,15 +113,6 @@ class TestGcnModel:
         b = model.forward_ax_w(tiny_features)
         assert np.allclose(a.probabilities, b.probabilities)
 
-    def test_predict_returns_classes(self, tiny_graph, tiny_features, rng):
-        model = GcnModel(
-            tiny_graph,
-            [rng.normal(size=(8, 6)), rng.normal(size=(6, 3))],
-        )
-        classes = model.predict(tiny_features)
-        assert classes.shape == (12,)
-        assert classes.max() < 3
-
     def test_no_softmax_option(self, tiny_graph, tiny_features, rng):
         model = GcnModel(
             tiny_graph,

@@ -7,11 +7,8 @@ from repro.errors import ShapeError
 from repro.model.ordering import (
     count_ops_a_xw,
     count_ops_ax_w,
-    expected_product_nnz,
     layer_ordering_ops,
-    structural_product_nnz,
 )
-from repro.sparse import CooMatrix, coo_to_csr
 
 
 class TestCountFormulas:
@@ -49,42 +46,6 @@ class TestCountFormulas:
         # Table 2 reports 257G for Nell layer 1 under (AX)W; the dense
         # GEMM term alone is 65755 * 61278 * 64 = 257.9G.
         assert 65755 * 61278 * 64 == pytest.approx(257e9, rel=0.01)
-
-
-class TestProductNnz:
-    def test_structural_exact(self, rng):
-        a = (rng.random((10, 8)) < 0.3).astype(float)
-        x = (rng.random((8, 12)) < 0.3).astype(float)
-        a_csr = coo_to_csr(CooMatrix.from_dense(a))
-        x_csr = coo_to_csr(CooMatrix.from_dense(x))
-        expected = np.count_nonzero(a @ x)
-        assert structural_product_nnz(a_csr, x_csr) == expected
-
-    def test_structural_shape_mismatch(self, rng):
-        a = coo_to_csr(CooMatrix.from_dense(np.eye(3)))
-        b = coo_to_csr(CooMatrix.from_dense(np.eye(4)))
-        with pytest.raises(ShapeError):
-            structural_product_nnz(a, b)
-
-    def test_expected_saturates_with_degree(self):
-        row_nnz = np.full(100, 50)
-        dense_estimate = expected_product_nnz(row_nnz, 0.5, 20)
-        # With 50 neighbours at 50% density, essentially every output
-        # cell is non-zero.
-        assert dense_estimate == pytest.approx(100 * 20, rel=0.01)
-
-    def test_expected_zero_density(self):
-        assert expected_product_nnz(np.ones(10), 0.0, 5) == 0
-
-    def test_expected_monotone_in_density(self):
-        row_nnz = np.array([1, 2, 3, 4])
-        low = expected_product_nnz(row_nnz, 0.1, 10)
-        high = expected_product_nnz(row_nnz, 0.5, 10)
-        assert high >= low
-
-    def test_expected_bad_density_raises(self):
-        with pytest.raises(ShapeError):
-            expected_product_nnz(np.ones(3), 1.5, 4)
 
 
 class TestLayerOrderingOps:

@@ -43,13 +43,13 @@ from repro.obs import (
     render_round_heat,
     round_timeline_rows,
     service_stats_view,
-    stream_fingerprint,
     validate_chrome_trace,
     write_chrome_trace,
 )
 from repro.serve.cache import AutotuneCache
 from repro.serve.service import LatencyStats, percentile, serve_requests
 from repro.serve.traffic import RmatGraphSpec, streaming_traffic
+from trace_identity import stream_fingerprint
 
 TINY = {"f1": 16, "f2": 8, "f3": 4}
 CFG = ArchConfig(n_pes=32, hop=1, remote_switching=True)
@@ -57,7 +57,7 @@ CFG = ArchConfig(n_pes=32, hop=1, remote_switching=True)
 
 def _streaming_requests(seed=7, n=12):
     return streaming_traffic(
-        n, arrival_rate=500.0, slo_ms=10.0, n_graphs=3, n_nodes=256,
+        n, arrival_rate=500.0, slo_ms=10.0, family_size=3, n_nodes=256,
         seed=seed, configs=(CFG,), avg_degree=4, graph_kwargs=TINY,
     )
 

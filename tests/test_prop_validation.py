@@ -21,8 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel import ArchConfig
-from repro.cluster import StragglerEvent
+from repro.accel import ArchConfig, RemoteAutoTuner, RowAssignment
+from repro.cluster import StragglerEvent, make_topology, subtopology
 from repro.errors import ConfigError
 from repro.serve import (
     InferenceRequest,
@@ -34,6 +34,16 @@ from repro.serve import (
 
 CONFIG = ArchConfig(n_pes=64, hop=1)
 SPEC = RmatGraphSpec(n_nodes=256)
+
+
+def _tuner(**kwargs):
+    """A RemoteAutoTuner over a 4-row, 2-PE map with ``kwargs`` set."""
+    kwargs.setdefault("rows_per_pe_equal", 2.0)
+    return RemoteAutoTuner(RowAssignment([1, 2, 3, 4], 2), **kwargs)
+
+
+def _ring_subtopology(chips):
+    return subtopology(make_topology("ring", 4), chips)
 
 # (base object, field, rule, None allowed)
 FIELDS = [
@@ -202,6 +212,24 @@ PROBES = {
         lambda: InferenceService(chip_capacity=256,
                                  cluster_options=[("topology", "ring")]),
         "cluster_options"),
+    # The tuner follows ArchConfig's rules for the fields it is given.
+    "tuner-rows-nan": (lambda: _tuner(rows_per_pe_equal=math.nan),
+                       "rows_per_pe_equal"),
+    "tuner-damping-negative": (lambda: _tuner(damping=-1.0), "damping"),
+    "tuner-damping-nan": (lambda: _tuner(damping=math.nan), "damping"),
+    "tuner-patience-zero": (lambda: _tuner(patience=0), "patience"),
+    "tuner-window-zero": (lambda: _tuner(tracking_window=0),
+                          "tracking_window"),
+    "tuner-window-fractional": (lambda: _tuner(tracking_window=2.7),
+                                "tracking_window"),
+    "tuner-approximate-string": (lambda: _tuner(approximate="false"),
+                                 "approximate"),
+    # A chip id is a non-negative int: never truncated or coerced.
+    "subtopology-chip-fractional": (lambda: _ring_subtopology((1.7, 2)),
+                                    "chip"),
+    "subtopology-chip-bool": (lambda: _ring_subtopology((True, 2)), "chip"),
+    "subtopology-chip-string": (lambda: _ring_subtopology(("1", 2)),
+                                "chip"),
 }
 
 

@@ -12,6 +12,7 @@ from repro.hw.queues import TaskQueue
 from repro.hw.task import Task
 from repro.model import GcnModel
 from repro.sparse import CooMatrix
+from test_accel_workload import move_rows
 
 
 class TestDegenerateGraphs:
@@ -107,7 +108,7 @@ class TestBackPressure:
     def test_assignment_rejects_foreign_rows(self):
         asg = RowAssignment([1, 2, 3], 2)
         with pytest.raises(IndexError):
-            asg.move_rows([99], 0)
+            move_rows(asg, [99], 0)
 
 
 class TestAcceleratorEdgeCases:

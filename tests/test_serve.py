@@ -19,9 +19,8 @@ import repro.serve.service as service_module
 from repro.accel import ArchConfig, CachedTuning, GcnAccelerator
 from repro.analysis.tracescenarios import trace_scenario
 from repro.datasets import dataset_fingerprint, load_dataset
-from repro.datasets.rmat import edges_fingerprint
 from repro.errors import ConfigError
-from repro.obs import RecordingTracer, stream_fingerprint
+from repro.obs import RecordingTracer
 from repro.serve import (
     AutotuneCache,
     InferenceRequest,
@@ -39,6 +38,7 @@ from repro.serve.request import InferenceResult
 from repro.serve.scheduler import Batch, QueuedRequest
 from repro.serve.service import _ShardedDispatch
 from repro.serve.traffic import clear_graph_cache
+from trace_identity import stream_fingerprint
 
 CFG_A = ArchConfig(n_pes=16, hop=1, remote_switching=True)
 CFG_B = ArchConfig(n_pes=32, hop=1, remote_switching=True)
@@ -980,17 +980,6 @@ class TestFingerprints:
         two = GcnAccelerator(tiny_cora, CFG_A, a_hops=2).fingerprint()
         assert one != two
 
-    def test_edges_fingerprint_order_insensitive(self):
-        src = np.array([0, 3, 1]); dst = np.array([2, 1, 0])
-        fwd = edges_fingerprint(src, dst, 4)
-        perm = edges_fingerprint(src[::-1], dst[::-1], 4)
-        assert fwd == perm
-        assert fwd != edges_fingerprint(dst, src, 4)
-
-    def test_edges_fingerprint_validates(self):
-        with pytest.raises(ConfigError):
-            edges_fingerprint([0, 9], [1, 1], 4)
-
 
 class TestInferenceService:
     def test_results_in_arrival_order_with_hits(self):
@@ -1012,7 +1001,7 @@ class TestInferenceService:
 
     def test_cached_results_identical_to_uncached(self):
         requests = synthetic_traffic(
-            10, n_graphs=2, n_nodes=384, seed=3,
+            10, family_size=2, n_nodes=384, seed=3,
             configs=(CFG_A,), graph_kwargs={"f1": 24, "f2": 12, "f3": 4},
         )
         cold = serve_requests(requests, cache=None)
@@ -1384,12 +1373,12 @@ class TestRecordFieldOrder:
 
 class TestSyntheticTraffic:
     def test_mix_is_deterministic(self):
-        mix1 = synthetic_traffic(8, n_graphs=3, n_nodes=256, seed=11)
-        mix2 = synthetic_traffic(8, n_graphs=3, n_nodes=256, seed=11)
+        mix1 = synthetic_traffic(8, family_size=3, n_nodes=256, seed=11)
+        mix2 = synthetic_traffic(8, family_size=3, n_nodes=256, seed=11)
         assert [r.graph for r in mix1] == [r.graph for r in mix2]
 
     def test_repeats_graphs(self):
-        mix = synthetic_traffic(30, n_graphs=3, n_nodes=256, seed=11)
+        mix = synthetic_traffic(30, family_size=3, n_nodes=256, seed=11)
         assert len({r.graph for r in mix}) <= 3
         assert len(mix) == 30
 

@@ -338,7 +338,7 @@ class TestGangAccounting:
         # Every request needs 2 shards, so each batch gangs up the
         # whole 2-instance pool — both members see identical traffic.
         outcome = serve_requests(
-            synthetic_traffic(3, n_graphs=1, n_nodes=1024, seed=3,
+            synthetic_traffic(3, family_size=1, n_nodes=1024, seed=3,
                               configs=(CFG,)),
             n_workers=2, chip_capacity=512,
         )
@@ -363,7 +363,7 @@ class TestGangAccounting:
         # occupied without a gap — modeled busy time must equal its
         # continuous span from first claim to last finish.
         requests = synthetic_traffic(
-            2, n_graphs=1, n_nodes=256, seed=5, configs=(CFG, CFG_BIG),
+            2, family_size=1, n_nodes=256, seed=5, configs=(CFG, CFG_BIG),
         )
         outcome = serve_requests(requests, n_workers=1)
         worker = outcome.workers[0]

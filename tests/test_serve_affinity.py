@@ -21,10 +21,9 @@ Six contracts pinned here:
   first-free fallback, so no batch is ever stranded waiting for
   warmth.
 * Cache metadata (per-entry hit counts and last-use stamps) rides the
-  archive format compatibly: version-3 archives round-trip it,
-  version-2 archives still load cold, and ``merge`` only disturbs the
-  receiver's recency order when the incoming duplicate is strictly
-  fresher.
+  archive: version-3 archives round-trip it, an archive of any other
+  version is refused, and ``merge`` only disturbs the receiver's
+  recency order when the incoming duplicate is strictly fresher.
 * Hot-entry replication is a sticky, admission-checked plan: at most
   one shard's worth of the hottest keys per pass, a replica never
   evicts a key of a family at least as hot, and an unchanged hot set
@@ -288,13 +287,9 @@ class TestCacheMetadata:
         restored = AutotuneCache.load(path)
         assert restored.snapshot() == cache.snapshot()
 
-    def test_v2_archive_loads_with_cold_metadata(self, tmp_path):
+    def test_v2_archive_is_refused(self, tmp_path):
         cache = AutotuneCache()
-        a, b = _accel(31), _accel(32)
-        a.run(cache=cache)
-        b.run(cache=cache)
-        cache.clock = 4.0
-        cache.lookup(a.fingerprint(), a.config)
+        _accel(31).run(cache=cache)
         path = cache.save(tmp_path / "cache")
         # Rewrite the archive as a pre-metadata version-2 index.
         with np.load(path) as archive:
@@ -307,16 +302,9 @@ class TestCacheMetadata:
             json.dumps(index).encode(), dtype=np.uint8
         )
         np.savez_compressed(path, **arrays)
-        restored = AutotuneCache.load(path)
-        # Same entries in the same LRU order (lookup promoted a)...
-        assert [info.key for info in restored.snapshot()] == [
-            info.key for info in cache.snapshot()
-        ]
-        # ...with metadata defaulting to cold.
-        assert all(
-            info.hits == 0 and info.last_used == 0.0
-            for info in restored.snapshot()
-        )
+        with pytest.raises(ConfigError,
+                           match="unsupported cache archive version 2"):
+            AutotuneCache.load(path)
 
     def test_merge_duplicate_not_fresher_keeps_recency(self):
         left = AutotuneCache()
@@ -444,7 +432,7 @@ class TestAffinityRouting:
 
     def test_affinity_changes_no_modeled_number(self):
         requests = streaming_traffic(
-            16, arrival_rate=2000.0, slo_ms=50.0, n_graphs=3, n_nodes=256,
+            16, arrival_rate=2000.0, slo_ms=50.0, family_size=3, n_nodes=256,
             seed=3, configs=(CFG,), graph_kwargs=TINY,
         )
         blind = serve_requests(
@@ -465,7 +453,7 @@ class TestAffinityRouting:
 
     def test_views_rebuild_placement_stats_from_event_stream(self):
         requests = streaming_traffic(
-            16, arrival_rate=2000.0, slo_ms=50.0, n_graphs=3, n_nodes=256,
+            16, arrival_rate=2000.0, slo_ms=50.0, family_size=3, n_nodes=256,
             seed=3, configs=(CFG,), graph_kwargs=TINY,
         )
         tracer = RecordingTracer()
@@ -614,12 +602,12 @@ class TestReplicaAdmission:
 def _trace(kind, seed):
     if kind == "batch":
         return synthetic_traffic(
-            8, n_graphs=2, n_nodes=128, seed=seed, configs=(CFG,),
+            8, family_size=2, n_nodes=128, seed=seed, configs=(CFG,),
             graph_kwargs=TINY,
         ), {}
     if kind == "streaming":
         return streaming_traffic(
-            8, arrival_rate=800.0, slo_ms=20.0, n_graphs=2, n_nodes=128,
+            8, arrival_rate=800.0, slo_ms=20.0, family_size=2, n_nodes=128,
             seed=seed, configs=(CFG,), graph_kwargs=TINY,
         ), {"max_batch": 4}
     return mixed_traffic(

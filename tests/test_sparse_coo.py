@@ -73,12 +73,6 @@ class TestViews:
     def test_density_empty_shape(self):
         assert CooMatrix.empty((0, 0)).density == 0.0
 
-    def test_transpose(self, small_dense, small_coo):
-        assert np.array_equal(small_coo.transpose().to_dense(), small_dense.T)
-
-    def test_transpose_twice_identity(self, small_coo):
-        assert small_coo.transpose().transpose() == small_coo
-
     def test_scaled(self, small_coo, small_dense):
         assert np.allclose(small_coo.scaled(2.5).to_dense(), small_dense * 2.5)
 

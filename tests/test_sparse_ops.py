@@ -10,11 +10,8 @@ from repro.sparse import (
     CooMatrix,
     coo_to_csc,
     coo_to_csr,
-    spgemm_csr,
     spmm_csc_dense,
     spmm_csr_dense,
-    spmv_csr,
-    transpose_csr,
 )
 from repro.sparse.ops import _FLAT_KERNEL_THRESHOLD
 
@@ -77,20 +74,6 @@ class TestSpmm:
         assert np.allclose(spmm_csc_dense(csc, b), [[210.0], [0.0]])
 
 
-class TestSpmv:
-    def test_matches_numpy(self, operands):
-        dense, _ = operands
-        csr = coo_to_csr(CooMatrix.from_dense(dense))
-        x = np.arange(17, dtype=float)
-        assert np.allclose(spmv_csr(csr, x), dense @ x)
-
-    def test_length_mismatch_raises(self, operands):
-        dense, _ = operands
-        csr = coo_to_csr(CooMatrix.from_dense(dense))
-        with pytest.raises(ShapeError):
-            spmv_csr(csr, np.ones(3))
-
-
 class TestFlatKernelBoundary:
     """The two spmm_csc_dense kernels agree across the dispatch boundary.
 
@@ -133,79 +116,3 @@ class TestFlatKernelBoundary:
         monkeypatch.setattr(ops, "_FLAT_KERNEL_THRESHOLD", 10**12)
         assert np.allclose(ops.spmm_csc_dense(csc, b), expected)
 
-
-class TestSpgemm:
-    def test_matches_numpy(self, rng):
-        a = rng.normal(size=(9, 7))
-        a[rng.random(a.shape) > 0.4] = 0.0
-        b = rng.normal(size=(7, 11))
-        b[rng.random(b.shape) > 0.4] = 0.0
-        a_csr = coo_to_csr(CooMatrix.from_dense(a))
-        b_csr = coo_to_csr(CooMatrix.from_dense(b))
-        out = spgemm_csr(a_csr, b_csr)
-        assert np.allclose(out.to_dense(), a @ b)
-
-    def test_inner_mismatch_raises(self, rng):
-        a = coo_to_csr(CooMatrix.from_dense(np.eye(3)))
-        b = coo_to_csr(CooMatrix.from_dense(np.eye(4)))
-        with pytest.raises(ShapeError):
-            spgemm_csr(a, b)
-
-    @given(
-        st.integers(1, 12),
-        st.integers(1, 12),
-        st.integers(1, 12),
-        st.integers(0, 2**31 - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_random_products_match_dense_oracle(self, m, k, n, seed):
-        # Timing-insensitive correctness: the vectorized expansion-merge
-        # must agree with dense matmul for arbitrary sparsity patterns,
-        # including duplicate accumulation and cancellation.
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(m, k))
-        a[rng.random((m, k)) > 0.35] = 0.0
-        b = rng.normal(size=(k, n))
-        b[rng.random((k, n)) > 0.35] = 0.0
-        out = spgemm_csr(
-            coo_to_csr(CooMatrix.from_dense(a)),
-            coo_to_csr(CooMatrix.from_dense(b)),
-        )
-        assert out.shape == (m, n)
-        assert np.allclose(out.to_dense(), a @ b)
-
-    def test_chunked_path_matches_single_pass(self, rng, monkeypatch):
-        import repro.sparse.ops as ops
-
-        a = rng.normal(size=(31, 23))
-        a[rng.random(a.shape) > 0.4] = 0.0
-        b = rng.normal(size=(23, 19))
-        b[rng.random(b.shape) > 0.4] = 0.0
-        a_csr = coo_to_csr(CooMatrix.from_dense(a))
-        b_csr = coo_to_csr(CooMatrix.from_dense(b))
-        single = spgemm_csr(a_csr, b_csr)
-        monkeypatch.setattr(ops, "_SPGEMM_CHUNK_PRODUCTS", 17)
-        chunked = ops.spgemm_csr(a_csr, b_csr)
-        assert chunked.shape == single.shape
-        assert np.allclose(chunked.to_dense(), single.to_dense())
-        assert np.allclose(chunked.to_dense(), a @ b)
-
-    def test_empty_operands(self):
-        a = coo_to_csr(CooMatrix.empty((3, 4)))
-        b = coo_to_csr(CooMatrix.from_dense(np.ones((4, 2))))
-        assert spgemm_csr(a, b).nnz == 0
-        assert spgemm_csr(a, b).shape == (3, 2)
-
-    def test_structural_zero_rows_and_columns(self):
-        # A's only non-zeros hit an empty B row -> empty product.
-        a = coo_to_csr(CooMatrix((2, 3), [0, 1], [1, 1], [5.0, 7.0]))
-        b = coo_to_csr(CooMatrix((3, 2), [0, 2], [0, 1], [1.0, 2.0]))
-        out = spgemm_csr(a, b)
-        assert out.nnz == 0
-
-
-class TestTranspose:
-    def test_matches_numpy(self, operands):
-        dense, _ = operands
-        csr = coo_to_csr(CooMatrix.from_dense(dense))
-        assert np.array_equal(transpose_csr(csr).to_dense(), dense.T)

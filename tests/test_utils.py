@@ -88,8 +88,6 @@ class TestValidation:
     def test_fraction_exclusive_bounds(self):
         with pytest.raises(ConfigError):
             check_fraction(0.0, "x", inclusive_low=False)
-        with pytest.raises(ConfigError):
-            check_fraction(1.0, "x", inclusive_high=False)
 
     @pytest.mark.parametrize("bad", ["0.5", True, None, 0.5j])
     def test_fraction_takes_only_numbers(self, bad):

@@ -55,7 +55,7 @@ def design_config(design, *, dataset_name="", base=None):
     return base.with_updates(hop=large_hop, remote_switching=True)
 
 
-def run_design_suite(dataset, *, base=None, designs=None, x2_row_nnz=None):
+def run_design_suite(dataset, *, base=None, designs=None):
     """Run several designs on one dataset; returns {design: report}.
 
     This is the workhorse behind the Fig. 14 and Fig. 15 benches.
@@ -65,6 +65,6 @@ def run_design_suite(dataset, *, base=None, designs=None, x2_row_nnz=None):
     reports = {}
     for design in designs:
         config = design_config(design, dataset_name=dataset.name, base=base)
-        accelerator = GcnAccelerator(dataset, config, x2_row_nnz=x2_row_nnz)
+        accelerator = GcnAccelerator(dataset, config)
         reports[design] = accelerator.run()
     return reports

@@ -49,11 +49,6 @@ class LayerTiming:
     (equals the stage-cycle sum when pipelining is disabled)."""
 
     @property
-    def xw(self):
-        """The layer's ``X @ W`` stage."""
-        return self.stages[0]
-
-    @property
     def serial_cycles(self):
         """Layer cycles without inter-SPMM pipelining."""
         return sum(stage.total_cycles for stage in self.stages)
@@ -186,11 +181,6 @@ class AcceleratorReport:
         """Inference latency in milliseconds at the configured clock."""
         return self.config.cycles_to_ms(self.total_cycles)
 
-    @property
-    def ideal_cycles(self):
-        """Perfect-balance cycles, assuming pipelining hides nothing extra."""
-        return sum(r.ideal_total_cycles for r in self.spmm_results)
-
     def per_layer_cycles(self):
         """Pipelined cycles per layer (the Fig. 14 A-E bar segments)."""
         return [layer.pipelined_cycles for layer in self.layers]
@@ -215,30 +205,19 @@ class ColdRun:
     events: object = None  # tuple | None
 
 
-def build_spmm_jobs(dataset, *, x2_row_nnz=None, a_hops=1):
-    """Construct the SPMM jobs of a 2-layer GCN from a dataset.
+def build_spmm_jobs(dataset, *, a_hops=1):
+    """Construct the SPMM jobs of a 2-layer GCN from a
+    :class:`~repro.datasets.GcnDataset`.
 
     Returns one job list per layer: ``[XW, A(XW), A(A(XW)), ...]`` with
-    ``a_hops`` adjacency stages. ``x2_row_nnz`` overrides the dataset's
-    forecast X2 profile with a measured one.
+    ``a_hops`` adjacency stages; the second layer's ``X`` profile is
+    the dataset's forecast ``x2_row_nnz``.
     """
     check_positive_int(a_hops, "a_hops")
-    if hasattr(dataset, "adjacency_row_nnz"):
-        a_row_nnz = dataset.adjacency_row_nnz()
-    else:
-        a_row_nnz = dataset.adjacency.row_nnz()
     _f1, f2, f3 = dataset.feature_dims
-    if x2_row_nnz is None:
-        x2_row_nnz = dataset.x2_row_nnz
-    x2_row_nnz = np.asarray(x2_row_nnz, dtype=np.int64)
-    if x2_row_nnz.size != dataset.n_nodes:
-        raise ConfigError(
-            f"x2_row_nnz must have length {dataset.n_nodes}, "
-            f"got {x2_row_nnz.size}"
-        )
     return jobs_for_layers(
-        a_row_nnz,
-        [("L1", dataset.x1_row_nnz, f2), ("L2", x2_row_nnz, f3)],
+        dataset.adjacency_row_nnz(),
+        [("L1", dataset.x1_row_nnz, f2), ("L2", dataset.x2_row_nnz, f3)],
         a_hops=a_hops,
     )
 
@@ -311,19 +290,16 @@ def slice_jobs(layers, rows, *, suffix=""):
 class GcnAccelerator:
     """The accelerator model bound to one workload and configuration."""
 
-    def __init__(self, dataset, config, *, x2_row_nnz=None, a_hops=1):
+    def __init__(self, dataset, config, *, a_hops=1):
         check_instance(config, ArchConfig, "config")
         self.dataset = dataset
         self.config = config
-        self.jobs = build_spmm_jobs(
-            dataset, x2_row_nnz=x2_row_nnz, a_hops=a_hops
-        )
+        self.jobs = build_spmm_jobs(dataset, a_hops=a_hops)
         self._name = getattr(dataset, "name", "custom")
         self._fingerprint = None
         # The dataset fingerprint is memoized on the dataset object, so
-        # deriving from it makes repeat requests near-free; an explicit
-        # x2 override changes the workload and forces the slow job hash.
-        self._dataset_key = (dataset, a_hops) if x2_row_nnz is None else None
+        # deriving from it makes repeat requests near-free.
+        self._dataset_key = (dataset, a_hops)
         self._replays = {}
         self._cold = None
 

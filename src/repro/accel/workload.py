@@ -64,16 +64,16 @@ class RowAssignment:
         """Total tasks per round (sum of all row nnz)."""
         return int(self.row_nnz.sum())
 
-    def swap_rows(self, hot, cold, n_rows_each, *, work_target=None):
+    def swap_rows(self, hot, cold, n_rows_each, *, work_target):
         """Exchange rows between a hotspot and coldspot PE.
 
         Moves up to ``n_rows_each`` of the hot PE's heaviest rows to the
         cold PE — the Shuffling-Lookup-Table step of remote switching —
-        and the same number of the cold PE's lightest rows back. When
-        ``work_target`` is given, row selection stops once the moved
-        non-zero count reaches it (greedily skipping rows that would
-        overshoot), so a single switch equalizes the pair instead of
-        inverting it. Returns the number of row pairs exchanged.
+        and the same number of the cold PE's lightest rows back. Row
+        selection stops once the moved non-zero count reaches
+        ``work_target`` (greedily skipping rows that would overshoot),
+        so a single switch equalizes the pair instead of inverting it.
+        Returns the number of row pairs exchanged.
         """
         if hot == cold or n_rows_each <= 0:
             return 0
@@ -86,24 +86,21 @@ class RowAssignment:
         hot_weights = self.row_nnz[hot_rows]
         # Heaviest first; equal weights in descending row order.
         heaviest = np.argsort(hot_weights, kind="stable")[::-1]
-        if work_target is None:
-            chosen = heaviest[:budget]
-        else:
-            picked = []
-            moved_work = 0.0
-            for position, weight in enumerate(hot_weights[heaviest].tolist()):
-                if len(picked) >= budget:
-                    break
-                if moved_work + weight > work_target:
-                    continue  # try a lighter row instead
-                picked.append(position)
-                moved_work += weight
-                if moved_work >= work_target:
-                    break
-            # Every row overshoots on its own: move the lightest one
-            # (minimal overshoot beats moving nothing — the Eq. 5
-            # feedback shrinks the next step if this was too much).
-            chosen = heaviest[picked] if picked else heaviest[-1:]
+        picked = []
+        moved_work = 0.0
+        for position, weight in enumerate(hot_weights[heaviest].tolist()):
+            if len(picked) >= budget:
+                break
+            if moved_work + weight > work_target:
+                continue  # try a lighter row instead
+            picked.append(position)
+            moved_work += weight
+            if moved_work >= work_target:
+                break
+        # Every row overshoots on its own: move the lightest one
+        # (minimal overshoot beats moving nothing — the Eq. 5
+        # feedback shrinks the next step if this was too much).
+        chosen = heaviest[picked] if picked else heaviest[-1:]
         count = chosen.size
         cold_weights = self.row_nnz[cold_rows]
         lightest = np.argsort(cold_weights, kind="stable")[:count]

@@ -57,8 +57,7 @@ def compare_cache_affinity(*, n_requests=96,
                            n_workers=4, family_size=12, repeat_alpha=1.2,
                            n_nodes=4096, n_pes=96, max_batch=4,
                            slo_ms=50.0, worker_cache_entries=None,
-                           replicate_threshold=3.0, seed=7,
-                           graph_kwargs=None):
+                           replicate_threshold=3.0, seed=7):
     """Run the cache-affinity routing sweep; returns ``(rows, text)``.
 
     One Zipf repeat-heavy streaming trace per arrival rate in ``rates``
@@ -77,8 +76,6 @@ def compare_cache_affinity(*, n_requests=96,
     if any(rate <= 0 for rate in rates):
         raise ConfigError(f"rates must be > 0, got {rates}")
     configs = (default_serving_config(n_pes),)
-    if graph_kwargs is None:
-        graph_kwargs = dict(DEFAULT_GRAPH_KWARGS)
 
     modes = (
         ("blind", {"cache_mode": "partitioned"}),
@@ -91,7 +88,7 @@ def compare_cache_affinity(*, n_requests=96,
             n_requests, arrival_rate=rate, slo_ms=slo_ms,
             n_nodes=n_nodes, seed=seed, configs=configs,
             repeat_alpha=repeat_alpha, family_size=family_size,
-            graph_kwargs=graph_kwargs,
+            graph_kwargs=DEFAULT_GRAPH_KWARGS,
         )
         # Materialize the family pool up front so dataset construction
         # cost never pollutes the wall-clock comparison.

@@ -14,13 +14,13 @@ from repro.datasets.specs import dataset_names
 from repro.model.gcn import build_model
 
 
-def table1_profile(*, preset="scaled", seed=7, datasets=None,
-                   measure_x2=True):
+def table1_profile(*, preset="scaled", seed=7, datasets=None):
     """Build the Table 1 rows; returns ``(rows, rendered_text)``.
 
     Each row is a dict with the dataset name, densities (fractions) and
-    dimensions. ``measure_x2`` runs the reference model to measure the
-    layer-2 input density instead of trusting the spec forecast.
+    dimensions. The layer-2 input density is measured by running the
+    reference model when the dataset's features are materialized, and
+    is the spec forecast otherwise.
     """
     if datasets is None:
         datasets = dataset_names()
@@ -29,7 +29,7 @@ def table1_profile(*, preset="scaled", seed=7, datasets=None,
         ds = load_dataset(name, preset, seed=seed)
         f1, f2, f3 = ds.feature_dims
         x1_density = float(ds.x1_row_nnz.sum()) / (ds.n_nodes * f1)
-        if measure_x2 and ds.has_numeric_features:
+        if ds.has_numeric_features:
             trace = build_model(ds).forward(ds.features)
             x2_density = trace.layer_results[0].output_density
         else:

@@ -70,8 +70,7 @@ def _hetero_chips(n_chips, pes_per_chip):
 def _sweep_cell(dataset, chip, n_chips, strategy, rebalance,
                 link_words_per_cycle, blocks_per_chip, *,
                 topology="all-to-all", hop_latency_cycles=0,
-                overlap=False, rebalance_signal="load", chips=None,
-                row_ceilings=None, stragglers=None):
+                overlap=False, rebalance_signal="load", chips=None):
     """One (graph, cluster, regime) cell of the sweep."""
     cluster = ClusterConfig(
         n_chips=n_chips,
@@ -85,31 +84,8 @@ def _sweep_cell(dataset, chip, n_chips, strategy, rebalance,
         topology=topology,
         hop_latency_cycles=hop_latency_cycles,
         overlap=overlap,
-        row_ceilings=row_ceilings,
-        stragglers=stragglers,
     )
     return simulate_multichip_gcn(dataset, cluster)
-
-
-def _cell_ceilings(row_ceiling, n_chips, n_nodes):
-    """A uniform per-chip ceiling tuple when the cell can honor it.
-
-    A sweep spans chip counts; at small counts a per-chip ceiling may
-    not cover the graph at all (``ceiling * chips < nodes``) — those
-    cells run unconstrained rather than failing the whole sweep, which
-    keeps the 1-chip baselines meaningful.
-    """
-    if row_ceiling is None or row_ceiling * n_chips < n_nodes:
-        return None
-    return (int(row_ceiling),) * n_chips
-
-
-def _cell_stragglers(stragglers, n_chips):
-    """Straggler events whose chip exists at this cell's chip count."""
-    if not stragglers:
-        return None
-    kept = tuple(ev for ev in stragglers if ev.chip < n_chips)
-    return kept or None
 
 
 def compare_shard_scaling(*, chip_counts=(1, 2, 4, 8), n_nodes=8192,
@@ -117,8 +93,7 @@ def compare_shard_scaling(*, chip_counts=(1, 2, 4, 8), n_nodes=8192,
                           pes_per_chip=128, link_words_per_cycle=16.0,
                           blocks_per_chip=8, f1=64, f2=32, f3=8, seed=7,
                           topology="all-to-all", hop_latency_cycles=0,
-                          overlap=False, hetero=False, feedback=False,
-                          row_ceiling=None, stragglers=None):
+                          overlap=False, hetero=False, feedback=False):
     """Run the weak+strong scaling sweep; returns ``(rows, text)``.
 
     Strong scaling shards the fixed ``n_nodes`` graph across each chip
@@ -136,16 +111,9 @@ def compare_shard_scaling(*, chip_counts=(1, 2, 4, 8), n_nodes=8192,
     half ``pes_per_chip``; the single-chip baseline stays one full
     chip), and ``feedback`` switches the ``rows+rebal`` regime to
     cycle-feedback rebalancing (measured per-chip cycles as the
-    migration signal).
-
-    ``row_ceiling`` is a uniform hard per-chip row budget: cells whose
-    chip count can cover the graph under it
-    (``ceiling * chips >= nodes``) partition and rebalance under hard
-    ceilings; smaller cells run unconstrained (see
-    :func:`_cell_ceilings`). ``stragglers`` is a sequence of
-    ``(chip, onset_round, factor)`` slowdown events (or
-    :class:`~repro.cluster.StragglerEvent`); events naming a chip a
-    cell does not have are dropped for that cell.
+    migration signal). Every cell runs without row ceilings or
+    stragglers: :mod:`repro.analysis.straggler` sweeps stragglers, and
+    a service sets row ceilings on the sharded jobs it places.
     """
     chip_counts = tuple(int(c) for c in chip_counts)
     if not chip_counts or min(chip_counts) < 1:
@@ -164,10 +132,6 @@ def compare_shard_scaling(*, chip_counts=(1, 2, 4, 8), n_nodes=8192,
             overlap=overlap,
             rebalance_signal="cycles" if feedback and rebalance else "load",
             chips=_hetero_chips(n_chips, pes_per_chip) if hetero else None,
-            row_ceilings=_cell_ceilings(
-                row_ceiling, n_chips, dataset.n_nodes
-            ),
-            stragglers=_cell_stragglers(stragglers, n_chips),
         )
 
     rows = []
@@ -219,10 +183,6 @@ def compare_shard_scaling(*, chip_counts=(1, 2, 4, 8), n_nodes=8192,
         flavor.append("overlap")
     if feedback:
         flavor.append("cycle feedback")
-    if row_ceiling is not None:
-        flavor.append(f"row ceiling {int(row_ceiling)}")
-    if stragglers:
-        flavor.append(f"{len(tuple(stragglers))} straggler(s)")
     table = ascii_table(
         ["mode", "regime", "chips", "nodes", "cycles", "speedup",
          "efficiency", "comm frac", "imbalance", "migrated", "util"],

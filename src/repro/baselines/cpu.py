@@ -29,17 +29,13 @@ CPU_OVERHEAD_MS = 1.0
 
 
 class CpuModel:
-    """Analytic CPU latency from the ``A (X W)`` operation counts."""
-
-    def __init__(self, *, effective_gflops=CPU_EFFECTIVE_GFLOPS,
-                 overhead_ms=CPU_OVERHEAD_MS):
-        self.effective_gflops = float(effective_gflops)
-        self.overhead_ms = float(overhead_ms)
+    """Analytic CPU latency from the ``A (X W)`` operation counts, at
+    the calibrated ``CPU_EFFECTIVE_GFLOPS`` plus ``CPU_OVERHEAD_MS``."""
 
     def latency_ms(self, total_ops):
         """Latency for an inference needing ``total_ops`` multiplications."""
-        compute_ms = total_ops / (self.effective_gflops * 1e9) * 1e3
-        return compute_ms + self.overhead_ms
+        compute_ms = total_ops / (CPU_EFFECTIVE_GFLOPS * 1e9) * 1e3
+        return compute_ms + CPU_OVERHEAD_MS
 
     def evaluate(self, dataset_name, total_ops):
         """Build a :class:`PlatformResult` for one dataset."""

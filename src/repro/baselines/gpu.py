@@ -30,25 +30,17 @@ GPU_OVERHEAD_MS = 1.5
 
 
 class GpuModel:
-    """Analytic P100 latency from operation counts."""
-
-    def __init__(self, *, small_gflops=GPU_SMALL_GFLOPS,
-                 large_gflops=GPU_LARGE_GFLOPS,
-                 threshold_ops=GPU_LARGE_THRESHOLD_OPS,
-                 overhead_ms=GPU_OVERHEAD_MS):
-        self.small_gflops = float(small_gflops)
-        self.large_gflops = float(large_gflops)
-        self.threshold_ops = float(threshold_ops)
-        self.overhead_ms = float(overhead_ms)
+    """Analytic P100 latency from operation counts, at the calibrated
+    module constants above."""
 
     def latency_ms(self, total_ops):
         """Latency for an inference needing ``total_ops`` multiplications."""
         gflops = (
-            self.small_gflops
-            if total_ops < self.threshold_ops
-            else self.large_gflops
+            GPU_SMALL_GFLOPS
+            if total_ops < GPU_LARGE_THRESHOLD_OPS
+            else GPU_LARGE_GFLOPS
         )
-        return total_ops / (gflops * 1e9) * 1e3 + self.overhead_ms
+        return total_ops / (gflops * 1e9) * 1e3 + GPU_OVERHEAD_MS
 
     def evaluate(self, dataset_name, total_ops):
         """Build a :class:`PlatformResult` for one dataset."""

@@ -204,22 +204,30 @@ def check_row_ceilings(row_ceilings, n_chips, n_rows=None):
 
     Ceilings are absolute row counts (not relative shares): chip ``c``
     may never own more than ``row_ceilings[c]`` rows, neither in the
-    initial plan nor after any migration. When ``n_rows`` is given the
-    aggregate feasibility check runs here: ceilings summing to fewer
-    rows than the graph has raise :class:`CeilingError` immediately.
+    initial plan nor after any migration. Every entry must be a
+    positive int (a float, bool, NaN or string is refused, not cast).
+    When ``n_rows`` is given the aggregate feasibility check runs here:
+    ceilings summing to fewer rows than the graph has raise
+    :class:`CeilingError` immediately.
     """
     if row_ceilings is None:
         return None
-    ceilings = np.asarray(row_ceilings, dtype=np.int64)
-    if ceilings.shape != (n_chips,):
+    try:
+        entries = tuple(row_ceilings)
+    except TypeError:
+        raise ConfigError(
+            f"row_ceilings must be a sequence, got "
+            f"{type(row_ceilings).__name__}"
+        ) from None
+    if len(entries) != n_chips:
         raise ConfigError(
             f"row_ceilings must have one entry per chip ({n_chips}), "
-            f"got shape {ceilings.shape}"
+            f"got {len(entries)}"
         )
-    if np.any(ceilings <= 0):
-        raise ConfigError(
-            f"row_ceilings must be > 0, got {ceilings}"
-        )
+    ceilings = np.array([
+        check_positive_int(ceiling, f"row_ceilings[{chip}]")
+        for chip, ceiling in enumerate(entries)
+    ], dtype=np.int64)
     if n_rows is not None and int(ceilings.sum()) < n_rows:
         raise CeilingError(
             f"row_ceilings sum to {int(ceilings.sum())} rows but the "

@@ -122,11 +122,6 @@ class Topology:
         """Link count of the ``src -> dst`` route (0 for ``src == dst``)."""
         return len(self.routes[dst][src])
 
-    @property
-    def aggregate_bandwidth(self):
-        """Total fabric bandwidth: links x per-link words/cycle."""
-        return self.n_links * self.link_words_per_cycle
-
     def link_loads(self, words):
         """Per-link word totals of a traffic matrix (the contention term).
 

@@ -2,7 +2,7 @@
 
 Building the Reddit-scale adjacency takes seconds; benchmarks and tests
 ask for the same dataset many times, so :func:`load_dataset` memoizes on
-``(name, preset, seed, materialize)`` for the life of the process.
+``(name, preset, seed)`` for the life of the process.
 
 :func:`dataset_fingerprint` hashes exactly the dataset properties the
 cycle models consume, giving the serving layer a content-addressed key:
@@ -23,23 +23,23 @@ from repro.errors import DatasetError
 _CACHE = {}
 
 
-def load_dataset(name, preset="scaled", *, seed=7, materialize=None):
+def load_dataset(name, preset="scaled", *, seed=7):
     """Return a cached :class:`~repro.datasets.synthetic.GcnDataset`.
 
     ``name`` must be one of the five paper datasets; ``preset`` is
     ``full``, ``scaled`` or ``tiny``. All randomness derives from
-    ``seed``, so repeated calls are bit-identical.
+    ``seed``, so repeated calls are bit-identical. Features are
+    materialized as :func:`~repro.datasets.synthetic.build_dataset`
+    decides: everywhere but full-size Reddit.
     """
     spec = get_spec(name)  # raises DatasetError for unknown names
     if preset not in ("full", "scaled", "tiny"):
         raise DatasetError(
             f"unknown preset {preset!r}; expected full/scaled/tiny"
         )
-    key = (spec.name, preset, int(seed), materialize)
+    key = (spec.name, preset, int(seed))
     if key not in _CACHE:
-        _CACHE[key] = build_dataset(
-            spec.name, preset, seed=seed, materialize=materialize
-        )
+        _CACHE[key] = build_dataset(spec.name, preset, seed=seed)
     return _CACHE[key]
 
 
@@ -62,12 +62,8 @@ def dataset_fingerprint(dataset):
     digest = hashlib.blake2b(digest_size=16)
     digest.update(np.int64(dataset.n_nodes).tobytes())
     digest.update(np.array([f1, f2, f3], dtype=np.int64).tobytes())
-    if hasattr(dataset, "adjacency_row_nnz"):
-        a_row_nnz = dataset.adjacency_row_nnz()
-    else:
-        a_row_nnz = dataset.adjacency.row_nnz()
     for arr in (
-        a_row_nnz,
+        dataset.adjacency_row_nnz(),
         np.asarray(dataset.x1_row_nnz, dtype=np.int64),
         np.asarray(dataset.x2_row_nnz, dtype=np.int64),
     ):

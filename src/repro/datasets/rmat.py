@@ -49,8 +49,11 @@ def check_abcd(abcd):
     return probs
 
 
-def rmat_edges(n_nodes, n_edges, *, abcd=(0.45, 0.22, 0.22, 0.11), rng=None,
-               dedupe=True, max_attempts=8):
+# Oversampling rounds after which rmat_edges returns what it has.
+_MAX_ATTEMPTS = 8
+
+
+def rmat_edges(n_nodes, n_edges, *, abcd=(0.45, 0.22, 0.22, 0.11), rng=None):
     """Generate ``n_edges`` unique directed edges on ``n_nodes`` nodes.
 
     Parameters
@@ -61,18 +64,16 @@ def rmat_edges(n_nodes, n_edges, *, abcd=(0.45, 0.22, 0.22, 0.11), rng=None,
     n_edges:
         Number of *unique* (src, dst) pairs requested. With very dense
         requests deduplication may converge slowly; after
-        ``max_attempts`` oversampling rounds the function returns what it
-        has (callers treat ``n_edges`` as a target, not a contract).
+        ``_MAX_ATTEMPTS`` (8) oversampling rounds the function returns
+        what it has (callers treat ``n_edges`` as a target, not a
+        contract).
     abcd:
         RMAT quadrant probabilities, as :func:`check_abcd` accepts them.
-    dedupe:
-        When False, duplicates are kept (useful for multigraph-style
-        weighting).
 
     Returns
     -------
     (src, dst):
-        Two int64 arrays of equal length.
+        Two int64 arrays of equal length, sorted by ``(src, dst)``.
     """
     n_nodes = check_positive_int(n_nodes, "n_nodes")
     if n_edges < 0:
@@ -84,41 +85,22 @@ def rmat_edges(n_nodes, n_edges, *, abcd=(0.45, 0.22, 0.22, 0.11), rng=None,
         return empty, empty
 
     levels = max(int(np.ceil(np.log2(n_nodes))), 1)
-    src_parts = []
-    dst_parts = []
-    seen = None
+    seen = np.zeros(0, dtype=np.int64)
     need = n_edges
-    for _attempt in range(max_attempts):
+    for _attempt in range(_MAX_ATTEMPTS):
         batch = int(need * 1.35) + 16
         src, dst = _rmat_batch(batch, levels, (a, b, c, d), rng)
         in_range = (src < n_nodes) & (dst < n_nodes)
-        src, dst = src[in_range], dst[in_range]
-        if not dedupe:
-            src_parts.append(src[:need])
-            dst_parts.append(dst[:need])
-            need -= min(need, src.size)
-        else:
-            keys = src * n_nodes + dst
-            keys = np.unique(keys)
-            if seen is None:
-                seen = keys
-            else:
-                seen = np.union1d(seen, keys)
-            need = n_edges - seen.size
+        seen = np.union1d(seen, src[in_range] * n_nodes + dst[in_range])
+        need = n_edges - seen.size
         if need <= 0:
             break
-    if dedupe:
-        if seen is None:
-            seen = np.zeros(0, dtype=np.int64)
-        if seen.size > n_edges:
-            # Drop a random subset to hit the target exactly; keep the
-            # selection deterministic under the provided rng.
-            keep = rng.choice(seen.size, size=n_edges, replace=False)
-            seen = seen[np.sort(keep)]
-        return seen // n_nodes, seen % n_nodes
-    src = np.concatenate(src_parts) if src_parts else np.zeros(0, dtype=np.int64)
-    dst = np.concatenate(dst_parts) if dst_parts else np.zeros(0, dtype=np.int64)
-    return src, dst
+    if seen.size > n_edges:
+        # Drop a random subset to hit the target exactly; keep the
+        # selection deterministic under the provided rng.
+        keep = rng.choice(seen.size, size=n_edges, replace=False)
+        seen = seen[np.sort(keep)]
+    return seen // n_nodes, seen % n_nodes
 
 
 def _rmat_batch(count, levels, abcd, rng):

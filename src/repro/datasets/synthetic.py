@@ -20,7 +20,6 @@ from repro.datasets.features import (
 from repro.datasets.normalize import gcn_normalize
 from repro.datasets.rmat import inject_hub_cluster, rmat_edges
 from repro.datasets.specs import get_spec
-from repro.errors import DatasetError
 from repro.sparse.coo import CooMatrix
 from repro.utils.rng import spawn_rngs
 
@@ -104,15 +103,12 @@ class GcnDataset:
         )
 
 
-def build_dataset(name, preset="scaled", *, seed=7, materialize=None):
+def build_dataset(name, preset="scaled", *, seed=7):
     """Build a :class:`GcnDataset` for ``name`` at ``preset`` size.
 
-    Parameters
-    ----------
-    materialize:
-        Force (True) or forbid (False) numeric feature materialization;
-        by default features are materialized whenever the X1 non-zero
-        count stays under ``5M`` (all presets except full Reddit).
+    Numeric features are materialized whenever the X1 non-zero count
+    stays under ``5M`` (all presets except full Reddit); above that the
+    dataset is pattern-only, its X1 a sampled row-nnz profile.
     """
     spec = get_spec(name)
     sizes = spec.preset(preset)
@@ -120,14 +116,7 @@ def build_dataset(name, preset="scaled", *, seed=7, materialize=None):
 
     adjacency = _build_adjacency(spec, sizes, rng_graph)
     x1_nnz_target = sizes.x1_density * sizes.nodes * sizes.f1
-    if materialize is None:
-        materialize = x1_nnz_target <= _MATERIALIZE_NNZ_LIMIT
-    if materialize and x1_nnz_target > 20 * _MATERIALIZE_NNZ_LIMIT:
-        raise DatasetError(
-            f"refusing to materialize ~{x1_nnz_target:.0f} feature values; "
-            "use materialize=False (pattern-only)"
-        )
-    if materialize:
+    if x1_nnz_target <= _MATERIALIZE_NNZ_LIMIT:
         features = sparse_feature_matrix(
             sizes.nodes, sizes.f1, sizes.x1_density, rng=rng_feat
         )

@@ -46,8 +46,7 @@ def choose_target(owner, hop, pes):
 class Tdq1Dispatcher:
     """Streams a dense-stored sparse matrix directly into PE queues."""
 
-    def __init__(self, a_dense, owner_of_row, pes, *, hop=0,
-                 scan_bandwidth=None):
+    def __init__(self, a_dense, owner_of_row, pes, *, hop=0):
         a_dense = np.asarray(a_dense, dtype=np.float64)
         if a_dense.ndim != 2:
             raise ConfigError("a_dense must be 2-D")
@@ -55,13 +54,12 @@ class Tdq1Dispatcher:
         self.owner_of_row = np.asarray(owner_of_row, dtype=np.int64)
         self.pes = pes
         self.hop = hop
-        if scan_bandwidth is None:
-            # n_pes / (1 - sparsity), the paper's matched scan rate.
-            density = (
-                np.count_nonzero(a_dense) / a_dense.size if a_dense.size else 1.0
-            )
-            scan_bandwidth = max(int(len(pes) / max(density, 1e-9)), len(pes))
-        self.scan_bandwidth = scan_bandwidth
+        # n_pes / (1 - sparsity), the paper's matched scan rate.
+        density = (
+            np.count_nonzero(a_dense) / a_dense.size if a_dense.size else 1.0
+        )
+        self.scan_bandwidth = max(int(len(pes) / max(density, 1e-9)),
+                                  len(pes))
         self._b_val = None
         self._flat_index = 0
         self._n_cells = a_dense.shape[0] * a_dense.shape[1]
@@ -83,8 +81,8 @@ class Tdq1Dispatcher:
     def step(self):
         """Scan up to ``scan_bandwidth`` cells, queueing the non-zeros.
 
-        Returns the number of tasks enqueued. A full target queue stops
-        the scan early (back-pressure).
+        Returns the number of tasks enqueued. The PE queues are
+        unbounded, so every scanned non-zero is queued.
         """
         if self._b_val is None:
             raise ConfigError("start_column() must be called first")
@@ -105,8 +103,7 @@ class Tdq1Dispatcher:
                     b_val=float(self._b_val[col]),
                     owner=owner,
                 )
-                if not self.pes[target].queues.push(task):
-                    break  # back-pressure: retry next cycle
+                self.pes[target].queues.push(task)
                 issued += 1
             self._flat_index += 1
             scanned += 1
@@ -116,14 +113,14 @@ class Tdq1Dispatcher:
 class Tdq2Dispatcher:
     """Streams a CSC matrix through the Omega network to row owners."""
 
-    def __init__(self, a_csc, owner_of_row, pes, network, *, hop=0,
-                 inject_bandwidth=None):
+    def __init__(self, a_csc, owner_of_row, pes, network, *, hop=0):
         self.a_csc = a_csc
         self.owner_of_row = np.asarray(owner_of_row, dtype=np.int64)
         self.pes = pes
         self.network = network
         self.hop = hop
-        self.inject_bandwidth = inject_bandwidth or len(pes)
+        # One non-zero per PE per cycle.
+        self.inject_bandwidth = len(pes)
         self._cursor = 0
         self._limit = 0
         self._b_val = None

@@ -1,8 +1,8 @@
 """The detailed SPMM engine: full cycle loop over dispatcher, network, PEs.
 
 ``simulate_spmm_detailed`` runs ``A @ B`` column by column (paper
-Fig. 5), measuring true cycle counts including Omega-network contention,
-queue back-pressure and RaW stalls, and returns the numeric result so
+Fig. 5), measuring true cycle counts, Omega-network contention and
+back-pressure and RaW stalls included, and returns the numeric result so
 tests can check it against numpy. Complexity is O(cycles x PEs) pure
 Python — use it for small matrices; :mod:`repro.accel` covers the large
 ones.
@@ -51,8 +51,9 @@ class DetailedStats:
 
 def simulate_spmm_detailed(a_matrix, b_dense, *, n_pes=8, hop=0,
                            mac_latency=5, queues_per_pe=4, tdq="tdq2",
-                           owner_of_row=None, buffer_depth=4):
-    """Cycle-accurate simulation of ``A @ B`` on the SPMM engine.
+                           buffer_depth=4):
+    """Cycle-accurate simulation of ``A @ B`` on the SPMM engine, rows
+    mapped to PEs by the contiguous equal split.
 
     Parameters
     ----------
@@ -64,8 +65,6 @@ def simulate_spmm_detailed(a_matrix, b_dense, *, n_pes=8, hop=0,
         ``"tdq2"`` streams A in CSC through the Omega network (the
         ultra-sparse path); ``"tdq1"`` scans A stored dense (the
         general-sparse path). Results are identical; timing differs.
-    owner_of_row:
-        Optional row->PE map (defaults to the contiguous equal split).
 
     Returns
     -------
@@ -89,14 +88,7 @@ def simulate_spmm_detailed(a_matrix, b_dense, *, n_pes=8, hop=0,
     check_choice(tdq, ("tdq1", "tdq2"), "tdq")
 
     m, k = a_csc.shape[0], b_dense.shape[1]
-    if owner_of_row is None:
-        owner_of_row = initial_assignment(m, n_pes)
-    else:
-        owner_of_row = np.asarray(owner_of_row, dtype=np.int64)
-        if owner_of_row.size != m:
-            raise ConfigError(
-                f"owner_of_row must have length {m}, got {owner_of_row.size}"
-            )
+    owner_of_row = initial_assignment(m, n_pes)
 
     pes = [
         ProcessingElement(

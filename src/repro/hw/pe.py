@@ -18,10 +18,9 @@ from repro.hw.queues import QueueGroup
 class ProcessingElement:
     """One PE with its queues, MAC pipeline and ACC bank."""
 
-    def __init__(self, pe_id, *, n_queues=4, mac_latency=5,
-                 queue_capacity=None):
+    def __init__(self, pe_id, *, n_queues=4, mac_latency=5):
         self.pe_id = pe_id
-        self.queues = QueueGroup(n_queues, queue_capacity)
+        self.queues = QueueGroup(n_queues)
         self.mac_latency = mac_latency
         # In-flight MAC operations: deque of (finish_cycle, task)
         self._pipeline = deque()

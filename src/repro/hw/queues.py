@@ -14,36 +14,24 @@ from repro.errors import ConfigError
 
 
 class TaskQueue:
-    """A FIFO of tasks with optional capacity and high-water tracking."""
+    """An unbounded FIFO of tasks with high-water tracking.
 
-    def __init__(self, capacity=None):
-        if capacity is not None and capacity < 1:
-            raise ConfigError(f"capacity must be >= 1 or None, got {capacity}")
-        self.capacity = capacity
+    The engine never refuses a task: it measures the depth each queue
+    reaches, which the area model sizes the queues by.
+    """
+
+    def __init__(self):
         self._items = deque()
         self.high_water = 0
 
     def __len__(self):
         return len(self._items)
 
-    @property
-    def full(self):
-        """True when a bounded queue cannot accept another task."""
-        return self.capacity is not None and len(self._items) >= self.capacity
-
-    @property
-    def empty(self):
-        """True when no tasks are pending (the PESM 'empty' signal)."""
-        return not self._items
-
     def push(self, task):
-        """Enqueue; returns False (and drops nothing) when full."""
-        if self.full:
-            return False
+        """Enqueue ``task``."""
         self._items.append(task)
         if len(self._items) > self.high_water:
             self.high_water = len(self._items)
-        return True
 
     def peek(self):
         """The head task without removing it (None when empty)."""
@@ -57,10 +45,10 @@ class TaskQueue:
 class QueueGroup:
     """The bundle of queues belonging to one PE."""
 
-    def __init__(self, n_queues, capacity=None):
+    def __init__(self, n_queues):
         if n_queues < 1:
             raise ConfigError(f"n_queues must be >= 1, got {n_queues}")
-        self.queues = [TaskQueue(capacity) for _ in range(n_queues)]
+        self.queues = [TaskQueue() for _ in range(n_queues)]
         self._next_push = 0
 
     def __len__(self):
@@ -77,15 +65,9 @@ class QueueGroup:
         return sum(q.high_water for q in self.queues)
 
     def push(self, task):
-        """Round-robin push across the PE's queues; False if all full."""
-        for offset in range(len(self.queues)):
-            queue = self.queues[(self._next_push + offset) % len(self.queues)]
-            if queue.push(task):
-                self._next_push = (self._next_push + offset + 1) % len(
-                    self.queues
-                )
-                return True
-        return False
+        """Round-robin push across the PE's queues."""
+        self.queues[self._next_push].push(task)
+        self._next_push = (self._next_push + 1) % len(self.queues)
 
     def pop_non_hazard(self, in_flight_rows):
         """Arbiter pop: head task whose row is not in flight.

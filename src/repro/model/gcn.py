@@ -1,9 +1,9 @@
 """Multi-layer GCN reference model.
 
 Chains :class:`~repro.model.layers.GcnLayer` objects over a shared
-normalized adjacency, with ReLU between layers and identity (optionally
-softmax) at the output, matching the 2-layer networks of Kipf & Welling
-that the paper evaluates.
+normalized adjacency, with ReLU between layers and a row softmax over
+the output logits, matching the 2-layer networks of Kipf & Welling that
+the paper evaluates.
 """
 
 from __future__ import annotations
@@ -53,10 +53,11 @@ class GcnModel:
 
     Any number of layers is supported (the paper's intro motivates
     deeper GCNs, up to 152 layers); ``a_hops`` applies the paper's
-    multi-hop aggregation ``A^k (X W)`` in every layer.
+    multi-hop aggregation ``A^k (X W)`` in every layer. The last layer's
+    logits are row-softmaxed into the classification probabilities.
     """
 
-    def __init__(self, adjacency, weights, *, final_softmax=True, a_hops=1):
+    def __init__(self, adjacency, weights, *, a_hops=1):
         if not isinstance(adjacency, CooMatrix):
             raise ShapeError(
                 f"adjacency must be CooMatrix, got {type(adjacency).__name__}"
@@ -78,12 +79,6 @@ class GcnModel:
                     f"layer dims do not chain: {left.out_features} -> "
                     f"{right.in_features}"
                 )
-        self.final_softmax = final_softmax
-
-    @property
-    def n_layers(self):
-        """Number of GCN layers."""
-        return len(self.layers)
 
     def forward(self, features):
         """Run full inference; returns a :class:`ForwardTrace`."""
@@ -94,9 +89,9 @@ class GcnModel:
             results.append(result)
             current = result.output
         logits = results[-1].pre_activation
-        probs = row_softmax(logits) if self.final_softmax else logits
         return ForwardTrace(
-            layer_results=results, logits=logits, probabilities=probs
+            layer_results=results, logits=logits,
+            probabilities=row_softmax(logits),
         )
 
     def forward_ax_w(self, features):
@@ -108,14 +103,13 @@ class GcnModel:
             results.append(result)
             current = result.output
         logits = results[-1].pre_activation
-        probs = row_softmax(logits) if self.final_softmax else logits
         return ForwardTrace(
-            layer_results=results, logits=logits, probabilities=probs
+            layer_results=results, logits=logits,
+            probabilities=row_softmax(logits),
         )
 
 
-def build_model(dataset, *, final_softmax=True):
-    """Construct a :class:`GcnModel` from a :class:`GcnDataset`."""
-    return GcnModel(
-        dataset.adjacency, dataset.weights, final_softmax=final_softmax
-    )
+def build_model(dataset):
+    """Construct a :class:`GcnModel` (softmax output) from a
+    :class:`~repro.datasets.GcnDataset`."""
+    return GcnModel(dataset.adjacency, dataset.weights)

@@ -35,18 +35,6 @@ class OrderingOps:
     ops_a_xw: int
     """A @ (X @ W) multiplications."""
 
-    @property
-    def ratio(self):
-        """How many times more work the (A X) W order performs."""
-        if self.ops_a_xw == 0:
-            return float("inf") if self.ops_ax_w else 1.0
-        return self.ops_ax_w / self.ops_a_xw
-
-    @property
-    def winner(self):
-        """Which order performs fewer multiplications."""
-        return "A(XW)" if self.ops_a_xw <= self.ops_ax_w else "(AX)W"
-
 
 def count_ops_a_xw(a_nnz, x_nnz, f_out):
     """Multiplications for ``A @ (X @ W)`` given non-zero counts."""

@@ -74,7 +74,6 @@ from repro.serve.service import (
     LatencyStats,
     ServeOutcome,
     ServiceStats,
-    percentile,
     serve_requests,
 )
 from repro.serve.traffic import (
@@ -103,7 +102,6 @@ __all__ = [
     "LatencyStats",
     "ServeOutcome",
     "ServiceStats",
-    "percentile",
     "serve_requests",
     "RmatGraphSpec",
     "bursty_arrivals",

@@ -402,17 +402,14 @@ class AutotuneCache:
         return path
 
     @classmethod
-    def load(cls, path, *, max_entries=None):
-        """Rebuild a cache from a :meth:`save` archive.
+    def load(cls, path):
+        """Rebuild an unbounded cache from a :meth:`save` archive.
 
         Entries are restored in archive order, which is the saved
         process's LRU order — recency carries across processes — with
-        their hit counts and last-used stamps. ``max_entries`` applies
-        the LRU bound to the restored cache; archives holding more
-        entries than the bound keep the ``max_entries`` *most recently
-        used* ones. Only the version :meth:`save` writes (3) loads; an
-        archive of any other version raises
-        :class:`~repro.errors.ConfigError`.
+        their hit counts and last-used stamps. Only the version
+        :meth:`save` writes (3) loads; an archive of any other version
+        raises :class:`~repro.errors.ConfigError`.
 
         A file that is not a readable archive — truncated, not an
         ``.npz`` at all, empty, without an ``index``, with an index
@@ -426,7 +423,7 @@ class AutotuneCache:
         naming its slot too: a poisoned entry fails here, not at its
         first hit mid-drain.
         """
-        cache = cls(max_entries=max_entries)
+        cache = cls()
         # np.load leaves a file it opened itself open when the archive
         # is truncated, so the handle is ours to close.
         with open(path, "rb") as handle:
@@ -469,9 +466,9 @@ class AutotuneCache:
                             f"malformed: {exc!r}"
                         ) from exc
                     cache.store(fingerprint, config, entry)
-                    key = cache.key(fingerprint, config)
-                    if key in cache._entries:
-                        cache._meta[key] = [hits, last_used]
+                    cache._meta[cache.key(fingerprint, config)] = [
+                        hits, last_used,
+                    ]
         return cache
 
 

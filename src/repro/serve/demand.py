@@ -8,8 +8,8 @@ exponentially-decayed counter per family — the continuous analogue of
 a sliding-window count, the same idiom LLM serving schedulers use to
 drive prefix-cache replication from observed per-prefix demand. Every
 observation first decays the counter to the observation time with
-half-life ``half_life`` (simulated seconds), then adds the
-observation's weight, so a family's demand is approximately "requests
+half-life ``half_life`` (simulated seconds), then adds one request,
+so a family's demand is approximately "requests
 seen in the last ``half_life`` seconds" and the whole structure is
 deterministic: same observations at the same simulated times, same
 histogram — no wall clock anywhere.
@@ -80,24 +80,18 @@ class DemandHistogram:
             return weight
         return weight * 0.5 ** ((now - last) / self.half_life)
 
-    def record(self, family, now, weight=1.0):
-        """Observe ``weight`` units of demand for ``family`` at ``now``.
+    def record(self, family, now):
+        """Observe one request's demand for ``family`` at ``now``.
 
-        Decays the family's counter to ``now`` first, then adds
-        ``weight`` (finite and >= 0: a record never lowers demand).
+        Decays the family's counter to ``now`` first, then adds 1.
         Returns the updated (decayed + added) demand.
         """
         now = float(now)
-        weight = float(weight)
-        if not 0.0 <= weight < math.inf:
-            raise ConfigError(
-                f"weight must be finite and >= 0, got {weight}"
-            )
         state = self._families.get(family)
         if state is None:
             state = [0.0, now, len(self._families)]
             self._families[family] = state
-        state[0] = self._decayed(state, now) + weight
+        state[0] = self._decayed(state, now) + 1.0
         state[1] = max(state[1], now)
         self._recorded[family] = None
         return state[0]

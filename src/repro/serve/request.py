@@ -221,13 +221,6 @@ class InferenceResult:
         return (self.finish_time - self.arrival_time) * 1e3
 
     @property
-    def deadline(self):
-        """Absolute completion deadline in seconds (inf when no SLO)."""
-        if self.slo_ms is None:
-            return math.inf
-        return self.arrival_time + self.slo_ms / 1e3
-
-    @property
     def slo_met(self):
         """Whether the SLO held (None when the request carried none)."""
         if self.slo_ms is None:

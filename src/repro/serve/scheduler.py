@@ -282,18 +282,6 @@ class StreamingScheduler:
         shed order; the service drains it via :meth:`take_shed`. Only
         ``shed_expired`` fills it."""
 
-    @property
-    def pending(self):
-        """Number of admitted requests not yet sealed into a batch (a
-        running count: :meth:`admit` adds one, a cut subtracts its
-        group)."""
-        return self._pending
-
-    @property
-    def ready(self):
-        """Number of cut batches awaiting dispatch."""
-        return len(self._ready)
-
     def admit(self, item, *, now=None):
         """Accept one queued request into its config group.
 

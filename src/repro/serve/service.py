@@ -124,20 +124,14 @@ class WorkerState:
     the service runs without a cache)."""
 
 
-def percentile(values, q):
-    """Nearest-rank percentile of ``values`` (0 < q <= 100).
+def _nearest_rank(ordered, q):
+    """Nearest-rank ``q``-th percentile (0 < q <= 100) of values
+    already sorted ascending (0.0 when there are none).
 
     Deterministic and library-independent so golden latency numbers pin
     exactly: the result is always one of the observed values, never an
     interpolation.
     """
-    if not 0.0 < q <= 100.0:
-        raise ConfigError(f"percentile q must be in (0, 100], got {q}")
-    return _nearest_rank(sorted(values), q)
-
-
-def _nearest_rank(ordered, q):
-    """:func:`percentile` of values already sorted ascending."""
     if not ordered:
         return 0.0
     rank = math.ceil(q / 100.0 * len(ordered))
@@ -183,8 +177,8 @@ class LatencyStats:
         met-or-missed verdicts of those that carried an SLO.
 
         The latencies are sorted once and every percentile is read off
-        that order by nearest rank, as :func:`percentile` would; the
-        means sum in request order.
+        that order by nearest rank (:func:`_nearest_rank`); the means
+        sum in request order.
         """
         ordered = sorted(latencies)
         n = len(ordered)
@@ -1624,12 +1618,10 @@ class _ShardedDispatch:
             })
             # The gang frees at the boundary: trim the running spans
             # there; the remainder's spans are re-emitted at resume.
-            for span in entry.spans or ():
+            # _serve recorded them: a service's tracer never changes.
+            for span in entry.spans:
                 span.dur = max(boundary - span.ts, 0.0)
-            if entry.svc_span is not None:
-                entry.svc_span.dur = max(
-                    boundary - entry.svc_span.ts, 0.0
-                )
+            entry.svc_span.dur = max(boundary - entry.svc_span.ts, 0.0)
 
     def resume(self, clock):
         """Resume preempted jobs whose whole gang is idle again.
@@ -1683,19 +1675,17 @@ class _ShardedDispatch:
                     args={"seq": entry.seq},
                 )
                 entry.preempt_at = None
-                if entry.req_span is not None:
-                    entry.req_span.dur = finish - entry.req_span.ts
+                entry.req_span.dur = finish - entry.req_span.ts
+                # The recorded completion moves with the stretched
+                # timeline, exactly as the result is patched below.
                 ev = entry.complete_ev
-                if ev is not None:
-                    # The recorded completion moves with the stretched
-                    # timeline, exactly as the result is patched below.
-                    ev.ts = finish
-                    e2e_ms = (finish - ev.args["arrival"]) * 1e3
-                    ev.args["finish"] = finish
-                    ev.args["e2e_ms"] = e2e_ms
-                    if ev.args.get("slo_ms") is not None:
-                        ev.args["slo_met"] = e2e_ms <= ev.args["slo_ms"]
-                    ev.args["preemptions"] = entry.resumes
+                ev.ts = finish
+                e2e_ms = (finish - ev.args["arrival"]) * 1e3
+                ev.args["finish"] = finish
+                ev.args["e2e_ms"] = e2e_ms
+                if ev.args.get("slo_ms") is not None:
+                    ev.args["slo_met"] = e2e_ms <= ev.args["slo_ms"]
+                ev.args["preemptions"] = entry.resumes
             results = self.results
             results[entry.slot] = (entry.seq, replace(
                 results[entry.slot][1], finish_time=finish,

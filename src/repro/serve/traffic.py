@@ -187,11 +187,11 @@ def synthetic_traffic(n_requests, *, family_size=4, n_nodes=2048, seed=7,
     ]
 
 
-def poisson_arrivals(n_requests, *, rate, seed=0, start=0.0):
+def poisson_arrivals(n_requests, *, rate, seed=0):
     """Arrival times of a Poisson process at ``rate`` requests/second.
 
     Inter-arrival gaps are i.i.d. exponential with mean ``1/rate``;
-    times are the running sum from ``start``. Fully seeded, so a trace
+    times are the running sum from 0. Fully seeded, so a trace
     regenerates bit-identically. Returns a non-decreasing float array
     of length ``n_requests``.
     """
@@ -199,10 +199,10 @@ def poisson_arrivals(n_requests, *, rate, seed=0, start=0.0):
     rate = check_positive_finite(rate, "rate")
     rng = rng_from_seed(seed)
     gaps = rng.exponential(1.0 / rate, size=n_requests)
-    return start + np.cumsum(gaps)
+    return np.cumsum(gaps)
 
 
-def bursty_arrivals(n_requests, *, rate, burst_size=8, seed=0, start=0.0):
+def bursty_arrivals(n_requests, *, rate, burst_size=8, seed=0):
     """Arrival times of an on/off bursty process averaging ``rate`` req/s.
 
     Requests arrive in bursts of ``burst_size`` sharing one timestamp
@@ -218,7 +218,7 @@ def bursty_arrivals(n_requests, *, rate, burst_size=8, seed=0, start=0.0):
     rng = rng_from_seed(seed)
     n_bursts = -(-n_requests // burst_size)
     epochs = np.cumsum(rng.exponential(burst_size / rate, size=n_bursts))
-    return start + np.repeat(epochs, burst_size)[:n_requests]
+    return np.repeat(epochs, burst_size)[:n_requests]
 
 
 def streaming_traffic(n_requests, *, arrival_rate, arrival="poisson",
@@ -260,8 +260,7 @@ def mixed_traffic(n_requests, *, arrival_rate, chip_capacity, seed=7,
                   sharded_fraction=0.15, critical_slo_ms=1.0,
                   batch_slo_ms=20.0, sharded_slo_ms=None,
                   small_nodes=None, batch_nodes=None, sharded_nodes=None,
-                  family_size=3, avg_degree=8, repeat_alpha=None,
-                  graph_kwargs=None):
+                  family_size=3, avg_degree=8, graph_kwargs=None):
     """A multi-tenant request mix: critical, batch and sharded tenants.
 
     Models the co-scheduling regime of a shared pool: a Poisson stream
@@ -270,20 +269,17 @@ def mixed_traffic(n_requests, *, arrival_rate, chip_capacity, seed=7,
     graphs of ``small_nodes``), an ordinary *batch* query
     (``batch_slo_ms``, ``batch_nodes``) or an oversized *sharded* job
     (``sharded_slo_ms``, ``sharded_nodes`` — sized past
-    ``chip_capacity`` so the service gang-schedules it). Node counts
-    default to ``chip_capacity // 4``, ``chip_capacity // 2`` and
-    ``3 * chip_capacity``. Each tenant class draws from its own pool of
-    ``family_size`` fixed-seed RMAT specs, so repeat traffic still hits
-    the autotune cache. ``repeat_alpha`` (None = uniform picks) makes
-    each class's pool Zipf-popular with that exponent — the
-    repeat-heavy regime the cache-affinity benchmarks model. Everything
-    derives from ``seed``; the trace is deterministic. Returns requests
-    in arrival order.
+    ``chip_capacity`` so the service gang-schedules it). A node count
+    left None defaults to ``max(chip_capacity // 4, 16)``,
+    ``max(chip_capacity // 2, 16)`` and ``3 * chip_capacity``; an SLO
+    left None means no deadline. Each tenant class draws uniformly from
+    its own pool of ``family_size`` fixed-seed RMAT specs, so repeat
+    traffic still hits the autotune cache. Everything derives from
+    ``seed``; the trace is deterministic. Returns requests in arrival
+    order.
     """
     check_positive_int(n_requests, "n_requests")
     check_positive_int(family_size, "family_size")
-    if repeat_alpha is not None:
-        check_non_negative_finite(repeat_alpha, "repeat_alpha")
     chip_capacity = check_positive_int(chip_capacity, "chip_capacity")
     critical_fraction = check_fraction(critical_fraction, "critical_fraction")
     sharded_fraction = check_fraction(sharded_fraction, "sharded_fraction")
@@ -298,9 +294,17 @@ def mixed_traffic(n_requests, *, arrival_rate, chip_capacity, seed=7,
     configs = tuple(configs)
     for config in configs:
         check_instance(config, ArchConfig, "configs")
-    small_nodes = small_nodes or max(chip_capacity // 4, 16)
-    batch_nodes = batch_nodes or max(chip_capacity // 2, 16)
-    sharded_nodes = sharded_nodes or 3 * chip_capacity
+    small_nodes = _given_or(small_nodes, "small_nodes",
+                            max(chip_capacity // 4, 16))
+    batch_nodes = _given_or(batch_nodes, "batch_nodes",
+                            max(chip_capacity // 2, 16))
+    sharded_nodes = _given_or(sharded_nodes, "sharded_nodes",
+                              3 * chip_capacity)
+    for slo_ms, name in ((critical_slo_ms, "critical_slo_ms"),
+                         (batch_slo_ms, "batch_slo_ms"),
+                         (sharded_slo_ms, "sharded_slo_ms")):
+        if slo_ms is not None:
+            check_positive_finite(slo_ms, name)
     if sharded_nodes <= chip_capacity:
         raise ConfigError(
             f"sharded_nodes ({sharded_nodes}) must exceed chip_capacity "
@@ -328,12 +332,7 @@ def mixed_traffic(n_requests, *, arrival_rate, chip_capacity, seed=7,
         p=[critical_fraction, 1.0 - critical_fraction - sharded_fraction,
            sharded_fraction],
     )
-    if repeat_alpha is None:
-        picks = rng.integers(0, family_size, size=n_requests)
-    else:
-        weights = 1.0 / np.arange(1, family_size + 1) ** repeat_alpha
-        weights /= weights.sum()
-        picks = rng.choice(family_size, size=n_requests, p=weights)
+    picks = rng.integers(0, family_size, size=n_requests)
     times = poisson_arrivals(n_requests, rate=arrival_rate, seed=seed)
     requests = []
     for i in range(n_requests):
@@ -346,3 +345,8 @@ def mixed_traffic(n_requests, *, arrival_rate, chip_capacity, seed=7,
             slo_ms=slo_ms,
         ))
     return requests
+
+
+def _given_or(nodes, name, default):
+    """``nodes`` checked as a positive int, or ``default`` when None."""
+    return default if nodes is None else check_positive_int(nodes, name)

@@ -23,13 +23,13 @@ class CooMatrix:
         ``(n_rows, n_cols)``.
     rows, cols, vals:
         Parallel 1-D arrays of coordinates and values. They are copied,
-        canonicalized (sorted row-major, duplicates summed) and explicit
-        zeros are dropped unless ``keep_zeros=True``.
+        canonicalized (sorted row-major, duplicates summed), and explicit
+        zeros, including duplicates that sum to zero, are dropped.
     """
 
     __slots__ = ("shape", "rows", "cols", "vals")
 
-    def __init__(self, shape, rows, cols, vals, *, keep_zeros=False):
+    def __init__(self, shape, rows, cols, vals):
         n_rows, n_cols = int(shape[0]), int(shape[1])
         if n_rows < 0 or n_cols < 0:
             raise ShapeError(f"shape must be non-negative, got {shape}")
@@ -47,7 +47,7 @@ class CooMatrix:
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise FormatError("column index out of range")
         rows, cols, vals = _canonicalize(n_rows, n_cols, rows, cols, vals)
-        if not keep_zeros and vals.size:
+        if vals.size:
             keep = vals != 0.0
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
         object.__setattr__(self, "shape", (n_rows, n_cols))
@@ -74,12 +74,6 @@ class CooMatrix:
     def empty(cls, shape):
         """An all-zero matrix of the given shape."""
         return cls(shape, [], [], [])
-
-    @classmethod
-    def identity(cls, n):
-        """The n x n identity matrix."""
-        idx = np.arange(n)
-        return cls((n, n), idx, idx, np.ones(n))
 
     # ------------------------------------------------------------------
     # properties and views
@@ -108,10 +102,6 @@ class CooMatrix:
         out = np.zeros(self.shape)
         out[self.rows, self.cols] = self.vals
         return out
-
-    def scaled(self, factor):
-        """Return a copy with all values multiplied by ``factor``."""
-        return CooMatrix(self.shape, self.rows, self.cols, self.vals * factor)
 
     def __eq__(self, other):
         if not isinstance(other, CooMatrix):

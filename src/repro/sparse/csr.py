@@ -62,12 +62,6 @@ class CsrMatrix:
         """Return the implicit row index of every stored entry (length nnz)."""
         return np.repeat(np.arange(self.shape[0]), self.row_nnz())
 
-    def to_dense(self):
-        """Materialize as a dense float64 array."""
-        out = np.zeros(self.shape)
-        out[self.expand_rows(), self.col_ids] = self.vals
-        return out
-
     def __repr__(self):
         return (
             f"CsrMatrix(shape={self.shape}, nnz={self.nnz}, "

@@ -15,13 +15,13 @@ from repro.errors import ShapeError
 from repro.sparse.csc import CscMatrix
 from repro.sparse.csr import CsrMatrix
 
-# Above this many (nnz * k) products the column-loop kernel switches to a
-# flat scatter-add, which allocates an (nnz, k) temporary but avoids the
-# Python-level loop over columns.
+# Up to this many (nnz * k) products SPMM runs one flat scatter-add,
+# which allocates an (nnz, k) temporary but avoids the Python-level loop
+# over columns; above it, the column loop bounds the temporary.
 _FLAT_KERNEL_THRESHOLD = 2_000_000
 
 
-def spmm_csc_dense(a_csc, b_dense, *, flat_kernel_threshold=None):
+def spmm_csc_dense(a_csc, b_dense):
     """Multiply ``A (CSC, m x n) @ B (dense, n x k)`` -> dense ``(m, k)``.
 
     This is the computation TDQ-2 performs in hardware: for each column
@@ -29,11 +29,9 @@ def spmm_csc_dense(a_csc, b_dense, *, flat_kernel_threshold=None):
     non-zeros of column ``j`` and accumulate into the rows of ``C``
     (paper Eq. 4 and Fig. 5).
 
-    ``flat_kernel_threshold`` overrides the module default
-    ``_FLAT_KERNEL_THRESHOLD`` picking between the flat scatter-add
-    kernel (``nnz * k`` at or below the threshold) and the column-loop
-    kernel (above it). Both kernels compute the same sums in the same
-    per-column order; the override exists so tests can pin either path.
+    ``_FLAT_KERNEL_THRESHOLD`` picks the kernel: the flat scatter-add
+    when ``nnz * k`` is at or below it, the column loop above it. Both
+    compute the same sums in the same per-column order.
     """
     if not isinstance(a_csc, CscMatrix):
         raise ShapeError(f"a_csc must be CscMatrix, got {type(a_csc).__name__}")
@@ -42,13 +40,11 @@ def spmm_csc_dense(a_csc, b_dense, *, flat_kernel_threshold=None):
         raise ShapeError(
             f"B must be 2-D with {a_csc.shape[1]} rows, got shape {b_dense.shape}"
         )
-    if flat_kernel_threshold is None:
-        flat_kernel_threshold = _FLAT_KERNEL_THRESHOLD
     m, k = a_csc.shape[0], b_dense.shape[1]
     out = np.zeros((m, k))
     if a_csc.nnz == 0 or k == 0:
         return out
-    if a_csc.nnz * k <= flat_kernel_threshold:
+    if a_csc.nnz * k <= _FLAT_KERNEL_THRESHOLD:
         cols = a_csc.expand_cols()
         np.add.at(out, a_csc.row_ids, a_csc.vals[:, None] * b_dense[cols, :])
         return out

@@ -40,14 +40,9 @@ class TestJobConstruction:
         jobs = build_spmm_jobs(tiny_cora)
         assert np.array_equal(jobs[0][1].row_nnz, jobs[1][1].row_nnz)
 
-    def test_x2_override(self, tiny_cora):
-        custom = np.full(tiny_cora.n_nodes, 3, dtype=np.int64)
-        jobs = build_spmm_jobs(tiny_cora, x2_row_nnz=custom)
-        assert jobs[1][0].work_per_round == 3 * tiny_cora.n_nodes
-
-    def test_x2_wrong_length_raises(self, tiny_cora):
-        with pytest.raises(ConfigError):
-            build_spmm_jobs(tiny_cora, x2_row_nnz=np.ones(3, dtype=int))
+    def test_layer_two_reads_the_x2_forecast(self, tiny_cora):
+        jobs = build_spmm_jobs(tiny_cora)
+        assert np.array_equal(jobs[1][0].row_nnz, tiny_cora.x2_row_nnz)
 
 
 class TestAcceleratorRun:

@@ -1,5 +1,7 @@
 """Row assignment bookkeeping and the SLT row exchange."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -95,8 +97,9 @@ class TestMoves:
 
 class TestSwapRows:
     def test_swap_moves_heaviest_and_lightest(self, assignment):
-        # PE0 (rows 0:10, 1:1) is hot; PE1 (rows 2:1, 3:1) is cold.
-        moved = assignment.swap_rows(0, 1, 1)
+        # PE0 (rows 0:10, 1:1) is hot; PE1 (rows 2:1, 3:1) is cold. An
+        # unbounded target moves the heaviest rows the budget allows.
+        moved = assignment.swap_rows(0, 1, 1, work_target=math.inf)
         assert moved == 1
         assert assignment.owner[0] == 1  # heaviest row left PE0
         assert assignment.loads.sum() == 21  # conservation
@@ -134,18 +137,18 @@ class TestSwapRows:
         assert asg.owner[0] == 1  # lightest overshooting row moved
 
     def test_swap_same_pe_is_noop(self, assignment):
-        assert assignment.swap_rows(1, 1, 3) == 0
+        assert assignment.swap_rows(1, 1, 3, work_target=math.inf) == 0
 
     def test_swap_zero_rows_is_noop(self, assignment):
-        assert assignment.swap_rows(0, 1, 0) == 0
+        assert assignment.swap_rows(0, 1, 0, work_target=math.inf) == 0
 
     def test_swap_bounded_by_owned_rows(self, assignment):
-        moved = assignment.swap_rows(0, 1, 100)
+        moved = assignment.swap_rows(0, 1, 100, work_target=math.inf)
         assert moved == 2  # PE0 only owned 2 rows
 
 
 def swap_rows_reference(assignment, hot, cold, n_rows_each, *,
-                        work_target=None):
+                        work_target):
     """The SLT row exchange as :meth:`RowAssignment.swap_rows` did it
     before the switch lost its generic paths (test oracle).
 
@@ -162,24 +165,21 @@ def swap_rows_reference(assignment, hot, cold, n_rows_each, *,
         return 0
     row_nnz = assignment.row_nnz
     by_weight = hot_rows[np.argsort(row_nnz[hot_rows], kind="stable")[::-1]]
-    if work_target is None:
-        chosen = by_weight[:budget]
-    else:
-        chosen = []
-        moved_work = 0.0
-        for row in by_weight:
-            if len(chosen) >= budget:
-                break
-            weight = row_nnz[row]
-            if moved_work + weight > work_target:
-                continue
-            chosen.append(row)
-            moved_work += weight
-            if moved_work >= work_target:
-                break
-        if not chosen and by_weight.size:
-            chosen = [by_weight[-1]]
-        chosen = np.asarray(chosen, dtype=np.int64)
+    chosen = []
+    moved_work = 0.0
+    for row in by_weight:
+        if len(chosen) >= budget:
+            break
+        weight = row_nnz[row]
+        if moved_work + weight > work_target:
+            continue
+        chosen.append(row)
+        moved_work += weight
+        if moved_work >= work_target:
+            break
+    if not chosen and by_weight.size:
+        chosen = [by_weight[-1]]
+    chosen = np.asarray(chosen, dtype=np.int64)
     count = chosen.size
     if count == 0:
         return 0
@@ -192,7 +192,7 @@ def swap_rows_reference(assignment, hot, cold, n_rows_each, *,
 
 
 _WORK_TARGETS = st.one_of(
-    st.none(),
+    st.just(math.inf),  # no bound: the heaviest rows the budget allows
     st.integers(0, 60),
     st.integers(0, 121).map(lambda twice: twice / 2.0),
 )
@@ -228,10 +228,11 @@ class TestSwapRowsMatchesReference:
     # move), a selection landing exactly on its target, a half-integer
     # target between two sums, and zero-weight rows.
     @example(([3] * 6, 2, [0, 0, 0, 1, 1, 1],
-              [(0, 1, 2, None), (0, 1, 3, 3.0), (1, 0, 2, 4.5)]))
+              [(0, 1, 2, math.inf), (0, 1, 3, 3.0), (1, 0, 2, 4.5)]))
     @example(([2, 2, 1, 1, 0, 0], 2, [0, 0, 0, 1, 1, 1],
               [(0, 1, 3, 2), (1, 0, 3, 2.5), (0, 1, 2, 0.0)]))
-    @example(([0] * 5, 3, [0, 1, 2, 0, 1], [(0, 1, 2, 0.5), (1, 2, 1, None)]))
+    @example(([0] * 5, 3, [0, 1, 2, 0, 1],
+              [(0, 1, 2, 0.5), (1, 2, 1, math.inf)]))
     def test_swap_sequences_match(self, case):
         row_nnz, n_pes, owner, swaps = case
         fast = RowAssignment(row_nnz, n_pes, owner=owner)

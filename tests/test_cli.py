@@ -4,11 +4,21 @@ import pytest
 
 from repro.accel import (
     ArchConfig,
+    GcnAccelerator,
+    RowAssignment,
     SpmmJob,
+    build_spmm_jobs,
+    run_design_suite,
     share_makespan,
     share_makespan_batch,
     simulate_spmm,
 )
+from repro.analysis import (
+    compare_cache_affinity,
+    compare_shard_scaling,
+    table1_profile,
+)
+from repro.baselines import CpuModel, GpuModel
 from repro.cli import build_parser, main
 from repro.cluster import (
     ClusterConfig,
@@ -16,17 +26,35 @@ from repro.cluster import (
     rebalance_plan,
     simulate_multichip_gcn,
 )
-from repro.datasets import gcn_normalize
+from repro.datasets import (
+    build_dataset,
+    gcn_normalize,
+    load_dataset,
+    rmat_edges,
+)
 from repro.errors import ConfigError
+from repro.hw import (
+    ProcessingElement,
+    QueueGroup,
+    TaskQueue,
+    Tdq1Dispatcher,
+    Tdq2Dispatcher,
+    simulate_spmm_detailed,
+)
+from repro.model import GcnModel, build_model
 from repro.obs import RecordingTracer, render_round_heat
 from repro.serve import (
+    AutotuneCache,
+    DemandHistogram,
     InferenceService,
     StreamingScheduler,
+    bursty_arrivals,
     mixed_traffic,
+    poisson_arrivals,
     streaming_traffic,
     synthetic_traffic,
 )
-from repro.sparse import CooMatrix, row_nnz_histogram
+from repro.sparse import CooMatrix, row_nnz_histogram, spmm_csc_dense
 from repro.utils.validation import check_fraction
 
 # The extension-sweep subcommands the CLI no longer registers: their
@@ -96,6 +124,65 @@ REMOVED_KEYWORDS = {
     "mixed_traffic.n_graphs":
         lambda: mixed_traffic(1, arrival_rate=1.0, chip_capacity=64,
                               n_graphs=1),
+    # Options no call outside tests set (tests/test_dead_code.py keeps
+    # them so); each default is now the only behavior.
+    "CooMatrix.keep_zeros":
+        lambda: CooMatrix((1, 1), [0], [0], [0.0], keep_zeros=True),
+    "spmm_csc_dense.flat_kernel_threshold":
+        lambda: spmm_csc_dense(None, None, flat_kernel_threshold=1),
+    "rmat_edges.dedupe": lambda: rmat_edges(4, 4, dedupe=False),
+    "rmat_edges.max_attempts": lambda: rmat_edges(4, 4, max_attempts=1),
+    "load_dataset.materialize":
+        lambda: load_dataset("cora", "tiny", materialize=False),
+    "build_dataset.materialize":
+        lambda: build_dataset("cora", "tiny", materialize=False),
+    "build_model.final_softmax": lambda: build_model(None, final_softmax=False),
+    "GcnModel.final_softmax":
+        lambda: GcnModel(None, None, final_softmax=False),
+    "run_design_suite.x2_row_nnz":
+        lambda: run_design_suite(None, x2_row_nnz=None),
+    "GcnAccelerator.x2_row_nnz":
+        lambda: GcnAccelerator(None, ArchConfig(), x2_row_nnz=None),
+    "build_spmm_jobs.x2_row_nnz":
+        lambda: build_spmm_jobs(None, x2_row_nnz=None),
+    "compare_shard_scaling.row_ceiling":
+        lambda: compare_shard_scaling(row_ceiling=400),
+    "compare_shard_scaling.stragglers":
+        lambda: compare_shard_scaling(stragglers=()),
+    "compare_cache_affinity.graph_kwargs":
+        lambda: compare_cache_affinity(graph_kwargs={}),
+    "AutotuneCache.load.max_entries":
+        lambda: AutotuneCache.load("cache.npz", max_entries=1),
+    "mixed_traffic.repeat_alpha":
+        lambda: mixed_traffic(1, arrival_rate=1.0, chip_capacity=64,
+                              repeat_alpha=1.2),
+    "simulate_spmm_detailed.owner_of_row":
+        lambda: simulate_spmm_detailed(None, None, owner_of_row=None),
+    "Tdq1Dispatcher.scan_bandwidth":
+        lambda: Tdq1Dispatcher(None, None, None, scan_bandwidth=8),
+    "Tdq2Dispatcher.inject_bandwidth":
+        lambda: Tdq2Dispatcher(None, [0], [], None, inject_bandwidth=8),
+    "ProcessingElement.queue_capacity":
+        lambda: ProcessingElement(0, queue_capacity=2),
+    "QueueGroup.capacity": lambda: QueueGroup(1, capacity=2),
+    "TaskQueue.capacity": lambda: TaskQueue(capacity=2),
+    "table1_profile.measure_x2": lambda: table1_profile(measure_x2=False),
+    "poisson_arrivals.start":
+        lambda: poisson_arrivals(1, rate=1.0, start=1.0),
+    "bursty_arrivals.start":
+        lambda: bursty_arrivals(1, rate=1.0, start=1.0),
+    "DemandHistogram.record.weight":
+        lambda: DemandHistogram(threshold=1.0).record("f", 0.0, weight=2.0),
+    "CpuModel.effective_gflops": lambda: CpuModel(effective_gflops=1.0),
+    "CpuModel.overhead_ms": lambda: CpuModel(overhead_ms=1.0),
+    "GpuModel.small_gflops": lambda: GpuModel(small_gflops=1.0),
+    "GpuModel.large_gflops": lambda: GpuModel(large_gflops=1.0),
+    "GpuModel.threshold_ops": lambda: GpuModel(threshold_ops=1.0),
+    "GpuModel.overhead_ms": lambda: GpuModel(overhead_ms=1.0),
+    # Its one caller always passes the target: a switch without one is
+    # a TypeError, not the old unbounded move.
+    "RowAssignment.swap_rows.work_target":
+        lambda: RowAssignment([1, 1], 2).swap_rows(0, 1, 1),
 }
 REMOVED_CLUSTER_NAMES = (
     # The sharded numerical oracle, now tests/sharded_oracle.py.
@@ -130,6 +217,9 @@ REMOVED_EXPORTS = {
     "measure_cpu_latency_ms": "repro.baselines",
     "rows_to_json": "repro.analysis",
     **dict.fromkeys(("event_key", "stream_fingerprint"), "repro.obs"),
+    # The nearest-rank oracle LatencyStats.fold is checked against, now
+    # in tests/test_obs.py.
+    "percentile": "repro.serve",
 }
 
 

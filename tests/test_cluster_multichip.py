@@ -10,7 +10,6 @@ from repro.accel.gcnaccel import build_spmm_jobs
 from repro.analysis import compare_shard_scaling, compare_shard_topology
 from repro.cluster import (
     ClusterConfig,
-    StragglerEvent,
     make_plan,
     make_topology,
     rebalance_plan,
@@ -587,10 +586,6 @@ class TestShardScalingHarness:
               "hop_latency_cycles": 4, "hetero": True, "overlap": True,
               "feedback": True},
              ("ring", "cycle feedback")),
-            ({"n_nodes": 512, "weak_nodes_per_chip": 256,
-              "row_ceiling": 400,
-              "stragglers": (StragglerEvent(1, 1.5, 2.0),)},
-             ("row ceiling 400", "1 straggler(s)")),
         )
         for kwargs, labels in flavors:
             rows, text = compare_shard_scaling(

@@ -130,10 +130,6 @@ class TestPricing:
         assert topo.transfer_cycles(0, 2, 10) == 5 + 2 * 3
         assert topo.transfer_cycles(0, 2, 0) == 0
 
-    def test_aggregate_bandwidth(self):
-        topo = make_topology("ring", 4, link_words_per_cycle=2.5)
-        assert topo.aggregate_bandwidth == pytest.approx(8 * 2.5)
-
     @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
     def test_zero_traffic_is_free(self, kind):
         topo = make_topology(kind, 4)

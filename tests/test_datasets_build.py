@@ -15,6 +15,7 @@ from repro.datasets import (
     sample_row_nnz,
     sparse_feature_matrix,
 )
+from repro.datasets import synthetic
 from repro.errors import DatasetError, ShapeError
 from repro.sparse import CooMatrix
 
@@ -139,8 +140,11 @@ class TestBuildDataset:
         spec = get_spec("cora").tiny
         assert (f1, f2, f3) == (spec.f1, spec.f2, spec.f3)
 
-    def test_pattern_only_mode(self):
-        ds = build_dataset("cora", "tiny", seed=5, materialize=False)
+    def test_pattern_only_mode(self, monkeypatch):
+        # Past the materialization limit (only full Reddit is, at the
+        # real one) a dataset keeps X1's row-nnz profile, not values.
+        monkeypatch.setattr(synthetic, "_MATERIALIZE_NNZ_LIMIT", 0)
+        ds = build_dataset("cora", "tiny", seed=5)
         assert not ds.has_numeric_features
         assert ds.features is None
         assert ds.x1_row_nnz.sum() > 0

@@ -41,10 +41,6 @@ class TestRmatEdges:
         src, dst = rmat_edges(10, 0, rng=6)
         assert src.size == 0
 
-    def test_dedupe_false_allows_duplicates(self):
-        src, dst = rmat_edges(4, 40, rng=7, dedupe=False)
-        assert src.size == 40  # 16 cells cannot hold 40 unique pairs
-
     def test_dense_request_returns_best_effort(self):
         # 16 cells, ask for 16 unique edges: should get close to all.
         src, _dst = rmat_edges(4, 16, rng=8)

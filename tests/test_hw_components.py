@@ -19,13 +19,6 @@ class TestTaskQueue:
         assert q.pop() is t2
         assert q.pop() is None
 
-    def test_capacity_enforced(self):
-        q = TaskQueue(capacity=1)
-        t = Task(row=0, a_val=1, b_val=1, owner=0)
-        assert q.push(t)
-        assert not q.push(t)
-        assert q.full
-
     def test_high_water_tracks_peak(self):
         q = TaskQueue()
         t = Task(row=0, a_val=1, b_val=1, owner=0)
@@ -37,13 +30,9 @@ class TestTaskQueue:
 
     def test_empty_signal(self):
         q = TaskQueue()
-        assert q.empty
+        assert len(q) == 0
         q.push(Task(row=0, a_val=1, b_val=1, owner=0))
-        assert not q.empty
-
-    def test_bad_capacity_raises(self):
-        with pytest.raises(ConfigError):
-            TaskQueue(capacity=0)
+        assert len(q) == 1
 
 
 class TestQueueGroup:

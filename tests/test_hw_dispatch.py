@@ -43,7 +43,7 @@ class TestTdq1:
         dense[rng.random(dense.shape) > 0.5] = 0.0
         pes = make_pes(4)
         owner = np.repeat(np.arange(4), 2)
-        dispatcher = Tdq1Dispatcher(dense, owner, pes, scan_bandwidth=16)
+        dispatcher = Tdq1Dispatcher(dense, owner, pes)
         return dense, pes, dispatcher
 
     def test_all_nonzeros_dispatched(self, setup):
@@ -76,10 +76,12 @@ class TestTdq1:
         dense = rng.normal(size=(8, 8))  # fully dense
         pes = make_pes(4)
         owner = np.repeat(np.arange(4), 2)
-        dispatcher = Tdq1Dispatcher(dense, owner, pes, scan_bandwidth=8)
+        dispatcher = Tdq1Dispatcher(dense, owner, pes)
+        # n_pes / (1 - sparsity) at sparsity 0: one cell per PE a step.
+        assert dispatcher.scan_bandwidth == 4
         dispatcher.start_column(np.ones(8))
         dispatcher.step()
-        assert sum(pe.queues.pending for pe in pes) == 8
+        assert sum(pe.queues.pending for pe in pes) == 4
 
     def test_requires_start_column(self, setup):
         _dense, _pes, dispatcher = setup

@@ -47,13 +47,6 @@ class TestNumericExactness:
         result, _ = simulate_spmm_detailed(a, b, n_pes=6, tdq="tdq2")
         assert np.allclose(result, dense @ b)
 
-    def test_custom_owner_map(self, random_case, rng):
-        dense, b = random_case
-        a = CooMatrix.from_dense(dense)
-        owner = rng.integers(0, 8, size=24)
-        result, _ = simulate_spmm_detailed(a, b, n_pes=8, owner_of_row=owner)
-        assert np.allclose(result, dense @ b)
-
     def test_bad_b_shape_raises(self, random_case):
         dense, _b = random_case
         a = CooMatrix.from_dense(dense)

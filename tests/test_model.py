@@ -113,15 +113,6 @@ class TestGcnModel:
         b = model.forward_ax_w(tiny_features)
         assert np.allclose(a.probabilities, b.probabilities)
 
-    def test_no_softmax_option(self, tiny_graph, tiny_features, rng):
-        model = GcnModel(
-            tiny_graph,
-            [rng.normal(size=(8, 3))],
-            final_softmax=False,
-        )
-        trace = model.forward(tiny_features)
-        assert np.array_equal(trace.probabilities, trace.logits)
-
     def test_layer_input_density(self, tiny_graph, tiny_features, rng):
         model = GcnModel(
             tiny_graph,

@@ -56,8 +56,8 @@ class TestLayerOrderingOps:
             tiny_cora.feature_dims[0],
             tiny_cora.feature_dims[1],
         )
-        assert ops.winner == "A(XW)"
-        assert ops.ratio > 1.0
+        assert ops.ops_a_xw <= ops.ops_ax_w
+        assert ops.ops_ax_w / ops.ops_a_xw > 1.0
 
     def test_length_mismatch_raises(self, tiny_cora):
         with pytest.raises(ShapeError):

@@ -13,6 +13,7 @@ Three contracts pinned here:
 """
 
 import json
+import math
 from functools import lru_cache
 
 import pytest
@@ -47,12 +48,25 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.serve.cache import AutotuneCache
-from repro.serve.service import LatencyStats, percentile, serve_requests
+from repro.serve.service import LatencyStats, serve_requests
 from repro.serve.traffic import RmatGraphSpec, streaming_traffic
 from trace_identity import stream_fingerprint
 
 TINY = {"f1": 16, "f2": 8, "f3": 4}
 CFG = ArchConfig(n_pes=32, hop=1, remote_switching=True)
+
+
+def percentile(values, q):
+    """Nearest-rank percentile of ``values`` (0 < q <= 100), 0.0 for no
+    values: always one of the observed values, never an interpolation.
+    The oracle :meth:`LatencyStats.fold` is checked against."""
+    if not 0.0 < q <= 100.0:
+        raise ConfigError(f"percentile q must be in (0, 100], got {q}")
+    ordered = sorted(values)
+    if not ordered:
+        return 0.0
+    rank = math.ceil(q / 100.0 * len(ordered))
+    return ordered[max(rank, 1) - 1]
 
 
 def _streaming_requests(seed=7, n=12):

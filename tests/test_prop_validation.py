@@ -22,7 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel import ArchConfig, RemoteAutoTuner, RowAssignment
-from repro.cluster import StragglerEvent, make_topology, subtopology
+from repro.cluster import (
+    ClusterConfig,
+    StragglerEvent,
+    make_plan,
+    make_topology,
+    subtopology,
+)
 from repro.errors import ConfigError
 from repro.serve import (
     InferenceRequest,
@@ -44,6 +50,13 @@ def _tuner(**kwargs):
 
 def _ring_subtopology(chips):
     return subtopology(make_topology("ring", 4), chips)
+
+
+def _mixed(**kwargs):
+    """Two mixed-traffic requests at seed 7: neither is critical, so an
+    SLO is refused before any draw or not at all."""
+    return mixed_traffic(2, arrival_rate=10.0, chip_capacity=64, seed=7,
+                         **kwargs)
 
 # (base object, field, rule, None allowed)
 FIELDS = [
@@ -230,6 +243,36 @@ PROBES = {
     "subtopology-chip-bool": (lambda: _ring_subtopology((True, 2)), "chip"),
     "subtopology-chip-string": (lambda: _ring_subtopology(("1", 2)),
                                 "chip"),
+    # A row ceiling is a positive int, checked entry by entry: never
+    # truncated, and never a bare ValueError or a misleading sum.
+    "ceilings-fractional": (
+        lambda: ClusterConfig(n_chips=2, row_ceilings=(1.5, 2.5)),
+        r"row_ceilings\[0\]"),
+    "ceilings-bool": (
+        lambda: ClusterConfig(n_chips=2, row_ceilings=(True, 5)),
+        r"row_ceilings\[0\]"),
+    "ceilings-nan": (
+        lambda: ClusterConfig(n_chips=2, row_ceilings=(math.nan, 2)),
+        r"row_ceilings\[0\]"),
+    "ceilings-string": (
+        lambda: ClusterConfig(n_chips=2, row_ceilings=("a", 2)),
+        r"row_ceilings\[0\]"),
+    "plan-ceilings-fractional": (
+        lambda: make_plan(np.ones(16, dtype=int), 2,
+                          row_ceilings=(8.9, 7.9)),
+        r"row_ceilings\[0\]"),
+    # An explicit node count is used or refused, never replaced by the
+    # default; each SLO is checked whether or not its tenant is drawn.
+    "mixed-small-nodes-zero": (lambda: _mixed(small_nodes=0), "small_nodes"),
+    "mixed-batch-nodes-zero": (lambda: _mixed(batch_nodes=0), "batch_nodes"),
+    "mixed-sharded-nodes-zero": (lambda: _mixed(sharded_nodes=0),
+                                 "sharded_nodes"),
+    "mixed-critical-slo-zero": (lambda: _mixed(critical_slo_ms=0.0),
+                                "critical_slo_ms"),
+    "mixed-critical-slo-nan": (lambda: _mixed(critical_slo_ms=math.nan),
+                               "critical_slo_ms"),
+    "mixed-sharded-slo-negative": (lambda: _mixed(sharded_slo_ms=-1.0),
+                                   "sharded_slo_ms"),
 }
 
 

@@ -8,8 +8,6 @@ from repro.accel.localshare import share_makespan
 from repro.accel.workload import RowAssignment
 from repro.datasets import gcn_normalize
 from repro.hw import simulate_spmm_detailed
-from repro.hw.queues import TaskQueue
-from repro.hw.task import Task
 from repro.model import GcnModel
 from repro.sparse import CooMatrix
 from test_accel_workload import move_rows
@@ -84,14 +82,6 @@ class TestExtremeConfigs:
 
 
 class TestBackPressure:
-    def test_bounded_queue_rejects_when_full(self):
-        queue = TaskQueue(capacity=2)
-        task = Task(row=0, a_val=1.0, b_val=1.0, owner=0)
-        assert queue.push(task) and queue.push(task)
-        assert not queue.push(task)
-        queue.pop()
-        assert queue.push(task)
-
     def test_detailed_engine_with_tiny_network_buffers(self, rng):
         # Buffer depth 1 forces constant back-pressure; the round must
         # still complete with exact numerics.

@@ -6,7 +6,7 @@ Six contracts pinned here:
   rescan (``_RescanHistogram``, the histogram it replaced) at every
   tick, and so does its ranking: a hypothesis property drives both
   through random records and ticks, with equal times, ticks at a
-  record's own clock and at predicted crossings, weights that land on
+  record's own clock and at predicted crossings, records that land on
   the threshold, and long gaps.
 * ``cache_mode="shared"`` (the default) is the historical oracle: a
   hypothesis property serves identical traces — batch, streaming and
@@ -101,7 +101,8 @@ def _route(service, items, estimate, *, claimed=frozenset()):
 class TestDemandHistogram:
     def test_decay_halves_per_half_life(self):
         hist = DemandHistogram(half_life=0.1, threshold=1.0)
-        hist.record("fam", 0.0, weight=4.0)
+        for _ in range(4):
+            hist.record("fam", 0.0)
         assert hist.demand("fam", 0.0) == 4.0
         assert hist.demand("fam", 0.1) == pytest.approx(2.0)
         assert hist.demand("fam", 0.3) == pytest.approx(0.5)
@@ -141,15 +142,13 @@ class TestDemandHistogram:
         with pytest.raises(ConfigError):
             DemandHistogram(half_life=-1.0, threshold=1.0)
 
-    def test_threshold_weight_and_time_validated(self):
+    def test_threshold_and_time_validated(self):
         for threshold in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ConfigError):
                 DemandHistogram(threshold=threshold)
         hist = DemandHistogram(threshold=1.0)
-        # A record never lowers demand: the hot set relies on it.
-        for weight in (-1.0, float("inf"), float("nan")):
-            with pytest.raises(ConfigError, match="weight"):
-                hist.record("fam", 0.0, weight=weight)
+        # A record adds one request, so it never lowers demand: the hot
+        # set relies on it. Time must not run backwards.
         hist.advance(1.0)
         with pytest.raises(ConfigError, match="must not decrease"):
             hist.advance(0.5)
@@ -169,13 +168,13 @@ class _RescanHistogram:
             return weight
         return weight * 0.5 ** ((now - last) / self.half_life)
 
-    def record(self, family, now, weight=1.0):
+    def record(self, family, now):
         now = float(now)
         state = self._families.get(family)
         if state is None:
             state = [0.0, now]
             self._families[family] = state
-        state[0] = self._decayed(state, now) + float(weight)
+        state[0] = self._decayed(state, now) + 1.0
         state[1] = max(state[1], now)
         return state[0]
 
@@ -205,12 +204,11 @@ _THRESHOLD = 3.0
 # tens to thousands of half-lives.
 _GAPS = st.sampled_from((0.0, 0.0, 1e-4, 0.01, 0.05, 0.1, 1.0, 100.0)) \
     | st.floats(0.0, 0.3)
-# Weights that land on the threshold alone (3.0), in three records of
-# 1.0, after one half-life (6.0), or just under it.
-_WEIGHTS = st.sampled_from((1.0, 1.0, 0.5, 3.0, 6.0, 0.0,
-                            math.nextafter(3.0, 0.0))) | st.floats(0.0, 8.0)
+# Requests recorded at one instant: one, the threshold's three at once,
+# or six (on the threshold again after one half-life).
+_COUNTS = st.sampled_from((1, 1, 3, 6)) | st.integers(1, 8)
 _OPS = st.lists(st.one_of(
-    st.tuples(st.just("record"), st.integers(0, 3), _GAPS, _WEIGHTS),
+    st.tuples(st.just("record"), st.integers(0, 3), _GAPS, _COUNTS),
     st.tuples(st.just("tick"), _GAPS),
     # A tick at a family's predicted threshold crossing, nudged by a
     # few ulps either way.
@@ -228,10 +226,11 @@ class TestIncrementalHotSet:
         before = set()
         for op in ops:
             if op[0] == "record":
-                _, family, gap, weight = op
+                _, family, gap, count = op
                 now += gap
-                hist.record(f"f{family}", now, weight)
-                oracle.record(f"f{family}", now, weight)
+                for _ in range(count):
+                    hist.record(f"f{family}", now)
+                    oracle.record(f"f{family}", now)
                 continue
             if op[0] == "tick":
                 now += op[1]
@@ -496,7 +495,8 @@ class TestReplicaAdmission:
 
     def _family(self, service, seed, demand, *, holder, config=CFG):
         """Serve graph ``seed`` on ``holder``'s shard and give its
-        family ``demand``; returns the entry's cache key."""
+        family ``demand`` requests at time 0; returns the entry's cache
+        key."""
         request = InferenceRequest(graph=_spec(seed), config=config,
                                    arrival_time=0.0)
         item = QueuedRequest(seq=0, request=request)
@@ -504,8 +504,8 @@ class TestReplicaAdmission:
         _route(service, [item], 0.0)
         accel, family, key = item.resolved
         accel.run(cache=service.workers[holder].cache)
-        if demand:
-            service.placement._demand.record(family, 0.0, weight=demand)
+        for _ in range(int(demand)):
+            service.placement._demand.record(family, 0.0)
         return key
 
     def _stores(self, service, lane="cache/w1"):
@@ -772,7 +772,7 @@ class TestAffinityKnobProduct:
                     12, arrival_rate=4000.0, chip_capacity=256,
                     seed=seed + drain, configs=(CFG16,), sharded_nodes=600,
                     sharded_fraction=0.2, critical_fraction=0.3,
-                    family_size=3, repeat_alpha=1.2, graph_kwargs=TINY,
+                    family_size=3, graph_kwargs=TINY,
                 )
             ids = plain.submit_many(requests)
             traced.submit_many(requests)

@@ -31,7 +31,6 @@ from repro.serve import (
     StreamingScheduler,
     RmatGraphSpec,
     bursty_arrivals,
-    percentile,
     poisson_arrivals,
     serve_requests,
     streaming_traffic,
@@ -40,6 +39,7 @@ from repro.serve.bench import DEFAULT_GRAPH_KWARGS, default_serving_config
 from repro.serve.placement import FirstFree
 from repro.serve.request import InferenceResult
 from repro.serve.service import ServiceStats, _fold_results
+from test_obs import percentile
 
 CFG_A = ArchConfig(n_pes=16, hop=1, remote_switching=True)
 CFG_B = ArchConfig(n_pes=32, hop=1, remote_switching=True)
@@ -210,8 +210,8 @@ class TestStreamingSchedulerCuts:
         items = _queued([_request(), _request(), _request()])
         for item in items:
             stream.admit(item)
-        assert stream.ready == 1
-        assert stream.pending == 1
+        assert len(stream._ready) == 1
+        assert stream._pending == 1
 
     def test_deadline_cut_without_estimate_fires_at_deadline(self):
         stream = StreamingScheduler()
@@ -220,7 +220,7 @@ class TestStreamingSchedulerCuts:
         assert stream.next_cut_time() == pytest.approx(1.5)
         assert stream.cut_due(1.4) == 0
         assert stream.cut_due(1.5) == 1
-        assert stream.ready == 1
+        assert len(stream._ready) == 1
 
     def test_estimate_pulls_the_cut_earlier(self):
         stream = StreamingScheduler()
@@ -265,8 +265,8 @@ class TestStreamingSchedulerCuts:
         for item in _queued([_request(CFG_A), _request(CFG_B)]):
             stream.admit(item)
         stream.flush()
-        assert stream.pending == 0
-        assert stream.ready == 2
+        assert stream._pending == 0
+        assert len(stream._ready) == 2
 
     def test_pop_is_edf_ordered(self):
         stream = StreamingScheduler()
@@ -698,7 +698,8 @@ class _RescanningScheduler(StreamingScheduler):
     """The oracle for the scheduler's O(1) bookkeeping: every cut time
     that ``cut_due`` and ``next_cut_time`` decide by rescans its
     group's member deadlines and reads the estimate through the public
-    :meth:`estimate`, and ``pending`` sums the groups."""
+    :meth:`estimate`, and ``pending`` sums the groups (the running
+    count the drain loop reads as ``_pending``)."""
 
     @property
     def pending(self):
@@ -757,7 +758,7 @@ def scheduler_runs(draw):
 
 def _scheduler_state(stream):
     return (
-        stream.pending, stream.ready, stream.next_cut_time(),
+        len(stream._ready), stream.next_cut_time(),
         [(item.seq, when) for item, when in stream.shed_log],
     )
 
@@ -815,14 +816,16 @@ class TestRunningDeadlineMinimum:
                 clock += op[1]
                 for stream in both:
                     stream.flush(now=clock)
-            elif fast.ready:
+            elif len(fast._ready):
                 assert _popped(fast) == _popped(oracle)
+            assert fast._pending == oracle.pending
             assert _scheduler_state(fast) == _scheduler_state(oracle)
             assert [fast.estimate(config, 1) for config in STREAM_CONFIGS] == [
                 ewma.get(index, 0.0) for index in range(len(STREAM_CONFIGS))
             ]
         for stream in both:
             stream.flush(now=clock)
-        while fast.ready:
+        while len(fast._ready):
             assert _popped(fast) == _popped(oracle)
+        assert fast._pending == oracle.pending
         assert _scheduler_state(fast) == _scheduler_state(oracle)

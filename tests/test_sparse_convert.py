@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.sparse import CooMatrix, coo_to_csc, coo_to_csr
+from sparse_helpers import csr_to_dense
 
 
 class TestRoundTrips:
@@ -33,6 +34,6 @@ class TestRoundTrips:
     def test_single_col_matrix(self):
         coo = CooMatrix((5, 1), [1, 3], [0, 0], [2.0, 4.0])
         assert np.array_equal(
-            coo_to_csr(coo).to_dense(), coo.to_dense()
+            csr_to_dense(coo_to_csr(coo)), coo.to_dense()
         )
 

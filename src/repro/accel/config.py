@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.utils.validation import (
     check_bool,
-    check_fraction,
     check_non_negative_int,
     check_positive_finite,
     check_positive_int,
@@ -76,8 +75,7 @@ _FIELD_CHECKS = (
     (check_positive_finite, ("frequency_mhz", "switch_damping")),
 )
 """How :meth:`ArchConfig.__post_init__` checks its numeric fields (the
-switches, ``sharing_efficiency`` and ``drain_cycles`` have their own
-rules)."""
+switches and ``drain_cycles`` have their own rules)."""
 
 
 @dataclass(frozen=True)
@@ -119,10 +117,6 @@ class ArchConfig:
         Per-round pipeline fill/drain overhead: Omega network transit
         plus MAC latency. ``None`` derives ``ceil(log2(n_pes)) +
         mac_latency``.
-    sharing_efficiency:
-        Fraction of the ideal local-sharing bound the online queue-
-        compare heuristic achieves (1.0 = ideal; the detailed simulator
-        measures the true value on small inputs).
     pipeline_spmm:
         Inter-SPMM column pipelining (Fig. 8). When off, the two SPMMs of
         a layer run back to back.
@@ -145,7 +139,6 @@ class ArchConfig:
     tracking_window: int = 2
     frequency_mhz: float = 275.0
     drain_cycles: int = None
-    sharing_efficiency: float = 1.0
     pipeline_spmm: bool = True
     switch_damping: float = 1.0
     convergence_patience: int = 2
@@ -157,8 +150,6 @@ class ArchConfig:
         for check, names in _FIELD_CHECKS:
             for name in names:
                 check(getattr(self, name), name)
-        check_fraction(self.sharing_efficiency, "sharing_efficiency",
-                       inclusive_low=False)
         for name in ("remote_switching", "pipeline_spmm", "eq5_approximate"):
             value = check_bool(getattr(self, name), name)
             object.__setattr__(self, name, value)

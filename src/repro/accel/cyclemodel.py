@@ -5,7 +5,7 @@ per column of the dense operand, paper Fig. 5). Each round:
 
 1. the row->PE map induces per-PE loads (tasks = owned non-zeros);
 2. local sharing compresses the makespan to the Hall bound of
-   :mod:`repro.accel.localshare` (scaled by ``sharing_efficiency``);
+   :mod:`repro.accel.localshare`;
 3. the RaW cooldown bound is applied: a PE whose work is dominated by a
    single output row cannot beat ``(c_max - 1) * cooldown + m``;
 4. a fixed drain overhead (network transit + MAC pipeline) is added;
@@ -26,7 +26,9 @@ the tuner commits the makespans after the fact, restoring the best map
 on a freeze — each round's work done once, with no
 one-Hall-bound-per-round Python loop, while staying bit-identical to it
 (the sequential loop lives in ``tests/test_accel_cyclemodel.py`` as the
-regression oracle).
+regression oracle). The walked rounds are then the warm-up of the same
+finish a frozen replay runs, so a cold SPMM and its cached replay build
+their results in one place.
 """
 
 from __future__ import annotations
@@ -159,125 +161,52 @@ class SpmmResult:
         return self.total_work / denom if denom else 0.0
 
 
-def simulate_spmm(job, config, *, initial_owner=None, tracer=None):
+def simulate_spmm(job, config, *, initial_owner=None):
     """Simulate one SPMM under ``config``; returns :class:`SpmmResult`.
 
     ``initial_owner`` warm-starts the row->PE map (the paper reuses the
     converged configuration when the same sparse matrix appears again,
     e.g. A in layer 2 after tuning in layer 1).
 
-    The Eq. 5 tuning phase walks a chunk of rounds at a time
+    A cold run is a tuning prefix followed by the frozen replay a cache
+    hit runs: with ``remote_switching`` the Eq. 5 tuning phase walks a
+    chunk of rounds at a time
     (:meth:`~repro.accel.remote.RemoteAutoTuner.advance`) and prices
     every walked round in one batched Hall-bound kernel call
-    (:func:`_drive_tuner_batched`).
-
-    ``tracer`` (a :class:`~repro.obs.tracer.RecordingTracer`) records
-    the Eq. 5 tuning trajectory: one ``tuner.round`` instant per
-    not-yet-converged round (at its cumulative cycle offset from the
-    tracer's simulated anchor) and a closing ``tuner.done`` carrying
-    the convergence round and final owner-map balance. Events are
-    derived from the completed cycle trace after the drive loop, so
-    the default ``None`` leaves the hot loop untouched.
+    (:func:`_drive_tuner_batched`); the walked rounds then end in the
+    same finish as :func:`simulate_spmm_frozen`, whose warm-up they
+    are. The run records no trace events: a traced caller derives the
+    tuner's from the finished result
+    (:meth:`repro.accel.GcnAccelerator.run`).
     """
     check_instance(job, SpmmJob, "job")
     check_instance(config, ArchConfig, "config")
     assignment = RowAssignment(job.row_nnz, config.n_pes, owner=initial_owner)
-    ideal = -(-job.work_per_round // config.n_pes)
-
-    tuner = None
+    warmup = np.zeros(0, dtype=np.int64)
+    converged_round = None
     if config.remote_switching:
-        rows_per_pe = max(job.row_nnz.size / config.n_pes, 1.0)
         tuner = RemoteAutoTuner(
             assignment,
-            rows_per_pe_equal=rows_per_pe,
+            rows_per_pe_equal=max(job.row_nnz.size / config.n_pes, 1.0),
             tracking_window=config.tracking_window,
             damping=config.switch_damping,
             patience=config.convergence_patience,
             approximate=config.eq5_approximate,
         )
-
-    cycles = np.zeros(job.n_rounds, dtype=np.int64)
-    max_backlog = 0
-    converged_round = None
-    round_idx = 0
-    hall_for_backlog = None
-    if tuner is not None:
-        round_idx, max_backlog = _drive_tuner_batched(
-            tuner, assignment, config, cycles, job.n_rounds, ideal
-        )
+        warmup = (_drive_tuner_batched(tuner, assignment, config, job.n_rounds)
+                  + config.drain_cycles)
         converged_round = tuner.converged_round
-    if round_idx < job.n_rounds:
-        # Static map (no tuner, or frozen): all remaining rounds are
-        # identical — evaluate once and fill. Only here is the Hall
-        # bound known to describe the *final* map (the tuner can still
-        # mutate the assignment when the rounds run out mid-tuning).
-        makespan, hall = _round_makespan_parts(assignment, config)
-        max_backlog = max(max_backlog, max(0, makespan - ideal))
-        cycles[round_idx:] = makespan + config.drain_cycles
-        hall_for_backlog = hall
-
-    per_pe_backlog = _steady_state_backlog(
-        assignment, config, ideal, hall_bound=hall_for_backlog
+    frozen = hall = None
+    if warmup.size < job.n_rounds:
+        # Only here is the Hall bound known to describe the *final* map
+        # (the tuner can still mutate the assignment when the rounds run
+        # out mid-tuning).
+        frozen, hall = _round_makespan_parts(assignment, config)
+    backlog = _steady_state_backlog(
+        assignment, config, _ideal_round(job, config), hall_bound=hall
     )
-    if tracer is not None and tracer.enabled:
-        _trace_tuning(
-            tracer, job, config, cycles, round_idx, converged_round,
-            assignment, tuned=tuner is not None,
-        )
-    return SpmmResult(
-        job_name=job.name,
-        n_rounds=job.n_rounds,
-        cycles_per_round=cycles,
-        ideal_cycles_per_round=ideal,
-        total_work=job.total_work,
-        n_pes=config.n_pes,
-        converged_round=converged_round,
-        max_queue_backlog=int(max_backlog),
-        final_backlog=int(per_pe_backlog.max()) if per_pe_backlog.size else 0,
-        total_backlog=int(per_pe_backlog.sum()),
-        final_owner=assignment.snapshot(),
-        tuned=tuner is not None,
-    )
-
-
-def _trace_tuning(tracer, job, config, cycles, rounds_tuned,
-                  converged_round, assignment, *, tuned):
-    """Emit the Eq. 5 tuning trajectory of one SPMM stage.
-
-    Post-hoc fold over the completed per-round cycle trace: round
-    timestamps are cumulative cycle offsets (converted to simulated
-    seconds) from the tracer's current anchor — the service pins the
-    anchor at each request's dispatch instant, so stage events land
-    inside the request's service span.
-    """
-    lane = f"sim/{job.name}"
-    cum = 0
-    for round_index in range(rounds_tuned):
-        cum += int(cycles[round_index])
-        tracer.instant(
-            "tuner.round", lane=lane,
-            offset=config.cycles_to_seconds(cum),
-            args={
-                "round": round_index,
-                "cycles": int(cycles[round_index]),
-            },
-        )
-    loads = assignment.loads
-    total = int(loads.sum())
-    peak = int(loads.max()) if loads.size else 0
-    tracer.instant(
-        "tuner.done", lane=lane, offset=config.cycles_to_seconds(cum),
-        args={
-            "job": job.name,
-            "tuned": tuned,
-            "rounds_tuned": rounds_tuned,
-            "converged_round": converged_round,
-            "owner_peak_frac": round(peak / total, 6) if total else 0.0,
-            "imbalance": (
-                round(peak * config.n_pes / total, 4) if total else 0.0
-            ),
-        },
-    )
+    return _finish(job, config, assignment, warmup, converged_round,
+                   int(backlog.max()), int(backlog.sum()), frozen)
 
 
 def simulate_spmm_frozen(job, config, owner, *, warmup_costs,
@@ -292,9 +221,9 @@ def simulate_spmm_frozen(job, config, owner, *, warmup_costs,
     :class:`SpmmResult` is cycle-identical to the cold
     :func:`simulate_spmm` run that produced the cache entry — the
     tuner's O(rounds) control loop and row shuffling are skipped
-    entirely. The frozen makespan goes through the same batched Hall
-    kernel as the tuning phase (via :func:`_round_makespan_parts`), so
-    the two paths cannot drift.
+    entirely. Both end in one finish, and the frozen makespan goes
+    through the same Hall kernel as the tuning phase (via
+    :func:`_round_makespan_parts`), so the two paths cannot drift.
 
     ``final_backlog``/``total_backlog`` are the cached steady-state
     queue statistics (pure functions of ``owner`` and ``config``), so
@@ -309,25 +238,40 @@ def simulate_spmm_frozen(job, config, owner, *, warmup_costs,
     check_instance(job, SpmmJob, "job")
     check_instance(config, ArchConfig, "config")
     assignment = RowAssignment(job.row_nnz, config.n_pes, owner=owner)
-    ideal = -(-job.work_per_round // config.n_pes)
-    drain = config.drain_cycles
-
     warmup = np.asarray(warmup_costs, dtype=np.int64)
     if warmup.size > job.n_rounds:
         raise ConfigError(
             f"warmup_costs has {warmup.size} rounds but the job only runs "
             f"{job.n_rounds}"
         )
+    frozen = None
+    if warmup.size < job.n_rounds:
+        frozen = _round_makespan_parts(assignment, config)[0]
+    return _finish(job, config, assignment, warmup, converged_round,
+                   final_backlog, total_backlog, frozen)
+
+
+def _ideal_round(job, config):
+    """ceil(work / n_pes): the perfect-balance cost of one round."""
+    return -(-job.work_per_round // config.n_pes)
+
+
+def _finish(job, config, assignment, warmup, converged_round,
+            final_backlog, total_backlog, frozen):
+    """The :class:`SpmmResult` of a warm-up and a frozen map.
+
+    ``warmup`` holds the per-round cycles of the not-yet-converged
+    prefix, and ``frozen`` the makespan of ``assignment``'s map that
+    fills every later round (None when the warm-up covers them all).
+    The peak backlog is the worst round's makespan over the ideal, and
+    ``tuned`` means a convergence round or a non-empty warm-up.
+    """
+    drain = config.drain_cycles
+    ideal = _ideal_round(job, config)
     cycles = np.empty(job.n_rounds, dtype=np.int64)
     cycles[:warmup.size] = warmup
-    makespans_seen = warmup - drain
-    if warmup.size < job.n_rounds:
-        frozen_makespan = _round_makespan_parts(assignment, config)[0]
-        cycles[warmup.size:] = frozen_makespan + drain
-        makespans_seen = np.append(makespans_seen, frozen_makespan)
-    max_backlog = (
-        max(0, int(makespans_seen.max()) - ideal) if makespans_seen.size else 0
-    )
+    if frozen is not None:
+        cycles[warmup.size:] = frozen + drain
     return SpmmResult(
         job_name=job.name,
         n_rounds=job.n_rounds,
@@ -336,7 +280,7 @@ def simulate_spmm_frozen(job, config, owner, *, warmup_costs,
         total_work=job.total_work,
         n_pes=config.n_pes,
         converged_round=converged_round,
-        max_queue_backlog=int(max_backlog),
+        max_queue_backlog=max(0, int(cycles.max()) - drain - ideal),
         final_backlog=int(final_backlog),
         total_backlog=int(total_backlog),
         final_owner=assignment.snapshot(),
@@ -352,30 +296,27 @@ def simulate_spmm_frozen(job, config, owner, *, warmup_costs,
 _TUNING_CHUNK = 8
 
 
-def _drive_tuner_batched(tuner, assignment, config, cycles, n_rounds, ideal):
+def _drive_tuner_batched(tuner, assignment, config, n_rounds):
     """Chunked tuning driver: each chunk of rounds is walked once.
 
     :meth:`RemoteAutoTuner.advance` applies up to ``_TUNING_CHUNK``
     rounds of switches, prices their load vectors in one
-    :func:`share_makespan_batch` call through ``price`` (with the
-    sharing efficiency and the RaW bound) and commits the makespans,
-    stopping at a freeze. Bit-identical to the sequential
-    one-Hall-bound-per-round loop (the oracle in
-    ``tests/test_accel_cyclemodel.py``): only the makespan *evaluation*
-    is batched. Returns ``(rounds_consumed, max_backlog)``.
+    :func:`share_makespan_batch` call through ``price`` (with the RaW
+    bound) and commits the makespans, stopping at a freeze.
+    Bit-identical to the sequential one-Hall-bound-per-round loop (the
+    oracle in ``tests/test_accel_cyclemodel.py``): only the makespan
+    *evaluation* is batched. Returns the walked rounds' makespans as an
+    ``int64`` array.
     """
     raw_bound = _raw_hazard_bound(assignment, config)  # load-map invariant
 
     def price(loads_matrix):
-        halls = share_makespan_batch(loads_matrix, config.hop)
-        spans = np.ceil(halls / config.sharing_efficiency).astype(np.int64)
-        return np.maximum(spans, raw_bound)
+        return np.maximum(share_makespan_batch(loads_matrix, config.hop),
+                          raw_bound)
 
     while tuner.round_index < n_rounds and not tuner.converged:
         tuner.advance(min(_TUNING_CHUNK, n_rounds - tuner.round_index), price)
-    makespans = np.asarray(tuner.makespan_history, dtype=np.int64)
-    cycles[:makespans.size] = makespans + config.drain_cycles
-    return makespans.size, max(0, int(makespans.max()) - ideal)
+    return np.asarray(tuner.makespan_history, dtype=np.int64)
 
 
 def _steady_state_backlog(assignment, config, ideal, *, hall_bound=None):
@@ -402,16 +343,13 @@ def _steady_state_backlog(assignment, config, ideal, *, hall_bound=None):
 def _round_makespan_parts(assignment, config):
     """``(makespan, hall_bound)`` of one round under the current map.
 
-    ``hall_bound`` is the unscaled local-sharing bound
-    (``share_makespan(loads, hop)`` at efficiency 1), returned alongside
-    so callers can reuse it for the steady-state backlog without a second
-    Hall evaluation.
+    ``hall_bound`` is the local-sharing bound ``share_makespan(loads,
+    hop)``, returned alongside so callers can reuse it for the
+    steady-state backlog without a second Hall evaluation; the makespan
+    is the larger of it and the RaW bound.
     """
-    loads = assignment.loads
-    hall = share_makespan(loads, config.hop)
-    span = int(np.ceil(hall / config.sharing_efficiency))
-    raw_bound = _raw_hazard_bound(assignment, config)
-    return max(span, raw_bound), int(hall)
+    hall = share_makespan(assignment.loads, config.hop)
+    return max(hall, _raw_hazard_bound(assignment, config)), hall
 
 
 def _raw_hazard_bound(assignment, config):

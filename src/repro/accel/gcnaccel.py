@@ -17,7 +17,7 @@ matrix never changes, so re-tuning from scratch would waste rounds.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,11 +28,12 @@ from repro.accel.cyclemodel import (
     simulate_spmm,
     simulate_spmm_frozen,
 )
+from repro.accel.workload import per_pe_loads
 from repro.errors import ConfigError
-from repro.obs.tracer import RecordingTracer
 from repro.utils.validation import (
     check_1d_int_array,
     check_instance,
+    check_non_negative_int,
     check_positive_int,
 )
 
@@ -78,6 +79,13 @@ class CachedStage:
     (or any caller holding that array) can never rewrite the cached
     map. Entry identity therefore implies entry content, which is what
     lets :meth:`GcnAccelerator._run_cached` memoize a replay.
+
+    A stage no cold run can produce is a
+    :class:`~repro.errors.ConfigError` naming the field: ``warmup_costs``
+    is a tuple of non-negative ints, ``converged_round`` None or a
+    positive int equal to the warm-up's length (where
+    :attr:`SpmmResult.warmup_costs` cuts a converged run), and both
+    backlogs are non-negative ints.
     """
 
     owner: np.ndarray
@@ -90,6 +98,19 @@ class CachedStage:
         owner = check_1d_int_array(self.owner, "owner").copy()
         owner.setflags(write=False)
         object.__setattr__(self, "owner", owner)
+        check_instance(self.warmup_costs, tuple, "warmup_costs")
+        for index, cost in enumerate(self.warmup_costs):
+            check_non_negative_int(cost, f"warmup_costs[{index}]")
+        if self.converged_round is not None:
+            rounds = check_positive_int(self.converged_round,
+                                        "converged_round")
+            if rounds != len(self.warmup_costs):
+                raise ConfigError(
+                    f"converged_round must equal the "
+                    f"{len(self.warmup_costs)} warm-up rounds, got {rounds}"
+                )
+        check_non_negative_int(self.final_backlog, "final_backlog")
+        check_non_negative_int(self.total_backlog, "total_backlog")
 
 
 @dataclass(frozen=True)
@@ -153,7 +174,7 @@ class AcceleratorReport:
     config: ArchConfig
     layers: tuple
     total_cycles: int
-    cache_hit: bool = False
+    cache_hit: bool
     """True when this report was replayed from a cached tuning entry
     (the frozen fast path) instead of driving the auto-tuner."""
 
@@ -190,19 +211,16 @@ class AcceleratorReport:
 class ColdRun:
     """One cold simulation: what a cache miss computes and stores.
 
-    ``report`` is the cold :class:`AcceleratorReport`, ``entry`` the
-    :class:`CachedTuning` extracted from it, and ``events`` the tuner
-    events the run emitted, recorded at simulated time 0 so that
-    :meth:`~repro.obs.tracer.RecordingTracer.splice` can re-anchor them
-    (None when the run was not traced). :meth:`GcnAccelerator.run`
+    ``report`` is the cold :class:`AcceleratorReport` and ``entry`` the
+    :class:`CachedTuning` extracted from it. :meth:`GcnAccelerator.run`
     keeps one per accelerator, so it lives as long as the accelerator:
     :class:`repro.serve.InferenceService` keeps an accelerator while
-    consecutive drains use it.
+    consecutive drains use it. Its tuner events are not kept: they are
+    a function of the report (:func:`_trace_tuning`).
     """
 
     report: AcceleratorReport
     entry: CachedTuning
-    events: object = None  # tuple | None
 
 
 def build_spmm_jobs(dataset, *, a_hops=1):
@@ -380,88 +398,67 @@ class GcnAccelerator:
 
         A cold run is a pure function of (jobs, config), so with a cache
         each accelerator drives the tuner at most once: its first miss
-        keeps the :class:`ColdRun` (the report's arrays made read-only,
-        the entry it stored and, when traced, its tuner events), and
-        every later miss — the key was evicted, or this is another
-        cache — makes the same calls the cold path does: ``lookup``,
-        the events spliced into ``tracer``, ``store`` of that same
-        entry object. Every miss returns the kept run's report.
-        A run kept untraced is simulated again, once, the first time a
-        traced miss needs its events. ``cache=None`` tunes on every call
-        and returns a new report each time: it is the no-cache baseline.
+        keeps the :class:`ColdRun` (the report and the entry it
+        stored), and every later miss — the key was evicted, or this is
+        another cache — makes the same calls the cold path does:
+        ``lookup``, the tuner events into ``tracer``, ``store`` of that
+        same entry object. Every miss returns the kept run's report.
+        ``cache=None`` tunes on every call and returns a new report each
+        time: it is the no-cache baseline. Every report's arrays are
+        read-only.
 
         ``tracer`` (a :class:`~repro.obs.tracer.RecordingTracer`)
-        records the cold path's per-stage Eq. 5 tuning events; the
-        frozen replay emits nothing of its own (the cache layer's
+        receives the cold path's per-stage Eq. 5 tuning events, read off
+        the cold report (:func:`_trace_tuning`) after a cache-less run
+        and between the lookup and the store of every miss, so a miss
+        that reuses a run kept untraced traces without simulating again.
+        The frozen replay emits nothing of its own (the cache layer's
         hit/miss events already mark it).
         """
         if cache is None:
-            return self._run_cold(tracer=tracer)
+            return self._traced(self._run_cold(), tracer)
         fingerprint = self.fingerprint()
         entry = cache.lookup(fingerprint, self.config)
         if entry is not None and (id(entry) in self._replays
                                   or entry.matches(self.jobs)):
             return self._run_cached(entry)
-        trace = tracer is not None and tracer.enabled
         cold = self._cold
-        if cold is None or (trace and cold.events is None):
-            cold = self._keep_cold(traced=trace)
-        if trace:
-            tracer.splice(cold.events)
+        if cold is None:
+            report = self._run_cold()
+            cold = self._cold = ColdRun(
+                report=report, entry=CachedTuning.from_report(report)
+            )
+        self._traced(cold.report, tracer)
         cache.store(fingerprint, self.config, cold.entry)
         return cold.report
 
-    def _keep_cold(self, *, traced):
-        """Simulate cold, cache-less, and keep the :class:`ColdRun` a
-        miss stores; returns it. ``traced`` records the tuner events on
-        a local :class:`~repro.obs.tracer.RecordingTracer` at simulated
-        0. A kept run stays: simulating again only adds the tuner
-        events a kept untraced run lacks, to the same report and
-        entry.
-        """
-        local = RecordingTracer() if traced else None
-        report = self._run_cold(tracer=local)
-        events = tuple(local.events) if traced else None
-        kept = self._cold
-        if kept is None:
-            for result in report.spmm_results:
-                result.cycles_per_round.setflags(write=False)
-                result.final_owner.setflags(write=False)
-            kept = ColdRun(report=report,
-                           entry=CachedTuning.from_report(report),
-                           events=events)
-        else:
-            kept = replace(kept, events=events)
-        self._cold = kept
-        return kept
+    def _traced(self, report, tracer):
+        """Emit each stage's tuner events of the cold ``report`` into
+        ``tracer`` when it records; returns ``report``."""
+        if tracer is not None and tracer.enabled:
+            for stage_jobs, layer in zip(self.jobs, report.layers):
+                for job, result in zip(stage_jobs, layer.stages):
+                    _trace_tuning(tracer, job, self.config, result)
+        return report
 
-    def _run_cold(self, *, tracer=None):
+    def _run_cold(self):
         """Full simulation: drive the auto-tuner on every stage."""
         layers = []
-        total = 0
         a_owner = None
         for stage_jobs in self.jobs:
             results = []
-            for index, job in enumerate(stage_jobs):
+            for job in stage_jobs:
                 is_a_stage = job.tdq == "tdq2"
                 result = simulate_spmm(
                     job,
                     self.config,
                     initial_owner=a_owner if is_a_stage else None,
-                    tracer=tracer,
                 )
                 if is_a_stage:
                     a_owner = result.final_owner
                 results.append(result)
-            layer_timing, layer_cycles = self._layer_timing(results)
-            layers.append(layer_timing)
-            total += layer_cycles
-        return AcceleratorReport(
-            dataset=self._name,
-            config=self.config,
-            layers=tuple(layers),
-            total_cycles=total,
-        )
+            layers.append(results)
+        return self._report(layers, cache_hit=False)
 
     def _run_cached(self, entry):
         """Replay a :class:`CachedTuning` entry through the frozen path.
@@ -478,10 +475,8 @@ class GcnAccelerator:
         """
         memo = self._replays.get(id(entry))
         if memo is None:
-            layers = []
-            total = 0
-            for stage_jobs, cached_stages in zip(self.jobs, entry.layers):
-                results = [
+            layers = [
+                [
                     simulate_spmm_frozen(
                         job,
                         self.config,
@@ -493,33 +488,76 @@ class GcnAccelerator:
                     )
                     for job, stage in zip(stage_jobs, cached_stages)
                 ]
-                for result in results:
-                    result.cycles_per_round.setflags(write=False)
-                    result.final_owner.setflags(write=False)
-                layer_timing, layer_cycles = self._layer_timing(results)
-                layers.append(layer_timing)
-                total += layer_cycles
-            memo = (entry, AcceleratorReport(
-                dataset=self._name,
-                config=self.config,
-                layers=tuple(layers),
-                total_cycles=total,
-                cache_hit=True,
-            ))
+                for stage_jobs, cached_stages in zip(self.jobs, entry.layers)
+            ]
+            memo = (entry, self._report(layers, cache_hit=True))
             self._replays[id(entry)] = memo
         return memo[1]
 
-    def _layer_timing(self, results):
-        """Fold one layer's stage results into a :class:`LayerTiming`."""
-        if self.config.pipeline_spmm:
-            layer_cycles = _pipeline_cycles(results, self.config)
-        else:
-            layer_cycles = sum(r.total_cycles for r in results)
-        timing = LayerTiming(
-            stages=tuple(results),
-            pipelined_cycles=int(layer_cycles),
+    def _report(self, layers, *, cache_hit):
+        """Fold per-layer stage results into an :class:`AcceleratorReport`.
+
+        Each result's arrays are made read-only, and each layer becomes
+        a :class:`LayerTiming` of Fig. 8 pipelined (or, with
+        ``pipeline_spmm`` off, serial) cycles.
+        """
+        timings = []
+        for results in layers:
+            for result in results:
+                result.cycles_per_round.setflags(write=False)
+                result.final_owner.setflags(write=False)
+            if self.config.pipeline_spmm:
+                cycles = _pipeline_cycles(results, self.config)
+            else:
+                cycles = sum(result.total_cycles for result in results)
+            timings.append(LayerTiming(stages=tuple(results),
+                                       pipelined_cycles=int(cycles)))
+        return AcceleratorReport(
+            dataset=self._name,
+            config=self.config,
+            layers=tuple(timings),
+            total_cycles=sum(timing.pipelined_cycles for timing in timings),
+            cache_hit=cache_hit,
         )
-        return timing, int(layer_cycles)
+
+
+def _trace_tuning(tracer, job, config, result):
+    """Emit the Eq. 5 tuning trajectory of one finished SPMM stage.
+
+    A fold over the finished result: one ``tuner.round`` instant per
+    round of its warm-up (the rounds tuned), each at its cumulative
+    cycle offset (converted to simulated seconds) from the tracer's
+    current anchor, and a closing ``tuner.done`` carrying the
+    convergence round and the final owner map's balance. The service
+    pins the anchor at each request's dispatch instant, so stage events
+    land inside the request's service span.
+    """
+    lane = f"sim/{job.name}"
+    warmup = result.warmup_costs
+    cum = 0
+    for round_index, cost in enumerate(warmup):
+        cum += cost
+        tracer.instant(
+            "tuner.round", lane=lane,
+            offset=config.cycles_to_seconds(cum),
+            args={"round": round_index, "cycles": cost},
+        )
+    loads = per_pe_loads(result.final_owner, job.row_nnz, config.n_pes)
+    total = int(loads.sum())
+    peak = int(loads.max())
+    tracer.instant(
+        "tuner.done", lane=lane, offset=config.cycles_to_seconds(cum),
+        args={
+            "job": job.name,
+            "tuned": result.tuned,
+            "rounds_tuned": len(warmup),
+            "converged_round": result.converged_round,
+            "owner_peak_frac": round(peak / total, 6) if total else 0.0,
+            "imbalance": (
+                round(peak * config.n_pes / total, 4) if total else 0.0
+            ),
+        },
+    )
 
 
 def _pipeline_cycles(stage_results, config):

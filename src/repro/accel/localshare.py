@@ -36,8 +36,8 @@ def share_makespan(loads, hop):
     """Minimum cycles for one round under ``hop``-local sharing.
 
     ``loads`` is the per-PE owned work for this round. Returns an
-    ``int`` cycle count: the ideal bound, which the cycle model scales
-    by ``ArchConfig.sharing_efficiency`` itself.
+    ``int`` cycle count: the ideal bound, which the cycle model takes
+    as the round's makespan unless the RaW bound is larger.
     """
     loads = np.asarray(loads, dtype=np.int64)
     if loads.ndim != 1 or loads.size == 0:

@@ -46,7 +46,6 @@ class TrackedTuple:
     hot: int
     cold: int
     n_switched: float = 0.0
-    rounds_tracked: int = 0
 
     @property
     def key(self):
@@ -177,7 +176,6 @@ class RemoteAutoTuner:
         new_total = slot.n_switched + self.damping * step
         delta = int(round(new_total)) - int(round(slot.n_switched))
         slot.n_switched = new_total
-        slot.rounds_tracked += 1
         if delta <= 0:
             return 0
         # Eq. 5 budgets how many rows may move; the SLT stops selecting

@@ -7,8 +7,8 @@ generalizing the paper's own mechanisms one level up:
 
 * :mod:`repro.cluster.partition` — contiguous row-block partitioning
   (``"rows"`` static / ``"nnz"`` greedy-balanced) into a
-  :class:`ShardPlan`, plus the :class:`HaloExchange` feature-row sets
-  each chip must receive before aggregation;
+  :class:`ShardPlan`, plus the :class:`HaloExchange` feature-row
+  volumes each chip must receive before aggregation;
 * :mod:`repro.cluster.multichip` — the multi-chip cycle model: per-chip
   single-chip simulations (autotune cache and all) composed with a
   halo-bandwidth + per-layer-barrier communication model, and a

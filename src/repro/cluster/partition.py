@@ -409,26 +409,21 @@ def make_plan(row_nnz, n_chips, *, strategy="nnz", blocks_per_chip=8,
 
 @dataclass(frozen=True)
 class HaloExchange:
-    """Per-layer inter-chip feature-row exchange sets of one plan.
+    """Per-layer inter-chip feature-row exchange volumes of one plan.
 
     ``words[d, s]`` counts the distinct dense-operand rows chip ``d``
     must receive from chip ``s`` before an aggregation stage (one word
     per row per dense column — multiply by the stage's round count for
-    the transfer volume). ``rows[d]`` is the sorted global index array
-    of chip ``d``'s halo rows (rows it references but does not own).
-    Both are read-only copies: one exchange serves every run of its
-    plan.
+    the transfer volume): chip ``d``'s halo rows, the rows it references
+    but does not own, by owner. It is a read-only copy: one exchange
+    serves every run of its plan.
     """
 
     n_chips: int
     words: np.ndarray
-    rows: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "words", _read_only(self.words))
-        object.__setattr__(
-            self, "rows", tuple(_read_only(rows) for rows in self.rows)
-        )
 
 
 def _as_csr(adjacency):
@@ -470,11 +465,6 @@ def halo_exchange(adjacency, plan):
     # is transferred once per destination chip, however many local
     # non-zeros reference it.
     keys = np.unique(dest[remote] * np.int64(n) + csr.col_ids[remote])
-    halo_dest = keys // n
-    halo_row = keys % n
     words = np.zeros((plan.n_chips, plan.n_chips), dtype=np.int64)
-    np.add.at(words, (halo_dest, row_owner[halo_row]), 1)
-    rows = tuple(
-        halo_row[halo_dest == chip] for chip in range(plan.n_chips)
-    )
-    return HaloExchange(n_chips=plan.n_chips, words=words, rows=rows)
+    np.add.at(words, (keys // n, row_owner[keys % n]), 1)
+    return HaloExchange(n_chips=plan.n_chips, words=words)

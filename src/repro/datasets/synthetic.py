@@ -20,8 +20,10 @@ from repro.datasets.features import (
 from repro.datasets.normalize import gcn_normalize
 from repro.datasets.rmat import inject_hub_cluster, rmat_edges
 from repro.datasets.specs import get_spec
+from repro.errors import ConfigError
 from repro.sparse.coo import CooMatrix
 from repro.utils.rng import spawn_rngs
+from repro.utils.validation import check_1d_int_array, check_instance
 
 # Materialize feature values only below this many non-zeros; above it we
 # keep the pattern (per-row counts), which is all the cycle models need.
@@ -47,6 +49,12 @@ class GcnDataset:
         Per-row non-zero counts of the layer inputs. ``x2_row_nnz`` is a
         *forecast* from the Table 1 density (the true X2 emerges from
         inference and is used instead whenever features are materialized).
+
+    Construction checks that the parts fit one graph, through
+    :mod:`repro.utils.validation`: a square adjacency, one non-negative
+    int count per node in each profile, and two 2-D weights whose shapes
+    chain. A dataset that fails raises
+    :class:`~repro.errors.ConfigError` naming the field.
     """
 
     name: str
@@ -57,6 +65,27 @@ class GcnDataset:
     weights: list
     x1_row_nnz: np.ndarray
     x2_row_nnz: np.ndarray
+
+    def __post_init__(self):
+        shape = check_instance(self.adjacency, CooMatrix, "adjacency").shape
+        if shape[0] != shape[1]:
+            raise ConfigError(f"adjacency must be square, got shape {shape}")
+        for name in ("x1_row_nnz", "x2_row_nnz"):
+            profile = check_1d_int_array(getattr(self, name), name)
+            if profile.size != shape[0]:
+                raise ConfigError(
+                    f"{name} must hold one count per node ({shape[0]}), "
+                    f"got {profile.size}"
+                )
+            if profile.size and profile.min() < 0:
+                raise ConfigError(f"{name} must be non-negative")
+        weights = check_instance(self.weights, (list, tuple), "weights")
+        shapes = [np.shape(weight) for weight in weights]
+        if [len(s) for s in shapes] != [2, 2] or shapes[0][1] != shapes[1][0]:
+            raise ConfigError(
+                f"weights must be two 2-D matrices whose shapes chain, got "
+                f"shapes {shapes}"
+            )
 
     @property
     def n_nodes(self):

@@ -19,12 +19,11 @@ bit-identity contract below and exports under its own process lane.
 
 Determinism contract: because control flow depends only on the
 simulated clock, the event stream a :class:`RecordingTracer` collects
-is bit-identical from run to run. The one wrinkle is the cold run a
-cache miss keeps (:meth:`repro.accel.GcnAccelerator.run`): its tuner
-events are recorded on a local tracer (anchored at 0) and
-:meth:`RecordingTracer.splice`\\ d into the stream at exactly the point
-a direct run would have emitted them, between the cache lookup and the
-store, on every miss that replays them. The backfill screen's overlay
+is bit-identical from run to run. A cold run's tuner events are a
+function of its finished report, so every miss emits them, read off
+the report, between the cache lookup and the store
+(:meth:`repro.accel.GcnAccelerator.run`), whether it tuned or reused
+the cold run its accelerator kept. The backfill screen's overlay
 probe reads the shared cache with ``peek``, which records a
 ``cache.peek`` event but moves no counter or recency; affinity routing
 and replication read shards with ``key in cache`` and
@@ -93,9 +92,6 @@ class NullTracer:
         return None
 
     def counter(self, name, **kwargs):
-        return None
-
-    def splice(self, events, **kwargs):
         return None
 
     def wall(self, name, **kwargs):
@@ -176,12 +172,13 @@ class RecordingTracer:
         ))
 
     def splice(self, events):
-        """Re-emit events recorded elsewhere into this stream.
+        """Re-emit events recorded elsewhere into this stream, with
+        ``ts += now`` and fresh sequence numbers.
 
-        A kept cold run carries its tuner events anchored at simulated
-        time 0; each miss that replays it splices them here with
-        ``ts += now`` and fresh sequence numbers, reproducing the exact
-        stream a direct cold run emits at the same point.
+        Nothing in ``src/`` calls it any more: a miss emits a kept cold
+        run's tuner events afresh from its report. It stays because the
+        host benchmark's probes (``hostbench/layers.py``) patch it by
+        name, as they do :meth:`repro.serve.AutotuneCache.merge`.
         """
         base = self.now
         for event in events:

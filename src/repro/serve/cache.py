@@ -418,10 +418,18 @@ class AutotuneCache:
         malformed entry (a missing field or owner array, an unknown
         config field or one :class:`~repro.accel.ArchConfig` refuses,
         such as a fractional ``mac_latency``, a non-finite number:
-        Python's ``json`` reads ``Infinity`` and ``NaN``) and an entry
-        whose owner map names a PE outside ``[0, config.n_pes)``,
-        naming its slot too: a poisoned entry fails here, not at its
-        first hit mid-drain.
+        Python's ``json`` reads ``Infinity`` and ``NaN``), an entry
+        whose owner map names a PE outside ``[0, config.n_pes)`` and a
+        stage no cold run can produce (one
+        :class:`~repro.accel.CachedStage` refuses, such as a negative
+        warm-up cost or a convergence round past the warm-up), naming
+        its slot too: a poisoned entry fails here, not at its first
+        hit mid-drain.
+
+        An archive saved before ``ArchConfig`` lost its
+        ``sharing_efficiency`` field names that field in every config,
+        so its first entry is refused as malformed, like any other
+        unknown config field.
         """
         cache = cls()
         # np.load leaves a file it opened itself open when the archive
@@ -510,30 +518,34 @@ def _entry_from_index(archive, slot, meta):
     last_used)``. A malformed index entry raises the ``KeyError``,
     ``TypeError``, ``ValueError``, ``OverflowError`` or
     ``AttributeError`` its first bad field trips (``int()`` of an
-    infinite count overflows, of a NaN is a ``ValueError``), an owner
-    map naming a PE outside ``[0, config.n_pes)`` or a non-finite
-    ``last_used`` a ``ValueError``; :meth:`AutotuneCache.load` turns
-    each into a :class:`~repro.errors.ConfigError` naming the slot."""
+    infinite hit count overflows, of a NaN is a ``ValueError``), an
+    owner map naming a PE outside ``[0, config.n_pes)`` or a non-finite
+    ``last_used`` a ``ValueError``, and a config or stage field that
+    :class:`~repro.accel.ArchConfig` or
+    :class:`~repro.accel.CachedStage` refuses (a fractional warm-up cost
+    or owner map included: each is checked as archived, never
+    truncated) a
+    :class:`~repro.errors.ConfigError`; :meth:`AutotuneCache.load`
+    turns each into a :class:`~repro.errors.ConfigError` naming the
+    slot."""
     config = ArchConfig(**meta["config"])
     layers = []
     flat = 0
     for layer_meta in meta["layers"]:
         stages = []
         for stage_meta in layer_meta:
-            owner = np.asarray(archive[f"e{slot}_s{flat}"], dtype=np.int64)
+            owner = archive[f"e{slot}_s{flat}"]
             if owner.size and (owner.min() < 0
                                or owner.max() >= config.n_pes):
                 raise ValueError(
                     f"owner PE ids out of range [0, {config.n_pes})"
                 )
-            converged_round = stage_meta["converged_round"]
             stages.append(CachedStage(
                 owner=owner,
-                warmup_costs=tuple(int(c) for c in stage_meta["warmup"]),
-                converged_round=(None if converged_round is None
-                                 else int(converged_round)),
-                final_backlog=int(stage_meta["final_backlog"]),
-                total_backlog=int(stage_meta["total_backlog"]),
+                warmup_costs=tuple(stage_meta["warmup"]),
+                converged_round=stage_meta["converged_round"],
+                final_backlog=stage_meta["final_backlog"],
+                total_backlog=stage_meta["total_backlog"],
             ))
             flat += 1
         layers.append(tuple(stages))

@@ -1107,8 +1107,8 @@ class InferenceService:
         request = item.request
         tr = self.tracer
         if tr.enabled:
-            # Anchor this request's tuner/cache events (direct or
-            # spliced from a kept cold run) at its service start.
+            # Anchor this request's tuner/cache events (the tuner's
+            # read off its cold report) at its service start.
             tr.set_time(start)
         started = time.perf_counter()
         accel, _family, (fingerprint, _config) = item.resolved

@@ -95,11 +95,10 @@ def check_non_negative_finite(value, name):
     return value
 
 
-def check_fraction(value, name, *, inclusive_low=True):
-    """Return ``value`` as ``float`` if it lies in [0, 1] (or (0, 1])."""
+def check_fraction(value, name):
+    """Return ``value`` as ``float`` if it lies in [0, 1]."""
     value = _as_float(value, name)
-    low_ok = value >= 0.0 if inclusive_low else value > 0.0
-    if not (low_ok and value <= 1.0):
+    if not 0.0 <= value <= 1.0:
         raise ConfigError(f"{name} must lie in the unit interval, got {value}")
     return value
 

@@ -4,10 +4,11 @@ The cycle models in :mod:`repro.cluster.multichip` only predict *how
 fast* a sharded run is; this module proves the sharding itself computes
 the right answer. It is test code: the exact-reassembly property suite
 (``tests/test_prop_cluster.py``) is its caller, and
-``tests/test_cluster_partition.py`` checks its row gather. Every
-function executes shard-locally — a chip touches only its own rows plus
-the halo rows its :class:`~repro.cluster.partition.HaloExchange` set
-names — and reassembles per-chip outputs into the global result.
+``tests/test_cluster_partition.py`` checks its row gather and halo
+sets. Every function executes shard-locally — a chip touches only its
+own rows plus the halo rows :func:`halo_rows` derives from the plan's
+row owners and the adjacency — and reassembles per-chip outputs into
+the global result.
 
 The reassembly guarantee is exact, not approximate: every kernel here
 accumulates each output element's products in a fixed order that does
@@ -30,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError, ShapeError
-from repro.cluster.partition import ShardPlan, _as_csr, halo_exchange
+from repro.cluster.partition import ShardPlan, _as_csr
 from repro.model.activations import get_activation, row_softmax
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.coo import CooMatrix
@@ -64,6 +65,16 @@ def take_rows(csr, rows):
     return CsrMatrix(
         (rows.size, csr.shape[1]), indptr, csr.col_ids[flat], csr.vals[flat]
     )
+
+
+def halo_rows(csr, plan):
+    """Per chip, the sorted rows its block of ``csr`` references but
+    another chip owns under ``plan``: the rows it must receive."""
+    row_owner = plan.row_owner()
+    dest = row_owner[csr.expand_rows()]
+    remote = dest != row_owner[csr.col_ids]
+    return [np.unique(csr.col_ids[remote & (dest == chip)])
+            for chip in range(plan.n_chips)]
 
 
 def _compact_chip_block(csr, rows, needed):
@@ -120,11 +131,11 @@ def sharded_spmm(adjacency, b_dense, plan):
         raise ConfigError(
             f"plan covers {plan.n_rows} rows but A has {csr.shape[0]}"
         )
-    halo = halo_exchange(csr, plan)
+    halo = halo_rows(csr, plan)
     out = np.zeros((csr.shape[0], b_dense.shape[1]))
     for chip in range(plan.n_chips):
         rows = plan.chip_rows(chip)
-        needed = np.union1d(rows, halo.rows[chip])
+        needed = np.union1d(rows, halo[chip])
         out[rows] = _chip_spmm(csr, rows, needed, b_dense)
     return out
 
@@ -162,10 +173,10 @@ def sharded_gcn_forward(adjacency, weights, features, plan, *, a_hops=1,
         )
     if not weights:
         raise ConfigError("at least one weight matrix is required")
-    halo = halo_exchange(csr, plan)
+    halo = halo_rows(csr, plan)
     chip_rows = [plan.chip_rows(chip) for chip in range(plan.n_chips)]
     chip_needed = [
-        np.union1d(rows, halo.rows[chip])
+        np.union1d(rows, halo[chip])
         for chip, rows in enumerate(chip_rows)
     ]
     # The compacted blocks depend only on (adjacency, plan): build them

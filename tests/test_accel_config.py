@@ -29,8 +29,6 @@ class TestValidation:
             {"queues_per_pe": 0},
             {"tracking_window": 0},
             {"frequency_mhz": 0},
-            {"sharing_efficiency": 0.0},
-            {"sharing_efficiency": 1.5},
             {"switch_damping": 0},
             {"convergence_patience": 0},
             {"drain_cycles": -1},
@@ -91,8 +89,7 @@ CHANGED = {
     ArchConfig: {
         "n_pes": 512, "hop": 1, "remote_switching": True,
         "mac_latency": 6, "queues_per_pe": 2, "tracking_window": 3,
-        "frequency_mhz": 285.0, "drain_cycles": 3,
-        "sharing_efficiency": 0.9, "pipeline_spmm": False,
+        "frequency_mhz": 285.0, "drain_cycles": 3, "pipeline_spmm": False,
         "switch_damping": 0.5, "convergence_patience": 3,
         "eq5_approximate": True,
     },

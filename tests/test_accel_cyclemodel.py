@@ -210,7 +210,6 @@ def _observe_round(tuner, makespan):
     new_total = slot.n_switched + tuner.damping * step
     delta = int(round(new_total)) - int(round(slot.n_switched))
     slot.n_switched = new_total
-    slot.rounds_tracked += 1
     if delta <= 0:
         return False
     moved = swap_rows_reference(
@@ -219,25 +218,22 @@ def _observe_round(tuner, makespan):
     return moved > 0
 
 
-def _drive_tuner(tuner, assignment, config, cycles, n_rounds, ideal):
+def _drive_tuner(tuner, assignment, config, n_rounds):
     """Sequential reference tuning driver (one Hall bound per round).
 
     The original pre-vectorization control loop, kept bit-identical as
     the regression oracle for ``cyclemodel._drive_tuner_batched``, whose
     signature it shares. It drives the tuner ``simulate_spmm`` built
     through :func:`_observe_round`, never through the tuner's own
-    methods. Fills ``cycles`` for every observed round; returns
-    ``(rounds_consumed, max_backlog)``.
+    methods. Returns the observed rounds' makespans as an ``int64``
+    array.
     """
-    round_idx = 0
-    max_backlog = 0
-    while round_idx < n_rounds and not tuner.converged:
+    makespans = []
+    while len(makespans) < n_rounds and not tuner.converged:
         makespan, _hall = cyclemodel._round_makespan_parts(assignment, config)
-        max_backlog = max(max_backlog, max(0, makespan - ideal))
-        cycles[round_idx] = makespan + config.drain_cycles
+        makespans.append(makespan)
         _observe_round(tuner, makespan)
-        round_idx += 1
-    return round_idx, max_backlog
+    return np.asarray(makespans, dtype=np.int64)
 
 
 @st.composite

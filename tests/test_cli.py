@@ -98,7 +98,9 @@ REMOVED_KEYWORDS = {
     "rebalance_plan.row_ceilings":
         lambda: rebalance_plan(None, None, ClusterConfig(),
                                row_ceilings=None),
-    # The cycle model divides by ArchConfig.sharing_efficiency itself.
+    # A round costs the larger of the Hall and RaW bounds, unscaled.
+    "ArchConfig.sharing_efficiency":
+        lambda: ArchConfig(sharing_efficiency=1.0),
     "share_makespan.efficiency":
         lambda: share_makespan([1], 1, efficiency=1.0),
     "share_makespan_batch.efficiency":
@@ -113,6 +115,12 @@ REMOVED_KEYWORDS = {
         lambda: gcn_normalize(CooMatrix.empty((1, 1)), add_loops=False),
     "check_fraction.inclusive_high":
         lambda: check_fraction(0.5, "x", inclusive_high=False),
+    "check_fraction.inclusive_low":
+        lambda: check_fraction(0.5, "x", inclusive_low=False),
+    # A cold run's tuner events are read off its report by
+    # GcnAccelerator.run; the cycle model traces nothing.
+    "simulate_spmm.tracer":
+        lambda: simulate_spmm(None, None, tracer=RecordingTracer()),
     # One name per traffic knob: family_size and repeat_alpha.
     "synthetic_traffic.n_graphs": lambda: synthetic_traffic(1, n_graphs=1),
     "synthetic_traffic.zipf_skew":

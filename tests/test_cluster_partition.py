@@ -15,7 +15,7 @@ from repro.cluster import (
 from repro.cluster.partition import _ceiling_reach, _suffix_need
 from repro.errors import CeilingError, ConfigError, ShapeError
 from repro.sparse import CooMatrix, coo_to_csr
-from sharded_oracle import take_rows
+from sharded_oracle import halo_rows, take_rows
 from sparse_helpers import csr_to_dense
 
 
@@ -310,24 +310,26 @@ def _random_adjacency(n, seed=1, density=0.05):
 
 class TestHaloExchange:
     def test_halo_rows_are_exactly_the_remote_references(self):
+        # The oracle's halo sets, which its sharded SpMM gathers.
         adj = _random_adjacency(60)
         csr = coo_to_csr(adj)
         plan = make_plan(csr.row_nnz(), 3, strategy="rows")
-        halo = halo_exchange(adj, plan)
+        halo = halo_rows(csr, plan)
         row_owner = plan.row_owner()
         for chip in range(3):
             rows = plan.chip_rows(chip)
             referenced = np.unique(take_rows(csr, rows).col_ids)
             expected = referenced[row_owner[referenced] != chip]
-            assert np.array_equal(np.sort(halo.rows[chip]), expected)
+            assert np.array_equal(halo[chip], expected)
 
     def test_words_matrix_counts_rows_by_source(self):
         adj = _random_adjacency(50, seed=5)
-        plan = make_plan(coo_to_csr(adj).row_nnz(), 4)
+        csr = coo_to_csr(adj)
+        plan = make_plan(csr.row_nnz(), 4)
         halo = halo_exchange(adj, plan)
         row_owner = plan.row_owner()
-        for dest in range(4):
-            sources = row_owner[halo.rows[dest]]
+        for dest, rows in enumerate(halo_rows(csr, plan)):
+            sources = row_owner[rows]
             for src in range(4):
                 assert halo.words[dest, src] == int((sources == src).sum())
 

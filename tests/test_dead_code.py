@@ -10,7 +10,11 @@ must be named somewhere else:
 - a method or property (a definition in a class body) only by an
   attribute reference, ``x.name``;
 - a module-level or nested function or class by a bare ``Name`` or an
-  import too (a package ``__init__.py``'s re-exports aside);
+  import too (a package ``__init__.py``'s re-exports aside). A bare
+  name counts only where it is read and no enclosing function binds it
+  (as a parameter, an assignment target or an import; a nested ``def``
+  binds its name only as its definition): a local variable of the same
+  spelling keeps nothing;
 - an attribute of a module outside ``repro`` bound by ``import``, such
   as ``np.percentile``, names nothing;
 - a string constant names something only in ``hostbench/``, whose
@@ -96,11 +100,58 @@ def _root(node):
     return node.id if isinstance(node, ast.Name) else None
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bindings(function):
+    """The names ``function`` binds itself: its parameters and the names
+    its body stores, deletes, imports or catches, outside nested
+    functions and classes, less those it declares ``global`` or
+    ``nonlocal``. A comprehension's targets count as its function's."""
+    args = function.args
+    bound = {arg.arg for arg in (*args.posonlyargs, *args.args,
+                                 *args.kwonlyargs, args.vararg, args.kwarg)
+             if arg is not None}
+    declared = set()
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        if not isinstance(node, (*_SCOPES, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return bound - declared
+
+
+def _free_loads(tree):
+    """The bare names ``tree`` reads where no enclosing function binds
+    them."""
+    found = set()
+    stack = [(tree, frozenset())]
+    while stack:
+        node, bound = stack.pop()
+        if isinstance(node, _SCOPES):
+            bound = bound | _bindings(node)
+        elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+              and node.id not in bound):
+            found.add(node.id)
+        stack.extend((child, bound) for child in ast.iter_child_nodes(node))
+    return found
+
+
 def references(source, *, reexports=False, strings=False):
     """``(names, attributes)`` that ``source`` refers to outside its
     docstrings.
 
-    ``names`` holds bare names and imported names, ``attributes`` the
+    ``names`` holds the bare names read where no enclosing function
+    binds them and the imported names, ``attributes`` the
     attribute references (those of a foreign module excepted) and the
     name arguments of ``getattr``/``setattr``/``hasattr``. With
     ``strings`` (a patcher) every string constant joins both. With
@@ -109,11 +160,9 @@ def references(source, *, reexports=False, strings=False):
     """
     tree = _without_docstrings(ast.parse(source))
     foreign = _foreign_modules(tree)
-    names, attributes = set(), set()
+    names, attributes = _free_loads(tree), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             if _root(node.value) not in foreign:
                 attributes.add(node.attr)
         elif reexports:
@@ -363,6 +412,37 @@ class TestRules:
         }
         callers = {"examples/use.py": "from pkg.sched import run\nrun()\n"}
         assert uncalled(modules, callers) == [("pkg/sched.py", 2, "ready")]
+
+    def test_a_local_binding_does_not_keep_a_function(self):
+        # An uncalled ``cumsum`` once passed because the Hall kernel
+        # binds a local of that name.
+        modules = {
+            "pkg/ops.py": "def cumsum(values):\n    return values\n",
+            "pkg/share.py": (
+                "import numpy as np\n"
+                "def scale(x):\n"
+                "    return x\n"
+                "def bounds(loads):\n"
+                "    cumsum = np.cumsum(loads)\n"
+                "    return scale(cumsum[-1])\n"
+                "def walk(cumsum):\n"
+                "    return cumsum\n"
+                "def outer(loads):\n"
+                "    cumsum = loads\n"
+                "    def inner():\n"
+                "        return cumsum\n"
+                "    return inner()\n"
+            ),
+        }
+        callers = {
+            "examples/use.py": (
+                "from pkg.share import bounds, outer, walk\n"
+                "bounds([1]), outer([1]), walk(1)\n"
+            ),
+        }
+        # A parameter, an assignment and an enclosing function's local
+        # all hide the name; a free read keeps ``scale``.
+        assert uncalled(modules, callers) == [("pkg/ops.py", 1, "cumsum")]
 
     def test_a_foreign_module_attribute_names_nothing(self):
         modules = {

@@ -99,7 +99,6 @@ class TestTracerCore:
         assert tracer.instant("x") is None
         assert tracer.span("x", lane="a", start=0, end=1) is None
         assert tracer.counter("x") is None
-        assert tracer.splice(()) is None
         assert tracer.wall("x") is None
         assert NULL_TRACER.enabled is False
 

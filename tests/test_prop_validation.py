@@ -13,15 +13,23 @@ or failed with a bare ``TypeError`` or ``ValueError``.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel import ArchConfig, RemoteAutoTuner, RowAssignment
+from repro.accel import (
+    ArchConfig,
+    CachedStage,
+    GcnAccelerator,
+    RemoteAutoTuner,
+    RowAssignment,
+)
 from repro.cluster import (
     ClusterConfig,
     StragglerEvent,
@@ -29,14 +37,17 @@ from repro.cluster import (
     make_topology,
     subtopology,
 )
+from repro.datasets import load_dataset
 from repro.errors import ConfigError
 from repro.serve import (
+    AutotuneCache,
     InferenceRequest,
     InferenceService,
     RmatGraphSpec,
     StreamingScheduler,
     mixed_traffic,
 )
+from repro.sparse import CooMatrix
 
 CONFIG = ArchConfig(n_pes=64, hop=1)
 SPEC = RmatGraphSpec(n_nodes=256)
@@ -46,6 +57,20 @@ def _tuner(**kwargs):
     """A RemoteAutoTuner over a 4-row, 2-PE map with ``kwargs`` set."""
     kwargs.setdefault("rows_per_pe_equal", 2.0)
     return RemoteAutoTuner(RowAssignment([1, 2, 3, 4], 2), **kwargs)
+
+
+@lru_cache(maxsize=1)
+def _cora():
+    """The 300-node tiny Cora dataset at seed 3."""
+    return load_dataset("cora", "tiny", seed=3)
+
+
+def _stage(**kwargs):
+    """A cache stage of one row that converged after two warm-up rounds,
+    with ``kwargs`` set."""
+    fields = dict(owner=[0], warmup_costs=(5, 4), converged_round=2,
+                  final_backlog=0, total_backlog=0)
+    return CachedStage(**{**fields, **kwargs})
 
 
 def _ring_subtopology(chips):
@@ -68,7 +93,6 @@ FIELDS = [
         ("tracking_window", "positive int"),
         ("frequency_mhz", "positive real"),
         ("drain_cycles", "non-negative int"),
-        ("sharing_efficiency", "open-low fraction"),
         ("pipeline_spmm", "bool"), ("switch_damping", "positive real"),
         ("convergence_patience", "positive int"), ("eq5_approximate", "bool"),
     )
@@ -116,9 +140,6 @@ BAD = {
                                    _NEGATIVE_REALS),
     "fraction": st.one_of(_NOT_NUMBERS, _NOT_FINITE, _BOOLS, _NEGATIVE_REALS,
                           st.floats(min_value=1.0 + 1e-9, allow_nan=False)),
-    "open-low fraction": st.one_of(_NOT_NUMBERS, _NOT_FINITE, _BOOLS,
-                                   _NEGATIVE_REALS, st.just(0.0),
-                                   st.just(1.5)),
     "slowdown": st.one_of(_NOT_NUMBERS, _NOT_FINITE, _BOOLS, _NEGATIVE_REALS,
                           st.just(0.0), st.floats(0.0, 1.0,
                                                   exclude_max=True)),
@@ -143,7 +164,6 @@ LEGAL = {
     "positive real": st.one_of(st.floats(1e-6, 1e6), st.integers(1, 1000)),
     "non-negative real": st.floats(0.0, 1e6),
     "fraction": st.floats(0.0, 1.0),
-    "open-low fraction": st.floats(1e-9, 1.0),
     "slowdown": st.floats(1.0, 1e3),
     "bool": _BOOLS,
     "config": st.just(ArchConfig(n_pes=32)),
@@ -273,6 +293,57 @@ PROBES = {
                                "critical_slo_ms"),
     "mixed-sharded-slo-negative": (lambda: _mixed(sharded_slo_ms=-1.0),
                                    "sharded_slo_ms"),
+    # Parts that do not fit one graph once priced: profiles of 5 and 3
+    # rows on the 300-node graph read 5,471 cycles, and a second weight
+    # that cannot follow the first's 16 columns 5,035.
+    "dataset-x1-short": (
+        lambda: replace(_cora(), x1_row_nnz=np.ones(5, dtype=int)),
+        "x1_row_nnz"),
+    "dataset-x2-short": (
+        lambda: replace(_cora(), x2_row_nnz=np.ones(3, dtype=int)),
+        "x2_row_nnz"),
+    "dataset-x2-negative": (
+        lambda: replace(_cora(), x2_row_nnz=np.full(300, -1)), "x2_row_nnz"),
+    "dataset-x1-fractional": (
+        lambda: replace(_cora(), x1_row_nnz=np.full(300, 1.5)), "x1_row_nnz"),
+    "dataset-x1-2d": (
+        lambda: replace(_cora(), x1_row_nnz=np.ones((300, 1), dtype=int)),
+        "x1_row_nnz"),
+    "dataset-weights-unchained": (
+        lambda: replace(_cora(), weights=[_cora().weights[0],
+                                          np.zeros((7, 3))]),
+        "weights"),
+    "dataset-weights-one": (
+        lambda: replace(_cora(), weights=[_cora().weights[0]]), "weights"),
+    "dataset-weights-1d": (
+        lambda: replace(_cora(), weights=[_cora().weights[0],
+                                          np.zeros(16)]),
+        "weights"),
+    "dataset-adjacency-not-square": (
+        lambda: replace(_cora(), adjacency=CooMatrix(
+            (300, 301), [0], [0], [1.0])),
+        "adjacency"),
+    "dataset-adjacency-dense": (
+        lambda: replace(_cora(), adjacency=np.eye(300)), "adjacency"),
+    # A cache stage no cold run can produce once replayed as a hit.
+    "stage-warmup-negative": (
+        lambda: _stage(warmup_costs=(-1_000_000_000, 4)),
+        r"warmup_costs\[0\]"),
+    "stage-warmup-fractional": (lambda: _stage(warmup_costs=(5, 4.5)),
+                                r"warmup_costs\[1\]"),
+    "stage-warmup-list": (lambda: _stage(warmup_costs=[5, 4]),
+                          "warmup_costs"),
+    "stage-converged-past-warmup": (
+        lambda: _stage(converged_round=1_000_000), "converged_round"),
+    "stage-converged-zero": (
+        lambda: _stage(warmup_costs=(), converged_round=0),
+        "converged_round"),
+    "stage-converged-bool": (lambda: _stage(converged_round=True),
+                             "converged_round"),
+    "stage-final-backlog-negative": (lambda: _stage(final_backlog=-1),
+                                     "final_backlog"),
+    "stage-total-backlog-fractional": (lambda: _stage(total_backlog=2.5),
+                                       "total_backlog"),
 }
 
 
@@ -281,3 +352,48 @@ def test_probe_is_a_config_error_naming_the_field(build, field):
     with pytest.raises(ConfigError, match=field):
         build()
 
+
+
+def _negative_first_warmup(stages, arrays):
+    stages[0]["warmup"][0] = -1_000_000_000
+
+
+def _late_convergence(stages, arrays):
+    stages[1]["converged_round"] = 1_000_000
+
+
+def _fractional_warmup(stages, arrays):
+    # Once truncated to 51 on load; the cold run priced that round 52.
+    stages[0]["warmup"][1] = 51.5
+
+
+def _fractional_owner(stages, arrays):
+    # Once truncated back to the whole PE ids on load.
+    arrays["e0_s1"] = arrays["e0_s1"] + 0.5
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_negative_first_warmup, r"warmup_costs\[0\]"),
+    (_late_convergence, "converged_round"),
+    (_fractional_warmup, r"warmup_costs\[1\]"),
+    (_fractional_owner, "owner"),
+])
+def test_load_refuses_a_stage_no_cold_run_produces(tmp_path, edit, field):
+    # Together these once loaded, and the hit read 5,726 cycles where
+    # the cold run gives 5,768.
+    config = ArchConfig(n_pes=32, hop=1, remote_switching=True)
+    cache = AutotuneCache()
+    GcnAccelerator(RmatGraphSpec(n_nodes=256, seed=3).build(),
+                   config).run(cache=cache)
+    path = cache.save(tmp_path / "cache.npz")
+    assert AutotuneCache.load(path).stats.entries == 1
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    index = json.loads(bytes(arrays.pop("index")).decode())
+    edit(index["entries"][0]["layers"][0], arrays)
+    np.savez_compressed(path, index=np.frombuffer(
+        json.dumps(index).encode(), dtype=np.uint8,
+    ), **arrays)
+    with pytest.raises(ConfigError,
+                       match=rf"entry 0 is malformed.*{field}"):
+        AutotuneCache.load(path)

@@ -112,12 +112,3 @@ class TestAcceleratorEdgeCases:
             tiny_cora, ArchConfig(n_pes=16, drain_cycles=0)
         ).run()
         assert report.total_cycles * 16 >= report.total_work
-
-    def test_sharing_efficiency_penalty(self, tiny_nell):
-        ideal = GcnAccelerator(
-            tiny_nell, ArchConfig(n_pes=16, hop=2, sharing_efficiency=1.0)
-        ).run()
-        lossy = GcnAccelerator(
-            tiny_nell, ArchConfig(n_pes=16, hop=2, sharing_efficiency=0.7)
-        ).run()
-        assert lossy.total_cycles >= ideal.total_cycles

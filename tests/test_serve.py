@@ -814,10 +814,10 @@ class TestColdMemo:
             service.drain()
             assert len(tune_calls) == 2 * stages
 
-    def test_untraced_run_is_refilled_once_for_a_traced_miss(self,
-                                                             tune_calls):
+    def test_traced_miss_reuses_the_untraced_kept_run(self, tune_calls):
         # The caches trace nothing here, so a miss records exactly the
-        # tuner events of a cache-less traced run.
+        # tuner events of a cache-less traced run. It reads them off the
+        # run the accelerator kept untraced, without tuning again.
         dataset = SPEC.build()
         want = RecordingTracer()
         GcnAccelerator(dataset, CFG_A).run(tracer=want)
@@ -825,29 +825,30 @@ class TestColdMemo:
         accel.run(cache=AutotuneCache())
         stages = len(tune_calls) // 2
         assert want.events
-        assert accel._cold is not None
-        assert accel._cold.events is None
+        kept = accel._cold
+        assert kept is not None
         for _ in range(2):
             got = RecordingTracer()
-            accel.run(cache=AutotuneCache(), tracer=got)
+            assert accel.run(cache=AutotuneCache(), tracer=got) is kept.report
             assert stream_fingerprint(got.events) == stream_fingerprint(
                 want.events
             )
-        assert len(tune_calls) == 3 * stages
+        assert accel._cold is kept
+        assert len(tune_calls) == 2 * stages
 
 
 class _TuneEveryMiss(GcnAccelerator):
     """The accelerator without a kept cold run: every cache miss drives
-    the tuner, straight into the tracer."""
+    the tuner and traces the events of its own fresh cold report."""
 
     def run(self, *, cache=None, tracer=None):
         if cache is None:
-            return self._run_cold(tracer=tracer)
+            return self._traced(self._run_cold(), tracer)
         fingerprint = self.fingerprint()
         entry = cache.lookup(fingerprint, self.config)
         if entry is not None and entry.matches(self.jobs):
             return self._run_cached(entry)
-        report = self._run_cold(tracer=tracer)
+        report = self._traced(self._run_cold(), tracer)
         cache.store(fingerprint, self.config,
                     CachedTuning.from_report(report))
         return report
@@ -865,7 +866,7 @@ class _FreshAccelService(InferenceService):
 
 class _PrefilledService(InferenceService):
     """Keeps each accelerator's cold run untraced the moment it is
-    built, so a traced drain has to refill its events."""
+    built, so a traced drain reads its events off the kept report."""
 
     def _accel_for(self, request):
         record = super()._accel_for(request)

@@ -85,9 +85,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             check_fraction(value, "x")
 
-    def test_fraction_exclusive_bounds(self):
-        with pytest.raises(ConfigError):
-            check_fraction(0.0, "x", inclusive_low=False)
+    def test_fraction_interval_is_closed(self):
+        # Both ends belong to the interval; NaN and the infinities lie
+        # outside it.
+        assert check_fraction(0, "x") == 0.0
+        assert check_fraction(1, "x") == 1.0
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="unit interval"):
+                check_fraction(bad, "x")
 
     @pytest.mark.parametrize("bad", ["0.5", True, None, 0.5j])
     def test_fraction_takes_only_numbers(self, bad):
